@@ -2,8 +2,9 @@
 
 Subcommands: ground (Datalog -> provenance), solve (refinement loop),
 learn (hyperparameter fitting), likelihood (bound/exact evaluation), and
-maxsat (solve or export instances).  Every randomized path takes --seed
-(default 0), so identical invocations produce identical output.
+maxsat (solve or export instances).  The one randomized path, learn's
+observation sampling, takes --seed (default 0), so identical invocations
+produce identical output.
 
 Exit codes: 0 success ("yes" for solve), 1 "no" / unsatisfiable,
 2 parse or usage error, 3 integer domain overflow, 4 iteration or
@@ -96,7 +97,6 @@ def cmd_solve(args) -> int:
         solver=args.solver,
         max_iterations=args.max_iters,
         solver_budget=args.budget,
-        seed=args.seed,
     )
     outcome = refine.solve(an, query, cfg)
     for entry in outcome.trace:
@@ -247,12 +247,8 @@ def cmd_maxsat(args) -> int:
         print("model:", " ".join(sorted(model)))
         print(f"objective: {objective:.6f}")
         return EXIT_OK
-    solver = mx.solve_approx if args.solve == "approx" else mx.solve_exact
-    if args.solve == "approx":
-        result = mx.solve_approx(inst, budget=args.budget,
-                                 rng=random.Random(args.seed))
-    else:
-        result = mx.solve_exact(inst, budget=args.budget)
+    solve = mx.solve_approx if args.solve == "approx" else mx.solve_exact
+    result = solve(inst, budget=args.budget)
     if result is None:
         print("unsat")
         return EXIT_NO
@@ -287,7 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--theta", help="hyperparameter file")
     p.add_argument("--solver", default="exact", choices=["exact", "approx"])
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-iters", type=int, default=None)
     p.add_argument("--budget", type=float, default=60.0)
     p.set_defaults(func=cmd_solve)
@@ -315,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--varmap", help="where to write the variable map sidecar")
     p.add_argument("--import-model", help="decode an external solver's literals")
     p.add_argument("--solve", default="exact", choices=["exact", "approx"])
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=float, default=60.0)
     p.set_defaults(func=cmd_maxsat)
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import ast
 import re
+import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -187,7 +188,7 @@ def _parse_term(tok: str):
     if re.fullmatch(r"-?\d+", tok):
         return int(tok)
     if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_']*", tok):
-        return tok
+        return sys.intern(tok)
     raise ValueError(f"malformed term {tok!r}")
 
 
@@ -196,6 +197,7 @@ def _parse_atom(text: str) -> Atom:
     if not m:
         raise ValueError(f"malformed atom {text!r}")
     rel, argtext = m.groups()
+    rel = sys.intern(rel)  # names repeat across facts: share one string
     if argtext is None:
         return Atom(rel)
     args = tuple(_parse_term(t) for t in argtext.split(",")) if argtext else ()
@@ -326,7 +328,8 @@ def ground(rules: Iterable[Rule], base: Iterable[Fact],
     for f in known:
         by_rel.setdefault(f.relation, set()).add(f)
 
-    arcs = {Arc(f, frozenset(), BASE_RULE_TYPE) for f in sorted(base)}
+    no_body = frozenset()  # one shared empty body: the graph outlives grounding
+    arcs = {Arc(f, no_body, BASE_RULE_TYPE) for f in sorted(base)}
 
     def join(rule: Rule, delta: set):
         """All instances of `rule` with at least one body atom in delta."""

@@ -20,7 +20,7 @@ INFINITY = float("inf")
 
 
 @functools.total_ordering
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Fact:
     """A ground atom: relation name plus a tuple of constants."""
 
@@ -42,7 +42,7 @@ class Fact:
 
 
 @functools.total_ordering
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Arc:
     """An instantiated rule: head <- body, tagged with its rule type."""
 
@@ -75,11 +75,14 @@ class Hypergraph:
 
     def __init__(self, arcs: Iterable[Arc] = ()):
         self.arcs = frozenset(arcs)
+
+    @functools.cached_property
+    def vertices(self) -> frozenset:
         verts = set()
         for a in self.arcs:
             verts.add(a.head)
             verts.update(a.body)
-        self.vertices = frozenset(verts)
+        return frozenset(verts)
 
     def __len__(self) -> int:
         return len(self.arcs)

@@ -3,15 +3,17 @@
 The task: among models of a hard formula, maximize the summed weight of
 the true variables.  The hard formula is compiled to CNF by the Tseytin
 transformation; auxiliary and existentially quantified variables carry
-weight zero and are hidden from reported models.  Includes a deterministic
-branch-and-bound exact solver, a local-search approximate solver, and a
-DIMACS WCNF bridge for external solvers.
+weight zero and are hidden from reported models.  One deterministic
+branch and bound, over a two-watched-literal propagation engine with a
+trail and undo, serves both entry points: `solve_exact` returns a proven
+optimum or raises BudgetExceeded, and `solve_approx` returns the best
+model found when the budget runs out.  A DIMACS WCNF bridge hands
+instances to external solvers.
 """
 
 from __future__ import annotations
 
 import math
-import random
 import time
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
@@ -79,7 +81,7 @@ class MaxSatInstance:
     weights: dict = field(default_factory=dict)
 
     def objective(self, model: Iterable[str]) -> float:
-        return sum(self.weights.get(v, 0.0) for v in model)
+        return math.fsum(self.weights.get(v, 0.0) for v in model)
 
 
 # ---------------------------------------------------------------------------
@@ -171,60 +173,90 @@ def compile_instance(inst: MaxSatInstance) -> _CNF:
 
 
 # ---------------------------------------------------------------------------
-# propagation and search primitives
+# propagation engine
 
 
-def _propagate(clauses, assign: dict):
-    """Unit propagation; returns False on conflict, else True.
+class _Engine:
+    """Unit propagation over two watched positions per clause, with a trail.
 
-    `assign` maps var id -> bool and is extended in place.
+    `val` and `watches` are indexed by literal: in a list of length 2n+1,
+    literal -v lands at index 2n+1-v, clear of the positive literals 1..n.
+    A clause is unit when all but one of its positions are false, so a
+    repeated literal counts once per position, as in a full clause scan.
+    Unit and empty clauses are settled at the root; `ok` is False when the
+    root propagation conflicts.
     """
-    changed = True
-    while changed:
-        changed = False
+
+    def __init__(self, nvars: int, clauses):
+        size = 2 * nvars + 1
+        self.val = [0] * size  # 1 true, -1 false, 0 unassigned
+        self.watches = [[] for _ in range(size)]
+        self.trail = []
+        self.head = 0  # trail[:head] has been propagated
+        root_ok = True
         for clause in clauses:
-            unassigned = None
-            satisfied = False
-            count = 0
-            for lit in clause:
-                v = abs(lit)
-                want = lit > 0
-                if v in assign:
-                    if assign[v] == want:
-                        satisfied = True
+            if len(clause) >= 2:
+                c = list(clause)
+                self.watches[c[0]].append(c)
+                self.watches[c[1]].append(c)
+            elif not clause or not self.assign(clause[0]):
+                root_ok = False
+        self.ok = root_ok and self.propagate()
+
+    def mark(self) -> int:
+        return len(self.trail)
+
+    def undo(self, mark: int) -> None:
+        val, trail = self.val, self.trail
+        while len(trail) > mark:
+            lit = trail.pop()
+            val[lit] = val[-lit] = 0
+        self.head = mark
+
+    def assign(self, lit: int) -> bool:
+        """Make lit true; False when it is already false."""
+        if self.val[lit]:
+            return self.val[lit] > 0
+        self.val[lit] = 1
+        self.val[-lit] = -1
+        self.trail.append(lit)
+        return True
+
+    def propagate(self) -> bool:
+        """Extend the trail to the unit fixpoint; False on conflict."""
+        val, watches, trail = self.val, self.watches, self.trail
+        while self.head < len(trail):
+            false_lit = -trail[self.head]
+            self.head += 1
+            ws = watches[false_lit]
+            i = j = 0
+            while i < len(ws):
+                c = ws[i]
+                i += 1
+                if c[0] == false_lit:
+                    c[0], c[1] = c[1], false_lit
+                first = c[0]
+                if val[first] == 1:  # satisfied: keep watching
+                    ws[j] = c
+                    j += 1
+                    continue
+                for k in range(2, len(c)):
+                    lit = c[k]
+                    if val[lit] != -1:  # move the watch to position k
+                        c[1], c[k] = lit, false_lit
+                        watches[lit].append(c)
                         break
-                else:
-                    unassigned = lit
-                    count += 1
-            if satisfied:
-                continue
-            if count == 0:
-                return False
-            if count == 1:
-                v = abs(unassigned)
-                assign[v] = unassigned > 0
-                changed = True
-    return True
-
-
-def _dpll_complete(clauses, assign: dict, order: list,
-                   deadline: float) -> Optional[dict]:
-    """Deterministic satisfiability search; branches False first."""
-    assign = dict(assign)
-    if not _propagate(clauses, assign):
-        return None
-    for v in order:
-        if v not in assign:
-            if time.monotonic() > deadline:
-                raise BudgetExceeded("satisfiability completion timed out")
-            for value in (False, True):
-                trial = dict(assign)
-                trial[v] = value
-                result = _dpll_complete(clauses, trial, order, deadline)
-                if result is not None:
-                    return result
-            return None
-    return assign
+                else:  # every other position is false
+                    ws[j] = c
+                    j += 1
+                    if val[first] == -1:
+                        del ws[j:i]  # keep the watchers not yet visited
+                        return False
+                    val[first] = 1
+                    val[-first] = -1
+                    trail.append(first)
+            del ws[j:]
+        return True
 
 
 def _check_assignment(clauses, assign: dict) -> bool:
@@ -234,204 +266,115 @@ def _check_assignment(clauses, assign: dict) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# exact solver
+# branch and bound
 
 
-def _weighted_set_key(cnf: _CNF, model_ids: set, weighted: list) -> tuple:
-    """Canonical ranking of a model's weighted part: set-lex order.
+def _branch_and_bound(inst: MaxSatInstance, budget: float):
+    """Best model found within the budget, and whether it is proven optimal.
 
-    Models are compared by the sorted tuple of indices (into the
-    canonical weighted-variable order) of their true weighted variables;
-    tuple comparison makes a model containing earlier variables smaller.
+    Returns ((model, objective) or None, proven).  Branches on weighted
+    variables by descending |weight| (names break ties), prunes on an
+    optimistic bound, and among optimal models keeps the one whose
+    weighted part is smallest in set-lex order: the sorted tuple of
+    indices, in name order, of its true weighted variables.  Each leaf is
+    completed by a False-first search over the remaining variables.
     """
-    index = {v: i for i, v in enumerate(sorted(weighted, key=lambda v: cnf.names[v]))}
-    return tuple(sorted(index[v] for v in model_ids if v in index))
+    deadline = time.monotonic() + budget
+    cnf = compile_instance(inst)
+    names = cnf.names
+    weights = {cnf.ids[n]: w for n, w in inst.weights.items()
+               if n in cnf.ids and w != 0.0}
+    witems = list(weights.items())
+    weighted = sorted(weights, key=lambda v: (-abs(weights[v]), names[v]))
+    by_name = sorted(weighted, key=lambda v: names[v])
+    others = sorted(v for v in names if v not in weights)
+    tol = 1e-12
+    engine = _Engine(len(names), cnf.clauses)
+    val = engine.val
+    best = {"objective": None, "key": None, "true": None}
+
+    def tick() -> None:
+        if time.monotonic() > deadline:
+            raise BudgetExceeded("MaxSAT solver budget exhausted")
+
+    def complete(i: int, ok: bool) -> bool:
+        if not ok:
+            return False
+        while i < len(others) and val[others[i]]:
+            i += 1
+        if i == len(others):
+            return True
+        tick()
+        v = others[i]
+        for lit in (-v, v):
+            mark = engine.mark()
+            if complete(i + 1, engine.assign(lit) and engine.propagate()):
+                return True
+            engine.undo(mark)
+        return False
+
+    def search(ok: bool) -> None:
+        tick()
+        if not ok:
+            return
+        objective = sum(w for v, w in witems if val[v] == 1)
+        slack = sum(max(0.0, w) for v, w in witems if not val[v])
+        incumbent = best["objective"]
+        if incumbent is not None and objective + slack < incumbent - tol:
+            return
+        v = next((u for u in weighted if not val[u]), None)
+        if v is None:
+            key = tuple(i for i, u in enumerate(by_name) if val[u] == 1)
+            if incumbent is not None and not (
+                    objective > incumbent + tol
+                    or (abs(objective - incumbent) <= tol and key < best["key"])):
+                return
+            mark = engine.mark()
+            if complete(0, True):
+                best.update(objective=objective, key=key,
+                            true=[u for u in names if val[u] == 1])
+            engine.undo(mark)
+            return
+        first = v if weights[v] > 0 else -v
+        for lit in (first, -first):
+            mark = engine.mark()
+            search(engine.assign(lit) and engine.propagate())
+            engine.undo(mark)
+
+    try:
+        search(engine.ok)
+        proven = True
+    except BudgetExceeded:
+        proven = False
+    if best["true"] is None:
+        return None, proven
+    if not _check_assignment(cnf.clauses, dict.fromkeys(best["true"], True)):
+        raise NotAModel("solver produced a non-model")
+    model = frozenset(names[v] for v in best["true"] if v not in cnf.hidden)
+    return (model, inst.objective(model)), proven
 
 
 def solve_exact(inst: MaxSatInstance, budget: float = 60.0):
     """Optimal model of the hard formula, or None when unsatisfiable.
 
-    Deterministic branch and bound: branches on weighted variables by
-    descending |weight| (names break ties), prunes on an optimistic
-    bound, and among optimal models returns the one whose weighted part
-    is smallest in set-lex order, completed by a False-first search over
-    the remaining variables.
+    Raises BudgetExceeded when optimality is not proven within the budget.
     """
-    deadline = time.monotonic() + budget
-    cnf = compile_instance(inst)
-    clauses = cnf.clauses
-    weights = {cnf.ids[n]: w for n, w in inst.weights.items()
-               if n in cnf.ids and w != 0.0}
-    weighted = sorted(weights, key=lambda v: (-abs(weights[v]), cnf.names[v]))
-    others = sorted(v for v in cnf.names if v not in weights)
-    tol = 1e-12
-
-    best = {"objective": None, "key": None, "assign": None}
-
-    def record(assign: dict, objective: float) -> None:
-        model_ids = {v for v, val in assign.items() if val}
-        key = _weighted_set_key(cnf, model_ids, weighted)
-        if (best["objective"] is None
-                or objective > best["objective"] + tol
-                or (abs(objective - best["objective"]) <= tol
-                    and key < best["key"])):
-            best["objective"] = objective
-            best["key"] = key
-            best["assign"] = assign
-
-    def search(assign: dict) -> None:
-        if time.monotonic() > deadline:
-            raise BudgetExceeded("exact solver timed out")
-        assign = dict(assign)
-        if not _propagate(clauses, assign):
-            return
-        objective = sum(w for v, w in weights.items() if assign.get(v, False))
-        slack = sum(max(0.0, w) for v, w in weights.items() if v not in assign)
-        if best["objective"] is not None and objective + slack < best["objective"] - tol:
-            return
-        pending = [v for v in weighted if v not in assign]
-        if not pending:
-            if best["objective"] is not None:
-                if objective < best["objective"] - tol:
-                    return
-                if abs(objective - best["objective"]) <= tol:
-                    model_ids = {v for v in weights if assign.get(v, False)}
-                    if _weighted_set_key(cnf, model_ids, weighted) >= best["key"]:
-                        return
-            completion = _dpll_complete(clauses, assign, others, deadline)
-            if completion is not None:
-                for v in cnf.names:
-                    completion.setdefault(v, False)
-                record(completion, objective)
-            return
-        v = pending[0]
-        first = weights[v] > 0
-        for value in (first, not first):
-            trial = dict(assign)
-            trial[v] = value
-            search(trial)
-
-    search({})
-    if best["assign"] is None:
-        return None
-    model = frozenset(
-        cnf.names[v] for v, val in best["assign"].items()
-        if val and v not in cnf.hidden)
-    return model, inst.objective(model)
+    result, proven = _branch_and_bound(inst, budget)
+    if not proven:
+        raise BudgetExceeded("exact solver timed out")
+    return result
 
 
-# ---------------------------------------------------------------------------
-# approximate solver
+def solve_approx(inst: MaxSatInstance, budget: float = 60.0):
+    """Anytime variant: the best model found within the budget.
 
-
-def solve_approx(inst: MaxSatInstance, budget: float = 60.0,
-                 rng: Optional[random.Random] = None):
-    """Feasibility-first local search; always returns a genuine model.
-
-    Unit propagation proves easy unsatisfiability; otherwise a WalkSAT
-    loop finds some model and hill climbing with restarts improves the
-    objective.  Deterministic given the rng seed.
+    Returns None only when the formula is proven unsatisfiable; raises
+    BudgetExceeded when the budget runs out before any model is found.
     """
-    rng = rng or random.Random(0)
-    deadline = time.monotonic() + budget
-    cnf = compile_instance(inst)
-    clauses = cnf.clauses
-    weights = {cnf.ids[n]: w for n, w in inst.weights.items()
-               if n in cnf.ids and w != 0.0}
-    all_vars = sorted(cnf.names)
-
-    roots = {}
-    if not _propagate(clauses, roots):
-        return None
-
-    def walk(assign: dict, frozen: dict, max_flips: int) -> Optional[dict]:
-        """WalkSAT from a starting point; frozen vars are never flipped."""
-        assign = dict(assign)
-        assign.update(frozen)
-        for _ in range(max_flips):
-            if time.monotonic() > deadline:
-                raise BudgetExceeded("approximate solver timed out")
-            unsat = [c for c in clauses
-                     if not any(assign[abs(l)] == (l > 0) for l in c)]
-            if not unsat:
-                return assign
-            clause = unsat[rng.randrange(len(unsat))]
-            flippable = [abs(l) for l in clause if abs(l) not in frozen]
-            if not flippable:
-                return None
-            if rng.random() < 0.3:
-                v = flippable[rng.randrange(len(flippable))]
-            else:
-                # greedy: flip the variable breaking the fewest clauses
-                def broken(v):
-                    assign[v] = not assign[v]
-                    n = sum(1 for c in clauses
-                            if not any(assign[abs(l)] == (l > 0) for l in c))
-                    assign[v] = not assign[v]
-                    return n
-                v = min(flippable, key=lambda u: (broken(u), u))
-            assign[v] = not assign[v]
-        return None
-
-    def objective_of(assign: dict) -> float:
-        return sum(w for v, w in weights.items() if assign[v])
-
-    best = None
-    # a deterministic completion guarantees feasibility on instances where
-    # random walks rarely stumble onto a model (long implication chains)
-    try:
-        seeded = _dpll_complete(clauses, dict(roots), all_vars, deadline)
-        if seeded is None:
-            return None  # the completion search is exhaustive: unsatisfiable
-    except BudgetExceeded:
-        seeded = None
-    for restart in range(20):
-        if time.monotonic() > deadline:
-            break
-        if restart == 0 and seeded is not None:
-            model = dict(seeded)
-        else:
-            start = {v: rng.random() < 0.5 for v in all_vars}
-            # bias the start toward the objective
-            for v, w in weights.items():
-                start[v] = w > 0
-            if restart:
-                for v in all_vars:
-                    if rng.random() < 0.25:
-                        start[v] = not start[v]
-            model = walk(start, dict(roots), 400)
-        if model is None:
-            continue
-        # hill climb: try to flip weighted variables toward their sign
-        improved = True
-        while improved and time.monotonic() < deadline:
-            improved = False
-            for v in sorted(weights, key=lambda u: -abs(weights[u])):
-                want = weights[v] > 0
-                if model[v] == want:
-                    continue
-                frozen = dict(roots)
-                frozen[v] = want
-                fixed = walk(model, frozen, 200)
-                if fixed is not None and objective_of(fixed) > objective_of(model):
-                    model = fixed
-                    improved = True
-        if best is None or objective_of(model) > objective_of(best):
-            best = model
-            stall = 0
-        else:
-            stall += 1
-            if stall >= 3:
-                break
-        if all(model[v] == (w > 0) for v, w in weights.items()):
-            break
-    if best is None:
+    result, proven = _branch_and_bound(inst, budget)
+    if result is None and not proven:
         raise BudgetExceeded("no model found within budget")
-    out = frozenset(cnf.names[v] for v in all_vars
-                    if best[v] and v not in cnf.hidden)
-    if not _check_assignment(clauses, best):
-        raise NotAModel("local search produced a non-model")
-    return out, inst.objective(out)
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ could still rule the query out.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -34,7 +33,6 @@ class RefineConfig:
     solver: str = "exact"  # exact | approx
     max_iterations: Optional[int] = None
     solver_budget: float = 60.0
-    seed: int = 0
 
 
 @dataclass
@@ -166,12 +164,7 @@ def decode_model(an: Analysis, model: Iterable[str], g_fwd: Hypergraph,
 
 def success_prob_lower(h: Hypergraph, hp: Optional[HyperParams]) -> float:
     """Log of the survival probability of the whole selected subgraph."""
-    return sum(_log_theta(hp, e.rule_type) for e in h.arcs)
-
-
-def score(a2: Abstraction, h: Hypergraph, hp: Optional[HyperParams],
-          alpha: float) -> float:
-    return success_prob_lower(h, hp) - alpha * len(a2.flips())
+    return math.fsum(_log_theta(hp, e.rule_type) for e in h.arcs)
 
 
 def choose_optimistic(an: Analysis, g_a: Hypergraph, q: Fact, a: Abstraction,
@@ -218,10 +211,8 @@ def choose_optimistic(an: Analysis, g_a: Hypergraph, q: Fact, a: Abstraction,
 
 
 def _run_solver(inst: mx.MaxSatInstance, cfg: RefineConfig):
-    if cfg.solver == "approx":
-        return mx.solve_approx(inst, budget=cfg.solver_budget,
-                               rng=random.Random(cfg.seed))
-    return mx.solve_exact(inst, budget=cfg.solver_budget)
+    solve = mx.solve_approx if cfg.solver == "approx" else mx.solve_exact
+    return solve(inst, budget=cfg.solver_budget)
 
 
 def _strategy_hyperparams(cfg: RefineConfig) -> Optional[HyperParams]:
@@ -277,7 +268,8 @@ def solve(an: Analysis, q: Fact, cfg: RefineConfig) -> RefineOutcome:
             entry["answer"] = "limit"
             return RefineOutcome("limit", iteration, trace)
         a = a2
-    trace.append({"iteration": iteration + 1, "answer": "limit"})
+    if trace:
+        trace[-1]["answer"] = "limit"
     return RefineOutcome("limit", iteration, trace)
 
 

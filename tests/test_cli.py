@@ -67,6 +67,17 @@ class TestSolve:
         assert "solver_objective=" in lines[0]
         assert lines[-1] == "answer: yes"
 
+    def test_limit_is_reported_on_the_last_iteration_run(self, capsys):
+        code, out, _ = run(capsys, "solve", "--fixture", "smudge",
+                           "--max-iters", "1")
+        assert code == 4
+        lines = out.strip().splitlines()
+        assert len(lines) == 2
+        assert lines[0].startswith("iter 1: flips={} ")
+        assert "chosen={0,4}" in lines[0]
+        assert lines[0].endswith("answer=limit")
+        assert lines[1] == "answer: limit"
+
     def test_max_iters_zero_is_limit(self, capsys):
         code, out, _ = run(capsys, "solve", "--fixture", "smudge",
                            "--max-iters", "0")

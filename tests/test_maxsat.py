@@ -3,8 +3,13 @@ import random
 
 import pytest
 
+from provrefine import datalog
 from provrefine import maxsat as mx
+from provrefine import probmodel as pm
+from provrefine import refine
 from provrefine.errors import BudgetExceeded, NotAModel
+
+import maxsat_reference as ref
 
 
 def _eval(f, assignment):
@@ -128,7 +133,7 @@ def test_approx_returns_valid_models():
     rng = random.Random(77)
     for i in range(60):
         inst = random_instance(rng)
-        got = mx.solve_approx(inst, budget=5.0, rng=random.Random(i))
+        got = mx.solve_approx(inst, budget=5.0)
         expect = brute_force_optimum(inst)
         if expect is None:
             assert got is None
@@ -143,6 +148,120 @@ def test_budget_exceeded_raises():
     inst = random_instance(rng, max_vars=6)
     with pytest.raises(BudgetExceeded):
         mx.solve_exact(inst, budget=0.0)
+
+
+def _independent_sets(n=60, seed=3):
+    """Maximum-weight independent set on a random graph: B&B needs many nodes."""
+    rng = random.Random(seed)
+    xs = [mx.var(f"x{i:02d}") for i in range(n)]
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.1]
+    hard = mx.and_(*[mx.not_(mx.and_(xs[i], xs[j])) for i, j in edges])
+    return mx.MaxSatInstance(hard, {f"x{i:02d}": rng.uniform(1, 2) for i in range(n)})
+
+
+def test_anytime_on_an_instance_too_hard_for_the_budget():
+    inst = _independent_sets()
+    with pytest.raises(BudgetExceeded):
+        mx.solve_exact(inst, budget=0.05)
+    try:
+        model, objective = mx.solve_approx(inst, budget=0.05)
+    except BudgetExceeded:
+        return
+    assert objective == inst.objective(model)
+    cnf = mx.compile_instance(inst)
+    visible = {cnf.ids[n]: n in model for n in cnf.ids if not n.startswith("_aux")}
+    full = ref.dpll_complete(cnf.clauses, visible, sorted(cnf.names), float("inf"))
+    assert full is not None and mx._check_assignment(cnf.clauses, full)
+
+
+def test_approx_is_exact_when_the_budget_suffices():
+    rng = random.Random(8)
+    for _ in range(40):
+        inst = random_instance(rng)
+        assert mx.solve_approx(inst) == mx.solve_exact(inst)
+
+
+def test_objective_sum_is_exact():
+    inst = mx.MaxSatInstance(mx.TRUE, {"a": 1e16, "b": 1.0, "c": -1e16})
+    assert inst.objective(["a", "b", "c"]) == 1.0  # a plain sum gives 0.0
+
+
+def test_exact_matches_reference_solver():
+    rng = random.Random(2024)
+    for i in range(400):
+        inst = random_instance(rng, max_vars=12 if i % 4 == 0 else 6)
+        assert mx.solve_exact(inst) == ref.solve_exact(inst)
+
+
+def test_exact_matches_reference_on_smudge_queries(monkeypatch):
+    an = datalog.smudge_fixture()
+    query = next(iter(sorted(an.queries)))
+    theta = pm.HyperParams(datalog.smudge_theta())
+    solve_exact = mx.solve_exact
+    seen = []
+
+    def recording(inst, budget=60.0):
+        seen.append(inst)
+        return solve_exact(inst, budget)
+
+    monkeypatch.setattr(mx, "solve_exact", recording)
+    for strategy in ("pessimistic", "optimistic", "probabilistic"):
+        refine.solve(an, query, refine.RefineConfig(strategy=strategy,
+                                                    hyperparams=theta))
+    assert len(seen) >= 5
+    for inst in seen:
+        assert solve_exact(inst) == ref.solve_exact(inst)
+
+
+def _random_cnf(rng, nvars):
+    """Clauses including units, repeated literals and tautologies."""
+    clauses = []
+    for _ in range(rng.randint(1, 3 * nvars)):
+        k = rng.choice([1, 2, 2, 3, 3, 4])
+        clause = [rng.choice([-1, 1]) * rng.randint(1, nvars) for _ in range(k)]
+        if rng.random() < 0.15:
+            clause.append(clause[0])
+        if rng.random() < 0.1:
+            clause.append(-clause[0])
+        rng.shuffle(clause)
+        clauses.append(tuple(clause))
+    return clauses
+
+
+def _engine_assignment(engine, nvars):
+    return {v: engine.val[v] > 0 for v in range(1, nvars + 1) if engine.val[v]}
+
+
+def test_engine_propagation_matches_full_scan():
+    rng = random.Random(99)
+    for _ in range(500):
+        nvars = rng.randint(1, 8)
+        clauses = _random_cnf(rng, nvars)
+        engine = mx._Engine(nvars, clauses)
+        expect = {}
+        ok = ref.propagate(clauses, expect)
+        assert engine.ok == ok
+        if not ok:
+            continue
+        assert _engine_assignment(engine, nvars) == expect
+        marks = []
+        for v in rng.sample(range(1, nvars + 1), nvars):
+            if v in expect:
+                continue
+            lit = v if rng.random() < 0.5 else -v
+            marks.append((engine.mark(), dict(expect)))
+            expect[v] = lit > 0
+            ok = ref.propagate(clauses, expect)
+            assert (engine.assign(lit) and engine.propagate()) == ok
+            if not ok:
+                break
+            assert _engine_assignment(engine, nvars) == expect
+        # undo restores every earlier fixpoint, and propagation still agrees
+        for mark, before in reversed(marks):
+            engine.undo(mark)
+            assert _engine_assignment(engine, nvars) == before
+            assert engine.propagate()
+            assert _engine_assignment(engine, nvars) == before
 
 
 def _extend(clauses, assign, all_vars):

@@ -63,7 +63,7 @@ class TestSolveSmudge:
                          refine.RefineConfig())
 
     def test_approx_solver_agrees_on_smudge(self, smudge):
-        cfg = refine.RefineConfig(solver="approx", seed=0)
+        cfg = refine.RefineConfig(solver="approx")
         out = refine.solve(smudge, _query(smudge), cfg)
         assert out.answer == "yes"
 
