@@ -9,7 +9,7 @@ checkers used to validate fixtures.
 
 from __future__ import annotations
 
-import re
+import string
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -35,9 +35,6 @@ class Abstraction:
     @staticmethod
     def top(params: Iterable[str]) -> "Abstraction":
         return Abstraction(tuple((p, 1) for p in params))
-
-    def as_dict(self) -> dict:
-        return dict(self.bits)
 
     def value(self, param: str) -> int:
         for p, v in self.bits:
@@ -97,19 +94,16 @@ class Projection:
         return out
 
 
-_TEMPLATE_RE = re.compile(
-    r"^([A-Za-z_][A-Za-z0-9_']*)\(([^()]*)\)\s*->\s*([A-Za-z_][A-Za-z0-9_']*)\(([^()]*)\)$"
-)
-
-
 def parse_projection_directive(line: str):
-    """Parse one projection line into (relation, rule)."""
-    line = line.strip()
-    m = _TEMPLATE_RE.match(line)
-    if m:
-        src_rel, src_args, dst_rel, dst_args = m.groups()
-        src = [a.strip() for a in src_args.split(",") if a.strip()]
-        dst = [a.strip() for a in dst_args.split(",") if a.strip()]
+    """Parse one projection line into (relation, rule).
+
+    `rel identity`, `rel drop`, or a template `rel(A0,A1) -> target(A1)`
+    whose right-hand variables pick source argument positions.
+    """
+    if "->" in line:
+        lhs, rhs = line.split("->", 1)
+        src_rel, src = hg.parse_atom(lhs)
+        dst_rel, dst = hg.parse_atom(rhs)
         try:
             indices = tuple(src.index(a) for a in dst)
         except ValueError as exc:
@@ -278,9 +272,22 @@ def check_predictable(an: Analysis, param_limit: int = 12,
 # manifest format
 
 
+def _read_source(path: str, lineno: int, parse):
+    """parse(text of path); its failures are reported at manifest line lineno."""
+    try:
+        with open(path) as fh:
+            return parse(fh.read())
+    except OSError as exc:
+        raise ParseError(lineno, f"cannot read {path}: {exc.strerror}") from exc
+    except ParseError as exc:
+        raise ParseError(lineno, f"{path} line {exc.line}: {exc.message}") from exc
+
+
 def parse_manifest(text: str, base_dir: str = ".") -> Analysis:
     """Parse an analysis manifest (see README for the section layout)."""
     import os
+
+    from . import datalog
 
     section = None
     params = []
@@ -290,7 +297,6 @@ def parse_manifest(text: str, base_dir: str = ".") -> Analysis:
     proj_rules = {}
     proj_default = "identity"
     graph = None
-    rules_path = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -299,41 +305,36 @@ def parse_manifest(text: str, base_dir: str = ".") -> Analysis:
             if line in ("params:", "queries:", "projection:"):
                 section = line[:-1]
                 continue
-            if line.startswith("provenance:"):
-                path = os.path.join(base_dir, line.split(":", 1)[1].strip())
-                with open(path) as fh:
-                    graph = hg.parse_provenance(fh.read())
+            key, _, value = line.partition(":")
+            if key in ("provenance", "rules"):
+                if graph is not None:
+                    raise ValueError("a second provenance: or rules: entry")
+                parse = (hg.parse_provenance if key == "provenance" else
+                         lambda text: datalog.ground(*datalog.parse_program(text)))
+                graph = _read_source(os.path.join(base_dir, value.strip()),
+                                     lineno, parse)
                 section = None
-                continue
-            if line.startswith("rules:"):
-                rules_path = os.path.join(base_dir, line.split(":", 1)[1].strip())
-                section = None
-                continue
-            if section == "params":
-                name, rest = line.split(None, 1)
-                kv = dict(tok.split("=", 1) for tok in rest.split())
+            elif section == "params":
+                name, *tokens = hg.split_top(line, string.whitespace)
+                kv = dict(tok.partition("=")[::2] for tok in tokens)
+                if sorted(kv) != ["encode0", "encode1"]:
+                    raise ValueError(f"expected '{name} encode0=FACT encode1=FACT'")
                 params.append(name)
                 encode0[name] = hg.parse_fact(kv["encode0"])
                 encode1[name] = hg.parse_fact(kv["encode1"])
             elif section == "queries":
                 queries.add(hg.parse_fact(line))
             elif section == "projection":
-                if line.startswith("default "):
-                    proj_default = line.split()[1]
+                rel, rule = parse_projection_directive(line)
+                if rel == "default" and isinstance(rule, str):
+                    proj_default = rule
                 else:
-                    rel, rule = parse_projection_directive(line)
                     proj_rules[rel] = rule
             else:
                 raise ValueError(f"line outside any section: {line!r}")
-        except (ValueError, KeyError) as exc:
+        except ValueError as exc:
             raise ParseError(lineno, str(exc)) from exc
 
-    if rules_path is not None:
-        from . import datalog
-
-        with open(rules_path) as fh:
-            rules, base = datalog.parse_program(fh.read())
-        graph = datalog.ground(rules, base)
     if graph is None:
         raise ParseError(0, "manifest missing provenance: or rules: entry")
     return Analysis(

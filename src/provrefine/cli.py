@@ -14,6 +14,7 @@ budget limit.
 from __future__ import annotations
 
 import argparse
+import math
 import random
 import sys
 
@@ -39,28 +40,12 @@ EXIT_LIMIT = 4
 
 
 def _read(path: str) -> str:
-    try:
-        with open(path) as fh:
-            return fh.read()
-    except OSError as exc:
-        raise ParseError(0, f"cannot read {path}: {exc.strerror}")
-
-
-def _load_analysis(args) -> ana.Analysis:
-    if getattr(args, "fixture", None):
-        if args.fixture != "smudge":
-            raise ParseError(0, f"unknown fixture {args.fixture!r}")
-        return datalog.smudge_fixture()
-    if not args.manifest:
-        raise ParseError(0, "need a manifest path or --fixture")
-    _read(args.manifest)  # surface missing-file errors uniformly
-    return ana.load_manifest(args.manifest)
+    with open(path) as fh:
+        return fh.read()
 
 
 def cmd_ground(args) -> int:
     if args.fixture:
-        if args.fixture != "smudge":
-            raise ParseError(0, f"unknown fixture {args.fixture!r}")
         graph = datalog.smudge_fixture().global_graph
     else:
         if not args.rules:
@@ -71,9 +56,7 @@ def cmd_ground(args) -> int:
             if extra_rules:
                 raise ParseError(0, f"{args.facts} contains rules, not just facts")
             base |= extra
-        seeds = set()
-        if args.seeds:
-            seeds = {hg.parse_fact(tok) for tok in args.seeds.split(",")}
+        seeds = hg.parse_facts(args.seeds) if args.seeds else ()
         graph = datalog.ground(rules, base, seeds=seeds)
     text = hg.serialize_provenance(graph)
     if args.out:
@@ -85,8 +68,21 @@ def cmd_ground(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    an = _load_analysis(args)
-    query = hg.parse_fact(args.query) if args.query else next(iter(sorted(an.queries)))
+    # with --fixture the one positional argument is the query
+    if args.fixture:
+        if args.query is not None:
+            raise ParseError(0, "with --fixture, give only the query")
+        an, query = datalog.smudge_fixture(), args.manifest
+    elif args.manifest:
+        an, query = ana.load_manifest(args.manifest), args.query
+    else:
+        raise ParseError(0, "need a manifest path or --fixture")
+    if query is not None:
+        query = hg.parse_fact(query)
+    elif an.queries:
+        query = min(an.queries)
+    else:
+        raise ParseError(0, "the analysis declares no query")
     hp = None
     if args.theta:
         hp = pm.parse_hyperparams(_read(args.theta))
@@ -118,7 +114,6 @@ def cmd_learn(args) -> int:
     rng = random.Random(args.seed)
     sets = []
     for path in args.manifests:
-        _read(path)
         an = ana.load_manifest(path)
         sets.append(learning.sample_training(an, args.n, args.max_flips, rng))
     if args.loo:
@@ -147,6 +142,7 @@ def cmd_likelihood(args) -> int:
     graph = hg.parse_provenance(_read(args.blueprint))
     obs = lk.parse_observations(_read(args.obs))
     hp = pm.parse_hyperparams(_read(args.theta))
+    pm.validate_hyperparams(hp, graph)
     if args.mode == "exact":
         value = lk.exact_likelihood(graph, obs, hp)
     else:
@@ -161,49 +157,43 @@ def cmd_likelihood(args) -> int:
 # hard line:     hard (and (or x1 x2) (not x3))   [prefix notation]
 
 
-def _tokenize_sexpr(text: str) -> list:
-    return text.replace("(", " ( ").replace(")", " ) ").split()
+_OPERATORS = {"and": (mx.and_, None), "or": (mx.or_, None), "not": (mx.not_, 1),
+              "implies": (mx.implies, 2), "iff": (mx.iff, 2),
+              "exists": (mx.exists, 2)}  # name -> (builder, arity or None)
+
+
+def _pop(tokens: list) -> str:
+    if not tokens:
+        raise ValueError("unexpected end of formula")
+    return tokens.pop(0)
 
 
 def _parse_sexpr(tokens: list):
-    if not tokens:
-        raise ValueError("unexpected end of formula")
-    tok = tokens.pop(0)
-    if tok == "(":
-        op = tokens.pop(0)
-        args = []
-        while tokens and tokens[0] != ")":
-            if op == "exists" and not args:
-                if tokens.pop(0) != "(":
-                    raise ValueError("exists needs a variable list")
-                names = []
-                while tokens and tokens[0] != ")":
-                    names.append(tokens.pop(0))
-                tokens.pop(0)
-                args.append(names)
-                continue
-            args.append(_parse_sexpr(tokens))
-        if not tokens:
-            raise ValueError("missing ')'")
-        tokens.pop(0)
-        if op == "and":
-            return mx.and_(*args)
-        if op == "or":
-            return mx.or_(*args)
-        if op == "not":
-            return mx.not_(args[0])
-        if op == "implies":
-            return mx.implies(args[0], args[1])
-        if op == "iff":
-            return mx.iff(args[0], args[1])
-        if op == "exists":
-            return mx.exists(args[0], args[1])
+    tok = _pop(tokens)
+    if tok == ")":
+        raise ValueError("unexpected ')'")
+    if tok != "(":
+        return {"true": mx.TRUE, "false": mx.FALSE}.get(tok, mx.var(tok))
+    op = _pop(tokens)
+    if op not in _OPERATORS:
         raise ValueError(f"unknown operator {op!r}")
-    if tok == "true":
-        return mx.TRUE
-    if tok == "false":
-        return mx.FALSE
-    return mx.var(tok)
+    build, arity = _OPERATORS[op]
+    args = []
+    if op == "exists":
+        if _pop(tokens) != "(":
+            raise ValueError("exists needs a variable list")
+        names = []
+        while (name := _pop(tokens)) != ")":
+            if name == "(":
+                raise ValueError("unexpected '(' in a variable list")
+            names.append(name)
+        args.append(names)
+    while tokens and tokens[0] != ")":
+        args.append(_parse_sexpr(tokens))
+    _pop(tokens)  # the closing ')'
+    if arity is not None and len(args) != arity:
+        raise ValueError(f"{op} takes {arity} arguments, got {len(args)}")
+    return build(*args)
 
 
 def parse_maxsat_instance(text: str) -> mx.MaxSatInstance:
@@ -217,8 +207,10 @@ def parse_maxsat_instance(text: str) -> mx.MaxSatInstance:
             if line.startswith("w "):
                 _, name, value = line.split()
                 weights[name] = float(value)
+                if not math.isfinite(weights[name]):
+                    raise ValueError(f"weight {value!r} is not a finite number")
             elif line.startswith("hard "):
-                tokens = _tokenize_sexpr(line[5:])
+                tokens = line[5:].replace("(", " ( ").replace(")", " ) ").split()
                 hard = _parse_sexpr(tokens)
                 if tokens:
                     raise ValueError("trailing tokens after formula")
@@ -269,13 +261,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ground", help="ground a Datalog program into provenance")
     p.add_argument("--rules")
     p.add_argument("--facts")
-    p.add_argument("--seeds", help="comma-separated facts available but not emitted")
+    p.add_argument("--seeds", help="facts, separated by commas or spaces, that rule "
+                   "bodies may use but that get no arc")
     p.add_argument("--fixture", choices=["smudge"])
     p.add_argument("--out")
     p.set_defaults(func=cmd_ground)
 
     p = sub.add_parser("solve", help="run the refinement loop on a query")
-    p.add_argument("manifest", nargs="?")
+    p.add_argument("manifest", nargs="?", help="manifest path; with --fixture, the query")
     p.add_argument("query", nargs="?")
     p.add_argument("--fixture", choices=["smudge"])
     p.add_argument("--strategy", default="pessimistic",
@@ -321,20 +314,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
+    except (ProvRefineError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except DomainOverflow as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_OVERFLOW
-    except (BudgetExceeded,) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_LIMIT
-    except CorpusTooSmall as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ProvRefineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, DomainOverflow):
+            return EXIT_OVERFLOW
+        if isinstance(exc, BudgetExceeded):
+            return EXIT_LIMIT
         return EXIT_PARSE
 
 

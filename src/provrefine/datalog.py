@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import ast
 import re
-import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .analysis import Analysis, Projection
 from .errors import DomainOverflow, ParseError
-from .hypergraph import Arc, Fact, Hypergraph
+from .hypergraph import Arc, Fact, Hypergraph, parse_atom, split_top
 
 BASE_RULE_TYPE = "base"
 DEFAULT_DOMAIN = (0, 255)
@@ -110,6 +109,8 @@ class Guard:
             return left + right
         if isinstance(node.op, ast.Mult):
             return left * right
+        if right == 0:
+            raise DomainOverflow(f"guard {self.text!r}: modulus is 0")
         return left % right
 
     def check(self, env: dict):
@@ -168,59 +169,8 @@ class Rule:
         return f"{self.head} :- {body}. @{self.name}"
 
 
-@dataclass(frozen=True)
-class RuleInstance:
-    """A rule grounded by a substitution whose guards all hold."""
-
-    rule_name: str
-    head: Fact
-    body: frozenset  # the ground relational body atoms
-
-
 # ---------------------------------------------------------------------------
 # parsing
-
-_ATOM_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_']*)(?:\(([^()]*)\))?$")
-
-
-def _parse_term(tok: str):
-    tok = tok.strip()
-    if re.fullmatch(r"-?\d+", tok):
-        return int(tok)
-    if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_']*", tok):
-        return sys.intern(tok)
-    raise ValueError(f"malformed term {tok!r}")
-
-
-def _parse_atom(text: str) -> Atom:
-    m = _ATOM_RE.match(text.strip())
-    if not m:
-        raise ValueError(f"malformed atom {text!r}")
-    rel, argtext = m.groups()
-    rel = sys.intern(rel)  # names repeat across facts: share one string
-    if argtext is None:
-        return Atom(rel)
-    args = tuple(_parse_term(t) for t in argtext.split(",")) if argtext else ()
-    return Atom(rel, args)
-
-
-def _split_body(text: str) -> list:
-    """Split a rule body on commas not nested inside parentheses."""
-    parts = []
-    depth = 0
-    cur = []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur))
-    return [p.strip() for p in parts if p.strip()]
 
 
 def _parse_statement(line: str):
@@ -238,21 +188,23 @@ def _parse_statement(line: str):
     if ":-" not in line:
         if name is not None:
             raise ValueError("facts may not carry a rule name")
-        atom = _parse_atom(line)
+        atom = Atom(*parse_atom(line))
         if atom.variables():
             raise ValueError(f"fact {atom} contains variables")
         return Fact(atom.relation, atom.args)
     if name is None:
         raise ValueError("rule missing '@name' annotation")
     head_text, body_text = line.split(":-", 1)
-    head = _parse_atom(head_text)
+    head = Atom(*parse_atom(head_text))
     atoms = []
     guards = []
-    for part in _split_body(body_text):
-        if _ATOM_RE.match(part):
-            atoms.append(_parse_atom(part))
-        else:
+    # guards contain spaces, so the body splits on commas only; a part
+    # holding a comparison operator is a guard, any other part an atom
+    for part in split_top(body_text, ","):
+        if any(op in part for op in "=<>"):
             guards.append(Guard(part))
+        else:
+            atoms.append(Atom(*parse_atom(part)))
     rule = Rule(name, head, atoms, guards)
     rule.validate()
     return rule

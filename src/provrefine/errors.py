@@ -14,10 +14,10 @@ class EmptyLoop(ProvRefineError):
 
 
 class ParseError(ProvRefineError):
-    """Syntax error in an input file; carries a line number."""
+    """Syntax error in an input file; carries a line number, 0 if no one line is at fault."""
 
     def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
+        super().__init__(f"line {line}: {message}" if line else message)
         self.line = line
         self.message = message
 

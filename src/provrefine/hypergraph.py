@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import functools
 import re
+import string
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -65,7 +67,7 @@ class Arc:
 
     def __str__(self) -> str:
         parts = [str(self.head), "<-"]
-        parts.extend(str(b) for b in sorted(self.body))
+        parts.extend(str(b) for b in sorted(self.body, key=Fact._key))
         parts.extend(["@", self.rule_type])
         return " ".join(parts)
 
@@ -100,7 +102,7 @@ class Hypergraph:
         return self.arcs <= other.arcs
 
     def sorted_arcs(self) -> list:
-        return sorted(self.arcs)
+        return sorted(self.arcs, key=Arc._key)
 
     def rule_types(self) -> set:
         return {a.rule_type for a in self.arcs}
@@ -264,43 +266,74 @@ def justifications(g: Hypergraph, l: Iterable[Fact]) -> set:
 
 
 # ---------------------------------------------------------------------------
-# provenance text format:  head <- body1 body2 ... @ rule_type
+# the one reader of atoms and fact lists, shared by every file format
 
-_FACT_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_']*)(?:\(([^()]*)\))?$")
+_NAME = r"[A-Za-z_][A-Za-z0-9_']*"
+_ATOM_RE = re.compile(rf"({_NAME})(?:\(([^()]*)\))?")
+_TERM_RE = re.compile(rf"(-?[0-9]+)|{_NAME}")
+_FACT_SEPS = "," + string.whitespace
 
 
-def parse_fact(text: str) -> Fact:
-    m = _FACT_RE.match(text.strip())
+def parse_atom(text: str) -> tuple:
+    """`rel(t1, ..., tn)` or `rel` -> (rel, (t1, ..., tn)).
+
+    A term is an integer or a name; names are interned because they
+    repeat across the facts of a graph.
+    """
+    m = _ATOM_RE.fullmatch(text.strip())
     if not m:
-        raise ValueError(f"malformed fact: {text!r}")
+        raise ValueError(f"malformed atom {text.strip()!r}")
     rel, argtext = m.groups()
-    if argtext is None:
-        return Fact(rel)
-    if argtext == "":
-        return Fact(rel, ())
+    if not argtext:
+        return sys.intern(rel), ()
     args = []
     for tok in argtext.split(","):
         tok = tok.strip()
-        if re.fullmatch(r"-?\d+", tok):
-            args.append(int(tok))
-        elif tok:
-            args.append(tok)
-        else:
-            raise ValueError(f"empty argument in fact: {text!r}")
-    return Fact(rel, tuple(args))
+        t = _TERM_RE.fullmatch(tok)
+        if not t:
+            raise ValueError(f"malformed term {tok!r} in {text.strip()!r}")
+        args.append(int(tok) if t.group(1) else sys.intern(tok))
+    return sys.intern(rel), tuple(args)
+
+
+def split_top(text: str, seps: str) -> list:
+    """Split on the characters of seps outside parentheses; drop empty parts."""
+    parts, depth, start = [], 0, 0
+    for i, ch in enumerate(text):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif depth == 0 and ch in seps:
+            parts.append(text[start:i])
+            start = i + 1
+    parts.append(text[start:])
+    return [p.strip() for p in parts if p.strip()]
+
+
+def parse_fact(text: str) -> Fact:
+    return Fact(*parse_atom(text))
+
+
+def parse_facts(text: str) -> list:
+    """A list of facts separated by commas and/or whitespace."""
+    return [parse_fact(p) for p in split_top(text, _FACT_SEPS)]
+
+
+# ---------------------------------------------------------------------------
+# provenance text format:  head <- body1 body2 ... @ rule_type
+# (the body is a fact list: commas, whitespace or both separate facts)
 
 
 def parse_arc(text: str) -> Arc:
     if "@" not in text:
         raise ValueError(f"arc missing rule type: {text!r}")
     main, rule_type = text.rsplit("@", 1)
-    rule_type = rule_type.strip()
     if "<-" not in main:
         raise ValueError(f"arc missing '<-': {text!r}")
     head_text, body_text = main.split("<-", 1)
-    head = parse_fact(head_text)
-    body = frozenset(parse_fact(tok) for tok in body_text.split())
-    return Arc(head, body, rule_type)
+    return Arc(parse_fact(head_text), frozenset(parse_facts(body_text)),
+               rule_type.strip())
 
 
 def parse_provenance(text: str) -> Hypergraph:

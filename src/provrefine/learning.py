@@ -213,6 +213,10 @@ def learn(ts: TrainingSet, init: Optional[HyperParams] = None,
     else:
         for k in objective.constrained:
             hp.theta[k] = 0.5
+    # a refuted type at theta = 1 makes the objective -inf, from which no
+    # coordinate step can be measured as a gain
+    for k in objective.n_counts:
+        hp.theta[k] = min(hp.theta[k], 1.0 - eps)
 
     current = objective.value(hp)
     order = sorted(objective.constrained)

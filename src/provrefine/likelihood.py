@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from . import hypergraph as hg
-from .analysis import Abstraction, Analysis, derive, encode_params, local_provenance, project_set
+from .analysis import Abstraction, Analysis, encode_params, local_provenance, project_set
 from .errors import (ObservationOutOfRange, OracleLimitExceeded, ParseError,
                      SelfLoopArc)
 from .hypergraph import Arc, Fact, Hypergraph
@@ -48,8 +48,7 @@ class PerHead:
     """Constraints for one derived fact h across observations."""
 
     candidates: frozenset  # A_h: arcs headed h that were never refuted
-    obs_indices: tuple  # C_h
-    lower_clauses: tuple  # per k in C_h: A_h ∩ F_k
+    lower_clauses: tuple  # per k in C_h (observations deriving h): A_h ∩ F_k
     upper_clauses: tuple  # per k in C_h: A_h ∩ D_k
 
 
@@ -98,7 +97,6 @@ def bound_terms(g_bot: Hypergraph, obs: Iterable[Observation]) -> BoundFormula:
         a_h = frozenset(by_head[h]) - negated
         per_head[h] = PerHead(
             candidates=a_h,
-            obs_indices=c_h,
             lower_clauses=tuple(a_h & f_sets[k] for k in c_h),
             upper_clauses=tuple(a_h & d_sets[k] for k in c_h),
         )
@@ -187,8 +185,7 @@ def reduce_lower(bf: BoundFormula, cap: int = 8,
             clauses = tuple(frozenset(c - victims) for c in ph.lower_clauses)
         else:
             clauses = ph.lower_clauses
-        per_head[h] = PerHead(ph.candidates, ph.obs_indices, clauses,
-                              ph.upper_clauses)
+        per_head[h] = PerHead(ph.candidates, clauses, ph.upper_clauses)
     return BoundFormula(bf.negated_arcs, per_head)
 
 
@@ -205,8 +202,7 @@ def reduce_upper(bf: BoundFormula) -> BoundFormula:
             clauses = (best,)
         else:
             clauses = ()
-        per_head[h] = PerHead(ph.candidates, ph.obs_indices,
-                              ph.lower_clauses, clauses)
+        per_head[h] = PerHead(ph.candidates, ph.lower_clauses, clauses)
     return BoundFormula(bf.negated_arcs, per_head)
 
 
@@ -308,10 +304,10 @@ def serialize_observations(obs: Iterable[Observation]) -> str:
 
 
 def parse_observations(text: str) -> list:
+    """Blocks of `obs` / `T: facts` / `R: facts`; facts as in parse_facts."""
     out = []
     cur_t = None
     cur_r = None
-    state = None
 
     def flush(lineno):
         nonlocal cur_t, cur_r
@@ -327,14 +323,16 @@ def parse_observations(text: str) -> list:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line == "obs":
-            flush(lineno)
-            state = "obs"
-        elif line.startswith("T:"):
-            cur_t = [hg.parse_fact(tok) for tok in line[2:].split()]
-        elif line.startswith("R:"):
-            cur_r = [hg.parse_fact(tok) for tok in line[2:].split()]
-        else:
-            raise ParseError(lineno, f"unexpected line {raw!r}")
+        try:
+            if line == "obs":
+                flush(lineno)
+            elif line.startswith("T:"):
+                cur_t = hg.parse_facts(line[2:])
+            elif line.startswith("R:"):
+                cur_r = hg.parse_facts(line[2:])
+            else:
+                raise ValueError(f"unexpected line {raw!r}")
+        except ValueError as exc:
+            raise ParseError(lineno, str(exc)) from exc
     flush(lineno + 1)
     return out

@@ -20,7 +20,7 @@ from . import maxsat as mx
 from .analysis import Abstraction, Analysis, derive, encode_params, local_provenance, project_set
 from .errors import BudgetExceeded, NotAModel, QueryNotInProvenance
 from .hypergraph import Arc, Fact, Hypergraph
-from .probmodel import NEG_INF, HyperParams
+from .probmodel import HyperParams
 
 LOG_EPS = math.log(1e-6)
 

@@ -120,3 +120,22 @@ def test_manifest_parse_errors(tmp_path):
     bad.write_text("params:\nnot a param line\n")
     with pytest.raises(ParseError):
         ana.load_manifest(str(bad))
+
+
+def test_manifest_source_failures_report_the_manifest_line(tmp_path):
+    from provrefine.errors import ParseError
+
+    m = tmp_path / "m.manifest"
+    m.write_text("params:\n0 encode0=c(0, 1) encode1=p(0)\n"
+                 "queries:\nq\nprovenance: missing.prov\n")
+    with pytest.raises(ParseError) as exc:
+        ana.load_manifest(str(m))
+    assert exc.value.line == 5 and "missing.prov" in exc.value.message
+    (tmp_path / "bad.prov").write_text("q <- c(0,1) @ r\nq <- @\n")
+    m.write_text(m.read_text().replace("missing.prov", "bad.prov"))
+    with pytest.raises(ParseError) as exc:
+        ana.load_manifest(str(m))
+    assert exc.value.line == 5 and "bad.prov line 2" in exc.value.message
+    (tmp_path / "bad.prov").write_text("q <- c(0,1) @ r\n")
+    an = ana.load_manifest(str(m))
+    assert an.encode0["0"] == hg.parse_fact("c(0,1)")

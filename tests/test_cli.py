@@ -1,6 +1,10 @@
+import contextlib
+import io
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import provrefine.hypergraph as hg
 from provrefine import analysis as ana
@@ -55,6 +59,17 @@ class TestGround:
         assert run(capsys, "ground", "--rules", str(src))[0] == 3
 
 
+    def test_seeds_are_a_fact_list(self, capsys, tmp_path):
+        rules = tmp_path / "p.dl"
+        rules.write_text("out(Y,X) :- c(X,Y). @swap\n")
+        code, out, _ = run(capsys, "ground", "--rules", str(rules),
+                           "--seeds", "c(1,2), c(3, 4) c(5,6)")
+        assert code == 0
+        assert out.splitlines() == ["out(2,1) <- c(1,2) @ swap",
+                                    "out(4,3) <- c(3,4) @ swap",
+                                    "out(6,5) <- c(5,6) @ swap"]
+
+
 class TestSolve:
     def test_smudge_yes_with_trace(self, capsys):
         code, out, _ = run(capsys, "solve", "--fixture", "smudge")
@@ -90,6 +105,26 @@ class TestSolve:
         ana.save_manifest(an, str(m), str(tmp_path / "s.prov"))
         code, out, _ = run(capsys, "solve", str(m), "dirty(end,v)")
         assert code == 0 and out.strip().endswith("answer: yes")
+
+    def test_fixture_takes_the_query_as_its_positional(self, capsys):
+        code, out, _ = run(capsys, "solve", "--fixture", "smudge", "dirty(end,v)")
+        assert code == 0 and out.strip().endswith("answer: yes")
+        code, _, err = run(capsys, "solve", "--fixture", "smudge", "dirty(end,x)")
+        assert code == 2 and "not a declared query" in err
+        code, _, err = run(capsys, "solve", "--fixture", "smudge", "a", "b")
+        assert code == 2 and "error" in err
+
+    def test_undeclared_query_exits_2(self, capsys, tmp_path):
+        m = tmp_path / "s.manifest"
+        ana.save_manifest(datalog.smudge_fixture(), str(m), str(tmp_path / "s.prov"))
+        code, _, err = run(capsys, "solve", str(m), "dirty(end,y)")
+        assert code == 2 and "not a declared query" in err
+
+    def test_missing_provenance_file_exits_2(self, capsys, tmp_path):
+        m = tmp_path / "s.manifest"
+        m.write_text("queries:\nq\nprovenance: gone.prov\n")
+        code, _, err = run(capsys, "solve", str(m))
+        assert code == 2 and "line 3" in err and "gone.prov" in err
 
     def test_probabilistic_with_theta_file(self, capsys, tmp_path):
         theta = tmp_path / "theta.txt"
@@ -162,6 +197,17 @@ class TestLikelihood:
         assert code == 0 and out.strip() == "-inf"
 
 
+    def test_theta_missing_a_rule_type_exits_2(self, capsys, tmp_path, files):
+        b, o, _ = files
+        theta = datalog.smudge_theta()
+        del theta["dirty_persist"]
+        t = tmp_path / "partial_theta.txt"
+        pm.save_hyperparams(pm.HyperParams(theta), str(t))
+        for mode in ("lower", "upper", "exact"):
+            code, _, err = run(capsys, "likelihood", b, o, str(t), "--mode", mode)
+            assert code == 2 and "dirty_persist" in err
+
+
 class TestMaxsat:
     def test_solve_and_export(self, capsys, tmp_path):
         inst = tmp_path / "i.txt"
@@ -189,8 +235,19 @@ class TestMaxsat:
 
     def test_malformed_instance_exits_2(self, capsys, tmp_path):
         inst = tmp_path / "m.txt"
-        inst.write_text("hard (badop x)\n")
-        assert run(capsys, "maxsat", str(inst))[0] == 2
+        for text in ["hard (badop x)\n", "w a inf\nhard a\n", "w a nan\nhard a\n"]:
+            inst.write_text(text)
+            assert run(capsys, "maxsat", str(inst), "--export-wcnf")[0] == 2
+            assert run(capsys, "maxsat", str(inst))[0] == 2
+
+    @pytest.mark.parametrize("formula", [
+        "(", "(not)", "(implies a)", "(iff a b c)", "(exists (x", "(exists x a)",
+        "(exists (x) a b)", ")", "(and a", "a b"])
+    def test_truncated_formulas_exit_2(self, capsys, tmp_path, formula):
+        inst = tmp_path / "t.txt"
+        inst.write_text(f"w a 1.0\nhard {formula}\n")
+        code, _, err = run(capsys, "maxsat", str(inst))
+        assert code == 2 and "line 2" in err
 
     def test_import_model(self, capsys, tmp_path):
         inst = tmp_path / "i.txt"
@@ -204,3 +261,55 @@ class TestMaxsat:
         code, out, _ = run(capsys, "maxsat", str(inst),
                            "--import-model", str(model))
         assert code == 0 and "model: a" in out
+
+
+# --- the exit-code contract on arbitrary input -------------------------------
+
+# fragments of every input format, so that generated text reaches past the
+# first syntax check more often than uniform random text would
+_FRAGMENTS = ["a", "X", "q(1)", "c(1, 2)", "v(-3)", "(", ")", ",", " ", "\n",
+              ".", ":-", "@r", "<-", "==", "mod", "0", "1.5", "=", "->", "#",
+              "obs", "T:", "R:", "hard", "w", "not", "implies", "exists",
+              "params:", "queries:", "projection:", "provenance: s.prov",
+              "rules:", "encode0=", "encode1=", "default", "drop", "base"]
+_TEXT = st.one_of(st.text(max_size=80),
+                  st.lists(st.sampled_from(_FRAGMENTS), max_size=30).map("".join))
+_DOCUMENTED_EXITS = {cli.EXIT_OK, cli.EXIT_NO, cli.EXIT_PARSE, cli.EXIT_OVERFLOW,
+                     cli.EXIT_LIMIT}
+
+
+@pytest.fixture(scope="module")
+def valid_inputs(tmp_path_factory) -> dict:
+    d = tmp_path_factory.mktemp("contract")
+    an = datalog.smudge_fixture()
+    ana.save_manifest(an, str(d / "s.manifest"), str(d / "s.prov"))
+    (d / "bp.prov").write_text(
+        hg.serialize_provenance(ana.local_provenance(an, an.bottom())))
+    (d / "obs.txt").write_text(lk.serialize_observations(
+        [lk.observe(an, an.bottom().with_flips(["0", "4"]))]))
+    pm.save_hyperparams(pm.HyperParams(datalog.smudge_theta()), str(d / "theta.txt"))
+    names = ("bp.prov", "obs.txt", "theta.txt", "fuzz.txt")
+    return {name: str(d / name) for name in names}
+
+
+# each command with the argument that receives the generated text
+_COMMANDS = [
+    ["ground", "--rules", "fuzz.txt"],
+    ["solve", "fuzz.txt", "--budget", "1"],
+    ["learn", "fuzz.txt", "--n", "2"],
+    ["likelihood", "fuzz.txt", "obs.txt", "theta.txt"],
+    ["likelihood", "bp.prov", "fuzz.txt", "theta.txt"],
+    ["likelihood", "bp.prov", "obs.txt", "fuzz.txt"],
+    ["maxsat", "fuzz.txt", "--budget", "1"],
+]
+
+
+@given(command=st.sampled_from(_COMMANDS), text=_TEXT)
+@settings(max_examples=150, deadline=None)
+def test_arbitrary_input_gets_a_documented_exit_code(valid_inputs, command, text):
+    # the generated file sits beside s.prov, which a manifest may name
+    Path(valid_inputs["fuzz.txt"]).write_text(text)
+    argv = [valid_inputs.get(a, a) for a in command]
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(argv) in _DOCUMENTED_EXITS

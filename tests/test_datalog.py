@@ -87,6 +87,11 @@ def test_domain_overflow_raises():
         _ground_text(text)
 
 
+def test_modulus_zero_is_a_domain_overflow_naming_the_guard():
+    with pytest.raises(DomainOverflow, match="X mod 0 == 0"):
+        _ground_text("n(3).\nz(X) :- n(X), X mod 0 == 0. @zero\n")
+
+
 def test_custom_domain_bounds():
     text = """
     n(5).

@@ -11,9 +11,10 @@ from conftest import (brute_force_distances, fact, naive_closure,
 
 
 def test_fact_parse_and_str_round_trip():
-    for text in ["dirty(end,v)", "cheap(3)", "flow(s0,0)", "marker"]:
+    for text in ["dirty(end,v)", "cheap(3)", "flow(s0,0)", "marker",
+                 "c(1, 2)", "v(-3)"]:
         f = hg.parse_fact(text)
-        assert str(f) == text
+        assert str(f) == text.replace(" ", "")
         assert hg.parse_fact(str(f)) == f
 
 
@@ -27,6 +28,18 @@ def test_arc_round_trip():
     assert hg.parse_arc(str(a)) == a
     empty = Arc(fact(0), frozenset(), "base")
     assert hg.parse_arc(str(empty)) == empty
+
+
+def test_arc_body_facts_may_be_separated_by_commas():
+    want = hg.parse_arc("h(1) <- b(1) c(1,2) @ r")
+    assert hg.parse_arc("h(1) <- b(1), c(1, 2) @ r") == want
+    assert hg.parse_arc("h(1) <- b(1),c(1,2) @ r") == want
+
+
+def test_fact_arguments_are_integers_or_names():
+    for text in ["v(1.5)", "v(a b)", "v(1,)", "v('x')", "v(1)(2)", "v(1"]:
+        with pytest.raises(ValueError):
+            hg.parse_fact(text)
 
 
 def test_provenance_round_trip():

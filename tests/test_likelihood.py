@@ -6,7 +6,7 @@ import pytest
 import provrefine.hypergraph as hg
 from provrefine import likelihood as lk
 from provrefine import probmodel as pm
-from provrefine.errors import ObservationOutOfRange, SelfLoopArc
+from provrefine.errors import ObservationOutOfRange, ParseError, SelfLoopArc
 from provrefine.hypergraph import Arc, Fact, Hypergraph
 
 from conftest import fact, random_hypergraph, random_seed_set
@@ -201,3 +201,13 @@ def test_observation_file_round_trip():
     text = lk.serialize_observations(obs)
     back = lk.parse_observations(text)
     assert [(o.t, o.r) for o in back] == [(o.t, o.r) for o in obs]
+
+
+def test_observation_facts_may_be_separated_by_commas():
+    text = "obs\nT: c(1, 2), a\nR: a, c(1,2) b\n"
+    (o,) = lk.parse_observations(text)
+    assert o.t == frozenset([Fact("c", (1, 2)), _f("a")])
+    assert o.r == o.t | {_f("b")}
+    with pytest.raises(ParseError) as exc:
+        lk.parse_observations("obs\nT: a\nR: a(1.5)\n")
+    assert exc.value.line == 3
