@@ -194,19 +194,19 @@ def check_well_formed(an: Analysis) -> list:
 
     derived_bot = derive(an, an.bottom())
     # (i) cheap-mode facts are fixed points of the projection
-    for f in sorted(derived_bot):
+    for f in sorted(derived_bot, key=Fact._key):
         if pi(f) != f:
             violations.append(f"(i) {f} derived at bottom but not a fixed point")
 
     # (ii) image of the projection inside the bottom derivation
     domain = set(an.global_graph.vertices) | set(img0) | set(img1) | set(an.queries)
-    for f in sorted(domain):
+    for f in sorted(domain, key=Fact._key):
         g = pi(f)
         if g is not None and g not in derived_bot:
             violations.append(f"(ii) projection image {g} (of {f}) outside bottom facts")
 
     # (iii) only fixed points project onto queries
-    for f in sorted(domain):
+    for f in sorted(domain, key=Fact._key):
         g = pi(f)
         if g in an.queries and f != g:
             violations.append(f"(iii) non-query {f} projects onto query {g}")
@@ -360,7 +360,7 @@ def serialize_manifest(an: Analysis, provenance_file: str) -> str:
     for x in an.params:
         lines.append(f"{x} encode0={an.encode0[x]} encode1={an.encode1[x]}")
     lines.append("queries:")
-    lines.extend(str(q) for q in sorted(an.queries))
+    lines.extend(str(q) for q in sorted(an.queries, key=Fact._key))
     lines.append("projection:")
     lines.extend(an.projection.directive_lines())
     lines.append(f"provenance: {provenance_file}")

@@ -17,6 +17,7 @@ import argparse
 import math
 import random
 import sys
+from itertools import accumulate
 
 from . import __version__
 from . import analysis as ana
@@ -80,7 +81,7 @@ def cmd_solve(args) -> int:
     if query is not None:
         query = hg.parse_fact(query)
     elif an.queries:
-        query = min(an.queries)
+        query = min(an.queries, key=hg.Fact._key)
     else:
         raise ParseError(0, "the analysis declares no query")
     hp = None
@@ -211,6 +212,9 @@ def parse_maxsat_instance(text: str) -> mx.MaxSatInstance:
                     raise ValueError(f"weight {value!r} is not a finite number")
             elif line.startswith("hard "):
                 tokens = line[5:].replace("(", " ( ").replace(")", " ) ").split()
+                depths = accumulate((t == "(") - (t == ")") for t in tokens)
+                if max(depths, default=0) > hg.MAX_NESTING:
+                    raise ValueError(f"formula nested deeper than {hg.MAX_NESTING} levels")
                 hard = _parse_sexpr(tokens)
                 if tokens:
                     raise ValueError("trailing tokens after formula")

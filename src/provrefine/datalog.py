@@ -22,7 +22,7 @@ from typing import Iterable, Optional
 
 from .analysis import Analysis, Projection
 from .errors import DomainOverflow, ParseError
-from .hypergraph import Arc, Fact, Hypergraph, parse_atom, split_top
+from .hypergraph import MAX_NESTING, Arc, Fact, Hypergraph, parse_atom, split_top
 
 BASE_RULE_TYPE = "base"
 DEFAULT_DOMAIN = (0, 255)
@@ -62,6 +62,10 @@ class Guard:
     def __init__(self, text: str):
         self.text = text.strip()
         pytext = re.sub(r"\bmod\b", "%", self.text)
+        # a guard nests no deeper than its token count
+        if len(re.findall(r"\w+|\S", pytext)) > MAX_NESTING:
+            raise ValueError(
+                f"guard {self.text!r} has more than {MAX_NESTING} tokens")
         try:
             tree = ast.parse(pytext, mode="eval")
         except SyntaxError as exc:
@@ -281,7 +285,7 @@ def ground(rules: Iterable[Rule], base: Iterable[Fact],
         by_rel.setdefault(f.relation, set()).add(f)
 
     no_body = frozenset()  # one shared empty body: the graph outlives grounding
-    arcs = {Arc(f, no_body, BASE_RULE_TYPE) for f in sorted(base)}
+    arcs = {Arc(f, no_body, BASE_RULE_TYPE) for f in sorted(base, key=Fact._key)}
 
     def join(rule: Rule, delta: set):
         """All instances of `rule` with at least one body atom in delta."""

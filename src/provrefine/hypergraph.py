@@ -2,9 +2,13 @@
 
 Facts are ground atoms; an arc records one instantiated inference step
 (head, body set, rule-type tag).  Reachability is the least fixpoint of
-"if all body facts hold, the head holds".  Distances use the max-plus
-hyperpath metric, which in turn defines forward arcs; loops and
-justifications support the exact likelihood oracle.
+"if all body facts hold, the head holds", and the max-plus hyperpath
+distance is the round of that fixpoint in which a fact is first derived.
+One kernel, `_closure`, computes both: `reach` keeps its keys and
+`distances` its values.  It builds its body index per call rather than
+caching one on the graph, because callers keep many graphs alive.
+Distances define forward arcs; loops and justifications support the exact
+likelihood oracle.
 """
 
 from __future__ import annotations
@@ -111,34 +115,42 @@ class Hypergraph:
         return Hypergraph(arcs)
 
 
-def reach(g: Hypergraph, t: Iterable[Fact]) -> frozenset:
-    """Least set R with T subseteq R that is closed under the arcs of g."""
-    reached = set(t)
-    # index arcs by body fact; count satisfied body members per arc
-    by_body = {}
-    pending = {}
-    worklist = list(reached)
+def _closure(g: Hypergraph, t: Iterable[Fact]) -> dict:
+    """Map each fact reachable from t to its max-plus distance.
+
+    Seeds are at 0 and heads of empty-body arcs at 1.  Facts settle layer
+    by layer; an arc fires when its last body fact settles, and that fact
+    is the farthest of its body, so the head's candidate is its layer + 1.
+    The first candidate a head gets is its least, so no heap is needed.
+    """
+    dist = dict.fromkeys(t, 0)
+    layer, nxt = list(dist), []
+    heads, pending, by_body = [], [], {}
     for arc in g.arcs:
         if not arc.body:
-            if arc.head not in reached:
-                reached.add(arc.head)
-                worklist.append(arc.head)
+            if arc.head not in dist:
+                dist[arc.head] = 1
+                nxt.append(arc.head)
             continue
-        pending[arc] = len(arc.body)
         for b in arc.body:
-            by_body.setdefault(b, []).append(arc)
-    seen_body = set()
-    while worklist:
-        f = worklist.pop()
-        if f in seen_body:
-            continue
-        seen_body.add(f)
-        for arc in by_body.get(f, ()):
-            pending[arc] -= 1
-            if pending[arc] == 0 and arc.head not in reached:
-                reached.add(arc.head)
-                worklist.append(arc.head)
-    return frozenset(reached)
+            by_body.setdefault(b, []).append(len(heads))
+        heads.append(arc.head)
+        pending.append(len(arc.body))
+    d = 1  # the distance of the heads that fire from this layer
+    while layer or nxt:
+        for f in layer:
+            for i in by_body.get(f, ()):
+                pending[i] -= 1
+                if not pending[i] and heads[i] not in dist:
+                    dist[heads[i]] = d
+                    nxt.append(heads[i])
+        layer, nxt, d = nxt, [], d + 1
+    return dist
+
+
+def reach(g: Hypergraph, t: Iterable[Fact]) -> frozenset:
+    """Least set R with T subseteq R that is closed under the arcs of g."""
+    return frozenset(_closure(g, t))
 
 
 def induced(g: Hypergraph, t: Iterable[Fact]) -> Hypergraph:
@@ -151,42 +163,10 @@ def distances(g: Hypergraph, t: Iterable[Fact]) -> dict:
     """Max-plus hyperpath distance from the seed set t to every vertex.
 
     d(h) = 0 for seeds, +inf for unreachable facts, and otherwise the
-    minimum over arcs (h, B) of max_b d(b) + 1.  Computed Dijkstra-style:
-    vertices are finalized in nondecreasing distance order; an arc fires
-    once its whole body is finalized.
+    minimum over arcs (h, B) of max_b d(b) + 1.
     """
-    import heapq
-
-    seeds = frozenset(t)
-    dist = {v: (0 if v in seeds else INFINITY) for v in g.vertices}
-    for s in seeds:
-        dist[s] = 0
-    pending = {}
-    by_body = {}
-    heap = [(0, s._key(), s) for s in seeds]
-    for arc in g.arcs:
-        if not arc.body:
-            if dist.get(arc.head, INFINITY) > 1:
-                dist[arc.head] = 1
-                heapq.heappush(heap, (1, arc.head._key(), arc.head))
-            continue
-        pending[arc] = len(arc.body)
-        for b in arc.body:
-            by_body.setdefault(b, []).append(arc)
-    heapq.heapify(heap)
-    done = set()
-    while heap:
-        d, _, v = heapq.heappop(heap)
-        if v in done or d > dist.get(v, INFINITY):
-            continue
-        done.add(v)
-        for arc in by_body.get(v, ()):
-            pending[arc] -= 1
-            if pending[arc] == 0:
-                cand = max(dist[b] for b in arc.body) + 1
-                if cand < dist.get(arc.head, INFINITY):
-                    dist[arc.head] = cand
-                    heapq.heappush(heap, (cand, arc.head._key(), arc.head))
+    dist = dict.fromkeys(g.vertices, INFINITY)
+    dist.update(_closure(g, t))
     return dist
 
 
@@ -243,7 +223,7 @@ def loops(g: Hypergraph, limit: int = 16) -> set:
     Includes non-maximal loops and singleton ("trivial") loops.
     Exponential; guarded by `limit` on the vertex count.
     """
-    verts = sorted(g.vertices)
+    verts = sorted(g.vertices, key=Fact._key)
     if len(verts) > limit:
         raise OracleLimitExceeded(
             f"loop enumeration over {len(verts)} vertices (limit {limit})")
@@ -272,6 +252,9 @@ _NAME = r"[A-Za-z_][A-Za-z0-9_']*"
 _ATOM_RE = re.compile(rf"({_NAME})(?:\(([^()]*)\))?")
 _TERM_RE = re.compile(rf"(-?[0-9]+)|{_NAME}")
 _FACT_SEPS = "," + string.whitespace
+# the deepest MaxSAT formula and the longest Datalog guard the readers
+# accept: what reads, compiles and evaluates them recurses once per level
+MAX_NESTING = 200
 
 
 def parse_atom(text: str) -> tuple:

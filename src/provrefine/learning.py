@@ -226,9 +226,10 @@ def learn(ts: TrainingSet, init: Optional[HyperParams] = None,
             f = objective.coordinate_function(k, hp)
             base = f(hp.theta[k])
             best = line_search(f, eps, 1.0)
-            if f(best) > base:
+            gain = f(best) - base
+            if gain > 0:
                 hp.theta[k] = best
-                current += f(best) - base
+                current += gain
         if current > NEG_INF and cycle_start > NEG_INF:
             if current - cycle_start < tol:
                 break

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from . import hypergraph as hg
-from .analysis import Abstraction, Analysis, encode_params, local_provenance, project_set
+from .analysis import Abstraction, Analysis, encode_params, project_set
 from .errors import (ObservationOutOfRange, OracleLimitExceeded, ParseError,
                      SelfLoopArc)
 from .hypergraph import Arc, Fact, Hypergraph
@@ -36,10 +36,10 @@ class Observation:
 
 def observe(an: Analysis, a: Abstraction) -> Observation:
     """Run the analysis under a and project the outcome."""
-    g_a = local_provenance(an, a)
     p1 = encode_params(an, a, 1)
     t = project_set(an, p1)
-    r = project_set(an, hg.reach(g_a, p1))
+    # equals reach over local_provenance: reach(global, P1) lies in derive(a)
+    r = project_set(an, hg.reach(an.global_graph, p1))
     return Observation(t=t, r=r, source_abstraction=a)
 
 
@@ -82,15 +82,11 @@ def bound_terms(g_bot: Hypergraph, obs: Iterable[Observation]) -> BoundFormula:
         by_head.setdefault(arc.head, set()).add(arc)
 
     d_sets = [frozenset(a for a in g_bot.arcs if a.body <= o.r) for o in obs]
-    f_sets = []
-    for o, d_k in zip(obs, d_sets):
-        dist = hg.distances(g_bot, o.t)
-        f_sets.append(frozenset(
-            a for a in d_k
-            if all(dist[a.head] > dist[b] for b in a.body)))
+    f_sets = [d_k & hg.forward_arcs(g_bot, o.t).arcs
+              for o, d_k in zip(obs, d_sets)]
 
     per_head = {}
-    for h in sorted(by_head):
+    for h in sorted(by_head, key=Fact._key):
         c_h = tuple(k for k, o in enumerate(obs) if h in o.r - o.t)
         if not c_h:
             continue
@@ -174,7 +170,7 @@ def reduce_lower(bf: BoundFormula, cap: int = 8,
     dropset = frozenset(drop or ())
     per_head = {}
     for h, ph in bf.per_head.items():
-        used = sorted(set().union(*ph.lower_clauses) if ph.lower_clauses else ())
+        used = sorted(set().union(*ph.lower_clauses), key=Arc._key)
         if dropset:
             victims = dropset & set(used)
         elif len(used) > cap:
@@ -254,7 +250,8 @@ def loop_formula(g_bot: Hypergraph, t: Iterable[Fact], r: Iterable[Fact],
     negated = frozenset(
         a for a in g_bot.arcs if a.body <= rs and a.head not in rs)
     interior = rs - ts
-    interior_verts = sorted(v for v in interior if v in g_bot.vertices)
+    interior_verts = sorted((v for v in interior if v in g_bot.vertices),
+                            key=Fact._key)
     if len(interior_verts) > loop_limit:
         raise OracleLimitExceeded(
             f"loop enumeration over {len(interior_verts)} vertices")
@@ -298,25 +295,23 @@ def serialize_observations(obs: Iterable[Observation]) -> str:
     lines = []
     for o in obs:
         lines.append("obs\n")
-        lines.append("T: " + " ".join(str(f) for f in sorted(o.t)) + "\n")
-        lines.append("R: " + " ".join(str(f) for f in sorted(o.r)) + "\n")
+        lines.append("T: " + " ".join(str(f) for f in sorted(o.t, key=Fact._key)) + "\n")
+        lines.append("R: " + " ".join(str(f) for f in sorted(o.r, key=Fact._key)) + "\n")
     return "".join(lines)
 
 
 def parse_observations(text: str) -> list:
     """Blocks of `obs` / `T: facts` / `R: facts`; facts as in parse_facts."""
     out = []
-    cur_t = None
-    cur_r = None
+    cur = {}  # "T:" / "R:" -> the facts of the current block
 
     def flush(lineno):
-        nonlocal cur_t, cur_r
-        if cur_t is None and cur_r is None:
+        if not cur:
             return
-        if cur_t is None or cur_r is None:
+        if len(cur) < 2:
             raise ParseError(lineno, "observation missing T: or R: line")
-        out.append(Observation(t=frozenset(cur_t), r=frozenset(cur_r)))
-        cur_t = cur_r = None
+        out.append(Observation(t=frozenset(cur["T:"]), r=frozenset(cur["R:"])))
+        cur.clear()
 
     lineno = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -326,10 +321,10 @@ def parse_observations(text: str) -> list:
         try:
             if line == "obs":
                 flush(lineno)
-            elif line.startswith("T:"):
-                cur_t = hg.parse_facts(line[2:])
-            elif line.startswith("R:"):
-                cur_r = hg.parse_facts(line[2:])
+            elif line[:2] in ("T:", "R:"):
+                if line[:2] in cur:
+                    raise ValueError(f"second {line[:2]} line in one observation")
+                cur[line[:2]] = hg.parse_facts(line[2:])
             else:
                 raise ValueError(f"unexpected line {raw!r}")
         except ValueError as exc:

@@ -17,7 +17,7 @@ from typing import Iterable, Optional
 
 from . import hypergraph as hg
 from . import maxsat as mx
-from .analysis import Abstraction, Analysis, derive, encode_params, local_provenance, project_set
+from .analysis import Abstraction, Analysis, derive, encode_params, project_set
 from .errors import BudgetExceeded, NotAModel, QueryNotInProvenance
 from .hypergraph import Arc, Fact, Hypergraph
 from .probmodel import HyperParams
@@ -116,26 +116,27 @@ def build_phi(an: Analysis, g_fwd: Hypergraph, q: Fact, a: Abstraction,
         by_head.setdefault(e.head, []).append(e)
         y = mx.var(_aux_var(e))
         aux_names.append(_aux_var(e))
-        fires = mx.and_(mx.var(_arc_var(e)),
-                        *[mx.var(_vertex_var(b)) for b in sorted(e.body)])
+        body = sorted(e.body, key=Fact._key)
+        fires = mx.and_(mx.var(_arc_var(e)), *[mx.var(_vertex_var(b)) for b in body])
         parts.append(mx.iff(y, fires))
         parts.append(mx.implies(y, mx.var(_vertex_var(e.head))))
-    for u in sorted(g_fwd.vertices):
+    for u in sorted(g_fwd.vertices, key=Fact._key):
         if u in param_facts:
             continue
         arcs = by_head.get(u, [])
         just = mx.or_(*[mx.var(_aux_var(e)) for e in arcs]) if arcs else mx.FALSE
         parts.append(mx.implies(mx.var(_vertex_var(u)), just))
     parts.append(mx.var(_vertex_var(q)))
-    for u in sorted(p1):
+    for u in sorted(p1, key=Fact._key):
         parts.append(mx.var(_vertex_var(u)))
-    parts.append(mx.or_(*[mx.var(_vertex_var(u)) for u in sorted(p0)]))
+    parts.append(mx.or_(*[mx.var(_vertex_var(u))
+                          for u in sorted(p0, key=Fact._key)]))
 
     hard = mx.exists(aux_names, mx.and_(*parts))
     weights = {}
     for e in g_fwd.sorted_arcs():
         weights[_arc_var(e)] = _log_theta(hp, e.rule_type)
-    for u in sorted(p0 | p1):
+    for u in sorted(p0 | p1, key=Fact._key):
         weights[_vertex_var(u)] = -alpha
     return mx.MaxSatInstance(hard, weights)
 
@@ -195,7 +196,7 @@ def choose_optimistic(an: Analysis, g_a: Hypergraph, q: Fact, a: Abstraction,
         parts.append(mx.implies(mx.not_(mx.var(fvar(x))),
                                 mx.var(zvar(an.encode0[x]))))
     for e in g_a.sorted_arcs():
-        body = [mx.var(zvar(b)) for b in sorted(e.body)]
+        body = [mx.var(zvar(b)) for b in sorted(e.body, key=Fact._key)]
         head = mx.var(zvar(e.head))
         parts.append(mx.implies(mx.and_(*body) if body else mx.TRUE, head))
     if q in g_a.vertices:
@@ -237,10 +238,11 @@ def solve(an: Analysis, q: Fact, cfg: RefineConfig) -> RefineOutcome:
         iteration += 1
         entry = {"iteration": iteration, "flips": sorted(a.flips())}
         trace.append(entry)
-        if q not in derive(an, a):
+        derived = derive(an, a)
+        if q not in derived:
             entry["answer"] = "yes"
             return RefineOutcome("yes", iteration, trace)
-        g_a = local_provenance(an, a)
+        g_a = hg.induced(an.global_graph, derived)
         if q in hg.reach(g_a, encode_params(an, a, 1)):
             entry["answer"] = "no"
             return RefineOutcome("no", iteration, trace)

@@ -58,6 +58,18 @@ class TestGround:
         src.write_text("n(250).\nout(Y) :- n(X), Y == X + 10. @bump\n")
         assert run(capsys, "ground", "--rules", str(src))[0] == 3
 
+    def test_guard_longer_than_the_nesting_limit_exits_2(self, capsys, tmp_path):
+        src = tmp_path / "deep.dl"
+        src.write_text("n(1).\nout(Y) :- n(X), Y == X" + "+1" * 3000 + ". @deep\n")
+        code, _, err = run(capsys, "ground", "--rules", str(src))
+        assert code == 2 and "line 2" in err
+
+    def test_guard_at_the_nesting_limit_grounds(self, capsys, tmp_path):
+        ones = (hg.MAX_NESTING - 4) // 2  # "Y == X" is four tokens, "+1" two
+        src = tmp_path / "deep.dl"
+        src.write_text("n(1).\nout(Y) :- n(X), Y == X" + "+1" * ones + ". @deep\n")
+        code, out, _ = run(capsys, "ground", "--rules", str(src))
+        assert code == 0 and f"out({1 + ones}) <- n(1) @ deep" in out
 
     def test_seeds_are_a_fact_list(self, capsys, tmp_path):
         rules = tmp_path / "p.dl"
@@ -196,6 +208,12 @@ class TestLikelihood:
         code, out, _ = run(capsys, "likelihood", b, str(o), t)
         assert code == 0 and out.strip() == "-inf"
 
+    def test_a_second_t_line_in_one_observation_exits_2(self, capsys, tmp_path, files):
+        b, _, t = files
+        o = tmp_path / "dup_obs.txt"
+        o.write_text("obs\nT: cheap(0)\nT: cheap(1)\nR: cheap(0) cheap(1)\n")
+        code, _, err = run(capsys, "likelihood", b, str(o), t)
+        assert code == 2 and "line 3" in err
 
     def test_theta_missing_a_rule_type_exits_2(self, capsys, tmp_path, files):
         b, o, _ = files
@@ -248,6 +266,21 @@ class TestMaxsat:
         inst.write_text(f"w a 1.0\nhard {formula}\n")
         code, _, err = run(capsys, "maxsat", str(inst))
         assert code == 2 and "line 2" in err
+
+    def test_formula_deeper_than_the_nesting_limit_exits_2(self, capsys, tmp_path):
+        inst = tmp_path / "deep.txt"
+        inst.write_text("w x 1.0\nhard " + "(not " * 3000 + "x" + ")" * 3000 + "\n")
+        for extra in ([], ["--export-wcnf"]):
+            code, _, err = run(capsys, "maxsat", str(inst), *extra)
+            assert code == 2 and "line 2" in err
+
+    def test_formula_at_the_nesting_limit_solves(self, capsys, tmp_path):
+        depth = hg.MAX_NESTING - hg.MAX_NESTING % 2  # an even number of nots
+        inst = tmp_path / "deep.txt"
+        inst.write_text("w x 1.0\nhard " + "(not " * depth + "x" + ")" * depth + "\n")
+        code, out, _ = run(capsys, "maxsat", str(inst))
+        assert code == 0 and "model: x" in out
+        assert run(capsys, "maxsat", str(inst), "--export-wcnf")[0] == 0
 
     def test_import_model(self, capsys, tmp_path):
         inst = tmp_path / "i.txt"

@@ -72,6 +72,17 @@ def test_distances_match_value_iteration(seed):
     assert hg.distances(g, t) == brute_force_distances(g, t)
 
 
+@given(st.integers(0, 10_000))
+@settings(max_examples=60, deadline=None)
+def test_reach_is_the_finite_part_of_distances(seed):
+    rng = random.Random(seed)
+    g = random_hypergraph(rng)
+    t = random_seed_set(rng, g)
+    dist = hg.distances(g, t)
+    assert hg.reach(g, t) == {v for v, d in dist.items() if d is not INFINITY} | t
+    assert set(dist) == g.vertices | t
+
+
 def test_forward_arcs_definition():
     rng = random.Random(7)
     for _ in range(50):

@@ -9,7 +9,8 @@ from provrefine import probmodel as pm
 from provrefine.errors import ObservationOutOfRange, ParseError, SelfLoopArc
 from provrefine.hypergraph import Arc, Fact, Hypergraph
 
-from conftest import fact, random_hypergraph, random_seed_set
+from conftest import (fact, random_hypergraph, random_seed_set,
+                      random_smudge_analysis)
 
 
 def _f(name):
@@ -194,6 +195,44 @@ def test_observe_projects_seeds_and_reach():
     assert o.source_abstraction == a
 
 
+def test_observe_equals_reach_over_the_local_provenance():
+    from provrefine import analysis as ana
+
+    rng = random.Random(12)
+    for _ in range(30):
+        an, a = random_smudge_analysis(rng)
+        p1 = ana.encode_params(an, a, 1)
+        old_r = ana.project_set(an, hg.reach(ana.local_provenance(an, a), p1))
+        assert lk.observe(an, a).r == old_r
+
+
+def test_lower_clauses_match_the_inline_forward_filter():
+    from provrefine import analysis as ana
+
+    rng = random.Random(21)
+    cases = [_random_instance(rng)[::2] for _ in range(60)]
+    for _ in range(8):
+        an, _ = random_smudge_analysis(rng)
+        flips = [[p for p in an.params if rng.random() < 0.5] for _ in range(4)]
+        cases.append((ana.local_provenance(an, an.bottom()),
+                      [lk.observe(an, an.bottom().with_flips(f)) for f in flips]))
+    for g, obs in cases:
+        bf = lk.bound_terms(g, obs)
+        if bf.impossible:
+            continue
+        # F_k written out as its own distance filter over D_k
+        f_sets = []
+        for o in obs:
+            dist = hg.distances(g, o.t)
+            f_sets.append(frozenset(
+                a for a in g.arcs if a.body <= o.r
+                and all(dist[a.head] > dist[b] for b in a.body)))
+        for h, ph in bf.per_head.items():
+            want = tuple(ph.candidates & f_k
+                         for o, f_k in zip(obs, f_sets) if h in o.r - o.t)
+            assert ph.lower_clauses == want
+
+
 def test_observation_file_round_trip():
     obs = [lk.Observation(t=frozenset([_f("a")]),
                           r=frozenset([_f("a"), _f("b")])),
@@ -211,3 +250,12 @@ def test_observation_facts_may_be_separated_by_commas():
     with pytest.raises(ParseError) as exc:
         lk.parse_observations("obs\nT: a\nR: a(1.5)\n")
     assert exc.value.line == 3
+
+
+def test_a_second_t_or_r_line_in_one_observation_is_an_error():
+    for text, line in [("obs\nT: a\nT: b\nR: a b\n", 3),
+                       ("obs\nT: a\nR: a\n\nR: a b\n", 5),
+                       ("T: a\nR: a\nT: b\nR: b\n", 3)]:
+        with pytest.raises(ParseError) as exc:
+            lk.parse_observations(text)
+        assert exc.value.line == line
