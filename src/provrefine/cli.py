@@ -166,10 +166,12 @@ _OPERATORS = {"and": (mx.and_, None), "or": (mx.or_, None), "not": (mx.not_, 1),
 def _pop(tokens: list) -> str:
     if not tokens:
         raise ValueError("unexpected end of formula")
-    return tokens.pop(0)
+    return tokens.pop()
 
 
 def _parse_sexpr(tokens: list):
+    """Read one formula off `tokens`, which holds the tokens in reverse
+    order so that taking the next one is a pop from the end."""
     tok = _pop(tokens)
     if tok == ")":
         raise ValueError("unexpected ')'")
@@ -189,7 +191,7 @@ def _parse_sexpr(tokens: list):
                 raise ValueError("unexpected '(' in a variable list")
             names.append(name)
         args.append(names)
-    while tokens and tokens[0] != ")":
+    while tokens and tokens[-1] != ")":
         args.append(_parse_sexpr(tokens))
     _pop(tokens)  # the closing ')'
     if arity is not None and len(args) != arity:
@@ -215,6 +217,7 @@ def parse_maxsat_instance(text: str) -> mx.MaxSatInstance:
                 depths = accumulate((t == "(") - (t == ")") for t in tokens)
                 if max(depths, default=0) > hg.MAX_NESTING:
                     raise ValueError(f"formula nested deeper than {hg.MAX_NESTING} levels")
+                tokens.reverse()
                 hard = _parse_sexpr(tokens)
                 if tokens:
                     raise ValueError("trailing tokens after formula")

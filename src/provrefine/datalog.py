@@ -1,11 +1,15 @@
 """Minimal Datalog frontend with arithmetic guards and provenance output.
 
 Rules are Horn clauses over relational atoms plus integer guards; guards
-are evaluated during grounding and never appear in the emitted arcs.
-Grounding is semi-naive and deterministic, and records one arc per fired
-rule instance, tagged with the rule name.  Base facts become empty-body
-arcs (type "base") so that hypergraph reachability from the parameter
-facts alone recovers the whole derivation.
+are evaluated after each rule instance is joined and never appear in the
+emitted arcs.  Grounding is semi-naive and deterministic, and records one
+arc per fired rule instance, tagged with the rule name.  Its joins follow
+plans compiled once per (rule, body atom): the atom matched against the
+previous round's new facts goes first, and every other atom looks its
+candidates up in a hash index on the argument positions already bound,
+so the work grows with the facts that match rather than with the relation.
+Base facts become empty-body arcs (type "base") so that hypergraph
+reachability from the parameter facts alone recovers the whole derivation.
 
 Also home of the dirt-propagation demo analysis (`smudge_fixture`): a
 tiny imperative program where `smudgeK(x, y)` passes x's dirt to y when
@@ -147,6 +151,8 @@ class Rule:
     guards: list = field(default_factory=list)
 
     def validate(self) -> None:
+        if not self.body_atoms:
+            raise ValueError(f"rule {self.name} has no body atom, so it never fires")
         bound = set()
         for atom in self.body_atoms:
             bound |= atom.variables()
@@ -237,32 +243,113 @@ def parse_program(text: str):
 # grounding
 
 
-def _match_atom(atom: Atom, fact: Fact, env: dict) -> Optional[dict]:
-    if atom.relation != fact.relation or len(atom.args) != len(fact.args):
-        return None
-    env = dict(env)
-    for pat, val in zip(atom.args, fact.args):
-        if isinstance(pat, str) and _is_var(pat):
-            if pat in env:
-                if env[pat] != val:
-                    return None
-            else:
-                env[pat] = val
-        elif pat != val:
-            return None
-    return env
-
-
-def _ground_atom(atom: Atom, env: dict) -> Fact:
-    return Fact(atom.relation, tuple(
-        env[a] if isinstance(a, str) and _is_var(a) else a for a in atom.args))
-
-
 def _check_domain(fact: Fact, bounds) -> None:
     lo, hi = bounds
     for a in fact.args:
         if isinstance(a, int) and not lo <= a <= hi:
             raise DomainOverflow(f"{fact}: integer {a} outside [{lo}, {hi}]")
+
+
+class _FactIndex:
+    """Facts grouped by (relation, arity), with one hash index per tuple of
+    bound argument positions, built on first use and kept up to date.
+
+    An index maps the values at its positions to the one fact holding them
+    or, once there are several, to a list of them: most keys name one fact,
+    and a bare fact is smaller than a list.
+    """
+
+    def __init__(self, facts: Iterable[Fact] = ()):
+        self.facts = {}    # (relation, arity) -> [fact]
+        self.indices = {}  # (relation, arity) -> {positions: {values: fact or [fact]}}
+        for f in facts:
+            self.add(f)
+
+    def add(self, fact: Fact) -> None:
+        sig = (fact.relation, len(fact.args))
+        self.facts.setdefault(sig, []).append(fact)
+        for positions, index in self.indices.get(sig, {}).items():
+            _insert(index, positions, fact)
+
+    def lookup(self, sig: tuple, positions: tuple, values: tuple):
+        """The facts of `sig` whose arguments at `positions` are `values`."""
+        if not positions:
+            return self.facts.get(sig, ())
+        by_positions = self.indices.setdefault(sig, {})
+        index = by_positions.get(positions)
+        if index is None:
+            index = by_positions[positions] = {}
+            for f in self.facts.get(sig, ()):
+                _insert(index, positions, f)
+        hit = index.get(values, ())
+        return (hit,) if isinstance(hit, Fact) else hit
+
+
+def _insert(index: dict, positions: tuple, fact: Fact) -> None:
+    # a key covering every argument is the fact's own argument tuple
+    key = fact.args if len(positions) == len(fact.args) else tuple(
+        fact.args[p] for p in positions)
+    hit = index.get(key)
+    if hit is None:
+        index[key] = fact
+    elif isinstance(hit, Fact):
+        index[key] = [hit, fact]
+    else:
+        hit.append(fact)
+
+
+def _join_plan(rule: Rule, pivot: int) -> list:
+    """How `rule`'s body joins, atom `pivot` first and then the others left
+    to right: one step per atom, (sig, positions, terms, binds, repeats).
+
+    sig is (relation, arity); positions are the argument positions holding
+    a constant or an already bound variable, and terms the atom's terms
+    there; binds is (position, variable) for each new variable's first
+    occurrence, and repeats (position, earlier position) for its repeats.
+    """
+    bound = set()
+    steps = []
+    n = len(rule.body_atoms)
+    for atom in [rule.body_atoms[pivot]] + [
+            rule.body_atoms[i] for i in range(n) if i != pivot]:
+        variables = atom.variables()
+        positions, binds, repeats, first = [], [], [], {}
+        for p, a in enumerate(atom.args):
+            if a not in variables or a in bound:
+                positions.append(p)
+            elif a in first:
+                repeats.append((p, first[a]))
+            else:
+                first[a] = p
+                binds.append((p, a))
+        bound.update(first)
+        steps.append(((atom.relation, len(atom.args)), tuple(positions),
+                      tuple(atom.args[p] for p in positions),
+                      tuple(binds), tuple(repeats)))
+    return steps
+
+
+def _instances(steps: list, delta: _FactIndex, known: _FactIndex):
+    """Yield (env, body) for each instance of a join plan whose first atom
+    matches a fact of `delta` and whose other atoms match facts of `known`."""
+    stack = [(0, {}, ())]
+    while stack:
+        k, env, body = stack.pop()
+        if k == len(steps):
+            yield env, body
+            continue
+        sig, positions, terms, binds, repeats = steps[k]
+        # env.get(t, t) maps a variable to its value and a constant to
+        # itself: variables are uppercase-initial names, and no constant is
+        values = tuple(env.get(t, t) for t in terms)
+        for f in (known if k else delta).lookup(sig, positions, values):
+            args = f.args
+            if repeats and any(args[p] != args[q] for p, q in repeats):
+                continue
+            env2 = dict(env)
+            for p, v in binds:
+                env2[v] = args[p]
+            stack.append((k + 1, env2, body + (f,)))
 
 
 def ground(rules: Iterable[Rule], base: Iterable[Fact],
@@ -271,7 +358,9 @@ def ground(rules: Iterable[Rule], base: Iterable[Fact],
 
     Base facts are emitted as empty-body arcs; `seeds` are available to
     rule bodies but get no arc of their own (they are supplied at query
-    time, e.g. as parameter encodings).
+    time, e.g. as parameter encodings).  Each round joins every rule once
+    per body atom, that atom taken from the facts the previous round added
+    and the others looked up in hash indices on their bound positions.
     """
     rules = list(rules)
     base = frozenset(base)
@@ -279,70 +368,44 @@ def ground(rules: Iterable[Rule], base: Iterable[Fact],
     for f in base | seeds:
         _check_domain(f, domain_bounds)
 
-    known = set(base) | set(seeds)
-    by_rel = {}
-    for f in known:
-        by_rel.setdefault(f.relation, set()).add(f)
+    known = set(base | seeds)
+    index = _FactIndex(known)
+    plans = [(rule, [_join_plan(rule, p) for p in range(len(rule.body_atoms))])
+             for rule in rules]
 
     no_body = frozenset()  # one shared empty body: the graph outlives grounding
-    arcs = {Arc(f, no_body, BASE_RULE_TYPE) for f in sorted(base, key=Fact._key)}
+    arcs = {Arc(f, no_body, BASE_RULE_TYPE) for f in base}
 
-    def join(rule: Rule, delta: set):
-        """All instances of `rule` with at least one body atom in delta."""
-        n = len(rule.body_atoms)
-        for pivot in range(n):
-            atom = rule.body_atoms[pivot]
-            for df in delta & by_rel.get(atom.relation, set()):
-                env0 = _match_atom(atom, df, {})
-                if env0 is None:
-                    continue
-                # join the remaining atoms left to right
-                stack = [(0, env0, [None] * n)]
-                while stack:
-                    i, env, picked = stack.pop()
-                    if i == n:
-                        yield rule, env, picked
-                        continue
-                    if i == pivot:
-                        nxt = picked[:]
-                        nxt[pivot] = df
-                        stack.append((i + 1, env, nxt))
-                        continue
-                    a = rule.body_atoms[i]
-                    for f in by_rel.get(a.relation, ()):
-                        env2 = _match_atom(a, f, env)
-                        if env2 is not None:
-                            nxt = picked[:]
-                            nxt[i] = f
-                            stack.append((i + 1, env2, nxt))
-
-    delta = set(known)
-    while delta:
+    delta = _FactIndex(known)
+    while delta.facts:
         new_facts = set()
-        for rule in rules:
-            for _, env, picked in join(rule, delta):
-                ok = True
-                env = dict(env)
-                for g in rule.guards:
-                    holds, binding = g.check(env)
-                    if binding is not None:
-                        env[binding[0]] = binding[1]
-                    if not holds:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                head = _ground_atom(rule.head, env)
-                _check_domain(head, domain_bounds)
-                arc = Arc(head, frozenset(picked), rule.name)
-                if arc not in arcs:
-                    arcs.add(arc)
-                    if head not in known:
-                        new_facts.add(head)
+        for rule, rule_plans in plans:
+            for steps in rule_plans:
+                for env, body in _instances(steps, delta, index):
+                    # guards run after the full join, in rule order; each
+                    # instance owns its env, so binding guards extend it
+                    ok = True
+                    for g in rule.guards:
+                        holds, binding = g.check(env)
+                        if binding is not None:
+                            env[binding[0]] = binding[1]
+                        if not holds:
+                            ok = False
+                            break
+                    if not ok:
+                        continue
+                    head = Fact(rule.head.relation,
+                                tuple(env.get(a, a) for a in rule.head.args))
+                    _check_domain(head, domain_bounds)
+                    arc = Arc(head, frozenset(body), rule.name)
+                    if arc not in arcs:
+                        arcs.add(arc)
+                        if head not in known:
+                            new_facts.add(head)
         known |= new_facts
         for f in new_facts:
-            by_rel.setdefault(f.relation, set()).add(f)
-        delta = new_facts
+            index.add(f)
+        delta = _FactIndex(new_facts)
     return Hypergraph(arcs)
 
 

@@ -62,8 +62,8 @@ class Arc:
         if not isinstance(self.body, frozenset):
             object.__setattr__(self, "body", frozenset(self.body))
 
-    def _key(self):
-        return (self.head._key(), tuple(sorted(b._key() for b in self.body)),
+    def _key(self, fact_key=Fact._key):
+        return (fact_key(self.head), tuple(sorted(map(fact_key, self.body))),
                 self.rule_type)
 
     def __lt__(self, other: "Arc") -> bool:
@@ -332,6 +332,22 @@ def parse_provenance(text: str) -> Hypergraph:
     return Hypergraph(arcs)
 
 
+def _sorted_sharing_keys(arcs) -> list:
+    """`sorted(arcs, key=Arc._key)`, with one `Fact._key` per distinct fact
+    shared by every arc naming it: a large graph names each fact in many
+    arcs, and one key tuple per mention is most of the sort's memory.  On
+    small graphs the lookups cost more than they save."""
+    keys = {}
+
+    def fact_key(f):
+        k = keys.get(f)
+        if k is None:
+            k = keys[f] = f._key()
+        return k
+
+    return sorted(arcs, key=lambda a: a._key(fact_key))
+
+
 def serialize_provenance(g: Hypergraph) -> str:
     """Canonical text form; parse(serialize(g)) == g, byte for byte stable."""
-    return "".join(str(a) + "\n" for a in g.sorted_arcs())
+    return "".join(str(a) + "\n" for a in _sorted_sharing_keys(g.arcs))

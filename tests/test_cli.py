@@ -71,6 +71,12 @@ class TestGround:
         code, out, _ = run(capsys, "ground", "--rules", str(src))
         assert code == 0 and f"out({1 + ones}) <- n(1) @ deep" in out
 
+    def test_rule_without_body_atoms_exits_2(self, capsys, tmp_path):
+        src = tmp_path / "empty.dl"
+        src.write_text("n(1).\nq(X) :- X == 3. @r\n")
+        code, _, err = run(capsys, "ground", "--rules", str(src))
+        assert code == 2 and "line 2" in err
+
     def test_seeds_are_a_fact_list(self, capsys, tmp_path):
         rules = tmp_path / "p.dl"
         rules.write_text("out(Y,X) :- c(X,Y). @swap\n")
@@ -281,6 +287,14 @@ class TestMaxsat:
         code, out, _ = run(capsys, "maxsat", str(inst))
         assert code == 0 and "model: x" in out
         assert run(capsys, "maxsat", str(inst), "--export-wcnf")[0] == 0
+
+    def test_a_long_flat_formula_reads_term_by_term(self):
+        from provrefine import maxsat as mx
+
+        n = 80_000
+        text = "hard (and " + " ".join(f"x{i}" for i in range(n)) + ")\n"
+        assert cli.parse_maxsat_instance(text).hard == \
+            mx.and_(*(mx.var(f"x{i}") for i in range(n)))
 
     def test_import_model(self, capsys, tmp_path):
         inst = tmp_path / "i.txt"

@@ -3,10 +3,11 @@ import random
 
 import pytest
 
+import datalog_reference as ref
 import provrefine.hypergraph as hg
 from provrefine import datalog
 from provrefine.errors import DomainOverflow, ParseError
-from provrefine.hypergraph import Fact
+from provrefine.hypergraph import Arc, Fact
 
 
 def _ground_text(text, seeds=(), domain=(0, 255)):
@@ -113,6 +114,13 @@ def test_range_restriction_enforced():
         datalog.parse_program("p(X,Y) :- q(X). @unbound\n")
 
 
+def test_rule_without_body_atoms_is_a_parse_error():
+    # it would never fire: each join starts from one of its body atoms
+    with pytest.raises(ParseError, match="no body atom") as exc:
+        datalog.parse_program("n(1).\nq(X) :- X == 3. @r\n")
+    assert exc.value.line == 2
+
+
 def test_parse_error_carries_line_number():
     with pytest.raises(ParseError) as exc:
         datalog.parse_program("p(1).\nthis is wrong\n")
@@ -126,6 +134,129 @@ def test_seed_facts_join_but_emit_no_arcs():
     g = datalog.ground(rules, base, seeds=[seed])
     assert Fact("hit", (1,)) in g.vertices
     assert all(a.head != seed for a in g.arcs)
+
+
+def test_two_arities_repeated_variables_and_constants():
+    text = """
+    a(1).
+    a(2).
+    a(1,1).
+    a(1,2).
+    a(2,2).
+    same(X) :- a(X,X). @diag
+    one(Y) :- a(1,Y), a(Y). @one
+    """
+    rules, base = datalog.parse_program(text)
+    derived = {a for a in datalog.ground(rules, base).arcs if a.body}
+    f = hg.parse_fact
+    assert derived == {
+        Arc(f("same(1)"), frozenset([f("a(1,1)")]), "diag"),
+        Arc(f("same(2)"), frozenset([f("a(2,2)")]), "diag"),
+        Arc(f("one(1)"), frozenset([f("a(1,1)"), f("a(1)")]), "one"),
+        Arc(f("one(2)"), frozenset([f("a(1,2)"), f("a(2)")]), "one"),
+    }
+
+
+# --- the indexed grounder against the nested-loop oracle ----------------------
+
+
+def _random_program(rng: random.Random):
+    """Rules, base facts and seeds over the integers 0..3.
+
+    Body atoms mix variables, repeated variables and constants; relations
+    `a` and `c` each appear at two arities; guards test, bind and take a
+    modulus that may be 0; rules may recurse through binding guards, which
+    the grounding domain (0, 7) stops with a DomainOverflow.
+    """
+    arities = {"a": (1, 2), "b": (2,), "c": (1, 3), "d": (0,)}
+    rels = sorted(arities)
+
+    def atom(terms):
+        rel = rng.choice(rels)
+        args = [str(rng.choice(terms)) for _ in range(rng.choice(arities[rel]))]
+        return f"{rel}({','.join(args)})" if args else rel
+
+    lines = [atom(range(4)) + "." for _ in range(rng.randint(4, 12))]
+    for r in range(rng.randint(1, 4)):
+        body = [atom(["X", "Y", "Z", "X", 0, 1])
+                for _ in range(rng.randint(1, 3))]
+        bound = sorted(set("".join(body)) & set("XYZ"))
+        if bound and rng.random() < 0.5:
+            v, w = rng.choice(bound), rng.choice(bound + ["1", "2"])
+            body.append(rng.choice([f"{v} < {w}", f"{v} != {w}",
+                                    f"{v} + {w} > 2", f"{v} mod {rng.randrange(4)} == 0"]))
+        if bound and rng.random() < 0.4:
+            body.append(f"W == {rng.choice(bound)} + {rng.randrange(3)}")
+            bound.append("W")
+        lines.append(f"{atom(bound or [0, 1])} :- {', '.join(body)}. @r{r}")
+    rules, base = datalog.parse_program("\n".join(lines))
+    seeds = hg.parse_facts(" ".join(atom(range(4)) for _ in range(rng.randint(0, 3))))
+    return rules, base, seeds
+
+
+def _smudge_program(rng: random.Random, sites: int):
+    """A random straight-line smudge program over x, y, z, w, as grounder inputs."""
+    smudges = [(lbl, rng.choice((2, 3, 5, 7)), *rng.sample("xyzw", 2))
+               for lbl in range(sites)]
+    values = {o: rng.randrange(10) for o in "xyzw"}
+    text = datalog.smudge_program_text(smudges, values, assignments=[])
+    rules, base = datalog.parse_program(text)
+    seeds = {Fact(kind, (lbl,)) for lbl in range(sites)
+             for kind in ("cheap", "precise")}
+    return rules, base, seeds
+
+
+def _outcome(grounder, rules, base, seeds):
+    try:
+        return grounder(rules, base, domain_bounds=(0, 7), seeds=seeds).arcs
+    except DomainOverflow:
+        return DomainOverflow
+
+
+def test_indexed_grounding_matches_the_reference_on_random_programs():
+    outcomes = []
+    for seed in range(300):
+        rules, base, seeds = _random_program(random.Random(seed))
+        want = _outcome(ref.ground, rules, base, seeds)
+        assert _outcome(datalog.ground, rules, base, seeds) == want, seed
+        outcomes.append(want)
+    # the generator reaches both outcomes, and rules that fire
+    assert DomainOverflow in outcomes
+    assert any(o is not DomainOverflow and any(a.body for a in o) for o in outcomes)
+
+
+@pytest.mark.parametrize("sites", [8, 16, 24, 40])
+def test_indexed_grounding_matches_the_reference_on_smudge_programs(sites):
+    rules, base, seeds = _smudge_program(random.Random(sites), sites)
+    assert datalog.ground(rules, base, seeds=seeds) == \
+        ref.ground(rules, base, seeds=seeds)
+
+
+def test_indexed_grounding_matches_the_reference_on_the_demo():
+    rules, base = datalog.parse_program(datalog.smudge_program_text())
+    seeds = {Fact(kind, (lbl,)) for lbl in datalog.smudge_labels()
+             for kind in ("cheap", "precise")}
+    assert datalog.ground(rules, base, seeds=seeds) == \
+        ref.ground(rules, base, seeds=seeds)
+
+
+def test_join_work_grows_linearly_with_program_size(monkeypatch):
+    tried = []
+    lookup = datalog._FactIndex.lookup
+
+    def counting_lookup(self, *args):
+        facts = lookup(self, *args)
+        tried.append(len(facts))
+        return facts
+
+    monkeypatch.setattr(datalog._FactIndex, "lookup", counting_lookup)
+    work = {}
+    for sites in (50, 100):
+        tried.clear()
+        rules, base, seeds = _smudge_program(random.Random(sites), sites)
+        datalog.ground(rules, base, seeds=seeds)
+        work[sites] = sum(tried)
+    assert work[100] <= 2.5 * work[50], work
 
 
 class TestSmudgeFixture:
