@@ -4,9 +4,11 @@ Facts are ground atoms; an arc records one instantiated inference step
 (head, body set, rule-type tag).  Reachability is the least fixpoint of
 "if all body facts hold, the head holds", and the max-plus hyperpath
 distance is the round of that fixpoint in which a fact is first derived.
-One kernel, `_closure`, computes both: `reach` keeps its keys and
-`distances` its values.  It builds its body index per call rather than
-caching one on the graph, because callers keep many graphs alive.
+One kernel computes both: `_index` numbers a graph's arcs and `_run`
+closes over that index from a seed set; `reach` keeps the keys of the
+result and `distances` its values.  The index is built per call rather
+than cached on the graph, because callers keep many graphs alive; a caller
+that closes one graph from many seed sets builds it once.
 Distances define forward arcs; loops and justifications support the exact
 likelihood oracle.
 """
@@ -115,7 +117,28 @@ class Hypergraph:
         return Hypergraph(arcs)
 
 
-def _closure(g: Hypergraph, t: Iterable[Fact]) -> dict:
+def _index(arcs: Iterable) -> tuple:
+    """The integer index that `_run` closes over.
+
+    Numbers the arcs with a body in the order given, and keeps their heads
+    and body sizes, the arcs each fact is a body fact of, and the heads of
+    the empty-body arcs.  An arc is anything with a `head` and a `body`;
+    facts may be any hashable labels.
+    """
+    heads, sizes, by_body, sources = [], [], {}, []
+    for arc in arcs:
+        body = arc.body
+        if not body:
+            sources.append(arc.head)
+            continue
+        for b in body:
+            by_body.setdefault(b, []).append(len(heads))
+        heads.append(arc.head)
+        sizes.append(len(body))
+    return heads, sizes, by_body, sources
+
+
+def _run(index: tuple, t: Iterable) -> dict:
     """Map each fact reachable from t to its max-plus distance.
 
     Seeds are at 0 and heads of empty-body arcs at 1.  Facts settle layer
@@ -123,19 +146,14 @@ def _closure(g: Hypergraph, t: Iterable[Fact]) -> dict:
     is the farthest of its body, so the head's candidate is its layer + 1.
     The first candidate a head gets is its least, so no heap is needed.
     """
+    heads, sizes, by_body, sources = index
     dist = dict.fromkeys(t, 0)
     layer, nxt = list(dist), []
-    heads, pending, by_body = [], [], {}
-    for arc in g.arcs:
-        if not arc.body:
-            if arc.head not in dist:
-                dist[arc.head] = 1
-                nxt.append(arc.head)
-            continue
-        for b in arc.body:
-            by_body.setdefault(b, []).append(len(heads))
-        heads.append(arc.head)
-        pending.append(len(arc.body))
+    for h in sources:
+        if h not in dist:
+            dist[h] = 1
+            nxt.append(h)
+    pending = sizes.copy()
     d = 1  # the distance of the heads that fire from this layer
     while layer or nxt:
         for f in layer:
@@ -146,6 +164,11 @@ def _closure(g: Hypergraph, t: Iterable[Fact]) -> dict:
                     nxt.append(heads[i])
         layer, nxt, d = nxt, [], d + 1
     return dist
+
+
+def _closure(g: Hypergraph, t: Iterable[Fact]) -> dict:
+    """`_run` from t over the index of g, built for this one call."""
+    return _run(_index(g.arcs), t)
 
 
 def reach(g: Hypergraph, t: Iterable[Fact]) -> frozenset:

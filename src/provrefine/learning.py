@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Optional
 from . import likelihood as lk
 from .analysis import Analysis, local_provenance
 from .errors import CorpusTooSmall, DegenerateTrainingSet
-from .hypergraph import Hypergraph
+from .hypergraph import Arc, Hypergraph
 from .probmodel import NEG_INF, HyperParams
 
 EPSILON = 1e-6
@@ -69,18 +69,34 @@ def sample_training(an: Analysis, n: int, max_flips: int,
     return TrainingSet([ObservationGroup(blueprint, obs)])
 
 
+def _shape(clauses: tuple) -> tuple:
+    """A head's lower clauses up to renaming arcs: (rule types, clauses).
+
+    Arcs become positions numbered in `Arc._key` order, so `_wmc_clauses`
+    branches on the same arc as over the arcs themselves and every head of
+    one shape has bit for bit the shape's value.  Repeated clauses count
+    once, as they do in the weighted count.
+    """
+    distinct = set(clauses)
+    arcs = sorted(set().union(*distinct), key=Arc._key)
+    pos = {arc: i for i, arc in enumerate(arcs)}
+    return (tuple(a.rule_type for a in arcs),
+            frozenset(frozenset(pos[a] for a in c) for c in distinct))
+
+
 class _Objective:
     """The lower-bound log-likelihood, factored per rule type.
 
-    Precomputes, for every type, how many refuted arcs it owns and which
-    per-head formulas mention it, so a single-coordinate change only
-    re-evaluates the affected heads.
+    Precomputes, for every type, how many refuted arcs it owns, and
+    compiles the per-head formulas into distinct shapes (see `_shape`), each
+    with the number of heads it stands for.  An evaluation then counts once
+    per shape rather than once per head, and a single-coordinate change
+    only re-evaluates the shapes that mention its type.
     """
 
     def __init__(self, ts: TrainingSet):
         self.n_counts = {}
-        self.heads = []  # list of clause tuples
-        self._head_types = []
+        multiplicity = {}  # shape -> number of heads
         for group in ts.groups:
             bf = lk.bound_terms(group.blueprint, group.observations)
             if bf.impossible:
@@ -88,25 +104,29 @@ class _Objective:
             for arc in bf.negated_arcs:
                 self.n_counts[arc.rule_type] = self.n_counts.get(arc.rule_type, 0) + 1
             for ph in bf.per_head.values():
-                if not ph.lower_clauses:
-                    continue
-                self.heads.append(ph.lower_clauses)
-                self._head_types.append(
-                    {a.rule_type for c in ph.lower_clauses for a in c})
+                if ph.lower_clauses:
+                    shape = _shape(ph.lower_clauses)
+                    multiplicity[shape] = multiplicity.get(shape, 0) + 1
+        self.shapes = [(types, clauses, m)
+                       for (types, clauses), m in multiplicity.items()]
         self.constrained = set(self.n_counts)
-        for types in self._head_types:
-            self.constrained |= types
+        for types, _, _ in self.shapes:
+            self.constrained.update(types)
         self.heads_of_type = {
-            k: [i for i, types in enumerate(self._head_types) if k in types]
+            k: [i for i, (types, _, _) in enumerate(self.shapes) if k in types]
             for k in self.constrained
         }
 
-    def _head_value(self, i: int, hp: HyperParams) -> float:
-        theta = {}
-        for c in self.heads[i]:
-            for arc in c:
-                theta[arc] = hp.get(arc.rule_type)
-        return lk._wmc_clauses(self.heads[i], theta)
+    def _shapes_term(self, ids, hp: HyperParams) -> float:
+        """Sum of m · log(value) over the shapes ids, or -inf."""
+        total = 0.0
+        for i in ids:
+            types, clauses, m = self.shapes[i]
+            v = lk._wmc_clauses(clauses, [hp.get(k) for k in types])
+            if v <= 0.0:
+                return NEG_INF
+            total += m * math.log(v)
+        return total
 
     def value(self, hp: HyperParams) -> float:
         total = 0.0
@@ -115,17 +135,12 @@ class _Objective:
             if t >= 1.0:
                 return NEG_INF
             total += n * math.log1p(-t)
-        for i in range(len(self.heads)):
-            v = self._head_value(i, hp)
-            if v <= 0.0:
-                return NEG_INF
-            total += math.log(v)
-        return total
+        return total + self._shapes_term(range(len(self.shapes)), hp)
 
     def coordinate_function(self, k: str, hp: HyperParams) -> Callable[[float], float]:
         """Objective as a function of theta_k, up to a constant."""
         n = self.n_counts.get(k, 0)
-        head_ids = self.heads_of_type.get(k, [])
+        shape_ids = self.heads_of_type.get(k, [])
 
         def f(t: float) -> float:
             trial = hp.copy()
@@ -135,12 +150,7 @@ class _Objective:
                 if t >= 1.0:
                     return NEG_INF
                 total += n * math.log1p(-t)
-            for i in head_ids:
-                v = self._head_value(i, trial)
-                if v <= 0.0:
-                    return NEG_INF
-                total += math.log(v)
-            return total
+            return total + self._shapes_term(shape_ids, trial)
 
         return f
 

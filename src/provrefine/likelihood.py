@@ -11,6 +11,7 @@ a loop-formula construction provide the exact value on small instances.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -59,44 +60,103 @@ class BoundFormula:
     impossible: bool = False  # some observation had t ⊄ r
 
 
+# an arc over fact ids, read by `hg._index`
+_IdArc = namedtuple("_IdArc", "head body")
+
+
+class _ArcSets(dict):
+    """A set of arc ids -> the one frozenset of those arcs, made on first use."""
+
+    def __init__(self, arcs: list):
+        super().__init__()
+        self.arcs = arcs
+
+    def __missing__(self, key: frozenset) -> frozenset:
+        out = self[key] = frozenset(self.arcs[i] for i in key)
+        return out
+
+
 def bound_terms(g_bot: Hypergraph, obs: Iterable[Observation]) -> BoundFormula:
+    """The refuted arcs and the per-head clauses of both bounds.
+
+    One integer index over g_bot serves every observation: D_k and the arcs
+    k refutes come from one scan of the arcs its derived facts feed, and
+    F_k from one distance run of the closure kernel from t.  D_k and F_k
+    are kept only for arcs whose head k derives, the only ones its clauses
+    read.  Each distinct clause becomes an arc set once, so equal clauses
+    in the result are one object.
+    """
     obs = list(obs)
-    for arc in g_bot.arcs:
-        if arc.head in arc.body:
+    # numbered as `hg._index` numbers them: the arcs with a body first
+    arcs = ([a for a in g_bot.arcs if a.body]
+            + [a for a in g_bot.arcs if not a.body])
+    ids = {}  # Fact -> fact id, in order of first mention
+    id_arcs, by_head = [], {}
+    for i, arc in enumerate(arcs):
+        h = ids.setdefault(arc.head, len(ids))
+        body = [ids.setdefault(b, len(ids)) for b in arc.body]
+        if h in body:
             raise SelfLoopArc(str(arc))
+        by_head.setdefault(h, []).append(i)
+        id_arcs.append(_IdArc(h, body))
+    seen = []  # per observation: (t, r - t) as fact ids
     for o in obs:
-        if not o.r - o.t <= g_bot.vertices:
+        derived = set(map(ids.get, o.r - o.t))
+        if None in derived:
             raise ObservationOutOfRange(
                 "observation derives facts foreign to the blueprint")
+        t = set(map(ids.get, o.t))
+        t.discard(None)
+        seen.append((t, derived))
     if any(not o.consistent() for o in obs):
         return BoundFormula(frozenset(), {}, impossible=True)
 
+    index = hg._index(id_arcs)
+    _, sizes, by_body, _ = index
+    empty = range(len(sizes), len(arcs))
     negated = set()
-    for o in obs:
-        for arc in g_bot.arcs:
-            if arc.body <= o.r and arc.head not in o.r:
-                negated.add(arc)
+    c_of = {}  # fact id -> the observations deriving it, in order
+    d_sets, f_sets = [], []
+    for k, (t, derived) in enumerate(seen):
+        r = t | derived
+        pending = sizes.copy()
+        d_all = list(empty)  # arcs whose body lies in r
+        for f in r:
+            for i in by_body.get(f, ()):
+                pending[i] -= 1
+                if not pending[i]:
+                    d_all.append(i)
+        dist = hg._run(index, t).get
+        d_k, f_k = set(), set()
+        for i in d_all:
+            h, body = id_arcs[i]
+            if h not in r:
+                negated.add(i)
+            elif h in derived:
+                d_k.add(i)
+                dh = dist(h, hg.INFINITY)
+                for b in body:
+                    if not dh > dist(b, hg.INFINITY):
+                        break
+                else:
+                    f_k.add(i)
+        d_sets.append(d_k)
+        f_sets.append(f_k)
+        for h in derived:
+            c_of.setdefault(h, []).append(k)
 
-    by_head = {}
-    for arc in g_bot.arcs:
-        by_head.setdefault(arc.head, set()).add(arc)
-
-    d_sets = [frozenset(a for a in g_bot.arcs if a.body <= o.r) for o in obs]
-    f_sets = [d_k & hg.forward_arcs(g_bot, o.t).arcs
-              for o, d_k in zip(obs, d_sets)]
-
+    facts = list(ids)
+    shared = _ArcSets(arcs)
     per_head = {}
-    for h in sorted(by_head, key=Fact._key):
-        c_h = tuple(k for k, o in enumerate(obs) if h in o.r - o.t)
-        if not c_h:
-            continue
-        a_h = frozenset(by_head[h]) - negated
-        per_head[h] = PerHead(
-            candidates=a_h,
-            lower_clauses=tuple(a_h & f_sets[k] for k in c_h),
-            upper_clauses=tuple(a_h & d_sets[k] for k in c_h),
+    for h in sorted((h for h in c_of if h in by_head),
+                    key=lambda h: facts[h]._key()):
+        a_h = frozenset(by_head[h]).difference(negated)
+        per_head[facts[h]] = PerHead(
+            candidates=shared[a_h],
+            lower_clauses=tuple(shared[a_h & f_sets[k]] for k in c_of[h]),
+            upper_clauses=tuple(shared[a_h & d_sets[k]] for k in c_of[h]),
         )
-    return BoundFormula(frozenset(negated), per_head)
+    return BoundFormula(frozenset(arcs[i] for i in negated), per_head)
 
 
 def _wmc_clauses(clauses, theta: dict) -> float:
@@ -154,52 +214,6 @@ def lower_bound(bf: BoundFormula, hp: HyperParams) -> float:
 
 def upper_bound(bf: BoundFormula, hp: HyperParams) -> float:
     return _bound(bf, hp, "upper")
-
-
-def reduce_lower(bf: BoundFormula, cap: int = 8,
-                 drop: Iterable[Arc] = None) -> BoundFormula:
-    """Shrink the lower-bound formula by dropping clause variables.
-
-    Per head, when more than `cap` distinct arcs occur in the clauses,
-    only the `cap` smallest (canonical order) are kept; the rest vanish
-    from every clause, which can only weaken the bound.  An explicit
-    `drop` set forces particular arcs out instead.
-    """
-    if bf.impossible:
-        return bf
-    dropset = frozenset(drop or ())
-    per_head = {}
-    for h, ph in bf.per_head.items():
-        used = sorted(set().union(*ph.lower_clauses), key=Arc._key)
-        if dropset:
-            victims = dropset & set(used)
-        elif len(used) > cap:
-            victims = set(used[cap:])
-        else:
-            victims = set()
-        if victims:
-            clauses = tuple(frozenset(c - victims) for c in ph.lower_clauses)
-        else:
-            clauses = ph.lower_clauses
-        per_head[h] = PerHead(ph.candidates, clauses, ph.upper_clauses)
-    return BoundFormula(bf.negated_arcs, per_head)
-
-
-def reduce_upper(bf: BoundFormula) -> BoundFormula:
-    """Keep only the longest upper clause per head (ties: canonical order)."""
-    if bf.impossible:
-        return bf
-    per_head = {}
-    for h, ph in bf.per_head.items():
-        if ph.upper_clauses:
-            # longest clause wins; ties go to the canonically smallest
-            best = sorted(ph.upper_clauses,
-                          key=lambda c: (-len(c), sorted(c)))[0]
-            clauses = (best,)
-        else:
-            clauses = ()
-        per_head[h] = PerHead(ph.candidates, ph.lower_clauses, clauses)
-    return BoundFormula(bf.negated_arcs, per_head)
 
 
 def exact_likelihood(g_bot: Hypergraph, obs: Iterable[Observation],

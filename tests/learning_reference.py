@@ -1,0 +1,90 @@
+"""Reference learning objective: one weighted model count per head.
+
+The straightforward version of `provrefine.learning._Objective`, kept as
+the oracle its shape-compiled objective is checked against.  It runs
+`_wmc_clauses` on every head's own clauses at every evaluation, where the
+compiled objective runs it once per distinct shape.
+"""
+
+import math
+from typing import Callable
+
+from provrefine import likelihood as lk
+from provrefine.learning import TrainingSet
+from provrefine.probmodel import NEG_INF, HyperParams
+
+
+class _Objective:
+    """The lower-bound log-likelihood, factored per rule type.
+
+    Precomputes, for every type, how many refuted arcs it owns and which
+    per-head formulas mention it, so a single-coordinate change only
+    re-evaluates the affected heads.
+    """
+
+    def __init__(self, ts: TrainingSet):
+        self.n_counts = {}
+        self.heads = []  # list of clause tuples
+        self._head_types = []
+        for group in ts.groups:
+            bf = lk.bound_terms(group.blueprint, group.observations)
+            if bf.impossible:
+                raise ValueError("training observation with T not within R")
+            for arc in bf.negated_arcs:
+                self.n_counts[arc.rule_type] = self.n_counts.get(arc.rule_type, 0) + 1
+            for ph in bf.per_head.values():
+                if not ph.lower_clauses:
+                    continue
+                self.heads.append(ph.lower_clauses)
+                self._head_types.append(
+                    {a.rule_type for c in ph.lower_clauses for a in c})
+        self.constrained = set(self.n_counts)
+        for types in self._head_types:
+            self.constrained |= types
+        self.heads_of_type = {
+            k: [i for i, types in enumerate(self._head_types) if k in types]
+            for k in self.constrained
+        }
+
+    def _head_value(self, i: int, hp: HyperParams) -> float:
+        theta = {}
+        for c in self.heads[i]:
+            for arc in c:
+                theta[arc] = hp.get(arc.rule_type)
+        return lk._wmc_clauses(self.heads[i], theta)
+
+    def value(self, hp: HyperParams) -> float:
+        total = 0.0
+        for k, n in self.n_counts.items():
+            t = hp.get(k)
+            if t >= 1.0:
+                return NEG_INF
+            total += n * math.log1p(-t)
+        for i in range(len(self.heads)):
+            v = self._head_value(i, hp)
+            if v <= 0.0:
+                return NEG_INF
+            total += math.log(v)
+        return total
+
+    def coordinate_function(self, k: str, hp: HyperParams) -> Callable[[float], float]:
+        """Objective as a function of theta_k, up to a constant."""
+        n = self.n_counts.get(k, 0)
+        head_ids = self.heads_of_type.get(k, [])
+
+        def f(t: float) -> float:
+            trial = hp.copy()
+            trial.theta[k] = t
+            total = 0.0
+            if n:
+                if t >= 1.0:
+                    return NEG_INF
+                total += n * math.log1p(-t)
+            for i in head_ids:
+                v = self._head_value(i, trial)
+                if v <= 0.0:
+                    return NEG_INF
+                total += math.log(v)
+            return total
+
+        return f

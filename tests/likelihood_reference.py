@@ -1,0 +1,54 @@
+"""Reference bound terms: one full arc scan and one `forward_arcs` per
+observation.
+
+The straightforward version of `provrefine.likelihood.bound_terms`, kept
+as the oracle its integer index is checked against.  Both must build equal
+`BoundFormula`s and raise the same exceptions.
+"""
+
+from typing import Iterable
+
+from provrefine import hypergraph as hg
+from provrefine.errors import ObservationOutOfRange, SelfLoopArc
+from provrefine.hypergraph import Fact, Hypergraph
+from provrefine.likelihood import BoundFormula, Observation, PerHead
+
+
+def bound_terms(g_bot: Hypergraph, obs: Iterable[Observation]) -> BoundFormula:
+    obs = list(obs)
+    for arc in g_bot.arcs:
+        if arc.head in arc.body:
+            raise SelfLoopArc(str(arc))
+    for o in obs:
+        if not o.r - o.t <= g_bot.vertices:
+            raise ObservationOutOfRange(
+                "observation derives facts foreign to the blueprint")
+    if any(not o.consistent() for o in obs):
+        return BoundFormula(frozenset(), {}, impossible=True)
+
+    negated = set()
+    for o in obs:
+        for arc in g_bot.arcs:
+            if arc.body <= o.r and arc.head not in o.r:
+                negated.add(arc)
+
+    by_head = {}
+    for arc in g_bot.arcs:
+        by_head.setdefault(arc.head, set()).add(arc)
+
+    d_sets = [frozenset(a for a in g_bot.arcs if a.body <= o.r) for o in obs]
+    f_sets = [d_k & hg.forward_arcs(g_bot, o.t).arcs
+              for o, d_k in zip(obs, d_sets)]
+
+    per_head = {}
+    for h in sorted(by_head, key=Fact._key):
+        c_h = tuple(k for k, o in enumerate(obs) if h in o.r - o.t)
+        if not c_h:
+            continue
+        a_h = frozenset(by_head[h]) - negated
+        per_head[h] = PerHead(
+            candidates=a_h,
+            lower_clauses=tuple(a_h & f_sets[k] for k in c_h),
+            upper_clauses=tuple(a_h & d_sets[k] for k in c_h),
+        )
+    return BoundFormula(frozenset(negated), per_head)

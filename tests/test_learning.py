@@ -9,6 +9,9 @@ from provrefine import probmodel as pm
 from provrefine.errors import CorpusTooSmall, DegenerateTrainingSet
 from provrefine.hypergraph import Arc, Fact, Hypergraph
 
+import learning_reference
+from conftest import random_smudge_analysis
+
 
 def _f(name):
     return Fact(name, ())
@@ -134,3 +137,69 @@ def test_learn_from_a_refuted_type_at_one_stops_early(monkeypatch):
     assert len(searches) < 20
     assert hp.theta["coin"] == pytest.approx(0.3, abs=1e-4)
     assert math.isfinite(learning._Objective(ts).value(hp))
+
+
+def _random_training_set(rng, n=8):
+    """One to three smudge programs, up to n observations each."""
+    parts = []
+    for _ in range(rng.randint(1, 3)):
+        an, _ = random_smudge_analysis(rng)
+        parts.append(learning.sample_training(an, rng.randint(1, n), 3, rng))
+    return learning.TrainingSet.merge(parts)
+
+
+def test_objective_equals_the_per_head_reference():
+    rng = random.Random(17)
+    close = lambda a, b: math.isclose(a, b, rel_tol=1e-12)
+    infinite = 0
+    for _ in range(40):
+        ts = _random_training_set(rng)
+        obj, ref = learning._Objective(ts), learning_reference._Objective(ts)
+        assert obj.constrained == ref.constrained
+        assert obj.n_counts == ref.n_counts
+        hp = pm.HyperParams({k: rng.uniform(0.01, 0.99) for k in ts.rule_types()})
+        assert close(obj.value(hp), ref.value(hp))
+        for k in sorted(obj.constrained):
+            f, g = obj.coordinate_function(k, hp), ref.coordinate_function(k, hp)
+            for t in (0.0, 1e-6, rng.random(), 0.5, 1.0 - 1e-9, 1.0):
+                assert close(f(t), g(t)), (k, t)
+                infinite += f(t) == pm.NEG_INF
+            at_edge = hp.copy()
+            at_edge.theta[k] = rng.choice((0.0, 1.0))
+            assert close(obj.value(at_edge), ref.value(at_edge))
+    assert infinite > 0
+
+
+def test_learn_agrees_with_the_per_head_objective(monkeypatch):
+    rng = random.Random(29)
+    for _ in range(12):
+        ts = _random_training_set(rng, n=6)
+        got = learning.learn(ts)
+        with monkeypatch.context() as m:
+            m.setattr(learning, "_Objective", learning_reference._Objective)
+            want = learning.learn(ts)
+        assert got.unconstrained == want.unconstrained
+        assert got.theta.keys() == want.theta.keys()
+        for k, v in want.theta.items():
+            assert got.theta[k] == pytest.approx(v, abs=1e-9)
+
+
+def test_learn_counts_once_per_shape(monkeypatch):
+    # five programs x 40 observations have about a thousand lower-bound
+    # heads, but only a handful of distinct shapes: counting once per head
+    # and line-search point took over 20 000 weighted model counts here
+    rng = random.Random(1)
+    ts = learning.TrainingSet.merge(
+        learning.sample_training(random_smudge_analysis(rng, max_sites=16)[0],
+                                 40, 3, rng)
+        for _ in range(5))
+    calls = []
+    real = lk._wmc_clauses
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(lk, "_wmc_clauses", counting)
+    learning.learn(ts)
+    assert 0 < len(calls) < 2000

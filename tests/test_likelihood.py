@@ -9,6 +9,7 @@ from provrefine import probmodel as pm
 from provrefine.errors import ObservationOutOfRange, ParseError, SelfLoopArc
 from provrefine.hypergraph import Arc, Fact, Hypergraph
 
+import likelihood_reference
 from conftest import (fact, random_hypergraph, random_seed_set,
                       random_smudge_analysis)
 
@@ -54,27 +55,6 @@ def test_four_arc_bounds_and_exact(four_arc_example):
     for f in (lk.lower_bound, lk.upper_bound):
         assert f(bf, hp) == pytest.approx(math.log(0.3125))
     assert lk.exact_likelihood(g, obs, hp) == pytest.approx(math.log(0.3125))
-
-
-def test_four_arc_reductions(four_arc_example):
-    g, arcs, obs = four_arc_example
-    hp = pm.HyperParams({f"e{k}": 0.5 for k in range(1, 5)})
-    bf = lk.bound_terms(g, obs)
-    low = lk.lower_bound(lk.reduce_lower(bf, drop=[arcs[2]]), hp)
-    assert low == pytest.approx(math.log(0.25))
-    up = lk.upper_bound(lk.reduce_upper(bf), hp)
-    assert up == pytest.approx(math.log(0.375))
-
-
-def test_reduce_lower_cap_keeps_small_formulas_intact(four_arc_example):
-    g, arcs, obs = four_arc_example
-    bf = lk.bound_terms(g, obs)
-    hp = pm.HyperParams({f"e{k}": 0.5 for k in range(1, 5)})
-    assert lk.lower_bound(lk.reduce_lower(bf, cap=8), hp) == \
-        lk.lower_bound(bf, hp)
-    # cap 1 keeps only the canonically smallest arc per head
-    capped = lk.reduce_lower(bf, cap=1)
-    assert lk.lower_bound(capped, hp) <= lk.lower_bound(bf, hp)
 
 
 def test_cyclic_pair_bounds():
@@ -231,6 +211,80 @@ def test_lower_clauses_match_the_inline_forward_filter():
             want = tuple(ph.candidates & f_k
                          for o, f_k in zip(obs, f_sets) if h in o.r - o.t)
             assert ph.lower_clauses == want
+
+
+def _bound_terms_or_error(bound_terms, g, obs):
+    try:
+        return bound_terms(g, obs)
+    except (SelfLoopArc, ObservationOutOfRange) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_same_formula(got, want):
+    assert got == want
+    if isinstance(want, lk.BoundFormula):
+        assert list(got.per_head) == list(want.per_head)
+
+
+def _messy_instance(rng):
+    """A random graph with empty bodies and cycles, and observations that
+    may be inconsistent, name foreign facts, or meet a self-loop arc."""
+    g = random_hypergraph(rng, max_verts=7, max_arcs=12)
+    arcs = set(g.arcs)
+    for _ in range(rng.choice((0, 0, 0, 1, 2))):
+        v = fact(rng.randrange(7))
+        arcs.add(Arc(v, frozenset([v, fact(rng.randrange(7))]), "loop"))
+    g = Hypergraph(arcs)
+    obs = []
+    for _ in range(rng.randint(1, 4)):
+        t = random_seed_set(rng, g)
+        r = set(hg.reach(Hypergraph(a for a in g.arcs if rng.random() < 0.7), t))
+        if rng.random() < 0.1:
+            r.add(_f("ghost"))
+        if rng.random() < 0.1:
+            t |= {_f("seed_only")}
+            r.add(_f("seed_only"))
+        if t and rng.random() < 0.1:
+            r.discard(min(t, key=Fact._key))
+        obs.append(lk.Observation(t=frozenset(t), r=frozenset(r)))
+    return g, obs
+
+
+def _smudge_group(rng, programs=1, n=4):
+    from provrefine import learning
+
+    parts = [learning.sample_training(random_smudge_analysis(rng)[0], n, 3, rng)
+             for _ in range(programs)]
+    return [(grp.blueprint, grp.observations) for ts in parts for grp in ts.groups]
+
+
+def test_bound_terms_equals_the_reference(four_arc_example):
+    rng = random.Random(33)
+    g4, _, obs4 = four_arc_example
+    a, b = _f("a"), _f("b")
+    cyclic = Hypergraph([Arc(a, frozenset([b]), "r"), Arc(b, frozenset([a]), "r")])
+    cases = [(g4, obs4), (cyclic, [lk.Observation(frozenset(), frozenset([a, b]))])]
+    cases += [_random_instance(rng)[::2] for _ in range(100)]
+    cases += [_messy_instance(rng) for _ in range(300)]
+    for _ in range(12):
+        cases += _smudge_group(rng, n=rng.randint(1, 12))
+    outcomes = set()
+    for g, obs in cases:
+        want = _bound_terms_or_error(likelihood_reference.bound_terms, g, obs)
+        got = _bound_terms_or_error(lk.bound_terms, g, obs)
+        _assert_same_formula(got, want)
+        outcomes.add(want[0] if isinstance(want, tuple) else want.impossible)
+    assert outcomes == {SelfLoopArc, ObservationOutOfRange, True, False}
+
+
+def test_equal_clauses_in_one_formula_are_one_object():
+    rng = random.Random(8)
+    for g, obs in _smudge_group(rng, programs=3, n=20):
+        bf = lk.bound_terms(g, obs)
+        clauses = [c for ph in bf.per_head.values()
+                   for c in ph.lower_clauses + ph.upper_clauses]
+        assert len(clauses) > len(set(clauses))
+        assert len({id(c) for c in clauses}) == len(set(clauses))
 
 
 def test_observation_file_round_trip():
