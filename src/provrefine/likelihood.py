@@ -159,12 +159,13 @@ def bound_terms(g_bot: Hypergraph, obs: Iterable[Observation]) -> BoundFormula:
     return BoundFormula(frozenset(arcs[i] for i in negated), per_head)
 
 
-def _wmc_clauses(clauses, theta: dict) -> float:
+def _wmc_clauses(clauses, theta) -> float:
     """Weighted count of assignments satisfying a monotone CNF.
 
-    Variables are arcs; each is true with its own probability, and
-    variables outside every clause marginalize away.  Shannon expansion
-    with memoization on the remaining clause set.
+    Variables are arcs, or arc positions of a shape; variable v is true
+    with probability theta[v], and variables outside every clause
+    marginalize away.  Shannon expansion on the least variable, with
+    memoization on the remaining clause set.
     """
     memo = {}
 
