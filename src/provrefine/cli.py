@@ -279,10 +279,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("query", nargs="?")
     p.add_argument("--fixture", choices=["smudge"])
     p.add_argument("--strategy", default="pessimistic",
-                   choices=["optimistic", "pessimistic", "probabilistic"])
+                   choices=refine.STRATEGIES)
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--theta", help="hyperparameter file")
-    p.add_argument("--solver", default="exact", choices=["exact", "approx"])
+    p.add_argument("--solver", default="exact", choices=refine.SOLVERS)
     p.add_argument("--max-iters", type=int, default=None)
     p.add_argument("--budget", type=float, default=60.0)
     p.set_defaults(func=cmd_solve)

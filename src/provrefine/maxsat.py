@@ -1,14 +1,17 @@
-"""MaxSAT over arbitrary boolean formulas with per-variable real weights.
+"""MaxSAT with per-variable real weights, over formulas or clauses.
 
-The task: among models of a hard formula, maximize the summed weight of
-the true variables.  The hard formula is compiled to CNF by the Tseytin
-transformation; auxiliary and existentially quantified variables carry
-weight zero and are hidden from reported models.  One deterministic
-branch and bound, over a two-watched-literal propagation engine with a
-trail and undo, serves both entry points: `solve_exact` returns a proven
+The task: among models of a hard constraint, maximize the summed weight
+of the true variables.  An instance is either a `MaxSatInstance`, a hard
+formula over named variables, or a `ClauseInstance`, a CNF over integer
+ids that a caller such as the refinement encoding emits directly.  A
+formula is compiled to CNF by the Tseytin transformation; auxiliary and
+existentially quantified variables carry weight zero and are hidden from
+reported models.  One deterministic branch and bound, over a
+two-watched-literal propagation engine with a trail and undo, runs on the
+clauses and serves both entry points: `solve_exact` returns a proven
 optimum or raises BudgetExceeded, and `solve_approx` returns the best
 model found when the budget runs out.  A DIMACS WCNF bridge hands
-instances to external solvers.
+formula instances to external solvers.
 """
 
 from __future__ import annotations
@@ -81,6 +84,25 @@ class MaxSatInstance:
     weights: dict = field(default_factory=dict)
 
     def objective(self, model: Iterable[str]) -> float:
+        return math.fsum(self.weights.get(v, 0.0) for v in model)
+
+
+@dataclass
+class ClauseInstance:
+    """A hard CNF over ids 1..nvars, with real weights on some ids.
+
+    `clauses` are tuples of nonzero ints, -v meaning "v is false".
+    `weights` holds the nonzero weights, in the order the search sums
+    them; `names` names every weighted id, for the branching order and the
+    set-lex tie-break.  Models are sets of true ids, auxiliaries included.
+    """
+
+    nvars: int
+    clauses: list
+    weights: dict
+    names: dict
+
+    def objective(self, model: Iterable[int]) -> float:
         return math.fsum(self.weights.get(v, 0.0) for v in model)
 
 
@@ -265,33 +287,35 @@ def _check_assignment(clauses, assign: dict) -> bool:
         for clause in clauses)
 
 
+def _check_values(clauses, val: list) -> bool:
+    """Every clause has a true literal under an `_Engine` value array."""
+    return all(1 in map(val.__getitem__, clause) for clause in clauses)
+
+
 # ---------------------------------------------------------------------------
 # branch and bound
 
 
-def _branch_and_bound(inst: MaxSatInstance, budget: float):
-    """Best model found within the budget, and whether it is proven optimal.
+def _search(inst: ClauseInstance, deadline: float):
+    """Best model found by the deadline, and whether it is proven optimal.
 
-    Returns ((model, objective) or None, proven).  Branches on weighted
-    variables by descending |weight| (names break ties), prunes on an
-    optimistic bound, and among optimal models keeps the one whose
-    weighted part is smallest in set-lex order: the sorted tuple of
-    indices, in name order, of its true weighted variables.  Each leaf is
-    completed by a False-first search over the remaining variables.
+    Returns (frozenset of true ids or None, proven).  Branches on weighted
+    ids by descending |weight| (names break ties), prunes on an optimistic
+    bound, and among optimal models keeps the one whose weighted part is
+    smallest in set-lex order: the sorted tuple of indices, in name order,
+    of its true weighted ids.  Each leaf is completed by a False-first
+    search over the remaining ids in id order.  The incumbent is checked
+    against every clause before it is returned.
     """
-    deadline = time.monotonic() + budget
-    cnf = compile_instance(inst)
-    names = cnf.names
-    weights = {cnf.ids[n]: w for n, w in inst.weights.items()
-               if n in cnf.ids and w != 0.0}
+    weights, names = inst.weights, inst.names
     witems = list(weights.items())
     weighted = sorted(weights, key=lambda v: (-abs(weights[v]), names[v]))
     by_name = sorted(weighted, key=lambda v: names[v])
-    others = sorted(v for v in names if v not in weights)
+    others = [v for v in range(1, inst.nvars + 1) if v not in weights]
     tol = 1e-12
-    engine = _Engine(len(names), cnf.clauses)
+    engine = _Engine(inst.nvars, inst.clauses)
     val = engine.val
-    best = {"objective": None, "key": None, "true": None}
+    best = {"objective": None, "key": None, "val": None}
 
     def tick() -> None:
         if time.monotonic() > deadline:
@@ -331,8 +355,7 @@ def _branch_and_bound(inst: MaxSatInstance, budget: float):
                 return
             mark = engine.mark()
             if complete(0, True):
-                best.update(objective=objective, key=key,
-                            true=[u for u in names if val[u] == 1])
+                best.update(objective=objective, key=key, val=val[:])
             engine.undo(mark)
             return
         first = v if weights[v] > 0 else -v
@@ -346,16 +369,40 @@ def _branch_and_bound(inst: MaxSatInstance, budget: float):
         proven = True
     except BudgetExceeded:
         proven = False
-    if best["true"] is None:
+    found = best["val"]
+    if found is None:
         return None, proven
-    if not _check_assignment(cnf.clauses, dict.fromkeys(best["true"], True)):
+    if not _check_values(inst.clauses, found):
         raise NotAModel("solver produced a non-model")
-    model = frozenset(names[v] for v in best["true"] if v not in cnf.hidden)
+    return frozenset(v for v in range(1, inst.nvars + 1) if found[v] == 1), proven
+
+
+def _branch_and_bound(inst, budget: float):
+    """((model, objective) or None, proven) for either instance form.
+
+    A `MaxSatInstance` is compiled through Tseytin and its model is the
+    set of true visible names; a `ClauseInstance` is searched as it is
+    and its model is the set of true ids.
+    """
+    deadline = time.monotonic() + budget
+    if isinstance(inst, ClauseInstance):
+        ids, proven = _search(inst, deadline)
+        return (None if ids is None else (ids, inst.objective(ids))), proven
+    cnf = compile_instance(inst)
+    weights = {cnf.ids[n]: w for n, w in inst.weights.items()
+               if n in cnf.ids and w != 0.0}
+    clauses = ClauseInstance(len(cnf.names), cnf.clauses, weights,
+                             {v: cnf.names[v] for v in weights})
+    ids, proven = _search(clauses, deadline)
+    if ids is None:
+        return None, proven
+    model = frozenset(cnf.names[v] for v in ids if v not in cnf.hidden)
     return (model, inst.objective(model)), proven
 
 
-def solve_exact(inst: MaxSatInstance, budget: float = 60.0):
-    """Optimal model of the hard formula, or None when unsatisfiable.
+def solve_exact(inst, budget: float = 60.0):
+    """Optimal (model, objective) of either instance form, or None when
+    unsatisfiable.
 
     Raises BudgetExceeded when optimality is not proven within the budget.
     """
@@ -365,7 +412,7 @@ def solve_exact(inst: MaxSatInstance, budget: float = 60.0):
     return result
 
 
-def solve_approx(inst: MaxSatInstance, budget: float = 60.0):
+def solve_approx(inst, budget: float = 60.0):
     """Anytime variant: the best model found within the budget.
 
     Returns None only when the formula is proven unsatisfiable; raises

@@ -19,18 +19,20 @@ from . import hypergraph as hg
 from . import maxsat as mx
 from .analysis import Abstraction, Analysis, derive, encode_params, project_set
 from .errors import BudgetExceeded, NotAModel, QueryNotInProvenance
-from .hypergraph import Arc, Fact, Hypergraph
+from .hypergraph import Fact, Hypergraph
 from .probmodel import HyperParams
 
 LOG_EPS = math.log(1e-6)
+STRATEGIES = ("optimistic", "pessimistic", "probabilistic")
+SOLVERS = ("exact", "approx")
 
 
 @dataclass
 class RefineConfig:
-    strategy: str = "pessimistic"  # optimistic | pessimistic | probabilistic
+    strategy: str = "pessimistic"  # one of STRATEGIES
     alpha: float = 1.0
     hyperparams: Optional[HyperParams] = None  # ignored for pessimistic
-    solver: str = "exact"  # exact | approx
+    solver: str = "exact"  # one of SOLVERS
     max_iterations: Optional[int] = None
     solver_budget: float = 60.0
 
@@ -50,18 +52,6 @@ def _log_theta(hp: Optional[HyperParams], rule_type: str) -> float:
     if t <= 0.0:
         return LOG_EPS
     return max(math.log(t), LOG_EPS)
-
-
-def _vertex_var(u: Fact) -> str:
-    return "v:" + str(u)
-
-
-def _arc_var(e: Arc) -> str:
-    return "e:" + str(e)
-
-
-def _aux_var(e: Arc) -> str:
-    return "y:" + str(e)
 
 
 def forward_restrict(g_a: Hypergraph, an: Analysis, a: Abstraction) -> Hypergraph:
@@ -94,71 +84,99 @@ def t_of(an: Analysis, a: Abstraction, a2: Abstraction) -> frozenset:
     return p1_old | project_set(an, p1_new - p1_old)
 
 
+@dataclass
+class Phi:
+    """The refinement constraint as weighted clauses over integer ids.
+
+    `arc_ids` and `fact_ids` give the ids of the arc variables e and the
+    vertex variables v_u, `aux_ids` the id of y_e, which holds iff e and
+    its whole body hold; `graph` is the hypergraph encoded.
+    """
+
+    inst: mx.ClauseInstance
+    graph: Hypergraph
+    arc_ids: dict
+    fact_ids: dict
+    aux_ids: dict
+
+
 def build_phi(an: Analysis, g_fwd: Hypergraph, q: Fact, a: Abstraction,
-              hp: Optional[HyperParams] = None,
-              alpha: float = 1.0) -> mx.MaxSatInstance:
-    """Hard constraint + weights whose models are the feasible refinements.
+              hp: Optional[HyperParams] = None, alpha: float = 1.0) -> Phi:
+    """Hard clauses + weights whose models are the feasible refinements.
 
     A model selects a sub-hypergraph (arc variables), the reached facts
     (vertex variables), and which still-cheap parameters to flip (their
-    cheap-mode fact becoming a seed); the query must be reached.
+    cheap-mode fact becoming a seed); the query must be reached.  The
+    clauses: y_e <-> (e and its body) and y_e -> v_head per arc; each
+    non-parameter vertex needs a firing arc, v_u -> (y_e or ...); v_q and
+    every P1 fact hold, and some P0 fact does.
+
+    Arcs weigh log theta of their rule type, P0 and P1 facts -alpha.  Only
+    the variables of nonzero weight are named, `e:<arc>` and `v:<fact>`:
+    the solver breaks ties in name order.  The other ids follow
+    `Arc._key` and `Fact._key` order.
     """
     if q not in g_fwd.vertices:
         raise QueryNotInProvenance(str(q))
     p0 = encode_params(an, a, 0)
     p1 = encode_params(an, a, 1)
     param_facts = set(an.encode0.values()) | set(an.encode1.values())
+    arcs = g_fwd.sorted_arcs()
+    facts = sorted(g_fwd.vertices | p0 | p1, key=Fact._key)
+    arc_ids = {e: i for i, e in enumerate(arcs, 1)}
+    fact_ids = {u: i for i, u in enumerate(facts, len(arcs) + 1)}
+    aux_ids = {e: i for i, e in enumerate(arcs, len(arcs) + len(facts) + 1)}
 
-    parts = []
-    aux_names = []
-    by_head = {}
-    for e in g_fwd.sorted_arcs():
-        by_head.setdefault(e.head, []).append(e)
-        y = mx.var(_aux_var(e))
-        aux_names.append(_aux_var(e))
-        body = sorted(e.body, key=Fact._key)
-        fires = mx.and_(mx.var(_arc_var(e)), *[mx.var(_vertex_var(b)) for b in body])
-        parts.append(mx.iff(y, fires))
-        parts.append(mx.implies(y, mx.var(_vertex_var(e.head))))
-    for u in sorted(g_fwd.vertices, key=Fact._key):
-        if u in param_facts:
-            continue
-        arcs = by_head.get(u, [])
-        just = mx.or_(*[mx.var(_aux_var(e)) for e in arcs]) if arcs else mx.FALSE
-        parts.append(mx.implies(mx.var(_vertex_var(u)), just))
-    parts.append(mx.var(_vertex_var(q)))
-    for u in sorted(p1, key=Fact._key):
-        parts.append(mx.var(_vertex_var(u)))
-    parts.append(mx.or_(*[mx.var(_vertex_var(u))
-                          for u in sorted(p0, key=Fact._key)]))
+    weights, names = {}, {}  # summed in this order: arcs, then facts
+    for e, i in arc_ids.items():
+        w = _log_theta(hp, e.rule_type)
+        if w != 0.0:
+            weights[i] = w
+            names[i] = "e:" + str(e)
+    if alpha != 0.0:
+        for u, i in fact_ids.items():
+            if u in p0 or u in p1:
+                weights[i] = -alpha
+                names[i] = "v:" + str(u)
 
-    hard = mx.exists(aux_names, mx.and_(*parts))
-    weights = {}
-    for e in g_fwd.sorted_arcs():
-        weights[_arc_var(e)] = _log_theta(hp, e.rule_type)
-    for u in sorted(p0 | p1, key=Fact._key):
-        weights[_vertex_var(u)] = -alpha
-    return mx.MaxSatInstance(hard, weights)
+    clauses = []
+    justify = {}  # head -> (-v_head, y_e for each arc e into it)
+    for e in arcs:
+        y, x, head = aux_ids[e], arc_ids[e], fact_ids[e.head]
+        body = sorted(fact_ids[b] for b in e.body)
+        clauses.append((-y, x))
+        clauses.extend((-y, b) for b in body)
+        clauses.append((y, -x, *[-b for b in body]))
+        clauses.append((-y, head))
+        justify.setdefault(e.head, [-head]).append(y)
+    for u in facts:
+        if u not in param_facts:
+            clauses.append(tuple(justify.get(u, (-fact_ids[u],))))
+    clauses.append((fact_ids[q],))
+    clauses.extend((fact_ids[u],) for u in facts if u in p1)
+    clauses.append(tuple(fact_ids[u] for u in facts if u in p0))
+    nvars = 2 * len(arcs) + len(facts)
+    return Phi(mx.ClauseInstance(nvars, clauses, weights, names), g_fwd,
+               arc_ids, fact_ids, aux_ids)
 
 
-def decode_model(an: Analysis, model: Iterable[str], g_fwd: Hypergraph,
+def decode_model(an: Analysis, model: Iterable[int], phi: Phi,
                  a: Abstraction):
     """Read off the refined abstraction and selected sub-hypergraph."""
     model = frozenset(model)
-    chosen = [e for e in g_fwd.sorted_arcs() if _arc_var(e) in model]
-    h = Hypergraph(chosen)
+    h = Hypergraph(e for e, i in phi.arc_ids.items() if i in model)
     flips = set()
     for x, v in a.bits:
-        if v == 0 and _vertex_var(an.encode0[x]) in model:
+        if v == 0 and phi.fact_ids[an.encode0[x]] in model:
             flips.add(x)
     a2 = a.with_flips(flips)
     if not a < a2:
         raise NotAModel("decoded abstraction is not strictly more precise")
-    q_candidates = an.queries & g_fwd.vertices
+    q_candidates = an.queries & phi.graph.vertices
     t = t_of(an, a, a2)
     reached = hg.reach(h, t)
     for q in q_candidates:
-        if _vertex_var(q) in model and q not in reached:
+        if phi.fact_ids[q] in model and q not in reached:
             raise NotAModel("selected arcs do not justify the query")
     return a2, h
 
@@ -172,46 +190,42 @@ def choose_optimistic(an: Analysis, g_a: Hypergraph, q: Fact, a: Abstraction,
                       cfg: RefineConfig) -> Optional[Abstraction]:
     """Cheapest a2 > a whose remaining cheap facts cannot derive q.
 
-    Encodes the closure of the cheap seeds: z variables over-approximate
-    reachability from the cheap-mode facts of a2, and z_q is forbidden.
-    Unsatisfiable means every refinement still derives q, so the caller
-    answers "no".
+    Encodes the closure of the cheap seeds as Horn clauses: z variables
+    over-approximate reachability from the cheap-mode facts of a2, and
+    z_q is forbidden.  The flip variables f_x of the unflipped parameters
+    weigh -alpha and are named `f:<x>`; they get ids 1..k in name order, so
+    that with alpha 0, where nothing is weighted, the solver's completion
+    still tries them in name order.  Unsatisfiable means every refinement
+    still derives q, so the caller answers "no".
     """
-
-    def zvar(u: Fact) -> str:
-        return "z:" + str(u)
-
-    def fvar(x: str) -> str:
-        return "f:" + x
-
-    parts = []
     unflipped = [x for x, v in a.bits if v == 0]
-    for x, v in a.bits:
-        if v == 1:
-            parts.append(mx.var(fvar(x)))
     if not unflipped:
         return None
-    parts.append(mx.or_(*[mx.var(fvar(x)) for x in unflipped]))
-    for x in unflipped:
-        parts.append(mx.implies(mx.not_(mx.var(fvar(x))),
-                                mx.var(zvar(an.encode0[x]))))
-    for e in g_a.sorted_arcs():
-        body = [mx.var(zvar(b)) for b in sorted(e.body, key=Fact._key)]
-        head = mx.var(zvar(e.head))
-        parts.append(mx.implies(mx.and_(*body) if body else mx.TRUE, head))
+    f_ids = {x: i for i, x in enumerate(sorted(unflipped), 1)}
+    seeds = {x: an.encode0[x] for x in unflipped}
+    z_ids = {u: i for i, u in enumerate(
+        sorted(g_a.vertices | set(seeds.values()), key=Fact._key),
+        len(f_ids) + 1)}
+    clauses = [tuple(f_ids[x] for x in unflipped)]
+    clauses += [(f_ids[x], z_ids[u]) for x, u in seeds.items()]
+    for e in g_a.arcs:
+        clauses.append((z_ids[e.head], *sorted(-z_ids[b] for b in e.body)))
     if q in g_a.vertices:
-        parts.append(mx.not_(mx.var(zvar(q))))
-    weights = {fvar(x): -cfg.alpha for x in unflipped}
-    inst = mx.MaxSatInstance(mx.and_(*parts), weights)
+        clauses.append((-z_ids[q],))
+    weights, names = {}, {}
+    if cfg.alpha != 0.0:
+        for x, i in f_ids.items():
+            weights[i] = -cfg.alpha
+            names[i] = "f:" + x
+    inst = mx.ClauseInstance(len(f_ids) + len(z_ids), clauses, weights, names)
     result = _run_solver(inst, cfg)
     if result is None:
         return None
     model, _ = result
-    flips = {x for x in unflipped if fvar(x) in model}
-    return a.with_flips(flips)
+    return a.with_flips(x for x in unflipped if f_ids[x] in model)
 
 
-def _run_solver(inst: mx.MaxSatInstance, cfg: RefineConfig):
+def _run_solver(inst: mx.ClauseInstance, cfg: RefineConfig):
     solve = mx.solve_approx if cfg.solver == "approx" else mx.solve_exact
     return solve(inst, budget=cfg.solver_budget)
 
@@ -224,6 +238,10 @@ def _strategy_hyperparams(cfg: RefineConfig) -> Optional[HyperParams]:
 
 def solve(an: Analysis, q: Fact, cfg: RefineConfig) -> RefineOutcome:
     """The refinement loop; answers yes (ruled out), no, or limit."""
+    if cfg.strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {cfg.strategy!r}")
+    if cfg.solver not in SOLVERS:
+        raise ValueError(f"unknown solver {cfg.solver!r}")
     if q not in an.queries:
         raise ValueError(f"{q} is not a declared query")
     max_iters = cfg.max_iterations
@@ -256,13 +274,13 @@ def solve(an: Analysis, q: Fact, cfg: RefineConfig) -> RefineOutcome:
                 entry["chosen"] = sorted(a2.flips())
             else:
                 g_fwd = slice_to_query(forward_restrict(g_a, an, a), q)
-                inst = build_phi(an, g_fwd, q, a, hp, cfg.alpha)
-                result = _run_solver(inst, cfg)
+                phi = build_phi(an, g_fwd, q, a, hp, cfg.alpha)
+                result = _run_solver(phi.inst, cfg)
                 if result is None:
                     raise NotAModel(
                         "refinement constraint unexpectedly unsatisfiable")
                 model, objective = result
-                a2, h = decode_model(an, model, g_fwd, a)
+                a2, h = decode_model(an, model, phi, a)
                 entry["chosen"] = sorted(a2.flips())
                 entry["objective"] = objective
                 entry["log_success"] = success_prob_lower(h, hp)

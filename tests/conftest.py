@@ -115,3 +115,28 @@ def random_smudge_analysis(rng: random.Random, max_sites: int = 6):
     an = datalog.smudge_analysis(smudges, init_values=init)
     flips = [p for p in an.params if rng.random() < 0.5]
     return an, an.bottom().with_flips(flips)
+
+
+def random_gadget(rng: random.Random):
+    """A tiny analysis: up to 4 params whose cheap facts derive q through up
+    to 4 internal facts, and its query q."""
+    from provrefine.analysis import Analysis, Projection
+
+    m = rng.randint(1, 4)
+    n = rng.randint(1, 4)
+    params = tuple(str(i) for i in range(m))
+    cheap = {p: Fact("cheap", (int(p),)) for p in params}
+    precise = {p: Fact("precise", (int(p),)) for p in params}
+    internal = [Fact("w", (i,)) for i in range(n)]
+    q = Fact("q", ())
+    pool = list(cheap.values()) + internal
+    arcs = set()
+    for _ in range(rng.randint(1, 6)):
+        head = rng.choice(internal + [q])
+        body = frozenset(rng.sample(pool, rng.randint(1, min(2, len(pool)))))
+        if head not in body:
+            arcs.add(Arc(head, body, rng.choice(["r0", "r1"])))
+    an = Analysis(global_graph=Hypergraph(arcs), queries=frozenset([q]),
+                  params=params, encode0=cheap, encode1=precise,
+                  projection=Projection({"precise": ("cheap", (0,))}))
+    return an, q

@@ -65,27 +65,40 @@ def dpll_complete(clauses, assign: dict, order: list,
     return assign
 
 
-def _weighted_set_key(cnf, model_ids: set, weighted: list) -> tuple:
-    index = {v: i for i, v in enumerate(sorted(weighted, key=lambda v: cnf.names[v]))}
+def _weighted_set_key(names: dict, model_ids: set, weighted: list) -> tuple:
+    index = {v: i for i, v in enumerate(sorted(weighted, key=lambda v: names[v]))}
     return tuple(sorted(index[v] for v in model_ids if v in index))
 
 
-def solve_exact(inst: mx.MaxSatInstance, budget: float = 60.0):
-    """Optimal model of the hard formula, or None when unsatisfiable."""
+def solve_exact(inst, budget: float = 60.0):
+    """Optimal (model, objective) of either instance form, or None when
+    unsatisfiable: the model is a set of names for a formula instance, of
+    ids for a clause instance."""
     deadline = time.monotonic() + budget
-    cnf = mx.compile_instance(inst)
-    clauses = cnf.clauses
-    weights = {cnf.ids[n]: w for n, w in inst.weights.items()
-               if n in cnf.ids and w != 0.0}
-    weighted = sorted(weights, key=lambda v: (-abs(weights[v]), cnf.names[v]))
-    others = sorted(v for v in cnf.names if v not in weights)
+    if isinstance(inst, mx.ClauseInstance):
+        clauses, weights, names = inst.clauses, inst.weights, inst.names
+        ids = range(1, inst.nvars + 1)
+
+        def model_of(assign: dict) -> frozenset:
+            return frozenset(v for v, val in assign.items() if val)
+    else:
+        cnf = mx.compile_instance(inst)
+        clauses, names, ids = cnf.clauses, cnf.names, cnf.names
+        weights = {cnf.ids[n]: w for n, w in inst.weights.items()
+                   if n in cnf.ids and w != 0.0}
+
+        def model_of(assign: dict) -> frozenset:
+            return frozenset(cnf.names[v] for v, val in assign.items()
+                             if val and v not in cnf.hidden)
+    weighted = sorted(weights, key=lambda v: (-abs(weights[v]), names[v]))
+    others = sorted(v for v in ids if v not in weights)
     tol = 1e-12
 
     best = {"objective": None, "key": None, "assign": None}
 
     def record(assign: dict, objective: float) -> None:
         model_ids = {v for v, val in assign.items() if val}
-        key = _weighted_set_key(cnf, model_ids, weighted)
+        key = _weighted_set_key(names, model_ids, weighted)
         if (best["objective"] is None
                 or objective > best["objective"] + tol
                 or (abs(objective - best["objective"]) <= tol
@@ -111,11 +124,11 @@ def solve_exact(inst: mx.MaxSatInstance, budget: float = 60.0):
                     return
                 if abs(objective - best["objective"]) <= tol:
                     model_ids = {v for v in weights if assign.get(v, False)}
-                    if _weighted_set_key(cnf, model_ids, weighted) >= best["key"]:
+                    if _weighted_set_key(names, model_ids, weighted) >= best["key"]:
                         return
             completion = dpll_complete(clauses, assign, others, deadline)
             if completion is not None:
-                for v in cnf.names:
+                for v in ids:
                     completion.setdefault(v, False)
                 record(completion, objective)
             return
@@ -129,7 +142,5 @@ def solve_exact(inst: mx.MaxSatInstance, budget: float = 60.0):
     search({})
     if best["assign"] is None:
         return None
-    model = frozenset(
-        cnf.names[v] for v, val in best["assign"].items()
-        if val and v not in cnf.hidden)
+    model = model_of(best["assign"])
     return model, inst.objective(model)

@@ -1,0 +1,200 @@
+"""Reference refinement encoding: a formula tree compiled through Tseytin.
+
+The formula-tree version of `provrefine.refine.build_phi`, `decode_model`
+and `choose_optimistic`, over string-named variables (`e:<arc>`,
+`v:<fact>`, `y:<arc>`, `f:<param>`, `z:<fact>`), kept as the oracle the
+integer clause encoding is checked against.  `solve` is the refinement
+loop over them.  Both encodings give the solver the same weighted
+variables in the same name order, so both must choose the same weighted
+part of every model and produce identical traces.
+"""
+
+from typing import Iterable, Optional
+
+from provrefine import hypergraph as hg
+from provrefine import maxsat as mx
+from provrefine.analysis import Abstraction, Analysis, derive, encode_params
+from provrefine.errors import BudgetExceeded, NotAModel, QueryNotInProvenance
+from provrefine.hypergraph import Arc, Fact, Hypergraph
+from provrefine.probmodel import HyperParams
+from provrefine.refine import (RefineConfig, RefineOutcome, _log_theta,
+                               _run_solver, _strategy_hyperparams,
+                               forward_restrict, slice_to_query,
+                               success_prob_lower, t_of)
+
+
+def _vertex_var(u: Fact) -> str:
+    return "v:" + str(u)
+
+
+def _arc_var(e: Arc) -> str:
+    return "e:" + str(e)
+
+
+def _aux_var(e: Arc) -> str:
+    return "y:" + str(e)
+
+
+def build_phi(an: Analysis, g_fwd: Hypergraph, q: Fact, a: Abstraction,
+              hp: Optional[HyperParams] = None,
+              alpha: float = 1.0) -> mx.MaxSatInstance:
+    """Hard constraint + weights whose models are the feasible refinements.
+
+    A model selects a sub-hypergraph (arc variables), the reached facts
+    (vertex variables), and which still-cheap parameters to flip (their
+    cheap-mode fact becoming a seed); the query must be reached.
+    """
+    if q not in g_fwd.vertices:
+        raise QueryNotInProvenance(str(q))
+    p0 = encode_params(an, a, 0)
+    p1 = encode_params(an, a, 1)
+    param_facts = set(an.encode0.values()) | set(an.encode1.values())
+
+    parts = []
+    aux_names = []
+    by_head = {}
+    for e in g_fwd.sorted_arcs():
+        by_head.setdefault(e.head, []).append(e)
+        y = mx.var(_aux_var(e))
+        aux_names.append(_aux_var(e))
+        body = sorted(e.body, key=Fact._key)
+        fires = mx.and_(mx.var(_arc_var(e)), *[mx.var(_vertex_var(b)) for b in body])
+        parts.append(mx.iff(y, fires))
+        parts.append(mx.implies(y, mx.var(_vertex_var(e.head))))
+    for u in sorted(g_fwd.vertices, key=Fact._key):
+        if u in param_facts:
+            continue
+        arcs = by_head.get(u, [])
+        just = mx.or_(*[mx.var(_aux_var(e)) for e in arcs]) if arcs else mx.FALSE
+        parts.append(mx.implies(mx.var(_vertex_var(u)), just))
+    parts.append(mx.var(_vertex_var(q)))
+    for u in sorted(p1, key=Fact._key):
+        parts.append(mx.var(_vertex_var(u)))
+    parts.append(mx.or_(*[mx.var(_vertex_var(u))
+                          for u in sorted(p0, key=Fact._key)]))
+
+    hard = mx.exists(aux_names, mx.and_(*parts))
+    weights = {}
+    for e in g_fwd.sorted_arcs():
+        weights[_arc_var(e)] = _log_theta(hp, e.rule_type)
+    for u in sorted(p0 | p1, key=Fact._key):
+        weights[_vertex_var(u)] = -alpha
+    return mx.MaxSatInstance(hard, weights)
+
+
+def decode_model(an: Analysis, model: Iterable[str], g_fwd: Hypergraph,
+                 a: Abstraction):
+    """Read off the refined abstraction and selected sub-hypergraph."""
+    model = frozenset(model)
+    chosen = [e for e in g_fwd.sorted_arcs() if _arc_var(e) in model]
+    h = Hypergraph(chosen)
+    flips = set()
+    for x, v in a.bits:
+        if v == 0 and _vertex_var(an.encode0[x]) in model:
+            flips.add(x)
+    a2 = a.with_flips(flips)
+    if not a < a2:
+        raise NotAModel("decoded abstraction is not strictly more precise")
+    q_candidates = an.queries & g_fwd.vertices
+    t = t_of(an, a, a2)
+    reached = hg.reach(h, t)
+    for q in q_candidates:
+        if _vertex_var(q) in model and q not in reached:
+            raise NotAModel("selected arcs do not justify the query")
+    return a2, h
+
+
+def choose_optimistic(an: Analysis, g_a: Hypergraph, q: Fact, a: Abstraction,
+                      cfg: RefineConfig) -> Optional[Abstraction]:
+    """Cheapest a2 > a whose remaining cheap facts cannot derive q.
+
+    Encodes the closure of the cheap seeds: z variables over-approximate
+    reachability from the cheap-mode facts of a2, and z_q is forbidden.
+    Unsatisfiable means every refinement still derives q, so the caller
+    answers "no".
+    """
+
+    def zvar(u: Fact) -> str:
+        return "z:" + str(u)
+
+    def fvar(x: str) -> str:
+        return "f:" + x
+
+    parts = []
+    unflipped = [x for x, v in a.bits if v == 0]
+    for x, v in a.bits:
+        if v == 1:
+            parts.append(mx.var(fvar(x)))
+    if not unflipped:
+        return None
+    parts.append(mx.or_(*[mx.var(fvar(x)) for x in unflipped]))
+    for x in unflipped:
+        parts.append(mx.implies(mx.not_(mx.var(fvar(x))),
+                                mx.var(zvar(an.encode0[x]))))
+    for e in g_a.sorted_arcs():
+        body = [mx.var(zvar(b)) for b in sorted(e.body, key=Fact._key)]
+        head = mx.var(zvar(e.head))
+        parts.append(mx.implies(mx.and_(*body) if body else mx.TRUE, head))
+    if q in g_a.vertices:
+        parts.append(mx.not_(mx.var(zvar(q))))
+    weights = {fvar(x): -cfg.alpha for x in unflipped}
+    inst = mx.MaxSatInstance(mx.and_(*parts), weights)
+    result = _run_solver(inst, cfg)
+    if result is None:
+        return None
+    model, _ = result
+    flips = {x for x in unflipped if fvar(x) in model}
+    return a.with_flips(flips)
+
+
+def solve(an: Analysis, q: Fact, cfg: RefineConfig) -> RefineOutcome:
+    """The refinement loop; answers yes (ruled out), no, or limit."""
+    if q not in an.queries:
+        raise ValueError(f"{q} is not a declared query")
+    max_iters = cfg.max_iterations
+    if max_iters is None:
+        max_iters = len(an.params) + 1
+    hp = _strategy_hyperparams(cfg)
+
+    a = an.bottom()
+    trace = []
+    iteration = 0
+    while iteration < max_iters:
+        iteration += 1
+        entry = {"iteration": iteration, "flips": sorted(a.flips())}
+        trace.append(entry)
+        derived = derive(an, a)
+        if q not in derived:
+            entry["answer"] = "yes"
+            return RefineOutcome("yes", iteration, trace)
+        g_a = hg.induced(an.global_graph, derived)
+        if q in hg.reach(g_a, encode_params(an, a, 1)):
+            entry["answer"] = "no"
+            return RefineOutcome("no", iteration, trace)
+
+        try:
+            if cfg.strategy == "optimistic":
+                a2 = choose_optimistic(an, slice_to_query(g_a, q), q, a, cfg)
+                if a2 is None:
+                    entry["answer"] = "no"
+                    return RefineOutcome("no", iteration, trace)
+                entry["chosen"] = sorted(a2.flips())
+            else:
+                g_fwd = slice_to_query(forward_restrict(g_a, an, a), q)
+                inst = build_phi(an, g_fwd, q, a, hp, cfg.alpha)
+                result = _run_solver(inst, cfg)
+                if result is None:
+                    raise NotAModel(
+                        "refinement constraint unexpectedly unsatisfiable")
+                model, objective = result
+                a2, h = decode_model(an, model, g_fwd, a)
+                entry["chosen"] = sorted(a2.flips())
+                entry["objective"] = objective
+                entry["log_success"] = success_prob_lower(h, hp)
+        except BudgetExceeded:
+            entry["answer"] = "limit"
+            return RefineOutcome("limit", iteration, trace)
+        a = a2
+    if trace:
+        trace[-1]["answer"] = "limit"
+    return RefineOutcome("limit", iteration, trace)

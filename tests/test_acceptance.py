@@ -20,11 +20,11 @@ from provrefine import likelihood as lk
 from provrefine import maxsat as mx
 from provrefine import probmodel as pm
 from provrefine import refine
-from provrefine.analysis import Analysis, Projection
-from provrefine.hypergraph import Arc, Fact, Hypergraph
+from provrefine.hypergraph import Hypergraph
 from provrefine.probmodel import HyperParams
 
-from conftest import fact, naive_closure, random_hypergraph, random_seed_set
+from conftest import (fact, naive_closure, random_gadget, random_hypergraph,
+                      random_seed_set)
 
 
 def _report(n, text):
@@ -267,57 +267,19 @@ def test_criterion_5_maxsat_correctness():
 # -- 6 ----------------------------------------------------------------------
 
 
-def _gadget(rng):
-    m = rng.randint(1, 4)
-    n = rng.randint(1, 4)
-    params = tuple(str(i) for i in range(m))
-    cheap = {p: Fact("cheap", (int(p),)) for p in params}
-    precise = {p: Fact("precise", (int(p),)) for p in params}
-    internal = [Fact("w", (i,)) for i in range(n)]
-    q = Fact("q", ())
-    pool = list(cheap.values()) + internal
-    arcs = set()
-    for _ in range(rng.randint(1, 6)):
-        head = rng.choice(internal + [q])
-        body = frozenset(rng.sample(pool, rng.randint(1, min(2, len(pool)))))
-        if head not in body:
-            arcs.add(Arc(head, body, rng.choice(["r0", "r1"])))
-    an = Analysis(global_graph=Hypergraph(arcs), queries=frozenset([q]),
-                  params=params, encode0=cheap, encode1=precise,
-                  projection=Projection({"precise": ("cheap", (0,))}))
-    return an, q
-
-
-def _phi_eval(f, assign):
-    # like _formula_eval, but the bound variables are each pinned by an
-    # iff conjunct, so evaluating at the determined witness is exact
-    if f[0] == "exists":
-        return _phi_eval(f[2], assign)
-    if f[0] == "not":
-        return not _phi_eval(f[1], assign)
-    if f[0] in ("and", "or"):
-        op = all if f[0] == "and" else any
-        return op(_phi_eval(g, assign) for g in f[1])
-    if f[0] == "implies":
-        return (not _phi_eval(f[1], assign)) or _phi_eval(f[2], assign)
-    if f[0] == "iff":
-        return _phi_eval(f[1], assign) == _phi_eval(f[2], assign)
-    return _formula_eval(f, assign)
-
-
 def test_criterion_6_phi_bijection():
     rng = random.Random(606)
     start = time.monotonic()
     checked = 0
     while checked < 100:
-        an, q = _gadget(rng)
+        an, q = random_gadget(rng)
         a = an.bottom()
         g_a = ana.local_provenance(an, a)
         g_fwd = refine.forward_restrict(g_a, an, a)
         if q not in g_fwd.vertices:
             continue
         checked += 1
-        inst = refine.build_phi(an, g_fwd, q, a)
+        phi = refine.build_phi(an, g_fwd, q, a)
         arcs = g_fwd.sorted_arcs()
         # the target set: (flips, sub-hypergraph) pairs deriving the query
         feasible = set()
@@ -328,21 +290,21 @@ def test_criterion_6_phi_bijection():
                     for sub in itertools.combinations(arcs, k):
                         if q in hg.reach(Hypergraph(sub), seeds):
                             feasible.add((frozenset(s), frozenset(sub)))
-        # enumerate the models of the encoding over its visible variables
-        names = sorted(mx.formula_vars(inst.hard))
+        # enumerate the models of the emitted clauses over the visible ids
+        # (arc and vertex variables), each y_e true iff e and its body are
+        ids = sorted(set(phi.arc_ids.values()) | set(phi.fact_ids.values()))
         models = []
-        for bits in itertools.product([False, True], repeat=len(names)):
-            assign = dict(zip(names, bits))
-            for e in arcs:
-                assign[refine._aux_var(e)] = (
-                    assign[refine._arc_var(e)]
-                    and all(assign.get(refine._vertex_var(b), False)
-                            for b in e.body))
-            if _phi_eval(inst.hard, assign):
-                models.append(frozenset(n for n in names if assign[n]))
+        for bits in itertools.product([False, True], repeat=len(ids)):
+            true = {i for i, bit in zip(ids, bits) if bit}
+            fired = {phi.aux_ids[e] for e in arcs
+                     if phi.arc_ids[e] in true
+                     and all(phi.fact_ids[b] in true for b in e.body)}
+            if all(any((l > 0) == (abs(l) in true or abs(l) in fired)
+                       for l in clause) for clause in phi.inst.clauses):
+                models.append(frozenset(true))
         decoded = set()
         for model in models:
-            a2, h = refine.decode_model(an, model, g_fwd, a)
+            a2, h = refine.decode_model(an, model, phi, a)
             decoded.add((frozenset(a2.flips()), frozenset(h.arcs)))
         assert len(models) == len(feasible)
         assert len(decoded) == len(models)  # decoding is injective
