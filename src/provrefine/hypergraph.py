@@ -6,9 +6,13 @@ Facts are ground atoms; an arc records one instantiated inference step
 distance is the round of that fixpoint in which a fact is first derived.
 One kernel computes both: `_index` numbers a graph's arcs and `_run`
 closes over that index from a seed set; `reach` keeps the keys of the
-result and `distances` its values.  The index is built per call rather
-than cached on the graph, because callers keep many graphs alive; a caller
-that closes one graph from many seed sets builds it once.
+result and `distances` its values.  The index is never cached on a graph,
+because callers keep many graphs alive.  `reach` and `distances` build one
+per call; a caller that closes one graph from many seed sets builds it once
+and runs it per seed set: `refine.solve` over the query's backward cone,
+numbered once per solve, `learning.sample_training` over an analysis's
+global graph, once per analysis, and `likelihood.bound_terms` over a
+blueprint, once per call.
 Distances define forward arcs; loops and justifications support the exact
 likelihood oracle.
 """
@@ -19,6 +23,7 @@ import functools
 import re
 import string
 import sys
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -115,6 +120,10 @@ class Hypergraph:
 
     def restrict(self, arcs: Iterable[Arc]) -> "Hypergraph":
         return Hypergraph(arcs)
+
+
+# an arc over fact ids, read by `_index`
+_IdArc = namedtuple("_IdArc", "head body")
 
 
 def _index(arcs: Iterable) -> tuple:

@@ -13,6 +13,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
+from . import hypergraph as hg
 from . import likelihood as lk
 from .analysis import Analysis, local_provenance
 from .errors import CorpusTooSmall, DegenerateTrainingSet
@@ -61,11 +62,12 @@ def sample_training(an: Analysis, n: int, max_flips: int,
         raise ValueError("max_flips must be >= 1")
     max_flips = min(max_flips, len(an.params))
     blueprint = local_provenance(an, an.bottom())
+    index = hg._index(an.global_graph.arcs)
     obs = []
     for _ in range(n):
         count = rng.randint(1, max_flips)
         flips = rng.sample(list(an.params), count)
-        obs.append(lk.observe(an, an.bottom().with_flips(flips)))
+        obs.append(lk.observe(an, an.bottom().with_flips(flips), index))
     return TrainingSet([ObservationGroup(blueprint, obs)])
 
 

@@ -11,7 +11,6 @@ a loop-formula construction provide the exact value on small instances.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -35,12 +34,18 @@ class Observation:
         return self.t <= self.r
 
 
-def observe(an: Analysis, a: Abstraction) -> Observation:
-    """Run the analysis under a and project the outcome."""
+def observe(an: Analysis, a: Abstraction, index=None) -> Observation:
+    """Run the analysis under a and project the outcome.
+
+    `index`, the `hg._index` of `an.global_graph.arcs`, saves building it
+    again when one analysis is observed many times.
+    """
     p1 = encode_params(an, a, 1)
     t = project_set(an, p1)
+    if index is None:
+        index = hg._index(an.global_graph.arcs)
     # equals reach over local_provenance: reach(global, P1) lies in derive(a)
-    r = project_set(an, hg.reach(an.global_graph, p1))
+    r = project_set(an, hg._run(index, p1))
     return Observation(t=t, r=r, source_abstraction=a)
 
 
@@ -58,10 +63,6 @@ class BoundFormula:
     negated_arcs: frozenset  # N: arcs refuted by some observation
     per_head: dict  # Fact -> PerHead
     impossible: bool = False  # some observation had t ⊄ r
-
-
-# an arc over fact ids, read by `hg._index`
-_IdArc = namedtuple("_IdArc", "head body")
 
 
 class _ArcSets(dict):
@@ -98,7 +99,7 @@ def bound_terms(g_bot: Hypergraph, obs: Iterable[Observation]) -> BoundFormula:
         if h in body:
             raise SelfLoopArc(str(arc))
         by_head.setdefault(h, []).append(i)
-        id_arcs.append(_IdArc(h, body))
+        id_arcs.append(hg._IdArc(h, body))
     seen = []  # per observation: (t, r - t) as fact ids
     for o in obs:
         derived = set(map(ids.get, o.r - o.t))

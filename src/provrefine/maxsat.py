@@ -382,8 +382,11 @@ def _branch_and_bound(inst, budget: float):
 
     A `MaxSatInstance` is compiled through Tseytin and its model is the
     set of true visible names; a `ClauseInstance` is searched as it is
-    and its model is the set of true ids.
+    and its model is the set of true ids.  A NaN budget, which would
+    never run out, raises ValueError.
     """
+    if math.isnan(budget):
+        raise ValueError("solver budget is NaN")
     deadline = time.monotonic() + budget
     if isinstance(inst, ClauseInstance):
         ids, proven = _search(inst, deadline)

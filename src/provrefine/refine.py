@@ -17,7 +17,7 @@ from typing import Iterable, Optional
 
 from . import hypergraph as hg
 from . import maxsat as mx
-from .analysis import Abstraction, Analysis, derive, encode_params, project_set
+from .analysis import Abstraction, Analysis, encode_params, project_set
 from .errors import BudgetExceeded, NotAModel, QueryNotInProvenance
 from .hypergraph import Fact, Hypergraph
 from .probmodel import HyperParams
@@ -75,6 +75,81 @@ def slice_to_query(g: Hypergraph, q: Fact) -> Hypergraph:
                     cone.add(b)
                     frontier.append(b)
     return Hypergraph(e for e in g.arcs if e.head in cone)
+
+
+class _Cone:
+    """q's backward cone in a graph, numbered once for one `solve`.
+
+    Facts get ids in the order a search from q meets them, so q is 0.
+    `arcs[i]` is an arc into the cone, `id_arcs[i]` the same arc over fact
+    ids, and `by_head[u]` the arcs into fact u.  Whether a cone fact is
+    reached from a seed set, and its max-plus distance, depend only on the
+    arcs into its own cone, so running `hg._run` over these arcs alone
+    gives each cone fact the value it has in the whole graph.
+    """
+
+    def __init__(self, g: Hypergraph, q: Fact):
+        into = {}
+        for e in g.arcs:
+            into.setdefault(e.head, []).append(e)
+        self.ids = {q: 0}
+        self.arcs, self.id_arcs, self.by_head = [], [], []
+        facts = [q]
+        for u, f in enumerate(facts):  # grows as the search meets facts
+            mine = []
+            for e in into.get(f, ()):
+                body = []
+                for b in e.body:
+                    j = self.ids.get(b)
+                    if j is None:
+                        j = self.ids[b] = len(facts)
+                        facts.append(b)
+                    body.append(j)
+                mine.append(len(self.arcs))
+                self.arcs.append(e)
+                self.id_arcs.append(hg._IdArc(u, body))
+            self.by_head.append(mine)
+        self.index = hg._index(self.id_arcs)
+
+    def run(self, t: Iterable[Fact]) -> dict:
+        """Fact id -> max-plus distance from t, for the cone facts reached.
+
+        Seeds outside the cone are dropped: no arc into the cone reads them.
+        """
+        ids = self.ids
+        return hg._run(self.index, [ids[u] for u in t if u in ids])
+
+    def _slice(self, keep) -> Hypergraph:
+        """The arcs i with keep(i) that can reach q through such arcs."""
+        seen, stack, out = {0}, [0], []
+        while stack:
+            for i in self.by_head[stack.pop()]:
+                if keep(i):
+                    out.append(self.arcs[i])
+                    for b in self.id_arcs[i].body:
+                        if b not in seen:
+                            seen.add(b)
+                            stack.append(b)
+        return Hypergraph(out)
+
+    def derived_slice(self, dist: dict) -> Hypergraph:
+        """`slice_to_query` of the derived arcs, those whose whole body is
+        in dist, the result of `run`."""
+        id_arcs = self.id_arcs
+        return self._slice(lambda i: all(b in dist for b in id_arcs[i].body))
+
+    def forward_slice(self, dist: dict) -> Hypergraph:
+        """`slice_to_query` of the forward arcs among the derived ones,
+        dist being `run` from every parameter fact."""
+        id_arcs = self.id_arcs
+
+        def forward(i):
+            h, body = id_arcs[i]
+            dh = dist.get(h)
+            return dh is not None and all(
+                b in dist and dist[b] < dh for b in body)
+
+        return self._slice(forward)
 
 
 def t_of(an: Analysis, a: Abstraction, a2: Abstraction) -> frozenset:
@@ -237,11 +312,24 @@ def _strategy_hyperparams(cfg: RefineConfig) -> Optional[HyperParams]:
 
 
 def solve(an: Analysis, q: Fact, cfg: RefineConfig) -> RefineOutcome:
-    """The refinement loop; answers yes (ruled out), no, or limit."""
+    """The refinement loop; answers yes (ruled out), no, or limit.
+
+    Raises ValueError for an unknown strategy or solver, an alpha that is
+    not finite, a NaN or negative solver budget, a negative iteration
+    limit, and a query the analysis does not declare.
+    """
     if cfg.strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {cfg.strategy!r}")
     if cfg.solver not in SOLVERS:
         raise ValueError(f"unknown solver {cfg.solver!r}")
+    if not math.isfinite(cfg.alpha):
+        raise ValueError(f"alpha must be a finite number, not {cfg.alpha!r}")
+    if not cfg.solver_budget >= 0:
+        raise ValueError("solver_budget must be a number >= 0, "
+                         f"not {cfg.solver_budget!r}")
+    if cfg.max_iterations is not None and cfg.max_iterations < 0:
+        raise ValueError(
+            f"max_iterations must be >= 0, not {cfg.max_iterations!r}")
     if q not in an.queries:
         raise ValueError(f"{q} is not a declared query")
     max_iters = cfg.max_iterations
@@ -249,6 +337,9 @@ def solve(an: Analysis, q: Fact, cfg: RefineConfig) -> RefineOutcome:
         max_iters = len(an.params) + 1
     hp = _strategy_hyperparams(cfg)
 
+    # every step below decides only facts in q's cone (q is fact 0): the
+    # analysis under a, the forward arcs and the slices to q
+    cone = _Cone(an.global_graph, q)
     a = an.bottom()
     trace = []
     iteration = 0
@@ -256,24 +347,24 @@ def solve(an: Analysis, q: Fact, cfg: RefineConfig) -> RefineOutcome:
         iteration += 1
         entry = {"iteration": iteration, "flips": sorted(a.flips())}
         trace.append(entry)
-        derived = derive(an, a)
-        if q not in derived:
+        p1 = encode_params(an, a, 1)
+        dist = cone.run(encode_params(an, a, 0) | p1)
+        if 0 not in dist:
             entry["answer"] = "yes"
             return RefineOutcome("yes", iteration, trace)
-        g_a = hg.induced(an.global_graph, derived)
-        if q in hg.reach(g_a, encode_params(an, a, 1)):
+        if 0 in cone.run(p1):
             entry["answer"] = "no"
             return RefineOutcome("no", iteration, trace)
 
         try:
             if cfg.strategy == "optimistic":
-                a2 = choose_optimistic(an, slice_to_query(g_a, q), q, a, cfg)
+                a2 = choose_optimistic(an, cone.derived_slice(dist), q, a, cfg)
                 if a2 is None:
                     entry["answer"] = "no"
                     return RefineOutcome("no", iteration, trace)
                 entry["chosen"] = sorted(a2.flips())
             else:
-                g_fwd = slice_to_query(forward_restrict(g_a, an, a), q)
+                g_fwd = cone.forward_slice(dist)
                 phi = build_phi(an, g_fwd, q, a, hp, cfg.alpha)
                 result = _run_solver(phi.inst, cfg)
                 if result is None:

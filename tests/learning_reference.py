@@ -1,17 +1,45 @@
-"""Reference learning objective: one weighted model count per head.
+"""Reference learning: one weighted model count per head, one closure per
+observation.
 
-The straightforward version of `provrefine.learning._Objective`, kept as
-the oracle its shape-compiled objective is checked against.  It runs
-`_wmc_clauses` on every head's own clauses at every evaluation, where the
-compiled objective runs it once per distinct shape.
+The straightforward versions of `provrefine.learning._Objective` and
+`sample_training`, kept as the oracles the fast ones are checked against.
+`_Objective` runs `_wmc_clauses` on every head's own clauses at every
+evaluation, where the compiled objective runs it once per distinct shape;
+`sample_training` closes the whole global graph afresh for every
+observation, where the fast one indexes it once per analysis.
 """
 
 import math
+import random
 from typing import Callable
 
+from provrefine import hypergraph as hg
 from provrefine import likelihood as lk
-from provrefine.learning import TrainingSet
+from provrefine.analysis import (Abstraction, Analysis, encode_params,
+                                 local_provenance, project_set)
+from provrefine.learning import ObservationGroup, TrainingSet
 from provrefine.probmodel import NEG_INF, HyperParams
+
+
+def observe(an: Analysis, a: Abstraction) -> lk.Observation:
+    """Run the analysis under a and project the outcome."""
+    p1 = encode_params(an, a, 1)
+    t = project_set(an, p1)
+    r = project_set(an, hg.reach(an.global_graph, p1))
+    return lk.Observation(t=t, r=r, source_abstraction=a)
+
+
+def sample_training(an: Analysis, n: int, max_flips: int,
+                    rng: random.Random) -> TrainingSet:
+    """n observations from random abstractions flipping 1..max_flips params."""
+    max_flips = min(max_flips, len(an.params))
+    blueprint = local_provenance(an, an.bottom())
+    obs = []
+    for _ in range(n):
+        count = rng.randint(1, max_flips)
+        flips = rng.sample(list(an.params), count)
+        obs.append(observe(an, an.bottom().with_flips(flips)))
+    return TrainingSet([ObservationGroup(blueprint, obs)])
 
 
 class _Objective:

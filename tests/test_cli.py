@@ -117,6 +117,22 @@ class TestSolve:
         assert code == 4
         assert out.strip().splitlines()[-1] == "answer: limit"
 
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--alpha", "nan", "alpha"), ("--alpha", "inf", "alpha"),
+        ("--alpha", "-inf", "alpha"), ("--budget", "nan", "budget"),
+        ("--budget", "-1", "budget"), ("--max-iters", "-3", "max_iterations")])
+    def test_unusable_parameters_exit_2(self, capsys, flag, value, field):
+        code, out, err = run(capsys, "solve", "--fixture", "smudge",
+                             "dirty(end,v)", f"{flag}={value}")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and field in err
+
+    def test_zero_and_negative_alpha_still_solve(self, capsys):
+        code, out, _ = run(capsys, "solve", "--fixture", "smudge", "--alpha", "0")
+        assert code == 0 and "chosen={0,1,2}" in out.splitlines()[0]
+        code, out, _ = run(capsys, "solve", "--fixture", "smudge", "--alpha", "-1")
+        assert code == 0 and "solver_objective=5.000000" in out.splitlines()[0]
+
     def test_manifest_solve(self, capsys, tmp_path):
         an = datalog.smudge_fixture()
         m = tmp_path / "s.manifest"
@@ -256,6 +272,14 @@ class TestMaxsat:
         inst.write_text("w a 1.0\nhard (implies a a)\n")
         code, out, _ = run(capsys, "maxsat", str(inst), "--solve", "approx")
         assert code == 0 and "model: a" in out
+
+    def test_nan_budget_exits_2(self, capsys, tmp_path):
+        inst = tmp_path / "i.txt"
+        inst.write_text("w a 2.0\nhard (or a b)\n")
+        for mode in ("exact", "approx"):
+            code, out, err = run(capsys, "maxsat", str(inst), "--solve", mode,
+                                 "--budget", "nan")
+            assert code == 2 and out == "" and "budget" in err
 
     def test_malformed_instance_exits_2(self, capsys, tmp_path):
         inst = tmp_path / "m.txt"

@@ -99,6 +99,29 @@ def test_sample_training_shapes():
         assert o.consistent()
 
 
+def test_sample_training_equals_the_per_observation_reference():
+    rng = random.Random(23)
+    for _ in range(40):
+        an, a = random_smudge_analysis(rng, max_sites=10)
+        assert lk.observe(an, a) == learning_reference.observe(an, a)
+        n, max_flips, seed = rng.randint(1, 12), rng.randint(1, 4), rng.random()
+        got = learning.sample_training(an, n, max_flips, random.Random(seed))
+        expect = learning_reference.sample_training(an, n, max_flips,
+                                                    random.Random(seed))
+        assert got == expect
+
+
+def test_sample_training_indexes_the_global_graph_once(monkeypatch):
+    from provrefine import hypergraph as hg
+
+    calls = []
+    index = hg._index
+    monkeypatch.setattr(hg, "_index", lambda arcs: calls.append(1) or index(arcs))
+    an, _ = random_smudge_analysis(random.Random(3), max_sites=10)
+    learning.sample_training(an, 20, 3, random.Random(0))
+    assert len(calls) == 2  # the blueprint's derive, then every observation
+
+
 def test_merge_concatenates_groups():
     a = _bernoulli_corpus(1, 2)
     b = _bernoulli_corpus(2, 2)

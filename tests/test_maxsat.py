@@ -150,6 +150,17 @@ def test_budget_exceeded_raises():
         mx.solve_exact(inst, budget=0.0)
 
 
+@pytest.mark.parametrize("solve", [mx.solve_exact, mx.solve_approx])
+def test_nan_budget_is_rejected(solve):
+    # monotonic() > nan is never true, so the search would never time out
+    inst = random_instance(random.Random(1), max_vars=6)
+    with pytest.raises(ValueError, match="budget"):
+        solve(inst, budget=float("nan"))
+    with pytest.raises(ValueError, match="budget"):
+        solve(mx.ClauseInstance(1, [(1,)], {1: 1.0}, {1: "x"}),
+              budget=float("nan"))
+
+
 def _independent_sets(n=60, seed=3):
     """Maximum-weight independent set on a random graph: B&B needs many nodes."""
     rng = random.Random(seed)

@@ -1,6 +1,8 @@
+import dataclasses
 import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -78,6 +80,29 @@ class TestSolveSmudge:
         with pytest.raises(ValueError, match=field):
             refine.solve(smudge, _query(smudge), cfg)
 
+    @pytest.mark.parametrize("field, value", [
+        ("alpha", math.nan), ("alpha", math.inf), ("alpha", -math.inf),
+        ("solver_budget", math.nan), ("solver_budget", -1.0),
+        ("solver_budget", -math.inf), ("max_iterations", -3)])
+    def test_unusable_parameters_rejected(self, smudge, field, value,
+                                          monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("solved with an unusable parameter")
+
+        monkeypatch.setattr(mx, "solve_exact", forbidden)
+        cfg = refine.RefineConfig(**{field: value})
+        with pytest.raises(ValueError, match=field):
+            refine.solve(smudge, _query(smudge), cfg)
+
+    @pytest.mark.parametrize("field, value, answer, iterations", [
+        ("solver_budget", 0.0, "limit", 1), ("solver_budget", math.inf, "yes", 3),
+        ("max_iterations", 0, "limit", 0)])
+    def test_edge_parameters_accepted(self, smudge, field, value, answer,
+                                      iterations):
+        cfg = refine.RefineConfig(**{field: value})
+        out = refine.solve(smudge, _query(smudge), cfg)
+        assert (out.answer, out.iterations) == (answer, iterations)
+
 
 def _weighted_part(inst, model):
     """The names of a model's true weighted variables, in either form."""
@@ -102,32 +127,63 @@ def _run_recording(monkeypatch, solve, an, q, cfg):
         monkeypatch.undo()
 
 
-def _reference_cases():
-    """The demo, then 220 random gadgets and smudge programs whose query
-    the all-cheap setting derives, so that the solver runs, each with
-    random thetas (1 and 0 included) and a random alpha (0 included)."""
+def _random_thetas(rng, an):
+    types = sorted(an.global_graph.rule_types())
+    theta = {t: rng.choice([1.0, 1.0, 0.5, 1 / 3, 0.2, 0.9, 0.0])
+             for t in types}
+    return HyperParams(theta), rng.choice([1.0, 1.0, 0.5, 2.0, 0.0])
+
+
+_NOWHERE = hg.parse_fact("dirty(end,nowhere)")
+
+
+def _random_case(rng, i):
+    if i % 2:
+        return random_gadget(rng)
+    an, _ = random_smudge_analysis(rng, max_sites=8)
+    return an, _query(an)
+
+
+def _reference_cases(seen):
+    """The demo, then random gadgets and smudge programs, each with random
+    thetas (1 and 0 included) and a random alpha (0 included): 220 whose
+    query the all-cheap setting derives, so that the solver runs, 40 whose
+    query it does not, and 10 asking a declared query that no arc derives.
+    `seen` counts the cases of each kind, and of those, the ones whose
+    global graph has arcs outside the query's backward cone."""
     an = datalog.smudge_fixture()
     yield an, _query(an), HyperParams(datalog.smudge_theta()), 1.0
-    rng = random.Random(7)
-    found = 0
-    while found < 220:
-        if found % 2:
-            an, q = random_gadget(rng)
+    quota = {"solver runs": 220, "underived": 40, "no arc": 10}
+    rng, other_rng, tries = random.Random(7), random.Random(8), 0
+    while any(seen[kind] < n for kind, n in quota.items()):
+        if seen["solver runs"] < quota["solver runs"]:
+            an, q = _random_case(rng, seen["solver runs"])
+            if q not in ana.derive(an, an.bottom()):
+                continue
+            kind, case_rng = "solver runs", rng
         else:
-            an, _ = random_smudge_analysis(rng, max_sites=8)
-            q = _query(an)
-        if q not in ana.derive(an, an.bottom()):
-            continue
-        found += 1
-        types = sorted(an.global_graph.rule_types())
-        theta = {t: rng.choice([1.0, 1.0, 0.5, 1 / 3, 0.2, 0.9, 0.0])
-                 for t in types}
-        yield an, q, HyperParams(theta), rng.choice([1.0, 1.0, 0.5, 2.0, 0.0])
+            tries += 1
+            an, q = _random_case(other_rng, tries)
+            if q not in ana.derive(an, an.bottom()) and \
+                    seen["underived"] < quota["underived"]:
+                kind = "underived"
+            elif seen["no arc"] < quota["no arc"]:
+                kind = "no arc"
+                an = dataclasses.replace(an, queries=an.queries | {_NOWHERE})
+                q = _NOWHERE
+            else:
+                continue
+            case_rng = other_rng
+        seen[kind] += 1
+        if len(refine.slice_to_query(an.global_graph, q)) < len(an.global_graph):
+            seen[kind, "outside the cone"] += 1
+        yield (an, q, *_random_thetas(case_rng, an))
 
 
 def test_clause_encoding_matches_the_formula_reference(monkeypatch):
     """Identical outcomes and identical weighted parts of every model."""
-    for an, q, hp, alpha in _reference_cases():
+    seen = Counter()
+    for an, q, hp, alpha in _reference_cases(seen):
         for strategy in refine.STRATEGIES:
             if alpha == 0.0 and strategy != "optimistic":
                 # P0 facts weigh nothing, so which flips a tied optimum
@@ -141,6 +197,75 @@ def test_clause_encoding_matches_the_formula_reference(monkeypatch):
                 expect = _run_recording(monkeypatch, refine_reference.solve,
                                         an, q, cfg)
                 assert got == expect, (str(q), strategy, solver, alpha)
+    assert seen["solver runs"] == 220
+    assert seen["underived"] == 40 and seen["no arc"] == 10
+    for kind in ("solver runs", "underived"):
+        assert seen[kind, "outside the cone"] >= 10, seen
+    assert seen["no arc", "outside the cone"] == 10
+
+
+def test_the_cone_index_agrees_with_the_whole_graph():
+    """On q's backward cone, the analysis under a, the "no" test and both
+    slices equal their versions over the whole global graph."""
+    rng = random.Random(11)
+    outside = 0
+    for i in range(300):
+        if i % 2:
+            an, q = random_gadget(rng)
+            a = an.bottom().with_flips(
+                p for p in an.params if rng.random() < 0.5)
+        else:
+            an, a = random_smudge_analysis(rng, max_sites=8)
+            # the declared query, or any other fact of the graph
+            q = rng.choice([_query(an)] + sorted(an.global_graph.vertices))
+        cone = refine._Cone(an.global_graph, q)
+        outside += len(cone.arcs) < len(an.global_graph)
+        p0 = ana.encode_params(an, a, 0)
+        p1 = ana.encode_params(an, a, 1)
+        dist = cone.run(p0 | p1)
+        assert (q in ana.derive(an, a)) == (0 in dist)
+        whole = hg.distances(an.global_graph, p0 | p1)
+        for u, j in cone.ids.items():
+            assert dist.get(j, hg.INFINITY) == whole.get(u, hg.INFINITY)
+        g_a = ana.local_provenance(an, a)
+        assert (0 in cone.run(p1)) == (q in hg.reach(g_a, p1))
+        assert cone.forward_slice(dist) == refine.slice_to_query(
+            refine.forward_restrict(g_a, an, a), q)
+        assert cone.derived_slice(dist) == refine.slice_to_query(g_a, q)
+    assert outside >= 100
+
+
+def test_solve_never_closes_over_the_global_graph(smudge_hp, monkeypatch):
+    """The per-iteration steps run on the cone index alone, and nothing is
+    cached on the analysis or its graph."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("refinement went over the global graph")
+
+    for name in ("derive", "local_provenance"):
+        monkeypatch.setattr(ana, name, forbidden)
+    for name in ("induced", "distances", "forward_arcs"):
+        monkeypatch.setattr(hg, name, forbidden)
+    for name in ("forward_restrict", "slice_to_query"):
+        monkeypatch.setattr(refine, name, forbidden)
+    analyses = [datalog.smudge_fixture()]
+    rng = random.Random(5)
+    analyses += [random_smudge_analysis(rng, max_sites=8)[0] for _ in range(6)]
+    reach = hg.reach
+    for an in analyses:
+        g = an.global_graph
+
+        def local_reach(h, t, g=g):
+            assert h is not g, "refinement closed the global graph"
+            return reach(h, t)
+
+        monkeypatch.setattr(hg, "reach", local_reach)
+        before = (dict(vars(an)), dict(vars(g)))
+        for strategy in refine.STRATEGIES:
+            for solver in refine.SOLVERS:
+                cfg = refine.RefineConfig(strategy=strategy, solver=solver,
+                                          hyperparams=smudge_hp)
+                refine.solve(an, _query(an), cfg)
+        assert (dict(vars(an)), dict(vars(g))) == before
 
 
 def test_solve_never_compiles_a_formula(smudge, smudge_hp, monkeypatch):
