@@ -290,7 +290,6 @@ def parse_manifest(text: str, base_dir: str = ".") -> Analysis:
     from . import datalog
 
     section = None
-    params = []
     encode0 = {}
     encode1 = {}
     queries = set()
@@ -319,9 +318,13 @@ def parse_manifest(text: str, base_dir: str = ".") -> Analysis:
                 kv = dict(tok.partition("=")[::2] for tok in tokens)
                 if sorted(kv) != ["encode0", "encode1"]:
                     raise ValueError(f"expected '{name} encode0=FACT encode1=FACT'")
-                params.append(name)
-                encode0[name] = hg.parse_fact(kv["encode0"])
-                encode1[name] = hg.parse_fact(kv["encode1"])
+                if name in encode0:
+                    raise ValueError(f"a second parameter {name!r}")
+                f0, f1 = hg.parse_fact(kv["encode0"]), hg.parse_fact(kv["encode1"])
+                # (iv): the encoders are injective with disjoint images
+                if f0 == f1 or {f0, f1} & {*encode0.values(), *encode1.values()}:
+                    raise ValueError(f"parameter {name!r} reuses an encoding fact")
+                encode0[name], encode1[name] = f0, f1
             elif section == "queries":
                 queries.add(hg.parse_fact(line))
             elif section == "projection":
@@ -340,7 +343,7 @@ def parse_manifest(text: str, base_dir: str = ".") -> Analysis:
     return Analysis(
         global_graph=graph,
         queries=frozenset(queries),
-        params=tuple(params),
+        params=tuple(encode0),
         encode0=encode0,
         encode1=encode1,
         projection=Projection(proj_rules, proj_default),

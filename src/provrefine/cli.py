@@ -209,10 +209,14 @@ def parse_maxsat_instance(text: str) -> mx.MaxSatInstance:
         try:
             if line.startswith("w "):
                 _, name, value = line.split()
+                if name in weights:
+                    raise ValueError(f"a second weight for {name!r}")
                 weights[name] = float(value)
                 if not math.isfinite(weights[name]):
                     raise ValueError(f"weight {value!r} is not a finite number")
             elif line.startswith("hard "):
+                if hard is not None:
+                    raise ValueError("a second hard line")
                 tokens = line[5:].replace("(", " ( ").replace(")", " ) ").split()
                 depths = accumulate((t == "(") - (t == ")") for t in tokens)
                 if max(depths, default=0) > hg.MAX_NESTING:

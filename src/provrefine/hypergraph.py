@@ -4,17 +4,19 @@ Facts are ground atoms; an arc records one instantiated inference step
 (head, body set, rule-type tag).  Reachability is the least fixpoint of
 "if all body facts hold, the head holds", and the max-plus hyperpath
 distance is the round of that fixpoint in which a fact is first derived.
-One kernel computes both: `_index` numbers a graph's arcs and `_run`
-closes over that index from a seed set; `reach` keeps the keys of the
-result and `distances` its values.  The index is never cached on a graph,
-because callers keep many graphs alive.  `reach` and `distances` build one
-per call; a caller that closes one graph from many seed sets builds it once
-and runs it per seed set: `refine.solve` over the query's backward cone,
-numbered once per solve, `learning.sample_training` over an analysis's
-global graph, once per analysis, and `likelihood.bound_terms` over a
-blueprint, once per call.
-Distances define forward arcs; loops and justifications support the exact
-likelihood oracle.
+One kernel computes both: an `Index` numbers a graph's facts and arcs by
+integers and `Index.run` closes over them from a seed set; `reach` keeps
+the keys of `Index.close` and `distances` its values.
+
+`reach` and `distances` build an index per call; a caller that closes one
+graph from many seed sets builds one and runs it per seed set:
+`refine.solve` over the query's backward cone (`Index.cone`) once per
+solve, `learning.sample_training` over an analysis's global graph once per
+analysis, and `likelihood.bound_terms` over a blueprint once per call.  No
+index is cached on a graph or an analysis: callers keep many graphs alive,
+an index holds several lists per fact and arc, and only the caller knows
+how long it is needed.  Distances define forward arcs; loops and
+justifications support the exact likelihood oracle.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ import functools
 import re
 import string
 import sys
-from collections import namedtuple
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -122,67 +123,126 @@ class Hypergraph:
         return Hypergraph(arcs)
 
 
-# an arc over fact ids, read by `_index`
-_IdArc = namedtuple("_IdArc", "head body")
+class Index:
+    """A graph's facts and arcs numbered by integers, and the closure kernel.
 
-
-def _index(arcs: Iterable) -> tuple:
-    """The integer index that `_run` closes over.
-
-    Numbers the arcs with a body in the order given, and keeps their heads
-    and body sizes, the arcs each fact is a body fact of, and the heads of
-    the empty-body arcs.  An arc is anything with a `head` and a `body`;
-    facts may be any hashable labels.
+    `facts[i]` is fact i and `ids` its inverse, numbered in order of first
+    mention; `arcs[j]` is arc j, `heads[j]` and `bodies[j]` its fact ids,
+    and `into[i]` the arcs into fact i.  An arc is anything with a `head`
+    and a `body`; facts may be any hashable labels.
     """
-    heads, sizes, by_body, sources = [], [], {}, []
-    for arc in arcs:
-        body = arc.body
-        if not body:
-            sources.append(arc.head)
-            continue
+
+    def __init__(self, arcs: Iterable = ()):
+        self.ids, self.facts = {}, []
+        self.arcs, self.heads, self.bodies, self.into = [], [], [], []
+        # per fact the arcs it is a body fact of, per arc its body size, and
+        # the arcs with an empty body
+        self._uses, self._sizes, self._empty = [], [], []
+        for arc in arcs:
+            self._add(arc)
+
+    def _id(self, f) -> int:
+        i = self.ids.get(f)
+        if i is None:
+            i = self.ids[f] = len(self.facts)
+            self.facts.append(f)
+            self.into.append([])
+            self._uses.append([])
+        return i
+
+    def _add(self, arc) -> None:
+        j = len(self.arcs)
+        h = self._id(arc.head)
+        body = [self._id(b) for b in arc.body]
+        self.arcs.append(arc)
+        self.heads.append(h)
+        self.bodies.append(body)
+        self._sizes.append(len(body))
+        self.into[h].append(j)
         for b in body:
-            by_body.setdefault(b, []).append(len(heads))
-        heads.append(arc.head)
-        sizes.append(len(body))
-    return heads, sizes, by_body, sources
+            self._uses[b].append(j)
+        if not body:
+            self._empty.append(j)
 
+    @classmethod
+    def cone(cls, g: Hypergraph, q) -> "Index":
+        """q's backward cone in g: the arcs into q, into their body facts,
+        and so on, with facts numbered in the order a search from q meets
+        them, so q is fact 0.  Whether a cone fact is reached from a seed
+        set, and its distance, depend only on the arcs into its own cone,
+        so `run` over the cone gives each cone fact its value in g."""
+        into = {}
+        for e in g.arcs:
+            into.setdefault(e.head, []).append(e)
+        index = cls()
+        index._id(q)
+        for f in index.facts:  # grows as the search meets facts
+            for e in into.get(f, ()):
+                index._add(e)
+        return index
 
-def _run(index: tuple, t: Iterable) -> dict:
-    """Map each fact reachable from t to its max-plus distance.
+    def run(self, t: Iterable) -> dict:
+        """Fact id -> max-plus distance from the seed facts t, for the facts
+        reached; seeds outside the index are dropped.
 
-    Seeds are at 0 and heads of empty-body arcs at 1.  Facts settle layer
-    by layer; an arc fires when its last body fact settles, and that fact
-    is the farthest of its body, so the head's candidate is its layer + 1.
-    The first candidate a head gets is its least, so no heap is needed.
-    """
-    heads, sizes, by_body, sources = index
-    dist = dict.fromkeys(t, 0)
-    layer, nxt = list(dist), []
-    for h in sources:
-        if h not in dist:
-            dist[h] = 1
-            nxt.append(h)
-    pending = sizes.copy()
-    d = 1  # the distance of the heads that fire from this layer
-    while layer or nxt:
-        for f in layer:
-            for i in by_body.get(f, ()):
-                pending[i] -= 1
-                if not pending[i] and heads[i] not in dist:
-                    dist[heads[i]] = d
-                    nxt.append(heads[i])
-        layer, nxt, d = nxt, [], d + 1
-    return dist
+        Seeds are at 0 and heads of empty-body arcs at 1.  Facts settle layer
+        by layer; an arc fires when its last body fact settles, and that fact
+        is the farthest of its body, so the head's candidate is its layer + 1.
+        The first candidate a head gets is its least, so no heap is needed.
+        """
+        ids, heads, uses = self.ids, self.heads, self._uses
+        dist = dict.fromkeys([ids[u] for u in t if u in ids], 0)
+        layer, nxt = list(dist), []
+        for j in self._empty:
+            if heads[j] not in dist:
+                dist[heads[j]] = 1
+                nxt.append(heads[j])
+        pending = self._sizes.copy()
+        d = 1  # the distance of the heads that fire from this layer
+        while layer or nxt:
+            for f in layer:
+                for j in uses[f]:
+                    pending[j] -= 1
+                    if not pending[j] and heads[j] not in dist:
+                        dist[heads[j]] = d
+                        nxt.append(heads[j])
+            layer, nxt, d = nxt, [], d + 1
+        return dist
 
+    def close(self, t: Iterable) -> dict:
+        """Fact -> max-plus distance from t, for t and the facts reached."""
+        dist = dict.fromkeys(t, 0)
+        dist.update((self.facts[i], d) for i, d in self.run(dist).items())
+        return dist
 
-def _closure(g: Hypergraph, t: Iterable[Fact]) -> dict:
-    """`_run` from t over the index of g, built for this one call."""
-    return _run(_index(g.arcs), t)
+    def within(self, r) -> list:
+        """The arcs whose whole body lies in the set r of fact ids."""
+        pending = self._sizes.copy()
+        out = self._empty.copy()
+        for f in r:
+            for j in self._uses[f]:
+                pending[j] -= 1
+                if not pending[j]:
+                    out.append(j)
+        return out
+
+    def slice(self, keep) -> Hypergraph:
+        """The arcs j with keep(j) that reach fact 0 through such arcs."""
+        seen, stack, out = {0}, [0], []
+        while stack:
+            for j in self.into[stack.pop()]:
+                if keep(j):
+                    out.append(self.arcs[j])
+                    for b in self.bodies[j]:
+                        if b not in seen:
+                            seen.add(b)
+                            stack.append(b)
+        return Hypergraph(out)
 
 
 def reach(g: Hypergraph, t: Iterable[Fact]) -> frozenset:
     """Least set R with T subseteq R that is closed under the arcs of g."""
-    return frozenset(_closure(g, t))
+    return frozenset(Index(g.arcs).close(t))
 
 
 def induced(g: Hypergraph, t: Iterable[Fact]) -> Hypergraph:
@@ -198,7 +258,7 @@ def distances(g: Hypergraph, t: Iterable[Fact]) -> dict:
     minimum over arcs (h, B) of max_b d(b) + 1.
     """
     dist = dict.fromkeys(g.vertices, INFINITY)
-    dist.update(_closure(g, t))
+    dist.update(Index(g.arcs).close(t))
     return dist
 
 

@@ -62,7 +62,7 @@ def sample_training(an: Analysis, n: int, max_flips: int,
         raise ValueError("max_flips must be >= 1")
     max_flips = min(max_flips, len(an.params))
     blueprint = local_provenance(an, an.bottom())
-    index = hg._index(an.global_graph.arcs)
+    index = hg.Index(an.global_graph.arcs)
     obs = []
     for _ in range(n):
         count = rng.randint(1, max_flips)

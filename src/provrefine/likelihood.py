@@ -37,15 +37,15 @@ class Observation:
 def observe(an: Analysis, a: Abstraction, index=None) -> Observation:
     """Run the analysis under a and project the outcome.
 
-    `index`, the `hg._index` of `an.global_graph.arcs`, saves building it
+    `index`, an `hg.Index` of `an.global_graph.arcs`, saves building it
     again when one analysis is observed many times.
     """
     p1 = encode_params(an, a, 1)
     t = project_set(an, p1)
     if index is None:
-        index = hg._index(an.global_graph.arcs)
+        index = hg.Index(an.global_graph.arcs)
     # equals reach over local_provenance: reach(global, P1) lies in derive(a)
-    r = project_set(an, hg._run(index, p1))
+    r = project_set(an, index.close(p1))
     return Observation(t=t, r=r, source_abstraction=a)
 
 
@@ -80,84 +80,64 @@ class _ArcSets(dict):
 def bound_terms(g_bot: Hypergraph, obs: Iterable[Observation]) -> BoundFormula:
     """The refuted arcs and the per-head clauses of both bounds.
 
-    One integer index over g_bot serves every observation: D_k and the arcs
-    k refutes come from one scan of the arcs its derived facts feed, and
-    F_k from one distance run of the closure kernel from t.  D_k and F_k
+    One `hg.Index` of g_bot serves every observation: D_k and the arcs k
+    refutes come from the arcs whose body lies in r (`Index.within`), and
+    F_k from one distance run from t (`Index.run`).  D_k and F_k
     are kept only for arcs whose head k derives, the only ones its clauses
     read.  Each distinct clause becomes an arc set once, so equal clauses
     in the result are one object.
     """
     obs = list(obs)
-    # numbered as `hg._index` numbers them: the arcs with a body first
-    arcs = ([a for a in g_bot.arcs if a.body]
-            + [a for a in g_bot.arcs if not a.body])
-    ids = {}  # Fact -> fact id, in order of first mention
-    id_arcs, by_head = [], {}
-    for i, arc in enumerate(arcs):
-        h = ids.setdefault(arc.head, len(ids))
-        body = [ids.setdefault(b, len(ids)) for b in arc.body]
-        if h in body:
+    for arc in g_bot.arcs:
+        if arc.head in arc.body:
             raise SelfLoopArc(str(arc))
-        by_head.setdefault(h, []).append(i)
-        id_arcs.append(hg._IdArc(h, body))
-    seen = []  # per observation: (t, r - t) as fact ids
+    index = hg.Index(g_bot.arcs)
+    ids, heads, bodies = index.ids, index.heads, index.bodies
+    seen = []  # per observation: (t, r - t as fact ids)
     for o in obs:
         derived = set(map(ids.get, o.r - o.t))
         if None in derived:
             raise ObservationOutOfRange(
                 "observation derives facts foreign to the blueprint")
-        t = set(map(ids.get, o.t))
-        t.discard(None)
-        seen.append((t, derived))
+        seen.append((o.t, derived))
     if any(not o.consistent() for o in obs):
         return BoundFormula(frozenset(), {}, impossible=True)
 
-    index = hg._index(id_arcs)
-    _, sizes, by_body, _ = index
-    empty = range(len(sizes), len(arcs))
     negated = set()
     c_of = {}  # fact id -> the observations deriving it, in order
     d_sets, f_sets = [], []
     for k, (t, derived) in enumerate(seen):
-        r = t | derived
-        pending = sizes.copy()
-        d_all = list(empty)  # arcs whose body lies in r
-        for f in r:
-            for i in by_body.get(f, ()):
-                pending[i] -= 1
-                if not pending[i]:
-                    d_all.append(i)
-        dist = hg._run(index, t).get
+        dist = index.run(t).get
+        r = {ids[u] for u in t if u in ids} | derived
         d_k, f_k = set(), set()
-        for i in d_all:
-            h, body = id_arcs[i]
+        for j in index.within(r):
+            h = heads[j]
             if h not in r:
-                negated.add(i)
+                negated.add(j)
             elif h in derived:
-                d_k.add(i)
+                d_k.add(j)
                 dh = dist(h, hg.INFINITY)
-                for b in body:
+                for b in bodies[j]:
                     if not dh > dist(b, hg.INFINITY):
                         break
                 else:
-                    f_k.add(i)
+                    f_k.add(j)
         d_sets.append(d_k)
         f_sets.append(f_k)
         for h in derived:
             c_of.setdefault(h, []).append(k)
 
-    facts = list(ids)
-    shared = _ArcSets(arcs)
+    facts, into = index.facts, index.into
+    shared = _ArcSets(index.arcs)
     per_head = {}
-    for h in sorted((h for h in c_of if h in by_head),
-                    key=lambda h: facts[h]._key()):
-        a_h = frozenset(by_head[h]).difference(negated)
+    for h in sorted((h for h in c_of if into[h]), key=lambda h: facts[h]._key()):
+        a_h = frozenset(into[h]).difference(negated)
         per_head[facts[h]] = PerHead(
             candidates=shared[a_h],
             lower_clauses=tuple(shared[a_h & f_sets[k]] for k in c_of[h]),
             upper_clauses=tuple(shared[a_h & d_sets[k]] for k in c_of[h]),
         )
-    return BoundFormula(frozenset(arcs[i] for i in negated), per_head)
+    return BoundFormula(frozenset(index.arcs[j] for j in negated), per_head)
 
 
 def _wmc_clauses(clauses, theta) -> float:

@@ -383,10 +383,10 @@ def _branch_and_bound(inst, budget: float):
     A `MaxSatInstance` is compiled through Tseytin and its model is the
     set of true visible names; a `ClauseInstance` is searched as it is
     and its model is the set of true ids.  A NaN budget, which would
-    never run out, raises ValueError.
+    never run out, or a negative one raises ValueError.
     """
-    if math.isnan(budget):
-        raise ValueError("solver budget is NaN")
+    if not budget >= 0:
+        raise ValueError(f"solver budget must be a number >= 0, not {budget!r}")
     deadline = time.monotonic() + budget
     if isinstance(inst, ClauseInstance):
         ids, proven = _search(inst, deadline)

@@ -167,6 +167,8 @@ def parse_hyperparams(text: str, known_types: Iterable[str] = None) -> HyperPara
             raise ParseError(lineno, f"theta {v} outside [0, 1]")
         if known is not None and name not in known:
             raise ParseError(lineno, f"unknown rule type {name!r}")
+        if name in theta:
+            raise ParseError(lineno, f"a second theta for {name!r}")
         theta[name] = v
         if len(parts) == 3:
             unconstrained.add(name)

@@ -77,81 +77,6 @@ def slice_to_query(g: Hypergraph, q: Fact) -> Hypergraph:
     return Hypergraph(e for e in g.arcs if e.head in cone)
 
 
-class _Cone:
-    """q's backward cone in a graph, numbered once for one `solve`.
-
-    Facts get ids in the order a search from q meets them, so q is 0.
-    `arcs[i]` is an arc into the cone, `id_arcs[i]` the same arc over fact
-    ids, and `by_head[u]` the arcs into fact u.  Whether a cone fact is
-    reached from a seed set, and its max-plus distance, depend only on the
-    arcs into its own cone, so running `hg._run` over these arcs alone
-    gives each cone fact the value it has in the whole graph.
-    """
-
-    def __init__(self, g: Hypergraph, q: Fact):
-        into = {}
-        for e in g.arcs:
-            into.setdefault(e.head, []).append(e)
-        self.ids = {q: 0}
-        self.arcs, self.id_arcs, self.by_head = [], [], []
-        facts = [q]
-        for u, f in enumerate(facts):  # grows as the search meets facts
-            mine = []
-            for e in into.get(f, ()):
-                body = []
-                for b in e.body:
-                    j = self.ids.get(b)
-                    if j is None:
-                        j = self.ids[b] = len(facts)
-                        facts.append(b)
-                    body.append(j)
-                mine.append(len(self.arcs))
-                self.arcs.append(e)
-                self.id_arcs.append(hg._IdArc(u, body))
-            self.by_head.append(mine)
-        self.index = hg._index(self.id_arcs)
-
-    def run(self, t: Iterable[Fact]) -> dict:
-        """Fact id -> max-plus distance from t, for the cone facts reached.
-
-        Seeds outside the cone are dropped: no arc into the cone reads them.
-        """
-        ids = self.ids
-        return hg._run(self.index, [ids[u] for u in t if u in ids])
-
-    def _slice(self, keep) -> Hypergraph:
-        """The arcs i with keep(i) that can reach q through such arcs."""
-        seen, stack, out = {0}, [0], []
-        while stack:
-            for i in self.by_head[stack.pop()]:
-                if keep(i):
-                    out.append(self.arcs[i])
-                    for b in self.id_arcs[i].body:
-                        if b not in seen:
-                            seen.add(b)
-                            stack.append(b)
-        return Hypergraph(out)
-
-    def derived_slice(self, dist: dict) -> Hypergraph:
-        """`slice_to_query` of the derived arcs, those whose whole body is
-        in dist, the result of `run`."""
-        id_arcs = self.id_arcs
-        return self._slice(lambda i: all(b in dist for b in id_arcs[i].body))
-
-    def forward_slice(self, dist: dict) -> Hypergraph:
-        """`slice_to_query` of the forward arcs among the derived ones,
-        dist being `run` from every parameter fact."""
-        id_arcs = self.id_arcs
-
-        def forward(i):
-            h, body = id_arcs[i]
-            dh = dist.get(h)
-            return dh is not None and all(
-                b in dist and dist[b] < dh for b in body)
-
-        return self._slice(forward)
-
-
 def t_of(an: Analysis, a: Abstraction, a2: Abstraction) -> frozenset:
     """Seed facts for evaluating candidate a2 on the current provenance."""
     p1_old = encode_params(an, a, 1)
@@ -339,7 +264,8 @@ def solve(an: Analysis, q: Fact, cfg: RefineConfig) -> RefineOutcome:
 
     # every step below decides only facts in q's cone (q is fact 0): the
     # analysis under a, the forward arcs and the slices to q
-    cone = _Cone(an.global_graph, q)
+    cone = hg.Index.cone(an.global_graph, q)
+    heads, bodies = cone.heads, cone.bodies
     a = an.bottom()
     trace = []
     iteration = 0
@@ -358,13 +284,17 @@ def solve(an: Analysis, q: Fact, cfg: RefineConfig) -> RefineOutcome:
 
         try:
             if cfg.strategy == "optimistic":
-                a2 = choose_optimistic(an, cone.derived_slice(dist), q, a, cfg)
+                # the derived arcs: their whole body is reached
+                g_a = cone.slice(lambda j: all(b in dist for b in bodies[j]))
+                a2 = choose_optimistic(an, g_a, q, a, cfg)
                 if a2 is None:
                     entry["answer"] = "no"
                     return RefineOutcome("no", iteration, trace)
                 entry["chosen"] = sorted(a2.flips())
             else:
-                g_fwd = cone.forward_slice(dist)
+                # the forward arcs among the derived ones
+                g_fwd = cone.slice(lambda j: heads[j] in dist and all(
+                    b in dist and dist[b] < dist[heads[j]] for b in bodies[j]))
                 phi = build_phi(an, g_fwd, q, a, hp, cfg.alpha)
                 result = _run_solver(phi.inst, cfg)
                 if result is None:

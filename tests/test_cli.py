@@ -160,6 +160,20 @@ class TestSolve:
         code, _, err = run(capsys, "solve", str(m))
         assert code == 2 and "line 3" in err and "gone.prov" in err
 
+    @pytest.mark.parametrize("old, new, line", [
+        ("1 encode0=cheap(1)", "0 encode0=cheap(1)", 3),
+        ("encode0=cheap(1)", "encode0=cheap(0)", 3),
+        ("encode0=cheap(4)", "encode0=precise(2)", 6),
+        ("encode0=cheap(3)", "encode0=precise(3)", 5)],
+        ids=["name", "encode0", "encode1", "own encode1"])
+    def test_a_manifest_reusing_a_parameter_or_encoding_fact_exits_2(
+            self, capsys, tmp_path, old, new, line):
+        m = tmp_path / "s.manifest"
+        ana.save_manifest(datalog.smudge_fixture(), str(m), str(tmp_path / "s.prov"))
+        m.write_text(m.read_text().replace(old, new))
+        code, out, err = run(capsys, "solve", str(m))
+        assert code == 2 and out == "" and f"line {line}" in err
+
     def test_probabilistic_with_theta_file(self, capsys, tmp_path):
         theta = tmp_path / "theta.txt"
         pm.save_hyperparams(pm.HyperParams(datalog.smudge_theta()), str(theta))
@@ -237,6 +251,14 @@ class TestLikelihood:
         code, _, err = run(capsys, "likelihood", b, str(o), t)
         assert code == 2 and "line 3" in err
 
+    def test_a_repeated_rule_type_in_theta_exits_2(self, capsys, tmp_path, files):
+        b, o, t = files
+        lines = Path(t).read_text().splitlines()
+        repeated = tmp_path / "repeated_theta.txt"
+        repeated.write_text("\n".join(lines + ["base 0.5"]) + "\n")
+        code, out, err = run(capsys, "likelihood", b, o, str(repeated))
+        assert code == 2 and out == "" and f"line {len(lines) + 1}" in err
+
     def test_theta_missing_a_rule_type_exits_2(self, capsys, tmp_path, files):
         b, o, _ = files
         theta = datalog.smudge_theta()
@@ -277,9 +299,22 @@ class TestMaxsat:
         inst = tmp_path / "i.txt"
         inst.write_text("w a 2.0\nhard (or a b)\n")
         for mode in ("exact", "approx"):
-            code, out, err = run(capsys, "maxsat", str(inst), "--solve", mode,
-                                 "--budget", "nan")
-            assert code == 2 and out == "" and "budget" in err
+            for budget in ("nan", "-1"):
+                code, out, err = run(capsys, "maxsat", str(inst), "--solve",
+                                     mode, f"--budget={budget}")
+                assert code == 2 and out == "" and "budget" in err
+
+    @pytest.mark.parametrize("text, line", [
+        ("w x 1.0\nhard x\nhard (not x)\n", 3),
+        ("w x 1.0\nw y 1.0\nw x 2.0\nhard (or x y)\n", 3)],
+        ids=["hard", "weight"])
+    def test_a_repeated_hard_or_weight_line_exits_2(self, capsys, tmp_path,
+                                                    text, line):
+        inst = tmp_path / "i.txt"
+        inst.write_text(text)
+        for argv in ([], ["--export-wcnf"]):
+            code, out, err = run(capsys, "maxsat", str(inst), *argv)
+            assert code == 2 and out == "" and f"line {line}" in err
 
     def test_malformed_instance_exits_2(self, capsys, tmp_path):
         inst = tmp_path / "m.txt"

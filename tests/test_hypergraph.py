@@ -83,6 +83,64 @@ def test_reach_is_the_finite_part_of_distances(seed):
     assert set(dist) == g.vertices | t
 
 
+def _relabelled(rng, g: Hypergraph) -> Hypergraph:
+    """g with its facts renamed to a mix of facts, strings and tuples."""
+    names = {}
+    for v in sorted(g.vertices):
+        names[v] = rng.choice([v, f"n{v.args[0]}", (v.args[0], "x")])
+    return Hypergraph(Arc(names[a.head], frozenset(names[b] for b in a.body),
+                          a.rule_type) for a in g.arcs)
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=60, deadline=None)
+def test_index_closes_as_the_naive_oracles(seed):
+    """Empty-body arcs, seeds outside the graph and labels that are not
+    facts: close is the naive closure with the brute-force distances,
+    run its restriction to the index, within its arcs with a body in r."""
+    rng = random.Random(seed)
+    g = _relabelled(rng, random_hypergraph(rng))
+    verts = sorted(g.vertices, key=repr)
+    t = set(rng.sample(verts, rng.randint(0, len(verts))))
+    t |= set(rng.sample(["outside", fact(99), (99, "x")], rng.randint(0, 3)))
+    index = hg.Index(g.arcs)
+    dist = index.close(t)
+    assert dist.keys() == naive_closure(g, t)
+    assert dist == {u: d for u, d in brute_force_distances(g, t).items()
+                    if d is not INFINITY}
+    assert index.run(t) == {index.ids[u]: d for u, d in dist.items()
+                            if u in index.ids}
+    r = {index.ids[u] for u in dist if u in index.ids}
+    assert sorted(index.within(r)) == [
+        j for j, a in enumerate(index.arcs) if a.body <= dist.keys()]
+
+
+def test_the_cone_numbers_facts_from_q_in_search_order():
+    """q is fact 0, the arcs into fact i come before those into fact i + 1,
+    facts are numbered in order of first mention, and the arcs are those
+    of `slice_to_query`."""
+    from provrefine import refine
+
+    rng = random.Random(13)
+    for _ in range(300):
+        g = random_hypergraph(rng)
+        q = rng.choice(sorted(g.vertices | {fact(99)}))
+        cone = hg.Index.cone(g, q)
+        assert cone.facts[0] == q and cone.ids[q] == 0
+        assert cone.heads == sorted(cone.heads)
+        mentioned = [q]
+        for j, a in enumerate(cone.arcs):
+            assert cone.facts[cone.heads[j]] == a.head
+            assert [cone.facts[b] for b in cone.bodies[j]] == list(a.body)
+            mentioned += [a.head, *a.body]
+        assert cone.facts == list(dict.fromkeys(mentioned))
+        assert {f: i for i, f in enumerate(cone.facts)} == cone.ids
+        assert cone.into == [[j for j, h in enumerate(cone.heads) if h == i]
+                             for i in range(len(cone.facts))]
+        assert len(set(cone.arcs)) == len(cone.arcs)
+        assert Hypergraph(cone.arcs) == refine.slice_to_query(g, q)
+
+
 def test_forward_arcs_definition():
     rng = random.Random(7)
     for _ in range(50):

@@ -115,8 +115,13 @@ def test_sample_training_indexes_the_global_graph_once(monkeypatch):
     from provrefine import hypergraph as hg
 
     calls = []
-    index = hg._index
-    monkeypatch.setattr(hg, "_index", lambda arcs: calls.append(1) or index(arcs))
+
+    class CountedIndex(hg.Index):
+        def __init__(self, arcs=()):
+            calls.append(1)
+            super().__init__(arcs)
+
+    monkeypatch.setattr(hg, "Index", CountedIndex)
     an, _ = random_smudge_analysis(random.Random(3), max_sites=10)
     learning.sample_training(an, 20, 3, random.Random(0))
     assert len(calls) == 2  # the blueprint's derive, then every observation

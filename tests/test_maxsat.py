@@ -152,13 +152,15 @@ def test_budget_exceeded_raises():
 
 @pytest.mark.parametrize("solve", [mx.solve_exact, mx.solve_approx])
 def test_nan_budget_is_rejected(solve):
-    # monotonic() > nan is never true, so the search would never time out
+    # monotonic() > nan is never true, so the search would never time out;
+    # a negative budget is rejected alike
     inst = random_instance(random.Random(1), max_vars=6)
-    with pytest.raises(ValueError, match="budget"):
-        solve(inst, budget=float("nan"))
-    with pytest.raises(ValueError, match="budget"):
-        solve(mx.ClauseInstance(1, [(1,)], {1: 1.0}, {1: "x"}),
-              budget=float("nan"))
+    for budget in (float("nan"), -1.0):
+        with pytest.raises(ValueError, match="budget"):
+            solve(inst, budget=budget)
+        with pytest.raises(ValueError, match="budget"):
+            solve(mx.ClauseInstance(1, [(1,)], {1: 1.0}, {1: "x"}),
+                  budget=budget)
 
 
 def _independent_sets(n=60, seed=3):

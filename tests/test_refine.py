@@ -218,20 +218,24 @@ def test_the_cone_index_agrees_with_the_whole_graph():
             an, a = random_smudge_analysis(rng, max_sites=8)
             # the declared query, or any other fact of the graph
             q = rng.choice([_query(an)] + sorted(an.global_graph.vertices))
-        cone = refine._Cone(an.global_graph, q)
+        cone = hg.Index.cone(an.global_graph, q)
         outside += len(cone.arcs) < len(an.global_graph)
         p0 = ana.encode_params(an, a, 0)
         p1 = ana.encode_params(an, a, 1)
         dist = cone.run(p0 | p1)
+        heads, bodies = cone.heads, cone.bodies
+        derived = lambda j: all(b in dist for b in bodies[j])
+        forward = lambda j: heads[j] in dist and all(
+            b in dist and dist[b] < dist[heads[j]] for b in bodies[j])
         assert (q in ana.derive(an, a)) == (0 in dist)
         whole = hg.distances(an.global_graph, p0 | p1)
         for u, j in cone.ids.items():
             assert dist.get(j, hg.INFINITY) == whole.get(u, hg.INFINITY)
         g_a = ana.local_provenance(an, a)
         assert (0 in cone.run(p1)) == (q in hg.reach(g_a, p1))
-        assert cone.forward_slice(dist) == refine.slice_to_query(
+        assert cone.slice(forward) == refine.slice_to_query(
             refine.forward_restrict(g_a, an, a), q)
-        assert cone.derived_slice(dist) == refine.slice_to_query(g_a, q)
+        assert cone.slice(derived) == refine.slice_to_query(g_a, q)
     assert outside >= 100
 
 
