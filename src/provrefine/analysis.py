@@ -294,7 +294,7 @@ def parse_manifest(text: str, base_dir: str = ".") -> Analysis:
     encode1 = {}
     queries = set()
     proj_rules = {}
-    proj_default = "identity"
+    proj_default = None
     graph = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -330,8 +330,12 @@ def parse_manifest(text: str, base_dir: str = ".") -> Analysis:
             elif section == "projection":
                 rel, rule = parse_projection_directive(line)
                 if rel == "default" and isinstance(rule, str):
+                    if proj_default is not None:
+                        raise ValueError("a second default directive")
                     proj_default = rule
                 else:
+                    if rel in proj_rules:
+                        raise ValueError(f"a second projection directive for {rel!r}")
                     proj_rules[rel] = rule
             else:
                 raise ValueError(f"line outside any section: {line!r}")
@@ -346,7 +350,7 @@ def parse_manifest(text: str, base_dir: str = ".") -> Analysis:
         params=tuple(encode0),
         encode0=encode0,
         encode1=encode1,
-        projection=Projection(proj_rules, proj_default),
+        projection=Projection(proj_rules, proj_default or "identity"),
     )
 
 

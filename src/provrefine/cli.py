@@ -45,6 +45,13 @@ def _read(path: str) -> str:
         return fh.read()
 
 
+def _load_manifest(path: str) -> ana.Analysis:
+    an = ana.load_manifest(path)
+    if violations := ana.check_well_formed(an):
+        raise ParseError(0, f"{path} is not well formed: " + "; ".join(violations))
+    return an
+
+
 def cmd_ground(args) -> int:
     if args.fixture:
         graph = datalog.smudge_fixture().global_graph
@@ -75,7 +82,7 @@ def cmd_solve(args) -> int:
             raise ParseError(0, "with --fixture, give only the query")
         an, query = datalog.smudge_fixture(), args.manifest
     elif args.manifest:
-        an, query = ana.load_manifest(args.manifest), args.query
+        an, query = _load_manifest(args.manifest), args.query
     else:
         raise ParseError(0, "need a manifest path or --fixture")
     if query is not None:
@@ -115,7 +122,7 @@ def cmd_learn(args) -> int:
     rng = random.Random(args.seed)
     sets = []
     for path in args.manifests:
-        an = ana.load_manifest(path)
+        an = _load_manifest(path)
         sets.append(learning.sample_training(an, args.n, args.max_flips, rng))
     if args.loo:
         if len(sets) < 2:
@@ -244,9 +251,7 @@ def cmd_maxsat(args) -> int:
                 fh.write(mx.serialize_varmap(varmap))
         return EXIT_OK
     if args.import_model:
-        _, varmap = mx.to_wcnf(inst)
-        model, objective = mx.decode_external_model(
-            inst, varmap, _read(args.import_model))
+        model, objective = mx.decode_external_model(inst, _read(args.import_model))
         print("model:", " ".join(sorted(model)))
         print(f"objective: {objective:.6f}")
         return EXIT_OK

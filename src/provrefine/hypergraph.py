@@ -119,9 +119,6 @@ class Hypergraph:
     def rule_types(self) -> set:
         return {a.rule_type for a in self.arcs}
 
-    def restrict(self, arcs: Iterable[Arc]) -> "Hypergraph":
-        return Hypergraph(arcs)
-
 
 class Index:
     """A graph's facts and arcs numbered by integers, and the closure kernel.

@@ -2,8 +2,9 @@
 
 Observations from several programs are merged as if they came from one
 larger program (disjoint groups, one blueprint each).  The optimizer is
-cyclic coordinate ascent on the likelihood lower bound: each rule type's
-theta in turn is improved by a deterministic 1-D line search.
+cyclic coordinate ascent on the likelihood lower bound, the shape-compiled
+`likelihood.Bound` of the groups' bound terms: each rule type's theta in
+turn is improved by a deterministic 1-D line search.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from . import hypergraph as hg
 from . import likelihood as lk
 from .analysis import Analysis, local_provenance
 from .errors import CorpusTooSmall, DegenerateTrainingSet
-from .hypergraph import Arc, Hypergraph
+from .hypergraph import Hypergraph
 from .probmodel import NEG_INF, HyperParams
 
 EPSILON = 1e-6
@@ -71,88 +72,31 @@ def sample_training(an: Analysis, n: int, max_flips: int,
     return TrainingSet([ObservationGroup(blueprint, obs)])
 
 
-def _shape(clauses: tuple) -> tuple:
-    """A head's lower clauses up to renaming arcs: (rule types, clauses).
-
-    Arcs become positions numbered in `Arc._key` order, so `_wmc_clauses`
-    branches on the same arc as over the arcs themselves and every head of
-    one shape has bit for bit the shape's value.  Repeated clauses count
-    once, as they do in the weighted count.
-    """
-    distinct = set(clauses)
-    arcs = sorted(set().union(*distinct), key=Arc._key)
-    pos = {arc: i for i, arc in enumerate(arcs)}
-    return (tuple(a.rule_type for a in arcs),
-            frozenset(frozenset(pos[a] for a in c) for c in distinct))
-
-
-class _Objective:
-    """The lower-bound log-likelihood, factored per rule type.
-
-    Precomputes, for every type, how many refuted arcs it owns, and
-    compiles the per-head formulas into distinct shapes (see `_shape`), each
-    with the number of heads it stands for.  An evaluation then counts once
-    per shape rather than once per head, and a single-coordinate change
-    only re-evaluates the shapes that mention its type.
-    """
+class _Objective(lk.Bound):
+    """The lower bound of a training set, plus the types some term
+    constrains (`constrained`) and the shapes that mention each type
+    (`heads_of_type`), the only ones a change of its theta re-evaluates."""
 
     def __init__(self, ts: TrainingSet):
-        self.n_counts = {}
-        multiplicity = {}  # shape -> number of heads
-        for group in ts.groups:
-            bf = lk.bound_terms(group.blueprint, group.observations)
-            if bf.impossible:
-                raise ValueError("training observation with T not within R")
-            for arc in bf.negated_arcs:
-                self.n_counts[arc.rule_type] = self.n_counts.get(arc.rule_type, 0) + 1
-            for ph in bf.per_head.values():
-                if ph.lower_clauses:
-                    shape = _shape(ph.lower_clauses)
-                    multiplicity[shape] = multiplicity.get(shape, 0) + 1
-        self.shapes = [(types, clauses, m)
-                       for (types, clauses), m in multiplicity.items()]
-        self.constrained = set(self.n_counts)
-        for types, _, _ in self.shapes:
-            self.constrained.update(types)
-        self.heads_of_type = {
-            k: [i for i, (types, _, _) in enumerate(self.shapes) if k in types]
-            for k in self.constrained
-        }
-
-    def _shapes_term(self, ids, hp: HyperParams) -> float:
-        """Sum of m · log(value) over the shapes ids, or -inf."""
-        total = 0.0
-        for i in ids:
-            types, clauses, m = self.shapes[i]
-            v = lk._wmc_clauses(clauses, [hp.get(k) for k in types])
-            if v <= 0.0:
-                return NEG_INF
-            total += m * math.log(v)
-        return total
-
-    def value(self, hp: HyperParams) -> float:
-        total = 0.0
-        for k, n in self.n_counts.items():
-            t = hp.get(k)
-            if t >= 1.0:
-                return NEG_INF
-            total += n * math.log1p(-t)
-        return total + self._shapes_term(range(len(self.shapes)), hp)
+        super().__init__((lk.bound_terms(g.blueprint, g.observations)
+                          for g in ts.groups), "lower")
+        if self.impossible:
+            raise ValueError("training observation with T not within R")
+        self.heads_of_type = {k: [] for k in self.n_counts}
+        for i, (types, _, _) in enumerate(self.shapes):
+            for k in set(types):
+                self.heads_of_type.setdefault(k, []).append(i)
+        self.constrained = set(self.heads_of_type)
 
     def coordinate_function(self, k: str, hp: HyperParams) -> Callable[[float], float]:
         """Objective as a function of theta_k, up to a constant."""
-        n = self.n_counts.get(k, 0)
+        refuted = [k] if k in self.n_counts else []
         shape_ids = self.heads_of_type.get(k, [])
 
         def f(t: float) -> float:
             trial = hp.copy()
             trial.theta[k] = t
-            total = 0.0
-            if n:
-                if t >= 1.0:
-                    return NEG_INF
-                total += n * math.log1p(-t)
-            return total + self._shapes_term(shape_ids, trial)
+            return self.terms(trial, refuted, shape_ids)
 
         return f
 

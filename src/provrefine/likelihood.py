@@ -4,8 +4,9 @@ An observation records which projected facts were seeded (T) and which
 were derived (R) in one analysis run.  The probability that a random
 sub-hypergraph H of the blueprint reproduces a batch of observations
 (reach(H, T_k) = R_k for all k) is bounded below and above by products
-of per-head weighted model counts; an exponential enumeration oracle and
-a loop-formula construction provide the exact value on small instances.
+of per-head weighted model counts, which `Bound` evaluates once per
+distinct head shape; an exponential enumeration oracle and a loop-formula
+construction provide the exact value on small instances.
 """
 
 from __future__ import annotations
@@ -169,33 +170,75 @@ def _wmc_clauses(clauses, theta) -> float:
     return go(frozenset(frozenset(c) for c in clauses))
 
 
-def _bound(bf: BoundFormula, hp: HyperParams, which: str) -> float:
-    if bf.impossible:
-        return NEG_INF
-    total = 0.0
-    for arc in bf.negated_arcs:
-        lg = hp.log_one_minus(arc.rule_type)
-        if lg == NEG_INF:
+def _shape(clauses: tuple) -> tuple:
+    """A head's clauses up to renaming arcs: (rule types, clauses).
+
+    Arcs become positions numbered in `Arc._key` order, so `_wmc_clauses`
+    branches on the same arc as over the arcs themselves and every head of
+    one shape has bit for bit the shape's value.  Repeated clauses count
+    once, as they do in the weighted count.
+    """
+    distinct = set(clauses)
+    arcs = sorted(set().union(*distinct), key=Arc._key)
+    pos = {arc: i for i, arc in enumerate(arcs)}
+    return (tuple(a.rule_type for a in arcs),
+            frozenset(frozenset(pos[a] for a in c) for c in distinct))
+
+
+class Bound:
+    """The lower or upper bound (`which`) of one or more `BoundFormula`s.
+
+    Holds the refuted-arc count of each rule type (`n_counts`) and the
+    heads' clauses compiled into distinct shapes (see `_shape`), each with
+    the number of heads it stands for (`shapes`), so a sum counts once per
+    shape rather than once per head.
+    """
+
+    def __init__(self, formulas: Iterable[BoundFormula], which: str):
+        self.impossible = False
+        self.n_counts = {}
+        multiplicity = {}  # shape -> number of heads
+        for bf in formulas:
+            self.impossible |= bf.impossible
+            for arc in bf.negated_arcs:
+                self.n_counts[arc.rule_type] = self.n_counts.get(arc.rule_type, 0) + 1
+            for ph in bf.per_head.values():
+                shape = _shape(ph.lower_clauses if which == "lower"
+                               else ph.upper_clauses)
+                multiplicity[shape] = multiplicity.get(shape, 0) + 1
+        self.shapes = [(types, clauses, m)
+                       for (types, clauses), m in multiplicity.items()]
+
+    def terms(self, hp: HyperParams, types: Iterable[str], shape_ids) -> float:
+        """Sum of n · log(1 - theta) over the refuted types `types` plus
+        m · log(value) over the shapes `shape_ids`, or -inf."""
+        if self.impossible:
             return NEG_INF
-        total += lg
-    theta_cache = {}
-    for h, ph in bf.per_head.items():
-        clauses = ph.lower_clauses if which == "lower" else ph.upper_clauses
-        for arc in ph.candidates:
-            theta_cache[arc] = hp.get(arc.rule_type)
-        value = _wmc_clauses(clauses, theta_cache)
-        if value <= 0.0:
-            return NEG_INF
-        total += math.log(value)
-    return total
+        total = 0.0
+        for k in types:
+            t = hp.get(k)
+            if t >= 1.0:
+                return NEG_INF
+            total += self.n_counts[k] * math.log1p(-t)
+        shapes = 0.0
+        for i in shape_ids:
+            types_i, clauses, m = self.shapes[i]
+            v = _wmc_clauses(clauses, [hp.get(k) for k in types_i])
+            if v <= 0.0:
+                return NEG_INF
+            shapes += m * math.log(v)
+        return total + shapes
+
+    def value(self, hp: HyperParams) -> float:
+        return self.terms(hp, self.n_counts, range(len(self.shapes)))
 
 
 def lower_bound(bf: BoundFormula, hp: HyperParams) -> float:
-    return _bound(bf, hp, "lower")
+    return Bound([bf], "lower").value(hp)
 
 
 def upper_bound(bf: BoundFormula, hp: HyperParams) -> float:
-    return _bound(bf, hp, "upper")
+    return Bound([bf], "upper").value(hp)
 
 
 def exact_likelihood(g_bot: Hypergraph, obs: Iterable[Observation],

@@ -474,10 +474,11 @@ def parse_varmap(text: str) -> dict:
     return out
 
 
-def decode_external_model(inst: MaxSatInstance, varmap: dict, text: str):
-    """Parse an external solver's literal list; returns (model, objective)."""
-    by_id = {i: name for name, i in varmap.items()}
+def decode_external_model(inst: MaxSatInstance, text: str):
+    """Parse an external solver's literal list, in the variable numbering
+    `to_wcnf(inst)` uses; returns (model, objective)."""
     cnf = compile_instance(inst)
+    by_id = {i: name for name, i in cnf.ids.items()}
     assign = {}
     for tok in text.split():
         if tok in ("v", "s", "o") or not tok.lstrip("-").isdigit():

@@ -1,17 +1,22 @@
-"""Reference bound terms: one full arc scan and one `forward_arcs` per
-observation.
+"""Reference bound terms and bounds: one full arc scan and one
+`forward_arcs` per observation, one weighted model count per head.
 
-The straightforward version of `provrefine.likelihood.bound_terms`, kept
-as the oracle its integer index is checked against.  Both must build equal
-`BoundFormula`s and raise the same exceptions.
+The straightforward versions of `provrefine.likelihood.bound_terms`, kept
+as the oracle its integer index is checked against, and of its bounds,
+kept as the oracle the shape-compiled `likelihood.Bound` is checked
+against.  The bound terms must be equal `BoundFormula`s with the same
+exceptions; the bounds must agree to rounding, with the same -inf.
 """
 
+import math
 from typing import Iterable
 
 from provrefine import hypergraph as hg
 from provrefine.errors import ObservationOutOfRange, SelfLoopArc
 from provrefine.hypergraph import Fact, Hypergraph
-from provrefine.likelihood import BoundFormula, Observation, PerHead
+from provrefine.likelihood import (BoundFormula, Observation, PerHead,
+                                   _wmc_clauses)
+from provrefine.probmodel import NEG_INF, HyperParams
 
 
 def bound_terms(g_bot: Hypergraph, obs: Iterable[Observation]) -> BoundFormula:
@@ -52,3 +57,24 @@ def bound_terms(g_bot: Hypergraph, obs: Iterable[Observation]) -> BoundFormula:
             upper_clauses=tuple(a_h & d_sets[k] for k in c_h),
         )
     return BoundFormula(frozenset(negated), per_head)
+
+
+def bound(bf: BoundFormula, hp: HyperParams, which: str) -> float:
+    if bf.impossible:
+        return NEG_INF
+    total = 0.0
+    for arc in bf.negated_arcs:
+        lg = hp.log_one_minus(arc.rule_type)
+        if lg == NEG_INF:
+            return NEG_INF
+        total += lg
+    theta_cache = {}
+    for h, ph in bf.per_head.items():
+        clauses = ph.lower_clauses if which == "lower" else ph.upper_clauses
+        for arc in ph.candidates:
+            theta_cache[arc] = hp.get(arc.rule_type)
+        value = _wmc_clauses(clauses, theta_cache)
+        if value <= 0.0:
+            return NEG_INF
+        total += math.log(value)
+    return total

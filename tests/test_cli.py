@@ -88,6 +88,16 @@ class TestGround:
                                     "out(6,5) <- c(5,6) @ swap"]
 
 
+@pytest.fixture
+def ill_formed_manifest(tmp_path) -> str:
+    """The demo manifest without its projection of precise onto cheap
+    facts, which breaks condition (v)."""
+    m = tmp_path / "ill.manifest"
+    ana.save_manifest(datalog.smudge_fixture(), str(m), str(tmp_path / "ill.prov"))
+    m.write_text(m.read_text().replace("precise(A0) -> cheap(A0)\n", ""))
+    return str(m)
+
+
 class TestSolve:
     def test_smudge_yes_with_trace(self, capsys):
         code, out, _ = run(capsys, "solve", "--fixture", "smudge")
@@ -174,6 +184,24 @@ class TestSolve:
         code, out, err = run(capsys, "solve", str(m))
         assert code == 2 and out == "" and f"line {line}" in err
 
+    @pytest.mark.parametrize("after, repeat, line", [
+        ("precise(A0) -> cheap(A0)\n", "precise(A0) -> precise(A0)\n", 11),
+        ("default identity\n", "default drop\n", 12)],
+        ids=["relation", "default"])
+    def test_a_repeated_projection_directive_exits_2(
+            self, capsys, tmp_path, after, repeat, line):
+        m = tmp_path / "s.manifest"
+        ana.save_manifest(datalog.smudge_fixture(), str(m), str(tmp_path / "s.prov"))
+        m.write_text(m.read_text().replace(after, after + repeat))
+        code, out, err = run(capsys, "solve", str(m))
+        assert code == 2 and out == "" and f"line {line}" in err
+
+    def test_an_ill_formed_manifest_exits_2(self, capsys, ill_formed_manifest):
+        code, out, err = run(capsys, "solve", ill_formed_manifest)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "not well formed" in err
+        assert "(v) projection of precise(0) is not cheap(0)" in err
+
     def test_probabilistic_with_theta_file(self, capsys, tmp_path):
         theta = tmp_path / "theta.txt"
         pm.save_hyperparams(pm.HyperParams(datalog.smudge_theta()), str(theta))
@@ -214,6 +242,13 @@ class TestLearn:
         code, out, _ = run(capsys, "learn", *manifests, "--loo", "--n", "4")
         assert code == 0
         assert out.count("# fold") == 3
+
+    def test_an_ill_formed_manifest_exits_2(self, capsys, manifests,
+                                            ill_formed_manifest):
+        code, out, err = run(capsys, "learn", manifests[0], ill_formed_manifest)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "not well formed" in err
+        assert "(v) projection of precise(0) is not cheap(0)" in err
 
 
 class TestLikelihood:

@@ -178,14 +178,6 @@ def test_justifications_exclude_arcs_with_body_in_loop():
     assert hg.justifications(g, loop) == frozenset([outside])
 
 
-def test_restrict_by_rule_type():
-    a = Arc(fact(1), frozenset([fact(0)]), "keep")
-    b = Arc(fact(2), frozenset([fact(0)]), "drop")
-    g = Hypergraph([a, b])
-    kept = g.restrict(e for e in g.arcs if e.rule_type == "keep")
-    assert kept.arcs == frozenset([a])
-
-
 def test_hypergraph_order_is_arc_subset():
     a = Arc(fact(1), frozenset([fact(0)]), "r")
     b = Arc(fact(2), frozenset([fact(1)]), "r")

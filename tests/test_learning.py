@@ -198,6 +198,28 @@ def test_objective_equals_the_per_head_reference():
     assert infinite > 0
 
 
+def test_objective_is_the_sum_of_the_groups_lower_bounds():
+    # the objective learn maximizes is the bound a caller of lower_bound reads
+    rng = random.Random(31)
+    finite = infinite = 0
+    for _ in range(20):
+        ts = _random_training_set(rng)
+        obj = learning._Objective(ts)
+        for _ in range(3):
+            hp = pm.HyperParams({k: rng.choice((0.0, 1.0, rng.uniform(0.05, 0.95)))
+                                 for k in sorted(ts.rule_types())})
+            want = sum(lk.lower_bound(lk.bound_terms(g.blueprint, g.observations), hp)
+                       for g in ts.groups)
+            got = obj.value(hp)
+            if want == pm.NEG_INF:
+                assert got == want
+                infinite += 1
+            else:
+                assert math.isclose(got, want, rel_tol=1e-12), (got, want)
+                finite += 1
+    assert finite and infinite
+
+
 def test_learn_agrees_with_the_per_head_objective(monkeypatch):
     rng = random.Random(29)
     for _ in range(12):

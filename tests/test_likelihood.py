@@ -277,6 +277,32 @@ def test_bound_terms_equals_the_reference(four_arc_example):
     assert outcomes == {SelfLoopArc, ObservationOutOfRange, True, False}
 
 
+def test_bounds_equal_the_per_head_reference():
+    rng = random.Random(57)
+    cases = [_random_instance(rng, acyclic=rng.random() < 0.5)[::2]
+             for _ in range(100)]
+    cases += [_messy_instance(rng) for _ in range(200)]
+    for _ in range(8):
+        cases += _smudge_group(rng, n=rng.randint(1, 12))
+    outcomes = set()
+    for g, obs in cases:
+        bf = _bound_terms_or_error(lk.bound_terms, g, obs)
+        if isinstance(bf, tuple):
+            continue
+        for _ in range(3):
+            hp = pm.HyperParams({k: rng.choice((0.0, 1.0, rng.uniform(0.05, 0.95)))
+                                 for k in sorted(g.rule_types())})
+            for which, bound in (("lower", lk.lower_bound), ("upper", lk.upper_bound)):
+                got = bound(bf, hp)
+                want = likelihood_reference.bound(bf, hp, which)
+                if want == pm.NEG_INF:
+                    assert got == want, (which, got)
+                else:
+                    assert math.isclose(got, want, rel_tol=1e-12), (which, got, want)
+                outcomes.add((bf.impossible, want == pm.NEG_INF))
+    assert outcomes == {(True, True), (False, True), (False, False)}
+
+
 def test_equal_clauses_in_one_formula_are_one_object():
     rng = random.Random(8)
     for g, obs in _smudge_group(rng, programs=3, n=20):

@@ -325,7 +325,7 @@ def test_wcnf_round_trip_preserves_optimum(tmp_path):
         assert full is not None
         lits = " ".join(str(vid if full.get(vid) else -vid)
                         for vid in cnf_vars)
-        decoded, value = mx.decode_external_model(inst, varmap, "v " + lits)
+        decoded, value = mx.decode_external_model(inst, "v " + lits)
         assert value == pytest.approx(objective, abs=1e-6)
 
 
@@ -335,4 +335,4 @@ def test_decode_external_model_rejects_hard_violations():
     _, varmap = mx.to_wcnf(inst)
     xid = varmap["x"]
     with pytest.raises(NotAModel):
-        mx.decode_external_model(inst, varmap, f"v -{xid}")
+        mx.decode_external_model(inst, f"v -{xid}")
