@@ -294,56 +294,64 @@ def parse_manifest(text: str, base_dir: str = ".") -> Analysis:
     encode1 = {}
     queries = set()
     proj_rules = {}
+    proj_lines = {}  # relation -> the line of its projection directive
     proj_default = None
     graph = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        try:
-            if line in ("params:", "queries:", "projection:"):
-                section = line[:-1]
-                continue
-            key, _, value = line.partition(":")
-            if key in ("provenance", "rules"):
-                if graph is not None:
-                    raise ValueError("a second provenance: or rules: entry")
-                parse = (hg.parse_provenance if key == "provenance" else
-                         lambda text: datalog.ground(*datalog.parse_program(text)))
-                graph = _read_source(os.path.join(base_dir, value.strip()),
-                                     lineno, parse)
-                section = None
-            elif section == "params":
-                name, *tokens = hg.split_top(line, string.whitespace)
-                kv = dict(tok.partition("=")[::2] for tok in tokens)
-                if sorted(kv) != ["encode0", "encode1"]:
-                    raise ValueError(f"expected '{name} encode0=FACT encode1=FACT'")
-                if name in encode0:
-                    raise ValueError(f"a second parameter {name!r}")
-                f0, f1 = hg.parse_fact(kv["encode0"]), hg.parse_fact(kv["encode1"])
-                # (iv): the encoders are injective with disjoint images
-                if f0 == f1 or {f0, f1} & {*encode0.values(), *encode1.values()}:
-                    raise ValueError(f"parameter {name!r} reuses an encoding fact")
-                encode0[name], encode1[name] = f0, f1
-            elif section == "queries":
-                queries.add(hg.parse_fact(line))
-            elif section == "projection":
-                rel, rule = parse_projection_directive(line)
-                if rel == "default" and isinstance(rule, str):
-                    if proj_default is not None:
-                        raise ValueError("a second default directive")
-                    proj_default = rule
-                else:
-                    if rel in proj_rules:
-                        raise ValueError(f"a second projection directive for {rel!r}")
-                    proj_rules[rel] = rule
-            else:
-                raise ValueError(f"line outside any section: {line!r}")
-        except ValueError as exc:
-            raise ParseError(lineno, str(exc)) from exc
 
+    def entry(lineno, line):
+        nonlocal section, proj_default, graph
+        key, _, value = line.partition(":")
+        if line in ("params:", "queries:", "projection:"):
+            section = key
+        elif key in ("provenance", "rules"):
+            if graph is not None:
+                raise ValueError("a second provenance: or rules: entry")
+            parse = (hg.parse_provenance if key == "provenance" else
+                     lambda text: datalog.ground(*datalog.parse_program(text)))
+            graph = _read_source(os.path.join(base_dir, value.strip()),
+                                 lineno, parse)
+            section = None
+        elif section == "params":
+            name, *tokens = hg.split_top(line, string.whitespace)
+            kv = dict(tok.partition("=")[::2] for tok in tokens)
+            if sorted(kv) != ["encode0", "encode1"]:
+                raise ValueError(f"expected '{name} encode0=FACT encode1=FACT'")
+            if name in encode0:
+                raise ValueError(f"a second parameter {name!r}")
+            f0, f1 = hg.parse_fact(kv["encode0"]), hg.parse_fact(kv["encode1"])
+            # (iv): the encoders are injective with disjoint images
+            if f0 == f1 or {f0, f1} & {*encode0.values(), *encode1.values()}:
+                raise ValueError(f"parameter {name!r} reuses an encoding fact")
+            encode0[name], encode1[name] = f0, f1
+        elif section == "queries":
+            queries.add(hg.parse_fact(line))
+        elif section == "projection":
+            rel, rule = parse_projection_directive(line)
+            if rel == "default" and isinstance(rule, str):
+                if proj_default is not None:
+                    raise ValueError("a second default directive")
+                proj_default = rule
+            else:
+                if rel in proj_rules:
+                    raise ValueError(f"a second projection directive for {rel!r}")
+                proj_rules[rel], proj_lines[rel] = rule, lineno
+        else:
+            raise ValueError(f"line outside any section: {line!r}")
+
+    hg.read_lines(text, entry)
     if graph is None:
         raise ParseError(0, "manifest missing provenance: or rules: entry")
+    # a template reads its facts' arguments by position: each fact of its
+    # relation that the analysis names must have the arguments it reads
+    reads = {rel: max(rule[1], default=-1) for rel, rule in proj_rules.items()
+             if isinstance(rule, tuple)}
+    if reads:
+        named = graph.vertices | queries | {*encode0.values(), *encode1.values()}
+        short = [f for f in named if reads.get(f.relation, -1) >= len(f.args)]
+        if short:
+            f = min(short, key=lambda f: (proj_lines[f.relation], f._key()))
+            raise ParseError(proj_lines[f.relation], f"projection template for "
+                             f"{f.relation!r} reads more arguments than {f} has")
     return Analysis(
         global_graph=graph,
         queries=frozenset(queries),

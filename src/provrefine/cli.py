@@ -209,33 +209,31 @@ def _parse_sexpr(tokens: list):
 def parse_maxsat_instance(text: str) -> mx.MaxSatInstance:
     weights = {}
     hard = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        try:
-            if line.startswith("w "):
-                _, name, value = line.split()
-                if name in weights:
-                    raise ValueError(f"a second weight for {name!r}")
-                weights[name] = float(value)
-                if not math.isfinite(weights[name]):
-                    raise ValueError(f"weight {value!r} is not a finite number")
-            elif line.startswith("hard "):
-                if hard is not None:
-                    raise ValueError("a second hard line")
-                tokens = line[5:].replace("(", " ( ").replace(")", " ) ").split()
-                depths = accumulate((t == "(") - (t == ")") for t in tokens)
-                if max(depths, default=0) > hg.MAX_NESTING:
-                    raise ValueError(f"formula nested deeper than {hg.MAX_NESTING} levels")
-                tokens.reverse()
-                hard = _parse_sexpr(tokens)
-                if tokens:
-                    raise ValueError("trailing tokens after formula")
-            else:
-                raise ValueError(f"unexpected line {raw!r}")
-        except ValueError as exc:
-            raise ParseError(lineno, str(exc)) from exc
+
+    def entry(_, line):
+        nonlocal hard
+        if line.startswith("w "):
+            _, name, value = line.split()
+            if name in weights:
+                raise ValueError(f"a second weight for {name!r}")
+            weights[name] = float(value)
+            if not math.isfinite(weights[name]):
+                raise ValueError(f"weight {value!r} is not a finite number")
+        elif line.startswith("hard "):
+            if hard is not None:
+                raise ValueError("a second hard line")
+            tokens = line[5:].replace("(", " ( ").replace(")", " ) ").split()
+            depths = accumulate((t == "(") - (t == ")") for t in tokens)
+            if max(depths, default=0) > hg.MAX_NESTING:
+                raise ValueError(f"formula nested deeper than {hg.MAX_NESTING} levels")
+            tokens.reverse()
+            hard = _parse_sexpr(tokens)
+            if tokens:
+                raise ValueError("trailing tokens after formula")
+        else:
+            raise ValueError(f"unexpected line {line!r}")
+
+    hg.read_lines(text, entry)
     if hard is None:
         raise ParseError(0, "instance has no hard formula")
     return mx.MaxSatInstance(hard, weights)

@@ -25,8 +25,9 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .analysis import Analysis, Projection
-from .errors import DomainOverflow, ParseError
-from .hypergraph import MAX_NESTING, Arc, Fact, Hypergraph, parse_atom, split_top
+from .errors import DomainOverflow
+from .hypergraph import (MAX_NESTING, Arc, Fact, Hypergraph, parse_atom, read_lines,
+                         split_top)
 
 BASE_RULE_TYPE = "base"
 DEFAULT_DOMAIN = (0, 255)
@@ -224,18 +225,15 @@ def parse_program(text: str):
     """Parse rules and extensional facts; returns (rules, base_facts)."""
     rules = []
     base = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        try:
-            stmt = _parse_statement(line)
-        except ValueError as exc:
-            raise ParseError(lineno, str(exc)) from exc
+
+    def statement(_, line):
+        stmt = _parse_statement(line)
         if isinstance(stmt, Rule):
             rules.append(stmt)
         else:
             base.add(stmt)
+
+    read_lines(text, statement)
     return rules, base
 
 

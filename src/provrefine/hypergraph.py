@@ -26,7 +26,7 @@ import re
 import string
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable
 
 from .errors import EmptyLoop, OracleLimitExceeded, ParseError
 
@@ -101,14 +101,8 @@ class Hypergraph:
     def __len__(self) -> int:
         return len(self.arcs)
 
-    def __iter__(self) -> Iterator[Arc]:
-        return iter(self.sorted_arcs())
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Hypergraph) and self.arcs == other.arcs
-
-    def __hash__(self) -> int:
-        return hash(self.arcs)
 
     def __le__(self, other: "Hypergraph") -> bool:
         return self.arcs <= other.arcs
@@ -335,7 +329,7 @@ def justifications(g: Hypergraph, l: Iterable[Fact]) -> set:
 
 
 # ---------------------------------------------------------------------------
-# the one reader of atoms and fact lists, shared by every file format
+# the one reader of lines, atoms and fact lists, shared by every file format
 
 _NAME = r"[A-Za-z_][A-Za-z0-9_']*"
 _ATOM_RE = re.compile(rf"({_NAME})(?:\(([^()]*)\))?")
@@ -344,6 +338,23 @@ _FACT_SEPS = "," + string.whitespace
 # the deepest MaxSAT formula and the longest Datalog guard the readers
 # accept: what reads, compiles and evaluates them recurses once per level
 MAX_NESTING = 200
+
+
+def read_lines(text: str, handle: Callable[[int, str], None]) -> int:
+    """Call handle(lineno, line) on each line of text, numbered from 1,
+    with its `#` comment and outer whitespace removed; blank lines are
+    skipped.  A ValueError from handle becomes a ParseError at its line.
+    Returns the number of lines in text.
+    """
+    lineno = 0
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.split("#", 1)[0].strip()
+        if line:
+            try:
+                handle(lineno, line)
+            except ValueError as exc:
+                raise ParseError(lineno, str(exc)) from exc
+    return lineno
 
 
 def parse_atom(text: str) -> tuple:
@@ -410,14 +421,7 @@ def parse_arc(text: str) -> Arc:
 
 def parse_provenance(text: str) -> Hypergraph:
     arcs = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        try:
-            arcs.append(parse_arc(line))
-        except ValueError as exc:
-            raise ParseError(lineno, str(exc)) from exc
+    read_lines(text, lambda _, line: arcs.append(parse_arc(line)))
     return Hypergraph(arcs)
 
 

@@ -61,6 +61,8 @@ def sample_training(an: Analysis, n: int, max_flips: int,
         raise ValueError("need at least one sample")
     if max_flips < 1:
         raise ValueError("max_flips must be >= 1")
+    if not an.params:
+        raise ValueError("the analysis has no parameters to flip")
     max_flips = min(max_flips, len(an.params))
     blueprint = local_provenance(an, an.bottom())
     index = hg.Index(an.global_graph.arcs)

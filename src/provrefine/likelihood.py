@@ -352,21 +352,15 @@ def parse_observations(text: str) -> list:
         out.append(Observation(t=frozenset(cur["T:"]), r=frozenset(cur["R:"])))
         cur.clear()
 
-    lineno = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        try:
-            if line == "obs":
-                flush(lineno)
-            elif line[:2] in ("T:", "R:"):
-                if line[:2] in cur:
-                    raise ValueError(f"second {line[:2]} line in one observation")
-                cur[line[:2]] = hg.parse_facts(line[2:])
-            else:
-                raise ValueError(f"unexpected line {raw!r}")
-        except ValueError as exc:
-            raise ParseError(lineno, str(exc)) from exc
-    flush(lineno + 1)
+    def entry(lineno, line):
+        if line == "obs":
+            flush(lineno)
+        elif line[:2] in ("T:", "R:"):
+            if line[:2] in cur:
+                raise ValueError(f"second {line[:2]} line in one observation")
+            cur[line[:2]] = hg.parse_facts(line[2:])
+        else:
+            raise ValueError(f"unexpected line {line!r}")
+
+    flush(hg.read_lines(text, entry) + 1)
     return out

@@ -118,6 +118,7 @@ class _CNF:
         self.names = {}
         self.hidden = set()  # ids not reported in models (aux + exists)
         self.clauses = []
+        self.weights = {}  # id -> nonzero weight, in the instance's order
 
     def new_var(self, name: Optional[str] = None, hidden: bool = False) -> int:
         i = len(self.ids) + 1
@@ -137,6 +138,11 @@ class _CNF:
 
     def add(self, *lits: int) -> None:
         self.clauses.append(tuple(lits))
+
+    def visible(self, ids: Iterable[int]) -> frozenset:
+        """The names of the ids a model reports: not hidden, not unknown."""
+        return frozenset(self.names[i] for i in ids
+                         if i in self.names and i not in self.hidden)
 
 
 def _tseytin(f, cnf: _CNF, hidden_names: frozenset) -> int:
@@ -191,6 +197,7 @@ def compile_instance(inst: MaxSatInstance) -> _CNF:
         cnf.lookup(name)
     root = _tseytin(inst.hard, cnf, frozenset())
     cnf.add(root)
+    cnf.weights = {cnf.ids[n]: w for n, w in inst.weights.items() if w != 0.0}
     return cnf
 
 
@@ -392,14 +399,12 @@ def _branch_and_bound(inst, budget: float):
         ids, proven = _search(inst, deadline)
         return (None if ids is None else (ids, inst.objective(ids))), proven
     cnf = compile_instance(inst)
-    weights = {cnf.ids[n]: w for n, w in inst.weights.items()
-               if n in cnf.ids and w != 0.0}
-    clauses = ClauseInstance(len(cnf.names), cnf.clauses, weights,
-                             {v: cnf.names[v] for v in weights})
+    clauses = ClauseInstance(len(cnf.names), cnf.clauses, cnf.weights,
+                             {v: cnf.names[v] for v in cnf.weights})
     ids, proven = _search(clauses, deadline)
     if ids is None:
         return None, proven
-    model = frozenset(cnf.names[v] for v in ids if v not in cnf.hidden)
+    model = cnf.visible(ids)
     return (model, inst.objective(model)), proven
 
 
@@ -437,17 +442,14 @@ def to_wcnf(inst: MaxSatInstance):
     """DIMACS WCNF text plus the variable map for decoding."""
     cnf = compile_instance(inst)
     softs = []
-    for name in sorted(inst.weights):
-        w = inst.weights[name]
-        if w == 0.0 or name not in cnf.ids:
-            continue
+    # weighted ids follow name order, so the soft clauses come in name order
+    for v, w in sorted(cnf.weights.items()):
         scaled = round(abs(w) * WEIGHT_SCALE)
         if scaled > 2 ** 62:
             raise WeightOverflow(f"weight {w} too large for integral encoding")
         if scaled == 0:
             continue
-        lit = cnf.ids[name] if w > 0 else -cnf.ids[name]
-        softs.append((scaled, lit))
+        softs.append((scaled, v if w > 0 else -v))
     top = sum(s for s, _ in softs) + 1
     lines = [f"p wcnf {len(cnf.names)} {len(cnf.clauses) + len(softs)} {top}\n"]
     for clause in cnf.clauses:
@@ -463,22 +465,10 @@ def serialize_varmap(varmap: dict) -> str:
         varmap.items(), key=lambda kv: kv[1]))
 
 
-def parse_varmap(text: str) -> dict:
-    out = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        i, name = line.split(None, 1)
-        out[name] = int(i)
-    return out
-
-
 def decode_external_model(inst: MaxSatInstance, text: str):
     """Parse an external solver's literal list, in the variable numbering
     `to_wcnf(inst)` uses; returns (model, objective)."""
     cnf = compile_instance(inst)
-    by_id = {i: name for name, i in cnf.ids.items()}
     assign = {}
     for tok in text.split():
         if tok in ("v", "s", "o") or not tok.lstrip("-").isdigit():
@@ -489,7 +479,5 @@ def decode_external_model(inst: MaxSatInstance, text: str):
         assign[abs(lit)] = lit > 0
     if not _check_assignment(cnf.clauses, assign):
         raise NotAModel("external assignment violates the hard constraint")
-    model = frozenset(
-        by_id[i] for i, val in assign.items()
-        if val and i in by_id and i not in cnf.hidden)
+    model = cnf.visible(i for i, val in assign.items() if val)
     return model, inst.objective(model)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from . import hypergraph as hg
-from .errors import NotSubgraph, OracleLimitExceeded, ParseError
+from .errors import NotSubgraph, OracleLimitExceeded
 from .hypergraph import Fact, Hypergraph
 
 NEG_INF = float("-inf")
@@ -151,27 +151,27 @@ def parse_hyperparams(text: str, known_types: Iterable[str] = None) -> HyperPara
     known = None if known_types is None else set(known_types)
     theta = {}
     unconstrained = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+
+    def entry(_, line):
         parts = line.split()
         if len(parts) not in (2, 3) or (len(parts) == 3 and parts[2] != "unconstrained"):
-            raise ParseError(lineno, f"expected 'rule_type theta [unconstrained]': {raw!r}")
+            raise ValueError(f"expected 'rule_type theta [unconstrained]': {line!r}")
         name, value = parts[0], parts[1]
         try:
             v = float(value)
         except ValueError:
-            raise ParseError(lineno, f"malformed theta {value!r}")
+            raise ValueError(f"malformed theta {value!r}") from None
         if not 0.0 <= v <= 1.0:
-            raise ParseError(lineno, f"theta {v} outside [0, 1]")
+            raise ValueError(f"theta {v} outside [0, 1]")
         if known is not None and name not in known:
-            raise ParseError(lineno, f"unknown rule type {name!r}")
+            raise ValueError(f"unknown rule type {name!r}")
         if name in theta:
-            raise ParseError(lineno, f"a second theta for {name!r}")
+            raise ValueError(f"a second theta for {name!r}")
         theta[name] = v
         if len(parts) == 3:
             unconstrained.add(name)
+
+    hg.read_lines(text, entry)
     return HyperParams(theta, unconstrained)
 
 

@@ -12,6 +12,7 @@ from provrefine import cli
 from provrefine import datalog
 from provrefine import likelihood as lk
 from provrefine import probmodel as pm
+from provrefine.errors import ParseError
 
 
 def run(capsys, *argv):
@@ -196,6 +197,16 @@ class TestSolve:
         code, out, err = run(capsys, "solve", str(m))
         assert code == 2 and out == "" and f"line {line}" in err
 
+    def test_a_projection_template_longer_than_its_facts_exits_2(
+            self, capsys, tmp_path):
+        m = tmp_path / "s.manifest"
+        ana.save_manifest(datalog.smudge_fixture(), str(m), str(tmp_path / "s.prov"))
+        m.write_text(m.read_text().replace("precise(A0) -> cheap(A0)",
+                                           "precise(A0,A1) -> cheap(A1)"))
+        code, out, err = run(capsys, "solve", str(m))
+        assert code == 2 and out == "" and "line 10" in err
+        assert "precise(0) has" in err
+
     def test_an_ill_formed_manifest_exits_2(self, capsys, ill_formed_manifest):
         code, out, err = run(capsys, "solve", ill_formed_manifest)
         assert code == 2 and out == ""
@@ -242,6 +253,14 @@ class TestLearn:
         code, out, _ = run(capsys, "learn", *manifests, "--loo", "--n", "4")
         assert code == 0
         assert out.count("# fold") == 3
+
+    def test_a_manifest_without_parameters_exits_2(self, capsys, tmp_path):
+        (tmp_path / "q.prov").write_text("q <- @ r\n")
+        m = tmp_path / "q.manifest"
+        m.write_text("queries:\nq\nprovenance: q.prov\n")
+        code, out, err = run(capsys, "learn", str(m))
+        assert code == 2 and out == ""
+        assert err == "error: the analysis has no parameters to flip\n"
 
     def test_an_ill_formed_manifest_exits_2(self, capsys, manifests,
                                             ill_formed_manifest):
@@ -412,7 +431,8 @@ _FRAGMENTS = ["a", "X", "q(1)", "c(1, 2)", "v(-3)", "(", ")", ",", " ", "\n",
               ".", ":-", "@r", "<-", "==", "mod", "0", "1.5", "=", "->", "#",
               "obs", "T:", "R:", "hard", "w", "not", "implies", "exists",
               "params:", "queries:", "projection:", "provenance: s.prov",
-              "rules:", "encode0=", "encode1=", "default", "drop", "base"]
+              "rules:", "encode0=", "encode1=", "default", "drop", "base",
+              "precise(A0,A1) -> cheap(A1)"]
 _TEXT = st.one_of(st.text(max_size=80),
                   st.lists(st.sampled_from(_FRAGMENTS), max_size=30).map("".join))
 _DOCUMENTED_EXITS = {cli.EXIT_OK, cli.EXIT_NO, cli.EXIT_PARSE, cli.EXIT_OVERFLOW,
@@ -454,3 +474,50 @@ def test_arbitrary_input_gets_a_documented_exit_code(valid_inputs, command, text
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
         assert cli.main(argv) in _DOCUMENTED_EXITS
+
+
+# --- the line rules every input format shares --------------------------------
+
+def _formats(d: Path) -> dict:
+    """Per input format: its parser, a key its result compares by, valid
+    lines, a line the parser rejects, and the command reading "fuzz.txt"."""
+    def same(result):
+        return result
+
+    return {
+        "program": (datalog.parse_program, same, ["p(1).", "q(X) :- p(X). @r"],
+                    "q(X) :- p(X).", ["ground", "--rules", "fuzz.txt"]),
+        "provenance": (hg.parse_provenance, same, ["b <- a @ r", "c <- a b @ s"],
+                       "c <- a", ["likelihood", "fuzz.txt", "obs.txt", "theta.txt"]),
+        "manifest": (lambda text: ana.parse_manifest(text, str(d)),
+                     lambda an: ana.serialize_manifest(an, "s.prov"),
+                     (d / "s.manifest").read_text().splitlines(), "x",
+                     ["solve", "fuzz.txt", "--budget", "1"]),
+        "observations": (lk.parse_observations, same,
+                         (d / "obs.txt").read_text().splitlines(), "T a",
+                         ["likelihood", "bp.prov", "fuzz.txt", "theta.txt"]),
+        "theta": (pm.parse_hyperparams, same,
+                  (d / "theta.txt").read_text().splitlines(), "base 1.5",
+                  ["likelihood", "bp.prov", "obs.txt", "fuzz.txt"]),
+        "maxsat": (cli.parse_maxsat_instance, same, ["w a 1.0", "hard (or a b)"],
+                   "w a", ["maxsat", "fuzz.txt"]),
+    }
+
+
+@pytest.mark.parametrize("fmt", ["program", "provenance", "manifest",
+                                 "observations", "theta", "maxsat"])
+def test_every_format_skips_comments_and_blank_lines_and_names_the_bad_line(
+        capsys, valid_inputs, fmt):
+    parse, key, lines, bad, command = _formats(
+        Path(valid_inputs["fuzz.txt"]).parent)[fmt]
+    commented = "# a leading comment\n\n" + "".join(
+        f"  {line}  # a trailing comment\n" for line in lines)
+    assert key(parse(commented)) == key(parse("\n".join(lines) + "\n"))
+    bad_line = len(lines) + 3
+    text = commented + bad + "  # why\n"
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert exc.value.line == bad_line
+    Path(valid_inputs["fuzz.txt"]).write_text(text)
+    code, out, err = run(capsys, *[valid_inputs.get(a, a) for a in command])
+    assert code == 2 and out == "" and f"line {bad_line}:" in err
