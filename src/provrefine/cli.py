@@ -240,26 +240,23 @@ def parse_maxsat_instance(text: str) -> mx.MaxSatInstance:
 
 
 def cmd_maxsat(args) -> int:
-    inst = parse_maxsat_instance(_read(args.instance))
+    cnf = mx.compile_instance(parse_maxsat_instance(_read(args.instance)))
     if args.export_wcnf:
-        wcnf, varmap = mx.to_wcnf(inst)
-        sys.stdout.write(wcnf)
+        sys.stdout.write(mx.to_wcnf(cnf))
         if args.varmap:
             with open(args.varmap, "w") as fh:
-                fh.write(mx.serialize_varmap(varmap))
+                fh.write(mx.serialize_varmap(cnf))
         return EXIT_OK
     if args.import_model:
-        model, objective = mx.decode_external_model(inst, _read(args.import_model))
-        print("model:", " ".join(sorted(model)))
-        print(f"objective: {objective:.6f}")
-        return EXIT_OK
-    solve = mx.solve_approx if args.solve == "approx" else mx.solve_exact
-    result = solve(inst, budget=args.budget)
-    if result is None:
-        print("unsat")
-        return EXIT_NO
-    model, objective = result
-    print("model:", " ".join(sorted(model)))
+        result = mx.decode_external_model(cnf, _read(args.import_model))
+    else:
+        solve = mx.solve_approx if args.solve == "approx" else mx.solve_exact
+        result = solve(cnf, budget=args.budget)
+        if result is None:
+            print("unsat")
+            return EXIT_NO
+    ids, objective = result
+    print("model:", " ".join(sorted(cnf.shown(ids))))
     print(f"objective: {objective:.6f}")
     return EXIT_OK
 

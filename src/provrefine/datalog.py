@@ -456,30 +456,31 @@ _SMUDGE_ASSIGNMENTS = [
 ]
 
 
-def smudge_program_text(smudges=None, init_values=None, source="x",
-                        assignments=None) -> str:
-    """Full rule+fact text for a smudge program.
+def smudge_program_text(smudges=None, init_values=None) -> str:
+    """Full rule+fact text for a smudge program; dirt starts at x.
 
     smudges: list of (label:int, k:int, src_obj, dst_obj); defaults to the
-    five-site demo program.  init_values: object -> initial value.
+    five-site demo program, the only one with assignment commands.
+    init_values: object -> initial value.
     """
-    if smudges is None:
+    demo = smudges is None
+    if demo:
         smudges = [(0, 2, "x", "y"), (1, 3, "y", "z"), (2, 3, "z", "v"),
                    (3, 5, "x", "y"), (4, 7, "y", "v")]
-    objects = sorted({o for _, _, a, b in smudges for o in (a, b)} | {source})
+    objects = sorted({o for _, _, a, b in smudges for o in (a, b)} | {"x"})
     if init_values is None:
         init_values = {}
-    if assignments is None:
-        assignments = _SMUDGE_ASSIGNMENTS
 
     # control flow: an init point, one point per smudge label, an end point
-    if assignments is _SMUDGE_ASSIGNMENTS:
+    if demo:
         # the demo program interleaves its assignments with the smudges
+        assignments = _SMUDGE_ASSIGNMENTS
         points = ["s0", 0, "l0p", 1, "g1", 2, 3, 4, "end"]
         assigned_at = {"s0": {"x"}, "l0p": {"y"}, "g1": set()}
         markers = [("assign_ten", "s0"), ("assign_ylin", "l0p"),
                    ("assign_vsum", "g1")]
     else:
+        assignments = []
         points = ["s0"] + [lbl for lbl, _, _, _ in smudges] + ["end"]
         assigned_at = {}
         markers = []
@@ -491,7 +492,7 @@ def smudge_program_text(smudges=None, init_values=None, source="x",
         lines.append(f"smudge{k}({lbl},{a},{b}).")
     for marker, point in markers:
         lines.append(f"{marker}({point}).")
-    lines.append(f"dirty(s0,{source}).")
+    lines.append("dirty(s0,x).")
     for obj in objects:
         lines.append(f"value(s0,{obj},{init_values.get(obj, 0)}).")
     # non-assigned objects keep their value across every non-final point
@@ -508,21 +509,15 @@ def smudge_labels(smudges=None) -> list:
     return [lbl for lbl, _, _, _ in smudges]
 
 
-def smudge_analysis(smudges=None, init_values=None, source="x",
-                    query=None) -> Analysis:
-    """Build the parametric analysis for a smudge program."""
-    text = smudge_program_text(smudges, init_values, source,
-                               assignments=None if smudges is None else [])
-    rules, base = parse_program(text)
+def smudge_analysis(smudges=None, init_values=None) -> Analysis:
+    """Build the parametric analysis for a smudge program; the query is
+    whether the last smudge's target is dirty at the end."""
+    rules, base = parse_program(smudge_program_text(smudges, init_values))
     labels = smudge_labels(smudges)
     seeds = {Fact("cheap", (l,)) for l in labels}
     seeds |= {Fact("precise", (l,)) for l in labels}
     graph = ground(rules, base, seeds=seeds)
-    if query is None:
-        if smudges is None:
-            query = Fact("dirty", ("end", "v"))
-        else:
-            query = Fact("dirty", ("end", smudges[-1][3]))
+    query = Fact("dirty", ("end", "v" if smudges is None else smudges[-1][3]))
     return Analysis(
         global_graph=graph,
         queries=frozenset([query]),

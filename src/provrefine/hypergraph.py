@@ -344,17 +344,20 @@ def read_lines(text: str, handle: Callable[[int, str], None]) -> int:
     """Call handle(lineno, line) on each line of text, numbered from 1,
     with its `#` comment and outer whitespace removed; blank lines are
     skipped.  A ValueError from handle becomes a ParseError at its line.
-    Returns the number of lines in text.
+    Lines end at a newline only, as `wc -l` counts them; the strip drops
+    a carriage return or form feed before it.  Returns the number of lines.
     """
-    lineno = 0
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()  # the newline ending the last line starts no other
+    for lineno, line in enumerate(lines, start=1):
         line = line.split("#", 1)[0].strip()
         if line:
             try:
                 handle(lineno, line)
             except ValueError as exc:
                 raise ParseError(lineno, str(exc)) from exc
-    return lineno
+    return len(lines)
 
 
 def parse_atom(text: str) -> tuple:

@@ -1,17 +1,18 @@
-"""MaxSAT with per-variable real weights, over formulas or clauses.
+"""MaxSAT with per-variable real weights over a CNF of integer ids.
 
 The task: among models of a hard constraint, maximize the summed weight
-of the true variables.  An instance is either a `MaxSatInstance`, a hard
-formula over named variables, or a `ClauseInstance`, a CNF over integer
-ids that a caller such as the refinement encoding emits directly.  A
-formula is compiled to CNF by the Tseytin transformation; auxiliary and
-existentially quantified variables carry weight zero and are hidden from
-reported models.  One deterministic branch and bound, over a
-two-watched-literal propagation engine with a trail and undo, runs on the
-clauses and serves both entry points: `solve_exact` returns a proven
+of the true variables.  The one instance form is a `ClauseInstance`, a
+CNF over ids 1..n that a caller such as the refinement encoding emits
+directly.  A `MaxSatInstance`, a hard formula over named variables, is
+compiled to one once by `compile_instance` (the Tseytin transformation);
+its auxiliary and existentially quantified variables carry weight zero
+and are hidden from the names a model shows.  One deterministic branch
+and bound, over a two-watched-literal propagation engine with a trail
+and undo, serves both entry points: `solve_exact` returns a proven
 optimum or raises BudgetExceeded, and `solve_approx` returns the best
-model found when the budget runs out.  A DIMACS WCNF bridge hands
-formula instances to external solvers.
+model found when the budget runs out.  Both return sets of true ids.  A
+DIMACS WCNF bridge hands instances to external solvers and reads their
+models back.
 """
 
 from __future__ import annotations
@@ -83,9 +84,6 @@ class MaxSatInstance:
     hard: object  # BoolFormula tree
     weights: dict = field(default_factory=dict)
 
-    def objective(self, model: Iterable[str]) -> float:
-        return math.fsum(self.weights.get(v, 0.0) for v in model)
-
 
 @dataclass
 class ClauseInstance:
@@ -94,16 +92,22 @@ class ClauseInstance:
     `clauses` are tuples of nonzero ints, -v meaning "v is false".
     `weights` holds the nonzero weights, in the order the search sums
     them; `names` names every weighted id, for the branching order and the
-    set-lex tie-break.  Models are sets of true ids, auxiliaries included.
+    set-lex tie-break, and a compiled formula names every id.  Models are
+    sets of true ids, auxiliaries included; `shown` gives the names of a
+    model's ids that are not `hidden`.
     """
 
     nvars: int
     clauses: list
     weights: dict
     names: dict
+    hidden: frozenset = frozenset()
 
     def objective(self, model: Iterable[int]) -> float:
         return math.fsum(self.weights.get(v, 0.0) for v in model)
+
+    def shown(self, ids: Iterable[int]) -> frozenset:
+        return frozenset(self.names[i] for i in ids if i not in self.hidden)
 
 
 # ---------------------------------------------------------------------------
@@ -111,21 +115,22 @@ class ClauseInstance:
 
 
 class _CNF:
-    """Clause database with a name <-> id map; ids for auxiliaries too."""
+    """Clauses under construction: ids count up from 1, each named in
+    `names`; `ids` maps the formula's variables, not the auxiliaries, back."""
 
     def __init__(self):
-        self.ids = {}  # name -> positive int
-        self.names = {}
+        self.ids = {}  # variable name -> id
+        self.names = {}  # id -> name, `_aux<id>` for an auxiliary
         self.hidden = set()  # ids not reported in models (aux + exists)
         self.clauses = []
-        self.weights = {}  # id -> nonzero weight, in the instance's order
 
     def new_var(self, name: Optional[str] = None, hidden: bool = False) -> int:
-        i = len(self.ids) + 1
+        i = len(self.names) + 1
         if name is None:
             name = f"_aux{i}"
             hidden = True
-        self.ids[name] = i
+        else:
+            self.ids[name] = i
         self.names[i] = name
         if hidden:
             self.hidden.add(i)
@@ -138,11 +143,6 @@ class _CNF:
 
     def add(self, *lits: int) -> None:
         self.clauses.append(tuple(lits))
-
-    def visible(self, ids: Iterable[int]) -> frozenset:
-        """The names of the ids a model reports: not hidden, not unknown."""
-        return frozenset(self.names[i] for i in ids
-                         if i in self.names and i not in self.hidden)
 
 
 def _tseytin(f, cnf: _CNF, hidden_names: frozenset) -> int:
@@ -190,15 +190,17 @@ def _tseytin(f, cnf: _CNF, hidden_names: frozenset) -> int:
     raise ValueError(f"unknown formula node {kind!r}")
 
 
-def compile_instance(inst: MaxSatInstance) -> _CNF:
+def compile_instance(inst: MaxSatInstance) -> ClauseInstance:
+    """The formula's clauses, its nonzero weights in `inst.weights` order,
+    and a name for every id."""
     cnf = _CNF()
     # intern the weighted variables first so ids follow canonical name order
     for name in sorted(set(inst.weights) | formula_vars(inst.hard)):
         cnf.lookup(name)
-    root = _tseytin(inst.hard, cnf, frozenset())
-    cnf.add(root)
-    cnf.weights = {cnf.ids[n]: w for n, w in inst.weights.items() if w != 0.0}
-    return cnf
+    cnf.add(_tseytin(inst.hard, cnf, frozenset()))
+    weights = {cnf.ids[n]: w for n, w in inst.weights.items() if w != 0.0}
+    return ClauseInstance(len(cnf.names), cnf.clauses, weights, cnf.names,
+                          frozenset(cnf.hidden))
 
 
 # ---------------------------------------------------------------------------
@@ -288,12 +290,6 @@ class _Engine:
         return True
 
 
-def _check_assignment(clauses, assign: dict) -> bool:
-    return all(
-        any(assign.get(abs(l), False) == (l > 0) for l in clause)
-        for clause in clauses)
-
-
 def _check_values(clauses, val: list) -> bool:
     """Every clause has a true literal under an `_Engine` value array."""
     return all(1 in map(val.__getitem__, clause) for clause in clauses)
@@ -303,17 +299,22 @@ def _check_values(clauses, val: list) -> bool:
 # branch and bound
 
 
-def _search(inst: ClauseInstance, deadline: float):
-    """Best model found by the deadline, and whether it is proven optimal.
+def _branch_and_bound(inst: ClauseInstance, budget: float):
+    """Best model found within the budget, and whether it is proven optimal.
 
-    Returns (frozenset of true ids or None, proven).  Branches on weighted
-    ids by descending |weight| (names break ties), prunes on an optimistic
-    bound, and among optimal models keeps the one whose weighted part is
-    smallest in set-lex order: the sorted tuple of indices, in name order,
-    of its true weighted ids.  Each leaf is completed by a False-first
-    search over the remaining ids in id order.  The incumbent is checked
-    against every clause before it is returned.
+    Returns ((frozenset of true ids, objective) or None, proven).
+    Branches on weighted ids by descending |weight| (names break ties),
+    prunes on an optimistic bound, and among optimal models keeps the one
+    whose weighted part is smallest in set-lex order: the sorted tuple of
+    indices, in name order, of its true weighted ids.  Each leaf is
+    completed by a False-first search over the remaining ids in id order.
+    The incumbent is checked against every clause before it is returned.
+    A NaN budget, which would never run out, or a negative one raises
+    ValueError.
     """
+    if not budget >= 0:
+        raise ValueError(f"solver budget must be a number >= 0, not {budget!r}")
+    deadline = time.monotonic() + budget
     weights, names = inst.weights, inst.names
     witems = list(weights.items())
     weighted = sorted(weights, key=lambda v: (-abs(weights[v]), names[v]))
@@ -381,36 +382,12 @@ def _search(inst: ClauseInstance, deadline: float):
         return None, proven
     if not _check_values(inst.clauses, found):
         raise NotAModel("solver produced a non-model")
-    return frozenset(v for v in range(1, inst.nvars + 1) if found[v] == 1), proven
+    ids = frozenset(v for v in range(1, inst.nvars + 1) if found[v] == 1)
+    return (ids, inst.objective(ids)), proven
 
 
-def _branch_and_bound(inst, budget: float):
-    """((model, objective) or None, proven) for either instance form.
-
-    A `MaxSatInstance` is compiled through Tseytin and its model is the
-    set of true visible names; a `ClauseInstance` is searched as it is
-    and its model is the set of true ids.  A NaN budget, which would
-    never run out, or a negative one raises ValueError.
-    """
-    if not budget >= 0:
-        raise ValueError(f"solver budget must be a number >= 0, not {budget!r}")
-    deadline = time.monotonic() + budget
-    if isinstance(inst, ClauseInstance):
-        ids, proven = _search(inst, deadline)
-        return (None if ids is None else (ids, inst.objective(ids))), proven
-    cnf = compile_instance(inst)
-    clauses = ClauseInstance(len(cnf.names), cnf.clauses, cnf.weights,
-                             {v: cnf.names[v] for v in cnf.weights})
-    ids, proven = _search(clauses, deadline)
-    if ids is None:
-        return None, proven
-    model = cnf.visible(ids)
-    return (model, inst.objective(model)), proven
-
-
-def solve_exact(inst, budget: float = 60.0):
-    """Optimal (model, objective) of either instance form, or None when
-    unsatisfiable.
+def solve_exact(inst: ClauseInstance, budget: float = 60.0):
+    """Optimal (true ids, objective), or None when unsatisfiable.
 
     Raises BudgetExceeded when optimality is not proven within the budget.
     """
@@ -420,7 +397,7 @@ def solve_exact(inst, budget: float = 60.0):
     return result
 
 
-def solve_approx(inst, budget: float = 60.0):
+def solve_approx(inst: ClauseInstance, budget: float = 60.0):
     """Anytime variant: the best model found within the budget.
 
     Returns None only when the formula is proven unsatisfiable; raises
@@ -438,11 +415,10 @@ def solve_approx(inst, budget: float = 60.0):
 WEIGHT_SCALE = 10 ** 6
 
 
-def to_wcnf(inst: MaxSatInstance):
-    """DIMACS WCNF text plus the variable map for decoding."""
-    cnf = compile_instance(inst)
+def to_wcnf(cnf: ClauseInstance) -> str:
+    """DIMACS WCNF text: every clause hard, then one soft unit clause per
+    weighted id, in id order."""
     softs = []
-    # weighted ids follow name order, so the soft clauses come in name order
     for v, w in sorted(cnf.weights.items()):
         scaled = round(abs(w) * WEIGHT_SCALE)
         if scaled > 2 ** 62:
@@ -451,33 +427,31 @@ def to_wcnf(inst: MaxSatInstance):
             continue
         softs.append((scaled, v if w > 0 else -v))
     top = sum(s for s, _ in softs) + 1
-    lines = [f"p wcnf {len(cnf.names)} {len(cnf.clauses) + len(softs)} {top}\n"]
+    lines = [f"p wcnf {cnf.nvars} {len(cnf.clauses) + len(softs)} {top}\n"]
     for clause in cnf.clauses:
         lines.append(f"{top} " + " ".join(str(l) for l in clause) + " 0\n")
     for scaled, lit in softs:
         lines.append(f"{scaled} {lit} 0\n")
-    varmap = dict(cnf.ids)
-    return "".join(lines), varmap
+    return "".join(lines)
 
 
-def serialize_varmap(varmap: dict) -> str:
-    return "".join(f"{i} {name}\n" for name, i in sorted(
-        varmap.items(), key=lambda kv: kv[1]))
+def serialize_varmap(cnf: ClauseInstance) -> str:
+    """One `id name` line per named id, in id order."""
+    return "".join(f"{i} {name}\n" for i, name in sorted(cnf.names.items()))
 
 
-def decode_external_model(inst: MaxSatInstance, text: str):
-    """Parse an external solver's literal list, in the variable numbering
-    `to_wcnf(inst)` uses; returns (model, objective)."""
-    cnf = compile_instance(inst)
-    assign = {}
+def decode_external_model(cnf: ClauseInstance, text: str):
+    """(true ids, objective) of an external solver's literal list.
+
+    The last literal given for an id wins, an id not given is false, and
+    ids above `cnf.nvars` are ignored.
+    """
+    n = cnf.nvars
+    val = [0] + [-1] * n + [1] * n  # as in `_Engine`: every id false
     for tok in text.split():
-        if tok in ("v", "s", "o") or not tok.lstrip("-").isdigit():
-            continue
-        lit = int(tok)
-        if lit == 0:
-            continue
-        assign[abs(lit)] = lit > 0
-    if not _check_assignment(cnf.clauses, assign):
+        if tok.lstrip("-").isdigit() and 0 < abs(lit := int(tok)) <= n:
+            val[lit], val[-lit] = 1, -1
+    if not _check_values(cnf.clauses, val):
         raise NotAModel("external assignment violates the hard constraint")
-    model = cnf.visible(i for i, val in assign.items() if val)
-    return model, inst.objective(model)
+    ids = frozenset(v for v in range(1, n + 1) if val[v] == 1)
+    return ids, cnf.objective(ids)

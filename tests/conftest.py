@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
+from provrefine import maxsat as mx
 from provrefine.hypergraph import Arc, Fact, Hypergraph
 
 
@@ -140,3 +142,15 @@ def random_gadget(rng: random.Random):
                   params=params, encode0=cheap, encode1=precise,
                   projection=Projection({"precise": ("cheap", (0,))}))
     return an, q
+
+
+def solve_formula(solve, inst: mx.MaxSatInstance, **kwargs):
+    """A solver's (shown names, objective) on the compiled formula."""
+    cnf = mx.compile_instance(inst)
+    result = solve(cnf, **kwargs)
+    return None if result is None else (cnf.shown(result[0]), result[1])
+
+
+def formula_objective(inst: mx.MaxSatInstance, model) -> float:
+    """The summed weight of a set of names."""
+    return math.fsum(inst.weights.get(v, 0.0) for v in model)

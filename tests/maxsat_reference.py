@@ -70,26 +70,11 @@ def _weighted_set_key(names: dict, model_ids: set, weighted: list) -> tuple:
     return tuple(sorted(index[v] for v in model_ids if v in index))
 
 
-def solve_exact(inst, budget: float = 60.0):
-    """Optimal (model, objective) of either instance form, or None when
-    unsatisfiable: the model is a set of names for a formula instance, of
-    ids for a clause instance."""
+def solve_exact(inst: mx.ClauseInstance, budget: float = 60.0):
+    """Optimal (true ids, objective), or None when unsatisfiable."""
     deadline = time.monotonic() + budget
-    if isinstance(inst, mx.ClauseInstance):
-        clauses, weights, names = inst.clauses, inst.weights, inst.names
-        ids = range(1, inst.nvars + 1)
-
-        def model_of(assign: dict) -> frozenset:
-            return frozenset(v for v, val in assign.items() if val)
-    else:
-        cnf = mx.compile_instance(inst)
-        clauses, names, ids = cnf.clauses, cnf.names, cnf.names
-        weights = {cnf.ids[n]: w for n, w in inst.weights.items()
-                   if n in cnf.ids and w != 0.0}
-
-        def model_of(assign: dict) -> frozenset:
-            return frozenset(cnf.names[v] for v, val in assign.items()
-                             if val and v not in cnf.hidden)
+    clauses, weights, names = inst.clauses, inst.weights, inst.names
+    ids = range(1, inst.nvars + 1)
     weighted = sorted(weights, key=lambda v: (-abs(weights[v]), names[v]))
     others = sorted(v for v in ids if v not in weights)
     tol = 1e-12
@@ -142,5 +127,5 @@ def solve_exact(inst, budget: float = 60.0):
     search({})
     if best["assign"] is None:
         return None
-    model = model_of(best["assign"])
+    model = frozenset(v for v, val in best["assign"].items() if val)
     return model, inst.objective(model)

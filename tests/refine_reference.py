@@ -22,6 +22,8 @@ from provrefine.refine import (RefineConfig, RefineOutcome, _log_theta,
                                forward_restrict, slice_to_query,
                                success_prob_lower, t_of)
 
+from conftest import solve_formula
+
 
 def _vertex_var(u: Fact) -> str:
     return "v:" + str(u)
@@ -139,7 +141,7 @@ def choose_optimistic(an: Analysis, g_a: Hypergraph, q: Fact, a: Abstraction,
         parts.append(mx.not_(mx.var(zvar(q))))
     weights = {fvar(x): -cfg.alpha for x in unflipped}
     inst = mx.MaxSatInstance(mx.and_(*parts), weights)
-    result = _run_solver(inst, cfg)
+    result = solve_formula(lambda cnf: _run_solver(cnf, cfg), inst)
     if result is None:
         return None
     model, _ = result
@@ -182,7 +184,7 @@ def solve(an: Analysis, q: Fact, cfg: RefineConfig) -> RefineOutcome:
             else:
                 g_fwd = slice_to_query(forward_restrict(g_a, an, a), q)
                 inst = build_phi(an, g_fwd, q, a, hp, cfg.alpha)
-                result = _run_solver(inst, cfg)
+                result = solve_formula(lambda cnf: _run_solver(cnf, cfg), inst)
                 if result is None:
                     raise NotAModel(
                         "refinement constraint unexpectedly unsatisfiable")

@@ -23,8 +23,8 @@ from provrefine import refine
 from provrefine.hypergraph import Hypergraph
 from provrefine.probmodel import HyperParams
 
-from conftest import (fact, naive_closure, random_gadget, random_hypergraph,
-                      random_seed_set)
+from conftest import (fact, formula_objective, naive_closure, random_gadget,
+                      random_hypergraph, random_seed_set, solve_formula)
 
 
 def _report(n, text):
@@ -210,25 +210,25 @@ def test_criterion_5_maxsat_correctness():
     for i in range(300):
         inst = _random_maxsat(rng, max_vars=16 if i % 10 == 0 else 8)
         expect = _maxsat_brute(inst)
-        got = mx.solve_exact(inst)
+        got = solve_formula(mx.solve_exact, inst)
         if expect is None:
             assert got is None
         else:
             model, objective = got
             assert objective == pytest.approx(expect, abs=1e-9)
-            assert objective == pytest.approx(inst.objective(model), abs=1e-9)
+            assert objective == pytest.approx(formula_objective(inst, model), abs=1e-9)
     # approximate solver: a valid model on every satisfiable instance
     sat_count = 0
     for i in range(100):
         inst = _random_maxsat(rng, max_vars=8)
         expect = _maxsat_brute(inst)
-        got = mx.solve_approx(inst, budget=10.0)
+        got = solve_formula(mx.solve_approx, inst, budget=10.0)
         if expect is None:
             assert got is None
             continue
         sat_count += 1
         model, objective = got
-        assert objective == pytest.approx(inst.objective(model), abs=1e-9)
+        assert objective == pytest.approx(formula_objective(inst, model), abs=1e-9)
         assert objective <= expect + 1e-9
     # WCNF export: the optimum survives the integral encoding
     for _ in range(30):
@@ -236,7 +236,7 @@ def test_criterion_5_maxsat_correctness():
         expect = _maxsat_brute(inst)
         if expect is None:
             continue
-        wcnf, varmap = mx.to_wcnf(inst)
+        wcnf = mx.to_wcnf(mx.compile_instance(inst))
         top = int(wcnf.split()[4])
         hard = [tuple(int(t) for t in line.split()[1:-1])
                 for line in wcnf.splitlines()[1:]

@@ -54,6 +54,13 @@ class TestGround:
         bad.write_text("this is not a rule\n")
         assert run(capsys, "ground", "--rules", str(bad))[0] == 2
 
+    def test_only_a_newline_ends_a_line(self, capsys, tmp_path):
+        # a form feed is no line break, as `wc -l` counts lines
+        bad = tmp_path / "bad.dl"
+        bad.write_text("p(1).\f\nbad\n")
+        code, _, err = run(capsys, "ground", "--rules", str(bad))
+        assert code == 2 and "line 2:" in err
+
     def test_overflow_exits_3(self, capsys, tmp_path):
         src = tmp_path / "over.dl"
         src.write_text("n(250).\nout(Y) :- n(X), Y == X + 10. @bump\n")
@@ -343,6 +350,12 @@ class TestMaxsat:
         code, out, _ = run(capsys, "maxsat", str(inst))
         assert code == 1 and out.strip() == "unsat"
 
+    def test_a_variable_named_like_an_auxiliary_solves(self, capsys, tmp_path):
+        inst = tmp_path / "i.txt"
+        inst.write_text("hard (and (or c _aux5) (not (or a b)))\n")
+        code, out, _ = run(capsys, "maxsat", str(inst))
+        assert code == 0 and out == "model: c\nobjective: 0.000000\n"
+
     def test_approx_mode(self, capsys, tmp_path):
         inst = tmp_path / "i.txt"
         inst.write_text("w a 1.0\nhard (implies a a)\n")
@@ -414,10 +427,9 @@ class TestMaxsat:
         inst.write_text("w a 1.0\nhard a\n")
         from provrefine import maxsat as mx
 
-        parsed = cli.parse_maxsat_instance(inst.read_text())
-        _, varmap = mx.to_wcnf(parsed)
+        cnf = mx.compile_instance(cli.parse_maxsat_instance(inst.read_text()))
         model = tmp_path / "model.txt"
-        model.write_text("v " + str(varmap["a"]) + "\n")
+        model.write_text("v " + str({n: i for i, n in cnf.names.items()}["a"]) + "\n")
         code, out, _ = run(capsys, "maxsat", str(inst),
                            "--import-model", str(model))
         assert code == 0 and "model: a" in out

@@ -199,7 +199,7 @@ def _smudge_program(rng: random.Random, sites: int):
     smudges = [(lbl, rng.choice((2, 3, 5, 7)), *rng.sample("xyzw", 2))
                for lbl in range(sites)]
     values = {o: rng.randrange(10) for o in "xyzw"}
-    text = datalog.smudge_program_text(smudges, values, assignments=[])
+    text = datalog.smudge_program_text(smudges, values)
     rules, base = datalog.parse_program(text)
     seeds = {Fact(kind, (lbl,)) for lbl in range(sites)
              for kind in ("cheap", "precise")}

@@ -339,3 +339,11 @@ def test_a_second_t_or_r_line_in_one_observation_is_an_error():
         with pytest.raises(ParseError) as exc:
             lk.parse_observations(text)
         assert exc.value.line == line
+
+
+def test_an_unfinished_last_observation_is_reported_after_the_last_line():
+    for text, line in [("obs\nT: a\n", 3), ("obs\nT: a", 3),
+                       ("obs\nT: a\n\n", 4), ("obs\r\nT: a\r\n", 3)]:
+        with pytest.raises(ParseError, match="missing T: or R:") as exc:
+            lk.parse_observations(text)
+        assert exc.value.line == line

@@ -10,6 +10,7 @@ from provrefine import refine
 from provrefine.errors import BudgetExceeded, NotAModel
 
 import maxsat_reference as ref
+from conftest import formula_objective, solve_formula
 
 
 def _eval(f, assignment):
@@ -54,24 +55,38 @@ def brute_force_optimum(inst: mx.MaxSatInstance):
 
 
 def random_instance(rng, max_vars=6):
+    """Names are `x<i>` or, now and then, `_aux<k>`, the form the Tseytin
+    auxiliaries are named in.  An `exists` binds a fresh `y<k>`, used only
+    in its body, and stands only where no `not`, antecedent or `iff` is
+    above it: the compiled instance treats its variable as free."""
     n = rng.randint(1, max_vars)
-    names = [f"x{i}" for i in range(n)]
+    names = sorted({f"_aux{rng.randint(1, 12)}" if rng.random() < 0.15
+                    else f"x{i}" for i in range(n)})
+    fresh = itertools.count()
 
-    def go(depth):
+    def go(depth, scope, positive):
         if depth == 0 or rng.random() < 0.4:
-            v = mx.var(rng.choice(names))
+            v = mx.var(rng.choice(scope))
             return mx.not_(v) if rng.random() < 0.5 else v
-        op = rng.choice(["and", "or", "implies", "iff"])
+        op = rng.choice(["and", "or", "implies", "iff"]
+                        + ["exists"] * positive)
+        if op == "exists":
+            y = f"y{next(fresh)}"
+            return mx.exists([y], go(depth - 1, scope + [y], True))
         if op == "and":
-            return mx.and_(go(depth - 1), go(depth - 1))
+            return mx.and_(go(depth - 1, scope, positive),
+                           go(depth - 1, scope, positive))
         if op == "or":
-            return mx.or_(go(depth - 1), go(depth - 1))
+            return mx.or_(go(depth - 1, scope, positive),
+                          go(depth - 1, scope, positive))
         if op == "implies":
-            return mx.implies(go(depth - 1), go(depth - 1))
-        return mx.iff(go(depth - 1), go(depth - 1))
+            return mx.implies(go(depth - 1, scope, False),
+                              go(depth - 1, scope, positive))
+        return mx.iff(go(depth - 1, scope, False), go(depth - 1, scope, False))
 
-    hard = go(3)
-    weights = {v: rng.uniform(-2, 2) for v in rng.sample(names, rng.randint(0, n))}
+    hard = go(3, names, True)
+    weights = {v: rng.uniform(-2, 2)
+               for v in rng.sample(names, rng.randint(0, len(names)))}
     return mx.MaxSatInstance(hard, weights)
 
 
@@ -88,43 +103,44 @@ def test_exact_matches_brute_force():
     for _ in range(120):
         inst = random_instance(rng)
         expect = brute_force_optimum(inst)
-        got = mx.solve_exact(inst)
+        got = solve_formula(mx.solve_exact, inst)
         if expect is None:
             assert got is None
         else:
             model, objective = got
             assert objective == pytest.approx(expect, abs=1e-9)
-            assert objective == pytest.approx(inst.objective(model), abs=1e-9)
+            assert objective == pytest.approx(formula_objective(inst, model), abs=1e-9)
 
 
 def test_exact_handles_unsat():
     x = mx.var("x")
-    assert mx.solve_exact(mx.MaxSatInstance(mx.and_(x, mx.not_(x)), {})) is None
+    assert mx.solve_exact(mx.compile_instance(
+        mx.MaxSatInstance(mx.and_(x, mx.not_(x)), {}))) is None
 
 
 def test_exact_prefers_earlier_weighted_variables_on_ties():
     # two disjoint ways to earn the same weight: pick the first by name
     a, b = mx.var("a"), mx.var("b")
     inst = mx.MaxSatInstance(mx.or_(a, b), {"a": 1.0, "b": 1.0})
-    model, objective = mx.solve_exact(inst)
+    model, objective = solve_formula(mx.solve_exact, inst)
     assert objective == pytest.approx(2.0)  # both can be true here
     inst = mx.MaxSatInstance(
         mx.and_(mx.or_(a, b), mx.not_(mx.and_(a, b))), {"a": 1.0, "b": 1.0})
-    model, _ = mx.solve_exact(inst)
+    model, _ = solve_formula(mx.solve_exact, inst)
     assert "a" in model and "b" not in model
 
 
 def test_exact_is_deterministic():
     rng = random.Random(4)
     for _ in range(20):
-        inst = random_instance(rng)
-        assert mx.solve_exact(inst) == mx.solve_exact(inst)
+        cnf = mx.compile_instance(random_instance(rng))
+        assert mx.solve_exact(cnf) == mx.solve_exact(cnf)
 
 
 def test_exists_hides_auxiliary_variables():
     a, y = mx.var("a"), mx.var("y")
     inst = mx.MaxSatInstance(mx.exists(["y"], mx.iff(y, a)), {"a": 1.0})
-    model, objective = mx.solve_exact(inst)
+    model, objective = solve_formula(mx.solve_exact, inst)
     assert objective == pytest.approx(1.0)
     assert "y" not in model
 
@@ -133,31 +149,31 @@ def test_approx_returns_valid_models():
     rng = random.Random(77)
     for i in range(60):
         inst = random_instance(rng)
-        got = mx.solve_approx(inst, budget=5.0)
+        got = solve_formula(mx.solve_approx, inst, budget=5.0)
         expect = brute_force_optimum(inst)
         if expect is None:
             assert got is None
         else:
             model, objective = got
-            assert objective == pytest.approx(inst.objective(model), abs=1e-9)
+            assert objective == pytest.approx(formula_objective(inst, model), abs=1e-9)
             assert objective <= expect + 1e-9
 
 
 def test_budget_exceeded_raises():
     rng = random.Random(1)
-    inst = random_instance(rng, max_vars=6)
+    cnf = mx.compile_instance(random_instance(rng, max_vars=6))
     with pytest.raises(BudgetExceeded):
-        mx.solve_exact(inst, budget=0.0)
+        mx.solve_exact(cnf, budget=0.0)
 
 
 @pytest.mark.parametrize("solve", [mx.solve_exact, mx.solve_approx])
 def test_nan_budget_is_rejected(solve):
     # monotonic() > nan is never true, so the search would never time out;
     # a negative budget is rejected alike
-    inst = random_instance(random.Random(1), max_vars=6)
+    cnf = mx.compile_instance(random_instance(random.Random(1), max_vars=6))
     for budget in (float("nan"), -1.0):
         with pytest.raises(ValueError, match="budget"):
-            solve(inst, budget=budget)
+            solve(cnf, budget=budget)
         with pytest.raises(ValueError, match="budget"):
             solve(mx.ClauseInstance(1, [(1,)], {1: 1.0}, {1: "x"}),
                   budget=budget)
@@ -173,37 +189,38 @@ def _independent_sets(n=60, seed=3):
 
 
 def test_anytime_on_an_instance_too_hard_for_the_budget():
-    inst = _independent_sets()
+    cnf = mx.compile_instance(_independent_sets())
     with pytest.raises(BudgetExceeded):
-        mx.solve_exact(inst, budget=0.05)
+        mx.solve_exact(cnf, budget=0.05)
     try:
-        model, objective = mx.solve_approx(inst, budget=0.05)
+        model, objective = mx.solve_approx(cnf, budget=0.05)
     except BudgetExceeded:
         return
-    assert objective == inst.objective(model)
-    cnf = mx.compile_instance(inst)
-    visible = {cnf.ids[n]: n in model for n in cnf.ids if not n.startswith("_aux")}
-    full = ref.dpll_complete(cnf.clauses, visible, sorted(cnf.names), float("inf"))
-    assert full is not None and mx._check_assignment(cnf.clauses, full)
+    assert objective == cnf.objective(model)
+    # the model satisfies every clause, read back as an external solver's
+    text = " ".join(str(v) for v in sorted(model))
+    assert mx.decode_external_model(cnf, text) == (model, objective)
 
 
 def test_approx_is_exact_when_the_budget_suffices():
     rng = random.Random(8)
     for _ in range(40):
-        inst = random_instance(rng)
-        assert mx.solve_approx(inst) == mx.solve_exact(inst)
+        cnf = mx.compile_instance(random_instance(rng))
+        assert mx.solve_approx(cnf) == mx.solve_exact(cnf)
 
 
 def test_objective_sum_is_exact():
-    inst = mx.MaxSatInstance(mx.TRUE, {"a": 1e16, "b": 1.0, "c": -1e16})
-    assert inst.objective(["a", "b", "c"]) == 1.0  # a plain sum gives 0.0
+    cnf = mx.compile_instance(
+        mx.MaxSatInstance(mx.TRUE, {"a": 1e16, "b": 1.0, "c": -1e16}))
+    assert cnf.objective([1, 2, 3]) == 1.0  # a plain sum gives 0.0
 
 
 def test_exact_matches_reference_solver():
     rng = random.Random(2024)
     for i in range(400):
-        inst = random_instance(rng, max_vars=12 if i % 4 == 0 else 6)
-        assert mx.solve_exact(inst) == ref.solve_exact(inst)
+        cnf = mx.compile_instance(
+            random_instance(rng, max_vars=12 if i % 4 == 0 else 6))
+        assert mx.solve_exact(cnf) == ref.solve_exact(cnf)
 
 
 def test_exact_matches_reference_on_smudge_queries(monkeypatch):
@@ -304,20 +321,20 @@ def test_wcnf_round_trip_preserves_optimum(tmp_path):
     rng = random.Random(31)
     for _ in range(30):
         inst = random_instance(rng)
-        wcnf, varmap = mx.to_wcnf(inst)
+        cnf = mx.compile_instance(inst)
+        wcnf = mx.to_wcnf(cnf)
         assert wcnf.startswith("p wcnf ")
-        back = {name: int(i) for i, name in map(
-            str.split, mx.serialize_varmap(varmap).splitlines())}
-        assert back == varmap
+        back = {int(i): name for i, name in map(
+            str.split, mx.serialize_varmap(cnf).splitlines())}
+        assert back == cnf.names
         expect = brute_force_optimum(inst)
         if expect is None:
             continue
         # pretend an external solver returned our own exact model: fix the
-        # visible variables and search for matching auxiliary values
-        model, objective = mx.solve_exact(inst)
-        cnf_vars = sorted(varmap.values())
-        visible = {varmap[n]: (n in model) for n in varmap
-                   if not n.startswith("_")}
+        # shown variables and search for matching hidden values
+        model, objective = mx.solve_exact(cnf)
+        cnf_vars = sorted(cnf.names)
+        visible = {v: v in model for v in cnf_vars if v not in cnf.hidden}
         clauses = [
             [int(tok) for tok in line.split()[1:-1]]
             for line in wcnf.splitlines()[1:]
@@ -326,14 +343,13 @@ def test_wcnf_round_trip_preserves_optimum(tmp_path):
         assert full is not None
         lits = " ".join(str(vid if full.get(vid) else -vid)
                         for vid in cnf_vars)
-        decoded, value = mx.decode_external_model(inst, "v " + lits)
+        decoded, value = mx.decode_external_model(cnf, "v " + lits)
         assert value == pytest.approx(objective, abs=1e-6)
 
 
 def test_decode_external_model_rejects_hard_violations():
     x = mx.var("x")
-    inst = mx.MaxSatInstance(x, {"x": 1.0})
-    _, varmap = mx.to_wcnf(inst)
-    xid = varmap["x"]
+    cnf = mx.compile_instance(mx.MaxSatInstance(x, {"x": 1.0}))
+    xid = {name: i for i, name in cnf.names.items()}["x"]
     with pytest.raises(NotAModel):
-        mx.decode_external_model(inst, f"v -{xid}")
+        mx.decode_external_model(cnf, f"v -{xid}")

@@ -105,10 +105,8 @@ class TestSolveSmudge:
 
 
 def _weighted_part(inst, model):
-    """The names of a model's true weighted variables, in either form."""
-    if isinstance(inst, mx.ClauseInstance):
-        return frozenset(inst.names[v] for v in model if v in inst.weights)
-    return frozenset(n for n in model if inst.weights.get(n, 0.0) != 0.0)
+    """The names of a model's true weighted ids."""
+    return frozenset(inst.names[v] for v in model if v in inst.weights)
 
 
 def _run_recording(monkeypatch, solve, an, q, cfg):
@@ -292,7 +290,8 @@ def test_final_check_rejects_a_corrupted_incumbent(smudge, monkeypatch):
         refine.solve(smudge, _query(smudge), refine.RefineConfig())
     x = mx.var("x")
     with pytest.raises(NotAModel):
-        mx.solve_exact(mx.MaxSatInstance(mx.or_(x, mx.var("y")), {"x": -1.0}))
+        mx.solve_exact(mx.compile_instance(
+            mx.MaxSatInstance(mx.or_(x, mx.var("y")), {"x": -1.0})))
 
 
 def test_forward_restrict_drops_backward_arcs(smudge):
