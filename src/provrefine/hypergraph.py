@@ -217,18 +217,41 @@ class Index:
                     out.append(j)
         return out
 
-    def slice(self, keep) -> Hypergraph:
-        """The arcs j with keep(j) that reach fact 0 through such arcs."""
+    def slice(self, keep) -> list:
+        """The ids of the arcs j with keep(j) that reach fact 0 through such
+        arcs."""
         seen, stack, out = {0}, [0], []
         while stack:
             for j in self.into[stack.pop()]:
                 if keep(j):
-                    out.append(self.arcs[j])
+                    out.append(j)
                     for b in self.bodies[j]:
                         if b not in seen:
                             seen.add(b)
                             stack.append(b)
-        return Hypergraph(out)
+        return out
+
+    def reached(self, t: Iterable[int], arcs: Iterable[int]) -> set:
+        """The fact ids reached from the seed ids t through the given arcs
+        alone: an arc fires once the last body fact it waits on is reached."""
+        heads, bodies = self.heads, self.bodies
+        reached = set(t)
+        stack, waiting, pending = [], {}, {}
+        for j in arcs:
+            missing = [b for b in bodies[j] if b not in reached]
+            for b in missing:
+                waiting.setdefault(b, []).append(j)
+            pending[j] = len(missing)
+            if not missing and heads[j] not in reached:
+                reached.add(heads[j])
+                stack.append(heads[j])
+        while stack:
+            for j in waiting.pop(stack.pop(), ()):
+                pending[j] -= 1
+                if not pending[j] and heads[j] not in reached:
+                    reached.add(heads[j])
+                    stack.append(heads[j])
+        return reached
 
 
 def reach(g: Hypergraph, t: Iterable[Fact]) -> frozenset:

@@ -6,7 +6,9 @@ CNF over ids 1..n that a caller such as the refinement encoding emits
 directly.  A `MaxSatInstance`, a hard formula over named variables, is
 compiled to one once by `compile_instance` (the Tseytin transformation);
 its auxiliary and existentially quantified variables carry weight zero
-and are hidden from the names a model shows.  One deterministic branch
+and are hidden from the names a model shows.  An `exists` binds its names
+in its body alone, to fresh ids where it occurs only positively, and is
+expanded over their values elsewhere.  One deterministic branch
 and bound, over a two-watched-literal propagation engine with a trail
 and undo, serves both entry points: `solve_exact` returns a proven
 optimum or raises BudgetExceeded, and `solve_approx` returns the best
@@ -17,6 +19,7 @@ models back.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -114,71 +117,88 @@ class ClauseInstance:
 # Tseytin compilation
 
 
+# the most copies of one subformula that expanding `exists` under a
+# negation may make: its names are then universally quantified, and a CNF
+# can only state each of their values in a copy of its own
+MAX_EXPANSION = 1 << 12
+
+
 class _CNF:
     """Clauses under construction: ids count up from 1, each named in
-    `names`; `ids` maps the formula's variables, not the auxiliaries, back."""
+    `names`; `hidden` holds the ids a model does not show."""
 
     def __init__(self):
-        self.ids = {}  # variable name -> id
         self.names = {}  # id -> name, `_aux<id>` for an auxiliary
         self.hidden = set()  # ids not reported in models (aux + exists)
         self.clauses = []
+        self.true = None  # a literal fixed true, made at its first use
 
-    def new_var(self, name: Optional[str] = None, hidden: bool = False) -> int:
+    def new_var(self, name: Optional[str] = None, hidden: bool = True) -> int:
         i = len(self.names) + 1
-        if name is None:
-            name = f"_aux{i}"
-            hidden = True
-        else:
-            self.ids[name] = i
-        self.names[i] = name
+        self.names[i] = f"_aux{i}" if name is None else name
         if hidden:
             self.hidden.add(i)
         return i
 
-    def lookup(self, name: str, hidden: bool = False) -> int:
-        if name not in self.ids:
-            self.new_var(name, hidden)
-        return self.ids[name]
+    def constant(self, value: bool) -> int:
+        if self.true is None:
+            self.true = self.new_var()
+            self.add(self.true)
+        return self.true if value else -self.true
 
     def add(self, *lits: int) -> None:
         self.clauses.append(tuple(lits))
 
+    def gate(self, kind: str, lits: list) -> int:
+        """A new id equivalent to the and/or of lits."""
+        out = self.new_var()
+        if kind == "and":
+            for l in lits:
+                self.add(-out, l)
+            self.add(out, *[-l for l in lits])
+        else:
+            for l in lits:
+                self.add(-l, out)
+            self.add(-out, *lits)
+        return out
 
-def _tseytin(f, cnf: _CNF, hidden_names: frozenset) -> int:
-    """Return a literal equivalent to f, adding definitional clauses."""
+
+def _tseytin(f, cnf: _CNF, scope: dict, polarity: int, copies: int) -> int:
+    """Return a literal equivalent to f, adding definitional clauses.
+
+    `scope` maps each name in scope to a one-element list holding its id,
+    or None for a name an `exists` binds until its first use.  `polarity`
+    is 1 where f occurs only positively, -1 only negatively and 0 both
+    ways; `copies` counts the copies of f that expansion has made.  An
+    `exists` that occurs only positively binds each name to a fresh hidden
+    id; elsewhere it is expanded into the `or` of its body under every
+    value of its names."""
     kind = f[0]
     if kind == "const":
         lit = cnf.new_var()
         cnf.add(lit if f[1] else -lit)
         return lit
     if kind == "var":
-        return cnf.lookup(f[1], hidden=f[1] in hidden_names)
+        cell = scope[f[1]]
+        if cell[0] is None:  # bound by an `exists`: its id comes at first use
+            cell[0] = cnf.new_var(f[1])
+        return cell[0]
     if kind == "not":
-        return -_tseytin(f[1], cnf, hidden_names)
+        return -_tseytin(f[1], cnf, scope, -polarity, copies)
     if kind == "and" or kind == "or":
-        lits = [_tseytin(g, cnf, hidden_names) for g in f[1]]
-        out = cnf.new_var()
-        if kind == "and":
-            for l in lits:
-                cnf.add(-out, l)
-            cnf.add(out, *[-l for l in lits])
-        else:
-            for l in lits:
-                cnf.add(-l, out)
-            cnf.add(-out, *lits)
-        return out
+        return cnf.gate(kind, [_tseytin(g, cnf, scope, polarity, copies)
+                               for g in f[1]])
     if kind == "implies":
-        a = _tseytin(f[1], cnf, hidden_names)
-        b = _tseytin(f[2], cnf, hidden_names)
+        a = _tseytin(f[1], cnf, scope, -polarity, copies)
+        b = _tseytin(f[2], cnf, scope, polarity, copies)
         out = cnf.new_var()
         cnf.add(-out, -a, b)
         cnf.add(out, a)
         cnf.add(out, -b)
         return out
     if kind == "iff":
-        a = _tseytin(f[1], cnf, hidden_names)
-        b = _tseytin(f[2], cnf, hidden_names)
+        a = _tseytin(f[1], cnf, scope, 0, copies)
+        b = _tseytin(f[2], cnf, scope, 0, copies)
         out = cnf.new_var()
         cnf.add(-out, -a, b)
         cnf.add(-out, a, -b)
@@ -186,20 +206,53 @@ def _tseytin(f, cnf: _CNF, hidden_names: frozenset) -> int:
         cnf.add(out, -a, -b)
         return out
     if kind == "exists":
-        return _tseytin(f[2], cnf, hidden_names | f[1])
+        names = sorted(f[1])
+        outer = {n: scope.get(n) for n in names}
+        if polarity == 1:
+            scope.update((n, [None]) for n in names)
+            lit = _tseytin(f[2], cnf, scope, polarity, copies)
+        else:
+            copies <<= len(names)
+            if copies > MAX_EXPANSION:
+                raise ValueError(
+                    f"an exists under a negation or iff expands to more than "
+                    f"{MAX_EXPANSION} copies of a subformula")
+            lits = []
+            for values in itertools.product((False, True), repeat=len(names)):
+                scope.update((n, [cnf.constant(v)])
+                             for n, v in zip(names, values))
+                lits.append(_tseytin(f[2], cnf, scope, polarity, copies))
+            lit = cnf.gate("or", lits)
+        for n, cell in outer.items():
+            if cell is None:
+                del scope[n]
+            else:
+                scope[n] = cell
+        return lit
     raise ValueError(f"unknown formula node {kind!r}")
 
 
 def compile_instance(inst: MaxSatInstance) -> ClauseInstance:
     """The formula's clauses, its nonzero weights in `inst.weights` order,
-    and a name for every id."""
+    and a distinct name for every id.
+
+    The formula's free names and the weighted ones come first, in name
+    order.  A hidden id whose name a shown id or a lower hidden id already
+    has (an auxiliary `_aux<id>` beside a variable of that name, a name an
+    `exists` binds beside its free or other bound uses) gets `@<id>`
+    appended until its name is new."""
     cnf = _CNF()
-    # intern the weighted variables first so ids follow canonical name order
-    for name in sorted(set(inst.weights) | formula_vars(inst.hard)):
-        cnf.lookup(name)
-    cnf.add(_tseytin(inst.hard, cnf, frozenset()))
-    weights = {cnf.ids[n]: w for n, w in inst.weights.items() if w != 0.0}
-    return ClauseInstance(len(cnf.names), cnf.clauses, weights, cnf.names,
+    free = sorted(set(inst.weights) | formula_vars(inst.hard))
+    scope = {name: [cnf.new_var(name, hidden=False)] for name in free}
+    cnf.add(_tseytin(inst.hard, cnf, scope, 1, 1))
+    names = cnf.names
+    taken = set(free)
+    for i in sorted(cnf.hidden):
+        while names[i] in taken:
+            names[i] += f"@{i}"
+        taken.add(names[i])
+    weights = {scope[n][0]: w for n, w in inst.weights.items() if w != 0.0}
+    return ClauseInstance(len(names), cnf.clauses, weights, names,
                           frozenset(cnf.hidden))
 
 
@@ -317,6 +370,9 @@ def _branch_and_bound(inst: ClauseInstance, budget: float):
     deadline = time.monotonic() + budget
     weights, names = inst.weights, inst.names
     witems = list(weights.items())
+    # only a positive weight can still raise the objective: the rest add
+    # max(0, w) = 0.0 to the slack, which leaves a partial sum unchanged
+    positive = [(v, w) for v, w in witems if w > 0]
     weighted = sorted(weights, key=lambda v: (-abs(weights[v]), names[v]))
     by_name = sorted(weighted, key=lambda v: names[v])
     others = [v for v in range(1, inst.nvars + 1) if v not in weights]
@@ -350,7 +406,7 @@ def _branch_and_bound(inst: ClauseInstance, budget: float):
         if not ok:
             return
         objective = sum(w for v, w in witems if val[v] == 1)
-        slack = sum(max(0.0, w) for v, w in witems if not val[v])
+        slack = sum(w for v, w in positive if not val[v])
         incumbent = best["objective"]
         if incumbent is not None and objective + slack < incumbent - tol:
             return

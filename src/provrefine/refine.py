@@ -11,6 +11,7 @@ could still rule the query out.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
@@ -84,111 +85,165 @@ def t_of(an: Analysis, a: Abstraction, a2: Abstraction) -> frozenset:
     return p1_old | project_set(an, p1_new - p1_old)
 
 
+class Encoding:
+    """The numbering every iteration of one solve encodes and decodes with.
+
+    Facts are numbered as in q's cone index `cone`, then the parameter
+    facts outside it follow; `ids` maps a fact to its number.  `frank[i]`
+    is fact i's rank in `Fact._key` order and `arank[j]` cone arc j's rank
+    in `Arc._key` order: since ranking the facts is a bijection, the keys
+    (rank of the head, sorted ranks of the body, rule type) order the arcs
+    as `Arc._key` does.  `bodies[j]` lists arc j's body facts by rank and
+    `weights[j]` holds its log theta; `enc0[x]` and `enc1[x]` number
+    parameter x's cheap and precise facts, and `queries` the declared
+    queries among the numbered facts.
+    """
+
+    def __init__(self, an: Analysis, cone: hg.Index,
+                 hp: Optional[HyperParams], alpha: float):
+        self.an, self.cone, self.alpha = an, cone, alpha
+        self.facts, self.ids = list(cone.facts), dict(cone.ids)
+        for u in itertools.chain(an.encode0.values(), an.encode1.values()):
+            if u not in self.ids:
+                self.ids[u] = len(self.facts)
+                self.facts.append(u)
+        self.enc0 = {x: self.ids[u] for x, u in an.encode0.items()}
+        self.enc1 = {x: self.ids[u] for x, u in an.encode1.items()}
+        self.params = set(self.enc0.values()) | set(self.enc1.values())
+        self.queries = [self.ids[u] for u in an.queries if u in self.ids]
+        self.frank = _ranks(len(self.facts), lambda i: self.facts[i]._key())
+        self.bodies = [sorted(b, key=self.frank.__getitem__)
+                       for b in cone.bodies]
+        self.arank = _ranks(len(cone.arcs), lambda j: (
+            self.frank[cone.heads[j]], [self.frank[b] for b in self.bodies[j]],
+            cone.arcs[j].rule_type))
+        theta = {t: _log_theta(hp, t) for t in {e.rule_type for e in cone.arcs}}
+        self.weights = [theta[e.rule_type] for e in cone.arcs]
+        # the names of the variables that may be weighted: every parameter
+        # fact's now, an arc's once it is first named
+        self.fact_names = {i: "v:" + str(self.facts[i]) for i in self.params}
+        self._arc_names = {}
+
+    def arc_name(self, j: int) -> str:
+        name = self._arc_names.get(j)
+        if name is None:
+            name = self._arc_names[j] = "e:" + str(self.cone.arcs[j])
+        return name
+
+
+def _ranks(n: int, key) -> list:
+    """rank[i] of each of 0..n-1 in the order of key(i)."""
+    rank = [0] * n
+    for r, i in enumerate(sorted(range(n), key=key)):
+        rank[i] = r
+    return rank
+
+
 @dataclass
 class Phi:
     """The refinement constraint as weighted clauses over integer ids.
 
-    `arc_ids` and `fact_ids` give the ids of the arc variables e and the
-    vertex variables v_u, `aux_ids` the id of y_e, which holds iff e and
-    its whole body hold; `graph` is the hypergraph encoded.
+    Arc variable k + 1 selects the cone arc `arcs[k]`, and variable
+    k + 1 + len(arcs) + len(fact_ids), y_e, holds iff that arc and its
+    whole body hold; `fact_ids` maps the encoding's fact numbers to their
+    vertex variables v_u, and `vertices` holds the facts the arcs mention.
     """
 
     inst: mx.ClauseInstance
-    graph: Hypergraph
-    arc_ids: dict
+    arcs: list
     fact_ids: dict
-    aux_ids: dict
+    vertices: set
 
 
-def build_phi(an: Analysis, g_fwd: Hypergraph, q: Fact, a: Abstraction,
-              hp: Optional[HyperParams] = None, alpha: float = 1.0) -> Phi:
+def build_phi(enc: Encoding, kept: Iterable[int], a: Abstraction) -> Phi:
     """Hard clauses + weights whose models are the feasible refinements.
 
-    A model selects a sub-hypergraph (arc variables), the reached facts
-    (vertex variables), and which still-cheap parameters to flip (their
-    cheap-mode fact becoming a seed); the query must be reached.  The
-    clauses: y_e <-> (e and its body) and y_e -> v_head per arc; each
-    non-parameter vertex needs a firing arc, v_u -> (y_e or ...); v_q and
-    every P1 fact hold, and some P0 fact does.
+    A model selects a sub-hypergraph of the cone arcs `kept` (arc
+    variables), the reached facts (vertex variables), and which still-cheap
+    parameters to flip (their cheap-mode fact becoming a seed); the query,
+    the cone's fact 0, must be reached.  The clauses: y_e <-> (e and its
+    body) and y_e -> v_head per arc; each non-parameter vertex needs a
+    firing arc, v_u -> (y_e or ...); v_q and every P1 fact hold, and some
+    P0 fact does.
 
     Arcs weigh log theta of their rule type, P0 and P1 facts -alpha.  Only
     the variables of nonzero weight are named, `e:<arc>` and `v:<fact>`:
     the solver breaks ties in name order.  The other ids follow
     `Arc._key` and `Fact._key` order.
     """
-    if q not in g_fwd.vertices:
-        raise QueryNotInProvenance(str(q))
-    p0 = encode_params(an, a, 0)
-    p1 = encode_params(an, a, 1)
-    param_facts = set(an.encode0.values()) | set(an.encode1.values())
-    arcs = g_fwd.sorted_arcs()
-    facts = sorted(g_fwd.vertices | p0 | p1, key=Fact._key)
-    arc_ids = {e: i for i, e in enumerate(arcs, 1)}
-    fact_ids = {u: i for i, u in enumerate(facts, len(arcs) + 1)}
-    aux_ids = {e: i for i, e in enumerate(arcs, len(arcs) + len(facts) + 1)}
+    heads, bodies, frank = enc.cone.heads, enc.bodies, enc.frank
+    arcs = sorted(kept, key=enc.arank.__getitem__)
+    vertices = {heads[j] for j in arcs}
+    for j in arcs:
+        vertices.update(bodies[j])
+    if 0 not in vertices:
+        raise QueryNotInProvenance(str(enc.facts[0]))
+    p0 = {enc.enc0[x] for x, v in a.bits if v == 0}
+    p1 = {enc.enc1[x] for x, v in a.bits if v == 1}
+    facts = sorted(vertices | p0 | p1, key=frank.__getitem__)
+    n = len(arcs)
+    fact_ids = {u: i for i, u in enumerate(facts, n + 1)}
 
     weights, names = {}, {}  # summed in this order: arcs, then facts
-    for e, i in arc_ids.items():
-        w = _log_theta(hp, e.rule_type)
+    for x, j in enumerate(arcs, 1):
+        w = enc.weights[j]
         if w != 0.0:
-            weights[i] = w
-            names[i] = "e:" + str(e)
-    if alpha != 0.0:
-        for u, i in fact_ids.items():
+            weights[x] = w
+            names[x] = enc.arc_name(j)
+    if enc.alpha != 0.0:
+        for u in facts:
             if u in p0 or u in p1:
-                weights[i] = -alpha
-                names[i] = "v:" + str(u)
+                weights[fact_ids[u]] = -enc.alpha
+                names[fact_ids[u]] = enc.fact_names[u]
 
     clauses = []
     justify = {}  # head -> (-v_head, y_e for each arc e into it)
-    for e in arcs:
-        y, x, head = aux_ids[e], arc_ids[e], fact_ids[e.head]
-        body = sorted(fact_ids[b] for b in e.body)
+    aux = n + len(facts)  # y_e of arc variable x is x + aux
+    for x, j in enumerate(arcs, 1):
+        y, head = x + aux, fact_ids[heads[j]]
+        body = [fact_ids[b] for b in bodies[j]]
         clauses.append((-y, x))
         clauses.extend((-y, b) for b in body)
         clauses.append((y, -x, *[-b for b in body]))
         clauses.append((-y, head))
-        justify.setdefault(e.head, [-head]).append(y)
+        justify.setdefault(heads[j], [-head]).append(y)
     for u in facts:
-        if u not in param_facts:
+        if u not in enc.params:
             clauses.append(tuple(justify.get(u, (-fact_ids[u],))))
-    clauses.append((fact_ids[q],))
+    clauses.append((fact_ids[0],))
     clauses.extend((fact_ids[u],) for u in facts if u in p1)
     clauses.append(tuple(fact_ids[u] for u in facts if u in p0))
-    nvars = 2 * len(arcs) + len(facts)
-    return Phi(mx.ClauseInstance(nvars, clauses, weights, names), g_fwd,
-               arc_ids, fact_ids, aux_ids)
+    nvars = 2 * n + len(facts)
+    return Phi(mx.ClauseInstance(nvars, clauses, weights, names), arcs,
+               fact_ids, vertices)
 
 
-def decode_model(an: Analysis, model: Iterable[int], phi: Phi,
+def decode_model(enc: Encoding, model: Iterable[int], phi: Phi,
                  a: Abstraction):
-    """Read off the refined abstraction and selected sub-hypergraph."""
+    """The refined abstraction, and the log survival probability of the
+    selected arcs, the fsum of their weights."""
     model = frozenset(model)
-    h = Hypergraph(e for e, i in phi.arc_ids.items() if i in model)
-    flips = set()
-    for x, v in a.bits:
-        if v == 0 and phi.fact_ids[an.encode0[x]] in model:
-            flips.add(x)
-    a2 = a.with_flips(flips)
+    n = len(phi.arcs)
+    chosen = [phi.arcs[i - 1] for i in model if i <= n]
+    fact_ids = phi.fact_ids
+    a2 = a.with_flips(x for x, v in a.bits
+                      if v == 0 and fact_ids[enc.enc0[x]] in model)
     if not a < a2:
         raise NotAModel("decoded abstraction is not strictly more precise")
-    q_candidates = an.queries & phi.graph.vertices
-    t = t_of(an, a, a2)
-    reached = hg.reach(h, t)
-    for q in q_candidates:
-        if phi.fact_ids[q] in model and q not in reached:
+    ids = enc.ids
+    t = [ids[u] for u in t_of(enc.an, a, a2) if u in ids]
+    reached = enc.cone.reached(t, chosen)
+    for q in enc.queries:
+        if q in phi.vertices and fact_ids[q] in model and q not in reached:
             raise NotAModel("selected arcs do not justify the query")
-    return a2, h
+    return a2, math.fsum(enc.weights[j] for j in chosen)
 
 
-def success_prob_lower(h: Hypergraph, hp: Optional[HyperParams]) -> float:
-    """Log of the survival probability of the whole selected subgraph."""
-    return math.fsum(_log_theta(hp, e.rule_type) for e in h.arcs)
-
-
-def choose_optimistic(an: Analysis, g_a: Hypergraph, q: Fact, a: Abstraction,
+def choose_optimistic(an: Analysis, cone: hg.Index, kept: Iterable[int],
+                      a: Abstraction,
                       cfg: RefineConfig) -> Optional[Abstraction]:
-    """Cheapest a2 > a whose remaining cheap facts cannot derive q.
+    """Cheapest a2 > a whose remaining cheap facts cannot derive q, the
+    cone's fact 0, through the cone arcs `kept`.
 
     Encodes the closure of the cheap seeds as Horn clauses: z variables
     over-approximate reachability from the cheap-mode facts of a2, and
@@ -201,6 +256,7 @@ def choose_optimistic(an: Analysis, g_a: Hypergraph, q: Fact, a: Abstraction,
     unflipped = [x for x, v in a.bits if v == 0]
     if not unflipped:
         return None
+    g_a, q = Hypergraph(cone.arcs[j] for j in kept), cone.facts[0]
     f_ids = {x: i for i, x in enumerate(sorted(unflipped), 1)}
     seeds = {x: an.encode0[x] for x in unflipped}
     z_ids = {u: i for i, u in enumerate(
@@ -263,9 +319,12 @@ def solve(an: Analysis, q: Fact, cfg: RefineConfig) -> RefineOutcome:
     hp = _strategy_hyperparams(cfg)
 
     # every step below decides only facts in q's cone (q is fact 0): the
-    # analysis under a, the forward arcs and the slices to q
+    # analysis under a, the forward arcs and the slices to q; the encoding
+    # numbers the cone once for every build_phi and decode_model, and is
+    # built at the first of them, which a solve ending at once never reaches
     cone = hg.Index.cone(an.global_graph, q)
     heads, bodies = cone.heads, cone.bodies
+    enc = None
     a = an.bottom()
     trace = []
     iteration = 0
@@ -285,26 +344,28 @@ def solve(an: Analysis, q: Fact, cfg: RefineConfig) -> RefineOutcome:
         try:
             if cfg.strategy == "optimistic":
                 # the derived arcs: their whole body is reached
-                g_a = cone.slice(lambda j: all(b in dist for b in bodies[j]))
-                a2 = choose_optimistic(an, g_a, q, a, cfg)
+                kept = cone.slice(lambda j: all(b in dist for b in bodies[j]))
+                a2 = choose_optimistic(an, cone, kept, a, cfg)
                 if a2 is None:
                     entry["answer"] = "no"
                     return RefineOutcome("no", iteration, trace)
                 entry["chosen"] = sorted(a2.flips())
             else:
                 # the forward arcs among the derived ones
-                g_fwd = cone.slice(lambda j: heads[j] in dist and all(
+                kept = cone.slice(lambda j: heads[j] in dist and all(
                     b in dist and dist[b] < dist[heads[j]] for b in bodies[j]))
-                phi = build_phi(an, g_fwd, q, a, hp, cfg.alpha)
+                if enc is None:
+                    enc = Encoding(an, cone, hp, cfg.alpha)
+                phi = build_phi(enc, kept, a)
                 result = _run_solver(phi.inst, cfg)
                 if result is None:
                     raise NotAModel(
                         "refinement constraint unexpectedly unsatisfiable")
                 model, objective = result
-                a2, h = decode_model(an, model, phi, a)
+                a2, log_success = decode_model(enc, model, phi, a)
                 entry["chosen"] = sorted(a2.flips())
                 entry["objective"] = objective
-                entry["log_success"] = success_prob_lower(h, hp)
+                entry["log_success"] = log_success
         except BudgetExceeded:
             entry["answer"] = "limit"
             return RefineOutcome("limit", iteration, trace)

@@ -1,14 +1,19 @@
-"""Reference refinement encoding: a formula tree compiled through Tseytin.
+"""Reference refinement encodings, kept as the oracles of `provrefine.refine`.
 
 The formula-tree version of `provrefine.refine.build_phi`, `decode_model`
 and `choose_optimistic`, over string-named variables (`e:<arc>`,
-`v:<fact>`, `y:<arc>`, `f:<param>`, `z:<fact>`), kept as the oracle the
-integer clause encoding is checked against.  `solve` is the refinement
-loop over them.  Both encodings give the solver the same weighted
-variables in the same name order, so both must choose the same weighted
-part of every model and produce identical traces.
+`v:<fact>`, `y:<arc>`, `f:<param>`, `z:<fact>`), compiled through
+Tseytin, is the oracle the integer clause encoding is checked against.
+`solve` is the refinement loop over them.  Both encodings give the solver
+the same weighted variables in the same name order, so both must choose
+the same weighted part of every model and produce identical traces.
+
+`build_phi_clauses` is the integer clause encoding keyed by the arcs and
+facts of a `Hypergraph`, sorting them anew on every call; the encoding
+that numbers q's cone once per solve must emit exactly its instance.
 """
 
+import math
 from typing import Iterable, Optional
 
 from provrefine import hypergraph as hg
@@ -19,8 +24,7 @@ from provrefine.hypergraph import Arc, Fact, Hypergraph
 from provrefine.probmodel import HyperParams
 from provrefine.refine import (RefineConfig, RefineOutcome, _log_theta,
                                _run_solver, _strategy_hyperparams,
-                               forward_restrict, slice_to_query,
-                               success_prob_lower, t_of)
+                               forward_restrict, slice_to_query, t_of)
 
 from conftest import solve_formula
 
@@ -82,6 +86,63 @@ def build_phi(an: Analysis, g_fwd: Hypergraph, q: Fact, a: Abstraction,
     for u in sorted(p0 | p1, key=Fact._key):
         weights[_vertex_var(u)] = -alpha
     return mx.MaxSatInstance(hard, weights)
+
+
+def build_phi_clauses(an: Analysis, g_fwd: Hypergraph, q: Fact,
+                      a: Abstraction, hp: Optional[HyperParams] = None,
+                      alpha: float = 1.0) -> mx.ClauseInstance:
+    """`provrefine.refine.build_phi`'s instance from the arcs of g_fwd.
+
+    Arc variables come first in `Arc._key` order, then the vertex
+    variables in `Fact._key` order, then one y_e per arc; only the
+    variables of nonzero weight are named.
+    """
+    if q not in g_fwd.vertices:
+        raise QueryNotInProvenance(str(q))
+    p0 = encode_params(an, a, 0)
+    p1 = encode_params(an, a, 1)
+    param_facts = set(an.encode0.values()) | set(an.encode1.values())
+    arcs = g_fwd.sorted_arcs()
+    facts = sorted(g_fwd.vertices | p0 | p1, key=Fact._key)
+    arc_ids = {e: i for i, e in enumerate(arcs, 1)}
+    fact_ids = {u: i for i, u in enumerate(facts, len(arcs) + 1)}
+    aux_ids = {e: i for i, e in enumerate(arcs, len(arcs) + len(facts) + 1)}
+
+    weights, names = {}, {}  # summed in this order: arcs, then facts
+    for e, i in arc_ids.items():
+        w = _log_theta(hp, e.rule_type)
+        if w != 0.0:
+            weights[i] = w
+            names[i] = _arc_var(e)
+    if alpha != 0.0:
+        for u, i in fact_ids.items():
+            if u in p0 or u in p1:
+                weights[i] = -alpha
+                names[i] = _vertex_var(u)
+
+    clauses = []
+    justify = {}  # head -> (-v_head, y_e for each arc e into it)
+    for e in arcs:
+        y, x, head = aux_ids[e], arc_ids[e], fact_ids[e.head]
+        body = sorted(fact_ids[b] for b in e.body)
+        clauses.append((-y, x))
+        clauses.extend((-y, b) for b in body)
+        clauses.append((y, -x, *[-b for b in body]))
+        clauses.append((-y, head))
+        justify.setdefault(e.head, [-head]).append(y)
+    for u in facts:
+        if u not in param_facts:
+            clauses.append(tuple(justify.get(u, (-fact_ids[u],))))
+    clauses.append((fact_ids[q],))
+    clauses.extend((fact_ids[u],) for u in facts if u in p1)
+    clauses.append(tuple(fact_ids[u] for u in facts if u in p0))
+    nvars = 2 * len(arcs) + len(facts)
+    return mx.ClauseInstance(nvars, clauses, weights, names)
+
+
+def success_prob_lower(h: Hypergraph, hp: Optional[HyperParams]) -> float:
+    """Log of the survival probability of the whole selected subgraph."""
+    return math.fsum(_log_theta(hp, e.rule_type) for e in h.arcs)
 
 
 def decode_model(an: Analysis, model: Iterable[str], g_fwd: Hypergraph,

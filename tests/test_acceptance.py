@@ -274,13 +274,19 @@ def test_criterion_6_phi_bijection():
     while checked < 100:
         an, q = random_gadget(rng)
         a = an.bottom()
-        g_a = ana.local_provenance(an, a)
-        g_fwd = refine.forward_restrict(g_a, an, a)
-        if q not in g_fwd.vertices:
+        cone = hg.Index.cone(an.global_graph, q)
+        heads, bodies = cone.heads, cone.bodies
+        dist = cone.run(ana.encode_params(an, a, 0) | ana.encode_params(an, a, 1))
+        # every forward arc of q's cone, whether or not it leads on to q
+        kept = [j for j in range(len(cone.arcs)) if heads[j] in dist and all(
+            b in dist and dist[b] < dist[heads[j]] for b in bodies[j])]
+        if not any(heads[j] == 0 or 0 in bodies[j] for j in kept):
             continue
         checked += 1
-        phi = refine.build_phi(an, g_fwd, q, a)
-        arcs = g_fwd.sorted_arcs()
+        enc = refine.Encoding(an, cone, None, 1.0)
+        phi = refine.build_phi(enc, kept, a)
+        assert sorted(phi.arcs) == sorted(kept)
+        arcs = [cone.arcs[j] for j in phi.arcs]  # arc variable k is arcs[k - 1]
         # the target set: (flips, sub-hypergraph) pairs deriving the query
         feasible = set()
         for r in range(1, len(an.params) + 1):
@@ -292,20 +298,22 @@ def test_criterion_6_phi_bijection():
                             feasible.add((frozenset(s), frozenset(sub)))
         # enumerate the models of the emitted clauses over the visible ids
         # (arc and vertex variables), each y_e true iff e and its body are
-        ids = sorted(set(phi.arc_ids.values()) | set(phi.fact_ids.values()))
+        n, fact_ids = len(arcs), phi.fact_ids
+        ids = list(range(1, n + 1)) + sorted(fact_ids.values())
         models = []
         for bits in itertools.product([False, True], repeat=len(ids)):
             true = {i for i, bit in zip(ids, bits) if bit}
-            fired = {phi.aux_ids[e] for e in arcs
-                     if phi.arc_ids[e] in true
-                     and all(phi.fact_ids[b] in true for b in e.body)}
+            fired = {x + n + len(fact_ids) for x, j in enumerate(phi.arcs, 1)
+                     if x in true
+                     and all(fact_ids[b] in true for b in bodies[j])}
             if all(any((l > 0) == (abs(l) in true or abs(l) in fired)
                        for l in clause) for clause in phi.inst.clauses):
                 models.append(frozenset(true))
         decoded = set()
         for model in models:
-            a2, h = refine.decode_model(an, model, phi, a)
-            decoded.add((frozenset(a2.flips()), frozenset(h.arcs)))
+            a2, _ = refine.decode_model(enc, model, phi, a)
+            chosen = frozenset(arcs[x - 1] for x in model if x <= n)
+            decoded.add((frozenset(a2.flips()), chosen))
         assert len(models) == len(feasible)
         assert len(decoded) == len(models)  # decoding is injective
         assert decoded == feasible  # ... and onto the target set

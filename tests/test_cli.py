@@ -356,6 +356,30 @@ class TestMaxsat:
         code, out, _ = run(capsys, "maxsat", str(inst))
         assert code == 0 and out == "model: c\nobjective: 0.000000\n"
 
+    def test_the_varmap_names_no_two_ids_alike(self, capsys, tmp_path):
+        inst = tmp_path / "i.txt"
+        inst.write_text("w c 1.0\nhard (and (or c _aux5) (not (or a b)))\n")
+        vm = tmp_path / "i.varmap"
+        code, out, _ = run(capsys, "maxsat", str(inst), "--export-wcnf",
+                           "--varmap", str(vm))
+        assert code == 0 and out.startswith("p wcnf 7 ")
+        lines = [line.split(" ", 1) for line in vm.read_text().splitlines()]
+        assert [int(i) for i, _ in lines] == list(range(1, 8))
+        names = [name for _, name in lines]
+        assert len(set(names)) == len(names)
+        assert names[:4] == ["_aux5", "a", "b", "c"]
+
+    @pytest.mark.parametrize("formula, answer", [
+        ("(not (exists (y) y))", "unsat\n"),
+        ("(iff x (exists (y) (and y (not y))))", "model: \nobjective: 0.000000\n"),
+        ("(and x (exists (x) (not x)))", "model: x\nobjective: 1.000000\n")])
+    def test_exists_binds_its_names_where_it_stands(self, capsys, tmp_path,
+                                                    formula, answer):
+        inst = tmp_path / "i.txt"
+        inst.write_text(f"w x 1.0\nhard {formula}\n")
+        code, out, _ = run(capsys, "maxsat", str(inst))
+        assert (code, out) == (1 if answer == "unsat\n" else 0, answer)
+
     def test_approx_mode(self, capsys, tmp_path):
         inst = tmp_path / "i.txt"
         inst.write_text("w a 1.0\nhard (implies a a)\n")

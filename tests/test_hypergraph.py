@@ -97,7 +97,8 @@ def _relabelled(rng, g: Hypergraph) -> Hypergraph:
 def test_index_closes_as_the_naive_oracles(seed):
     """Empty-body arcs, seeds outside the graph and labels that are not
     facts: close is the naive closure with the brute-force distances,
-    run its restriction to the index, within its arcs with a body in r."""
+    run its restriction to the index, within its arcs with a body in r,
+    and reached the naive closure through a subset of its arcs."""
     rng = random.Random(seed)
     g = _relabelled(rng, random_hypergraph(rng))
     verts = sorted(g.vertices, key=repr)
@@ -113,6 +114,12 @@ def test_index_closes_as_the_naive_oracles(seed):
     r = {index.ids[u] for u in dist if u in index.ids}
     assert sorted(index.within(r)) == [
         j for j, a in enumerate(index.arcs) if a.body <= dist.keys()]
+    some = [j for j in range(len(index.arcs)) if rng.random() < 0.6]
+    rng.shuffle(some)
+    sub = Hypergraph(index.arcs[j] for j in some)
+    seeds = {index.ids[u] for u in t if u in index.ids}
+    assert index.reached(seeds, some) == {
+        index.ids[u] for u in naive_closure(sub, t) if u in index.ids}
 
 
 def test_the_cone_numbers_facts_from_q_in_search_order():

@@ -56,38 +56,114 @@ def brute_force_optimum(inst: mx.MaxSatInstance):
 
 def random_instance(rng, max_vars=6):
     """Names are `x<i>` or, now and then, `_aux<k>`, the form the Tseytin
-    auxiliaries are named in.  An `exists` binds a fresh `y<k>`, used only
-    in its body, and stands only where no `not`, antecedent or `iff` is
-    above it: the compiled instance treats its variable as free."""
+    auxiliaries are named in.  An `exists` may stand anywhere: under a
+    `not`, in an antecedent, on either side of an `iff`.  It binds one or
+    two names, each a fresh `y<k>` or a name already in scope, free or
+    bound further out, which it then shadows."""
     n = rng.randint(1, max_vars)
     names = sorted({f"_aux{rng.randint(1, 12)}" if rng.random() < 0.15
                     else f"x{i}" for i in range(n)})
     fresh = itertools.count()
 
-    def go(depth, scope, positive):
+    def go(depth, scope):
         if depth == 0 or rng.random() < 0.4:
             v = mx.var(rng.choice(scope))
             return mx.not_(v) if rng.random() < 0.5 else v
-        op = rng.choice(["and", "or", "implies", "iff"]
-                        + ["exists"] * positive)
+        op = rng.choice(["and", "or", "not", "implies", "iff", "exists"])
         if op == "exists":
-            y = f"y{next(fresh)}"
-            return mx.exists([y], go(depth - 1, scope + [y], True))
-        if op == "and":
-            return mx.and_(go(depth - 1, scope, positive),
-                           go(depth - 1, scope, positive))
-        if op == "or":
-            return mx.or_(go(depth - 1, scope, positive),
-                          go(depth - 1, scope, positive))
-        if op == "implies":
-            return mx.implies(go(depth - 1, scope, False),
-                              go(depth - 1, scope, positive))
-        return mx.iff(go(depth - 1, scope, False), go(depth - 1, scope, False))
+            bound = {f"y{next(fresh)}" if rng.random() < 0.5
+                     else rng.choice(scope) for _ in range(rng.randint(1, 2))}
+            return mx.exists(bound, go(depth - 1, sorted(set(scope) | bound)))
+        if op == "not":
+            return mx.not_(go(depth - 1, scope))
+        pair = (go(depth - 1, scope), go(depth - 1, scope))
+        return {"and": mx.and_, "or": mx.or_, "implies": mx.implies,
+                "iff": mx.iff}[op](*pair)
 
-    hard = go(3, names, True)
+    hard = go(3, names)
     weights = {v: rng.uniform(-2, 2)
                for v in rng.sample(names, rng.randint(0, len(names)))}
     return mx.MaxSatInstance(hard, weights)
+
+
+def test_random_instances_bind_names_everywhere():
+    """The generator reaches every case the scoped compilation handles."""
+    seen = set()
+
+    def walk(f, polarity, scope, free):
+        kind = f[0]
+        if kind == "exists":
+            seen.add(("polarity", polarity))
+            if f[1] & free:
+                seen.add("shadows a free name")
+            if f[1] & scope:
+                seen.add("shadows a bound name")
+            walk(f[2], polarity, scope | f[1], free)
+        elif kind == "not":
+            walk(f[1], -polarity, scope, free)
+        elif kind in ("and", "or"):
+            for g in f[1]:
+                walk(g, polarity, scope, free)
+        elif kind == "implies":
+            walk(f[1], -polarity, scope, free)
+            walk(f[2], polarity, scope, free)
+        elif kind == "iff":
+            walk(f[1], 0, scope, free)
+            walk(f[2], 0, scope, free)
+
+    rng = random.Random(13)
+    for _ in range(120):
+        inst = random_instance(rng)
+        walk(inst.hard, 1, frozenset(), mx.formula_vars(inst.hard))
+    assert seen == {("polarity", 1), ("polarity", -1), ("polarity", 0),
+                    "shadows a free name", "shadows a bound name"}
+
+
+def test_exists_is_scoped_and_quantified_where_it_stands():
+    x, y = mx.var("x"), mx.var("y")
+    cases = [
+        # nothing satisfies y, so its negation holds for no model
+        (mx.not_(mx.exists(["y"], y)), {}, None),
+        (mx.implies(mx.exists(["y"], y), x), {"x": -1.0}, -1.0),
+        (mx.iff(mx.exists(["y"], mx.and_(y, mx.not_(y))), x), {"x": 1.0}, 0.0),
+        # the bound x is not the free, weighted one
+        (mx.and_(mx.exists(["x"], mx.not_(x)), x), {"x": 1.0}, 1.0),
+        (mx.and_(mx.exists(["x"], x), mx.exists(["x"], mx.not_(x))),
+         {"x": -1.0}, 0.0),
+        (mx.not_(mx.exists(["x"], mx.and_(x, mx.not_(mx.exists(["x"], x))))),
+         {}, 0.0),
+    ]
+    for hard, weights, expect in cases:
+        inst = mx.MaxSatInstance(hard, weights)
+        assert brute_force_optimum(inst) == expect
+        got = solve_formula(mx.solve_exact, inst)
+        assert (got if got is None else got[1]) == expect, hard
+
+
+def test_compiled_names_are_distinct():
+    """A hidden id named like another id gets `@<id>` appended; the
+    variables of the formula keep their names."""
+    a, b, c, aux5 = (mx.var(n) for n in ("a", "b", "c", "_aux5"))
+    cnf = mx.compile_instance(mx.MaxSatInstance(
+        mx.and_(mx.or_(c, aux5), mx.not_(mx.or_(a, b))), {"c": 1.0}))
+    assert cnf.names[1] == "_aux5" and cnf.names[5] == "_aux5@5"
+    rng = random.Random(5)
+    for _ in range(200):
+        inst = random_instance(rng)
+        cnf = mx.compile_instance(inst)
+        assert len(set(cnf.names.values())) == len(cnf.names)
+        shown = {cnf.names[i] for i in cnf.names if i not in cnf.hidden}
+        assert shown == set(inst.weights) | mx.formula_vars(inst.hard)
+
+
+def test_expanding_exists_is_bounded():
+    ys = [f"y{i}" for i in range(13)]
+    hard = mx.not_(mx.exists(ys, mx.and_(*map(mx.var, ys))))
+    with pytest.raises(ValueError, match="exists"):
+        mx.compile_instance(mx.MaxSatInstance(hard, {}))
+    ys = ys[:12]  # 4096 copies of a small body still compile
+    hard = mx.not_(mx.exists(ys, mx.and_(*map(mx.var, ys))))
+    assert solve_formula(mx.solve_exact, mx.MaxSatInstance(hard, {})) is None
 
 
 def test_formula_constructors_flatten_and_simplify():

@@ -202,6 +202,48 @@ def test_clause_encoding_matches_the_formula_reference(monkeypatch):
     assert seen["no arc", "outside the cone"] == 10
 
 
+def _sliced(cone, keep):
+    return hg.Hypergraph(cone.arcs[j] for j in cone.slice(keep))
+
+
+def test_the_cone_encoding_matches_the_graph_keyed_clauses(monkeypatch):
+    """On every iteration, build_phi over the per-solve numbering of the
+    cone emits the instance that the oracle keyed by a Hypergraph's arcs
+    and facts does: the same nvars and clauses, the same weights and names
+    in the same order."""
+    checked, current = Counter(), {}
+    inner = refine.build_phi
+
+    def compared(enc, kept, a):
+        phi = inner(enc, kept, a)
+        g_fwd = hg.Hypergraph(enc.cone.arcs[j] for j in kept)
+        expect = refine_reference.build_phi_clauses(
+            enc.an, g_fwd, enc.facts[0], a, current["hp"], current["alpha"])
+        got = phi.inst
+        assert got.nvars == expect.nvars
+        assert got.clauses == expect.clauses
+        assert list(got.weights.items()) == list(expect.weights.items())
+        assert list(got.names.items()) == list(expect.names.items())
+        assert got.hidden == expect.hidden == frozenset()
+        checked[current["alpha"] != 0.0, bool(got.weights)] += 1
+        return phi
+
+    monkeypatch.setattr(refine, "build_phi", compared)
+    demo = datalog.smudge_fixture()
+    demo_hp = HyperParams(datalog.smudge_theta())
+    cases = [(demo, _query(demo), demo_hp, alpha)
+             for alpha in (0.0, 0.5, 1.0, 2.0)]
+    for an, q, hp, alpha in itertools.chain(cases, _reference_cases(Counter())):
+        for strategy in refine.STRATEGIES:
+            cfg = refine.RefineConfig(strategy=strategy, hyperparams=hp,
+                                      alpha=alpha)
+            current.update(hp=refine._strategy_hyperparams(cfg), alpha=alpha)
+            refine.solve(an, q, cfg)
+    # alpha 0 with weighted arcs, alpha 0 with nothing weighted, and others
+    assert checked[False, True] >= 20 and checked[False, False] >= 20
+    assert checked[True, True] >= 200
+
+
 def test_the_cone_index_agrees_with_the_whole_graph():
     """On q's backward cone, the analysis under a, the "no" test and both
     slices equal their versions over the whole global graph."""
@@ -231,9 +273,9 @@ def test_the_cone_index_agrees_with_the_whole_graph():
             assert dist.get(j, hg.INFINITY) == whole.get(u, hg.INFINITY)
         g_a = ana.local_provenance(an, a)
         assert (0 in cone.run(p1)) == (q in hg.reach(g_a, p1))
-        assert cone.slice(forward) == refine.slice_to_query(
+        assert _sliced(cone, forward) == refine.slice_to_query(
             refine.forward_restrict(g_a, an, a), q)
-        assert cone.slice(derived) == refine.slice_to_query(g_a, q)
+        assert _sliced(cone, derived) == refine.slice_to_query(g_a, q)
     assert outside >= 100
 
 
@@ -325,31 +367,59 @@ def test_t_of_mixes_old_seeds_with_projected_new_ones(smudge):
     assert hg.parse_fact("cheap(4)") in t  # projected from precise(4)
 
 
+def _forward(cone, an, a):
+    """The ids of q's forward cone arcs under a, sliced to q."""
+    dist = cone.run(ana.encode_params(an, a, 0) | ana.encode_params(an, a, 1))
+    heads, bodies = cone.heads, cone.bodies
+    return cone.slice(lambda j: heads[j] in dist and all(
+        b in dist and dist[b] < dist[heads[j]] for b in bodies[j]))
+
+
 def test_build_phi_rejects_unreachable_query(smudge):
     a = smudge.bottom()
-    g_fwd = refine.forward_restrict(ana.local_provenance(smudge, a), smudge, a)
+    cone = hg.Index.cone(smudge.global_graph, hg.parse_fact("nope(1)"))
+    enc = refine.Encoding(smudge, cone, None, 1.0)
     with pytest.raises(QueryNotInProvenance):
-        refine.build_phi(smudge, g_fwd, hg.parse_fact("nope(1)"), a)
+        refine.build_phi(enc, cone.slice(lambda j: True), a)
+    cone = hg.Index.cone(smudge.global_graph, _query(smudge))
+    enc = refine.Encoding(smudge, cone, None, 1.0)
+    with pytest.raises(QueryNotInProvenance):
+        refine.build_phi(enc, [], a)
 
 
-def test_decode_model_round_trip(smudge):
+def test_decode_model_round_trip(smudge, smudge_hp):
     a = smudge.bottom()
     q = _query(smudge)
-    g_fwd = refine.slice_to_query(
+    cone = hg.Index.cone(smudge.global_graph, q)
+    kept = _forward(cone, smudge, a)
+    g_fwd = hg.Hypergraph(cone.arcs[j] for j in kept)
+    assert g_fwd == refine.slice_to_query(
         refine.forward_restrict(ana.local_provenance(smudge, a), smudge, a), q)
-    phi = refine.build_phi(smudge, g_fwd, q, a)
+    enc = refine.Encoding(smudge, cone, smudge_hp, 1.0)
+    phi = refine.build_phi(enc, kept, a)
     model, objective = mx.solve_exact(phi.inst)
-    a2, h = refine.decode_model(smudge, model, phi, a)
+    a2, log_success = refine.decode_model(enc, model, phi, a)
+    h = hg.Hypergraph(cone.arcs[phi.arcs[i - 1]] for i in model
+                      if i <= len(phi.arcs))
     assert a < a2
     assert h <= g_fwd
     assert q in hg.reach(h, refine.t_of(smudge, a, a2))
+    assert log_success == refine_reference.success_prob_lower(h, smudge_hp)
 
 
 def test_success_prob_uses_rule_type_thetas(smudge, smudge_hp):
-    g = ana.local_provenance(smudge, smudge.bottom())
-    some = hg.Hypergraph(g.sorted_arcs()[:3])
-    expect = sum(refine._log_theta(smudge_hp, e.rule_type) for e in some.arcs)
-    assert refine.success_prob_lower(some, smudge_hp) == pytest.approx(expect)
+    """decode_model's log success sums log theta over the selected arcs."""
+    a = smudge.bottom()
+    cone = hg.Index.cone(smudge.global_graph, _query(smudge))
+    enc = refine.Encoding(smudge, cone, smudge_hp, 1.0)
+    phi = refine.build_phi(enc, _forward(cone, smudge, a), a)
+    arcs = set(range(1, len(phi.arcs) + 1))
+    flip = phi.fact_ids[enc.enc0[smudge.params[0]]]
+    _, log_success = refine.decode_model(enc, arcs | {flip}, phi, a)
+    every = [cone.arcs[j] for j in phi.arcs]
+    expect = sum(refine._log_theta(smudge_hp, e.rule_type) for e in every)
+    assert log_success == pytest.approx(expect)
+    assert len({e.rule_type for e in every}) > 1 and expect < 0.0
 
 
 class TestSchedule:
