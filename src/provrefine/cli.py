@@ -91,9 +91,9 @@ def cmd_solve(args) -> int:
         query = min(an.queries, key=hg.Fact._key)
     else:
         raise ParseError(0, "the analysis declares no query")
-    hp = None
-    if args.theta:
-        hp = pm.parse_hyperparams(_read(args.theta))
+    if args.strategy == "probabilistic" and not args.theta:
+        raise ParseError(0, "--strategy probabilistic needs --theta")
+    hp = pm.parse_hyperparams(_read(args.theta)) if args.theta else None
     cfg = refine.RefineConfig(
         strategy=args.strategy,
         alpha=args.alpha,

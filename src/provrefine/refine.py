@@ -32,7 +32,7 @@ SOLVERS = ("exact", "approx")
 class RefineConfig:
     strategy: str = "pessimistic"  # one of STRATEGIES
     alpha: float = 1.0
-    hyperparams: Optional[HyperParams] = None  # ignored for pessimistic
+    hyperparams: Optional[HyperParams] = None  # used by probabilistic only
     solver: str = "exact"  # one of SOLVERS
     max_iterations: Optional[int] = None
     solver_budget: float = 60.0
@@ -239,8 +239,7 @@ def decode_model(enc: Encoding, model: Iterable[int], phi: Phi,
     return a2, math.fsum(enc.weights[j] for j in chosen)
 
 
-def choose_optimistic(an: Analysis, cone: hg.Index, kept: Iterable[int],
-                      a: Abstraction,
+def choose_optimistic(enc: Encoding, kept: list, a: Abstraction,
                       cfg: RefineConfig) -> Optional[Abstraction]:
     """Cheapest a2 > a whose remaining cheap facts cannot derive q, the
     cone's fact 0, through the cone arcs `kept`.
@@ -250,28 +249,32 @@ def choose_optimistic(an: Analysis, cone: hg.Index, kept: Iterable[int],
     z_q is forbidden.  The flip variables f_x of the unflipped parameters
     weigh -alpha and are named `f:<x>`; they get ids 1..k in name order, so
     that with alpha 0, where nothing is weighted, the solver's completion
-    still tries them in name order.  Unsatisfiable means every refinement
-    still derives q, so the caller answers "no".
+    still tries them in name order; the z ids follow in `Fact._key` order.
+    Unsatisfiable means every refinement still derives q, so the caller
+    answers "no".
     """
     unflipped = [x for x, v in a.bits if v == 0]
     if not unflipped:
         return None
-    g_a, q = Hypergraph(cone.arcs[j] for j in kept), cone.facts[0]
+    heads, bodies, enc0 = enc.cone.heads, enc.bodies, enc.enc0
     f_ids = {x: i for i, x in enumerate(sorted(unflipped), 1)}
-    seeds = {x: an.encode0[x] for x in unflipped}
+    facts = {enc0[x] for x in unflipped}
+    for j in kept:
+        facts.add(heads[j])
+        facts.update(bodies[j])
     z_ids = {u: i for i, u in enumerate(
-        sorted(g_a.vertices | set(seeds.values()), key=Fact._key),
-        len(f_ids) + 1)}
+        sorted(facts, key=enc.frank.__getitem__), len(f_ids) + 1)}
     clauses = [tuple(f_ids[x] for x in unflipped)]
-    clauses += [(f_ids[x], z_ids[u]) for x, u in seeds.items()]
-    for e in g_a.arcs:
-        clauses.append((z_ids[e.head], *sorted(-z_ids[b] for b in e.body)))
-    if q in g_a.vertices:
-        clauses.append((-z_ids[q],))
+    clauses += [(f_ids[x], z_ids[enc0[x]]) for x in unflipped]
+    for j in kept:
+        clauses.append((z_ids[heads[j]],
+                        *[-z_ids[b] for b in reversed(bodies[j])]))
+    if kept:  # the slice keeps only arcs that reach q
+        clauses.append((-z_ids[0],))
     weights, names = {}, {}
-    if cfg.alpha != 0.0:
+    if enc.alpha != 0.0:
         for x, i in f_ids.items():
-            weights[i] = -cfg.alpha
+            weights[i] = -enc.alpha
             names[i] = "f:" + x
     inst = mx.ClauseInstance(len(f_ids) + len(z_ids), clauses, weights, names)
     result = _run_solver(inst, cfg)
@@ -284,12 +287,6 @@ def choose_optimistic(an: Analysis, cone: hg.Index, kept: Iterable[int],
 def _run_solver(inst: mx.ClauseInstance, cfg: RefineConfig):
     solve = mx.solve_approx if cfg.solver == "approx" else mx.solve_exact
     return solve(inst, budget=cfg.solver_budget)
-
-
-def _strategy_hyperparams(cfg: RefineConfig) -> Optional[HyperParams]:
-    if cfg.strategy == "pessimistic":
-        return None  # theta defaults to 1 everywhere
-    return cfg.hyperparams
 
 
 def solve(an: Analysis, q: Fact, cfg: RefineConfig) -> RefineOutcome:
@@ -316,12 +313,13 @@ def solve(an: Analysis, q: Fact, cfg: RefineConfig) -> RefineOutcome:
     max_iters = cfg.max_iterations
     if max_iters is None:
         max_iters = len(an.params) + 1
-    hp = _strategy_hyperparams(cfg)
+    # theta is 1 everywhere unless the strategy is probabilistic
+    hp = cfg.hyperparams if cfg.strategy == "probabilistic" else None
 
     # every step below decides only facts in q's cone (q is fact 0): the
     # analysis under a, the forward arcs and the slices to q; the encoding
-    # numbers the cone once for every build_phi and decode_model, and is
-    # built at the first of them, which a solve ending at once never reaches
+    # numbers the cone once for every strategy, at the first iteration that
+    # reaches a solver, which a solve ending at once never does
     cone = hg.Index.cone(an.global_graph, q)
     heads, bodies = cone.heads, cone.bodies
     enc = None
@@ -341,11 +339,13 @@ def solve(an: Analysis, q: Fact, cfg: RefineConfig) -> RefineOutcome:
             entry["answer"] = "no"
             return RefineOutcome("no", iteration, trace)
 
+        if enc is None:
+            enc = Encoding(an, cone, hp, cfg.alpha)
         try:
             if cfg.strategy == "optimistic":
                 # the derived arcs: their whole body is reached
                 kept = cone.slice(lambda j: all(b in dist for b in bodies[j]))
-                a2 = choose_optimistic(an, cone, kept, a, cfg)
+                a2 = choose_optimistic(enc, kept, a, cfg)
                 if a2 is None:
                     entry["answer"] = "no"
                     return RefineOutcome("no", iteration, trace)
@@ -354,8 +354,6 @@ def solve(an: Analysis, q: Fact, cfg: RefineConfig) -> RefineOutcome:
                 # the forward arcs among the derived ones
                 kept = cone.slice(lambda j: heads[j] in dist and all(
                     b in dist and dist[b] < dist[heads[j]] for b in bodies[j]))
-                if enc is None:
-                    enc = Encoding(an, cone, hp, cfg.alpha)
                 phi = build_phi(enc, kept, a)
                 result = _run_solver(phi.inst, cfg)
                 if result is None:

@@ -8,9 +8,10 @@ Tseytin, is the oracle the integer clause encoding is checked against.
 the same weighted variables in the same name order, so both must choose
 the same weighted part of every model and produce identical traces.
 
-`build_phi_clauses` is the integer clause encoding keyed by the arcs and
-facts of a `Hypergraph`, sorting them anew on every call; the encoding
-that numbers q's cone once per solve must emit exactly its instance.
+`build_phi_clauses` and `choose_optimistic_clauses` are the integer
+clause encodings keyed by the arcs and facts of a `Hypergraph`, sorting
+them anew on every call; the encoding that numbers q's cone once per
+solve must emit exactly their instances.
 """
 
 import math
@@ -23,8 +24,8 @@ from provrefine.errors import BudgetExceeded, NotAModel, QueryNotInProvenance
 from provrefine.hypergraph import Arc, Fact, Hypergraph
 from provrefine.probmodel import HyperParams
 from provrefine.refine import (RefineConfig, RefineOutcome, _log_theta,
-                               _run_solver, _strategy_hyperparams,
-                               forward_restrict, slice_to_query, t_of)
+                               _run_solver, forward_restrict, slice_to_query,
+                               t_of)
 
 from conftest import solve_formula
 
@@ -140,6 +141,38 @@ def build_phi_clauses(an: Analysis, g_fwd: Hypergraph, q: Fact,
     return mx.ClauseInstance(nvars, clauses, weights, names)
 
 
+def choose_optimistic_clauses(an: Analysis, g_a: Hypergraph, q: Fact,
+                              a: Abstraction,
+                              alpha: float = 1.0) -> Optional[mx.ClauseInstance]:
+    """`provrefine.refine.choose_optimistic`'s instance from the arcs of g_a,
+    or None when no parameter is left to flip.
+
+    The flip variables f_x come first in name order, then the z variables
+    in `Fact._key` order; only the f_x are named, and only if alpha is not
+    0.  The arc clauses follow the iteration order of g_a's arc set.
+    """
+    unflipped = [x for x, v in a.bits if v == 0]
+    if not unflipped:
+        return None
+    f_ids = {x: i for i, x in enumerate(sorted(unflipped), 1)}
+    seeds = {x: an.encode0[x] for x in unflipped}
+    z_ids = {u: i for i, u in enumerate(
+        sorted(g_a.vertices | set(seeds.values()), key=Fact._key),
+        len(f_ids) + 1)}
+    clauses = [tuple(f_ids[x] for x in unflipped)]
+    clauses += [(f_ids[x], z_ids[u]) for x, u in seeds.items()]
+    for e in g_a.arcs:
+        clauses.append((z_ids[e.head], *sorted(-z_ids[b] for b in e.body)))
+    if q in g_a.vertices:
+        clauses.append((-z_ids[q],))
+    weights, names = {}, {}
+    if alpha != 0.0:
+        for x, i in f_ids.items():
+            weights[i] = -alpha
+            names[i] = "f:" + x
+    return mx.ClauseInstance(len(f_ids) + len(z_ids), clauses, weights, names)
+
+
 def success_prob_lower(h: Hypergraph, hp: Optional[HyperParams]) -> float:
     """Log of the survival probability of the whole selected subgraph."""
     return math.fsum(_log_theta(hp, e.rule_type) for e in h.arcs)
@@ -217,7 +250,7 @@ def solve(an: Analysis, q: Fact, cfg: RefineConfig) -> RefineOutcome:
     max_iters = cfg.max_iterations
     if max_iters is None:
         max_iters = len(an.params) + 1
-    hp = _strategy_hyperparams(cfg)
+    hp = cfg.hyperparams if cfg.strategy == "probabilistic" else None
 
     a = an.bottom()
     trace = []

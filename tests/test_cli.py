@@ -228,6 +228,12 @@ class TestSolve:
         assert code == 0
         assert "chosen={0,4}" in out.splitlines()[0]
 
+    def test_probabilistic_without_theta_exits_2(self, capsys):
+        code, out, err = run(capsys, "solve", "--fixture", "smudge",
+                             "--strategy", "probabilistic")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "--theta" in err
+
 
 class TestLearn:
     @pytest.fixture

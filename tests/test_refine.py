@@ -206,29 +206,58 @@ def _sliced(cone, keep):
     return hg.Hypergraph(cone.arcs[j] for j in cone.slice(keep))
 
 
+def _assert_same_instance(got, expect, ordered=True):
+    """Equal nvars, equal weights and names in the same order, and equal
+    clauses: in the same order, or else as a multiset."""
+    assert got.nvars == expect.nvars
+    if ordered:
+        assert got.clauses == expect.clauses
+    else:
+        assert Counter(got.clauses) == Counter(expect.clauses)
+    assert list(got.weights.items()) == list(expect.weights.items())
+    assert list(got.names.items()) == list(expect.names.items())
+    assert got.hidden == expect.hidden == frozenset()
+
+
 def test_the_cone_encoding_matches_the_graph_keyed_clauses(monkeypatch):
-    """On every iteration, build_phi over the per-solve numbering of the
-    cone emits the instance that the oracle keyed by a Hypergraph's arcs
-    and facts does: the same nvars and clauses, the same weights and names
-    in the same order."""
-    checked, current = Counter(), {}
-    inner = refine.build_phi
+    """On every iteration, build_phi and choose_optimistic over the
+    per-solve numbering of the cone emit the instances that the oracles
+    keyed by a Hypergraph's arcs and facts do: the same nvars, the same
+    weights and names in the same order, and the same clauses.  The
+    optimistic oracle orders its arc clauses by the iteration order of a
+    frozenset, which follows the hash seed, so those compare as a
+    multiset."""
+    checked, current, instances = Counter(), {}, []
+    inner, choose, run_solver = (refine.build_phi, refine.choose_optimistic,
+                                 refine._run_solver)
 
     def compared(enc, kept, a):
         phi = inner(enc, kept, a)
         g_fwd = hg.Hypergraph(enc.cone.arcs[j] for j in kept)
         expect = refine_reference.build_phi_clauses(
             enc.an, g_fwd, enc.facts[0], a, current["hp"], current["alpha"])
-        got = phi.inst
-        assert got.nvars == expect.nvars
-        assert got.clauses == expect.clauses
-        assert list(got.weights.items()) == list(expect.weights.items())
-        assert list(got.names.items()) == list(expect.names.items())
-        assert got.hidden == expect.hidden == frozenset()
-        checked[current["alpha"] != 0.0, bool(got.weights)] += 1
+        _assert_same_instance(phi.inst, expect)
+        checked[current["alpha"] != 0.0, bool(phi.inst.weights)] += 1
         return phi
 
+    def recording(inst, cfg):
+        instances.append(inst)
+        return run_solver(inst, cfg)
+
+    def compared_optimistic(enc, kept, a, cfg):
+        instances.clear()
+        a2 = choose(enc, kept, a, cfg)
+        g_a = hg.Hypergraph(enc.cone.arcs[j] for j in kept)
+        expect = refine_reference.choose_optimistic_clauses(
+            enc.an, g_a, enc.facts[0], a, cfg.alpha)
+        [got] = instances
+        _assert_same_instance(got, expect, ordered=False)
+        checked["optimistic", cfg.alpha != 0.0] += 1
+        return a2
+
     monkeypatch.setattr(refine, "build_phi", compared)
+    monkeypatch.setattr(refine, "choose_optimistic", compared_optimistic)
+    monkeypatch.setattr(refine, "_run_solver", recording)
     demo = datalog.smudge_fixture()
     demo_hp = HyperParams(datalog.smudge_theta())
     cases = [(demo, _query(demo), demo_hp, alpha)
@@ -237,11 +266,90 @@ def test_the_cone_encoding_matches_the_graph_keyed_clauses(monkeypatch):
         for strategy in refine.STRATEGIES:
             cfg = refine.RefineConfig(strategy=strategy, hyperparams=hp,
                                       alpha=alpha)
-            current.update(hp=refine._strategy_hyperparams(cfg), alpha=alpha)
+            current.update(hp=hp if strategy == "probabilistic" else None,
+                           alpha=alpha)
             refine.solve(an, q, cfg)
     # alpha 0 with weighted arcs, alpha 0 with nothing weighted, and others
     assert checked[False, True] >= 20 and checked[False, False] >= 20
     assert checked[True, True] >= 200
+    assert checked["optimistic", False] >= 20
+    assert checked["optimistic", True] >= 150
+
+
+def test_optimistic_choices_are_cheapest_refinements(monkeypatch):
+    """Each optimistic choice a2 flips a parameter that a left cheap, leaves
+    cheap facts that cannot derive q through the kept arcs, and flips no
+    more parameters than needed: checked by brute force over the subsets
+    of the unflipped parameters.  With no such subset, the step answers
+    None."""
+    checked = Counter()
+    choose = refine.choose_optimistic
+
+    def brute_forced(enc, kept, a, cfg):
+        a2 = choose(enc, kept, a, cfg)
+        unflipped = sorted(x for x, v in a.bits if v == 0)
+        assert len(unflipped) <= 10
+
+        def rules_out(flips):
+            seeds = [enc.enc0[x] for x in unflipped if x not in flips]
+            return 0 not in enc.cone.reached(seeds, kept)
+
+        fewest = next((k for k in range(1, len(unflipped) + 1)
+                       if any(rules_out(set(flips)) for flips in
+                              itertools.combinations(unflipped, k))), None)
+        if a2 is None:
+            assert fewest is None
+        else:
+            assert a < a2
+            flips = set(a2.flips()) - set(a.flips())
+            assert rules_out(flips)
+            assert len(flips) == fewest
+        checked[a2 is None] += 1
+        return a2
+
+    monkeypatch.setattr(refine, "choose_optimistic", brute_forced)
+    rng = random.Random(19)
+    for i in range(400):
+        an, q = _random_case(rng, i)
+        cfg = refine.RefineConfig(strategy="optimistic",
+                                  alpha=rng.choice([0.5, 1.0, 2.0]))
+        refine.solve(an, q, cfg)
+    assert checked[False] >= 150, checked
+
+
+def test_one_encoding_per_solve_that_reaches_a_solver(monkeypatch):
+    """Every strategy builds one Encoding in a solve whose first iteration
+    reaches the solver, and none in a solve that answers before it."""
+    built, calls, seen = [], [], Counter()
+    run_solver = refine._run_solver
+
+    class Counted(refine.Encoding):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    def counting(inst, cfg):
+        calls.append(inst)
+        return run_solver(inst, cfg)
+
+    monkeypatch.setattr(refine, "Encoding", Counted)
+    monkeypatch.setattr(refine, "_run_solver", counting)
+    rng = random.Random(23)
+    demo = datalog.smudge_fixture()
+    cases = [(demo, _query(demo))] + [_random_case(rng, i) for i in range(60)]
+    for an, q in cases:
+        for strategy in refine.STRATEGIES:
+            built.clear()
+            calls.clear()
+            cfg = refine.RefineConfig(strategy=strategy,
+                                      hyperparams=_random_thetas(rng, an)[0])
+            out = refine.solve(an, q, cfg)
+            assert len(built) == min(1, len(calls)), (str(q), strategy)
+            if out.iterations == 1 and out.answer == "yes":
+                assert not built
+            seen[strategy, bool(calls)] += 1
+    for strategy in refine.STRATEGIES:
+        assert seen[strategy, True] >= 20 and seen[strategy, False] >= 5, seen
 
 
 def test_the_cone_index_agrees_with_the_whole_graph():
