@@ -93,7 +93,7 @@ def cmd_solve(args) -> int:
         raise ParseError(0, "the analysis declares no query")
     if args.strategy == "probabilistic" and not args.theta:
         raise ParseError(0, "--strategy probabilistic needs --theta")
-    hp = pm.parse_hyperparams(_read(args.theta)) if args.theta else None
+    hp = pm.load_hyperparams(args.theta) if args.theta else None
     cfg = refine.RefineConfig(
         strategy=args.strategy,
         alpha=args.alpha,
@@ -129,27 +129,22 @@ def cmd_learn(args) -> int:
             raise CorpusTooSmall("--loo needs at least two manifests")
         folds = learning.leave_one_out(sets)
         for i, hp in enumerate(folds):
-            path = f"{args.out}.fold{i}" if args.out else None
-            text = pm.serialize_hyperparams(hp)
-            if path:
-                with open(path, "w") as fh:
-                    fh.write(text)
+            if args.out:
+                pm.save_hyperparams(hp, f"{args.out}.fold{i}")
             print(f"# fold {i} (held out: {args.manifests[i]})")
-            sys.stdout.write(text)
+            sys.stdout.write(pm.serialize_hyperparams(hp))
         return EXIT_OK
     hp = learning.learn(learning.TrainingSet.merge(sets))
-    text = pm.serialize_hyperparams(hp)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    sys.stdout.write(text)
+        pm.save_hyperparams(hp, args.out)
+    sys.stdout.write(pm.serialize_hyperparams(hp))
     return EXIT_OK
 
 
 def cmd_likelihood(args) -> int:
     graph = hg.parse_provenance(_read(args.blueprint))
     obs = lk.parse_observations(_read(args.obs))
-    hp = pm.parse_hyperparams(_read(args.theta))
+    hp = pm.load_hyperparams(args.theta)
     pm.validate_hyperparams(hp, graph)
     if args.mode == "exact":
         value = lk.exact_likelihood(graph, obs, hp)

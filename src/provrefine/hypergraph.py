@@ -26,7 +26,7 @@ import re
 import string
 import sys
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Optional
 
 from .errors import EmptyLoop, OracleLimitExceeded, ParseError
 
@@ -172,9 +172,10 @@ class Index:
                 index._add(e)
         return index
 
-    def run(self, t: Iterable) -> dict:
+    def run(self, t: Iterable, arcs: Optional[Iterable[int]] = None) -> dict:
         """Fact id -> max-plus distance from the seed facts t, for the facts
-        reached; seeds outside the index are dropped.
+        reached; seeds outside the index are dropped.  Given `arcs`, only
+        the arcs with those ids fire.
 
         Seeds are at 0 and heads of empty-body arcs at 1.  Facts settle layer
         by layer; an arc fires when its last body fact settles, and that fact
@@ -182,13 +183,18 @@ class Index:
         The first candidate a head gets is its least, so no heap is needed.
         """
         ids, heads, uses = self.ids, self.heads, self._uses
+        if arcs is None:
+            pending = self._sizes.copy()
+        else:  # an arc left out counts down past 0, so it never fires
+            pending = [-1] * len(self.arcs)
+            for j in arcs:
+                pending[j] = self._sizes[j]
         dist = dict.fromkeys([ids[u] for u in t if u in ids], 0)
         layer, nxt = list(dist), []
         for j in self._empty:
-            if heads[j] not in dist:
+            if not pending[j] and heads[j] not in dist:
                 dist[heads[j]] = 1
                 nxt.append(heads[j])
-        pending = self._sizes.copy()
         d = 1  # the distance of the heads that fire from this layer
         while layer or nxt:
             for f in layer:
@@ -230,28 +236,6 @@ class Index:
                             seen.add(b)
                             stack.append(b)
         return out
-
-    def reached(self, t: Iterable[int], arcs: Iterable[int]) -> set:
-        """The fact ids reached from the seed ids t through the given arcs
-        alone: an arc fires once the last body fact it waits on is reached."""
-        heads, bodies = self.heads, self.bodies
-        reached = set(t)
-        stack, waiting, pending = [], {}, {}
-        for j in arcs:
-            missing = [b for b in bodies[j] if b not in reached]
-            for b in missing:
-                waiting.setdefault(b, []).append(j)
-            pending[j] = len(missing)
-            if not missing and heads[j] not in reached:
-                reached.add(heads[j])
-                stack.append(heads[j])
-        while stack:
-            for j in waiting.pop(stack.pop(), ()):
-                pending[j] -= 1
-                if not pending[j] and heads[j] not in reached:
-                    reached.add(heads[j])
-                    stack.append(heads[j])
-        return reached
 
 
 def reach(g: Hypergraph, t: Iterable[Fact]) -> frozenset:

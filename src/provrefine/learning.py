@@ -21,7 +21,9 @@ from .errors import CorpusTooSmall, DegenerateTrainingSet
 from .hypergraph import Hypergraph
 from .probmodel import NEG_INF, HyperParams
 
-EPSILON = 1e-6
+EPSILON = 1e-6  # the least theta learn fits
+CYCLE_TOL = 1e-7  # learn stops after a cycle that gains less
+SEARCH_TOL = 1e-6  # line_search narrows its bracket to this width
 
 
 @dataclass
@@ -103,8 +105,7 @@ class _Objective(lk.Bound):
         return f
 
 
-def line_search(f: Callable[[float], float], lo: float, hi: float,
-                tol: float = 1e-6) -> float:
+def line_search(f: Callable[[float], float], lo: float, hi: float) -> float:
     """Deterministic 1-D maximization on [lo, hi].
 
     Golden-section narrowing followed by a quadratic refinement; the
@@ -123,7 +124,7 @@ def line_search(f: Callable[[float], float], lo: float, hi: float,
     a, b = lo, hi
     c = b - gr * (b - a)
     d = a + gr * (b - a)
-    while b - a > tol:
+    while b - a > SEARCH_TOL:
         if ev(c) >= ev(d):
             b, d = d, c
             c = b - gr * (b - a)
@@ -153,8 +154,7 @@ def line_search(f: Callable[[float], float], lo: float, hi: float,
 
 
 def learn(ts: TrainingSet, init: Optional[HyperParams] = None,
-          tol: float = 1e-7, max_cycles: int = 100,
-          eps: float = EPSILON) -> HyperParams:
+          max_cycles: int = 100) -> HyperParams:
     """Fit hyperparameters by cyclic coordinate ascent on the lower bound."""
     objective = _Objective(ts)
     all_types = ts.rule_types()
@@ -167,14 +167,14 @@ def learn(ts: TrainingSet, init: Optional[HyperParams] = None,
     if init is not None:
         for k, v in init.theta.items():
             if k in all_types:
-                hp.theta[k] = min(max(v, eps), 1.0)
+                hp.theta[k] = min(max(v, EPSILON), 1.0)
     else:
         for k in objective.constrained:
             hp.theta[k] = 0.5
     # a refuted type at theta = 1 makes the objective -inf, from which no
     # coordinate step can be measured as a gain
     for k in objective.n_counts:
-        hp.theta[k] = min(hp.theta[k], 1.0 - eps)
+        hp.theta[k] = min(hp.theta[k], 1.0 - EPSILON)
 
     current = objective.value(hp)
     order = sorted(objective.constrained)
@@ -183,26 +183,25 @@ def learn(ts: TrainingSet, init: Optional[HyperParams] = None,
         for k in order:
             f = objective.coordinate_function(k, hp)
             base = f(hp.theta[k])
-            best = line_search(f, eps, 1.0)
+            best = line_search(f, EPSILON, 1.0)
             gain = f(best) - base
             if gain > 0:
                 hp.theta[k] = best
                 current += gain
         if current > NEG_INF and cycle_start > NEG_INF:
-            if current - cycle_start < tol:
+            if current - cycle_start < CYCLE_TOL:
                 break
         elif current == cycle_start:
             break
     return hp
 
 
-def leave_one_out(training_sets: list, init: Optional[HyperParams] = None,
-                  **opts) -> list:
+def leave_one_out(training_sets: list) -> list:
     """Per program, learn from all the other programs' observations."""
     if len(training_sets) < 2:
         raise CorpusTooSmall("leave-one-out needs at least two programs")
     out = []
     for i in range(len(training_sets)):
         rest = [ts for j, ts in enumerate(training_sets) if j != i]
-        out.append(learn(TrainingSet.merge(rest), init=init, **opts))
+        out.append(learn(TrainingSet.merge(rest)))
     return out

@@ -385,51 +385,69 @@ def _branch_and_bound(inst: ClauseInstance, budget: float):
         if time.monotonic() > deadline:
             raise BudgetExceeded("MaxSAT solver budget exhausted")
 
-    def complete(i: int, ok: bool) -> bool:
-        if not ok:
-            return False
-        while i < len(others) and val[others[i]]:
-            i += 1
-        if i == len(others):
-            return True
-        tick()
-        v = others[i]
-        for lit in (-v, v):
-            mark = engine.mark()
-            if complete(i + 1, engine.assign(lit) and engine.propagate()):
-                return True
+    def backtrack(frames: list):
+        """Undo to the deepest frame with a literal left to try and assign
+        it: whether that propagates, or None once every frame is spent."""
+        while frames:
+            mark, lit, i = frames.pop()
             engine.undo(mark)
-        return False
+            if lit:
+                frames.append((mark, 0, i))
+                return engine.assign(lit) and engine.propagate()
+        return None
 
-    def search(ok: bool) -> None:
-        tick()
-        if not ok:
-            return
+    def complete() -> bool:
+        frames = []  # (trail mark, literal left to try, index in others)
+        i, ok = 0, True
+        while True:
+            if ok:
+                while i < len(others) and val[others[i]]:
+                    i += 1
+                if i == len(others):
+                    return True
+                tick()
+                frames.append((engine.mark(), others[i], i))
+                ok = engine.assign(-others[i]) and engine.propagate()
+            elif (ok := backtrack(frames)) is None:
+                return False
+            else:
+                i = frames[-1][2]
+            i += 1
+
+    def branch() -> int:
+        """The literal a node branches on first, or 0 at a leaf or a prune."""
         objective = sum(w for v, w in witems if val[v] == 1)
         slack = sum(w for v, w in positive if not val[v])
         incumbent = best["objective"]
         if incumbent is not None and objective + slack < incumbent - tol:
-            return
+            return 0
         v = next((u for u in weighted if not val[u]), None)
-        if v is None:
-            key = tuple(i for i, u in enumerate(by_name) if val[u] == 1)
-            if incumbent is not None and not (
-                    objective > incumbent + tol
-                    or (abs(objective - incumbent) <= tol and key < best["key"])):
+        if v is not None:
+            return v if weights[v] > 0 else -v
+        key = tuple(i for i, u in enumerate(by_name) if val[u] == 1)
+        if incumbent is not None and not (
+                objective > incumbent + tol
+                or (abs(objective - incumbent) <= tol and key < best["key"])):
+            return 0
+        mark = engine.mark()
+        if complete():
+            best.update(objective=objective, key=key, val=val[:])
+        engine.undo(mark)
+        return 0
+
+    def search() -> None:
+        frames = []  # (trail mark, literal left to try, unused)
+        ok = engine.ok
+        while True:
+            tick()
+            if ok and (first := branch()):
+                frames.append((engine.mark(), -first, None))
+                ok = engine.assign(first) and engine.propagate()
+            elif (ok := backtrack(frames)) is None:
                 return
-            mark = engine.mark()
-            if complete(0, True):
-                best.update(objective=objective, key=key, val=val[:])
-            engine.undo(mark)
-            return
-        first = v if weights[v] > 0 else -v
-        for lit in (first, -first):
-            mark = engine.mark()
-            search(engine.assign(lit) and engine.propagate())
-            engine.undo(mark)
 
     try:
-        search(engine.ok)
+        search()
         proven = True
     except BudgetExceeded:
         proven = False

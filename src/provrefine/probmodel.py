@@ -147,8 +147,7 @@ def prob_query_reach_mc(m: ProbModel, q: Fact, t: Iterable[Fact],
 # hyperparameter file format: one "rule_type theta" pair per line
 
 
-def parse_hyperparams(text: str, known_types: Iterable[str] = None) -> HyperParams:
-    known = None if known_types is None else set(known_types)
+def parse_hyperparams(text: str) -> HyperParams:
     theta = {}
     unconstrained = set()
 
@@ -163,8 +162,6 @@ def parse_hyperparams(text: str, known_types: Iterable[str] = None) -> HyperPara
             raise ValueError(f"malformed theta {value!r}") from None
         if not 0.0 <= v <= 1.0:
             raise ValueError(f"theta {v} outside [0, 1]")
-        if known is not None and name not in known:
-            raise ValueError(f"unknown rule type {name!r}")
         if name in theta:
             raise ValueError(f"a second theta for {name!r}")
         theta[name] = v
@@ -183,9 +180,9 @@ def serialize_hyperparams(hp: HyperParams) -> str:
     return "".join(lines)
 
 
-def load_hyperparams(path: str, known_types: Iterable[str] = None) -> HyperParams:
+def load_hyperparams(path: str) -> HyperParams:
     with open(path) as fh:
-        return parse_hyperparams(fh.read(), known_types)
+        return parse_hyperparams(fh.read())
 
 
 def save_hyperparams(hp: HyperParams, path: str) -> None:

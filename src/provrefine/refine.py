@@ -230,9 +230,7 @@ def decode_model(enc: Encoding, model: Iterable[int], phi: Phi,
                       if v == 0 and fact_ids[enc.enc0[x]] in model)
     if not a < a2:
         raise NotAModel("decoded abstraction is not strictly more precise")
-    ids = enc.ids
-    t = [ids[u] for u in t_of(enc.an, a, a2) if u in ids]
-    reached = enc.cone.reached(t, chosen)
+    reached = enc.cone.run(t_of(enc.an, a, a2), chosen)
     for q in enc.queries:
         if q in phi.vertices and fact_ids[q] in model and q not in reached:
             raise NotAModel("selected arcs do not justify the query")
@@ -240,7 +238,7 @@ def decode_model(enc: Encoding, model: Iterable[int], phi: Phi,
 
 
 def choose_optimistic(enc: Encoding, kept: list, a: Abstraction,
-                      cfg: RefineConfig) -> Optional[Abstraction]:
+                      cfg: RefineConfig) -> Abstraction:
     """Cheapest a2 > a whose remaining cheap facts cannot derive q, the
     cone's fact 0, through the cone arcs `kept`.
 
@@ -250,12 +248,11 @@ def choose_optimistic(enc: Encoding, kept: list, a: Abstraction,
     weigh -alpha and are named `f:<x>`; they get ids 1..k in name order, so
     that with alpha 0, where nothing is weighted, the solver's completion
     still tries them in name order; the z ids follow in `Fact._key` order.
-    Unsatisfiable means every refinement still derives q, so the caller
-    answers "no".
+    The caller asks only when q is derived with some cheap fact and not
+    from the P1 facts alone, so some parameter is unflipped and flipping
+    all of them is a model; `_run_solver` raises NotAModel if none is.
     """
     unflipped = [x for x, v in a.bits if v == 0]
-    if not unflipped:
-        return None
     heads, bodies, enc0 = enc.cone.heads, enc.bodies, enc.enc0
     f_ids = {x: i for i, x in enumerate(sorted(unflipped), 1)}
     facts = {enc0[x] for x in unflipped}
@@ -277,16 +274,18 @@ def choose_optimistic(enc: Encoding, kept: list, a: Abstraction,
             weights[i] = -enc.alpha
             names[i] = "f:" + x
     inst = mx.ClauseInstance(len(f_ids) + len(z_ids), clauses, weights, names)
-    result = _run_solver(inst, cfg)
-    if result is None:
-        return None
-    model, _ = result
+    model, _ = _run_solver(inst, cfg)
     return a.with_flips(x for x in unflipped if f_ids[x] in model)
 
 
 def _run_solver(inst: mx.ClauseInstance, cfg: RefineConfig):
+    """The configured solver's (model, objective); NotAModel when the
+    instance is unsatisfiable, which no refinement step's instance is."""
     solve = mx.solve_approx if cfg.solver == "approx" else mx.solve_exact
-    return solve(inst, budget=cfg.solver_budget)
+    result = solve(inst, budget=cfg.solver_budget)
+    if result is None:
+        raise NotAModel("refinement constraint unexpectedly unsatisfiable")
+    return result
 
 
 def solve(an: Analysis, q: Fact, cfg: RefineConfig) -> RefineOutcome:
@@ -346,20 +345,13 @@ def solve(an: Analysis, q: Fact, cfg: RefineConfig) -> RefineOutcome:
                 # the derived arcs: their whole body is reached
                 kept = cone.slice(lambda j: all(b in dist for b in bodies[j]))
                 a2 = choose_optimistic(enc, kept, a, cfg)
-                if a2 is None:
-                    entry["answer"] = "no"
-                    return RefineOutcome("no", iteration, trace)
                 entry["chosen"] = sorted(a2.flips())
             else:
                 # the forward arcs among the derived ones
                 kept = cone.slice(lambda j: heads[j] in dist and all(
                     b in dist and dist[b] < dist[heads[j]] for b in bodies[j]))
                 phi = build_phi(enc, kept, a)
-                result = _run_solver(phi.inst, cfg)
-                if result is None:
-                    raise NotAModel(
-                        "refinement constraint unexpectedly unsatisfiable")
-                model, objective = result
+                model, objective = _run_solver(phi.inst, cfg)
                 a2, log_success = decode_model(enc, model, phi, a)
                 entry["chosen"] = sorted(a2.flips())
                 entry["objective"] = objective

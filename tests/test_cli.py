@@ -444,6 +444,34 @@ class TestMaxsat:
         assert code == 0 and "model: x" in out
         assert run(capsys, "maxsat", str(inst), "--export-wcnf")[0] == 0
 
+    def test_a_long_clause_completes_without_recursing_per_variable(
+            self, capsys, tmp_path):
+        inst = tmp_path / "i.txt"
+        inst.write_text("hard (or " + " ".join(f"x{i}" for i in range(1500)) + ")\n")
+        code, out, _ = run(capsys, "maxsat", str(inst))
+        assert (code, out) == (0, "model: x999\nobjective: 0.000000\n")
+
+    def test_many_weights_branch_without_recursing_per_weight(self, capsys,
+                                                              tmp_path):
+        n = 1200
+        inst = tmp_path / "i.txt"
+        inst.write_text("".join(f"w x{i} -1\n" for i in range(n)) + "hard (or "
+                        + " ".join(f"x{i}" for i in range(n)) + ")\n")
+        code, out, _ = run(capsys, "maxsat", str(inst), "--solve", "approx",
+                           "--budget", "2")
+        model, objective = out.splitlines()
+        assert code == 0 and objective == "objective: -1.000000"
+        assert len(model.split()) == 2 and model.split()[1] in {
+            f"x{i}" for i in range(n)}
+
+    def test_a_weight_too_large_to_export_exits_2(self, capsys, tmp_path):
+        inst = tmp_path / "i.txt"
+        inst.write_text("w x 1e14\nhard (or x y)\n")
+        code, out, err = run(capsys, "maxsat", str(inst), "--export-wcnf")
+        assert code == 2 and out == ""
+        assert err.startswith("error: weight ") and \
+            err.endswith(" too large for integral encoding\n")
+
     def test_a_long_flat_formula_reads_term_by_term(self):
         from provrefine import maxsat as mx
 

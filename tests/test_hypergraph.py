@@ -98,7 +98,7 @@ def test_index_closes_as_the_naive_oracles(seed):
     """Empty-body arcs, seeds outside the graph and labels that are not
     facts: close is the naive closure with the brute-force distances,
     run its restriction to the index, within its arcs with a body in r,
-    and reached the naive closure through a subset of its arcs."""
+    and run over a subset of its arcs the naive closure through them."""
     rng = random.Random(seed)
     g = _relabelled(rng, random_hypergraph(rng))
     verts = sorted(g.vertices, key=repr)
@@ -117,8 +117,7 @@ def test_index_closes_as_the_naive_oracles(seed):
     some = [j for j in range(len(index.arcs)) if rng.random() < 0.6]
     rng.shuffle(some)
     sub = Hypergraph(index.arcs[j] for j in some)
-    seeds = {index.ids[u] for u in t if u in index.ids}
-    assert index.reached(seeds, some) == {
+    assert index.run(t, some).keys() == {
         index.ids[u] for u in naive_closure(sub, t) if u in index.ids}
 
 

@@ -89,12 +89,3 @@ def test_hyperparams_file_round_trip(tmp_path):
     back = pm.load_hyperparams(str(path))
     assert back.theta == pytest.approx(hp.theta)
     assert back.unconstrained == {"b"}
-
-
-def test_parse_hyperparams_rejects_unknown_types():
-    from provrefine.errors import ParseError
-
-    with pytest.raises(ParseError):
-        pm.parse_hyperparams("mystery 0.5\n", known_types=["a"])
-    with pytest.raises(ParseError):
-        pm.parse_hyperparams("a 1.5\n")

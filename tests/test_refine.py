@@ -280,8 +280,7 @@ def test_optimistic_choices_are_cheapest_refinements(monkeypatch):
     """Each optimistic choice a2 flips a parameter that a left cheap, leaves
     cheap facts that cannot derive q through the kept arcs, and flips no
     more parameters than needed: checked by brute force over the subsets
-    of the unflipped parameters.  With no such subset, the step answers
-    None."""
+    of the unflipped parameters."""
     checked = Counter()
     choose = refine.choose_optimistic
 
@@ -291,20 +290,17 @@ def test_optimistic_choices_are_cheapest_refinements(monkeypatch):
         assert len(unflipped) <= 10
 
         def rules_out(flips):
-            seeds = [enc.enc0[x] for x in unflipped if x not in flips]
-            return 0 not in enc.cone.reached(seeds, kept)
+            seeds = [enc.an.encode0[x] for x in unflipped if x not in flips]
+            return 0 not in enc.cone.run(seeds, kept)
 
-        fewest = next((k for k in range(1, len(unflipped) + 1)
-                       if any(rules_out(set(flips)) for flips in
-                              itertools.combinations(unflipped, k))), None)
-        if a2 is None:
-            assert fewest is None
-        else:
-            assert a < a2
-            flips = set(a2.flips()) - set(a.flips())
-            assert rules_out(flips)
-            assert len(flips) == fewest
-        checked[a2 is None] += 1
+        fewest = next(k for k in range(1, len(unflipped) + 1)
+                      if any(rules_out(set(flips)) for flips in
+                             itertools.combinations(unflipped, k)))
+        assert a < a2
+        flips = set(a2.flips()) - set(a.flips())
+        assert rules_out(flips)
+        assert len(flips) == fewest
+        checked["choices"] += 1
         return a2
 
     monkeypatch.setattr(refine, "choose_optimistic", brute_forced)
@@ -314,7 +310,20 @@ def test_optimistic_choices_are_cheapest_refinements(monkeypatch):
         cfg = refine.RefineConfig(strategy="optimistic",
                                   alpha=rng.choice([0.5, 1.0, 2.0]))
         refine.solve(an, q, cfg)
-    assert checked[False] >= 150, checked
+    assert checked["choices"] >= 150, checked
+
+
+@pytest.mark.parametrize("solver", refine.SOLVERS)
+def test_choose_optimistic_with_nothing_left_to_flip_raises(smudge, solver):
+    """At the top no refinement exists: the optimistic step raises
+    NotAModel, as the pessimistic step does on an unsatisfiable constraint,
+    and returns no abstraction."""
+    cone = hg.Index.cone(smudge.global_graph, _query(smudge))
+    enc = refine.Encoding(smudge, cone, None, 1.0)
+    cfg = refine.RefineConfig(strategy="optimistic", solver=solver)
+    with pytest.raises(NotAModel):
+        refine.choose_optimistic(enc, cone.slice(lambda j: True), smudge.top(),
+                                 cfg)
 
 
 def test_one_encoding_per_solve_that_reaches_a_solver(monkeypatch):
