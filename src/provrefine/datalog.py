@@ -374,6 +374,7 @@ def ground(rules: Iterable[Rule], base: Iterable[Fact],
     no_body = frozenset()  # one shared empty body: the graph outlives grounding
     arcs = {Arc(f, no_body, BASE_RULE_TYPE) for f in base}
 
+    facts = {f: f for f in known}  # one object per distinct fact
     delta = _FactIndex(known)
     while delta.facts:
         new_facts = set()
@@ -394,13 +395,12 @@ def ground(rules: Iterable[Rule], base: Iterable[Fact],
                         continue
                     head = Fact(rule.head.relation,
                                 tuple(env.get(a, a) for a in rule.head.args))
-                    _check_domain(head, domain_bounds)
-                    arc = Arc(head, frozenset(body), rule.name)
-                    if arc not in arcs:
-                        arcs.add(arc)
-                        if head not in known:
-                            new_facts.add(head)
-        known |= new_facts
+                    known_head = facts.get(head)
+                    if known_head is None:
+                        _check_domain(head, domain_bounds)
+                        facts[head] = known_head = head
+                        new_facts.add(head)
+                    arcs.add(Arc(known_head, frozenset(body), rule.name))
         for f in new_facts:
             index.add(f)
         delta = _FactIndex(new_facts)

@@ -1,7 +1,13 @@
 """Directed hypergraph core.
 
 Facts are ground atoms; an arc records one instantiated inference step
-(head, body set, rule-type tag).  Reachability is the least fixpoint of
+(head, body set, rule-type tag).  Every layer keys dicts and sets by
+them, so both are tuples of their fields, hashed, compared and built in
+C: a `Fact` is the tuple `(relation, args)` and equals and hashes like
+that plain tuple (no container in the library holds both), an `Arc` is
+`(head, body, rule_type)`.  Both order by `_key`, not as tuples, so
+integer and name arguments at one position sort integers first.
+Reachability is the least fixpoint of
 "if all body facts hold, the head holds", and the max-plus hyperpath
 distance is the round of that fixpoint in which a fact is first derived.
 One kernel computes both: an `Index` numbers a graph's facts and arcs by
@@ -22,10 +28,10 @@ justifications support the exact likelihood oracle.
 from __future__ import annotations
 
 import functools
+import operator
 import re
 import string
 import sys
-from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 from .errors import EmptyLoop, OracleLimitExceeded, ParseError
@@ -33,54 +39,93 @@ from .errors import EmptyLoop, OracleLimitExceeded, ParseError
 INFINITY = float("inf")
 
 
-@functools.total_ordering
-@dataclass(frozen=True, slots=True)
-class Fact:
-    """A ground atom: relation name plus a tuple of constants."""
+class _Record(tuple):
+    """A tuple of fields that orders by `_key`, not as a tuple.
 
-    relation: str
-    args: tuple = ()
+    `tuple` defines every rich comparison, so each is overridden here;
+    `__getnewargs__` hands copy and pickle the fields, where tuple's own
+    would pass the whole tuple as the first field.
+    """
+
+    __slots__ = ()
+
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)
+
+    def __lt__(self, other) -> bool:
+        return self._key() < other._key()
+
+    def __le__(self, other) -> bool:
+        return self._key() <= other._key()
+
+    def __gt__(self, other) -> bool:
+        return self._key() > other._key()
+
+    def __ge__(self, other) -> bool:
+        return self._key() >= other._key()
+
+
+class Fact(_Record):
+    """A ground atom: relation name plus a tuple of constants.
+
+    The tuple `(relation, args)` itself: it equals and hashes like that
+    plain tuple, and orders by `_key`, which sorts integers before names.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, relation: str, args: tuple = ()):
+        return tuple.__new__(cls, (relation, args))
+
+    relation = property(operator.itemgetter(0))
+    args = property(operator.itemgetter(1))
 
     def _key(self):
-        return (self.relation,) + tuple(
-            (0, a) if isinstance(a, int) else (1, a) for a in self.args
-        )
+        relation, args = self
+        return (relation,) + tuple(
+            (0, a) if isinstance(a, int) else (1, a) for a in args)
 
-    def __lt__(self, other: "Fact") -> bool:
-        return self._key() < other._key()
+    def __repr__(self) -> str:
+        return "Fact(relation=%r, args=%r)" % self
 
     def __str__(self) -> str:
-        if not self.args:
-            return self.relation
-        return "%s(%s)" % (self.relation, ",".join(str(a) for a in self.args))
+        relation, args = self
+        if not args:
+            return relation
+        return "%s(%s)" % (relation, ",".join(str(a) for a in args))
 
 
-@functools.total_ordering
-@dataclass(frozen=True, slots=True)
-class Arc:
-    """An instantiated rule: head <- body, tagged with its rule type."""
+class Arc(_Record):
+    """An instantiated rule: head <- body, tagged with its rule type.
 
-    head: Fact
-    body: frozenset
-    rule_type: str
+    The tuple `(head, body, rule_type)`, with the body a frozenset.
+    """
 
-    def __post_init__(self):
-        if not self.rule_type:
+    __slots__ = ()
+
+    def __new__(cls, head: Fact, body: Iterable[Fact], rule_type: str):
+        if not rule_type:
             raise ValueError("arc rule_type must be non-empty")
-        if not isinstance(self.body, frozenset):
-            object.__setattr__(self, "body", frozenset(self.body))
+        if not isinstance(body, frozenset):
+            body = frozenset(body)
+        return tuple.__new__(cls, (head, body, rule_type))
+
+    head = property(operator.itemgetter(0))
+    body = property(operator.itemgetter(1))
+    rule_type = property(operator.itemgetter(2))
 
     def _key(self, fact_key=Fact._key):
-        return (fact_key(self.head), tuple(sorted(map(fact_key, self.body))),
-                self.rule_type)
+        head, body, rule_type = self
+        return (fact_key(head), tuple(sorted(map(fact_key, body))), rule_type)
 
-    def __lt__(self, other: "Arc") -> bool:
-        return self._key() < other._key()
+    def __repr__(self) -> str:
+        return "Arc(head=%r, body=%r, rule_type=%r)" % self
 
     def __str__(self) -> str:
-        parts = [str(self.head), "<-"]
-        parts.extend(str(b) for b in sorted(self.body, key=Fact._key))
-        parts.extend(["@", self.rule_type])
+        head, body, rule_type = self
+        parts = [str(head), "<-"]
+        parts.extend(str(b) for b in sorted(body, key=Fact._key))
+        parts.extend(["@", rule_type])
         return " ".join(parts)
 
 

@@ -330,15 +330,6 @@ def loop_formula_wmc(g_bot: Hypergraph, formulas: Iterable[LoopFormula],
 # observation text format
 
 
-def serialize_observations(obs: Iterable[Observation]) -> str:
-    lines = []
-    for o in obs:
-        lines.append("obs\n")
-        lines.append("T: " + " ".join(str(f) for f in sorted(o.t, key=Fact._key)) + "\n")
-        lines.append("R: " + " ".join(str(f) for f in sorted(o.r, key=Fact._key)) + "\n")
-    return "".join(lines)
-
-
 def parse_observations(text: str) -> list:
     """Blocks of `obs` / `T: facts` / `R: facts`; facts as in parse_facts."""
     out = []

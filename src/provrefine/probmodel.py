@@ -9,13 +9,12 @@ products over arcs, kept in log space to survive hundreds of factors.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, field
 from typing import Iterable
 
 from . import hypergraph as hg
-from .errors import NotSubgraph, OracleLimitExceeded
-from .hypergraph import Fact, Hypergraph
+from .errors import NotSubgraph
+from .hypergraph import Hypergraph
 
 NEG_INF = float("-inf")
 
@@ -86,15 +85,6 @@ def prob_of(m: ProbModel, h: Hypergraph) -> float:
     return math.exp(lp) if lp > NEG_INF else 0.0
 
 
-def sample(m: ProbModel, rng: random.Random) -> Hypergraph:
-    """One random sub-hypergraph; deterministic given the rng state."""
-    kept = []
-    for arc in m.blueprint.sorted_arcs():
-        if rng.random() < m.params.get(arc.rule_type):
-            kept.append(arc)
-    return Hypergraph(kept)
-
-
 def _enumerate_subgraphs(m: ProbModel):
     """Yield (sub-hypergraph arcs, probability) over all 2^n selections."""
     arcs = m.blueprint.sorted_arcs()
@@ -111,36 +101,6 @@ def _enumerate_subgraphs(m: ProbModel):
                 p *= 1.0 - theta[i]
         if p > 0.0:
             yield chosen, p
-
-
-def prob_query_reach_exact(m: ProbModel, q: Fact, t: Iterable[Fact],
-                           limit: int = EXACT_ARC_LIMIT) -> float:
-    """Probability that q is reachable from t, by full enumeration."""
-    n = len(m.blueprint)
-    if n > limit:
-        raise OracleLimitExceeded(
-            f"exact query probability over {n} arcs (limit {limit})")
-    ts = frozenset(t)
-    total = 0.0
-    for chosen, p in _enumerate_subgraphs(m):
-        if q in hg.reach(Hypergraph(chosen), ts):
-            total += p
-    return total
-
-
-def prob_query_reach_mc(m: ProbModel, q: Fact, t: Iterable[Fact],
-                        trials: int, rng: random.Random):
-    """Monte Carlo estimate; returns (estimate, standard error)."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    ts = frozenset(t)
-    hits = 0
-    for _ in range(trials):
-        if q in hg.reach(sample(m, rng), ts):
-            hits += 1
-    p = hits / trials
-    stderr = math.sqrt(p * (1.0 - p) / trials)
-    return p, stderr
 
 
 # ---------------------------------------------------------------------------

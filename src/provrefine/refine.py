@@ -363,26 +363,3 @@ def solve(an: Analysis, q: Fact, cfg: RefineConfig) -> RefineOutcome:
     if trace:
         trace[-1]["answer"] = "limit"
     return RefineOutcome("limit", iteration, trace)
-
-
-def schedule(actions: list) -> list:
-    """Order (probability, cost) actions by descending p/c; stable on ties.
-
-    Returns the permutation as a list of indices into `actions`.
-    """
-    for p, c in actions:
-        if not (0.0 < p <= 1.0) or c <= 0.0:
-            raise ValueError("need p in (0,1] and c > 0")
-    return sorted(range(len(actions)),
-                  key=lambda i: -(actions[i][0] / actions[i][1]))
-
-
-def schedule_cost(actions: list, order: Iterable[int]) -> float:
-    """Expected total cost when trying actions in the given order."""
-    total = 0.0
-    fail = 1.0
-    for i in order:
-        p, c = actions[i]
-        total += fail * c
-        fail *= 1.0 - p
-    return total

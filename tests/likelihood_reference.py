@@ -6,6 +6,10 @@ as the oracle its integer index is checked against, and of its bounds,
 kept as the oracle the shape-compiled `likelihood.Bound` is checked
 against.  The bound terms must be equal `BoundFormula`s with the same
 exceptions; the bounds must agree to rounding, with the same -inf.
+
+`serialize_observations` writes observations in the text format
+`provrefine.likelihood.parse_observations` reads; only the tests write
+observation files.
 """
 
 import math
@@ -78,3 +82,12 @@ def bound(bf: BoundFormula, hp: HyperParams, which: str) -> float:
             return NEG_INF
         total += math.log(value)
     return total
+
+
+def serialize_observations(obs: Iterable[Observation]) -> str:
+    lines = []
+    for o in obs:
+        lines.append("obs\n")
+        lines.append("T: " + " ".join(str(f) for f in sorted(o.t, key=Fact._key)) + "\n")
+        lines.append("R: " + " ".join(str(f) for f in sorted(o.r, key=Fact._key)) + "\n")
+    return "".join(lines)

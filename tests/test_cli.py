@@ -14,6 +14,8 @@ from provrefine import likelihood as lk
 from provrefine import probmodel as pm
 from provrefine.errors import ParseError
 
+import likelihood_reference
+
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
@@ -293,7 +295,7 @@ class TestLikelihood:
         o = tmp_path / "obs.txt"
         t = tmp_path / "theta.txt"
         b.write_text(hg.serialize_provenance(bp))
-        o.write_text(lk.serialize_observations(obs))
+        o.write_text(likelihood_reference.serialize_observations(obs))
         pm.save_hyperparams(pm.HyperParams(datalog.smudge_theta()), str(t))
         return str(b), str(o), str(t)
 
@@ -516,7 +518,7 @@ def valid_inputs(tmp_path_factory) -> dict:
     ana.save_manifest(an, str(d / "s.manifest"), str(d / "s.prov"))
     (d / "bp.prov").write_text(
         hg.serialize_provenance(ana.local_provenance(an, an.bottom())))
-    (d / "obs.txt").write_text(lk.serialize_observations(
+    (d / "obs.txt").write_text(likelihood_reference.serialize_observations(
         [lk.observe(an, an.bottom().with_flips(["0", "4"]))]))
     pm.save_hyperparams(pm.HyperParams(datalog.smudge_theta()), str(d / "theta.txt"))
     names = ("bp.prov", "obs.txt", "theta.txt", "fuzz.txt")

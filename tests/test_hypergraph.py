@@ -1,3 +1,6 @@
+import copy
+import itertools
+import pickle
 import random
 
 import pytest
@@ -21,6 +24,70 @@ def test_fact_parse_and_str_round_trip():
 def test_fact_ordering_ints_before_strings():
     assert Fact("v", (2,)) < Fact("v", (10,))
     assert Fact("v", (10,)) < Fact("v", ("s0",))
+
+
+# int and str arguments mixed at the same position: tuple order would
+# raise TypeError on them
+_TERMS = st.one_of(st.integers(-3, 3), st.sampled_from(["a", "b", "s0"]))
+_FACTS = st.builds(Fact, st.sampled_from(["u", "v"]),
+                   st.lists(_TERMS, max_size=2).map(tuple))
+_ARCS = st.builds(Arc, _FACTS, st.frozensets(_FACTS, max_size=2),
+                  st.sampled_from(["r", "s"]))
+
+
+@given(st.one_of(st.lists(_FACTS, min_size=1, max_size=6),
+                 st.lists(_ARCS, min_size=1, max_size=6)))
+@settings(max_examples=150, deadline=None)
+def test_facts_and_arcs_order_by_key(items):
+    for x, y in itertools.product(items, repeat=2):
+        kx, ky = x._key(), y._key()
+        assert (x < y, x <= y, x > y, x >= y) == (kx < ky, kx <= ky,
+                                                  kx > ky, kx >= ky)
+    keys = sorted(x._key() for x in items)
+    assert [x._key() for x in sorted(items)] == keys
+    assert min(items)._key() == keys[0] and max(items)._key() == keys[-1]
+
+
+_HEAD = Fact("dirty", ("end", "x"))
+_ARC = Arc(Fact("v", (3,)), [Fact("q"), Fact("flow", ("s0", 0))], "r")
+
+
+@pytest.mark.parametrize("obj", [_HEAD, Fact("q"), _ARC],
+                         ids=["fact", "nullary", "arc"])
+def test_copies_and_pickles_keep_the_type_and_the_fields(obj):
+    copies = [copy.copy(obj), copy.deepcopy(obj)]
+    copies += [pickle.loads(pickle.dumps(obj, protocol))
+               for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for dup in copies:
+        assert type(dup) is type(obj) and dup == obj
+        assert repr(dup) == repr(obj)
+
+
+def test_fact_and_arc_repr_and_keyword_construction():
+    assert repr(_HEAD) == "Fact(relation='dirty', args=('end', 'x'))"
+    assert repr(Fact("q")) == "Fact(relation='q', args=())"
+    arc = Arc(head=Fact("h", (1,)), body=[Fact("b")], rule_type="r")
+    assert repr(arc) == ("Arc(head=Fact(relation='h', args=(1,)), "
+                         "body=frozenset({Fact(relation='b', args=())}), "
+                         "rule_type='r')")
+    assert Fact(relation="v", args=(1,)) == Fact("v", (1,))
+    assert (arc.head, arc.body, arc.rule_type) == (
+        Fact("h", (1,)), frozenset([Fact("b")]), "r")
+
+
+def test_a_fact_equals_and_hashes_like_its_plain_tuple():
+    assert _HEAD == ("dirty", ("end", "x"))
+    assert hash(_HEAD) == hash(("dirty", ("end", "x")))
+    assert hash(_ARC) == hash((_ARC.head, _ARC.body, "r"))
+    with pytest.raises(AttributeError):
+        _HEAD.relation = "clean"
+
+
+def test_arc_checks_its_rule_type_and_freezes_its_body():
+    with pytest.raises(ValueError):
+        Arc(fact(1), [fact(2)], "")
+    arc = Arc(fact(1), [fact(2), fact(2)], "r")
+    assert type(arc.body) is frozenset and arc.body == {fact(2)}
 
 
 def test_arc_round_trip():

