@@ -3,13 +3,17 @@
 Rules are Horn clauses over relational atoms plus integer guards; guards
 are evaluated after each rule instance is joined and never appear in the
 emitted arcs.  Grounding is semi-naive and deterministic, and records one
-arc per fired rule instance, tagged with the rule name.  Its joins follow
-plans compiled once per (rule, body atom): the atom matched against the
-previous round's new facts goes first, and every other atom looks its
-candidates up in a hash index on the argument positions already bound,
-so the work grows with the facts that match rather than with the relation.
-Base facts become empty-body arcs (type "base") so that hypergraph
-reachability from the parameter facts alone recovers the whole derivation.
+arc per fired rule instance, tagged with the rule name.  Each (rule, body
+atom) pair is compiled once into a join plan: the atom matched against
+the previous round's new facts goes first, the others follow bound-first,
+and each looks its candidates up in a hash index on the argument
+positions already bound, so the work grows with the facts that match
+rather than with the relation.  A partial match is a tuple with one slot
+per constant and variable, and each step reads its lookup key and writes
+its new values through precomputed `itemgetter`s; the variable dict that
+guards and the head read is built only for a complete match.  Base facts
+become empty-body arcs (type "base") so that hypergraph reachability from
+the parameter facts alone recovers the whole derivation.
 
 Also home of the dirt-propagation demo analysis (`smudge_fixture`): a
 tiny imperative program where `smudgeK(x, y)` passes x's dirt to y when
@@ -22,10 +26,11 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, Optional
 
 from .analysis import Analysis, Projection
-from .errors import DomainOverflow
+from .errors import DomainOverflow, ParseError
 from .hypergraph import (MAX_NESTING, Arc, Fact, Hypergraph, parse_atom, read_lines,
                          split_top)
 
@@ -58,7 +63,8 @@ class Guard:
 
     Comparison of two integer terms built from +, *, mod.  An equality
     whose left side is a single unbound variable acts as a binding
-    (assignment-style) guard instead of a test.
+    (assignment-style) guard instead of a test.  Only `==` and `!=` take
+    names as well as integers; +, *, mod, < or > on a name raises ValueError.
     """
 
     _ALLOWED_OPS = {ast.Add: "+", ast.Mult: "*", ast.Mod: "mod"}
@@ -107,13 +113,18 @@ class Guard:
             out.update(n.id for n in ast.walk(side) if isinstance(n, ast.Name))
         return out
 
-    def _eval(self, node, env: dict) -> int:
+    def _int(self, value) -> int:
+        if not isinstance(value, int):
+            raise ValueError(f"guard {self.text!r}: {value!r} is not an integer")
+        return value
+
+    def _eval(self, node, env: dict):
         if isinstance(node, ast.Constant):
             return node.value
         if isinstance(node, ast.Name):
             return env[node.id]
-        left = self._eval(node.left, env)
-        right = self._eval(node.right, env)
+        left = self._int(self._eval(node.left, env))
+        right = self._int(self._eval(node.right, env))
         if isinstance(node.op, ast.Add):
             return left + right
         if isinstance(node.op, ast.Mult):
@@ -132,6 +143,8 @@ class Guard:
             return True, (self.binds, self._eval(self.rhs, env))
         left = self._eval(self.lhs, env)
         right = self._eval(self.rhs, env)
+        if self.op in ("<", ">"):
+            left, right = self._int(left), self._int(right)
         holds = {
             "==": left == right,
             "!=": left != right,
@@ -150,6 +163,9 @@ class Rule:
     head: Atom
     body_atoms: list
     guards: list = field(default_factory=list)
+    # where the program text states the rule, 0 if nowhere; not part of
+    # what the rule means, so rules compare without it
+    line: int = field(default=0, compare=False)
 
     def validate(self) -> None:
         if not self.body_atoms:
@@ -184,7 +200,7 @@ class Rule:
 # parsing
 
 
-def _parse_statement(line: str):
+def _parse_statement(line: str, lineno: int = 0):
     """One statement: either a rule `head :- body. @name` or a fact `f.`"""
     name = None
     if "@" in line:
@@ -216,7 +232,7 @@ def _parse_statement(line: str):
             guards.append(Guard(part))
         else:
             atoms.append(Atom(*parse_atom(part)))
-    rule = Rule(name, head, atoms, guards)
+    rule = Rule(name, head, atoms, guards, lineno)
     rule.validate()
     return rule
 
@@ -226,8 +242,8 @@ def parse_program(text: str):
     rules = []
     base = set()
 
-    def statement(_, line):
-        stmt = _parse_statement(line)
+    def statement(lineno, line):
+        stmt = _parse_statement(line, lineno)
         if isinstance(stmt, Rule):
             rules.append(stmt)
         else:
@@ -296,58 +312,90 @@ def _insert(index: dict, positions: tuple, fact: Fact) -> None:
         hit.append(fact)
 
 
-def _join_plan(rule: Rule, pivot: int) -> list:
-    """How `rule`'s body joins, atom `pivot` first and then the others left
-    to right: one step per atom, (sig, positions, terms, binds, repeats).
+def _getter(slots: list):
+    """A function from a tuple to the tuple of its items at `slots`: a
+    one-item `itemgetter` returns the bare item, a slice keeps the tuple."""
+    if len(slots) == 1:
+        return itemgetter(slice(slots[0], slots[0] + 1))
+    return itemgetter(*slots)
 
-    sig is (relation, arity); positions are the argument positions holding
-    a constant or an already bound variable, and terms the atom's terms
-    there; binds is (position, variable) for each new variable's first
-    occurrence, and repeats (position, earlier position) for its repeats.
+
+def _atom_order(atoms: list, pivot: int) -> list:
+    """Atom `pivot` first, then bound-first: an atom whose arguments are all
+    bound (a membership test), else the one with the most bound argument
+    positions, ties to the earlier atom.  It depends on the rule text only."""
+    order, rest = [pivot], [i for i in range(len(atoms)) if i != pivot]
+    bound = atoms[pivot].variables()
+    while rest:
+        def rank(i):
+            free = atoms[i].variables() - bound
+            return (bool(free), -sum(a not in free for a in atoms[i].args), i)
+        best = min(rest, key=rank)
+        order.append(best)
+        rest.remove(best)
+        bound |= atoms[best].variables()
+    return order
+
+
+def _join_plan(rule: Rule, pivot: int) -> tuple:
+    """How `rule`'s body joins, atom `pivot` first and the others in
+    `_atom_order`, compiled into (names, env0, steps).
+
+    A partial match is an environment tuple that grows at each step: the
+    rule's constants (env0), then each variable's value in the order the
+    steps bind them; names[i] names slot i, a constant naming itself.
+    Each step is (sig, positions, key, bind, repeats): sig is (relation,
+    arity); positions are the argument positions holding a constant or an
+    already bound variable, and key(env) their values, None if there are
+    none; bind(args) gives the values of the atom's new variables at their
+    first occurrences, None if there are none, and repeats is (position,
+    earlier position) for each of their repeats.
     """
-    bound = set()
+    atoms = rule.body_atoms
+    names = list(dict.fromkeys(a for atom in atoms for a in atom.args
+                               if not (isinstance(a, str) and _is_var(a))))
+    env0 = tuple(names)
+    slot = {c: i for i, c in enumerate(names)}
     steps = []
-    n = len(rule.body_atoms)
-    for atom in [rule.body_atoms[pivot]] + [
-            rule.body_atoms[i] for i in range(n) if i != pivot]:
-        variables = atom.variables()
-        positions, binds, repeats, first = [], [], [], {}
+    for atom in (atoms[i] for i in _atom_order(atoms, pivot)):
+        positions, keys, binds, repeats, first = [], [], [], [], {}
         for p, a in enumerate(atom.args):
-            if a not in variables or a in bound:
+            if a in slot:
                 positions.append(p)
+                keys.append(slot[a])
             elif a in first:
                 repeats.append((p, first[a]))
             else:
                 first[a] = p
-                binds.append((p, a))
-        bound.update(first)
+                binds.append(p)
+        for a in first:
+            slot[a] = len(names)
+            names.append(a)
         steps.append(((atom.relation, len(atom.args)), tuple(positions),
-                      tuple(atom.args[p] for p in positions),
-                      tuple(binds), tuple(repeats)))
-    return steps
+                      _getter(keys) if keys else None,
+                      _getter(binds) if binds else None, tuple(repeats)))
+    return tuple(names), env0, steps
 
 
-def _instances(steps: list, delta: _FactIndex, known: _FactIndex):
+def _instances(plan: tuple, delta: _FactIndex, known: _FactIndex):
     """Yield (env, body) for each instance of a join plan whose first atom
-    matches a fact of `delta` and whose other atoms match facts of `known`."""
-    stack = [(0, {}, ())]
+    matches a fact of `delta` and whose other atoms match facts of `known`.
+    env is a fresh dict from each variable, and each constant, to its value."""
+    names, env0, steps = plan
+    last = len(steps) - 1
+    stack = [(0, env0, ())]
     while stack:
         k, env, body = stack.pop()
-        if k == len(steps):
-            yield env, body
-            continue
-        sig, positions, terms, binds, repeats = steps[k]
-        # env.get(t, t) maps a variable to its value and a constant to
-        # itself: variables are uppercase-initial names, and no constant is
-        values = tuple(env.get(t, t) for t in terms)
-        for f in (known if k else delta).lookup(sig, positions, values):
+        sig, positions, key, bind, repeats = steps[k]
+        for f in (known if k else delta).lookup(sig, positions, key(env) if key else ()):
             args = f.args
             if repeats and any(args[p] != args[q] for p, q in repeats):
                 continue
-            env2 = dict(env)
-            for p, v in binds:
-                env2[v] = args[p]
-            stack.append((k + 1, env2, body + (f,)))
+            env2 = env + bind(args) if bind else env
+            if k == last:
+                yield dict(zip(names, env2)), body + (f,)
+            else:
+                stack.append((k + 1, env2, body + (f,)))
 
 
 def ground(rules: Iterable[Rule], base: Iterable[Fact],
@@ -356,9 +404,12 @@ def ground(rules: Iterable[Rule], base: Iterable[Fact],
 
     Base facts are emitted as empty-body arcs; `seeds` are available to
     rule bodies but get no arc of their own (they are supplied at query
-    time, e.g. as parameter encodings).  Each round joins every rule once
-    per body atom, that atom taken from the facts the previous round added
-    and the others looked up in hash indices on their bound positions.
+    time, e.g. as parameter encodings).  Each round runs every rule's
+    join plans (`_join_plan`, one per body atom) whose first atom's
+    relation gained facts in the previous round: that atom is matched
+    against those new facts and the others are looked up in hash indices
+    on their bound positions.  A guard that does arithmetic or `<`/`>` on a
+    name raises ParseError at the rule's line.
     """
     rules = list(rules)
     base = frozenset(base)
@@ -368,7 +419,8 @@ def ground(rules: Iterable[Rule], base: Iterable[Fact],
 
     known = set(base | seeds)
     index = _FactIndex(known)
-    plans = [(rule, [_join_plan(rule, p) for p in range(len(rule.body_atoms))])
+    plans = [(rule, [((atom.relation, len(atom.args)), _join_plan(rule, p))
+                     for p, atom in enumerate(rule.body_atoms)])
              for rule in rules]
 
     no_body = frozenset()  # one shared empty body: the graph outlives grounding
@@ -379,18 +431,23 @@ def ground(rules: Iterable[Rule], base: Iterable[Fact],
     while delta.facts:
         new_facts = set()
         for rule, rule_plans in plans:
-            for steps in rule_plans:
-                for env, body in _instances(steps, delta, index):
+            for pivot_sig, plan in rule_plans:
+                if pivot_sig not in delta.facts:
+                    continue
+                for env, body in _instances(plan, delta, index):
                     # guards run after the full join, in rule order; each
                     # instance owns its env, so binding guards extend it
                     ok = True
-                    for g in rule.guards:
-                        holds, binding = g.check(env)
-                        if binding is not None:
-                            env[binding[0]] = binding[1]
-                        if not holds:
-                            ok = False
-                            break
+                    try:
+                        for g in rule.guards:
+                            holds, binding = g.check(env)
+                            if binding is not None:
+                                env[binding[0]] = binding[1]
+                            if not holds:
+                                ok = False
+                                break
+                    except ValueError as exc:
+                        raise ParseError(rule.line, f"rule {rule.name}: {exc}") from exc
                     if not ok:
                         continue
                     head = Fact(rule.head.relation,

@@ -463,20 +463,29 @@ def parse_facts(text: str) -> list:
 # (the body is a fact list: commas, whitespace or both separate facts)
 
 
-def parse_arc(text: str) -> Arc:
+def parse_arc(text: str, fact: Callable[[str], Fact] = parse_fact) -> Arc:
+    """An arc from its text; `fact` reads each of its facts."""
     if "@" not in text:
         raise ValueError(f"arc missing rule type: {text!r}")
     main, rule_type = text.rsplit("@", 1)
     if "<-" not in main:
         raise ValueError(f"arc missing '<-': {text!r}")
     head_text, body_text = main.split("<-", 1)
-    return Arc(parse_fact(head_text), frozenset(parse_facts(body_text)),
+    return Arc(fact(head_text),
+               frozenset(map(fact, split_top(body_text, _FACT_SEPS))),
                rule_type.strip())
 
 
 def parse_provenance(text: str) -> Hypergraph:
-    arcs = []
-    read_lines(text, lambda _, line: arcs.append(parse_arc(line)))
+    """A graph from its text, naming each distinct fact by one object, as
+    grounding does: a fact is mentioned in many arcs."""
+    arcs, facts = [], {}
+
+    def fact(text):
+        f = parse_fact(text)
+        return facts.setdefault(f, f)
+
+    read_lines(text, lambda _, line: arcs.append(parse_arc(line, fact)))
     return Hypergraph(arcs)
 
 

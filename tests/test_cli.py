@@ -81,6 +81,16 @@ class TestGround:
         code, out, _ = run(capsys, "ground", "--rules", str(src))
         assert code == 0 and f"out({1 + ones}) <- n(1) @ deep" in out
 
+    @pytest.mark.parametrize("rule", ["p(Y) :- q(X), Y == X * 2. @double",
+                                      "p(X) :- q(X), X < 5. @small",
+                                      "p(X) :- q(X), X mod 2 == 0. @even"])
+    def test_guard_arithmetic_on_a_name_exits_2(self, capsys, tmp_path, rule):
+        src = tmp_path / "names.dl"
+        src.write_text(f"q(ab).\n{rule}\n")
+        code, out, err = run(capsys, "ground", "--rules", str(src))
+        assert (code, out) == (2, "")
+        assert "line 2: rule " in err and "'ab' is not an integer" in err
+
     def test_rule_without_body_atoms_exits_2(self, capsys, tmp_path):
         src = tmp_path / "empty.dl"
         src.write_text("n(1).\nq(X) :- X == 3. @r\n")

@@ -93,6 +93,38 @@ def test_modulus_zero_is_a_domain_overflow_naming_the_guard():
         _ground_text("n(3).\nz(X) :- n(X), X mod 0 == 0. @zero\n")
 
 
+# each guard shape that needs integers, with a name where it reads one
+NAME_ARITHMETIC = [
+    "p(Y) :- q(X), Y == X * 2. @double",
+    "p(Y) :- q(X), Y == X + X. @twice",
+    "p(X) :- q(X), X < 5. @small",
+    "p(X) :- q(X), X mod 2 == 0. @even",
+]
+
+
+@pytest.mark.parametrize("rule", NAME_ARITHMETIC)
+def test_guard_arithmetic_on_a_name_is_a_parse_error_at_the_rule(rule):
+    name = rule.rsplit("@", 1)[1]
+    guard = rule.split(", ", 1)[1].split(".")[0]
+    with pytest.raises(ParseError) as exc:
+        _ground_text(f"q(3).\nq(ab).\n{rule}\n")
+    assert exc.value.line == 3
+    assert f"rule {name}: guard {guard!r}: 'ab' is not an integer" in str(exc.value)
+
+
+def test_guards_compare_and_bind_names():
+    text = """
+    q(ab).
+    q(cd).
+    differ(X,Y) :- q(X), q(Y), X != Y. @differ
+    copy(Y) :- q(X), Y == X. @copy
+    same(X) :- q(X), copy(Y), X == Y. @same
+    """
+    derived = hg.reach(_ground_text(text), ())
+    assert {f for f in derived if f.relation != "q"} == set(hg.parse_facts(
+        "differ(ab,cd) differ(cd,ab) copy(ab) copy(cd) same(ab) same(cd)"))
+
+
 def test_custom_domain_bounds():
     text = """
     n(5).
@@ -223,6 +255,56 @@ def test_indexed_grounding_matches_the_reference_on_random_programs():
     # the generator reaches both outcomes, and rules that fire
     assert DomainOverflow in outcomes
     assert any(o is not DomainOverflow and any(a.body for a in o) for o in outcomes)
+
+
+def _long_body_program(rng: random.Random):
+    """Rules of 4 to 6 body atoms over the integers 0..2, as grounder inputs.
+
+    Any argument may be a constant, and the variables X, Y and Z repeat
+    within and across atoms, so most bodies bind in an order other than
+    their own; binding guards may recurse past the domain (0, 7).
+    """
+    arities = {"a": (1, 2), "b": (2, 3), "c": (3,), "d": (0, 1)}
+    rels = sorted(arities)
+
+    def atom(terms):
+        rel = rng.choice(rels)
+        args = [str(rng.choice(terms)) for _ in range(rng.choice(arities[rel]))]
+        return f"{rel}({','.join(args)})" if args else rel
+
+    lines = [atom(range(3)) + "." for _ in range(rng.randint(20, 40))]
+    for r in range(rng.randint(1, 3)):
+        body = [atom(["X", "Y", "Z", "X", "Y", "Z", 0, 1, 2])
+                for _ in range(rng.randint(4, 6))]
+        bound = sorted(set("".join(body)) & set("XYZ"))
+        if bound and rng.random() < 0.3:
+            body.append(f"{rng.choice(bound)} != {rng.choice(bound + ['1'])}")
+        if bound and rng.random() < 0.4:
+            body.append(f"W == {rng.choice(bound)} + {rng.choice((1, 6))}")
+            bound += ["W", "W"]
+        lines.append(f"{atom(bound or [0, 1])} :- {', '.join(body)}. @r{r}")
+    rules, base = datalog.parse_program("\n".join(lines))
+    seeds = hg.parse_facts(" ".join(atom(range(3)) for _ in range(rng.randint(0, 3))))
+    return rules, base, seeds
+
+
+def test_indexed_grounding_matches_the_reference_on_long_bodies():
+    outcomes, reordered = [], 0
+    for seed in range(300):
+        rules, base, seeds = _long_body_program(random.Random(seed))
+        reordered += sum(
+            datalog._atom_order(rule.body_atoms, p) !=
+            [p] + [i for i in range(len(rule.body_atoms)) if i != p]
+            for rule in rules for p in range(len(rule.body_atoms)))
+        want = _outcome(ref.ground, rules, base, seeds)
+        assert _outcome(datalog.ground, rules, base, seeds) == want, seed
+        outcomes.append(want)
+    # most plans join in an order other than the body's
+    assert reordered > 2000, reordered
+    assert DomainOverflow in outcomes
+    fired = [o for o in outcomes if o is not DomainOverflow and
+             any(len(a.body) >= 3 for a in o)]
+    assert len(fired) > 50, len(fired)
 
 
 @pytest.mark.parametrize("sites", [8, 16, 24, 40])

@@ -259,6 +259,17 @@ def test_hypergraph_order_is_arc_subset():
     assert small == Hypergraph([a])
 
 
+def test_parse_provenance_names_each_fact_by_one_object():
+    from provrefine import datalog
+
+    sites = [(lbl, 2 + lbl % 3, "xyzw"[lbl % 4], "xyzw"[(lbl + 1) % 4])
+             for lbl in range(16)]
+    g = hg.parse_provenance(hg.serialize_provenance(
+        datalog.smudge_analysis(sites).global_graph))
+    mentions = [f for a in g.arcs for f in (a.head, *a.body)]
+    assert len({id(f) for f in mentions}) == len(set(mentions)) == len(g.vertices)
+
+
 def test_parse_provenance_reports_line_numbers():
     from provrefine.errors import ParseError
 
