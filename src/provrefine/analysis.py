@@ -3,8 +3,7 @@
 An analysis bundles a global provenance, a set of query facts, boolean
 parameters with their fact encodings, and a partial projection that maps
 precise-mode facts back to their cheap-mode counterparts.  This module
-also houses the well-formedness, monotonicity, and predictability
-checkers used to validate fixtures.
+also houses the well-formedness checker used to validate fixtures.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from . import hypergraph as hg
-from .errors import OracleLimitExceeded, ParseError, UnknownParameter
+from .errors import ParseError, UnknownParameter
 from .hypergraph import Fact, Hypergraph
 
 
@@ -69,14 +68,24 @@ class Projection:
         self.rules = dict(rules or {})
         self.default = default
 
+    def image(self, facts: Iterable[Fact]) -> set:
+        """The images of facts; facts the map is undefined on are dropped."""
+        rules, default = self.rules, self.default
+        out = set()
+        for f in facts:
+            rule = rules.get(f[0], default)
+            if rule == "identity":
+                out.add(f)
+            elif rule != "drop":
+                target, indices = rule
+                args = f[1]
+                out.add(Fact(target, tuple([args[i] for i in indices])))
+        return out
+
     def apply(self, f: Fact) -> Optional[Fact]:
-        rule = self.rules.get(f.relation, self.default)
-        if rule == "identity":
-            return f
-        if rule == "drop":
-            return None
-        target, indices = rule
-        return Fact(target, tuple(f.args[i] for i in indices))
+        for g in self.image((f,)):
+            return g
+        return None
 
     def directive_lines(self) -> list:
         out = []
@@ -151,25 +160,27 @@ def encode_params(an: Analysis, a: Abstraction, k: int) -> frozenset:
     return frozenset(out)
 
 
-def derive(an: Analysis, a: Abstraction) -> frozenset:
-    """All facts the analysis derives under abstraction a."""
+def derive(an: Analysis, a: Abstraction, index=None) -> frozenset:
+    """All facts the analysis derives under abstraction a.
+
+    `index`, an `hg.Index` of `an.global_graph.arcs`, saves building it
+    again when one analysis is closed many times.
+    """
     seeds = encode_params(an, a, 0) | encode_params(an, a, 1)
-    return hg.reach(an.global_graph, seeds)
+    if index is None:
+        return hg.reach(an.global_graph, seeds)
+    return frozenset(index.close(seeds))
 
 
-def local_provenance(an: Analysis, a: Abstraction) -> Hypergraph:
-    """Restriction of the global provenance to the facts derived under a."""
-    return hg.induced(an.global_graph, derive(an, a))
+def local_provenance(an: Analysis, a: Abstraction, index=None) -> Hypergraph:
+    """Restriction of the global provenance to the facts derived under a;
+    `index` as for `derive`."""
+    return hg.induced(an.global_graph, derive(an, a, index))
 
 
 def project_set(an: Analysis, t: Iterable[Fact]) -> frozenset:
     """Lift the projection to a set; facts it is undefined on are dropped."""
-    out = set()
-    for f in t:
-        g = an.projection.apply(f)
-        if g is not None:
-            out.add(g)
-    return frozenset(out)
+    return frozenset(an.projection.image(t))
 
 
 def check_well_formed(an: Analysis) -> list:
@@ -212,60 +223,6 @@ def check_well_formed(an: Analysis) -> list:
             violations.append(f"(iii) non-query {f} projects onto query {g}")
 
     return violations
-
-
-def check_monotone(an: Analysis, limit: int = 12) -> bool:
-    """Derived queries shrink along the lattice (checked on covering pairs)."""
-    if len(an.params) > limit:
-        raise OracleLimitExceeded(
-            f"monotonicity oracle over {len(an.params)} parameters (limit {limit})")
-    derived_q = {}
-    for a in an.all_abstractions():
-        derived_q[a] = an.queries & derive(an, a)
-    for a in derived_q:
-        for p in an.params:
-            if a.value(p) == 0:
-                a2 = a.with_flips([p])
-                if not derived_q[a] >= derived_q[a2]:
-                    return False
-    return True
-
-
-def check_predictable(an: Analysis, param_limit: int = 12,
-                      arc_limit: int = 4096) -> Optional[Hypergraph]:
-    """Search for a witness sub-hypergraph of the cheap provenance.
-
-    The witness H must satisfy, for every abstraction a,
-    projection(reach under the precise provenance from P1(a)) equals
-    reach under H from the projected P1(a).  Greedy: start from the
-    whole cheap provenance, remove arcs any observation forces out,
-    then verify; return None on verification failure.
-    """
-    if len(an.params) > param_limit:
-        raise OracleLimitExceeded(
-            f"predictability oracle over {len(an.params)} parameters")
-    g_bot = local_provenance(an, an.bottom())
-    if len(g_bot) > arc_limit:
-        raise OracleLimitExceeded(
-            f"predictability oracle over {len(g_bot)} arcs")
-    g_top = local_provenance(an, an.top())
-
-    observations = []
-    for a in an.all_abstractions():
-        p1 = encode_params(an, a, 1)
-        r = project_set(an, hg.reach(g_top, p1))
-        observations.append((project_set(an, p1), r))
-
-    keep = set(g_bot.arcs)
-    for _, r in observations:
-        for arc in list(keep):
-            if arc.body <= r and arc.head not in r:
-                keep.discard(arc)
-    h = Hypergraph(keep)
-    for t, r in observations:
-        if hg.reach(h, t) != r:
-            return None
-    return h
 
 
 # ---------------------------------------------------------------------------

@@ -31,11 +31,15 @@ from typing import Iterable, Optional
 
 from .analysis import Analysis, Projection
 from .errors import DomainOverflow, ParseError
-from .hypergraph import (MAX_NESTING, Arc, Fact, Hypergraph, parse_atom, read_lines,
-                         split_top)
+from .hypergraph import (_NAME, MAX_NESTING, Arc, Fact, Hypergraph, parse_atom,
+                         read_lines, split_top)
 
 BASE_RULE_TYPE = "base"
 DEFAULT_DOMAIN = (0, 255)
+
+
+# a name as atoms spell it, not inside a number or another name
+_GUARD_NAME_RE = re.compile(rf"(?<![\w']){_NAME}")
 
 
 def _is_var(token: str) -> bool:
@@ -65,6 +69,8 @@ class Guard:
     whose left side is a single unbound variable acts as a binding
     (assignment-style) guard instead of a test.  Only `==` and `!=` take
     names as well as integers; +, *, mod, < or > on a name raises ValueError.
+    A lowercase-initial name is a name constant, as in an atom; names are
+    read as atoms spell them, whatever Python reserves.
     """
 
     _ALLOWED_OPS = {ast.Add: "+", ast.Mult: "*", ast.Mod: "mod"}
@@ -72,7 +78,18 @@ class Guard:
 
     def __init__(self, text: str):
         self.text = text.strip()
-        pytext = re.sub(r"\bmod\b", "%", self.text)
+        # every name becomes a placeholder `_<i>` for Python to parse, so a
+        # name Python reserves (`in`, `True`) or spells otherwise (`x'`) reads
+        # like any other; the placeholders are renamed back after parsing
+        names = []
+
+        def placeholder(m):
+            if m.group() == "mod":
+                return "%"
+            names.append(m.group())
+            return f"_{len(names) - 1}"
+
+        pytext = _GUARD_NAME_RE.sub(placeholder, self.text)
         # a guard nests no deeper than its token count
         if len(re.findall(r"\w+|\S", pytext)) > MAX_NESTING:
             raise ValueError(
@@ -81,6 +98,9 @@ class Guard:
             tree = ast.parse(pytext, mode="eval")
         except SyntaxError as exc:
             raise ValueError(f"malformed guard {self.text!r}: {exc.msg}") from exc
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name):
+                n.id = names[int(n.id[1:])]
         node = tree.body
         if not (isinstance(node, ast.Compare) and len(node.ops) == 1):
             raise ValueError(f"guard must be a single comparison: {self.text!r}")
@@ -91,6 +111,9 @@ class Guard:
         self.rhs = node.comparators[0]
         for side in (self.lhs, self.rhs):
             self._validate(side)
+        if self.op in ("<", ">"):
+            self._no_constant_name(self.lhs)
+            self._no_constant_name(self.rhs)
         self.binds: Optional[str] = None
         if self.op == "==" and isinstance(self.lhs, ast.Name) and _is_var(self.lhs.id):
             self.binds = self.lhs.id
@@ -99,18 +122,24 @@ class Guard:
         if isinstance(node, ast.BinOp):
             if type(node.op) not in self._ALLOWED_OPS:
                 raise ValueError(f"unsupported operator in guard {self.text!r}")
-            self._validate(node.left)
-            self._validate(node.right)
+            for side in (node.left, node.right):
+                self._validate(side)
+                self._no_constant_name(side)
         elif isinstance(node, ast.Constant):
             if not isinstance(node.value, int):
                 raise ValueError(f"non-integer constant in guard {self.text!r}")
         elif not isinstance(node, ast.Name):
             raise ValueError(f"unsupported term in guard {self.text!r}")
 
+    def _no_constant_name(self, node) -> None:
+        if isinstance(node, ast.Name) and not _is_var(node.id):
+            raise ValueError(f"guard {self.text!r}: {node.id!r} is not an integer")
+
     def variables(self) -> set:
         out = set()
         for side in (self.lhs, self.rhs):
-            out.update(n.id for n in ast.walk(side) if isinstance(n, ast.Name))
+            out.update(n.id for n in ast.walk(side)
+                       if isinstance(n, ast.Name) and _is_var(n.id))
         return out
 
     def _int(self, value) -> int:
@@ -122,7 +151,7 @@ class Guard:
         if isinstance(node, ast.Constant):
             return node.value
         if isinstance(node, ast.Name):
-            return env[node.id]
+            return env[node.id] if _is_var(node.id) else node.id
         left = self._int(self._eval(node.left, env))
         right = self._int(self._eval(node.right, env))
         if isinstance(node.op, ast.Add):
@@ -143,15 +172,12 @@ class Guard:
             return True, (self.binds, self._eval(self.rhs, env))
         left = self._eval(self.lhs, env)
         right = self._eval(self.rhs, env)
-        if self.op in ("<", ">"):
-            left, right = self._int(left), self._int(right)
-        holds = {
-            "==": left == right,
-            "!=": left != right,
-            "<": left < right,
-            ">": left > right,
-        }[self.op]
-        return holds, None
+        if self.op == "==":
+            return left == right, None
+        if self.op == "!=":
+            return left != right, None
+        left, right = self._int(left), self._int(right)
+        return (left < right if self.op == "<" else left > right), None
 
     def __str__(self) -> str:
         return self.text

@@ -11,14 +11,15 @@ Reachability is the least fixpoint of
 "if all body facts hold, the head holds", and the max-plus hyperpath
 distance is the round of that fixpoint in which a fact is first derived.
 One kernel computes both: an `Index` numbers a graph's facts and arcs by
-integers and `Index.run` closes over them from a seed set; `reach` keeps
-the keys of `Index.close` and `distances` its values.
+integers and `Index.layers` closes over them from a seed set, returning
+the distances and the forward arcs it fired; `Index.run` keeps the
+distances, `reach` the keys of `Index.close` and `distances` its values.
 
 `reach` and `distances` build an index per call; a caller that closes one
 graph from many seed sets builds one and runs it per seed set:
 `refine.solve` over the query's backward cone (`Index.cone`) once per
 solve, `learning.sample_training` over an analysis's global graph once per
-analysis, and `likelihood.bound_terms` over a blueprint once per call.  No
+call, and `likelihood.bound_terms` over a blueprint once per call.  No
 index is cached on a graph or an analysis: callers keep many graphs alive,
 an index holds several lists per fact and arc, and only the caller knows
 how long it is needed.  Distances define forward arcs; loops and
@@ -219,13 +220,23 @@ class Index:
 
     def run(self, t: Iterable, arcs: Optional[Iterable[int]] = None) -> dict:
         """Fact id -> max-plus distance from the seed facts t, for the facts
-        reached; seeds outside the index are dropped.  Given `arcs`, only
-        the arcs with those ids fire.
+        reached: the distances of `layers`, without its forward arcs."""
+        return self.layers(t, arcs)[0]
+
+    def layers(self, t: Iterable, arcs: Optional[Iterable[int]] = None) -> tuple:
+        """(dist, forward): fact id -> max-plus distance from the seed facts
+        t, for the facts reached, and the ids of the forward arcs, those
+        whose head is farther from t than every body fact
+        (`forward_arcs`).  Seeds outside the index are dropped.  Given
+        `arcs`, only the arcs with those ids fire.
 
         Seeds are at 0 and heads of empty-body arcs at 1.  Facts settle layer
         by layer; an arc fires when its last body fact settles, and that fact
         is the farthest of its body, so the head's candidate is its layer + 1.
         The first candidate a head gets is its least, so no heap is needed.
+        An arc is forward iff its head settles in the layer it fires in,
+        first or after another arc of that layer; every empty-body arc that
+        fires is forward.
         """
         ids, heads, uses = self.ids, self.heads, self._uses
         if arcs is None:
@@ -235,38 +246,34 @@ class Index:
             for j in arcs:
                 pending[j] = self._sizes[j]
         dist = dict.fromkeys([ids[u] for u in t if u in ids], 0)
-        layer, nxt = list(dist), []
+        layer, nxt, forward = list(dist), [], []
         for j in self._empty:
-            if not pending[j] and heads[j] not in dist:
-                dist[heads[j]] = 1
-                nxt.append(heads[j])
+            if not pending[j]:
+                forward.append(j)
+                if heads[j] not in dist:
+                    dist[heads[j]] = 1
+                    nxt.append(heads[j])
         d = 1  # the distance of the heads that fire from this layer
         while layer or nxt:
             for f in layer:
                 for j in uses[f]:
                     pending[j] -= 1
-                    if not pending[j] and heads[j] not in dist:
-                        dist[heads[j]] = d
-                        nxt.append(heads[j])
+                    if not pending[j]:
+                        h = heads[j]
+                        if h not in dist:
+                            dist[h] = d
+                            nxt.append(h)
+                            forward.append(j)
+                        elif dist[h] == d:
+                            forward.append(j)
             layer, nxt, d = nxt, [], d + 1
-        return dist
+        return dist, forward
 
     def close(self, t: Iterable) -> dict:
         """Fact -> max-plus distance from t, for t and the facts reached."""
         dist = dict.fromkeys(t, 0)
         dist.update((self.facts[i], d) for i, d in self.run(dist).items())
         return dist
-
-    def within(self, r) -> list:
-        """The arcs whose whole body lies in the set r of fact ids."""
-        pending = self._sizes.copy()
-        out = self._empty.copy()
-        for f in r:
-            for j in self._uses[f]:
-                pending[j] -= 1
-                if not pending[j]:
-                    out.append(j)
-        return out
 
     def slice(self, keep) -> list:
         """The ids of the arcs j with keep(j) that reach fact 0 through such

@@ -66,8 +66,8 @@ def sample_training(an: Analysis, n: int, max_flips: int,
     if not an.params:
         raise ValueError("the analysis has no parameters to flip")
     max_flips = min(max_flips, len(an.params))
-    blueprint = local_provenance(an, an.bottom())
     index = hg.Index(an.global_graph.arcs)
+    blueprint = local_provenance(an, an.bottom(), index)
     obs = []
     for _ in range(n):
         count = rng.randint(1, max_flips)

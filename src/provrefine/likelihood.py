@@ -46,7 +46,7 @@ def observe(an: Analysis, a: Abstraction, index=None) -> Observation:
     if index is None:
         index = hg.Index(an.global_graph.arcs)
     # equals reach over local_provenance: reach(global, P1) lies in derive(a)
-    r = project_set(an, index.close(p1))
+    r = project_set(an, [*p1, *map(index.facts.__getitem__, index.run(p1))])
     return Observation(t=t, r=r, source_abstraction=a)
 
 
@@ -81,22 +81,26 @@ class _ArcSets(dict):
 def bound_terms(g_bot: Hypergraph, obs: Iterable[Observation]) -> BoundFormula:
     """The refuted arcs and the per-head clauses of both bounds.
 
-    One `hg.Index` of g_bot serves every observation: D_k and the arcs k
-    refutes come from the arcs whose body lies in r (`Index.within`), and
-    F_k from one distance run from t (`Index.run`).  D_k and F_k
-    are kept only for arcs whose head k derives, the only ones its clauses
-    read.  Each distinct clause becomes an arc set once, so equal clauses
-    in the result are one object.
+    One `hg.Index` of g_bot serves every observation, and each fact and
+    arc holds one bit per observation k.  Per fact, `rmask` marks the k
+    with the fact in r and `cmask` the k that derive it (r - t); per arc,
+    W is the AND of its body facts' `rmask` (all ones for an empty body),
+    so bit k of W says the body lies in r_k.  An arc is refuted iff W has
+    a bit its head's `rmask` lacks; `dmask = W & cmask[head]` marks the
+    D_k holding it, and `fmask`, that and the arcs the closure kernel
+    finds forward from t_k (`Index.layers`), the F_k.  A head's clause
+    for k is its candidates with bit k set.  Each distinct clause becomes
+    an arc set once, so equal clauses in the result are one object.
     """
     obs = list(obs)
     for arc in g_bot.arcs:
         if arc.head in arc.body:
             raise SelfLoopArc(str(arc))
     index = hg.Index(g_bot.arcs)
-    ids, heads, bodies = index.ids, index.heads, index.bodies
+    ids, facts, arcs = index.ids, index.facts, index.arcs
     seen = []  # per observation: (t, r - t as fact ids)
     for o in obs:
-        derived = set(map(ids.get, o.r - o.t))
+        derived = list(map(ids.get, o.r - o.t))
         if None in derived:
             raise ObservationOutOfRange(
                 "observation derives facts foreign to the blueprint")
@@ -104,41 +108,50 @@ def bound_terms(g_bot: Hypergraph, obs: Iterable[Observation]) -> BoundFormula:
     if any(not o.consistent() for o in obs):
         return BoundFormula(frozenset(), {}, impossible=True)
 
-    negated = set()
-    c_of = {}  # fact id -> the observations deriving it, in order
-    d_sets, f_sets = [], []
+    rmask, cmask, fwd = [0] * len(facts), [0] * len(facts), [0] * len(arcs)
     for k, (t, derived) in enumerate(seen):
-        dist = index.run(t).get
-        r = {ids[u] for u in t if u in ids} | derived
-        d_k, f_k = set(), set()
-        for j in index.within(r):
-            h = heads[j]
-            if h not in r:
-                negated.add(j)
-            elif h in derived:
-                d_k.add(j)
-                dh = dist(h, hg.INFINITY)
-                for b in bodies[j]:
-                    if not dh > dist(b, hg.INFINITY):
-                        break
-                else:
-                    f_k.add(j)
-        d_sets.append(d_k)
-        f_sets.append(f_k)
-        for h in derived:
-            c_of.setdefault(h, []).append(k)
+        bit = 1 << k
+        for f in derived:
+            rmask[f] |= bit
+            cmask[f] |= bit
+        for u in t:
+            f = ids.get(u)
+            if f is not None:
+                rmask[f] |= bit
+        for j in index.layers(t)[1]:
+            fwd[j] |= bit
+    full = (1 << len(seen)) - 1
+    heads, w = index.heads, []
+    for body in index.bodies:
+        m = full
+        for b in body:
+            m &= rmask[b]
+        w.append(m)
+    refuted = [w[j] & ~rmask[h] for j, h in enumerate(heads)]
 
-    facts, into = index.facts, index.into
-    shared = _ArcSets(index.arcs)
+    into = index.into
+    shared = _ArcSets(arcs)
     per_head = {}
-    for h in sorted((h for h in c_of if into[h]), key=lambda h: facts[h]._key()):
-        a_h = frozenset(into[h]).difference(negated)
+    for h in sorted((h for h, c in enumerate(cmask) if c and into[h]),
+                    key=lambda h: facts[h]._key()):
+        c = cmask[h]
+        a_h = [j for j in into[h] if not refuted[j]]
+        if len(a_h) == 1 and fwd[a_h[0]] & w[a_h[0]] & c == c:
+            # its one candidate is in every F_k, so in every D_k
+            lower = upper = (shared[frozenset(a_h)],) * c.bit_count()
+        else:
+            ks = [k for k in range(c.bit_length()) if c >> k & 1]
+            dmask = [w[j] & c for j in a_h]
+            fmask = [m & fwd[j] for m, j in zip(dmask, a_h)]
+            lower = tuple(shared[frozenset(
+                j for j, m in zip(a_h, fmask) if m >> k & 1)] for k in ks)
+            upper = tuple(shared[frozenset(
+                j for j, m in zip(a_h, dmask) if m >> k & 1)] for k in ks)
         per_head[facts[h]] = PerHead(
-            candidates=shared[a_h],
-            lower_clauses=tuple(shared[a_h & f_sets[k]] for k in c_of[h]),
-            upper_clauses=tuple(shared[a_h & d_sets[k]] for k in c_of[h]),
-        )
-    return BoundFormula(frozenset(index.arcs[j] for j in negated), per_head)
+            candidates=shared[frozenset(a_h)],
+            lower_clauses=lower, upper_clauses=upper)
+    return BoundFormula(
+        frozenset(arcs[j] for j, bad in enumerate(refuted) if bad), per_head)
 
 
 def _wmc_clauses(clauses, theta) -> float:
@@ -176,10 +189,12 @@ def _shape(clauses: tuple) -> tuple:
     Arcs become positions numbered in `Arc._key` order, so `_wmc_clauses`
     branches on the same arc as over the arcs themselves and every head of
     one shape has bit for bit the shape's value.  Repeated clauses count
-    once, as they do in the weighted count.
+    once, as they do in the weighted count.  A single arc needs no sort.
     """
     distinct = set(clauses)
-    arcs = sorted(set().union(*distinct), key=Arc._key)
+    arcs = set().union(*distinct)
+    if len(arcs) > 1:
+        arcs = sorted(arcs, key=Arc._key)
     pos = {arc: i for i, arc in enumerate(arcs)}
     return (tuple(a.rule_type for a in arcs),
             frozenset(frozenset(pos[a] for a in c) for c in distinct))

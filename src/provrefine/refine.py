@@ -320,7 +320,7 @@ def solve(an: Analysis, q: Fact, cfg: RefineConfig) -> RefineOutcome:
     # numbers the cone once for every strategy, at the first iteration that
     # reaches a solver, which a solve ending at once never does
     cone = hg.Index.cone(an.global_graph, q)
-    heads, bodies = cone.heads, cone.bodies
+    bodies = cone.bodies
     enc = None
     a = an.bottom()
     trace = []
@@ -330,7 +330,7 @@ def solve(an: Analysis, q: Fact, cfg: RefineConfig) -> RefineOutcome:
         entry = {"iteration": iteration, "flips": sorted(a.flips())}
         trace.append(entry)
         p1 = encode_params(an, a, 1)
-        dist = cone.run(encode_params(an, a, 0) | p1)
+        dist, forward = cone.layers(encode_params(an, a, 0) | p1)
         if 0 not in dist:
             entry["answer"] = "yes"
             return RefineOutcome("yes", iteration, trace)
@@ -347,9 +347,9 @@ def solve(an: Analysis, q: Fact, cfg: RefineConfig) -> RefineOutcome:
                 a2 = choose_optimistic(enc, kept, a, cfg)
                 entry["chosen"] = sorted(a2.flips())
             else:
-                # the forward arcs among the derived ones
-                kept = cone.slice(lambda j: heads[j] in dist and all(
-                    b in dist and dist[b] < dist[heads[j]] for b in bodies[j]))
+                # the forward arcs among the derived ones, as the kernel
+                # finds them
+                kept = cone.slice(set(forward).__contains__)
                 phi = build_phi(enc, kept, a)
                 model, objective = _run_solver(phi.inst, cfg)
                 a2, log_success = decode_model(enc, model, phi, a)

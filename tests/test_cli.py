@@ -91,6 +91,55 @@ class TestGround:
         assert (code, out) == (2, "")
         assert "line 2: rule " in err and "'ab' is not an integer" in err
 
+    @pytest.mark.parametrize("guard, derived", [("X == 3", ""), ("X != 3", "h(ab)"),
+                                                ("3 == X", ""), ("X != 3 * 2", "h(ab)")])
+    def test_guard_equality_of_a_name_and_an_integer(self, capsys, tmp_path,
+                                                    guard, derived):
+        src = tmp_path / "mixed.dl"
+        src.write_text(f"q(ab).\nh(X) :- q(X), {guard}. @r1\n")
+        code, out, err = run(capsys, "ground", "--rules", str(src))
+        assert (code, err) == (0, "")
+        assert out == (f"{derived} <- q(ab) @ r1\n" if derived else "") \
+            + "q(ab) <- @ base\n"
+
+    def test_guard_names_a_constant(self, capsys, tmp_path):
+        src = tmp_path / "const.dl"
+        src.write_text("q(ab).\nq(cd).\nh(X) :- q(X), X == cd. @r1\n"
+                       "g(Y) :- q(X), X != cd, Y == cd. @r2\n")
+        code, out, err = run(capsys, "ground", "--rules", str(src))
+        assert (code, err) == (0, "")
+        assert out == ("g(cd) <- q(ab) @ r2\nh(cd) <- q(cd) @ r1\n"
+                       "q(ab) <- @ base\nq(cd) <- @ base\n")
+
+    @pytest.mark.parametrize("name", ["in", "if", "or", "is", "not", "lambda", "x'"])
+    def test_guard_names_a_constant_python_reserves_or_primes(self, capsys, tmp_path,
+                                                              name):
+        src = tmp_path / "const.dl"
+        src.write_text(f"q({name}).\nq(ab).\nh(X) :- q(X), X == {name}. @r1\n"
+                       f"g(Y) :- q(ab), Y == {name}. @r2\n")
+        code, out, err = run(capsys, "ground", "--rules", str(src))
+        assert (code, err) == (0, "")
+        assert out == (f"g({name}) <- q(ab) @ r2\nh({name}) <- q({name}) @ r1\n"
+                       f"q(ab) <- @ base\nq({name}) <- @ base\n")
+
+    def test_guard_variables_named_like_python_constants(self, capsys, tmp_path):
+        src = tmp_path / "vars.dl"
+        src.write_text("v(3).\nv(4).\nh(True) :- v(True), True == 3. @r1\n"
+                       "g(None) :- v(X), None == X + 1. @r2\n")
+        code, out, err = run(capsys, "ground", "--rules", str(src))
+        assert (code, err) == (0, "")
+        assert out == ("g(4) <- v(3) @ r2\ng(5) <- v(4) @ r2\nh(3) <- v(3) @ r1\n"
+                       "v(3) <- @ base\nv(4) <- @ base\n")
+
+    @pytest.mark.parametrize("guard", ["X < cd", "X == cd + 1", "Y == cd mod 2"])
+    def test_guard_arithmetic_on_a_name_constant_exits_2(self, capsys, tmp_path,
+                                                         guard):
+        src = tmp_path / "const.dl"
+        src.write_text(f"n(1).\nh(X) :- n(X), {guard}. @r1\n")
+        code, out, err = run(capsys, "ground", "--rules", str(src))
+        assert (code, out) == (2, "")
+        assert "line 2: " in err and "'cd' is not an integer" in err
+
     def test_rule_without_body_atoms_exits_2(self, capsys, tmp_path):
         src = tmp_path / "empty.dl"
         src.write_text("n(1).\nq(X) :- X == 3. @r\n")

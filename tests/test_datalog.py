@@ -125,6 +125,32 @@ def test_guards_compare_and_bind_names():
         "differ(ab,cd) differ(cd,ab) copy(ab) copy(cd) same(ab) same(cd)"))
 
 
+def test_guards_compare_names_with_integers_and_name_constants():
+    text = """
+    q(ab).
+    q(cd).
+    q(3).
+    three(X) :- q(X), X == 3. @three
+    other(X) :- q(X), X != 3. @other
+    is_cd(X) :- q(X), X == cd. @is_cd
+    named(Y) :- q(X), X == 3, Y == cd. @named
+    """
+    derived = hg.reach(_ground_text(text), ())
+    assert {f for f in derived if f.relation != "q"} == set(hg.parse_facts(
+        "three(3) other(ab) other(cd) is_cd(cd) named(cd)"))
+    rule = datalog.parse_program("q(1).\nh(X) :- q(X), X == cd. @r\n")[0][0]
+    assert rule.guards[0].variables() == {"X"}
+
+
+@pytest.mark.parametrize("guard", ["X < cd", "cd > X", "X == cd + 1",
+                                   "Y == 2 * cd"])
+def test_guard_arithmetic_on_a_name_constant_is_a_parse_error(guard):
+    with pytest.raises(ParseError) as exc:
+        datalog.parse_program(f"q(3).\nh(X) :- q(X), {guard}. @r\n")
+    assert exc.value.line == 2
+    assert "'cd' is not an integer" in str(exc.value)
+
+
 def test_custom_domain_bounds():
     text = """
     n(5).

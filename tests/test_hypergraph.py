@@ -164,8 +164,9 @@ def _relabelled(rng, g: Hypergraph) -> Hypergraph:
 def test_index_closes_as_the_naive_oracles(seed):
     """Empty-body arcs, seeds outside the graph and labels that are not
     facts: close is the naive closure with the brute-force distances,
-    run its restriction to the index, within its arcs with a body in r,
-    and run over a subset of its arcs the naive closure through them."""
+    run its restriction to the index, the forward arcs of layers those
+    of `forward_arcs`, and run over a subset of its arcs the naive
+    closure through them."""
     rng = random.Random(seed)
     g = _relabelled(rng, random_hypergraph(rng))
     verts = sorted(g.vertices, key=repr)
@@ -178,14 +179,38 @@ def test_index_closes_as_the_naive_oracles(seed):
                     if d is not INFINITY}
     assert index.run(t) == {index.ids[u]: d for u, d in dist.items()
                             if u in index.ids}
-    r = {index.ids[u] for u in dist if u in index.ids}
-    assert sorted(index.within(r)) == [
-        j for j, a in enumerate(index.arcs) if a.body <= dist.keys()]
+    forward = index.layers(t)[1]
+    assert len(set(forward)) == len(forward)
+    assert {index.arcs[j] for j in forward} == hg.forward_arcs(g, t).arcs
     some = [j for j in range(len(index.arcs)) if rng.random() < 0.6]
     rng.shuffle(some)
     sub = Hypergraph(index.arcs[j] for j in some)
     assert index.run(t, some).keys() == {
         index.ids[u] for u in naive_closure(sub, t) if u in index.ids}
+
+
+_SMALL_FACTS = st.builds(fact, st.integers(0, 5))
+# bodies may be empty or hold their own head
+_LOOSE_ARCS = st.builds(Arc, _SMALL_FACTS, st.frozensets(_SMALL_FACTS, max_size=3),
+                        st.sampled_from(["r", "s"]))
+
+
+@given(st.lists(_LOOSE_ARCS, max_size=12, unique=True),
+       st.frozensets(_SMALL_FACTS, max_size=4), st.data())
+@settings(max_examples=300, deadline=None)
+def test_the_kernel_finds_the_forward_arcs(arcs, t, data):
+    """The arcs that `layers` calls forward are those of `forward_arcs`,
+    over the whole graph or over the subset of arcs that may fire, with
+    empty bodies, self-loops and seeds among the heads; each once."""
+    index = hg.Index(arcs)
+    some = data.draw(st.none() | st.lists(
+        st.integers(0, len(arcs) - 1), unique=True) if arcs else st.none())
+    dist, forward = index.layers(t, some)
+    assert dist == index.run(t, some)
+    assert len(set(forward)) == len(forward)
+    sub = arcs if some is None else [arcs[j] for j in some]
+    assert {index.arcs[j] for j in forward} == hg.forward_arcs(
+        Hypergraph(sub), t).arcs
 
 
 def test_the_cone_numbers_facts_from_q_in_search_order():

@@ -124,7 +124,7 @@ def test_sample_training_indexes_the_global_graph_once(monkeypatch):
     monkeypatch.setattr(hg, "Index", CountedIndex)
     an, _ = random_smudge_analysis(random.Random(3), max_sites=10)
     learning.sample_training(an, 20, 3, random.Random(0))
-    assert len(calls) == 2  # the blueprint's derive, then every observation
+    assert len(calls) == 1  # the blueprint's derive and every observation
 
 
 def test_merge_concatenates_groups():

@@ -277,6 +277,32 @@ def test_bound_terms_equals_the_reference(four_arc_example):
     assert outcomes == {SelfLoopArc, ObservationOutOfRange, True, False}
 
 
+def test_bound_terms_with_shared_heads_and_partly_forward_clauses():
+    """Heads with two or more candidates and heads with one, where an
+    observation derives the head through a candidate that is in its D_k
+    but not forward from its t_k: the clauses still equal the reference."""
+    rng = random.Random(71)
+    seen = {"many": 0, "partial many": 0, "partial one": 0}
+    for _ in range(300):
+        g = random_hypergraph(rng, max_verts=8, max_arcs=rng.choice((12, 24)))
+        obs = []
+        for _ in range(rng.randint(3, 12)):
+            t = random_seed_set(rng, g)
+            r = hg.reach(Hypergraph(a for a in sorted(g.arcs)
+                                    if rng.random() < 0.8), t)
+            obs.append(lk.Observation(t=t, r=r))
+        got = lk.bound_terms(g, obs)
+        _assert_same_formula(got, likelihood_reference.bound_terms(g, obs))
+        for ph in got.per_head.values():
+            partial = ph.lower_clauses != ph.upper_clauses
+            if len(ph.candidates) > 1:
+                seen["many"] += 1
+                seen["partial many"] += partial
+            elif len(ph.candidates) == 1:
+                seen["partial one"] += partial
+    assert min(seen.values()) >= 10, seen
+
+
 def test_bounds_equal_the_per_head_reference():
     rng = random.Random(57)
     cases = [_random_instance(rng, acyclic=rng.random() < 0.5)[::2]
