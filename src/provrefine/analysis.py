@@ -8,6 +8,7 @@ also houses the well-formedness checker used to validate fixtures.
 
 from __future__ import annotations
 
+import functools
 import string
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
@@ -124,7 +125,7 @@ def parse_projection_directive(line: str):
     raise ValueError(f"malformed projection directive: {line!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Analysis:
     """The (provenance, queries, parameters, encoders, projection) tuple."""
 
@@ -134,6 +135,11 @@ class Analysis:
     encode0: dict  # param -> Fact (cheap-mode encoding)
     encode1: dict  # param -> Fact (precise-mode encoding)
     projection: Projection = field(default_factory=Projection)
+
+    @functools.cached_property
+    def index(self) -> hg.Index:
+        """The global graph's one `hg.Index`; the frozen fields keep it valid."""
+        return hg.Index(self.global_graph.arcs)
 
     def bottom(self) -> Abstraction:
         return Abstraction.bottom(self.params)
@@ -160,22 +166,15 @@ def encode_params(an: Analysis, a: Abstraction, k: int) -> frozenset:
     return frozenset(out)
 
 
-def derive(an: Analysis, a: Abstraction, index=None) -> frozenset:
-    """All facts the analysis derives under abstraction a.
-
-    `index`, an `hg.Index` of `an.global_graph.arcs`, saves building it
-    again when one analysis is closed many times.
-    """
+def derive(an: Analysis, a: Abstraction) -> frozenset:
+    """All facts the analysis derives under abstraction a."""
     seeds = encode_params(an, a, 0) | encode_params(an, a, 1)
-    if index is None:
-        return hg.reach(an.global_graph, seeds)
-    return frozenset(index.close(seeds))
+    return frozenset(an.index.close(seeds))
 
 
-def local_provenance(an: Analysis, a: Abstraction, index=None) -> Hypergraph:
-    """Restriction of the global provenance to the facts derived under a;
-    `index` as for `derive`."""
-    return hg.induced(an.global_graph, derive(an, a, index))
+def local_provenance(an: Analysis, a: Abstraction) -> Hypergraph:
+    """Restriction of the global provenance to the facts derived under a."""
+    return hg.induced(an.global_graph, derive(an, a))
 
 
 def project_set(an: Analysis, t: Iterable[Fact]) -> frozenset:

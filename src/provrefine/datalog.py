@@ -31,8 +31,8 @@ from typing import Iterable, Optional
 
 from .analysis import Analysis, Projection
 from .errors import DomainOverflow, ParseError
-from .hypergraph import (_NAME, MAX_NESTING, Arc, Fact, Hypergraph, parse_atom,
-                         read_lines, split_top)
+from .hypergraph import (_INT, _NAME, MAX_NESTING, Arc, Fact, Hypergraph,
+                         parse_atom, read_lines, split_top)
 
 BASE_RULE_TYPE = "base"
 DEFAULT_DOMAIN = (0, 255)
@@ -69,8 +69,8 @@ class Guard:
     whose left side is a single unbound variable acts as a binding
     (assignment-style) guard instead of a test.  Only `==` and `!=` take
     names as well as integers; +, *, mod, < or > on a name raises ValueError.
-    A lowercase-initial name is a name constant, as in an atom; names are
-    read as atoms spell them, whatever Python reserves.
+    A lowercase-initial name is a name constant, as in an atom; names and
+    integers are read as atoms spell them, whatever else Python reads.
     """
 
     _ALLOWED_OPS = {ast.Add: "+", ast.Mult: "*", ast.Mod: "mod"}
@@ -89,7 +89,7 @@ class Guard:
             names.append(m.group())
             return f"_{len(names) - 1}"
 
-        pytext = _GUARD_NAME_RE.sub(placeholder, self.text)
+        pytext = self._pytext = _GUARD_NAME_RE.sub(placeholder, self.text)
         # a guard nests no deeper than its token count
         if len(re.findall(r"\w+|\S", pytext)) > MAX_NESTING:
             raise ValueError(
@@ -125,9 +125,11 @@ class Guard:
             for side in (node.left, node.right):
                 self._validate(side)
                 self._no_constant_name(side)
-        elif isinstance(node, ast.Constant):
-            if not isinstance(node.value, int):
-                raise ValueError(f"non-integer constant in guard {self.text!r}")
+        elif isinstance(node, ast.Constant) or (isinstance(node, ast.UnaryOp)
+                                                and isinstance(node.operand, ast.Constant)):
+            # only a minus sign may come before an integer: "+3" or "- 3" fail
+            if not re.fullmatch(_INT, ast.get_source_segment(self._pytext, node)):
+                raise ValueError(f"malformed integer in guard {self.text!r}")
         elif not isinstance(node, ast.Name):
             raise ValueError(f"unsupported term in guard {self.text!r}")
 
@@ -150,6 +152,8 @@ class Guard:
     def _eval(self, node, env: dict):
         if isinstance(node, ast.Constant):
             return node.value
+        if isinstance(node, ast.UnaryOp):
+            return -node.operand.value
         if isinstance(node, ast.Name):
             return env[node.id] if _is_var(node.id) else node.id
         left = self._int(self._eval(node.left, env))

@@ -9,10 +9,6 @@ class OracleLimitExceeded(ProvRefineError):
     """An exponential oracle was invoked on an instance above its size cap."""
 
 
-class EmptyLoop(ProvRefineError):
-    """Justifications requested for an empty vertex set."""
-
-
 class ParseError(ProvRefineError):
     """Syntax error in an input file; carries a line number, 0 if no one line is at fault."""
 

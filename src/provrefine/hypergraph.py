@@ -15,15 +15,15 @@ integers and `Index.layers` closes over them from a seed set, returning
 the distances and the forward arcs it fired; `Index.run` keeps the
 distances, `reach` the keys of `Index.close` and `distances` its values.
 
-`reach` and `distances` build an index per call; a caller that closes one
-graph from many seed sets builds one and runs it per seed set:
-`refine.solve` over the query's backward cone (`Index.cone`) once per
-solve, `learning.sample_training` over an analysis's global graph once per
-call, and `likelihood.bound_terms` over a blueprint once per call.  No
-index is cached on a graph or an analysis: callers keep many graphs alive,
-an index holds several lists per fact and arc, and only the caller knows
-how long it is needed.  Distances define forward arcs; loops and
-justifications support the exact likelihood oracle.
+`reach` and `distances` build an index per call.  An analysis caches the
+one index of its global graph (`analysis.Analysis.index`), which `derive`
+and `likelihood.observe` close from each seed set.  `refine.solve` still
+takes the query's backward cone from the graph on each solve (`Index.cone`):
+walking the cached index for it kept each analysis's whole index alive and
+raised the solve workloads' peak memory by a fifth to a third, with no
+gain in operation time.  `likelihood.bound_terms` numbers its blueprint, because
+the CLI's `likelihood` command has a blueprint but no analysis.  Distances
+define forward arcs.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import string
 import sys
 from typing import Callable, Iterable, Optional
 
-from .errors import EmptyLoop, OracleLimitExceeded, ParseError
+from .errors import ParseError
 
 INFINITY = float("inf")
 
@@ -325,74 +325,13 @@ def forward_arcs(g: Hypergraph, t: Iterable[Fact]) -> Hypergraph:
     )
 
 
-def dependency_graph(g: Hypergraph) -> dict:
-    """Directed graph with an edge h -> b for every arc (h, B) and b in B."""
-    edges = {v: set() for v in g.vertices}
-    for a in g.arcs:
-        edges[a.head].update(a.body)
-    return edges
-
-
-def _strongly_connected(vertices: frozenset, edges: dict) -> bool:
-    """Is the subgraph induced by `vertices` strongly connected?"""
-    if len(vertices) == 1:
-        return True
-
-    def explore(succ):
-        start = next(iter(vertices))
-        seen = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in succ.get(v, ()):
-                if w in vertices and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return seen == vertices
-
-    fwd = {v: edges.get(v, ()) for v in vertices}
-    rev = {v: set() for v in vertices}
-    for v in vertices:
-        for w in edges.get(v, ()):
-            if w in vertices:
-                rev[w].add(v)
-    return explore(fwd) and explore(rev)
-
-
-def loops(g: Hypergraph, limit: int = 16) -> set:
-    """All vertex subsets inducing a strongly connected dependency subgraph.
-
-    Includes non-maximal loops and singleton ("trivial") loops.
-    Exponential; guarded by `limit` on the vertex count.
-    """
-    verts = sorted(g.vertices, key=Fact._key)
-    if len(verts) > limit:
-        raise OracleLimitExceeded(
-            f"loop enumeration over {len(verts)} vertices (limit {limit})")
-    edges = dependency_graph(g)
-    out = set()
-    n = len(verts)
-    for mask in range(1, 1 << n):
-        subset = frozenset(verts[i] for i in range(n) if mask >> i & 1)
-        if _strongly_connected(subset, edges):
-            out.add(subset)
-    return out
-
-
-def justifications(g: Hypergraph, l: Iterable[Fact]) -> set:
-    """Arcs that can support loop l from outside: head in l, body disjoint."""
-    ls = frozenset(l)
-    if not ls:
-        raise EmptyLoop("justifications of an empty loop")
-    return {a for a in g.arcs if a.head in ls and not (a.body & ls)}
-
-
 # ---------------------------------------------------------------------------
 # the one reader of lines, atoms and fact lists, shared by every file format
 
 _NAME = r"[A-Za-z_][A-Za-z0-9_']*"
 _ATOM_RE = re.compile(rf"({_NAME})(?:\(([^()]*)\))?")
-_TERM_RE = re.compile(rf"(-?[0-9]+)|{_NAME}")
+_INT = r"-?[0-9]+"
+_TERM_RE = re.compile(rf"({_INT})|{_NAME}")
 _FACT_SEPS = "," + string.whitespace
 # the deepest MaxSAT formula and the longest Datalog guard the readers
 # accept: what reads, compiles and evaluates them recurses once per level

@@ -14,7 +14,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
-from . import hypergraph as hg
 from . import likelihood as lk
 from .analysis import Analysis, local_provenance
 from .errors import CorpusTooSmall, DegenerateTrainingSet
@@ -66,13 +65,12 @@ def sample_training(an: Analysis, n: int, max_flips: int,
     if not an.params:
         raise ValueError("the analysis has no parameters to flip")
     max_flips = min(max_flips, len(an.params))
-    index = hg.Index(an.global_graph.arcs)
-    blueprint = local_provenance(an, an.bottom(), index)
+    blueprint = local_provenance(an, an.bottom())
     obs = []
     for _ in range(n):
         count = rng.randint(1, max_flips)
         flips = rng.sample(list(an.params), count)
-        obs.append(lk.observe(an, an.bottom().with_flips(flips), index))
+        obs.append(lk.observe(an, an.bottom().with_flips(flips)))
     return TrainingSet([ObservationGroup(blueprint, obs)])
 
 

@@ -5,21 +5,21 @@ were derived (R) in one analysis run.  The probability that a random
 sub-hypergraph H of the blueprint reproduces a batch of observations
 (reach(H, T_k) = R_k for all k) is bounded below and above by products
 of per-head weighted model counts, which `Bound` evaluates once per
-distinct head shape; an exponential enumeration oracle and a loop-formula
-construction provide the exact value on small instances.
+distinct head shape; an exponential enumeration oracle provides the exact
+value on small instances.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 from . import hypergraph as hg
 from .analysis import Abstraction, Analysis, encode_params, project_set
 from .errors import (ObservationOutOfRange, OracleLimitExceeded, ParseError,
                      SelfLoopArc)
-from .hypergraph import Arc, Fact, Hypergraph
+from .hypergraph import Arc, Hypergraph
 from .probmodel import NEG_INF, EXACT_ARC_LIMIT, HyperParams, ProbModel, _enumerate_subgraphs
 
 
@@ -29,25 +29,18 @@ class Observation:
 
     t: frozenset
     r: frozenset
-    source_abstraction: Optional[Abstraction] = None
 
     def consistent(self) -> bool:
         return self.t <= self.r
 
 
-def observe(an: Analysis, a: Abstraction, index=None) -> Observation:
-    """Run the analysis under a and project the outcome.
-
-    `index`, an `hg.Index` of `an.global_graph.arcs`, saves building it
-    again when one analysis is observed many times.
-    """
+def observe(an: Analysis, a: Abstraction) -> Observation:
+    """Run the analysis under a and project the outcome."""
     p1 = encode_params(an, a, 1)
     t = project_set(an, p1)
-    if index is None:
-        index = hg.Index(an.global_graph.arcs)
     # equals reach over local_provenance: reach(global, P1) lies in derive(a)
-    r = project_set(an, [*p1, *map(index.facts.__getitem__, index.run(p1))])
-    return Observation(t=t, r=r, source_abstraction=a)
+    r = project_set(an, [*p1, *map(an.index.facts.__getitem__, an.index.run(p1))])
+    return Observation(t=t, r=r)
 
 
 @dataclass
@@ -270,73 +263,6 @@ def exact_likelihood(g_bot: Hypergraph, obs: Iterable[Observation],
     for chosen, p in _enumerate_subgraphs(model):
         sub = Hypergraph(chosen)
         if all(hg.reach(sub, o.t) == o.r for o in obs):
-            total += p
-    return math.log(total) if total > 0.0 else NEG_INF
-
-
-# ---------------------------------------------------------------------------
-# loop formulas: the exact characterization of reach(H, T) = R
-
-
-@dataclass(frozen=True)
-class LoopFormula:
-    """[t ⊆ r] ∧ (refuted arcs off) ∧ (every loop inside r∖t justified)."""
-
-    consistent: bool
-    negated_arcs: frozenset
-    clauses: tuple  # each a frozenset of arcs; at least one must be selected
-
-    def evaluate(self, selected: Iterable[Arc]) -> bool:
-        sel = frozenset(selected)
-        if not self.consistent:
-            return False
-        if sel & self.negated_arcs:
-            return False
-        return all(sel & c for c in self.clauses)
-
-
-def loop_formula(g_bot: Hypergraph, t: Iterable[Fact], r: Iterable[Fact],
-                 loop_limit: int = 16) -> LoopFormula:
-    ts = frozenset(t)
-    rs = frozenset(r)
-    if not ts <= rs:
-        return LoopFormula(False, frozenset(), ())
-    negated = frozenset(
-        a for a in g_bot.arcs if a.body <= rs and a.head not in rs)
-    interior = rs - ts
-    interior_verts = sorted((v for v in interior if v in g_bot.vertices),
-                            key=Fact._key)
-    if len(interior_verts) > loop_limit:
-        raise OracleLimitExceeded(
-            f"loop enumeration over {len(interior_verts)} vertices")
-    edges = hg.dependency_graph(g_bot)
-    clauses = []
-    n = len(interior_verts)
-    for mask in range(1, 1 << n):
-        loop = frozenset(interior_verts[i] for i in range(n) if mask >> i & 1)
-        if not hg._strongly_connected(loop, edges):
-            continue
-        just = frozenset(
-            a for a in hg.justifications(g_bot, loop)
-            if a.body <= rs and a not in negated)
-        clauses.append(just)
-    # facts of r∖t that are not vertices can never be derived
-    consistent = all(v in g_bot.vertices for v in interior)
-    return LoopFormula(consistent, negated, tuple(sorted(clauses, key=sorted)))
-
-
-def loop_formula_wmc(g_bot: Hypergraph, formulas: Iterable[LoopFormula],
-                     hp: HyperParams, limit: int = EXACT_ARC_LIMIT) -> float:
-    """Log of the weighted model count of a conjunction of loop formulas."""
-    formulas = list(formulas)
-    if len(g_bot) > limit:
-        raise OracleLimitExceeded(
-            f"weighted model count over {len(g_bot)} arcs (limit {limit})")
-    model = ProbModel(g_bot, hp)
-    total = 0.0
-    for chosen, p in _enumerate_subgraphs(model):
-        sel = frozenset(chosen)
-        if all(f.evaluate(sel) for f in formulas):
             total += p
     return math.log(total) if total > 0.0 else NEG_INF
 

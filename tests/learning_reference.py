@@ -26,7 +26,7 @@ def observe(an: Analysis, a: Abstraction) -> lk.Observation:
     p1 = encode_params(an, a, 1)
     t = project_set(an, p1)
     r = project_set(an, hg.reach(an.global_graph, p1))
-    return lk.Observation(t=t, r=r, source_abstraction=a)
+    return lk.Observation(t=t, r=r)
 
 
 def sample_training(an: Analysis, n: int, max_flips: int,

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 import provrefine.hypergraph as hg
 from provrefine import analysis as ana
 from provrefine import datalog
-from provrefine.analysis import Abstraction, Projection
+from provrefine.analysis import Abstraction, Analysis, Projection
 from provrefine.hypergraph import Fact
 
 from analysis_reference import check_monotone, check_predictable
@@ -14,6 +15,13 @@ from analysis_reference import check_monotone, check_predictable
 @pytest.fixture(scope="module")
 def smudge():
     return datalog.smudge_fixture()
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(Analysis)])
+def test_analysis_fields_cannot_be_reassigned(smudge, name):
+    # the cached index numbers the global graph the analysis was built with
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(smudge, name, getattr(smudge, name))
 
 
 def test_abstraction_lattice_basics():

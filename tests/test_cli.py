@@ -140,6 +140,24 @@ class TestGround:
         assert (code, out) == (2, "")
         assert "line 2: " in err and "'cd' is not an integer" in err
 
+    def test_guard_reads_a_negative_integer_as_atoms_do(self, capsys, tmp_path):
+        src = tmp_path / "neg.dl"
+        src.write_text("v(4).\nh(Y) :- v(X), Y == X + -1. @r1\n"
+                       "g(X) :- v(X), X > -3, X != -4. @r2\n")
+        code, out, err = run(capsys, "ground", "--rules", str(src))
+        assert (code, err) == (0, "")
+        assert out == "g(4) <- v(4) @ r2\nh(3) <- v(4) @ r1\nv(4) <- @ base\n"
+
+    @pytest.mark.parametrize("guard", ["X == 0x3", "X == 1_00", "X == 0b11",
+                                       "X == - 3", "X == --3", "X == +3",
+                                       "X == ~3", "X == -X"])
+    def test_guard_integer_atoms_would_reject_exits_2(self, capsys, tmp_path, guard):
+        src = tmp_path / "int.dl"
+        src.write_text(f"v(3).\nv(100).\nh(X) :- v(X), {guard}. @r1\n")
+        code, out, err = run(capsys, "ground", "--rules", str(src))
+        assert (code, out) == (2, "")
+        assert "line 3: " in err and "guard" in err
+
     def test_rule_without_body_atoms_exits_2(self, capsys, tmp_path):
         src = tmp_path / "empty.dl"
         src.write_text("n(1).\nq(X) :- X == 3. @r\n")

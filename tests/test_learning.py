@@ -95,7 +95,8 @@ def test_sample_training_shapes():
     assert len(ts.groups) == 1
     assert len(ts.observations) == 6
     for o in ts.observations:
-        assert 1 <= len(o.source_abstraction.flips()) <= 2
+        # each flipped precise(l) projects to its own cheap(l): t is the flips
+        assert 1 <= len(o.t) <= 2
         assert o.consistent()
 
 
@@ -112,6 +113,7 @@ def test_sample_training_equals_the_per_observation_reference():
 
 
 def test_sample_training_indexes_the_global_graph_once(monkeypatch):
+    from provrefine import analysis as ana
     from provrefine import hypergraph as hg
 
     calls = []
@@ -122,9 +124,23 @@ def test_sample_training_indexes_the_global_graph_once(monkeypatch):
             super().__init__(arcs)
 
     monkeypatch.setattr(hg, "Index", CountedIndex)
-    an, _ = random_smudge_analysis(random.Random(3), max_sites=10)
+    an, a = random_smudge_analysis(random.Random(3), max_sites=10)
+    ana.derive(an, a)
+    ana.local_provenance(an, a)
+    lk.observe(an, a)
     learning.sample_training(an, 20, 3, random.Random(0))
-    assert len(calls) == 1  # the blueprint's derive and every observation
+    learning.sample_training(an, 20, 3, random.Random(1))
+    assert len(calls) == 1  # the analysis's own index serves every closure
+
+
+def test_sample_training_is_the_same_before_and_after_the_index_is_cached():
+    an, _ = random_smudge_analysis(random.Random(5), max_sites=10)
+    assert "index" not in vars(an)
+    first = learning.sample_training(an, 12, 3, random.Random(7))
+    assert "index" in vars(an)
+    again = learning.sample_training(an, 12, 3, random.Random(7))
+    expect = learning_reference.sample_training(an, 12, 3, random.Random(7))
+    assert first == again == expect
 
 
 def test_merge_concatenates_groups():
