@@ -23,7 +23,6 @@ or precisely (values tracked), one boolean parameter per smudge site.
 
 from __future__ import annotations
 
-import ast
 import re
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -38,8 +37,13 @@ BASE_RULE_TYPE = "base"
 DEFAULT_DOMAIN = (0, 255)
 
 
-# a name as atoms spell it, not inside a number or another name
-_GUARD_NAME_RE = re.compile(rf"(?<![\w']){_NAME}")
+# a guard token: an integer or a name as atoms spell them, an operator, or
+# (last) a run of characters that spells no token
+_GUARD_TOKEN_RE = re.compile(
+    rf"\s*(?:({_INT})(?![\w'])|({_NAME})|(==|!=|[<>+*%()])|([\w']+|\S))")
+# by level, the operators of a comparison, a sum and a product
+_OPERATORS = (("==", "!=", "<", ">"), ("+",), ("*", "%"))
+_PUNCTUATION = {"(", ")"}.union(*_OPERATORS)
 
 
 def _is_var(token: str) -> bool:
@@ -63,86 +67,75 @@ class Atom:
 
 
 class Guard:
-    """One arithmetic constraint over bound integer variables.
+    """One comparison of integer terms; an equality whose left side is a
+    single variable binds it (an assignment-style guard) when it is unbound.
 
-    Comparison of two integer terms built from +, *, mod.  An equality
-    whose left side is a single unbound variable acts as a binding
-    (assignment-style) guard instead of a test.  Only `==` and `!=` take
-    names as well as integers; +, *, mod, < or > on a name raises ValueError.
-    A lowercase-initial name is a name constant, as in an atom; names and
-    integers are read as atoms spell them, whatever else Python reads.
+    comparison := sum (== | != | < | >) sum, or one wrapped whole in
+    parentheses; sum := product (+ product)*; product := term ((* | mod |
+    %) term)*; term := integer | name | ( sum ), spelled as in atoms.  The
+    guard reads into a tree of integer and name leaves and (op, left,
+    right) nodes.  Only `==` and `!=` take names; +, *, mod, < or > on a
+    name raises ValueError, at once for a name constant.
     """
-
-    _ALLOWED_OPS = {ast.Add: "+", ast.Mult: "*", ast.Mod: "mod"}
-    _ALLOWED_CMP = {ast.Eq: "==", ast.NotEq: "!=", ast.Lt: "<", ast.Gt: ">"}
 
     def __init__(self, text: str):
         self.text = text.strip()
-        # every name becomes a placeholder `_<i>` for Python to parse, so a
-        # name Python reserves (`in`, `True`) or spells otherwise (`x'`) reads
-        # like any other; the placeholders are renamed back after parsing
-        names = []
-
-        def placeholder(m):
-            if m.group() == "mod":
-                return "%"
-            names.append(m.group())
-            return f"_{len(names) - 1}"
-
-        pytext = self._pytext = _GUARD_NAME_RE.sub(placeholder, self.text)
+        tokens = []
+        for integer, name, op, bad in _GUARD_TOKEN_RE.findall(self.text):
+            if bad:
+                raise self._unexpected(bad)
+            tokens.append(int(integer) if integer else
+                          "%" if name == "mod" else name or op)
         # a guard nests no deeper than its token count
-        if len(re.findall(r"\w+|\S", pytext)) > MAX_NESTING:
+        if len(tokens) > MAX_NESTING:
             raise ValueError(
                 f"guard {self.text!r} has more than {MAX_NESTING} tokens")
-        try:
-            tree = ast.parse(pytext, mode="eval")
-        except SyntaxError as exc:
-            raise ValueError(f"malformed guard {self.text!r}: {exc.msg}") from exc
-        for n in ast.walk(tree):
-            if isinstance(n, ast.Name):
-                n.id = names[int(n.id[1:])]
-        node = tree.body
-        if not (isinstance(node, ast.Compare) and len(node.ops) == 1):
+        tokens.append(None)  # the end, which no reader consumes
+        node, i = self._read(tokens, 0)
+        if tokens[i] is not None:
+            raise self._unexpected(tokens[i])
+        if not _comparison(node):
             raise ValueError(f"guard must be a single comparison: {self.text!r}")
-        self.op = self._ALLOWED_CMP.get(type(node.ops[0]))
-        if self.op is None:
-            raise ValueError(f"unsupported comparison in guard {self.text!r}")
-        self.lhs = node.left
-        self.rhs = node.comparators[0]
-        for side in (self.lhs, self.rhs):
-            self._validate(side)
-        if self.op in ("<", ">"):
-            self._no_constant_name(self.lhs)
-            self._no_constant_name(self.rhs)
-        self.binds: Optional[str] = None
-        if self.op == "==" and isinstance(self.lhs, ast.Name) and _is_var(self.lhs.id):
-            self.binds = self.lhs.id
+        self.op, self.lhs, self.rhs = node
+        binding = self.op == "==" and isinstance(self.lhs, str) and _is_var(self.lhs)
+        self.binds: Optional[str] = self.lhs if binding else None
 
-    def _validate(self, node) -> None:
-        if isinstance(node, ast.BinOp):
-            if type(node.op) not in self._ALLOWED_OPS:
-                raise ValueError(f"unsupported operator in guard {self.text!r}")
-            for side in (node.left, node.right):
-                self._validate(side)
-                self._no_constant_name(side)
-        elif isinstance(node, ast.Constant) or (isinstance(node, ast.UnaryOp)
-                                                and isinstance(node.operand, ast.Constant)):
-            # only a minus sign may come before an integer: "+3" or "- 3" fail
-            if not re.fullmatch(_INT, ast.get_source_segment(self._pytext, node)):
-                raise ValueError(f"malformed integer in guard {self.text!r}")
-        elif not isinstance(node, ast.Name):
-            raise ValueError(f"unsupported term in guard {self.text!r}")
+    def _read(self, tokens: list, i: int, level: int = 0) -> tuple:
+        """The comparison (level 0), sum (1), product (2) or term (3) at
+        tokens[i:], and the index after it."""
+        if level < 3:
+            node, i = self._read(tokens, i, level + 1)
+            while tokens[i] in _OPERATORS[level]:
+                op = tokens[i]
+                right, i = self._read(tokens, i + 1, level + 1)
+                names = op in ("==", "!=")
+                node = (op, self._operand(node, names), self._operand(right, names))
+            return node, i
+        tok = tokens[i]
+        if tok == "(":
+            node, i = self._read(tokens, i + 1)
+            if tokens[i] == ")":
+                return node, i + 1
+            tok = tokens[i]
+        elif tok is not None and tok not in _PUNCTUATION:
+            return tok, i + 1
+        raise self._unexpected(tok)
 
-    def _no_constant_name(self, node) -> None:
-        if isinstance(node, ast.Name) and not _is_var(node.id):
-            raise ValueError(f"guard {self.text!r}: {node.id!r} is not an integer")
+    def _unexpected(self, tok) -> ValueError:
+        where = "end" if tok is None else repr(tok)
+        return ValueError(f"malformed guard {self.text!r}: unexpected {where}")
+
+    def _operand(self, node, names: bool):
+        """node, as a side of an operator: never a comparison and, unless
+        names, never a name constant."""
+        if _comparison(node):
+            raise ValueError(f"guard must be a single comparison: {self.text!r}")
+        if not names and isinstance(node, str) and not _is_var(node):
+            raise ValueError(f"guard {self.text!r}: {node!r} is not an integer")
+        return node
 
     def variables(self) -> set:
-        out = set()
-        for side in (self.lhs, self.rhs):
-            out.update(n.id for n in ast.walk(side)
-                       if isinstance(n, ast.Name) and _is_var(n.id))
-        return out
+        return _variables(self.lhs) | _variables(self.rhs)
 
     def _int(self, value) -> int:
         if not isinstance(value, int):
@@ -150,17 +143,14 @@ class Guard:
         return value
 
     def _eval(self, node, env: dict):
-        if isinstance(node, ast.Constant):
-            return node.value
-        if isinstance(node, ast.UnaryOp):
-            return -node.operand.value
-        if isinstance(node, ast.Name):
-            return env[node.id] if _is_var(node.id) else node.id
-        left = self._int(self._eval(node.left, env))
-        right = self._int(self._eval(node.right, env))
-        if isinstance(node.op, ast.Add):
+        if type(node) is not tuple:
+            return env[node] if isinstance(node, str) and _is_var(node) else node
+        op, left, right = node
+        left = self._int(self._eval(left, env))
+        right = self._int(self._eval(right, env))
+        if op == "+":
             return left + right
-        if isinstance(node.op, ast.Mult):
+        if op == "*":
             return left * right
         if right == 0:
             raise DomainOverflow(f"guard {self.text!r}: modulus is 0")
@@ -187,6 +177,16 @@ class Guard:
         return self.text
 
 
+def _comparison(node) -> bool:
+    return type(node) is tuple and node[0] in _OPERATORS[0]
+
+
+def _variables(node) -> set:
+    if type(node) is tuple:
+        return _variables(node[1]) | _variables(node[2])
+    return {node} if isinstance(node, str) and _is_var(node) else set()
+
+
 @dataclass
 class Rule:
     name: str
@@ -204,18 +204,13 @@ class Rule:
         for atom in self.body_atoms:
             bound |= atom.variables()
         for g in self.guards:
-            gvars = g.variables()
-            if g.binds is not None and g.binds not in bound:
-                unbound = gvars - bound - {g.binds}
-                if unbound:
-                    raise ValueError(
-                        f"guard {g} uses unbound variables {sorted(unbound)}")
+            # a binding guard's right side binds its fresh variable
+            fresh = g.binds is not None and g.binds not in bound
+            unbound = (_variables(g.rhs) if fresh else g.variables()) - bound
+            if unbound:
+                raise ValueError(f"guard {g} uses unbound variables {sorted(unbound)}")
+            if fresh:
                 bound.add(g.binds)
-            else:
-                unbound = gvars - bound
-                if unbound:
-                    raise ValueError(
-                        f"guard {g} uses unbound variables {sorted(unbound)}")
         free = self.head.variables() - bound
         if free:
             raise ValueError(

@@ -17,13 +17,9 @@ distances, `reach` the keys of `Index.close` and `distances` its values.
 
 `reach` and `distances` build an index per call.  An analysis caches the
 one index of its global graph (`analysis.Analysis.index`), which `derive`
-and `likelihood.observe` close from each seed set.  `refine.solve` still
-takes the query's backward cone from the graph on each solve (`Index.cone`):
-walking the cached index for it kept each analysis's whole index alive and
-raised the solve workloads' peak memory by a fifth to a third, with no
-gain in operation time.  `likelihood.bound_terms` numbers its blueprint, because
-the CLI's `likelihood` command has a blueprint but no analysis.  Distances
-define forward arcs.
+and `likelihood.observe` close from each seed set; each `refine.solve`
+numbers the query's backward cone (`Index.cone`) and `likelihood.bound_terms`
+its blueprint.  Distances define forward arcs.
 """
 
 from __future__ import annotations
@@ -120,7 +116,11 @@ class Arc(_Record):
         return (fact_key(head), tuple(sorted(map(fact_key, body))), rule_type)
 
     def __repr__(self) -> str:
-        return "Arc(head=%r, body=%r, rule_type=%r)" % self
+        # the body's facts in key order: equal sets may iterate differently
+        head, body, rule_type = self
+        facts = ", ".join(map(repr, sorted(body, key=Fact._key)))
+        return "Arc(head=%r, body=frozenset(%s), rule_type=%r)" % (
+            head, "{%s}" % facts if facts else "", rule_type)
 
     def __str__(self) -> str:
         head, body, rule_type = self

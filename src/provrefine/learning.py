@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable
 
 from . import likelihood as lk
 from .analysis import Analysis, local_provenance
@@ -23,6 +23,7 @@ from .probmodel import NEG_INF, HyperParams
 EPSILON = 1e-6  # the least theta learn fits
 CYCLE_TOL = 1e-7  # learn stops after a cycle that gains less
 SEARCH_TOL = 1e-6  # line_search narrows its bracket to this width
+MAX_CYCLES = 100  # learn stops after this many cycles in any case
 
 
 @dataclass
@@ -151,9 +152,9 @@ def line_search(f: Callable[[float], float], lo: float, hi: float) -> float:
     return min(x for x, y in evals.items() if y == best_val)
 
 
-def learn(ts: TrainingSet, init: Optional[HyperParams] = None,
-          max_cycles: int = 100) -> HyperParams:
-    """Fit hyperparameters by cyclic coordinate ascent on the lower bound."""
+def learn(ts: TrainingSet) -> HyperParams:
+    """Fit hyperparameters by cyclic coordinate ascent on the lower bound,
+    from theta = 0.5 on every constrained type."""
     objective = _Objective(ts)
     all_types = ts.rule_types()
     if not objective.constrained:
@@ -162,21 +163,12 @@ def learn(ts: TrainingSet, init: Optional[HyperParams] = None,
 
     hp = HyperParams({k: 1.0 for k in all_types})
     hp.unconstrained = set(all_types) - objective.constrained
-    if init is not None:
-        for k, v in init.theta.items():
-            if k in all_types:
-                hp.theta[k] = min(max(v, EPSILON), 1.0)
-    else:
-        for k in objective.constrained:
-            hp.theta[k] = 0.5
-    # a refuted type at theta = 1 makes the objective -inf, from which no
-    # coordinate step can be measured as a gain
-    for k in objective.n_counts:
-        hp.theta[k] = min(hp.theta[k], 1.0 - EPSILON)
+    for k in objective.constrained:
+        hp.theta[k] = 0.5
 
     current = objective.value(hp)
     order = sorted(objective.constrained)
-    for _ in range(max_cycles):
+    for _ in range(MAX_CYCLES):
         cycle_start = current
         for k in order:
             f = objective.coordinate_function(k, hp)

@@ -250,14 +250,14 @@ def upper_bound(bf: BoundFormula, hp: HyperParams) -> float:
 
 
 def exact_likelihood(g_bot: Hypergraph, obs: Iterable[Observation],
-                     hp: HyperParams, limit: int = EXACT_ARC_LIMIT) -> float:
+                     hp: HyperParams) -> float:
     """Log-probability by enumerating every sub-hypergraph."""
     obs = list(obs)
     if any(not o.consistent() for o in obs):
         return NEG_INF
-    if len(g_bot) > limit:
+    if len(g_bot) > EXACT_ARC_LIMIT:
         raise OracleLimitExceeded(
-            f"exact likelihood over {len(g_bot)} arcs (limit {limit})")
+            f"exact likelihood over {len(g_bot)} arcs (limit {EXACT_ARC_LIMIT})")
     model = ProbModel(g_bot, hp)
     total = 0.0
     for chosen, p in _enumerate_subgraphs(model):

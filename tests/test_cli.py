@@ -70,12 +70,16 @@ class TestGround:
 
     def test_guard_longer_than_the_nesting_limit_exits_2(self, capsys, tmp_path):
         src = tmp_path / "deep.dl"
-        src.write_text("n(1).\nout(Y) :- n(X), Y == X" + "+1" * 3000 + ". @deep\n")
-        code, _, err = run(capsys, "ground", "--rules", str(src))
-        assert code == 2 and "line 2" in err
+        for ones in (3000, (hg.MAX_NESTING - 2) // 2):  # the second: 201 tokens
+            src.write_text("n(1).\nout(Y) :- n(X), Y == X" + "+1" * ones + ". @deep\n")
+            code, _, err = run(capsys, "ground", "--rules", str(src))
+            assert code == 2 and "line 2: guard 'Y == X+1+1" in err
+            assert f"has more than {hg.MAX_NESTING} tokens" in err
 
+    # "Y == X" is three tokens and "+1" two, so a well-formed guard has an
+    # odd token count: 199 is the most that grounds
     def test_guard_at_the_nesting_limit_grounds(self, capsys, tmp_path):
-        ones = (hg.MAX_NESTING - 4) // 2  # "Y == X" is four tokens, "+1" two
+        ones = (hg.MAX_NESTING - 4) // 2
         src = tmp_path / "deep.dl"
         src.write_text("n(1).\nout(Y) :- n(X), Y == X" + "+1" * ones + ". @deep\n")
         code, out, _ = run(capsys, "ground", "--rules", str(src))
@@ -147,6 +151,15 @@ class TestGround:
         code, out, err = run(capsys, "ground", "--rules", str(src))
         assert (code, err) == (0, "")
         assert out == "g(4) <- v(4) @ r2\nh(3) <- v(4) @ r1\nv(4) <- @ base\n"
+
+    def test_guard_reads_a_leading_zero_as_atoms_do(self, capsys, tmp_path):
+        src = tmp_path / "zero.dl"
+        src.write_text("v(03).\nh(X) :- v(X), X == 03. @r1\n"
+                       "g(Y) :- v(X), Y == X + 03. @r2\nf(Y) :- v(X), Y == X + 3. @r3\n")
+        code, out, err = run(capsys, "ground", "--rules", str(src))
+        assert (code, err) == (0, "")
+        assert out == ("f(6) <- v(3) @ r3\ng(6) <- v(3) @ r2\nh(3) <- v(3) @ r1\n"
+                       "v(3) <- @ base\n")
 
     @pytest.mark.parametrize("guard", ["X == 0x3", "X == 1_00", "X == 0b11",
                                        "X == - 3", "X == --3", "X == +3",

@@ -64,6 +64,20 @@ def test_copies_and_pickles_keep_the_type_and_the_fields(obj):
         assert repr(dup) == repr(obj)
 
 
+def test_arc_repr_does_not_depend_on_the_body_order():
+    # two facts whose hashes collide in a two-fact set's 8-slot table, so
+    # that the set iterates them in the order they were inserted in
+    a, b = next((x, y) for x, y in itertools.combinations(
+        [Fact("q", (i,)) for i in range(64)], 2)
+        if list(frozenset([x, y])) != list(frozenset([y, x])))
+    arcs = [Arc(_HEAD, frozenset(body), "r") for body in ([a, b], [b, a])]
+    assert repr(arcs[0]) == repr(arcs[1])
+    assert eval(repr(arcs[0]), {"Arc": Arc, "Fact": Fact}) == arcs[0]
+    assert repr(Arc(_HEAD, (), "r")) == (
+        "Arc(head=Fact(relation='dirty', args=('end', 'x')), "
+        "body=frozenset(), rule_type='r')")
+
+
 def test_fact_and_arc_repr_and_keyword_construction():
     assert repr(_HEAD) == "Fact(relation='dirty', args=('end', 'x'))"
     assert repr(Fact("q")) == "Fact(relation='q', args=())"

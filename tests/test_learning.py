@@ -165,24 +165,6 @@ def test_leave_one_out_needs_two_programs():
         learning.leave_one_out([_bernoulli_corpus(1, 1)])
 
 
-def test_learn_from_a_refuted_type_at_one_stops_early(monkeypatch):
-    # theta = 1 on a refuted type starts the objective at -inf; ascent must
-    # still measure its gains, converge and return a finite bound
-    ts = _bernoulli_corpus(3, 10)
-    searches = []
-    real = learning.line_search
-
-    def counting(*args, **kwargs):
-        searches.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(learning, "line_search", counting)
-    hp = learning.learn(ts, init=pm.HyperParams({"coin": 1.0}), max_cycles=20)
-    assert len(searches) < 20
-    assert hp.theta["coin"] == pytest.approx(0.3, abs=1e-4)
-    assert math.isfinite(learning._Objective(ts).value(hp))
-
-
 def _random_training_set(rng, n=8):
     """One to three smudge programs, up to n observations each."""
     parts = []
