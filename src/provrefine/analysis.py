@@ -8,6 +8,7 @@ also houses the well-formedness checker used to validate fixtures.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import string
 from dataclasses import dataclass, field
@@ -25,22 +26,8 @@ class Abstraction:
     bits: tuple  # tuple of (param, 0|1), in parameter order
 
     @staticmethod
-    def from_dict(params: Iterable[str], values: dict) -> "Abstraction":
-        return Abstraction(tuple((p, int(values.get(p, 0))) for p in params))
-
-    @staticmethod
     def bottom(params: Iterable[str]) -> "Abstraction":
         return Abstraction(tuple((p, 0) for p in params))
-
-    @staticmethod
-    def top(params: Iterable[str]) -> "Abstraction":
-        return Abstraction(tuple((p, 1) for p in params))
-
-    def value(self, param: str) -> int:
-        for p, v in self.bits:
-            if p == param:
-                return v
-        raise UnknownParameter(param)
 
     def flips(self) -> frozenset:
         """Parameters set to precise."""
@@ -88,21 +75,6 @@ class Projection:
             return g
         return None
 
-    def directive_lines(self) -> list:
-        out = []
-        for rel in sorted(self.rules):
-            rule = self.rules[rel]
-            if rule in ("identity", "drop"):
-                out.append(f"{rel} {rule}")
-            else:
-                target, indices = rule
-                vars_ = [f"A{i}" for i in range(max(indices, default=-1) + 1)]
-                lhs = f"{rel}({','.join(vars_)})"
-                rhs = f"{target}({','.join(vars_[i] for i in indices)})"
-                out.append(f"{lhs} -> {rhs}")
-        out.append(f"default {self.default}")
-        return out
-
 
 def parse_projection_directive(line: str):
     """Parse one projection line into (relation, rule).
@@ -143,15 +115,6 @@ class Analysis:
 
     def bottom(self) -> Abstraction:
         return Abstraction.bottom(self.params)
-
-    def top(self) -> Abstraction:
-        return Abstraction.top(self.params)
-
-    def all_abstractions(self):
-        n = len(self.params)
-        for mask in range(1 << n):
-            yield Abstraction(tuple(
-                (p, mask >> i & 1) for i, p in enumerate(self.params)))
 
 
 def encode_params(an: Analysis, a: Abstraction, k: int) -> frozenset:
@@ -228,11 +191,11 @@ def check_well_formed(an: Analysis) -> list:
 # manifest format
 
 
-def _read_source(path: str, lineno: int, parse):
-    """parse(text of path); its failures are reported at manifest line lineno."""
+@contextlib.contextmanager
+def _reported_at(lineno: int, path: str):
+    """Failures to read or parse path are reported at manifest line lineno."""
     try:
-        with open(path) as fh:
-            return parse(fh.read())
+        yield
     except OSError as exc:
         raise ParseError(lineno, f"cannot read {path}: {exc.strerror}") from exc
     except ParseError as exc:
@@ -252,20 +215,21 @@ def parse_manifest(text: str, base_dir: str = ".") -> Analysis:
     proj_rules = {}
     proj_lines = {}  # relation -> the line of its projection directive
     proj_default = None
-    graph = None
+    source = None  # (line, path, key, parsed file) of the provenance or rules
 
     def entry(lineno, line):
-        nonlocal section, proj_default, graph
+        nonlocal section, proj_default, source
         key, _, value = line.partition(":")
         if line in ("params:", "queries:", "projection:"):
             section = key
         elif key in ("provenance", "rules"):
-            if graph is not None:
+            if source is not None:
                 raise ValueError("a second provenance: or rules: entry")
-            parse = (hg.parse_provenance if key == "provenance" else
-                     lambda text: datalog.ground(*datalog.parse_program(text)))
-            graph = _read_source(os.path.join(base_dir, value.strip()),
-                                 lineno, parse)
+            path = os.path.join(base_dir, value.strip())
+            parse = (hg.parse_provenance if key == "provenance"
+                     else datalog.parse_program)
+            with _reported_at(lineno, path), open(path) as fh:
+                source = lineno, path, key, parse(fh.read())
             section = None
         elif section == "params":
             name, *tokens = hg.split_top(line, string.whitespace)
@@ -295,8 +259,14 @@ def parse_manifest(text: str, base_dir: str = ".") -> Analysis:
             raise ValueError(f"line outside any section: {line!r}")
 
     hg.read_lines(text, entry)
-    if graph is None:
+    if source is None:
         raise ParseError(0, "manifest missing provenance: or rules: entry")
+    lineno, path, key, graph = source
+    if key == "rules":
+        # every encoding fact is a seed, as the parameters supply them at run time
+        with _reported_at(lineno, path):
+            graph = datalog.ground(
+                *graph, seeds={*encode0.values(), *encode1.values()})
     # a template reads its facts' arguments by position: each fact of its
     # relation that the analysis names must have the arguments it reads
     reads = {rel: max(rule[1], default=-1) for rel, rule in proj_rules.items()
@@ -323,27 +293,3 @@ def load_manifest(path: str) -> Analysis:
 
     with open(path) as fh:
         return parse_manifest(fh.read(), base_dir=os.path.dirname(path) or ".")
-
-
-def serialize_manifest(an: Analysis, provenance_file: str) -> str:
-    """Manifest text referring to an already-serialized provenance file."""
-    lines = ["params:"]
-    for x in an.params:
-        lines.append(f"{x} encode0={an.encode0[x]} encode1={an.encode1[x]}")
-    lines.append("queries:")
-    lines.extend(str(q) for q in sorted(an.queries, key=Fact._key))
-    lines.append("projection:")
-    lines.extend(an.projection.directive_lines())
-    lines.append(f"provenance: {provenance_file}")
-    return "\n".join(lines) + "\n"
-
-
-def save_manifest(an: Analysis, manifest_path: str, provenance_path: str) -> None:
-    import os
-
-    with open(provenance_path, "w") as fh:
-        fh.write(hg.serialize_provenance(an.global_graph))
-    rel = os.path.relpath(provenance_path,
-                          os.path.dirname(manifest_path) or ".")
-    with open(manifest_path, "w") as fh:
-        fh.write(serialize_manifest(an, rel))

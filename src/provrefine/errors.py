@@ -26,10 +26,6 @@ class UnknownParameter(ProvRefineError):
     """An abstraction mentions a parameter the analysis does not declare."""
 
 
-class NotSubgraph(ProvRefineError):
-    """A hypergraph was expected to be a subgraph of the model blueprint."""
-
-
 class SelfLoopArc(ProvRefineError):
     """An arc whose head occurs in its own body (forbidden by the bound machinery)."""
 
@@ -47,7 +43,8 @@ class CorpusTooSmall(ProvRefineError):
 
 
 class WeightOverflow(ProvRefineError):
-    """A weight does not fit the integral WCNF encoding."""
+    """A weight does not fit the integral WCNF encoding, or a model's
+    weights sum past the float range."""
 
 
 class NotAModel(ProvRefineError):

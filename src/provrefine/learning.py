@@ -38,10 +38,6 @@ class ObservationGroup:
 class TrainingSet:
     groups: list = field(default_factory=list)
 
-    @property
-    def observations(self) -> list:
-        return [o for g in self.groups for o in g.observations]
-
     def rule_types(self) -> set:
         out = set()
         for g in self.groups:

@@ -2,11 +2,12 @@
 
 An observation records which projected facts were seeded (T) and which
 were derived (R) in one analysis run.  The probability that a random
-sub-hypergraph H of the blueprint reproduces a batch of observations
+sub-hypergraph H of the blueprint, keeping each arc with its rule type's
+theta (`probmodel.HyperParams`), reproduces a batch of observations
 (reach(H, T_k) = R_k for all k) is bounded below and above by products
 of per-head weighted model counts, which `Bound` evaluates once per
-distinct head shape; an exponential enumeration oracle provides the exact
-value on small instances.
+distinct head shape; `exact_likelihood` enumerates every sub-hypergraph
+for the exact value on small instances.
 """
 
 from __future__ import annotations
@@ -20,7 +21,9 @@ from .analysis import Abstraction, Analysis, encode_params, project_set
 from .errors import (ObservationOutOfRange, OracleLimitExceeded, ParseError,
                      SelfLoopArc)
 from .hypergraph import Arc, Hypergraph
-from .probmodel import NEG_INF, EXACT_ARC_LIMIT, HyperParams, ProbModel, _enumerate_subgraphs
+from .probmodel import NEG_INF, HyperParams, validate_hyperparams
+
+EXACT_ARC_LIMIT = 15  # exact_likelihood enumerates the subsets of at most this many arcs
 
 
 @dataclass(frozen=True)
@@ -153,27 +156,32 @@ def _wmc_clauses(clauses, theta) -> float:
     Variables are arcs, or arc positions of a shape; variable v is true
     with probability theta[v], and variables outside every clause
     marginalize away.  Shannon expansion on the least variable, with
-    memoization on the remaining clause set.
+    memoization on the remaining clause set.  The expansion runs on an
+    explicit stack, as its depth grows with the number of variables: a
+    clause set pushes its two branches, the one with the variable true
+    on top, beneath them a tuple that sums their values once both are
+    counted.
     """
+    root = frozenset(frozenset(c) for c in clauses)
     memo = {}
-
-    def go(cls: frozenset) -> float:
-        if not cls:
-            return 1.0
-        if frozenset() in cls:
-            return 0.0
-        if cls in memo:
-            return memo[cls]
-        var = min(min(c) for c in cls)
-        on = frozenset(c for c in cls if var not in c)
-        off = frozenset(
-            (c - {var}) if var in c else c for c in cls)
-        p = theta[var]
-        result = p * go(on) + (1.0 - p) * go(off)
-        memo[cls] = result
-        return result
-
-    return go(frozenset(frozenset(c) for c in clauses))
+    stack = [root]
+    while stack:
+        cls = stack.pop()
+        if type(cls) is tuple:
+            cls, p, on, off = cls
+            memo[cls] = p * memo[on] + (1.0 - p) * memo[off]
+        elif cls not in memo:
+            if not cls:
+                memo[cls] = 1.0
+            elif frozenset() in cls:
+                memo[cls] = 0.0
+            else:
+                var = min(min(c) for c in cls)
+                on = frozenset(c for c in cls if var not in c)
+                off = frozenset(
+                    (c - {var}) if var in c else c for c in cls)
+                stack += ((cls, theta[var], on, off), off, on)
+    return memo[root]
 
 
 def _shape(clauses: tuple) -> tuple:
@@ -249,6 +257,24 @@ def upper_bound(bf: BoundFormula, hp: HyperParams) -> float:
     return Bound([bf], "upper").value(hp)
 
 
+def _enumerate_subgraphs(blueprint: Hypergraph, hp: HyperParams):
+    """Yield (sub-hypergraph arcs, probability) over all 2^n selections."""
+    arcs = blueprint.sorted_arcs()
+    n = len(arcs)
+    theta = [hp.get(a.rule_type) for a in arcs]
+    for mask in range(1 << n):
+        p = 1.0
+        chosen = []
+        for i in range(n):
+            if mask >> i & 1:
+                p *= theta[i]
+                chosen.append(arcs[i])
+            else:
+                p *= 1.0 - theta[i]
+        if p > 0.0:
+            yield chosen, p
+
+
 def exact_likelihood(g_bot: Hypergraph, obs: Iterable[Observation],
                      hp: HyperParams) -> float:
     """Log-probability by enumerating every sub-hypergraph."""
@@ -258,9 +284,9 @@ def exact_likelihood(g_bot: Hypergraph, obs: Iterable[Observation],
     if len(g_bot) > EXACT_ARC_LIMIT:
         raise OracleLimitExceeded(
             f"exact likelihood over {len(g_bot)} arcs (limit {EXACT_ARC_LIMIT})")
-    model = ProbModel(g_bot, hp)
+    validate_hyperparams(hp, g_bot)
     total = 0.0
-    for chosen, p in _enumerate_subgraphs(model):
+    for chosen, p in _enumerate_subgraphs(g_bot, hp):
         sub = Hypergraph(chosen)
         if all(hg.reach(sub, o.t) == o.r for o in obs):
             total += p

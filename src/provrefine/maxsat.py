@@ -107,7 +107,11 @@ class ClauseInstance:
     hidden: frozenset = frozenset()
 
     def objective(self, model: Iterable[int]) -> float:
-        return math.fsum(self.weights.get(v, 0.0) for v in model)
+        try:
+            return math.fsum(self.weights.get(v, 0.0) for v in model)
+        except OverflowError:
+            raise WeightOverflow(
+                "the weights of the model sum past the float range") from None
 
     def shown(self, ids: Iterable[int]) -> frozenset:
         return frozenset(self.names[i] for i in ids if i not in self.hidden)

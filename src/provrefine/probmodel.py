@@ -1,24 +1,21 @@
-"""Random sub-provenance model: independent per-arc survival.
+"""The survival-probability table of the random sub-provenance model.
 
 A blueprint hypergraph is partitioned by rule type; each type carries a
-survival probability theta.  A random sub-hypergraph keeps every arc
-independently with its type's theta.  Probabilities of events are
-products over arcs, kept in log space to survive hundreds of factors.
+survival probability theta, and a random sub-hypergraph keeps every arc
+independently with its type's theta.  `HyperParams` is that table,
+`validate_hyperparams` checks it against a blueprint, and the text format
+below reads and writes it.  Probabilities of events are kept in log
+space, where an impossible one is `NEG_INF`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from . import hypergraph as hg
-from .errors import NotSubgraph
 from .hypergraph import Hypergraph
 
 NEG_INF = float("-inf")
-
-EXACT_ARC_LIMIT = 15
 
 
 @dataclass
@@ -34,20 +31,8 @@ class HyperParams:
         except KeyError:
             raise KeyError(f"no hyperparameter for rule type {rule_type!r}")
 
-    def log_theta(self, rule_type: str) -> float:
-        t = self.get(rule_type)
-        return math.log(t) if t > 0.0 else NEG_INF
-
-    def log_one_minus(self, rule_type: str) -> float:
-        t = self.get(rule_type)
-        return math.log1p(-t) if t < 1.0 else NEG_INF
-
     def copy(self) -> "HyperParams":
         return HyperParams(dict(self.theta), set(self.unconstrained))
-
-    @staticmethod
-    def uniform(rule_types: Iterable[str], value: float = 0.5) -> "HyperParams":
-        return HyperParams({k: value for k in rule_types})
 
 
 def validate_hyperparams(hp: HyperParams, blueprint: Hypergraph) -> None:
@@ -57,50 +42,6 @@ def validate_hyperparams(hp: HyperParams, blueprint: Hypergraph) -> None:
     for k, v in hp.theta.items():
         if not 0.0 <= v <= 1.0:
             raise ValueError(f"theta[{k!r}] = {v} outside [0, 1]")
-
-
-@dataclass
-class ProbModel:
-    blueprint: Hypergraph
-    params: HyperParams
-
-    def __post_init__(self):
-        validate_hyperparams(self.params, self.blueprint)
-
-
-def log_prob_of(m: ProbModel, h: Hypergraph) -> float:
-    if not h.arcs <= m.blueprint.arcs:
-        raise NotSubgraph("hypergraph is not a subgraph of the blueprint")
-    total = 0.0
-    for arc in m.blueprint.arcs:
-        if arc in h.arcs:
-            total += m.params.log_theta(arc.rule_type)
-        else:
-            total += m.params.log_one_minus(arc.rule_type)
-    return total
-
-
-def prob_of(m: ProbModel, h: Hypergraph) -> float:
-    lp = log_prob_of(m, h)
-    return math.exp(lp) if lp > NEG_INF else 0.0
-
-
-def _enumerate_subgraphs(m: ProbModel):
-    """Yield (sub-hypergraph arcs, probability) over all 2^n selections."""
-    arcs = m.blueprint.sorted_arcs()
-    n = len(arcs)
-    theta = [m.params.get(a.rule_type) for a in arcs]
-    for mask in range(1 << n):
-        p = 1.0
-        chosen = []
-        for i in range(n):
-            if mask >> i & 1:
-                p *= theta[i]
-                chosen.append(arcs[i])
-            else:
-                p *= 1.0 - theta[i]
-        if p > 0.0:
-            yield chosen, p
 
 
 # ---------------------------------------------------------------------------

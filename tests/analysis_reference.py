@@ -1,18 +1,89 @@
-"""Reference checks of the paper's preconditions on an analysis.
+"""Reference checks of the paper's preconditions on an analysis, and the
+analysis helpers only the tests use.
 
 `check_monotone` (derived queries shrink as parameters become precise)
 and `check_predictable` (a witness sub-hypergraph of the cheap provenance
 reproduces every projected run) are exponential oracles over the
 abstraction lattice; only the tests use them, to validate fixtures.
+
+`from_dict`, `abstraction_top`, `value`, `analysis_top` and
+`all_abstractions` build and read abstractions, and `save_manifest`
+writes an analysis as the manifest and provenance files that
+`provrefine.analysis.load_manifest` reads.
 """
 
-from typing import Optional
+import os
+from typing import Iterable, Optional
 
 from provrefine import hypergraph as hg
-from provrefine.analysis import (Analysis, derive, encode_params,
-                                 local_provenance, project_set)
-from provrefine.errors import OracleLimitExceeded
-from provrefine.hypergraph import Hypergraph
+from provrefine.analysis import (Abstraction, Analysis, Projection, derive,
+                                 encode_params, local_provenance, project_set)
+from provrefine.errors import OracleLimitExceeded, UnknownParameter
+from provrefine.hypergraph import Fact, Hypergraph
+
+
+def from_dict(params: Iterable[str], values: dict) -> Abstraction:
+    return Abstraction(tuple((p, int(values.get(p, 0))) for p in params))
+
+
+def abstraction_top(params: Iterable[str]) -> Abstraction:
+    return Abstraction(tuple((p, 1) for p in params))
+
+
+def value(a: Abstraction, param: str) -> int:
+    for p, v in a.bits:
+        if p == param:
+            return v
+    raise UnknownParameter(param)
+
+
+def analysis_top(an: Analysis) -> Abstraction:
+    return abstraction_top(an.params)
+
+
+def all_abstractions(an: Analysis):
+    n = len(an.params)
+    for mask in range(1 << n):
+        yield Abstraction(tuple(
+            (p, mask >> i & 1) for i, p in enumerate(an.params)))
+
+
+def directive_lines(projection: Projection) -> list:
+    out = []
+    for rel in sorted(projection.rules):
+        rule = projection.rules[rel]
+        if rule in ("identity", "drop"):
+            out.append(f"{rel} {rule}")
+        else:
+            target, indices = rule
+            vars_ = [f"A{i}" for i in range(max(indices, default=-1) + 1)]
+            lhs = f"{rel}({','.join(vars_)})"
+            rhs = f"{target}({','.join(vars_[i] for i in indices)})"
+            out.append(f"{lhs} -> {rhs}")
+    out.append(f"default {projection.default}")
+    return out
+
+
+def serialize_manifest(an: Analysis, provenance_file: str) -> str:
+    """Manifest text referring to an already-serialized provenance file."""
+    lines = ["params:"]
+    for x in an.params:
+        lines.append(f"{x} encode0={an.encode0[x]} encode1={an.encode1[x]}")
+    lines.append("queries:")
+    lines.extend(str(q) for q in sorted(an.queries, key=Fact._key))
+    lines.append("projection:")
+    lines.extend(directive_lines(an.projection))
+    lines.append(f"provenance: {provenance_file}")
+    return "\n".join(lines) + "\n"
+
+
+def save_manifest(an: Analysis, manifest_path: str, provenance_path: str) -> None:
+    with open(provenance_path, "w") as fh:
+        fh.write(hg.serialize_provenance(an.global_graph))
+    rel = os.path.relpath(provenance_path,
+                          os.path.dirname(manifest_path) or ".")
+    with open(manifest_path, "w") as fh:
+        fh.write(serialize_manifest(an, rel))
 
 
 def check_monotone(an: Analysis, limit: int = 12) -> bool:
@@ -21,11 +92,11 @@ def check_monotone(an: Analysis, limit: int = 12) -> bool:
         raise OracleLimitExceeded(
             f"monotonicity oracle over {len(an.params)} parameters (limit {limit})")
     derived_q = {}
-    for a in an.all_abstractions():
+    for a in all_abstractions(an):
         derived_q[a] = an.queries & derive(an, a)
     for a in derived_q:
         for p in an.params:
-            if a.value(p) == 0:
+            if value(a, p) == 0:
                 a2 = a.with_flips([p])
                 if not derived_q[a] >= derived_q[a2]:
                     return False
@@ -49,10 +120,10 @@ def check_predictable(an: Analysis, param_limit: int = 12,
     if len(g_bot) > arc_limit:
         raise OracleLimitExceeded(
             f"predictability oracle over {len(g_bot)} arcs")
-    g_top = local_provenance(an, an.top())
+    g_top = local_provenance(an, analysis_top(an))
 
     observations = []
-    for a in an.all_abstractions():
+    for a in all_abstractions(an):
         p1 = encode_params(an, a, 1)
         r = project_set(an, hg.reach(g_top, p1))
         observations.append((project_set(an, p1), r))

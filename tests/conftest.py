@@ -5,13 +5,19 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from typing import Iterable
 
 from provrefine import maxsat as mx
 from provrefine.hypergraph import Arc, Fact, Hypergraph
+from provrefine.probmodel import HyperParams
 
 
 def fact(i: int) -> Fact:
     return Fact("v", (i,))
+
+
+def uniform(rule_types: Iterable[str], value: float = 0.5) -> HyperParams:
+    return HyperParams({k: value for k in rule_types})
 
 
 def random_hypergraph(rng: random.Random, max_verts: int = 12,

@@ -7,6 +7,7 @@ The straightforward versions of `provrefine.learning._Objective` and
 evaluation, where the compiled objective runs it once per distinct shape;
 `sample_training` closes the whole global graph afresh for every
 observation, where the fast one indexes it once per analysis.
+`observations` lists a training set's observations across its groups.
 """
 
 import math
@@ -19,6 +20,10 @@ from provrefine.analysis import (Abstraction, Analysis, encode_params,
                                  local_provenance, project_set)
 from provrefine.learning import ObservationGroup, TrainingSet
 from provrefine.probmodel import NEG_INF, HyperParams
+
+
+def observations(ts: TrainingSet) -> list:
+    return [o for g in ts.groups for o in g.observations]
 
 
 def observe(an: Analysis, a: Abstraction) -> lk.Observation:

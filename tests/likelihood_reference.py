@@ -22,6 +22,8 @@ from provrefine.likelihood import (BoundFormula, Observation, PerHead,
                                    _wmc_clauses)
 from provrefine.probmodel import NEG_INF, HyperParams
 
+from probmodel_reference import log_one_minus
+
 
 def bound_terms(g_bot: Hypergraph, obs: Iterable[Observation]) -> BoundFormula:
     obs = list(obs)
@@ -68,7 +70,7 @@ def bound(bf: BoundFormula, hp: HyperParams, which: str) -> float:
         return NEG_INF
     total = 0.0
     for arc in bf.negated_arcs:
-        lg = hp.log_one_minus(arc.rule_type)
+        lg = log_one_minus(hp, arc.rule_type)
         if lg == NEG_INF:
             return NEG_INF
         total += lg

@@ -16,8 +16,10 @@ from typing import Iterable
 
 from provrefine.errors import OracleLimitExceeded, ProvRefineError
 from provrefine.hypergraph import Arc, Fact, Hypergraph
-from provrefine.probmodel import (EXACT_ARC_LIMIT, NEG_INF, HyperParams,
-                                  ProbModel, _enumerate_subgraphs)
+from provrefine.likelihood import EXACT_ARC_LIMIT, _enumerate_subgraphs
+from provrefine.probmodel import NEG_INF, HyperParams
+
+from probmodel_reference import ProbModel
 
 
 class EmptyLoop(ProvRefineError):
@@ -142,7 +144,7 @@ def loop_formula_wmc(g_bot: Hypergraph, formulas: Iterable[LoopFormula],
             f"weighted model count over {len(g_bot)} arcs (limit {limit})")
     model = ProbModel(g_bot, hp)
     total = 0.0
-    for chosen, p in _enumerate_subgraphs(model):
+    for chosen, p in _enumerate_subgraphs(model.blueprint, model.params):
         sel = frozenset(chosen)
         if all(f.evaluate(sel) for f in formulas):
             total += p

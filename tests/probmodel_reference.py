@@ -1,5 +1,8 @@
-"""Reference sampling and query probabilities of `provrefine.probmodel`.
+"""Reference model, sampling and query probabilities of the random
+sub-provenance model that `provrefine.probmodel`'s theta table describes.
 
+`ProbModel` pairs a blueprint with a theta table it validates, and
+`log_prob_of` and `prob_of` give the probability of one sub-hypergraph.
 `sample` draws one random sub-hypergraph of a blueprint, and
 `prob_query_reach_exact` and `prob_query_reach_mc` give the probability
 that a query is reachable from a seed set in one, by enumerating every
@@ -8,12 +11,54 @@ sub-hypergraph and by sampling.  Only the tests use them.
 
 import math
 import random
+from dataclasses import dataclass
 from typing import Iterable
 
 from provrefine import hypergraph as hg
-from provrefine.errors import OracleLimitExceeded
+from provrefine.errors import OracleLimitExceeded, ProvRefineError
 from provrefine.hypergraph import Fact, Hypergraph
-from provrefine.probmodel import EXACT_ARC_LIMIT, ProbModel, _enumerate_subgraphs
+from provrefine.likelihood import EXACT_ARC_LIMIT, _enumerate_subgraphs
+from provrefine.probmodel import NEG_INF, HyperParams, validate_hyperparams
+
+
+class NotSubgraph(ProvRefineError):
+    """A hypergraph was expected to be a subgraph of the model blueprint."""
+
+
+def log_theta(hp: HyperParams, rule_type: str) -> float:
+    t = hp.get(rule_type)
+    return math.log(t) if t > 0.0 else NEG_INF
+
+
+def log_one_minus(hp: HyperParams, rule_type: str) -> float:
+    t = hp.get(rule_type)
+    return math.log1p(-t) if t < 1.0 else NEG_INF
+
+
+@dataclass
+class ProbModel:
+    blueprint: Hypergraph
+    params: HyperParams
+
+    def __post_init__(self):
+        validate_hyperparams(self.params, self.blueprint)
+
+
+def log_prob_of(m: ProbModel, h: Hypergraph) -> float:
+    if not h.arcs <= m.blueprint.arcs:
+        raise NotSubgraph("hypergraph is not a subgraph of the blueprint")
+    total = 0.0
+    for arc in m.blueprint.arcs:
+        if arc in h.arcs:
+            total += log_theta(m.params, arc.rule_type)
+        else:
+            total += log_one_minus(m.params, arc.rule_type)
+    return total
+
+
+def prob_of(m: ProbModel, h: Hypergraph) -> float:
+    lp = log_prob_of(m, h)
+    return math.exp(lp) if lp > NEG_INF else 0.0
 
 
 def sample(m: ProbModel, rng: random.Random) -> Hypergraph:
@@ -34,7 +79,7 @@ def prob_query_reach_exact(m: ProbModel, q: Fact, t: Iterable[Fact],
             f"exact query probability over {n} arcs (limit {limit})")
     ts = frozenset(t)
     total = 0.0
-    for chosen, p in _enumerate_subgraphs(m):
+    for chosen, p in _enumerate_subgraphs(m.blueprint, m.params):
         if q in hg.reach(Hypergraph(chosen), ts):
             total += p
     return total

@@ -9,7 +9,9 @@ from provrefine import datalog
 from provrefine.analysis import Abstraction, Analysis, Projection
 from provrefine.hypergraph import Fact
 
-from analysis_reference import check_monotone, check_predictable
+from analysis_reference import (abstraction_top, all_abstractions, analysis_top,
+                                check_monotone, check_predictable, directive_lines,
+                                from_dict, save_manifest, value)
 
 
 @pytest.fixture(scope="module")
@@ -25,12 +27,12 @@ def test_analysis_fields_cannot_be_reassigned(smudge, name):
 
 
 def test_abstraction_lattice_basics():
-    a = Abstraction.from_dict(("x", "y", "z"), {"y": 1})
-    assert a.value("y") == 1 and a.value("x") == 0
+    a = from_dict(("x", "y", "z"), {"y": 1})
+    assert value(a, "y") == 1 and value(a, "x") == 0
     assert a.flips() == {"y"}
     b = a.with_flips({"z"})
     assert a <= b and a < b and not b <= a
-    top = Abstraction.top(("x", "y", "z"))
+    top = abstraction_top(("x", "y", "z"))
     assert b <= top
     # incomparable pair
     c = a.with_flips({"x"})
@@ -40,7 +42,7 @@ def test_abstraction_lattice_basics():
 def test_abstraction_bottom_top():
     params = ("p", "q")
     bot = Abstraction.bottom(params)
-    top = Abstraction.top(params)
+    top = abstraction_top(params)
     assert bot.flips() == set() and top.flips() == {"p", "q"}
     assert bot < top
 
@@ -55,7 +57,7 @@ def test_projection_modes():
 def test_projection_directive_round_trip():
     pi = Projection({"precise": ("cheap", (0,)), "junk": "drop"},
                     default="identity")
-    lines = pi.directive_lines()
+    lines = directive_lines(pi)
     rebuilt = {}
     default = "identity"
     for line in lines:
@@ -86,7 +88,7 @@ def test_smudge_is_predictable(smudge):
     g_bot = ana.local_provenance(smudge, smudge.bottom())
     assert witness <= g_bot
     # the witness reproduces every run's projected outcome from scratch
-    for a in smudge.all_abstractions():
+    for a in all_abstractions(smudge):
         t = ana.project_set(smudge, ana.encode_params(smudge, a, 1))
         r = ana.project_set(
             smudge, hg.reach(ana.local_provenance(smudge, a),
@@ -97,7 +99,7 @@ def test_smudge_is_predictable(smudge):
 def test_derive_monotone_queries(smudge):
     q = next(iter(smudge.queries))
     assert q in ana.derive(smudge, smudge.bottom())
-    assert q not in ana.derive(smudge, smudge.top())
+    assert q not in ana.derive(smudge, analysis_top(smudge))
 
 
 def test_local_provenance_is_induced_restriction(smudge):
@@ -111,7 +113,7 @@ def test_local_provenance_is_induced_restriction(smudge):
 def test_manifest_round_trip(tmp_path, smudge):
     manifest = tmp_path / "an.manifest"
     prov = tmp_path / "an.prov"
-    ana.save_manifest(smudge, str(manifest), str(prov))
+    save_manifest(smudge, str(manifest), str(prov))
     loaded = ana.load_manifest(str(manifest))
     assert loaded.global_graph == smudge.global_graph
     assert loaded.queries == smudge.queries
@@ -149,3 +151,23 @@ def test_manifest_source_failures_report_the_manifest_line(tmp_path):
     (tmp_path / "bad.prov").write_text("q <- c(0,1) @ r\n")
     an = ana.load_manifest(str(m))
     assert an.encode0["0"] == hg.parse_fact("c(0,1)")
+
+
+def test_a_rules_file_is_grounded_with_the_encoding_facts_as_seeds(tmp_path):
+    from provrefine.errors import ParseError
+
+    m = tmp_path / "m.manifest"
+    m.write_text("params:\n0 encode0=c(0) encode1=p(0)\nrules: r.dl\n"
+                 "queries:\nq\n")
+    rules = tmp_path / "r.dl"
+    # a syntax error, and a guard error grounding finds after the last line
+    for text in ("q :- c(0). @r\nq(X :- c(X). @s\n",
+                 "n(a).\nq :- n(X), X > 1. @r\n"):
+        rules.write_text(text)
+        with pytest.raises(ParseError) as exc:
+            ana.load_manifest(str(m))
+        assert exc.value.line == 3 and "r.dl line 2" in exc.value.message
+    rules.write_text("q :- c(0). @r\nq :- p(0). @s\n")
+    an = ana.load_manifest(str(m))
+    assert {str(arc) for arc in an.global_graph.arcs} == {
+        "q <- c(0) @ r", "q <- p(0) @ s"}

@@ -15,6 +15,7 @@ from provrefine import probmodel as pm
 from provrefine.errors import ParseError
 
 import likelihood_reference
+from analysis_reference import save_manifest, serialize_manifest
 
 
 def run(capsys, *argv):
@@ -193,7 +194,7 @@ def ill_formed_manifest(tmp_path) -> str:
     """The demo manifest without its projection of precise onto cheap
     facts, which breaks condition (v)."""
     m = tmp_path / "ill.manifest"
-    ana.save_manifest(datalog.smudge_fixture(), str(m), str(tmp_path / "ill.prov"))
+    save_manifest(datalog.smudge_fixture(), str(m), str(tmp_path / "ill.prov"))
     m.write_text(m.read_text().replace("precise(A0) -> cheap(A0)\n", ""))
     return str(m)
 
@@ -246,9 +247,23 @@ class TestSolve:
     def test_manifest_solve(self, capsys, tmp_path):
         an = datalog.smudge_fixture()
         m = tmp_path / "s.manifest"
-        ana.save_manifest(an, str(m), str(tmp_path / "s.prov"))
+        save_manifest(an, str(m), str(tmp_path / "s.prov"))
         code, out, _ = run(capsys, "solve", str(m), "dirty(end,v)")
         assert code == 0 and out.strip().endswith("answer: yes")
+
+    def test_a_rules_manifest_solves_as_the_fixture_does(self, capsys, tmp_path):
+        (tmp_path / "smudge.dl").write_text(datalog.smudge_program_text())
+        m = tmp_path / "s.manifest"
+        m.write_text(serialize_manifest(datalog.smudge_fixture(), "-").replace(
+            "provenance: -", "rules: smudge.dl"))
+        fixture = run(capsys, "solve", "--fixture", "smudge")
+        assert run(capsys, "solve", str(m)) == fixture
+        assert fixture[0] == 0 and "chosen={0,4}" in fixture[1]
+
+    def test_an_alpha_whose_weights_sum_past_the_float_range_exits_2(self, capsys):
+        code, out, err = run(capsys, "solve", "--fixture", "smudge",
+                             "--alpha", "1e308")
+        assert code == 2 and out == "" and err.startswith("error: ")
 
     def test_fixture_takes_the_query_as_its_positional(self, capsys):
         code, out, _ = run(capsys, "solve", "--fixture", "smudge", "dirty(end,v)")
@@ -260,7 +275,7 @@ class TestSolve:
 
     def test_undeclared_query_exits_2(self, capsys, tmp_path):
         m = tmp_path / "s.manifest"
-        ana.save_manifest(datalog.smudge_fixture(), str(m), str(tmp_path / "s.prov"))
+        save_manifest(datalog.smudge_fixture(), str(m), str(tmp_path / "s.prov"))
         code, _, err = run(capsys, "solve", str(m), "dirty(end,y)")
         assert code == 2 and "not a declared query" in err
 
@@ -279,7 +294,7 @@ class TestSolve:
     def test_a_manifest_reusing_a_parameter_or_encoding_fact_exits_2(
             self, capsys, tmp_path, old, new, line):
         m = tmp_path / "s.manifest"
-        ana.save_manifest(datalog.smudge_fixture(), str(m), str(tmp_path / "s.prov"))
+        save_manifest(datalog.smudge_fixture(), str(m), str(tmp_path / "s.prov"))
         m.write_text(m.read_text().replace(old, new))
         code, out, err = run(capsys, "solve", str(m))
         assert code == 2 and out == "" and f"line {line}" in err
@@ -291,7 +306,7 @@ class TestSolve:
     def test_a_repeated_projection_directive_exits_2(
             self, capsys, tmp_path, after, repeat, line):
         m = tmp_path / "s.manifest"
-        ana.save_manifest(datalog.smudge_fixture(), str(m), str(tmp_path / "s.prov"))
+        save_manifest(datalog.smudge_fixture(), str(m), str(tmp_path / "s.prov"))
         m.write_text(m.read_text().replace(after, after + repeat))
         code, out, err = run(capsys, "solve", str(m))
         assert code == 2 and out == "" and f"line {line}" in err
@@ -299,7 +314,7 @@ class TestSolve:
     def test_a_projection_template_longer_than_its_facts_exits_2(
             self, capsys, tmp_path):
         m = tmp_path / "s.manifest"
-        ana.save_manifest(datalog.smudge_fixture(), str(m), str(tmp_path / "s.prov"))
+        save_manifest(datalog.smudge_fixture(), str(m), str(tmp_path / "s.prov"))
         m.write_text(m.read_text().replace("precise(A0) -> cheap(A0)",
                                            "precise(A0,A1) -> cheap(A1)"))
         code, out, err = run(capsys, "solve", str(m))
@@ -338,7 +353,7 @@ class TestLearn:
             init = {"x": rng.randrange(30), "y": rng.randrange(30)}
             an = datalog.smudge_analysis(smudges, init_values=init)
             m = tmp_path / f"p{i}.manifest"
-            ana.save_manifest(an, str(m), str(tmp_path / f"p{i}.prov"))
+            save_manifest(an, str(m), str(tmp_path / f"p{i}.prov"))
             paths.append(str(m))
         return paths
 
@@ -564,6 +579,17 @@ class TestMaxsat:
         assert err.startswith("error: weight ") and \
             err.endswith(" too large for integral encoding\n")
 
+    @pytest.mark.parametrize("mode", ["exact", "approx"])
+    def test_weights_summing_past_the_float_range_exit_2(self, capsys, tmp_path,
+                                                         mode):
+        inst = tmp_path / "i.txt"
+        inst.write_text("w x 1e308\nw y 1e308\nhard (or x y)\n")
+        code, out, err = run(capsys, "maxsat", str(inst), "--solve", mode)
+        assert code == 2 and out == "" and err.startswith("error: ")
+        inst.write_text("w x 1e308\nw y -1e308\nhard (or x y)\n")
+        code, out, _ = run(capsys, "maxsat", str(inst), "--solve", mode)
+        assert code == 0 and out.startswith("model: x\nobjective: 1")
+
     def test_a_long_flat_formula_reads_term_by_term(self):
         from provrefine import maxsat as mx
 
@@ -605,7 +631,7 @@ _DOCUMENTED_EXITS = {cli.EXIT_OK, cli.EXIT_NO, cli.EXIT_PARSE, cli.EXIT_OVERFLOW
 def valid_inputs(tmp_path_factory) -> dict:
     d = tmp_path_factory.mktemp("contract")
     an = datalog.smudge_fixture()
-    ana.save_manifest(an, str(d / "s.manifest"), str(d / "s.prov"))
+    save_manifest(an, str(d / "s.manifest"), str(d / "s.prov"))
     (d / "bp.prov").write_text(
         hg.serialize_provenance(ana.local_provenance(an, an.bottom())))
     (d / "obs.txt").write_text(likelihood_reference.serialize_observations(
@@ -652,7 +678,7 @@ def _formats(d: Path) -> dict:
         "provenance": (hg.parse_provenance, same, ["b <- a @ r", "c <- a b @ s"],
                        "c <- a", ["likelihood", "fuzz.txt", "obs.txt", "theta.txt"]),
         "manifest": (lambda text: ana.parse_manifest(text, str(d)),
-                     lambda an: ana.serialize_manifest(an, "s.prov"),
+                     lambda an: serialize_manifest(an, "s.prov"),
                      (d / "s.manifest").read_text().splitlines(), "x",
                      ["solve", "fuzz.txt", "--budget", "1"]),
         "observations": (lk.parse_observations, same,

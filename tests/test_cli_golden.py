@@ -1,9 +1,9 @@
 """Pinned stdout of `ground`, `solve` and `learn` on seeded smudge programs.
 
 `tests/cli_golden.json` holds, for each of a few random smudge programs
-(its sites and initial values), the text `analysis.save_manifest` writes
-for it and the exit code and stdout of `ground` over its program text and
-of `solve` under every strategy on its manifest; then the output of
+(its sites and initial values), the text `analysis_reference.save_manifest`
+writes for it and the exit code and stdout of `ground` over its program
+text and of `solve` under every strategy on its manifest; then the output of
 `solve --solver approx` on the demo fixture and of `learn --seed 0` over
 all the manifests.  Regenerate the file with
 
@@ -20,9 +20,10 @@ from pathlib import Path
 
 import pytest
 
-from provrefine import analysis as ana
 from provrefine import cli, datalog
 from provrefine import probmodel as pm
+
+from analysis_reference import save_manifest
 
 GOLDEN = Path(__file__).resolve().parent / "cli_golden.json"
 COUNT = 10
@@ -60,8 +61,8 @@ def run_program(tmp: Path, i: int, program: dict, theta: Path) -> dict:
     seeds = " ".join(f"{rel}({s[0]})" for s in smudges
                      for rel in ("cheap", "precise"))
     manifest, prov = tmp / f"p{i}.manifest", tmp / f"p{i}.prov"
-    ana.save_manifest(datalog.smudge_analysis(smudges, program["init"]),
-                      str(manifest), str(prov))
+    save_manifest(datalog.smudge_analysis(smudges, program["init"]),
+                  str(manifest), str(prov))
     got = {"manifest": manifest.read_text(),
            "ground": run("ground", "--rules", str(rules), "--seeds", seeds)}
     for strategy in ("pessimistic", "optimistic", "probabilistic"):

@@ -93,8 +93,8 @@ def test_sample_training_shapes():
     rng = random.Random(0)
     ts = learning.sample_training(an, 6, 2, rng)
     assert len(ts.groups) == 1
-    assert len(ts.observations) == 6
-    for o in ts.observations:
+    assert len(learning_reference.observations(ts)) == 6
+    for o in learning_reference.observations(ts):
         # each flipped precise(l) projects to its own cheap(l): t is the flips
         assert 1 <= len(o.t) <= 2
         assert o.consistent()

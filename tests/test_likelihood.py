@@ -12,7 +12,7 @@ from provrefine.hypergraph import Arc, Fact, Hypergraph
 import likelihood_reference
 import loop_formula_reference as lfr
 from conftest import (fact, random_hypergraph, random_seed_set,
-                      random_smudge_analysis)
+                      random_smudge_analysis, uniform)
 
 
 def _f(name):
@@ -138,14 +138,26 @@ def test_upper_equals_exact_on_acyclic_instances():
             assert up == pytest.approx(exact, abs=1e-9)
 
 
+def test_a_head_with_many_candidates_counts_without_recursing_per_arc():
+    n, theta = 1200, 0.001
+    h, a = Fact("h", ()), [Fact(f"a{i}", ()) for i in range(n)]
+    g = Hypergraph([Arc(h, frozenset([x]), "r") for x in a]
+                   + [Arc(x, frozenset(), "base") for x in a])
+    bf = lk.bound_terms(g, [lk.Observation(t=frozenset(), r=frozenset([h, *a]))])
+    hp = pm.HyperParams({"r": theta, "base": 1.0})
+    # h needs one of its n arcs; each a<i> has its one base arc
+    expect = math.log1p(-(1.0 - theta) ** n)
+    assert lk.lower_bound(bf, hp) == pytest.approx(expect, rel=1e-12)
+    assert lk.upper_bound(bf, hp) == pytest.approx(expect, rel=1e-12)
+
+
 def test_loop_formula_evaluates_reach_equality():
     rng = random.Random(3)
     for _ in range(40):
         g, hp, obs = _random_instance(rng)
         for o in obs:
             f = lfr.loop_formula(g, o.t, o.r)
-            for chosen, _ in pm._enumerate_subgraphs(
-                    pm.ProbModel(g, pm.HyperParams.uniform(g.rule_types()))):
+            for chosen, _ in lk._enumerate_subgraphs(g, uniform(g.rule_types())):
                 sub = Hypergraph(chosen)
                 expect = hg.reach(sub, o.t) == o.r
                 assert f.evaluate(frozenset(chosen)) == expect

