@@ -34,6 +34,16 @@ class ObservationOutOfRange(ProvRefineError):
     """An observation references facts outside what the blueprint can reach."""
 
 
+class MissingHyperparameter(ProvRefineError, KeyError):
+    """A hyperparameter table lacks a rule type that is asked of it.
+
+    Still a KeyError; its message prints as given, without the quotes
+    KeyError puts around it.
+    """
+
+    __str__ = BaseException.__str__
+
+
 class DegenerateTrainingSet(ProvRefineError):
     """No observation constrains any hyperparameter; nothing to learn."""
 

@@ -44,6 +44,10 @@ class TrainingSet:
             out |= g.blueprint.rule_types()
         return out
 
+    def bound_terms(self) -> list:
+        """Each group's `likelihood.bound_terms`, in group order."""
+        return [lk.bound_terms(g.blueprint, g.observations) for g in self.groups]
+
     @staticmethod
     def merge(parts: Iterable["TrainingSet"]) -> "TrainingSet":
         merged = TrainingSet()
@@ -63,22 +67,21 @@ def sample_training(an: Analysis, n: int, max_flips: int,
         raise ValueError("the analysis has no parameters to flip")
     max_flips = min(max_flips, len(an.params))
     blueprint = local_provenance(an, an.bottom())
-    obs = []
+    abstractions = []
     for _ in range(n):
         count = rng.randint(1, max_flips)
         flips = rng.sample(list(an.params), count)
-        obs.append(lk.observe(an, an.bottom().with_flips(flips)))
-    return TrainingSet([ObservationGroup(blueprint, obs)])
+        abstractions.append(an.bottom().with_flips(flips))
+    return TrainingSet([ObservationGroup(blueprint, lk.observe(an, abstractions))])
 
 
 class _Objective(lk.Bound):
-    """The lower bound of a training set, plus the types some term
-    constrains (`constrained`) and the shapes that mention each type
+    """The lower bound of a training set's bound terms, plus the types some
+    term constrains (`constrained`) and the shapes that mention each type
     (`heads_of_type`), the only ones a change of its theta re-evaluates."""
 
-    def __init__(self, ts: TrainingSet):
-        super().__init__((lk.bound_terms(g.blueprint, g.observations)
-                          for g in ts.groups), "lower")
+    def __init__(self, formulas: Iterable[lk.BoundFormula]):
+        super().__init__(formulas, "lower")
         if self.impossible:
             raise ValueError("training observation with T not within R")
         self.heads_of_type = {k: [] for k in self.n_counts}
@@ -151,8 +154,10 @@ def line_search(f: Callable[[float], float], lo: float, hi: float) -> float:
 def learn(ts: TrainingSet) -> HyperParams:
     """Fit hyperparameters by cyclic coordinate ascent on the lower bound,
     from theta = 0.5 on every constrained type."""
-    objective = _Objective(ts)
-    all_types = ts.rule_types()
+    return _fit(_Objective(ts.bound_terms()), ts.rule_types())
+
+
+def _fit(objective: _Objective, all_types: set) -> HyperParams:
     if not objective.constrained:
         raise DegenerateTrainingSet(
             "no observation constrains any hyperparameter")
@@ -186,8 +191,12 @@ def leave_one_out(training_sets: list) -> list:
     """Per program, learn from all the other programs' observations."""
     if len(training_sets) < 2:
         raise CorpusTooSmall("leave-one-out needs at least two programs")
+    # each program's bound terms once, for every fold that trains on it
+    terms = [ts.bound_terms() for ts in training_sets]
     out = []
     for i in range(len(training_sets)):
-        rest = [ts for j, ts in enumerate(training_sets) if j != i]
-        out.append(learn(TrainingSet.merge(rest)))
+        rest = [j for j in range(len(training_sets)) if j != i]
+        objective = _Objective(bf for j in rest for bf in terms[j])
+        types = TrainingSet.merge(training_sets[j] for j in rest).rule_types()
+        out.append(_fit(objective, types))
     return out

@@ -37,13 +37,32 @@ class Observation:
         return self.t <= self.r
 
 
-def observe(an: Analysis, a: Abstraction) -> Observation:
-    """Run the analysis under a and project the outcome."""
-    p1 = encode_params(an, a, 1)
-    t = project_set(an, p1)
-    # equals reach over local_provenance: reach(global, P1) lies in derive(a)
-    r = project_set(an, [*p1, *map(an.index.facts.__getitem__, an.index.run(p1))])
-    return Observation(t=t, r=r)
+def observe(an: Analysis, abstractions: Iterable[Abstraction]) -> list:
+    """Run the analysis under each abstraction and project the outcomes.
+
+    One `Index.sweep` of the analysis's cached index closes every
+    abstraction's P1 facts at once; the facts reached by the same
+    abstractions are projected together, once, and each r is the union of
+    the images whose mask has its bit, plus its projected seeds t (a seed
+    outside the index is in no mask).  r equals reach over
+    local_provenance: reach(global, P1) lies in derive(a).
+    """
+    p1s = [encode_params(an, a, 1) for a in abstractions]
+    reach, _ = an.index.sweep(p1s)
+    by_mask = {}  # abstractions as a mask -> the facts they reach
+    for f, m in zip(an.index.facts, reach):
+        if m:
+            by_mask.setdefault(m, []).append(f)
+    images = [(m, an.projection.image(fs)) for m, fs in by_mask.items()]
+    out = []
+    for k, p1 in enumerate(p1s):
+        t = project_set(an, p1)
+        r = set(t)
+        for m, image in images:
+            if m >> k & 1:
+                r |= image
+        out.append(Observation(t=t, r=frozenset(r)))
+    return out
 
 
 @dataclass
@@ -83,8 +102,8 @@ def bound_terms(g_bot: Hypergraph, obs: Iterable[Observation]) -> BoundFormula:
     W is the AND of its body facts' `rmask` (all ones for an empty body),
     so bit k of W says the body lies in r_k.  An arc is refuted iff W has
     a bit its head's `rmask` lacks; `dmask = W & cmask[head]` marks the
-    D_k holding it, and `fmask`, that and the arcs the closure kernel
-    finds forward from t_k (`Index.layers`), the F_k.  A head's clause
+    D_k holding it, and `fmask`, that and the arcs forward from t_k, the
+    F_k, all from one `Index.sweep` from every t_k.  A head's clause
     for k is its candidates with bit k set.  Each distinct clause becomes
     an arc set once, so equal clauses in the result are one object.
     """
@@ -104,7 +123,7 @@ def bound_terms(g_bot: Hypergraph, obs: Iterable[Observation]) -> BoundFormula:
     if any(not o.consistent() for o in obs):
         return BoundFormula(frozenset(), {}, impossible=True)
 
-    rmask, cmask, fwd = [0] * len(facts), [0] * len(facts), [0] * len(arcs)
+    rmask, cmask = [0] * len(facts), [0] * len(facts)
     for k, (t, derived) in enumerate(seen):
         bit = 1 << k
         for f in derived:
@@ -114,8 +133,7 @@ def bound_terms(g_bot: Hypergraph, obs: Iterable[Observation]) -> BoundFormula:
             f = ids.get(u)
             if f is not None:
                 rmask[f] |= bit
-        for j in index.layers(t)[1]:
-            fwd[j] |= bit
+    fwd = index.sweep([t for t, _ in seen])[1]
     full = (1 << len(seen)) - 1
     heads, w = index.heads, []
     for body in index.bodies:

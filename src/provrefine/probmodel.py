@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import hypergraph as hg
+from .errors import MissingHyperparameter
 from .hypergraph import Hypergraph
 
 NEG_INF = float("-inf")
@@ -29,7 +30,8 @@ class HyperParams:
         try:
             return self.theta[rule_type]
         except KeyError:
-            raise KeyError(f"no hyperparameter for rule type {rule_type!r}")
+            raise MissingHyperparameter(
+                f"no hyperparameter for rule type {rule_type!r}") from None
 
     def copy(self) -> "HyperParams":
         return HyperParams(dict(self.theta), set(self.unconstrained))
@@ -38,7 +40,8 @@ class HyperParams:
 def validate_hyperparams(hp: HyperParams, blueprint: Hypergraph) -> None:
     missing = blueprint.rule_types() - set(hp.theta)
     if missing:
-        raise KeyError(f"missing hyperparameters for rule types {sorted(missing)}")
+        raise MissingHyperparameter(
+            f"missing hyperparameters for rule types {sorted(missing)}")
     for k, v in hp.theta.items():
         if not 0.0 <= v <= 1.0:
             raise ValueError(f"theta[{k!r}] = {v} outside [0, 1]")

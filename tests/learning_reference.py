@@ -55,12 +55,11 @@ class _Objective:
     re-evaluates the affected heads.
     """
 
-    def __init__(self, ts: TrainingSet):
+    def __init__(self, formulas):
         self.n_counts = {}
         self.heads = []  # list of clause tuples
         self._head_types = []
-        for group in ts.groups:
-            bf = lk.bound_terms(group.blueprint, group.observations)
+        for bf in formulas:
             if bf.impossible:
                 raise ValueError("training observation with T not within R")
             for arc in bf.negated_arcs:

@@ -1,11 +1,14 @@
-"""Reference bound terms and bounds: one full arc scan and one
-`forward_arcs` per observation, one weighted model count per head.
+"""Reference observations, bound terms and bounds: one closure per
+abstraction, one full arc scan and one `forward_arcs` per observation, one
+weighted model count per head.
 
-The straightforward versions of `provrefine.likelihood.bound_terms`, kept
-as the oracle its integer index is checked against, and of its bounds,
-kept as the oracle the shape-compiled `likelihood.Bound` is checked
-against.  The bound terms must be equal `BoundFormula`s with the same
-exceptions; the bounds must agree to rounding, with the same -inf.
+The straightforward versions of `provrefine.likelihood.observe`, kept as
+the oracle its one bit-parallel sweep per batch is checked against, of
+`bound_terms`, kept as the oracle its integer index is checked against,
+and of its bounds, kept as the oracle the shape-compiled `likelihood.Bound`
+is checked against.  The observations must be equal, in order; the bound
+terms must be equal `BoundFormula`s with the same exceptions; the bounds
+must agree to rounding, with the same -inf.
 
 `serialize_observations` writes observations in the text format
 `provrefine.likelihood.parse_observations` reads; only the tests write
@@ -16,6 +19,8 @@ import math
 from typing import Iterable
 
 from provrefine import hypergraph as hg
+from provrefine.analysis import (Abstraction, Analysis, encode_params,
+                                 project_set)
 from provrefine.errors import ObservationOutOfRange, SelfLoopArc
 from provrefine.hypergraph import Fact, Hypergraph
 from provrefine.likelihood import (BoundFormula, Observation, PerHead,
@@ -23,6 +28,15 @@ from provrefine.likelihood import (BoundFormula, Observation, PerHead,
 from provrefine.probmodel import NEG_INF, HyperParams
 
 from probmodel_reference import log_one_minus
+
+
+def observe(an: Analysis, a: Abstraction) -> Observation:
+    """Run the analysis under a and project the outcome."""
+    p1 = encode_params(an, a, 1)
+    t = project_set(an, p1)
+    # equals reach over local_provenance: reach(global, P1) lies in derive(a)
+    r = project_set(an, [*p1, *map(an.index.facts.__getitem__, an.index.run(p1))])
+    return Observation(t=t, r=r)
 
 
 def bound_terms(g_bot: Hypergraph, obs: Iterable[Observation]) -> BoundFormula:

@@ -388,14 +388,14 @@ def test_criterion_8_hyperparameter_recovery():
         init = {"x": rng.randrange(0, 200), "y": rng.randrange(0, 200)}
         an = datalog.smudge_analysis([("l0", k, "x", "y")], init_values=init)
         bp = ana.local_provenance(an, an.bottom())
-        obs = [lk.observe(an, an.bottom().with_flips(["l0"]))]
+        obs = lk.observe(an, [an.bottom().with_flips(["l0"])])
         groups.append(learning.ObservationGroup(bp, obs))
     # two programs whose k=7 site exists cheaply but is never exercised
     for init in ({"x": 1, "y": 2, "z": 0}, {"x": 3, "y": 4, "z": 0}):
         an = datalog.smudge_analysis(
             [("l0", 2, "x", "y"), ("l1", 7, "y", "z")], init_values=init)
         bp = ana.local_provenance(an, an.bottom())
-        obs = [lk.observe(an, an.bottom().with_flips(["l0"]))]
+        obs = lk.observe(an, [an.bottom().with_flips(["l0"])])
         groups.append(learning.ObservationGroup(bp, obs))
     hp = learning.learn(learning.TrainingSet(groups))
     for k in (2, 3, 5):

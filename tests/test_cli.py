@@ -395,7 +395,7 @@ class TestLikelihood:
     def files(self, tmp_path):
         an = datalog.smudge_fixture()
         bp = ana.local_provenance(an, an.bottom())
-        obs = [lk.observe(an, an.bottom().with_flips(["0", "4"]))]
+        obs = lk.observe(an, [an.bottom().with_flips(["0", "4"])])
         b = tmp_path / "bp.prov"
         o = tmp_path / "obs.txt"
         t = tmp_path / "theta.txt"
@@ -441,7 +441,9 @@ class TestLikelihood:
         pm.save_hyperparams(pm.HyperParams(theta), str(t))
         for mode in ("lower", "upper", "exact"):
             code, _, err = run(capsys, "likelihood", b, o, str(t), "--mode", mode)
-            assert code == 2 and "dirty_persist" in err
+            assert code == 2
+            assert err == ("error: missing hyperparameters for rule types "
+                           "['dirty_persist']\n")
 
 
 class TestMaxsat:
@@ -635,7 +637,7 @@ def valid_inputs(tmp_path_factory) -> dict:
     (d / "bp.prov").write_text(
         hg.serialize_provenance(ana.local_provenance(an, an.bottom())))
     (d / "obs.txt").write_text(likelihood_reference.serialize_observations(
-        [lk.observe(an, an.bottom().with_flips(["0", "4"]))]))
+        lk.observe(an, [an.bottom().with_flips(["0", "4"])])))
     pm.save_hyperparams(pm.HyperParams(datalog.smudge_theta()), str(d / "theta.txt"))
     names = ("bp.prov", "obs.txt", "theta.txt", "fuzz.txt")
     return {name: str(d / name) for name in names}

@@ -228,6 +228,49 @@ def test_the_kernel_finds_the_forward_arcs(arcs, t, data):
         Hypergraph(sub), t).arcs
 
 
+def _assert_sweep_is_layers_per_set(index, seed_sets):
+    """Bit k of `sweep` is `layers` from seed set k, and no higher bit is set."""
+    reach, forward = index.sweep(seed_sets)
+    assert len(reach) == len(index.facts) and len(forward) == len(index.arcs)
+    for k, t in enumerate(seed_sets):
+        dist, fwd = index.layers(t)
+        assert {i for i, m in enumerate(reach) if m >> k & 1} == set(dist), k
+        assert {j for j, m in enumerate(forward) if m >> k & 1} == set(fwd), k
+    assert max(reach + forward, default=0) < 1 << len(seed_sets)
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=80, deadline=None)
+def test_sweep_is_layers_from_each_seed_set(seed):
+    """No set, one, a few, or more than 64 (masks of several machine
+    words), over graphs with empty bodies and labels that are not facts,
+    from seeds inside and outside the index."""
+    rng = random.Random(seed)
+    g = _relabelled(rng, random_hypergraph(rng))
+    verts = sorted(g.vertices, key=repr)
+    outside = ["outside", fact(99), (99, "x")]
+    n = rng.choice([0, 1, rng.randint(2, 8), rng.randint(65, 70)])
+    seed_sets = [set(rng.sample(verts, rng.randint(0, len(verts))))
+                 | set(rng.sample(outside, rng.randint(0, 1))) for _ in range(n)]
+    _assert_sweep_is_layers_per_set(hg.Index(g.arcs), seed_sets)
+
+
+def test_sweep_on_seeded_heads_and_arcs_that_fire_together():
+    """An empty-body arc, a seed that is an arc's head, two arcs into one
+    head in one layer (both forward), a seed outside the index, and a
+    cycle back into a seed, from 0, 1 and 70 seed sets."""
+    x, y, z, h, e = (Fact(n) for n in "xyzhe")
+    index = hg.Index([Arc(e, (), "base"), Arc(h, [x], "r"), Arc(h, [y], "r"),
+                      Arc(z, [h, e], "r"), Arc(x, [z], "r")])
+    base = [{x, y}, {x}, {h}, {h, x}, {Fact("outside")}, set(), {z, y}]
+    for seed_sets in ([], base[:1], base * 10):
+        _assert_sweep_is_layers_per_set(index, seed_sets)
+    reach, forward = index.sweep(base[:1])
+    assert forward == [1, 1, 1, 1, 0]  # both arcs into h fire in layer 1
+    assert reach == [1] * 5
+    assert index.sweep([])[1] == [0] * 5
+
+
 def test_the_cone_numbers_facts_from_q_in_search_order():
     """q is fact 0, the arcs into fact i come before those into fact i + 1,
     facts are numbered in order of first mention, and the arcs are those

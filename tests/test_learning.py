@@ -78,7 +78,7 @@ def test_degenerate_training_set_raises():
 def test_learned_theta_is_a_likelihood_maximum():
     ts = _bernoulli_corpus(7, 10)
     hp = learning.learn(ts)
-    obj = learning._Objective(ts)
+    obj = learning._Objective(ts.bound_terms())
     best = obj.value(hp)
     for delta in (-0.05, 0.05):
         trial = hp.copy()
@@ -104,7 +104,7 @@ def test_sample_training_equals_the_per_observation_reference():
     rng = random.Random(23)
     for _ in range(40):
         an, a = random_smudge_analysis(rng, max_sites=10)
-        assert lk.observe(an, a) == learning_reference.observe(an, a)
+        assert lk.observe(an, [a]) == [learning_reference.observe(an, a)]
         n, max_flips, seed = rng.randint(1, 12), rng.randint(1, 4), rng.random()
         got = learning.sample_training(an, n, max_flips, random.Random(seed))
         expect = learning_reference.sample_training(an, n, max_flips,
@@ -127,7 +127,7 @@ def test_sample_training_indexes_the_global_graph_once(monkeypatch):
     an, a = random_smudge_analysis(random.Random(3), max_sites=10)
     ana.derive(an, a)
     ana.local_provenance(an, a)
-    lk.observe(an, a)
+    lk.observe(an, [a])
     learning.sample_training(an, 20, 3, random.Random(0))
     learning.sample_training(an, 20, 3, random.Random(1))
     assert len(calls) == 1  # the analysis's own index serves every closure
@@ -160,6 +160,26 @@ def test_leave_one_out_folds():
     assert folds[0].theta["coin"] == pytest.approx(0.5, abs=1e-3)
 
 
+def test_leave_one_out_takes_each_programs_bound_terms_once(monkeypatch):
+    # each fold learns what learn does on the other programs, from bound
+    # terms taken once per program rather than once per fold it is in
+    rng = random.Random(41)
+    sets = [learning.sample_training(random_smudge_analysis(rng)[0], 6, 3, rng)
+            for _ in range(4)]
+    want = [learning.learn(learning.TrainingSet.merge(sets[:i] + sets[i + 1:]))
+            for i in range(len(sets))]
+    calls = []
+    real = lk.bound_terms
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(lk, "bound_terms", counting)
+    assert learning.leave_one_out(sets) == want
+    assert len(calls) == len(sets)
+
+
 def test_leave_one_out_needs_two_programs():
     with pytest.raises(CorpusTooSmall):
         learning.leave_one_out([_bernoulli_corpus(1, 1)])
@@ -180,7 +200,8 @@ def test_objective_equals_the_per_head_reference():
     infinite = 0
     for _ in range(40):
         ts = _random_training_set(rng)
-        obj, ref = learning._Objective(ts), learning_reference._Objective(ts)
+        terms = ts.bound_terms()
+        obj, ref = learning._Objective(terms), learning_reference._Objective(terms)
         assert obj.constrained == ref.constrained
         assert obj.n_counts == ref.n_counts
         hp = pm.HyperParams({k: rng.uniform(0.01, 0.99) for k in ts.rule_types()})
@@ -202,7 +223,7 @@ def test_objective_is_the_sum_of_the_groups_lower_bounds():
     finite = infinite = 0
     for _ in range(20):
         ts = _random_training_set(rng)
-        obj = learning._Objective(ts)
+        obj = learning._Objective(ts.bound_terms())
         for _ in range(3):
             hp = pm.HyperParams({k: rng.choice((0.0, 1.0, rng.uniform(0.05, 0.95)))
                                  for k in sorted(ts.rule_types())})

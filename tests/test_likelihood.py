@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -182,9 +183,30 @@ def test_observe_projects_seeds_and_reach():
 
     an = datalog.smudge_fixture()
     a = an.bottom().with_flips(["0"])
-    o = lk.observe(an, a)
+    [o] = lk.observe(an, [a])
     assert o.t == frozenset([Fact("cheap", (0,))])
     assert o.consistent()
+
+
+def test_observe_equals_the_per_abstraction_reference_in_order():
+    """The smudge fixture under every subset of its parameters, and
+    generated programs under no abstraction, one, or more than 64 (masks
+    of several machine words), repeats among them."""
+    from provrefine import datalog
+
+    an = datalog.smudge_fixture()
+    cases = [(an, [an.bottom().with_flips(flips) for n in range(len(an.params) + 1)
+                   for flips in itertools.combinations(an.params, n)])]
+    rng = random.Random(37)
+    for _ in range(30):
+        an, a = random_smudge_analysis(rng, max_sites=10)
+        n = rng.choice([0, 1, rng.randint(2, 20), rng.randint(65, 70)])
+        cases.append((an, [a] + [an.bottom().with_flips(
+            p for p in an.params if rng.random() < 0.5) for _ in range(n)]))
+    cases.append((an, []))
+    for an, abstractions in cases:
+        assert lk.observe(an, abstractions) == [
+            likelihood_reference.observe(an, a) for a in abstractions]
 
 
 def test_observe_equals_reach_over_the_local_provenance():
@@ -195,7 +217,7 @@ def test_observe_equals_reach_over_the_local_provenance():
         an, a = random_smudge_analysis(rng)
         p1 = ana.encode_params(an, a, 1)
         old_r = ana.project_set(an, hg.reach(ana.local_provenance(an, a), p1))
-        assert lk.observe(an, a).r == old_r
+        assert lk.observe(an, [a])[0].r == old_r
 
 
 def test_lower_clauses_match_the_inline_forward_filter():
@@ -207,7 +229,7 @@ def test_lower_clauses_match_the_inline_forward_filter():
         an, _ = random_smudge_analysis(rng)
         flips = [[p for p in an.params if rng.random() < 0.5] for _ in range(4)]
         cases.append((ana.local_provenance(an, an.bottom()),
-                      [lk.observe(an, an.bottom().with_flips(f)) for f in flips]))
+                      lk.observe(an, [an.bottom().with_flips(f) for f in flips])))
     for g, obs in cases:
         bf = lk.bound_terms(g, obs)
         if bf.impossible:

@@ -55,7 +55,7 @@ def _smudge_returns() -> dict:
         "refine.slice_to_query": refine.slice_to_query(g_a, query),
         "maxsat.compile_instance": mx.compile_instance(mx.MaxSatInstance(
             mx.exists(["y"], mx.or_(x, mx.var("y"))), {"x": 1.0})),
-        "likelihood.bound_terms": lk.bound_terms(g_a, [lk.observe(an, a)]),
+        "likelihood.bound_terms": lk.bound_terms(g_a, lk.observe(an, [a])),
     }
 
 
