@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from . import hypergraph as hg
-from .errors import ParseError, UnknownParameter
+from .errors import DomainOverflow, ParseError, UnknownParameter
 from .hypergraph import Fact, Hypergraph
 
 
@@ -193,13 +193,15 @@ def check_well_formed(an: Analysis) -> list:
 
 @contextlib.contextmanager
 def _reported_at(lineno: int, path: str):
-    """Failures to read or parse path are reported at manifest line lineno."""
+    """Failures to read, parse or ground path are reported at manifest line
+    lineno, as the same error."""
     try:
         yield
     except OSError as exc:
         raise ParseError(lineno, f"cannot read {path}: {exc.strerror}") from exc
-    except ParseError as exc:
-        raise ParseError(lineno, f"{path} line {exc.line}: {exc.message}") from exc
+    except (ParseError, DomainOverflow) as exc:
+        where = f"{path} line {exc.line}" if exc.line else path
+        raise type(exc)(lineno, f"{where}: {exc.message}") from exc
 
 
 def parse_manifest(text: str, base_dir: str = ".") -> Analysis:

@@ -5,15 +5,17 @@ are evaluated after each rule instance is joined and never appear in the
 emitted arcs.  Grounding is semi-naive and deterministic, and records one
 arc per fired rule instance, tagged with the rule name.  Each (rule, body
 atom) pair is compiled once into a join plan: the atom matched against
-the previous round's new facts goes first, the others follow bound-first,
-and each looks its candidates up in a hash index on the argument
-positions already bound, so the work grows with the facts that match
-rather than with the relation.  A partial match is a tuple with one slot
-per constant and variable, and each step reads its lookup key and writes
-its new values through precomputed `itemgetter`s; the variable dict that
-guards and the head read is built only for a complete match.  Base facts
-become empty-body arcs (type "base") so that hypergraph reachability from
-the parameter facts alone recovers the whole derivation.
+the previous round's new facts goes first, the others follow
+selective-first (base relations with the most bound positions, then
+derived relations, then atoms with no bound position), and each looks
+its candidates up in a hash index on the argument positions already
+bound, so the work grows with the facts that match rather than with the
+relation.  A partial match is a tuple with one slot per constant and
+variable, and each step reads its lookup key and writes its new values
+through precomputed `itemgetter`s; the variable dict that guards and the
+head read is built only for a complete match.  Base facts become
+empty-body arcs (type "base") so that hypergraph reachability from the
+parameter facts alone recovers the whole derivation.
 
 Also home of the dirt-propagation demo analysis (`smudge_fixture`): a
 tiny imperative program where `smudgeK(x, y)` passes x's dirt to y when
@@ -153,7 +155,7 @@ class Guard:
         if op == "*":
             return left * right
         if right == 0:
-            raise DomainOverflow(f"guard {self.text!r}: modulus is 0")
+            raise DomainOverflow(0, f"guard {self.text!r}: modulus is 0")
         return left % right
 
     def check(self, env: dict):
@@ -286,7 +288,7 @@ def _check_domain(fact: Fact, bounds) -> None:
     lo, hi = bounds
     for a in fact.args:
         if isinstance(a, int) and not lo <= a <= hi:
-            raise DomainOverflow(f"{fact}: integer {a} outside [{lo}, {hi}]")
+            raise DomainOverflow(0, f"{fact}: integer {a} outside [{lo}, {hi}]")
 
 
 class _FactIndex:
@@ -345,16 +347,23 @@ def _getter(slots: list):
     return itemgetter(*slots)
 
 
-def _atom_order(atoms: list, pivot: int) -> list:
-    """Atom `pivot` first, then bound-first: an atom whose arguments are all
-    bound (a membership test), else the one with the most bound argument
-    positions, ties to the earlier atom.  It depends on the rule text only."""
+def _atom_order(atoms: list, pivot: int, derived: set) -> list:
+    """Atom `pivot` first, then selective-first: atoms of base relations
+    (those not in `derived`, which no rule derives), the most bound
+    argument positions first, then atoms of derived relations, and atoms
+    with no bound position last; ties go to an atom whose arguments are all
+    bound (a membership test), then to the earlier atom.  An atom that
+    binds more positions of a relation that does not grow matches fewer
+    facts, so it tends to fail before an atom that always holds is looked
+    up.  The order depends on the program text only."""
     order, rest = [pivot], [i for i in range(len(atoms)) if i != pivot]
     bound = atoms[pivot].variables()
     while rest:
         def rank(i):
-            free = atoms[i].variables() - bound
-            return (bool(free), -sum(a not in free for a in atoms[i].args), i)
+            atom = atoms[i]
+            free = atom.variables() - bound
+            fixed = sum(a not in free for a in atom.args)
+            return (not fixed, atom.relation in derived, -fixed, bool(free), i)
         best = min(rest, key=rank)
         order.append(best)
         rest.remove(best)
@@ -362,9 +371,10 @@ def _atom_order(atoms: list, pivot: int) -> list:
     return order
 
 
-def _join_plan(rule: Rule, pivot: int) -> tuple:
+def _join_plan(rule: Rule, pivot: int, derived: set) -> tuple:
     """How `rule`'s body joins, atom `pivot` first and the others in
-    `_atom_order`, compiled into (names, env0, steps).
+    `_atom_order` (`derived` names the relations some rule derives),
+    compiled into (names, env0, steps).
 
     A partial match is an environment tuple that grows at each step: the
     rule's constants (env0), then each variable's value in the order the
@@ -382,7 +392,7 @@ def _join_plan(rule: Rule, pivot: int) -> tuple:
     env0 = tuple(names)
     slot = {c: i for i, c in enumerate(names)}
     steps = []
-    for atom in (atoms[i] for i in _atom_order(atoms, pivot)):
+    for atom in (atoms[i] for i in _atom_order(atoms, pivot, derived)):
         positions, keys, binds, repeats, first = [], [], [], [], {}
         for p, a in enumerate(atom.args):
             if a in slot:
@@ -423,6 +433,18 @@ def _instances(plan: tuple, delta: _FactIndex, known: _FactIndex):
                 stack.append((k + 1, env2, body + (f,)))
 
 
+def _guards_hold(guards: list, env: dict) -> bool:
+    """Whether guards hold under env, checked in rule order after the full
+    join; each instance owns its env, so binding guards extend it."""
+    for g in guards:
+        holds, binding = g.check(env)
+        if binding is not None:
+            env[binding[0]] = binding[1]
+        if not holds:
+            return False
+    return True
+
+
 def ground(rules: Iterable[Rule], base: Iterable[Fact],
            domain_bounds=DEFAULT_DOMAIN, seeds: Iterable[Fact] = ()) -> Hypergraph:
     """Semi-naive bottom-up evaluation into a provenance hypergraph.
@@ -434,7 +456,8 @@ def ground(rules: Iterable[Rule], base: Iterable[Fact],
     relation gained facts in the previous round: that atom is matched
     against those new facts and the others are looked up in hash indices
     on their bound positions.  A guard that does arithmetic or `<`/`>` on a
-    name raises ParseError at the rule's line.
+    name raises ParseError, and a head integer outside `domain_bounds` or
+    a guard's modulus by 0 DomainOverflow, naming the rule and its line.
     """
     rules = list(rules)
     base = frozenset(base)
@@ -444,7 +467,9 @@ def ground(rules: Iterable[Rule], base: Iterable[Fact],
 
     known = set(base | seeds)
     index = _FactIndex(known)
-    plans = [(rule, [((atom.relation, len(atom.args)), _join_plan(rule, p))
+    derived = {rule.head.relation for rule in rules}
+    plans = [(rule, [((atom.relation, len(atom.args)),
+                      _join_plan(rule, p, derived))
                      for p, atom in enumerate(rule.body_atoms)])
              for rule in rules]
 
@@ -460,28 +485,20 @@ def ground(rules: Iterable[Rule], base: Iterable[Fact],
                 if pivot_sig not in delta.facts:
                     continue
                 for env, body in _instances(plan, delta, index):
-                    # guards run after the full join, in rule order; each
-                    # instance owns its env, so binding guards extend it
-                    ok = True
                     try:
-                        for g in rule.guards:
-                            holds, binding = g.check(env)
-                            if binding is not None:
-                                env[binding[0]] = binding[1]
-                            if not holds:
-                                ok = False
-                                break
+                        if not _guards_hold(rule.guards, env):
+                            continue
+                        head = Fact(rule.head.relation,
+                                    tuple(env.get(a, a) for a in rule.head.args))
+                        known_head = facts.get(head)
+                        if known_head is None:
+                            _check_domain(head, domain_bounds)
+                            facts[head] = known_head = head
+                            new_facts.add(head)
+                    except DomainOverflow as exc:
+                        raise DomainOverflow(rule.line, f"rule {rule.name}: {exc}") from exc
                     except ValueError as exc:
                         raise ParseError(rule.line, f"rule {rule.name}: {exc}") from exc
-                    if not ok:
-                        continue
-                    head = Fact(rule.head.relation,
-                                tuple(env.get(a, a) for a in rule.head.args))
-                    known_head = facts.get(head)
-                    if known_head is None:
-                        _check_domain(head, domain_bounds)
-                        facts[head] = known_head = head
-                        new_facts.add(head)
                     arcs.add(Arc(known_head, frozenset(body), rule.name))
         for f in new_facts:
             index.add(f)

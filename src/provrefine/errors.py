@@ -9,8 +9,8 @@ class OracleLimitExceeded(ProvRefineError):
     """An exponential oracle was invoked on an instance above its size cap."""
 
 
-class ParseError(ProvRefineError):
-    """Syntax error in an input file; carries a line number, 0 if no one line is at fault."""
+class _AtLine(ProvRefineError):
+    """An error in an input file; carries a line number, 0 if no one line is at fault."""
 
     def __init__(self, line: int, message: str):
         super().__init__(f"line {line}: {message}" if line else message)
@@ -18,8 +18,13 @@ class ParseError(ProvRefineError):
         self.message = message
 
 
-class DomainOverflow(ProvRefineError):
-    """A derived integer left the configured domain bounds."""
+class ParseError(_AtLine):
+    """Syntax error in an input file."""
+
+
+class DomainOverflow(_AtLine):
+    """A derived integer left the configured domain bounds, or a guard took
+    a modulus by 0."""
 
 
 class UnknownParameter(ProvRefineError):

@@ -494,22 +494,26 @@ def parse_provenance(text: str) -> Hypergraph:
     return Hypergraph(arcs)
 
 
-def _sorted_sharing_keys(arcs) -> list:
-    """`sorted(arcs, key=Arc._key)`, with one `Fact._key` per distinct fact
-    shared by every arc naming it: a large graph names each fact in many
-    arcs, and one key tuple per mention is most of the sort's memory.  On
-    small graphs the lookups cost more than they save."""
-    keys = {}
-
-    def fact_key(f):
-        k = keys.get(f)
-        if k is None:
-            k = keys[f] = f._key()
-        return k
-
-    return sorted(arcs, key=lambda a: a._key(fact_key))
-
-
 def serialize_provenance(g: Hypergraph) -> str:
-    """Canonical text form; parse(serialize(g)) == g, byte for byte stable."""
-    return "".join(str(a) + "\n" for a in _sorted_sharing_keys(g.arcs))
+    """Canonical text form; parse(serialize(g)) == g, byte for byte stable.
+
+    Lines follow `Arc._key` order, each as `str(arc)` writes it.  Every
+    distinct fact is ranked once, by one sort on `Fact._key`, and printed
+    once; the arcs then sort by integer keys (head rank, sorted body
+    ranks, rule type).  Distinct facts have distinct keys, so the ranks
+    keep the facts' key order and the arcs sort as by `Arc._key`.  The
+    ranks are dropped, and each arc's key is replaced by its line in
+    place, so the keys, the ranks and the lines are not all held at once;
+    the facts are gathered afresh, not through `Hypergraph.vertices`,
+    which would stay cached on the graph.
+    """
+    rank = {f: i for i, f in enumerate(sorted(
+        {f for head, body, _ in g.arcs for f in (head, *body)}, key=Fact._key))}
+    texts = list(map(str, rank))
+    lines = sorted((rank[head], sorted(map(rank.__getitem__, body)), rule_type)
+                   for head, body, rule_type in g.arcs)
+    del rank
+    for i, (h, body, rule_type) in enumerate(lines):
+        lines[i] = " ".join([texts[h], "<-", *[texts[b] for b in body],
+                             "@", rule_type]) + "\n"
+    return "".join(lines)

@@ -154,7 +154,7 @@ def test_manifest_source_failures_report_the_manifest_line(tmp_path):
 
 
 def test_a_rules_file_is_grounded_with_the_encoding_facts_as_seeds(tmp_path):
-    from provrefine.errors import ParseError
+    from provrefine.errors import DomainOverflow, ParseError
 
     m = tmp_path / "m.manifest"
     m.write_text("params:\n0 encode0=c(0) encode1=p(0)\nrules: r.dl\n"
@@ -167,6 +167,14 @@ def test_a_rules_file_is_grounded_with_the_encoding_facts_as_seeds(tmp_path):
         with pytest.raises(ParseError) as exc:
             ana.load_manifest(str(m))
         assert exc.value.line == 3 and "r.dl line 2" in exc.value.message
+    # an overflow grounding finds, in a rule or in a base fact
+    for text, where in (("n(250).\nq(Y) :- n(X), Y == X + 9. @r\n",
+                         "r.dl line 2: rule r: q(259): integer 259"),
+                        ("n(256).\n", "r.dl: n(256): integer 256")):
+        rules.write_text(text)
+        with pytest.raises(DomainOverflow) as exc:
+            ana.load_manifest(str(m))
+        assert exc.value.line == 3 and where in exc.value.message
     rules.write_text("q :- c(0). @r\nq :- p(0). @s\n")
     an = ana.load_manifest(str(m))
     assert {str(arc) for arc in an.global_graph.arcs} == {

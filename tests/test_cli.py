@@ -69,6 +69,19 @@ class TestGround:
         src.write_text("n(250).\nout(Y) :- n(X), Y == X + 10. @bump\n")
         assert run(capsys, "ground", "--rules", str(src))[0] == 3
 
+    # an overflow while grounding a rule, from its head or from a guard's
+    # modulus, names the rule and its line, as a guard's type error does
+    @pytest.mark.parametrize("rule, message", [
+        ("q(Y) :- p(X), Y == X * 100000000000. @r",
+         "rule r: q(100000000000): integer 100000000000 outside [0, 255]"),
+        ("z(X) :- p(X), X mod 0 == 0. @zero",
+         "rule zero: guard 'X mod 0 == 0': modulus is 0")])
+    def test_overflow_in_a_rule_names_its_line(self, capsys, tmp_path, rule, message):
+        src = tmp_path / "over.dl"
+        src.write_text(f"p(1).\n\n{rule}\n")
+        assert run(capsys, "ground", "--rules", str(src)) == \
+            (3, "", f"error: line 3: {message}\n")
+
     def test_guard_longer_than_the_nesting_limit_exits_2(self, capsys, tmp_path):
         src = tmp_path / "deep.dl"
         for ones in (3000, (hg.MAX_NESTING - 2) // 2):  # the second: 201 tokens

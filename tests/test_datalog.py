@@ -319,8 +319,9 @@ def test_indexed_grounding_matches_the_reference_on_long_bodies():
     outcomes, reordered = [], 0
     for seed in range(300):
         rules, base, seeds = _long_body_program(random.Random(seed))
+        derived = {rule.head.relation for rule in rules}
         reordered += sum(
-            datalog._atom_order(rule.body_atoms, p) !=
+            datalog._atom_order(rule.body_atoms, p, derived) !=
             [p] + [i for i in range(len(rule.body_atoms)) if i != p]
             for rule in rules for p in range(len(rule.body_atoms)))
         want = _outcome(ref.ground, rules, base, seeds)
@@ -366,6 +367,43 @@ def test_join_work_grows_linearly_with_program_size(monkeypatch):
         datalog.ground(rules, base, seeds=seeds)
         work[sites] = sum(tried)
     assert work[100] <= 2.5 * work[50], work
+
+
+def test_smudge_sites_are_checked_before_the_mode_facts(monkeypatch):
+    # smudgeK(L,A,B) binds two positions where cheap(L) and precise(L)
+    # bind one, so it fails three of a site's four smudge rules before the
+    # mode fact, which always holds, is looked up
+    calls = []
+    lookup = datalog._FactIndex.lookup
+
+    def counting_lookup(self, *args):
+        calls.append(args)
+        return lookup(self, *args)
+
+    monkeypatch.setattr(datalog._FactIndex, "lookup", counting_lookup)
+    rules, base, seeds = _smudge_program(random.Random(50), 50)
+    datalog.ground(rules, base, seeds=seeds)
+    assert 8081 - 50 <= len(calls) <= 8081 + 50, len(calls)
+
+
+def test_a_selective_derived_atom_joins_as_the_reference():
+    # hit(X) holds for two of forty X, but as a derived relation it is
+    # checked after the base relations that bind one position
+    text = "\n".join(
+        [f"src({x})." for x in range(40)] +
+        [f"wide({x},{y})." for x in range(40) for y in range(5)] +
+        ["mark(3).", "mark(17).",
+         "hit(X) :- mark(X). @mark",
+         "out(X,Y) :- src(X), wide(X,Y), hit(X). @out",
+         "back(X) :- out(X,Y), src(Y), wide(Y,X), hit(Y). @back"])
+    rules, base = datalog.parse_program(text)
+    derived = {rule.head.relation for rule in rules}
+    assert [rules[1].body_atoms[i].relation
+            for i in datalog._atom_order(rules[1].body_atoms, 0, derived)] == \
+        ["src", "wide", "hit"]
+    g = datalog.ground(rules, base)
+    assert g == ref.ground(rules, base)
+    assert sum(a.rule_type == "out" for a in g.arcs) == 10
 
 
 class TestSmudgeFixture:
