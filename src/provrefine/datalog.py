@@ -264,10 +264,19 @@ def _parse_statement(line: str, lineno: int = 0):
     return rule
 
 
+class BaseFacts(set):
+    """A program's extensional facts; `lines` maps each to the line that
+    first states it, which, like a rule's line, the set does not compare."""
+
+    def __init__(self):
+        super().__init__()
+        self.lines = {}
+
+
 def parse_program(text: str):
     """Parse rules and extensional facts; returns (rules, base_facts)."""
     rules = []
-    base = set()
+    base = BaseFacts()
 
     def statement(lineno, line):
         stmt = _parse_statement(line, lineno)
@@ -275,6 +284,7 @@ def parse_program(text: str):
             rules.append(stmt)
         else:
             base.add(stmt)
+            base.lines.setdefault(stmt, lineno)
 
     read_lines(text, statement)
     return rules, base
@@ -457,13 +467,18 @@ def ground(rules: Iterable[Rule], base: Iterable[Fact],
     against those new facts and the others are looked up in hash indices
     on their bound positions.  A guard that does arithmetic or `<`/`>` on a
     name raises ParseError, and a head integer outside `domain_bounds` or
-    a guard's modulus by 0 DomainOverflow, naming the rule and its line.
+    a guard's modulus by 0 DomainOverflow, naming the rule and its line
+    (a base fact's line if `base` is `parse_program`'s `BaseFacts`).
     """
     rules = list(rules)
+    lines = base.lines if isinstance(base, BaseFacts) else {}
     base = frozenset(base)
     seeds = frozenset(seeds)
     for f in base | seeds:
-        _check_domain(f, domain_bounds)
+        try:
+            _check_domain(f, domain_bounds)
+        except DomainOverflow as exc:
+            raise DomainOverflow(lines.get(f, 0), exc.message) from exc
 
     known = set(base | seeds)
     index = _FactIndex(known)

@@ -24,8 +24,8 @@ took two to three times as long.
 one index of its global graph (`analysis.Analysis.index`), which `derive`
 closes from each seed set and `likelihood.observe` sweeps from every
 abstraction of a batch; each `refine.solve` numbers the query's backward
-cone (`Index.cone`) and `likelihood.bound_terms` its blueprint.  Distances
-define forward arcs.
+cone and the parameter facts once, in key order (`Index.cone`), and
+`likelihood.bound_terms` its blueprint.  Distances define forward arcs.
 """
 
 from __future__ import annotations
@@ -117,9 +117,9 @@ class Arc(_Record):
     body = property(operator.itemgetter(1))
     rule_type = property(operator.itemgetter(2))
 
-    def _key(self, fact_key=Fact._key):
+    def _key(self):
         head, body, rule_type = self
-        return (fact_key(head), tuple(sorted(map(fact_key, body))), rule_type)
+        return (head._key(), tuple(sorted(map(Fact._key, body))), rule_type)
 
     def __repr__(self) -> str:
         # the body's facts in key order: equal sets may iterate differently
@@ -170,9 +170,9 @@ class Index:
     """A graph's facts and arcs numbered by integers, and the closure kernel.
 
     `facts[i]` is fact i and `ids` its inverse, numbered in order of first
-    mention; `arcs[j]` is arc j, `heads[j]` and `bodies[j]` its fact ids,
-    and `into[i]` the arcs into fact i.  An arc is anything with a `head`
-    and a `body`; facts may be any hashable labels.
+    mention (`cone`: in key order); `arcs[j]` is arc j, `heads[j]` and
+    `bodies[j]` its fact ids, `into[i]` the arcs into fact i.  An arc is
+    anything with a `head` and a `body`; facts may be any hashable labels.
     """
 
     def __init__(self, arcs: Iterable = ()):
@@ -182,7 +182,7 @@ class Index:
         # the arcs with an empty body
         self._uses, self._sizes, self._empty = [], [], []
         for arc in arcs:
-            self._add(arc)
+            self._add(arc, self._id(arc.head), [self._id(b) for b in arc.body])
 
     def _id(self, f) -> int:
         i = self.ids.get(f)
@@ -193,10 +193,8 @@ class Index:
             self._uses.append([])
         return i
 
-    def _add(self, arc) -> None:
+    def _add(self, arc, h: int, body: list) -> None:
         j = len(self.arcs)
-        h = self._id(arc.head)
-        body = [self._id(b) for b in arc.body]
         self.arcs.append(arc)
         self.heads.append(h)
         self.bodies.append(body)
@@ -208,20 +206,27 @@ class Index:
             self._empty.append(j)
 
     @classmethod
-    def cone(cls, g: Hypergraph, q) -> "Index":
-        """q's backward cone in g: the arcs into q, into their body facts,
-        and so on, with facts numbered in the order a search from q meets
-        them, so q is fact 0.  Whether a cone fact is reached from a seed
-        set, and its distance, depend only on the arcs into its own cone,
-        so `run` over the cone gives each cone fact its value in g."""
+    def cone(cls, g: Hypergraph, q, extra: Iterable) -> "Index":
+        """q's backward cone in g and the facts of `extra`, facts numbered
+        in `Fact._key` order and arcs in `Arc._key` order, which is (head
+        id, ascending body ids, rule type).  A cone fact's reach and
+        distance depend only on the arcs into its own cone, so `run` gives
+        it its value in g; an extra fact outside the cone is only a seed."""
         into = {}
         for e in g.arcs:
             into.setdefault(e.head, []).append(e)
+        facts, arcs = [q], []
+        for f in facts:  # grows as the search meets facts
+            for e in into.pop(f, ()):
+                arcs.append(e)
+                facts.extend(e.body)
         index = cls()
-        index._id(q)
-        for f in index.facts:  # grows as the search meets facts
-            for e in into.get(f, ()):
-                index._add(e)
+        for f in sorted({*facts, *extra}, key=Fact._key):
+            index._id(f)
+        ids = index.ids.__getitem__
+        for h, body, _, e in sorted((ids(e.head), sorted(map(ids, e.body)),
+                                     e.rule_type, e) for e in arcs):
+            index._add(e, h, body)
         return index
 
     def run(self, t: Iterable, arcs: Optional[Iterable[int]] = None) -> dict:
@@ -334,10 +339,10 @@ class Index:
         dist.update((self.facts[i], d) for i, d in self.run(dist).items())
         return dist
 
-    def slice(self, keep) -> list:
-        """The ids of the arcs j with keep(j) that reach fact 0 through such
-        arcs."""
-        seen, stack, out = {0}, [0], []
+    def slice(self, root: int, keep) -> list:
+        """The ids of the arcs j with keep(j) that reach fact root through
+        such arcs."""
+        seen, stack, out = {root}, [root], []
         while stack:
             for j in self.into[stack.pop()]:
                 if keep(j):

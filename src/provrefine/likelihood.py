@@ -319,18 +319,22 @@ def parse_observations(text: str) -> list:
     """Blocks of `obs` / `T: facts` / `R: facts`; facts as in parse_facts."""
     out = []
     cur = {}  # "T:" / "R:" -> the facts of the current block
+    start = 0  # the line of the last `obs`, 0 before the first
 
     def flush(lineno):
-        if not cur:
-            return
-        if len(cur) < 2:
-            raise ParseError(lineno, "observation missing T: or R: line")
-        out.append(Observation(t=frozenset(cur["T:"]), r=frozenset(cur["R:"])))
-        cur.clear()
+        if cur:
+            if len(cur) < 2:
+                raise ParseError(lineno, "observation missing T: or R: line")
+            out.append(Observation(t=frozenset(cur["T:"]), r=frozenset(cur["R:"])))
+            cur.clear()
+        elif start:
+            raise ParseError(start, "observation has no T: or R: line")
 
     def entry(lineno, line):
+        nonlocal start
         if line == "obs":
             flush(lineno)
+            start = lineno
         elif line[:2] in ("T:", "R:"):
             if line[:2] in cur:
                 raise ValueError(f"second {line[:2]} line in one observation")

@@ -86,42 +86,25 @@ def t_of(an: Analysis, a: Abstraction, a2: Abstraction) -> frozenset:
 
 
 class Encoding:
-    """The numbering every iteration of one solve encodes and decodes with.
-
-    Facts are numbered as in q's cone index `cone`, then the parameter
-    facts outside it follow; `ids` maps a fact to its number.  `frank[i]`
-    is fact i's rank in `Fact._key` order and `arank[j]` cone arc j's rank
-    in `Arc._key` order: since ranking the facts is a bijection, the keys
-    (rank of the head, sorted ranks of the body, rule type) order the arcs
-    as `Arc._key` does.  `bodies[j]` lists arc j's body facts by rank and
-    `weights[j]` holds its log theta; `enc0[x]` and `enc1[x]` number
-    parameter x's cheap and precise facts, and `queries` the declared
-    queries among the numbered facts.
+    """What every iteration of one solve encodes and decodes with, over
+    the ids of q's cone index `cone`, which numbers the parameter facts
+    too: `q` is the query's id, `weights[j]` cone arc j's log theta,
+    `enc0[x]` and `enc1[x]` the ids of parameter x's cheap and precise
+    facts, and `queries` the declared queries among the numbered facts.
     """
 
-    def __init__(self, an: Analysis, cone: hg.Index,
+    def __init__(self, an: Analysis, cone: hg.Index, q: Fact,
                  hp: Optional[HyperParams], alpha: float):
-        self.an, self.cone, self.alpha = an, cone, alpha
-        self.facts, self.ids = list(cone.facts), dict(cone.ids)
-        for u in itertools.chain(an.encode0.values(), an.encode1.values()):
-            if u not in self.ids:
-                self.ids[u] = len(self.facts)
-                self.facts.append(u)
-        self.enc0 = {x: self.ids[u] for x, u in an.encode0.items()}
-        self.enc1 = {x: self.ids[u] for x, u in an.encode1.items()}
+        self.an, self.cone, self.alpha, self.q = an, cone, alpha, cone.ids[q]
+        self.enc0 = {x: cone.ids[u] for x, u in an.encode0.items()}
+        self.enc1 = {x: cone.ids[u] for x, u in an.encode1.items()}
         self.params = set(self.enc0.values()) | set(self.enc1.values())
-        self.queries = [self.ids[u] for u in an.queries if u in self.ids]
-        self.frank = _ranks(len(self.facts), lambda i: self.facts[i]._key())
-        self.bodies = [sorted(b, key=self.frank.__getitem__)
-                       for b in cone.bodies]
-        self.arank = _ranks(len(cone.arcs), lambda j: (
-            self.frank[cone.heads[j]], [self.frank[b] for b in self.bodies[j]],
-            cone.arcs[j].rule_type))
+        self.queries = [cone.ids[u] for u in an.queries if u in cone.ids]
         theta = {t: _log_theta(hp, t) for t in {e.rule_type for e in cone.arcs}}
         self.weights = [theta[e.rule_type] for e in cone.arcs]
         # the names of the variables that may be weighted: every parameter
         # fact's now, an arc's once it is first named
-        self.fact_names = {i: "v:" + str(self.facts[i]) for i in self.params}
+        self.fact_names = {i: "v:" + str(cone.facts[i]) for i in self.params}
         self._arc_names = {}
 
     def arc_name(self, j: int) -> str:
@@ -129,14 +112,6 @@ class Encoding:
         if name is None:
             name = self._arc_names[j] = "e:" + str(self.cone.arcs[j])
         return name
-
-
-def _ranks(n: int, key) -> list:
-    """rank[i] of each of 0..n-1 in the order of key(i)."""
-    rank = [0] * n
-    for r, i in enumerate(sorted(range(n), key=key)):
-        rank[i] = r
-    return rank
 
 
 @dataclass
@@ -161,7 +136,7 @@ def build_phi(enc: Encoding, kept: Iterable[int], a: Abstraction) -> Phi:
     A model selects a sub-hypergraph of the cone arcs `kept` (arc
     variables), the reached facts (vertex variables), and which still-cheap
     parameters to flip (their cheap-mode fact becoming a seed); the query,
-    the cone's fact 0, must be reached.  The clauses: y_e <-> (e and its
+    the encoding's fact q, must be reached.  The clauses: y_e <-> (e and its
     body) and y_e -> v_head per arc; each non-parameter vertex needs a
     firing arc, v_u -> (y_e or ...); v_q and every P1 fact hold, and some
     P0 fact does.
@@ -169,18 +144,18 @@ def build_phi(enc: Encoding, kept: Iterable[int], a: Abstraction) -> Phi:
     Arcs weigh log theta of their rule type, P0 and P1 facts -alpha.  Only
     the variables of nonzero weight are named, `e:<arc>` and `v:<fact>`:
     the solver breaks ties in name order.  The other ids follow
-    `Arc._key` and `Fact._key` order.
+    `Arc._key` and `Fact._key` order, as the cone's ids do.
     """
-    heads, bodies, frank = enc.cone.heads, enc.bodies, enc.frank
-    arcs = sorted(kept, key=enc.arank.__getitem__)
+    heads, bodies = enc.cone.heads, enc.cone.bodies
+    arcs = sorted(kept)
     vertices = {heads[j] for j in arcs}
     for j in arcs:
         vertices.update(bodies[j])
-    if 0 not in vertices:
-        raise QueryNotInProvenance(str(enc.facts[0]))
+    if enc.q not in vertices:
+        raise QueryNotInProvenance(str(enc.cone.facts[enc.q]))
     p0 = {enc.enc0[x] for x, v in a.bits if v == 0}
     p1 = {enc.enc1[x] for x, v in a.bits if v == 1}
-    facts = sorted(vertices | p0 | p1, key=frank.__getitem__)
+    facts = sorted(vertices | p0 | p1)
     n = len(arcs)
     fact_ids = {u: i for i, u in enumerate(facts, n + 1)}
 
@@ -210,7 +185,7 @@ def build_phi(enc: Encoding, kept: Iterable[int], a: Abstraction) -> Phi:
     for u in facts:
         if u not in enc.params:
             clauses.append(tuple(justify.get(u, (-fact_ids[u],))))
-    clauses.append((fact_ids[0],))
+    clauses.append((fact_ids[enc.q],))
     clauses.extend((fact_ids[u],) for u in facts if u in p1)
     clauses.append(tuple(fact_ids[u] for u in facts if u in p0))
     nvars = 2 * n + len(facts)
@@ -240,7 +215,7 @@ def decode_model(enc: Encoding, model: Iterable[int], phi: Phi,
 def choose_optimistic(enc: Encoding, kept: list, a: Abstraction,
                       cfg: RefineConfig) -> Abstraction:
     """Cheapest a2 > a whose remaining cheap facts cannot derive q, the
-    cone's fact 0, through the cone arcs `kept`.
+    encoding's fact q, through the cone arcs `kept`.
 
     Encodes the closure of the cheap seeds as Horn clauses: z variables
     over-approximate reachability from the cheap-mode facts of a2, and
@@ -253,21 +228,20 @@ def choose_optimistic(enc: Encoding, kept: list, a: Abstraction,
     all of them is a model; `_run_solver` raises NotAModel if none is.
     """
     unflipped = [x for x, v in a.bits if v == 0]
-    heads, bodies, enc0 = enc.cone.heads, enc.bodies, enc.enc0
+    heads, bodies, enc0 = enc.cone.heads, enc.cone.bodies, enc.enc0
     f_ids = {x: i for i, x in enumerate(sorted(unflipped), 1)}
     facts = {enc0[x] for x in unflipped}
     for j in kept:
         facts.add(heads[j])
         facts.update(bodies[j])
-    z_ids = {u: i for i, u in enumerate(
-        sorted(facts, key=enc.frank.__getitem__), len(f_ids) + 1)}
+    z_ids = {u: i for i, u in enumerate(sorted(facts), len(f_ids) + 1)}
     clauses = [tuple(f_ids[x] for x in unflipped)]
     clauses += [(f_ids[x], z_ids[enc0[x]]) for x in unflipped]
     for j in kept:
         clauses.append((z_ids[heads[j]],
                         *[-z_ids[b] for b in reversed(bodies[j])]))
     if kept:  # the slice keeps only arcs that reach q
-        clauses.append((-z_ids[0],))
+        clauses.append((-z_ids[enc.q],))
     weights, names = {}, {}
     if enc.alpha != 0.0:
         for x, i in f_ids.items():
@@ -315,12 +289,12 @@ def solve(an: Analysis, q: Fact, cfg: RefineConfig) -> RefineOutcome:
     # theta is 1 everywhere unless the strategy is probabilistic
     hp = cfg.hyperparams if cfg.strategy == "probabilistic" else None
 
-    # every step below decides only facts in q's cone (q is fact 0): the
-    # analysis under a, the forward arcs and the slices to q; the encoding
-    # numbers the cone once for every strategy, at the first iteration that
-    # reaches a solver, which a solve ending at once never does
-    cone = hg.Index.cone(an.global_graph, q)
-    bodies = cone.bodies
+    # every step below decides only facts in q's cone: the analysis under a,
+    # the forward arcs and the slices to q; one encoding serves every
+    # strategy, built only once an iteration reaches a solver
+    cone = hg.Index.cone(an.global_graph, q, itertools.chain(
+        an.encode0.values(), an.encode1.values()))
+    root, bodies = cone.ids[q], cone.bodies
     enc = None
     a = an.bottom()
     trace = []
@@ -331,25 +305,26 @@ def solve(an: Analysis, q: Fact, cfg: RefineConfig) -> RefineOutcome:
         trace.append(entry)
         p1 = encode_params(an, a, 1)
         dist, forward = cone.layers(encode_params(an, a, 0) | p1)
-        if 0 not in dist:
+        if root not in dist:
             entry["answer"] = "yes"
             return RefineOutcome("yes", iteration, trace)
-        if 0 in cone.run(p1):
+        if root in cone.run(p1):
             entry["answer"] = "no"
             return RefineOutcome("no", iteration, trace)
 
         if enc is None:
-            enc = Encoding(an, cone, hp, cfg.alpha)
+            enc = Encoding(an, cone, q, hp, cfg.alpha)
         try:
             if cfg.strategy == "optimistic":
                 # the derived arcs: their whole body is reached
-                kept = cone.slice(lambda j: all(b in dist for b in bodies[j]))
+                kept = cone.slice(
+                    root, lambda j: all(b in dist for b in bodies[j]))
                 a2 = choose_optimistic(enc, kept, a, cfg)
                 entry["chosen"] = sorted(a2.flips())
             else:
                 # the forward arcs among the derived ones, as the kernel
                 # finds them
-                kept = cone.slice(set(forward).__contains__)
+                kept = cone.slice(root, set(forward).__contains__)
                 phi = build_phi(enc, kept, a)
                 model, objective = _run_solver(phi.inst, cfg)
                 a2, log_success = decode_model(enc, model, phi, a)

@@ -11,10 +11,11 @@ from provrefine.hypergraph import Hypergraph
 
 
 def _sorted_sharing_keys(arcs) -> list:
-    """`sorted(arcs, key=Arc._key)`, with one `Fact._key` per distinct fact
-    shared by every arc naming it: a large graph names each fact in many
-    arcs, and one key tuple per mention is most of the sort's memory.  On
-    small graphs the lookups cost more than they save."""
+    """`sorted(arcs, key=Arc._key)`, its key spelled out with one
+    `Fact._key` per distinct fact shared by every arc naming it: a large
+    graph names each fact in many arcs, and one key tuple per mention is
+    most of the sort's memory.  On small graphs the lookups cost more than
+    they save."""
     keys = {}
 
     def fact_key(f):
@@ -23,7 +24,8 @@ def _sorted_sharing_keys(arcs) -> list:
             k = keys[f] = f._key()
         return k
 
-    return sorted(arcs, key=lambda a: a._key(fact_key))
+    return sorted(arcs, key=lambda a: (
+        fact_key(a.head), tuple(sorted(map(fact_key, a.body))), a.rule_type))
 
 
 def serialize_provenance(g: Hypergraph) -> str:

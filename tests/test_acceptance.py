@@ -277,16 +277,17 @@ def test_criterion_6_phi_bijection():
     while checked < 100:
         an, q = random_gadget(rng)
         a = an.bottom()
-        cone = hg.Index.cone(an.global_graph, q)
-        heads, bodies = cone.heads, cone.bodies
+        cone = hg.Index.cone(an.global_graph, q,
+                             [*an.encode0.values(), *an.encode1.values()])
+        heads, bodies, root = cone.heads, cone.bodies, cone.ids[q]
         dist = cone.run(ana.encode_params(an, a, 0) | ana.encode_params(an, a, 1))
         # every forward arc of q's cone, whether or not it leads on to q
         kept = [j for j in range(len(cone.arcs)) if heads[j] in dist and all(
             b in dist and dist[b] < dist[heads[j]] for b in bodies[j])]
-        if not any(heads[j] == 0 or 0 in bodies[j] for j in kept):
+        if not any(heads[j] == root or root in bodies[j] for j in kept):
             continue
         checked += 1
-        enc = refine.Encoding(an, cone, None, 1.0)
+        enc = refine.Encoding(an, cone, q, None, 1.0)
         phi = refine.build_phi(enc, kept, a)
         assert sorted(phi.arcs) == sorted(kept)
         arcs = [cone.arcs[j] for j in phi.arcs]  # arc variable k is arcs[k - 1]

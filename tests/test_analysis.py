@@ -170,7 +170,8 @@ def test_a_rules_file_is_grounded_with_the_encoding_facts_as_seeds(tmp_path):
     # an overflow grounding finds, in a rule or in a base fact
     for text, where in (("n(250).\nq(Y) :- n(X), Y == X + 9. @r\n",
                          "r.dl line 2: rule r: q(259): integer 259"),
-                        ("n(256).\n", "r.dl: n(256): integer 256")):
+                        ("q :- c(0). @r\nn(256).\n",
+                         "r.dl line 2: n(256): integer 256")):
         rules.write_text(text)
         with pytest.raises(DomainOverflow) as exc:
             ana.load_manifest(str(m))

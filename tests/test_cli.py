@@ -69,6 +69,20 @@ class TestGround:
         src.write_text("n(250).\nout(Y) :- n(X), Y == X + 10. @bump\n")
         assert run(capsys, "ground", "--rules", str(src))[0] == 3
 
+    # a base fact outside the domain names the line that states it, in a
+    # rules file and in a manifest's rules: file
+    def test_overflow_in_a_base_fact_names_its_line(self, capsys, tmp_path):
+        src = tmp_path / "over.dl"
+        src.write_text("p(1).\nn(256).\nq(X) :- n(X). @r\n")
+        message = "n(256): integer 256 outside [0, 255]"
+        assert run(capsys, "ground", "--rules", str(src)) == \
+            (3, "", f"error: line 2: {message}\n")
+        m = tmp_path / "s.manifest"
+        m.write_text("params:\n0 encode0=c(0) encode1=p(0)\nrules: over.dl\n"
+                     "queries:\nq(1)\n")
+        assert run(capsys, "solve", str(m)) == \
+            (3, "", f"error: line 3: {src} line 2: {message}\n")
+
     # an overflow while grounding a rule, from its head or from a guard's
     # modulus, names the rule and its line, as a guard's type error does
     @pytest.mark.parametrize("rule, message", [

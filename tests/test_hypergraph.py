@@ -271,30 +271,32 @@ def test_sweep_on_seeded_heads_and_arcs_that_fire_together():
     assert index.sweep([])[1] == [0] * 5
 
 
-def test_the_cone_numbers_facts_from_q_in_search_order():
-    """q is fact 0, the arcs into fact i come before those into fact i + 1,
-    facts are numbered in order of first mention, and the arcs are those
-    of `slice_to_query`."""
+@given(st.integers(0, 10_000))
+@settings(max_examples=300, deadline=None)
+def test_the_cone_numbers_facts_and_arcs_in_key_order(seed):
+    """The cone and the extra facts, some outside it, are numbered in
+    `Fact._key` order, the arcs in `Arc._key` order with each body's ids
+    ascending, and the arcs are those of `slice_to_query`."""
     from provrefine import refine
 
-    rng = random.Random(13)
-    for _ in range(300):
-        g = random_hypergraph(rng)
-        q = rng.choice(sorted(g.vertices | {fact(99)}))
-        cone = hg.Index.cone(g, q)
-        assert cone.facts[0] == q and cone.ids[q] == 0
-        assert cone.heads == sorted(cone.heads)
-        mentioned = [q]
-        for j, a in enumerate(cone.arcs):
-            assert cone.facts[cone.heads[j]] == a.head
-            assert [cone.facts[b] for b in cone.bodies[j]] == list(a.body)
-            mentioned += [a.head, *a.body]
-        assert cone.facts == list(dict.fromkeys(mentioned))
-        assert {f: i for i, f in enumerate(cone.facts)} == cone.ids
-        assert cone.into == [[j for j, h in enumerate(cone.heads) if h == i]
-                             for i in range(len(cone.facts))]
-        assert len(set(cone.arcs)) == len(cone.arcs)
-        assert Hypergraph(cone.arcs) == refine.slice_to_query(g, q)
+    rng = random.Random(seed)
+    g = random_hypergraph(rng)
+    q = rng.choice(sorted(g.vertices | {fact(99)}))
+    extra = {fact(i) for i in rng.sample(range(105), rng.randint(0, 4))}
+    cone = hg.Index.cone(g, q, extra)
+    sliced = refine.slice_to_query(g, q)
+    assert Hypergraph(cone.arcs) == sliced
+    assert len(set(cone.arcs)) == len(cone.arcs)
+    assert cone.facts == sorted({q} | sliced.vertices | extra, key=Fact._key)
+    assert {f: i for i, f in enumerate(cone.facts)} == cone.ids
+    assert cone.arcs == sorted(cone.arcs, key=Arc._key)
+    for j, a in enumerate(cone.arcs):
+        assert cone.facts[cone.heads[j]] == a.head
+        assert [cone.facts[b] for b in cone.bodies[j]] == sorted(
+            a.body, key=Fact._key)
+        assert cone.bodies[j] == sorted(cone.bodies[j])
+    assert cone.into == [[j for j, h in enumerate(cone.heads) if h == i]
+                         for i in range(len(cone.facts))]
 
 
 def test_forward_arcs_definition():

@@ -401,6 +401,15 @@ def test_a_second_t_or_r_line_in_one_observation_is_an_error():
         assert exc.value.line == line
 
 
+def test_an_obs_line_with_no_t_or_r_line_after_it_is_an_error():
+    for text, line in [("obs\n", 1), ("obs\nobs\nT: a\nR: a\n", 1),
+                       ("obs\nT: a\nR: a\n\nobs\n# done\n", 5),
+                       ("T: a\nR: a\nobs\nobs\nT: b\nR: b\n", 3)]:
+        with pytest.raises(ParseError, match="no T: or R: line") as exc:
+            lk.parse_observations(text)
+        assert exc.value.line == line
+
+
 def test_an_unfinished_last_observation_is_reported_after_the_last_line():
     for text, line in [("obs\nT: a\n", 3), ("obs\nT: a", 3),
                        ("obs\nT: a\n\n", 4), ("obs\r\nT: a\r\n", 3)]:

@@ -203,8 +203,15 @@ def test_clause_encoding_matches_the_formula_reference(monkeypatch):
     assert seen["no arc", "outside the cone"] == 10
 
 
-def _sliced(cone, keep):
-    return hg.Hypergraph(cone.arcs[j] for j in cone.slice(keep))
+def _cone(an, q):
+    """q's cone index as `refine.solve` builds it, with the parameter
+    facts."""
+    return hg.Index.cone(an.global_graph, q,
+                         [*an.encode0.values(), *an.encode1.values()])
+
+
+def _sliced(cone, q, keep):
+    return hg.Hypergraph(cone.arcs[j] for j in cone.slice(cone.ids[q], keep))
 
 
 def _assert_same_instance(got, expect, ordered=True):
@@ -236,7 +243,8 @@ def test_the_cone_encoding_matches_the_graph_keyed_clauses(monkeypatch):
         phi = inner(enc, kept, a)
         g_fwd = hg.Hypergraph(enc.cone.arcs[j] for j in kept)
         expect = refine_reference.build_phi_clauses(
-            enc.an, g_fwd, enc.facts[0], a, current["hp"], current["alpha"])
+            enc.an, g_fwd, enc.cone.facts[enc.q], a, current["hp"],
+            current["alpha"])
         _assert_same_instance(phi.inst, expect)
         checked[current["alpha"] != 0.0, bool(phi.inst.weights)] += 1
         return phi
@@ -250,7 +258,7 @@ def test_the_cone_encoding_matches_the_graph_keyed_clauses(monkeypatch):
         a2 = choose(enc, kept, a, cfg)
         g_a = hg.Hypergraph(enc.cone.arcs[j] for j in kept)
         expect = refine_reference.choose_optimistic_clauses(
-            enc.an, g_a, enc.facts[0], a, cfg.alpha)
+            enc.an, g_a, enc.cone.facts[enc.q], a, cfg.alpha)
         [got] = instances
         _assert_same_instance(got, expect, ordered=False)
         checked["optimistic", cfg.alpha != 0.0] += 1
@@ -292,7 +300,7 @@ def test_optimistic_choices_are_cheapest_refinements(monkeypatch):
 
         def rules_out(flips):
             seeds = [enc.an.encode0[x] for x in unflipped if x not in flips]
-            return 0 not in enc.cone.run(seeds, kept)
+            return enc.q not in enc.cone.run(seeds, kept)
 
         fewest = next(k for k in range(1, len(unflipped) + 1)
                       if any(rules_out(set(flips)) for flips in
@@ -319,12 +327,13 @@ def test_choose_optimistic_with_nothing_left_to_flip_raises(smudge, solver):
     """At the top no refinement exists: the optimistic step raises
     NotAModel, as the pessimistic step does on an unsatisfiable constraint,
     and returns no abstraction."""
-    cone = hg.Index.cone(smudge.global_graph, _query(smudge))
-    enc = refine.Encoding(smudge, cone, None, 1.0)
+    q = _query(smudge)
+    cone = _cone(smudge, q)
+    enc = refine.Encoding(smudge, cone, q, None, 1.0)
     cfg = refine.RefineConfig(strategy="optimistic", solver=solver)
     with pytest.raises(NotAModel):
-        refine.choose_optimistic(enc, cone.slice(lambda j: True), analysis_top(smudge),
-                                 cfg)
+        refine.choose_optimistic(enc, cone.slice(enc.q, lambda j: True),
+                                 analysis_top(smudge), cfg)
 
 
 def test_one_encoding_per_solve_that_reaches_a_solver(monkeypatch):
@@ -376,7 +385,8 @@ def test_the_cone_index_agrees_with_the_whole_graph():
             an, a = random_smudge_analysis(rng, max_sites=8)
             # the declared query, or any other fact of the graph
             q = rng.choice([_query(an)] + sorted(an.global_graph.vertices))
-        cone = hg.Index.cone(an.global_graph, q)
+        cone = _cone(an, q)
+        root = cone.ids[q]
         outside += len(cone.arcs) < len(an.global_graph)
         p0 = ana.encode_params(an, a, 0)
         p1 = ana.encode_params(an, a, 1)
@@ -385,15 +395,19 @@ def test_the_cone_index_agrees_with_the_whole_graph():
         derived = lambda j: all(b in dist for b in bodies[j])
         forward = lambda j: heads[j] in dist and all(
             b in dist and dist[b] < dist[heads[j]] for b in bodies[j])
-        assert (q in ana.derive(an, a)) == (0 in dist)
+        assert (q in ana.derive(an, a)) == (root in dist)
         whole = hg.distances(an.global_graph, p0 | p1)
+        # a parameter fact outside the cone is reached only as a seed
+        in_cone = {q} | {f for e in cone.arcs for f in (e.head, *e.body)}
         for u, j in cone.ids.items():
-            assert dist.get(j, hg.INFINITY) == whole.get(u, hg.INFINITY)
+            expect = (whole.get(u, hg.INFINITY) if u in in_cone
+                      else 0 if u in p0 | p1 else hg.INFINITY)
+            assert dist.get(j, hg.INFINITY) == expect
         g_a = ana.local_provenance(an, a)
-        assert (0 in cone.run(p1)) == (q in hg.reach(g_a, p1))
-        assert _sliced(cone, forward) == refine.slice_to_query(
+        assert (root in cone.run(p1)) == (q in hg.reach(g_a, p1))
+        assert _sliced(cone, q, forward) == refine.slice_to_query(
             refine.forward_restrict(g_a, an, a), q)
-        assert _sliced(cone, derived) == refine.slice_to_query(g_a, q)
+        assert _sliced(cone, q, derived) == refine.slice_to_query(g_a, q)
     assert outside >= 100
 
 
@@ -485,22 +499,24 @@ def test_t_of_mixes_old_seeds_with_projected_new_ones(smudge):
     assert hg.parse_fact("cheap(4)") in t  # projected from precise(4)
 
 
-def _forward(cone, an, a):
+def _forward(cone, q, an, a):
     """The ids of q's forward cone arcs under a, sliced to q."""
     dist = cone.run(ana.encode_params(an, a, 0) | ana.encode_params(an, a, 1))
     heads, bodies = cone.heads, cone.bodies
-    return cone.slice(lambda j: heads[j] in dist and all(
+    return cone.slice(cone.ids[q], lambda j: heads[j] in dist and all(
         b in dist and dist[b] < dist[heads[j]] for b in bodies[j]))
 
 
 def test_build_phi_rejects_unreachable_query(smudge):
     a = smudge.bottom()
-    cone = hg.Index.cone(smudge.global_graph, hg.parse_fact("nope(1)"))
-    enc = refine.Encoding(smudge, cone, None, 1.0)
+    nope = hg.parse_fact("nope(1)")
+    cone = _cone(smudge, nope)
+    enc = refine.Encoding(smudge, cone, nope, None, 1.0)
     with pytest.raises(QueryNotInProvenance):
-        refine.build_phi(enc, cone.slice(lambda j: True), a)
-    cone = hg.Index.cone(smudge.global_graph, _query(smudge))
-    enc = refine.Encoding(smudge, cone, None, 1.0)
+        refine.build_phi(enc, cone.slice(enc.q, lambda j: True), a)
+    q = _query(smudge)
+    cone = _cone(smudge, q)
+    enc = refine.Encoding(smudge, cone, q, None, 1.0)
     with pytest.raises(QueryNotInProvenance):
         refine.build_phi(enc, [], a)
 
@@ -508,12 +524,12 @@ def test_build_phi_rejects_unreachable_query(smudge):
 def test_decode_model_round_trip(smudge, smudge_hp):
     a = smudge.bottom()
     q = _query(smudge)
-    cone = hg.Index.cone(smudge.global_graph, q)
-    kept = _forward(cone, smudge, a)
+    cone = _cone(smudge, q)
+    kept = _forward(cone, q, smudge, a)
     g_fwd = hg.Hypergraph(cone.arcs[j] for j in kept)
     assert g_fwd == refine.slice_to_query(
         refine.forward_restrict(ana.local_provenance(smudge, a), smudge, a), q)
-    enc = refine.Encoding(smudge, cone, smudge_hp, 1.0)
+    enc = refine.Encoding(smudge, cone, q, smudge_hp, 1.0)
     phi = refine.build_phi(enc, kept, a)
     model, objective = mx.solve_exact(phi.inst)
     a2, log_success = refine.decode_model(enc, model, phi, a)
@@ -528,9 +544,10 @@ def test_decode_model_round_trip(smudge, smudge_hp):
 def test_success_prob_uses_rule_type_thetas(smudge, smudge_hp):
     """decode_model's log success sums log theta over the selected arcs."""
     a = smudge.bottom()
-    cone = hg.Index.cone(smudge.global_graph, _query(smudge))
-    enc = refine.Encoding(smudge, cone, smudge_hp, 1.0)
-    phi = refine.build_phi(enc, _forward(cone, smudge, a), a)
+    q = _query(smudge)
+    cone = _cone(smudge, q)
+    enc = refine.Encoding(smudge, cone, q, smudge_hp, 1.0)
+    phi = refine.build_phi(enc, _forward(cone, q, smudge, a), a)
     arcs = set(range(1, len(phi.arcs) + 1))
     flip = phi.fact_ids[enc.enc0[smudge.params[0]]]
     _, log_success = refine.decode_model(enc, arcs | {flip}, phi, a)
