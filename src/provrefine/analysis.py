@@ -192,9 +192,9 @@ def check_well_formed(an: Analysis) -> list:
 
 
 @contextlib.contextmanager
-def _reported_at(lineno: int, path: str):
+def reported_at(lineno: int, path: str):
     """Failures to read, parse or ground path are reported at manifest line
-    lineno, as the same error."""
+    lineno (at no line if 0), as the same error naming path and its line."""
     try:
         yield
     except OSError as exc:
@@ -230,7 +230,7 @@ def parse_manifest(text: str, base_dir: str = ".") -> Analysis:
             path = os.path.join(base_dir, value.strip())
             parse = (hg.parse_provenance if key == "provenance"
                      else datalog.parse_program)
-            with _reported_at(lineno, path), open(path) as fh:
+            with reported_at(lineno, path), open(path) as fh:
                 source = lineno, path, key, parse(fh.read())
             section = None
         elif section == "params":
@@ -266,7 +266,7 @@ def parse_manifest(text: str, base_dir: str = ".") -> Analysis:
     lineno, path, key, graph = source
     if key == "rules":
         # every encoding fact is a seed, as the parameters supply them at run time
-        with _reported_at(lineno, path):
+        with reported_at(lineno, path):
             graph = datalog.ground(
                 *graph, seeds={*encode0.values(), *encode1.values()})
     # a template reads its facts' arguments by position: each fact of its

@@ -60,7 +60,9 @@ def cmd_ground(args) -> int:
             raise ParseError(0, "need --rules or --fixture")
         rules, base = datalog.parse_program(_read(args.rules))
         if args.facts:
-            extra_rules, extra = datalog.parse_program(_read(args.facts))
+            with ana.reported_at(0, args.facts):  # its errors name the file
+                extra_rules, extra = datalog.parse_program(_read(args.facts))
+                datalog.check_domain(extra)
             if extra_rules:
                 raise ParseError(0, f"{args.facts} contains rules, not just facts")
             base |= extra

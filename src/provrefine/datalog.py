@@ -28,12 +28,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Iterable, Optional
+from typing import Collection, Iterable, Optional
 
 from .analysis import Analysis, Projection
 from .errors import DomainOverflow, ParseError
-from .hypergraph import (_INT, _NAME, MAX_NESTING, Arc, Fact, Hypergraph,
-                         parse_atom, read_lines, split_top)
+from .hypergraph import (_INT, _NAME, INFINITY, MAX_NESTING, Arc, Fact,
+                         Hypergraph, parse_atom, read_lines, split_top)
 
 BASE_RULE_TYPE = "base"
 DEFAULT_DOMAIN = (0, 255)
@@ -294,11 +294,25 @@ def parse_program(text: str):
 # grounding
 
 
-def _check_domain(fact: Fact, bounds) -> None:
+def _check_domain(fact: Fact, bounds, line: int = 0) -> None:
     lo, hi = bounds
     for a in fact.args:
         if isinstance(a, int) and not lo <= a <= hi:
-            raise DomainOverflow(0, f"{fact}: integer {a} outside [{lo}, {hi}]")
+            raise DomainOverflow(line, f"{fact}: integer {a} outside [{lo}, {hi}]")
+
+
+def check_domain(facts: Collection[Fact], bounds=DEFAULT_DOMAIN) -> None:
+    """Raise DomainOverflow if a fact has an integer outside bounds.  Of
+    several such facts it names the one on the least line if `facts` is
+    `parse_program`'s `BaseFacts`, at that line, else the least in key
+    order; the facts are sorted only once one is found."""
+    try:
+        for f in facts:
+            _check_domain(f, bounds)
+    except DomainOverflow:
+        lines = facts.lines if isinstance(facts, BaseFacts) else {}
+        for f in sorted(facts, key=lambda f: (lines.get(f, INFINITY), f._key())):
+            _check_domain(f, bounds, lines.get(f, 0))
 
 
 class _FactIndex:
@@ -455,8 +469,8 @@ def _guards_hold(guards: list, env: dict) -> bool:
     return True
 
 
-def ground(rules: Iterable[Rule], base: Iterable[Fact],
-           domain_bounds=DEFAULT_DOMAIN, seeds: Iterable[Fact] = ()) -> Hypergraph:
+def ground(rules: Iterable[Rule], base: Collection[Fact],
+           domain_bounds=DEFAULT_DOMAIN, seeds: Collection[Fact] = ()) -> Hypergraph:
     """Semi-naive bottom-up evaluation into a provenance hypergraph.
 
     Base facts are emitted as empty-body arcs; `seeds` are available to
@@ -468,19 +482,14 @@ def ground(rules: Iterable[Rule], base: Iterable[Fact],
     on their bound positions.  A guard that does arithmetic or `<`/`>` on a
     name raises ParseError, and a head integer outside `domain_bounds` or
     a guard's modulus by 0 DomainOverflow, naming the rule and its line
-    (a base fact's line if `base` is `parse_program`'s `BaseFacts`).
+    (a base or seed fact outside it as `check_domain` names it, the base
+    facts first).
     """
     rules = list(rules)
-    lines = base.lines if isinstance(base, BaseFacts) else {}
-    base = frozenset(base)
-    seeds = frozenset(seeds)
-    for f in base | seeds:
-        try:
-            _check_domain(f, domain_bounds)
-        except DomainOverflow as exc:
-            raise DomainOverflow(lines.get(f, 0), exc.message) from exc
+    check_domain(base, domain_bounds)
+    check_domain(seeds, domain_bounds)
 
-    known = set(base | seeds)
+    known = {*base, *seeds}
     index = _FactIndex(known)
     derived = {rule.head.relation for rule in rules}
     plans = [(rule, [((atom.relation, len(atom.args)),

@@ -14,6 +14,9 @@ One kernel computes both: an `Index` numbers a graph's facts and arcs by
 integers and `Index.layers` closes over them from a seed set, returning
 the distances and the forward arcs it fired; `Index.run` keeps the
 distances, `reach` the keys of `Index.close` and `distances` its values.
+Every index numbers by one rule, `_ranked`: facts in `Fact._key` order
+and arcs in `Arc._key` order, whatever the hash seed; the text format
+prints from the same ranking (`serialize_provenance`).
 `Index.sweep` closes from many seed sets in one bit-parallel pass, one bit
 per set, for the callers that have a batch: `likelihood.observe` and
 `likelihood.bound_terms`.  `layers` stays the kernel of the single-set
@@ -23,8 +26,8 @@ took two to three times as long.
 `reach` and `distances` build an index per call.  An analysis caches the
 one index of its global graph (`analysis.Analysis.index`), which `derive`
 closes from each seed set and `likelihood.observe` sweeps from every
-abstraction of a batch; each `refine.solve` numbers the query's backward
-cone and the parameter facts once, in key order (`Index.cone`), and
+abstraction of a batch; each `refine.solve` indexes the query's backward
+cone and the parameter facts once (`Index.cone`), and
 `likelihood.bound_terms` its blueprint.  Distances define forward arcs.
 """
 
@@ -35,7 +38,7 @@ import operator
 import re
 import string
 import sys
-from typing import Callable, Iterable, Optional
+from typing import Callable, Collection, Iterable, Optional
 
 from .errors import ParseError
 
@@ -166,52 +169,49 @@ class Hypergraph:
         return {a.rule_type for a in self.arcs}
 
 
+def _ranked(arcs: Collection[Arc], extra: Iterable[Fact] = ()) -> tuple:
+    """(facts, ids, ranked): the distinct facts of the arcs and of extra in
+    `Fact._key` order, their ids, and per arc (head id, ascending body ids,
+    rule type, arc), sorted: distinct facts have distinct keys, so this is
+    `Arc._key` order."""
+    facts = {f for head, body, _ in arcs for f in (head, *body)}
+    facts = sorted(facts.union(extra), key=Fact._key)
+    ids = {f: i for i, f in enumerate(facts)}
+    rank = ids.__getitem__
+    return facts, ids, sorted((rank(head), sorted(map(rank, body)), rule_type, arc)
+                              for arc in arcs for head, body, rule_type in (arc,))
+
+
 class Index:
     """A graph's facts and arcs numbered by integers, and the closure kernel.
 
-    `facts[i]` is fact i and `ids` its inverse, numbered in order of first
-    mention (`cone`: in key order); `arcs[j]` is arc j, `heads[j]` and
-    `bodies[j]` its fact ids, `into[i]` the arcs into fact i.  An arc is
-    anything with a `head` and a `body`; facts may be any hashable labels.
+    `facts[i]` is fact i and `ids` its inverse, in `Fact._key` order, with
+    the facts of `extra` whether or not an arc mentions them; `arcs[j]` is
+    arc j, in `Arc._key` order, `heads[j]` and `bodies[j]` its fact ids,
+    each body's ascending, and `into[i]` the arcs into fact i.
     """
 
-    def __init__(self, arcs: Iterable = ()):
-        self.ids, self.facts = {}, []
-        self.arcs, self.heads, self.bodies, self.into = [], [], [], []
+    def __init__(self, arcs: Collection[Arc] = (), extra: Iterable[Fact] = ()):
+        self.facts, self.ids, ranked = _ranked(arcs, extra)
+        columns = zip(*ranked) if ranked else ((), (), (), ())
+        self.heads, self.bodies, _, self.arcs = map(list, columns)
+        self.into = [[] for _ in self.facts]
         # per fact the arcs it is a body fact of, per arc its body size, and
         # the arcs with an empty body
-        self._uses, self._sizes, self._empty = [], [], []
-        for arc in arcs:
-            self._add(arc, self._id(arc.head), [self._id(b) for b in arc.body])
-
-    def _id(self, f) -> int:
-        i = self.ids.get(f)
-        if i is None:
-            i = self.ids[f] = len(self.facts)
-            self.facts.append(f)
-            self.into.append([])
-            self._uses.append([])
-        return i
-
-    def _add(self, arc, h: int, body: list) -> None:
-        j = len(self.arcs)
-        self.arcs.append(arc)
-        self.heads.append(h)
-        self.bodies.append(body)
-        self._sizes.append(len(body))
-        self.into[h].append(j)
-        for b in body:
-            self._uses[b].append(j)
-        if not body:
-            self._empty.append(j)
+        self._uses = [[] for _ in self.facts]
+        self._sizes = list(map(len, self.bodies))
+        self._empty = [j for j, n in enumerate(self._sizes) if not n]
+        for j, (h, body) in enumerate(zip(self.heads, self.bodies)):
+            self.into[h].append(j)
+            for b in body:
+                self._uses[b].append(j)
 
     @classmethod
     def cone(cls, g: Hypergraph, q, extra: Iterable) -> "Index":
-        """q's backward cone in g and the facts of `extra`, facts numbered
-        in `Fact._key` order and arcs in `Arc._key` order, which is (head
-        id, ascending body ids, rule type).  A cone fact's reach and
-        distance depend only on the arcs into its own cone, so `run` gives
-        it its value in g; an extra fact outside the cone is only a seed."""
+        """The index of q's backward cone in g and of the facts of `extra`.
+        A cone fact's reach and distance depend only on the arcs into its
+        own cone, so `run` gives it its value in g; an extra fact outside
+        the cone is only a seed."""
         into = {}
         for e in g.arcs:
             into.setdefault(e.head, []).append(e)
@@ -220,14 +220,7 @@ class Index:
             for e in into.pop(f, ()):
                 arcs.append(e)
                 facts.extend(e.body)
-        index = cls()
-        for f in sorted({*facts, *extra}, key=Fact._key):
-            index._id(f)
-        ids = index.ids.__getitem__
-        for h, body, _, e in sorted((ids(e.head), sorted(map(ids, e.body)),
-                                     e.rule_type, e) for e in arcs):
-            index._add(e, h, body)
-        return index
+        return cls(arcs, {q, *extra})
 
     def run(self, t: Iterable, arcs: Optional[Iterable[int]] = None) -> dict:
         """Fact id -> max-plus distance from the seed facts t, for the facts
@@ -502,23 +495,17 @@ def parse_provenance(text: str) -> Hypergraph:
 def serialize_provenance(g: Hypergraph) -> str:
     """Canonical text form; parse(serialize(g)) == g, byte for byte stable.
 
-    Lines follow `Arc._key` order, each as `str(arc)` writes it.  Every
-    distinct fact is ranked once, by one sort on `Fact._key`, and printed
-    once; the arcs then sort by integer keys (head rank, sorted body
-    ranks, rule type).  Distinct facts have distinct keys, so the ranks
-    keep the facts' key order and the arcs sort as by `Arc._key`.  The
-    ranks are dropped, and each arc's key is replaced by its line in
-    place, so the keys, the ranks and the lines are not all held at once;
-    the facts are gathered afresh, not through `Hypergraph.vertices`,
-    which would stay cached on the graph.
+    Lines follow `Arc._key` order, each as `str(arc)` writes it, from the
+    ranking that numbers an `Index` (`_ranked`), without the index's
+    kernel lists: each distinct fact is printed once, the ids are dropped,
+    and each arc's ranked entry is replaced by its line in place.  The
+    facts are gathered afresh, not through `Hypergraph.vertices`, which
+    would stay cached on the graph.
     """
-    rank = {f: i for i, f in enumerate(sorted(
-        {f for head, body, _ in g.arcs for f in (head, *body)}, key=Fact._key))}
-    texts = list(map(str, rank))
-    lines = sorted((rank[head], sorted(map(rank.__getitem__, body)), rule_type)
-                   for head, body, rule_type in g.arcs)
-    del rank
-    for i, (h, body, rule_type) in enumerate(lines):
+    facts, ids, lines = _ranked(g.arcs)
+    del ids
+    texts = list(map(str, facts))
+    for i, (h, body, rule_type, _) in enumerate(lines):
         lines[i] = " ".join([texts[h], "<-", *[texts[b] for b in body],
                              "@", rule_type]) + "\n"
     return "".join(lines)

@@ -146,9 +146,9 @@ def bound_terms(g_bot: Hypergraph, obs: Iterable[Observation]) -> BoundFormula:
     into = index.into
     shared = _ArcSets(arcs)
     per_head = {}
-    for h in sorted((h for h, c in enumerate(cmask) if c and into[h]),
-                    key=lambda h: facts[h]._key()):
-        c = cmask[h]
+    for h, c in enumerate(cmask):  # in id order, which is key order
+        if not (c and into[h]):
+            continue
         a_h = [j for j in into[h] if not refuted[j]]
         if len(a_h) == 1 and fwd[a_h[0]] & w[a_h[0]] & c == c:
             # its one candidate is in every F_k, so in every D_k

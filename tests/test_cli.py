@@ -83,6 +83,55 @@ class TestGround:
         assert run(capsys, "solve", str(m)) == \
             (3, "", f"error: line 3: {src} line 2: {message}\n")
 
+    # of several base facts outside the domain the one on the least line is
+    # named, whatever the hash seed; a seed only when no base fact is, the
+    # least in key order
+    @pytest.mark.parametrize("text, stated", [
+        ("a(300).\nb(400).\nc(500).\nd(600).\n", "a(300): integer 300"),
+        ("d(600).\nc(500).\nb(400).\na(300).\n", "d(600): integer 600")])
+    def test_overflow_in_base_facts_names_the_least_line(self, capsys, tmp_path,
+                                                         text, stated):
+        src = tmp_path / "over.dl"
+        src.write_text(text)
+        assert run(capsys, "ground", "--rules", str(src)) == \
+            (3, "", f"error: line 1: {stated} outside [0, 255]\n")
+        assert run(capsys, "ground", "--rules", str(src), "--seeds", "e(0) a(999)") == \
+            (3, "", f"error: line 1: {stated} outside [0, 255]\n")
+
+    def test_overflow_in_seeds_names_the_least_seed(self, capsys, tmp_path):
+        src = tmp_path / "p.dl"
+        src.write_text("p(1).\nq(X) :- n(X). @r\n")
+        assert run(capsys, "ground", "--rules", str(src),
+                   "--seeds", "z(999) n(300) y(700) n(2)") == \
+            (3, "", "error: n(300): integer 300 outside [0, 255]\n")
+
+    def test_facts_file_is_merged_into_the_grounding(self, capsys, tmp_path):
+        rules, facts = tmp_path / "r.dl", tmp_path / "f.dl"
+        rules.write_text("p(1).\nq(X) :- n(X). @r\n")
+        facts.write_text("n(2).\np(1).\n")
+        assert run(capsys, "ground", "--rules", str(rules), "--facts", str(facts)) == \
+            (0, "n(2) <- @ base\np(1) <- @ base\nq(2) <- n(2) @ r\n", "")
+
+    # an error in the facts file names that file and its line, not a line
+    # that reads as the rules file's
+    @pytest.mark.parametrize("text, code, message", [
+        ("q(2).\nn(256).\n", 3, "line 2: n(256): integer 256 outside [0, 255]"),
+        ("q(2).\nn(2\n", 2, "line 2: statement must end with '.'"),
+        ("q(2).\nn(X) :- q(X). @s\n", 2, "contains rules, not just facts")])
+    def test_an_error_in_the_facts_file_names_it(self, capsys, tmp_path,
+                                                  text, code, message):
+        rules, facts = tmp_path / "r.dl", tmp_path / "f.dl"
+        rules.write_text("p(1).\nq(X) :- n(X). @r\n")
+        facts.write_text(text)
+        assert run(capsys, "ground", "--rules", str(rules), "--facts", str(facts)) == \
+            (code, "", f"error: {facts} {message}\n")
+
+    def test_a_missing_facts_file_exits_2(self, capsys, tmp_path):
+        rules, facts = tmp_path / "r.dl", tmp_path / "nope.dl"
+        rules.write_text("p(1).\n")
+        assert run(capsys, "ground", "--rules", str(rules), "--facts", str(facts)) == \
+            (2, "", f"error: cannot read {facts}: No such file or directory\n")
+
     # an overflow while grounding a rule, from its head or from a guard's
     # modulus, names the rule and its line, as a guard's type error does
     @pytest.mark.parametrize("rule, message", [

@@ -166,10 +166,13 @@ def test_reach_is_the_finite_part_of_distances(seed):
 
 
 def _relabelled(rng, g: Hypergraph) -> Hypergraph:
-    """g with its facts renamed to a mix of facts, strings and tuples."""
+    """g with its facts renamed, one to one, to a mix of facts of other
+    relations and arities and with integer and name arguments at one
+    position, so that key order is not the order of the integers."""
     names = {}
     for v in sorted(g.vertices):
-        names[v] = rng.choice([v, f"n{v.args[0]}", (v.args[0], "x")])
+        i = v.args[0]
+        names[v] = rng.choice([v, Fact("v", (f"n{i}",)), Fact("p", (i, "x"))])
     return Hypergraph(Arc(names[a.head], frozenset(names[b] for b in a.body),
                           a.rule_type) for a in g.arcs)
 
@@ -177,14 +180,14 @@ def _relabelled(rng, g: Hypergraph) -> Hypergraph:
 @given(st.integers(0, 10_000))
 @settings(max_examples=60, deadline=None)
 def test_index_closes_as_the_naive_oracles(seed):
-    """Empty-body arcs, seeds outside the graph and labels that are not
-    facts: close is the naive closure with the brute-force distances,
-    run its restriction to the index, the forward arcs of layers those
-    of `forward_arcs`, and run over a subset of its arcs the naive
-    closure through them."""
+    """Empty-body arcs and seeds outside the graph, some not facts: close
+    is the naive closure with the brute-force distances, run its
+    restriction to the index, the forward arcs of layers those of
+    `forward_arcs`, and run over a subset of its arcs the naive closure
+    through them."""
     rng = random.Random(seed)
     g = _relabelled(rng, random_hypergraph(rng))
-    verts = sorted(g.vertices, key=repr)
+    verts = sorted(g.vertices)
     t = set(rng.sample(verts, rng.randint(0, len(verts))))
     t |= set(rng.sample(["outside", fact(99), (99, "x")], rng.randint(0, 3)))
     index = hg.Index(g.arcs)
@@ -223,7 +226,7 @@ def test_the_kernel_finds_the_forward_arcs(arcs, t, data):
     dist, forward = index.layers(t, some)
     assert dist == index.run(t, some)
     assert len(set(forward)) == len(forward)
-    sub = arcs if some is None else [arcs[j] for j in some]
+    sub = arcs if some is None else [index.arcs[j] for j in some]
     assert {index.arcs[j] for j in forward} == hg.forward_arcs(
         Hypergraph(sub), t).arcs
 
@@ -243,11 +246,11 @@ def _assert_sweep_is_layers_per_set(index, seed_sets):
 @settings(max_examples=80, deadline=None)
 def test_sweep_is_layers_from_each_seed_set(seed):
     """No set, one, a few, or more than 64 (masks of several machine
-    words), over graphs with empty bodies and labels that are not facts,
-    from seeds inside and outside the index."""
+    words), over graphs with empty bodies, from seeds inside and outside
+    the index, some not facts."""
     rng = random.Random(seed)
     g = _relabelled(rng, random_hypergraph(rng))
-    verts = sorted(g.vertices, key=repr)
+    verts = sorted(g.vertices)
     outside = ["outside", fact(99), (99, "x")]
     n = rng.choice([0, 1, rng.randint(2, 8), rng.randint(65, 70)])
     seed_sets = [set(rng.sample(verts, rng.randint(0, len(verts))))
@@ -260,43 +263,57 @@ def test_sweep_on_seeded_heads_and_arcs_that_fire_together():
     head in one layer (both forward), a seed outside the index, and a
     cycle back into a seed, from 0, 1 and 70 seed sets."""
     x, y, z, h, e = (Fact(n) for n in "xyzhe")
-    index = hg.Index([Arc(e, (), "base"), Arc(h, [x], "r"), Arc(h, [y], "r"),
-                      Arc(z, [h, e], "r"), Arc(x, [z], "r")])
+    arcs = [Arc(e, (), "base"), Arc(h, [x], "r"), Arc(h, [y], "r"),
+            Arc(z, [h, e], "r"), Arc(x, [z], "r")]
+    index = hg.Index(arcs)
     base = [{x, y}, {x}, {h}, {h, x}, {Fact("outside")}, set(), {z, y}]
     for seed_sets in ([], base[:1], base * 10):
         _assert_sweep_is_layers_per_set(index, seed_sets)
     reach, forward = index.sweep(base[:1])
-    assert forward == [1, 1, 1, 1, 0]  # both arcs into h fire in layer 1
+    # both arcs into h fire in layer 1; the arc back into seed x is not forward
+    assert [forward[index.arcs.index(a)] for a in arcs] == [1, 1, 1, 1, 0]
     assert reach == [1] * 5
     assert index.sweep([])[1] == [0] * 5
+
+
+def _assert_numbered_in_key_order(index, facts):
+    """index numbers exactly `facts` in `Fact._key` order and its arcs in
+    `Arc._key` order, each body's ids ascending."""
+    assert len(set(index.arcs)) == len(index.arcs)
+    assert index.facts == sorted(facts, key=Fact._key)
+    assert {f: i for i, f in enumerate(index.facts)} == index.ids
+    assert index.arcs == sorted(index.arcs, key=Arc._key)
+    for j, a in enumerate(index.arcs):
+        assert index.facts[index.heads[j]] == a.head
+        assert [index.facts[b] for b in index.bodies[j]] == sorted(
+            a.body, key=Fact._key)
+        assert index.bodies[j] == sorted(index.bodies[j])
+    assert index.into == [[j for j, h in enumerate(index.heads) if h == i]
+                          for i in range(len(index.facts))]
 
 
 @given(st.integers(0, 10_000))
 @settings(max_examples=300, deadline=None)
 def test_the_cone_numbers_facts_and_arcs_in_key_order(seed):
-    """The cone and the extra facts, some outside it, are numbered in
-    `Fact._key` order, the arcs in `Arc._key` order with each body's ids
-    ascending, and the arcs are those of `slice_to_query`."""
+    """An index of a graph and extra facts, some outside it, and the cone
+    and extra facts, are numbered in `Fact._key` order, the arcs in
+    `Arc._key` order with each body's ids ascending; the cone's arcs are
+    those of `slice_to_query`."""
     from provrefine import refine
 
     rng = random.Random(seed)
-    g = random_hypergraph(rng)
-    q = rng.choice(sorted(g.vertices | {fact(99)}))
+    g = _relabelled(rng, random_hypergraph(rng))
+    verts = sorted(g.vertices)
     extra = {fact(i) for i in rng.sample(range(105), rng.randint(0, 4))}
+    extra |= set(rng.sample(verts, rng.randint(0, min(2, len(verts)))))
+    index = hg.Index(g.arcs, extra)
+    assert Hypergraph(index.arcs) == g
+    _assert_numbered_in_key_order(index, g.vertices | extra)
+    q = rng.choice(verts + [fact(99)])
     cone = hg.Index.cone(g, q, extra)
     sliced = refine.slice_to_query(g, q)
     assert Hypergraph(cone.arcs) == sliced
-    assert len(set(cone.arcs)) == len(cone.arcs)
-    assert cone.facts == sorted({q} | sliced.vertices | extra, key=Fact._key)
-    assert {f: i for i, f in enumerate(cone.facts)} == cone.ids
-    assert cone.arcs == sorted(cone.arcs, key=Arc._key)
-    for j, a in enumerate(cone.arcs):
-        assert cone.facts[cone.heads[j]] == a.head
-        assert [cone.facts[b] for b in cone.bodies[j]] == sorted(
-            a.body, key=Fact._key)
-        assert cone.bodies[j] == sorted(cone.bodies[j])
-    assert cone.into == [[j for j, h in enumerate(cone.heads) if h == i]
-                         for i in range(len(cone.facts))]
+    _assert_numbered_in_key_order(cone, {q} | sliced.vertices | extra)
 
 
 def test_forward_arcs_definition():
