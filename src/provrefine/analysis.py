@@ -136,8 +136,16 @@ def derive(an: Analysis, a: Abstraction) -> frozenset:
 
 
 def local_provenance(an: Analysis, a: Abstraction) -> Hypergraph:
-    """Restriction of the global provenance to the facts derived under a."""
-    return hg.induced(an.global_graph, derive(an, a))
+    """Restriction of the global provenance to the facts derived under a,
+    `hg.induced(an.global_graph, derive(an, a))`: the arcs whose body the
+    closure reaches, whose heads it then reaches too.  It closes the
+    analysis's index over fact ids and returns the graph cut from that
+    index (`Index.cut`), whose own index is a restriction, not a ranking."""
+    seeds = encode_params(an, a, 0) | encode_params(an, a, 1)
+    index = an.index
+    reached = set(index.run(seeds))
+    return index.cut(j for j, body in enumerate(index.bodies)
+                     if reached.issuperset(body))
 
 
 def project_set(an: Analysis, t: Iterable[Fact]) -> frozenset:

@@ -41,7 +41,9 @@ EXIT_LIMIT = 4
 
 
 def _read(path: str) -> str:
-    with open(path) as fh:
+    """The text of path; a file that cannot be read is a ParseError naming
+    it (`error: cannot read PATH: ...`, exit 2)."""
+    with ana.reported_at(0, path), open(path) as fh:
         return fh.read()
 
 
@@ -60,8 +62,9 @@ def cmd_ground(args) -> int:
             raise ParseError(0, "need --rules or --fixture")
         rules, base = datalog.parse_program(_read(args.rules))
         if args.facts:
+            text = _read(args.facts)
             with ana.reported_at(0, args.facts):  # its errors name the file
-                extra_rules, extra = datalog.parse_program(_read(args.facts))
+                extra_rules, extra = datalog.parse_program(text)
                 datalog.check_domain(extra)
             if extra_rules:
                 raise ParseError(0, f"{args.facts} contains rules, not just facts")

@@ -14,9 +14,11 @@ One kernel computes both: an `Index` numbers a graph's facts and arcs by
 integers and `Index.layers` closes over them from a seed set, returning
 the distances and the forward arcs it fired; `Index.run` keeps the
 distances, `reach` the keys of `Index.close` and `distances` its values.
-Every index numbers by one rule, `_ranked`: facts in `Fact._key` order
-and arcs in `Arc._key` order, whatever the hash seed; the text format
-prints from the same ranking (`serialize_provenance`).
+Every index numbers by one rule: facts in `Fact._key` order and arcs in
+`Arc._key` order, whatever the hash seed.  `_ranked` sorts them, and the
+text format prints from the same ranking (`serialize_provenance`);
+`Index.restrict` keeps the order of a subset of an index's arcs, which
+is that order already, and ranks nothing again.
 `Index.sweep` closes from many seed sets in one bit-parallel pass, one bit
 per set, for the callers that have a batch: `likelihood.observe` and
 `likelihood.bound_terms`.  `layers` stays the kernel of the single-set
@@ -27,8 +29,12 @@ took two to three times as long.
 one index of its global graph (`analysis.Analysis.index`), which `derive`
 closes from each seed set and `likelihood.observe` sweeps from every
 abstraction of a batch; each `refine.solve` indexes the query's backward
-cone and the parameter facts once (`Index.cone`), and
-`likelihood.bound_terms` its blueprint.  Distances define forward arcs.
+cone and the parameter facts once (`Index.cone`).  `Index.cut` makes the
+graph of a subset of an index's arcs that remembers the index and the
+ids: `analysis.local_provenance` cuts its graph from the analysis's
+index, and `likelihood.bound_terms` takes its blueprint's index from
+`Hypergraph.index`, a restriction for a cut and `Index(arcs)` for any
+other graph.  Distances define forward arcs.
 """
 
 from __future__ import annotations
@@ -140,10 +146,28 @@ class Arc(_Record):
 
 
 class Hypergraph:
-    """An immutable set of arcs; vertices are the facts the arcs mention."""
+    """An immutable set of arcs; vertices are the facts the arcs mention.
+
+    A graph cut from an index (`Index.cut`) remembers that index and its
+    arc ids, so `index` restricts that index instead of ranking the arcs.
+    """
+
+    _cut = None  # (parent index, arc ids) of a cut
 
     def __init__(self, arcs: Iterable[Arc] = ()):
         self.arcs = frozenset(arcs)
+
+    def __reduce__(self):
+        # copies and pickles are plain graphs: they leave the parent behind
+        return type(self), (self.arcs,)
+
+    def index(self) -> "Index":
+        """The graph's `Index`, made anew on each call: the restriction of
+        the parent index for a cut, `Index(arcs)` for any other graph."""
+        if self._cut is None:
+            return Index(self.arcs)
+        parent, arc_ids = self._cut
+        return parent.restrict(arc_ids)
 
     @functools.cached_property
     def vertices(self) -> frozenset:
@@ -194,7 +218,12 @@ class Index:
     def __init__(self, arcs: Collection[Arc] = (), extra: Iterable[Fact] = ()):
         self.facts, self.ids, ranked = _ranked(arcs, extra)
         columns = zip(*ranked) if ranked else ((), (), (), ())
-        self.heads, self.bodies, _, self.arcs = map(list, columns)
+        heads, bodies, _, arcs = map(list, columns)
+        self._link(heads, bodies, arcs)
+
+    def _link(self, heads: list, bodies: list, arcs: list) -> None:
+        """Set the arc columns, given `facts`, and the lists the kernels walk."""
+        self.heads, self.bodies, self.arcs = heads, bodies, arcs
         self.into = [[] for _ in self.facts]
         # per fact the arcs it is a body fact of, per arc its body size, and
         # the arcs with an empty body
@@ -221,6 +250,36 @@ class Index:
                 arcs.append(e)
                 facts.extend(e.body)
         return cls(arcs, {q, *extra})
+
+    def restrict(self, arc_ids: Iterable[int]) -> "Index":
+        """The index of the arcs with the distinct ids arc_ids, equal field
+        by field to `Index` of those arcs.  Facts and arcs keep their order
+        here, ascending ids, which is key order, so nothing is ranked again:
+        renumbering the facts in order keeps each body ascending and the
+        arcs in `Arc._key` order."""
+        arc_ids = sorted(arc_ids)
+        heads, bodies = self.heads, self.bodies
+        kept = {heads[j] for j in arc_ids}
+        for j in arc_ids:
+            kept.update(bodies[j])
+        kept = sorted(kept)
+        rank = dict(zip(kept, range(len(kept))))
+        sub = object.__new__(type(self))
+        sub.facts = list(map(self.facts.__getitem__, kept))
+        sub.ids = dict(zip(sub.facts, range(len(kept))))
+        sub._link([rank[heads[j]] for j in arc_ids],
+                  [[rank[b] for b in bodies[j]] for j in arc_ids],
+                  list(map(self.arcs.__getitem__, arc_ids)))
+        return sub
+
+    def cut(self, arc_ids: Iterable[int]) -> Hypergraph:
+        """The graph of the arcs with the distinct ids arc_ids, which keeps
+        this index and the ids, not an index of its own: its `index` is
+        their `restrict`."""
+        arc_ids = tuple(arc_ids)
+        g = Hypergraph(map(self.arcs.__getitem__, arc_ids))
+        g._cut = self, arc_ids
+        return g
 
     def run(self, t: Iterable, arcs: Optional[Iterable[int]] = None) -> dict:
         """Fact id -> max-plus distance from the seed facts t, for the facts

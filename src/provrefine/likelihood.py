@@ -96,11 +96,15 @@ class _ArcSets(dict):
 def bound_terms(g_bot: Hypergraph, obs: Iterable[Observation]) -> BoundFormula:
     """The refuted arcs and the per-head clauses of both bounds.
 
-    One `hg.Index` of g_bot serves every observation, and each fact and
-    arc holds one bit per observation k.  Per fact, `rmask` marks the k
-    with the fact in r and `cmask` the k that derive it (r - t); per arc,
-    W is the AND of its body facts' `rmask` (all ones for an empty body),
-    so bit k of W says the body lies in r_k.  An arc is refuted iff W has
+    One index of g_bot serves every observation: `g_bot.index()`, the
+    restriction of the analysis's index when g_bot is cut from it (as
+    `local_provenance` returns it), so nothing is ranked again, and
+    `hg.Index` of its arcs otherwise.  A self-loop arc is refused, the
+    least in key order named.  Each fact and arc holds one bit per
+    observation k.  Per fact, `rmask` marks the k with the fact in r and
+    `cmask` the k that derive it (r - t); per arc, W is the AND of its
+    body facts' `rmask` (all ones for an empty body), so bit k of W says
+    the body lies in r_k.  An arc is refuted iff W has
     a bit its head's `rmask` lacks; `dmask = W & cmask[head]` marks the
     D_k holding it, and `fmask`, that and the arcs forward from t_k, the
     F_k, all from one `Index.sweep` from every t_k.  A head's clause
@@ -108,11 +112,11 @@ def bound_terms(g_bot: Hypergraph, obs: Iterable[Observation]) -> BoundFormula:
     an arc set once, so equal clauses in the result are one object.
     """
     obs = list(obs)
-    for arc in g_bot.arcs:
-        if arc.head in arc.body:
-            raise SelfLoopArc(str(arc))
-    index = hg.Index(g_bot.arcs)
+    index = g_bot.index()
     ids, facts, arcs = index.ids, index.facts, index.arcs
+    for h, body, arc in zip(index.heads, index.bodies, arcs):
+        if h in body:  # the first in id order is the least in key order
+            raise SelfLoopArc(str(arc))
     seen = []  # per observation: (t, r - t as fact ids)
     for o in obs:
         derived = list(map(ids.get, o.r - o.t))

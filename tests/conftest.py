@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
+import pickle
 import random
 from typing import Iterable
 
@@ -51,6 +53,27 @@ def random_hypergraph(rng: random.Random, max_verts: int = 12,
         arcs.add(Arc(fact(head), frozenset(fact(b) for b in body),
                      rng.choice(rule_types)))
     return Hypergraph(arcs)
+
+
+def assert_same_index(got, want, seed_sets=()) -> None:
+    """Two `Index`es are equal field by field (`facts`, `ids`, `heads`,
+    `bodies`, `arcs`, `into` and the kernel's own lists), and `layers` and
+    `sweep` give the same outputs from the seed sets."""
+    assert vars(got).keys() == vars(want).keys()
+    for name in vars(want):
+        assert getattr(got, name) == getattr(want, name), name
+    seed_sets = list(seed_sets)
+    for t in seed_sets:
+        assert got.layers(t) == want.layers(t)
+    assert got.sweep(seed_sets) == want.sweep(seed_sets)
+
+
+def copies(obj) -> list:
+    """obj's shallow and deep copies and its round trips through every
+    pickle protocol."""
+    return [copy.copy(obj), copy.deepcopy(obj)] + [
+        pickle.loads(pickle.dumps(obj, protocol))
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
 
 
 def random_seed_set(rng: random.Random, g: Hypergraph) -> frozenset:

@@ -41,7 +41,7 @@ def observe(an: Analysis, a: Abstraction) -> Observation:
 
 def bound_terms(g_bot: Hypergraph, obs: Iterable[Observation]) -> BoundFormula:
     obs = list(obs)
-    for arc in g_bot.arcs:
+    for arc in g_bot.sorted_arcs():  # the least self-loop arc in key order
         if arc.head in arc.body:
             raise SelfLoopArc(str(arc))
     for o in obs:

@@ -12,6 +12,8 @@ from provrefine.hypergraph import Fact
 from analysis_reference import (abstraction_top, all_abstractions, analysis_top,
                                 check_monotone, check_predictable, directive_lines,
                                 from_dict, save_manifest, value)
+from conftest import (assert_same_index, copies, random_gadget,
+                      random_smudge_analysis)
 
 
 @pytest.fixture(scope="module")
@@ -103,11 +105,24 @@ def test_derive_monotone_queries(smudge):
 
 
 def test_local_provenance_is_induced_restriction(smudge):
-    a = smudge.bottom()
-    g_a = ana.local_provenance(smudge, a)
-    seeds = ana.encode_params(smudge, a, 0) | ana.encode_params(smudge, a, 1)
-    reached = hg.reach(smudge.global_graph, seeds)
-    assert g_a == hg.induced(smudge.global_graph, reached)
+    """Over random analyses, cyclic ones among them, and random
+    abstractions: the local provenance is the induced graph of the facts
+    derived, its index, restricted from the analysis's, equals `Index` of
+    its arcs, and it and its copies and pickles equal the plain graph."""
+    rng = random.Random(41)
+    cases = [(smudge, a) for a in all_abstractions(smudge)]
+    for _ in range(40):
+        cases.append(random_smudge_analysis(rng, max_sites=10))
+        an = random_gadget(rng)[0]
+        cases.append((an, an.bottom().with_flips(
+            p for p in an.params if rng.random() < 0.5)))
+    for an, a in cases:
+        g = ana.local_provenance(an, a)
+        plain = hg.induced(an.global_graph, ana.derive(an, a))
+        assert g == plain
+        seed_sets = [ana.encode_params(an, b, 1) for b in (a, an.bottom())]
+        assert_same_index(g.index(), hg.Index(plain.arcs), seed_sets)
+        assert all(dup == plain for dup in copies(g))
 
 
 def test_manifest_round_trip(tmp_path, smudge):

@@ -48,9 +48,9 @@ class TestGround:
         assert "path(1,2) <- edge(1,2) @ step" in out
 
     def test_missing_file_exits_2(self, capsys, tmp_path):
-        code, _, err = run(capsys, "ground", "--rules",
-                           str(tmp_path / "nope.dl"))
-        assert code == 2 and "error" in err
+        rules = tmp_path / "nope.dl"
+        assert run(capsys, "ground", "--rules", str(rules)) == \
+            (2, "", f"error: cannot read {rules}: No such file or directory\n")
 
     def test_parse_error_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.dl"
@@ -509,6 +509,15 @@ class TestLikelihood:
         code, out, err = run(capsys, "likelihood", b, o, str(repeated))
         assert code == 2 and out == "" and f"line {len(lines) + 1}" in err
 
+    def test_an_unreadable_blueprint_or_observation_file_exits_2(
+            self, capsys, tmp_path, files):
+        b, o, t = files
+        missing = tmp_path / "nope.prov"
+        assert run(capsys, "likelihood", str(missing), o, t) == \
+            (2, "", f"error: cannot read {missing}: No such file or directory\n")
+        assert run(capsys, "likelihood", b, str(tmp_path), t) == \
+            (2, "", f"error: cannot read {tmp_path}: Is a directory\n")
+
     def test_theta_missing_a_rule_type_exits_2(self, capsys, tmp_path, files):
         b, o, _ = files
         theta = datalog.smudge_theta()
@@ -687,6 +696,13 @@ class TestMaxsat:
         code, out, _ = run(capsys, "maxsat", str(inst),
                            "--import-model", str(model))
         assert code == 0 and "model: a" in out
+
+    def test_an_unreadable_instance_or_model_exits_2(self, capsys, tmp_path):
+        inst, missing = tmp_path / "i.txt", tmp_path / "nope.txt"
+        inst.write_text("w a 1.0\nhard a\n")
+        for argv in ([str(missing)], [str(inst), "--import-model", str(missing)]):
+            assert run(capsys, "maxsat", *argv) == \
+                (2, "", f"error: cannot read {missing}: No such file or directory\n")
 
 
 # --- the exit-code contract on arbitrary input -------------------------------

@@ -1,6 +1,4 @@
-import copy
 import itertools
-import pickle
 import random
 
 import pytest
@@ -10,8 +8,8 @@ import provrefine.hypergraph as hg
 from provrefine.hypergraph import Arc, Fact, Hypergraph, INFINITY
 
 import loop_formula_reference as lfr
-from conftest import (brute_force_distances, fact, naive_closure,
-                      random_hypergraph, random_seed_set)
+from conftest import (assert_same_index, brute_force_distances, copies, fact,
+                      naive_closure, random_hypergraph, random_seed_set)
 
 
 def test_fact_parse_and_str_round_trip():
@@ -56,10 +54,7 @@ _ARC = Arc(Fact("v", (3,)), [Fact("q"), Fact("flow", ("s0", 0))], "r")
 @pytest.mark.parametrize("obj", [_HEAD, Fact("q"), _ARC],
                          ids=["fact", "nullary", "arc"])
 def test_copies_and_pickles_keep_the_type_and_the_fields(obj):
-    copies = [copy.copy(obj), copy.deepcopy(obj)]
-    copies += [pickle.loads(pickle.dumps(obj, protocol))
-               for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
-    for dup in copies:
+    for dup in copies(obj):
         assert type(dup) is type(obj) and dup == obj
         assert repr(dup) == repr(obj)
 
@@ -314,6 +309,33 @@ def test_the_cone_numbers_facts_and_arcs_in_key_order(seed):
     sliced = refine.slice_to_query(g, q)
     assert Hypergraph(cone.arcs) == sliced
     _assert_numbered_in_key_order(cone, {q} | sliced.vertices | extra)
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=300, deadline=None)
+def test_a_restriction_is_the_index_of_its_arcs(seed):
+    """Any subset of an index's arcs, given in any order, over graphs with
+    empty bodies, self-loops and mixed integer and name arguments: the
+    restriction and the index of a cut equal `Index` of the arcs, and the
+    cut, its copies and its pickles equal the plain graph."""
+    rng = random.Random(seed)
+    g = _relabelled(rng, random_hypergraph(rng))
+    loops = rng.sample(sorted(g.vertices), min(2, len(g.vertices)))
+    g = Hypergraph([*g.arcs, *(Arc(v, [v], "loop") for v in loops)])
+    extra = {fact(i) for i in rng.sample(range(105), rng.randint(0, 2))}
+    index = hg.Index(g.arcs, extra)
+    some = [j for j in range(len(index.arcs)) if rng.random() < rng.random()]
+    rng.shuffle(some)
+    plain = Hypergraph(index.arcs[j] for j in some)
+    seed_sets = [random_seed_set(rng, g) for _ in range(rng.randint(0, 3))]
+    want = hg.Index(plain.arcs)
+    assert_same_index(index.restrict(some), want, seed_sets)
+    cut = index.cut(some)
+    assert cut == plain
+    assert_same_index(cut.index(), want, seed_sets)
+    for dup in copies(cut):
+        assert type(dup) is Hypergraph and dup == plain
+        assert_same_index(dup.index(), want, seed_sets)
 
 
 def test_forward_arcs_definition():

@@ -129,8 +129,15 @@ def test_sample_training_indexes_the_global_graph_once(monkeypatch):
     ana.local_provenance(an, a)
     lk.observe(an, [a])
     learning.sample_training(an, 20, 3, random.Random(0))
-    learning.sample_training(an, 20, 3, random.Random(1))
+    ts = learning.sample_training(an, 20, 3, random.Random(1))
     assert len(calls) == 1  # the analysis's own index serves every closure
+    # and its ranking every blueprint: bound terms restrict it
+    ranked = hg._ranked
+    monkeypatch.setattr(hg, "_ranked", lambda *args: calls.append(2) or ranked(*args))
+    ts = learning.TrainingSet.merge(
+        [ts, learning.sample_training(an, 20, 3, random.Random(2))])
+    learning.learn(ts)
+    assert calls == [1]
 
 
 def test_sample_training_is_the_same_before_and_after_the_index_is_cached():

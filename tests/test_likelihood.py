@@ -91,6 +91,16 @@ def test_self_loop_arcs_are_rejected():
         lk.bound_terms(g, [lk.Observation(frozenset(), frozenset())])
 
 
+def test_the_least_self_loop_arc_in_key_order_is_named():
+    # not whichever arc the frozenset yields first, which follows the hash seed
+    g = hg.parse_provenance("e <- e @ t\nb <- d @ u\nc <- c d @ s\na <- b a @ r\n")
+    obs = [lk.Observation(frozenset(), frozenset())]
+    for bound_terms in (lk.bound_terms, likelihood_reference.bound_terms):
+        with pytest.raises(SelfLoopArc) as exc:
+            bound_terms(g, obs)
+        assert str(exc.value) == "a <- a b @ r"
+
+
 def test_foreign_facts_are_rejected():
     a, b = _f("a"), _f("b")
     g = Hypergraph([Arc(b, frozenset([a]), "r")])
