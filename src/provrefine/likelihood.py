@@ -154,9 +154,10 @@ def bound_terms(g_bot: Hypergraph, obs: Iterable[Observation]) -> BoundFormula:
         if not (c and into[h]):
             continue
         a_h = [j for j in into[h] if not refuted[j]]
+        candidates = shared[frozenset(a_h)]
         if len(a_h) == 1 and fwd[a_h[0]] & w[a_h[0]] & c == c:
             # its one candidate is in every F_k, so in every D_k
-            lower = upper = (shared[frozenset(a_h)],) * c.bit_count()
+            lower = upper = (candidates,) * c.bit_count()
         else:
             ks = [k for k in range(c.bit_length()) if c >> k & 1]
             dmask = [w[j] & c for j in a_h]
@@ -165,9 +166,7 @@ def bound_terms(g_bot: Hypergraph, obs: Iterable[Observation]) -> BoundFormula:
                 j for j, m in zip(a_h, fmask) if m >> k & 1)] for k in ks)
             upper = tuple(shared[frozenset(
                 j for j, m in zip(a_h, dmask) if m >> k & 1)] for k in ks)
-        per_head[facts[h]] = PerHead(
-            candidates=shared[frozenset(a_h)],
-            lower_clauses=lower, upper_clauses=upper)
+        per_head[facts[h]] = PerHead(candidates, lower, upper)
     return BoundFormula(
         frozenset(arcs[j] for j, bad in enumerate(refuted) if bad), per_head)
 
