@@ -47,6 +47,13 @@ def _read(path: str) -> str:
         return fh.read()
 
 
+def _read_theta(path: str) -> pm.HyperParams:
+    """The θ file at path; its errors name it (`error: PATH line N: ...`)."""
+    text = _read(path)
+    with ana.reported_at(0, path):
+        return pm.parse_hyperparams(text)
+
+
 def _load_manifest(path: str) -> ana.Analysis:
     an = ana.load_manifest(path)
     if violations := ana.check_well_formed(an):
@@ -98,7 +105,7 @@ def cmd_solve(args) -> int:
         raise ParseError(0, "the analysis declares no query")
     if args.strategy == "probabilistic" and not args.theta:
         raise ParseError(0, "--strategy probabilistic needs --theta")
-    hp = pm.load_hyperparams(args.theta) if args.theta else None
+    hp = _read_theta(args.theta) if args.theta else None
     cfg = refine.RefineConfig(
         strategy=args.strategy,
         alpha=args.alpha,
@@ -149,7 +156,7 @@ def cmd_learn(args) -> int:
 def cmd_likelihood(args) -> int:
     graph = hg.parse_provenance(_read(args.blueprint))
     obs = lk.parse_observations(_read(args.obs))
-    hp = pm.load_hyperparams(args.theta)
+    hp = _read_theta(args.theta)
     pm.validate_hyperparams(hp, graph)
     if args.mode == "exact":
         value = lk.exact_likelihood(graph, obs, hp)

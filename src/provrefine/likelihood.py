@@ -5,22 +5,24 @@ were derived (R) in one analysis run.  The probability that a random
 sub-hypergraph H of the blueprint, keeping each arc with its rule type's
 theta (`probmodel.HyperParams`), reproduces a batch of observations
 (reach(H, T_k) = R_k for all k) is bounded below and above by products
-of per-head weighted model counts, which `Bound` evaluates once per
-distinct head shape; `exact_likelihood` enumerates every sub-hypergraph
-for the exact value on small instances.
+of per-head weighted model counts.  `bound_terms` counts the heads of
+each distinct shape, read off its bit masks, and `Bound` compiles each
+shape's count once and evaluates it under any theta; `exact_likelihood`
+enumerates every sub-hypergraph for the exact value on small instances.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable
 
 from . import hypergraph as hg
 from .analysis import Abstraction, Analysis, encode_params, project_set
 from .errors import (ObservationOutOfRange, OracleLimitExceeded, ParseError,
                      SelfLoopArc)
-from .hypergraph import Arc, Hypergraph
+from .hypergraph import Hypergraph
 from .probmodel import NEG_INF, HyperParams, validate_hyperparams
 
 EXACT_ARC_LIMIT = 15  # exact_likelihood enumerates the subsets of at most this many arcs
@@ -76,9 +78,27 @@ class PerHead:
 
 @dataclass
 class BoundFormula:
+    """The terms of both bounds over one blueprint.
+
+    A head's shape is its clauses up to renaming arcs: (rule types,
+    clauses), where the arcs some clause holds become positions in
+    `Arc._key` order and each distinct clause is one frozenset of
+    positions, so that every head of a shape has bit for bit the shape's
+    weighted count.  `per_head` holds the clauses as arc sets; it is built
+    on first read, from the bit masks `bound_terms` keeps in `_masks`.
+    """
+
     negated_arcs: frozenset  # N: arcs refuted by some observation
-    per_head: dict  # Fact -> PerHead
+    n_counts: dict  # rule type -> its arcs in N, by first arc in key order
+    lower_shapes: dict  # shape of A_h ∩ F_k -> heads, by first head in key order
+    upper_shapes: dict  # shape of A_h ∩ D_k -> heads, likewise
     impossible: bool = False  # some observation had t ⊄ r
+    _masks: tuple = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def per_head(self) -> dict:
+        """Fact -> PerHead, in key order."""
+        return _per_head(*self._masks) if self._masks else {}
 
 
 class _ArcSets(dict):
@@ -94,7 +114,7 @@ class _ArcSets(dict):
 
 
 def bound_terms(g_bot: Hypergraph, obs: Iterable[Observation]) -> BoundFormula:
-    """The refuted arcs and the per-head clauses of both bounds.
+    """The refuted arcs and the per-head shapes of both bounds.
 
     One index of g_bot serves every observation: `g_bot.index()`, the
     restriction of the analysis's index when g_bot is cut from it (as
@@ -108,8 +128,8 @@ def bound_terms(g_bot: Hypergraph, obs: Iterable[Observation]) -> BoundFormula:
     a bit its head's `rmask` lacks; `dmask = W & cmask[head]` marks the
     D_k holding it, and `fmask`, that and the arcs forward from t_k, the
     F_k, all from one `Index.sweep` from every t_k.  A head's clause
-    for k is its candidates with bit k set.  Each distinct clause becomes
-    an arc set once, so equal clauses in the result are one object.
+    for k is its candidates with bit k set, and its shape comes from
+    those masks alone (`_head_shape`).
     """
     obs = list(obs)
     index = g_bot.index()
@@ -125,7 +145,7 @@ def bound_terms(g_bot: Hypergraph, obs: Iterable[Observation]) -> BoundFormula:
                 "observation derives facts foreign to the blueprint")
         seen.append((o.t, derived))
     if any(not o.consistent() for o in obs):
-        return BoundFormula(frozenset(), {}, impossible=True)
+        return BoundFormula(frozenset(), {}, {}, {}, impossible=True)
 
     rmask, cmask = [0] * len(facts), [0] * len(facts)
     for k, (t, derived) in enumerate(seen):
@@ -147,13 +167,81 @@ def bound_terms(g_bot: Hypergraph, obs: Iterable[Observation]) -> BoundFormula:
         w.append(m)
     refuted = [w[j] & ~rmask[h] for j, h in enumerate(heads)]
 
+    types = [arc.rule_type for arc in arcs]
+    lower, upper = {}, {}
+    for _, c, a_h in _candidates(index, cmask, refuted):
+        if len(a_h) == 1:  # three bit tests per bound
+            j = a_h[0]
+            d = w[j] & c
+            lo = _one_arc_shape(types[j], d & fwd[j], c)
+            up = _one_arc_shape(types[j], d, c)
+        else:
+            dmask = [w[j] & c for j in a_h]
+            fmask = [m & fwd[j] for m, j in zip(dmask, a_h)]
+            lo = _head_shape(types, a_h, fmask, c)
+            up = _head_shape(types, a_h, dmask, c)
+        lower[lo] = lower.get(lo, 0) + 1
+        upper[up] = upper.get(up, 0) + 1
+    negated, n_counts = [], {}
+    for j, bad in enumerate(refuted):
+        if bad:
+            negated.append(arcs[j])
+            n_counts[types[j]] = n_counts.get(types[j], 0) + 1
+    return BoundFormula(frozenset(negated), n_counts, lower, upper,
+                        _masks=(index, cmask, refuted, fwd, w))
+
+
+def _candidates(index: hg.Index, cmask: list, refuted: list):
+    """(h, c, a_h) per fact h with arcs into it that some observation
+    derives: c is its cmask and a_h its unrefuted arcs, in id order, which
+    is key order."""
     into = index.into
-    shared = _ArcSets(arcs)
+    for h, c in enumerate(cmask):
+        if c and into[h]:
+            yield h, c, [j for j in into[h] if not refuted[j]]
+
+
+_NO_ARC = ((), frozenset([frozenset()]))  # every clause empty
+_ALWAYS = frozenset([frozenset([0])])  # one arc, in every clause
+_SOMETIMES = frozenset([frozenset(), frozenset([0])])  # one arc, in some
+
+
+def _one_arc_shape(rule_type: str, m: int, c: int) -> tuple:
+    """The shape of a head's clauses when it has one candidate, of type
+    rule_type, in the clauses of the bits of m (within c)."""
+    if not m:
+        return _NO_ARC
+    return (rule_type,), _ALWAYS if m == c else _SOMETIMES
+
+
+def _head_shape(types: list, a_h: list, masks: list, c: int) -> tuple:
+    """The shape of the clauses, one per bit k of c, where clause k holds
+    the candidates a_h[i] with bit k in masks[i] (each within c).
+
+    Only the arcs in some clause get a position, in the order of a_h, and
+    equal clauses count once.
+    """
+    distinct = set()  # each clause as a mask over the candidates
+    for k in range(c.bit_length()):
+        if c >> k & 1:
+            distinct.add(sum(1 << i for i, m in enumerate(masks) if m >> k & 1))
+    used = 0
+    for cl in distinct:
+        used |= cl
+    pos = [i for i in range(len(a_h)) if used >> i & 1]
+    return (tuple(types[a_h[i]] for i in pos),
+            frozenset(frozenset(p for p, i in enumerate(pos) if cl >> i & 1)
+                      for cl in distinct))
+
+
+def _per_head(index: hg.Index, cmask: list, refuted: list, fwd: list,
+              w: list) -> dict:
+    """Each head's candidates and clauses as arc sets, from `bound_terms`'
+    masks.  Each distinct clause becomes an arc set once, so equal clauses
+    are one object."""
+    shared = _ArcSets(index.arcs)
     per_head = {}
-    for h, c in enumerate(cmask):  # in id order, which is key order
-        if not (c and into[h]):
-            continue
-        a_h = [j for j in into[h] if not refuted[j]]
+    for h, c, a_h in _candidates(index, cmask, refuted):
         candidates = shared[frozenset(a_h)]
         if len(a_h) == 1 and fwd[a_h[0]] & w[a_h[0]] & c == c:
             # its one candidate is in every F_k, so in every D_k
@@ -166,69 +254,66 @@ def bound_terms(g_bot: Hypergraph, obs: Iterable[Observation]) -> BoundFormula:
                 j for j, m in zip(a_h, fmask) if m >> k & 1)] for k in ks)
             upper = tuple(shared[frozenset(
                 j for j, m in zip(a_h, dmask) if m >> k & 1)] for k in ks)
-        per_head[facts[h]] = PerHead(candidates, lower, upper)
-    return BoundFormula(
-        frozenset(arcs[j] for j, bad in enumerate(refuted) if bad), per_head)
+        per_head[index.facts[h]] = PerHead(candidates, lower, upper)
+    return per_head
 
 
-def _wmc_clauses(clauses, theta) -> float:
-    """Weighted count of assignments satisfying a monotone CNF.
+def _compile(clauses) -> tuple:
+    """The weighted count of assignments satisfying a monotone CNF, as
+    (root, steps) for `_run` to evaluate under any theta.
 
     Variables are arcs, or arc positions of a shape; variable v is true
     with probability theta[v], and variables outside every clause
     marginalize away.  Shannon expansion on the least variable, with
-    memoization on the remaining clause set.  The expansion runs on an
-    explicit stack, as its depth grows with the number of variables: a
-    clause set pushes its two branches, the one with the variable true
-    on top, beneath them a tuple that sums their values once both are
-    counted.
+    memoization on the remaining clause set: each clause set gets a slot,
+    0 for one holding the empty clause (count 0.0), 1 for the empty set
+    (count 1.0), and i + 2 for the one that step i counts, `(var, on,
+    off)`, from the slots of its branches with var true and with var
+    false, which earlier steps fill.  The expansion runs on an explicit
+    stack, as its depth grows with the number of variables: a clause set
+    pushes its two branches, the one with the variable true on top,
+    beneath them a tuple that makes its step once both have slots.
     """
     root = frozenset(frozenset(c) for c in clauses)
-    memo = {}
+    slot, steps = {}, []
     stack = [root]
     while stack:
         cls = stack.pop()
         if type(cls) is tuple:
-            cls, p, on, off = cls
-            memo[cls] = p * memo[on] + (1.0 - p) * memo[off]
-        elif cls not in memo:
+            cls, var, on, off = cls
+            steps.append((var, slot[on], slot[off]))
+            slot[cls] = len(steps) + 1
+        elif cls not in slot:
             if not cls:
-                memo[cls] = 1.0
+                slot[cls] = 1
             elif frozenset() in cls:
-                memo[cls] = 0.0
+                slot[cls] = 0
             else:
                 var = min(min(c) for c in cls)
                 on = frozenset(c for c in cls if var not in c)
                 off = frozenset(
                     (c - {var}) if var in c else c for c in cls)
-                stack += ((cls, theta[var], on, off), off, on)
-    return memo[root]
+                stack += ((cls, var, on, off), off, on)
+    return slot[root], steps
 
 
-def _shape(clauses: tuple) -> tuple:
-    """A head's clauses up to renaming arcs: (rule types, clauses).
-
-    Arcs become positions numbered in `Arc._key` order, so `_wmc_clauses`
-    branches on the same arc as over the arcs themselves and every head of
-    one shape has bit for bit the shape's value.  Repeated clauses count
-    once, as they do in the weighted count.  A single arc needs no sort.
-    """
-    distinct = set(clauses)
-    arcs = set().union(*distinct)
-    if len(arcs) > 1:
-        arcs = sorted(arcs, key=Arc._key)
-    pos = {arc: i for i, arc in enumerate(arcs)}
-    return (tuple(a.rule_type for a in arcs),
-            frozenset(frozenset(pos[a] for a in c) for c in distinct))
+def _run(compiled: tuple, theta) -> float:
+    """The weighted count that `_compile` compiled, under theta."""
+    root, steps = compiled
+    val = [0.0, 1.0]
+    for var, on, off in steps:
+        p = theta[var]
+        val.append(p * val[on] + (1.0 - p) * val[off])
+    return val[root]
 
 
 class Bound:
     """The lower or upper bound (`which`) of one or more `BoundFormula`s.
 
     Holds the refuted-arc count of each rule type (`n_counts`) and the
-    heads' clauses compiled into distinct shapes (see `_shape`), each with
-    the number of heads it stands for (`shapes`), so a sum counts once per
-    shape rather than once per head.
+    distinct head shapes of the formulas, in formula order, each with its
+    count compiled once (`_compile`) and the number of heads it stands for
+    (`shapes`), so a sum counts once per shape rather than once per head.
     """
 
     def __init__(self, formulas: Iterable[BoundFormula], which: str):
@@ -237,13 +322,12 @@ class Bound:
         multiplicity = {}  # shape -> number of heads
         for bf in formulas:
             self.impossible |= bf.impossible
-            for arc in bf.negated_arcs:
-                self.n_counts[arc.rule_type] = self.n_counts.get(arc.rule_type, 0) + 1
-            for ph in bf.per_head.values():
-                shape = _shape(ph.lower_clauses if which == "lower"
-                               else ph.upper_clauses)
-                multiplicity[shape] = multiplicity.get(shape, 0) + 1
-        self.shapes = [(types, clauses, m)
+            for k, n in bf.n_counts.items():
+                self.n_counts[k] = self.n_counts.get(k, 0) + n
+            shapes = bf.lower_shapes if which == "lower" else bf.upper_shapes
+            for shape, m in shapes.items():
+                multiplicity[shape] = multiplicity.get(shape, 0) + m
+        self.shapes = [(types, _compile(clauses), m)
                        for (types, clauses), m in multiplicity.items()]
 
     def terms(self, hp: HyperParams, types: Iterable[str], shape_ids) -> float:
@@ -259,8 +343,8 @@ class Bound:
             total += self.n_counts[k] * math.log1p(-t)
         shapes = 0.0
         for i in shape_ids:
-            types_i, clauses, m = self.shapes[i]
-            v = _wmc_clauses(clauses, [hp.get(k) for k in types_i])
+            types_i, compiled, m = self.shapes[i]
+            v = _run(compiled, [hp.get(k) for k in types_i])
             if v <= 0.0:
                 return NEG_INF
             shapes += m * math.log(v)

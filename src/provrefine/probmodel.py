@@ -84,11 +84,6 @@ def serialize_hyperparams(hp: HyperParams) -> str:
     return "".join(lines)
 
 
-def load_hyperparams(path: str) -> HyperParams:
-    with open(path) as fh:
-        return parse_hyperparams(fh.read())
-
-
 def save_hyperparams(hp: HyperParams, path: str) -> None:
     with open(path, "w") as fh:
         fh.write(serialize_hyperparams(hp))

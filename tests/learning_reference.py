@@ -3,10 +3,12 @@ observation.
 
 The straightforward versions of `provrefine.learning._Objective` and
 `sample_training`, kept as the oracles the fast ones are checked against.
-`_Objective` runs `_wmc_clauses` on every head's own clauses at every
-evaluation, where the compiled objective runs it once per distinct shape;
+`_Objective` runs `wmc_clauses` on every head's own clauses at every
+evaluation, where the compiled objective counts once per distinct shape;
 `sample_training` closes the whole global graph afresh for every
 observation, where the fast one indexes it once per analysis.
+`ShapeObjective` is the objective as it was before the shapes came from
+bit masks: `learning._Objective` on `likelihood_reference.ShapeBound`.
 `observations` lists a training set's observations across its groups.
 """
 
@@ -15,11 +17,14 @@ import random
 from typing import Callable
 
 from provrefine import hypergraph as hg
+from provrefine import learning
 from provrefine import likelihood as lk
 from provrefine.analysis import (Abstraction, Analysis, encode_params,
                                  local_provenance, project_set)
 from provrefine.learning import ObservationGroup, TrainingSet
 from provrefine.probmodel import NEG_INF, HyperParams
+
+import likelihood_reference
 
 
 def observations(ts: TrainingSet) -> list:
@@ -83,7 +88,7 @@ class _Objective:
         for c in self.heads[i]:
             for arc in c:
                 theta[arc] = hp.get(arc.rule_type)
-        return lk._wmc_clauses(self.heads[i], theta)
+        return likelihood_reference.wmc_clauses(self.heads[i], theta)
 
     def value(self, hp: HyperParams) -> float:
         total = 0.0
@@ -120,3 +125,7 @@ class _Objective:
             return total
 
         return f
+
+
+class ShapeObjective(learning._Objective, likelihood_reference.ShapeBound):
+    """`learning._Objective`, its bound built and evaluated by `ShapeBound`."""

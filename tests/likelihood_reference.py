@@ -4,11 +4,20 @@ weighted model count per head.
 
 The straightforward versions of `provrefine.likelihood.observe`, kept as
 the oracle its one bit-parallel sweep per batch is checked against, of
-`bound_terms`, kept as the oracle its integer index is checked against,
-and of its bounds, kept as the oracle the shape-compiled `likelihood.Bound`
-is checked against.  The observations must be equal, in order; the bound
-terms must be equal `BoundFormula`s with the same exceptions; the bounds
-must agree to rounding, with the same -inf.
+`bound_terms`, kept as the oracle its integer index and its shapes built
+from bit masks are checked against, and of its bounds, kept as the oracle
+the shape-compiled `likelihood.Bound` is checked against.  The
+observations must be equal, in order; the bound terms must have equal
+refuted arcs and per-head clauses, in order, with the same exceptions,
+and `shapes` and `n_counts` of the reference terms must equal the shape
+maps and refuted counts of the fast ones, in order; the bounds must agree
+to rounding, with the same -inf.
+
+`wmc_clauses` is the Shannon expansion over frozensets that
+`likelihood._compile` compiles; its counts must equal the compiled ones
+bit for bit.  `ShapeBound` is the bound as it was before the shapes came
+from bit masks: one `shape` per head of each formula's `per_head`, counted
+by `wmc_clauses` at every evaluation.
 
 `serialize_observations` writes observations in the text format
 `provrefine.likelihood.parse_observations` reads; only the tests write
@@ -16,15 +25,16 @@ observation files.
 """
 
 import math
+from dataclasses import dataclass
 from typing import Iterable
 
 from provrefine import hypergraph as hg
 from provrefine.analysis import (Abstraction, Analysis, encode_params,
                                  project_set)
 from provrefine.errors import ObservationOutOfRange, SelfLoopArc
-from provrefine.hypergraph import Fact, Hypergraph
-from provrefine.likelihood import (BoundFormula, Observation, PerHead,
-                                   _wmc_clauses)
+from provrefine import likelihood as lk
+from provrefine.hypergraph import Arc, Fact, Hypergraph
+from provrefine.likelihood import Observation, PerHead
 from provrefine.probmodel import NEG_INF, HyperParams
 
 from probmodel_reference import log_one_minus
@@ -39,7 +49,16 @@ def observe(an: Analysis, a: Abstraction) -> Observation:
     return Observation(t=t, r=r)
 
 
-def bound_terms(g_bot: Hypergraph, obs: Iterable[Observation]) -> BoundFormula:
+@dataclass
+class Formula:
+    """The refuted arcs and each derived head's clauses, as arc sets."""
+
+    negated_arcs: frozenset
+    per_head: dict  # Fact -> PerHead, in key order
+    impossible: bool = False
+
+
+def bound_terms(g_bot: Hypergraph, obs: Iterable[Observation]) -> Formula:
     obs = list(obs)
     for arc in g_bot.sorted_arcs():  # the least self-loop arc in key order
         if arc.head in arc.body:
@@ -49,7 +68,7 @@ def bound_terms(g_bot: Hypergraph, obs: Iterable[Observation]) -> BoundFormula:
             raise ObservationOutOfRange(
                 "observation derives facts foreign to the blueprint")
     if any(not o.consistent() for o in obs):
-        return BoundFormula(frozenset(), {}, impossible=True)
+        return Formula(frozenset(), {}, impossible=True)
 
     negated = set()
     for o in obs:
@@ -76,10 +95,111 @@ def bound_terms(g_bot: Hypergraph, obs: Iterable[Observation]) -> BoundFormula:
             lower_clauses=tuple(a_h & f_sets[k] for k in c_h),
             upper_clauses=tuple(a_h & d_sets[k] for k in c_h),
         )
-    return BoundFormula(frozenset(negated), per_head)
+    return Formula(frozenset(negated), per_head)
 
 
-def bound(bf: BoundFormula, hp: HyperParams, which: str) -> float:
+def shape(clauses: tuple) -> tuple:
+    """A head's clauses up to renaming arcs: (rule types, clauses).
+
+    Arcs become positions numbered in `Arc._key` order, so the count
+    branches on the same arc as over the arcs themselves and every head of
+    one shape has bit for bit the shape's value.  Repeated clauses count
+    once, as they do in the weighted count.  A single arc needs no sort.
+    """
+    distinct = set(clauses)
+    arcs = set().union(*distinct)
+    if len(arcs) > 1:
+        arcs = sorted(arcs, key=Arc._key)
+    pos = {arc: i for i, arc in enumerate(arcs)}
+    return (tuple(a.rule_type for a in arcs),
+            frozenset(frozenset(pos[a] for a in c) for c in distinct))
+
+
+def shapes(bf, which: str) -> dict:
+    """Shape -> number of heads, by first head in `per_head` order."""
+    out = {}
+    for ph in bf.per_head.values():
+        s = shape(ph.lower_clauses if which == "lower" else ph.upper_clauses)
+        out[s] = out.get(s, 0) + 1
+    return out
+
+
+def n_counts(bf) -> dict:
+    """Rule type -> refuted arcs of it, by first refuted arc in key order."""
+    out = {}
+    for arc in sorted(bf.negated_arcs, key=Arc._key):
+        out[arc.rule_type] = out.get(arc.rule_type, 0) + 1
+    return out
+
+
+def wmc_clauses(clauses, theta) -> float:
+    """Weighted count of assignments satisfying a monotone CNF.
+
+    Variable v is true with probability theta[v].  Shannon expansion on
+    the least variable, with memoization on the remaining clause set, on
+    an explicit stack: a clause set pushes its two branches, the one with
+    the variable true on top, beneath them a tuple that sums their values
+    once both are counted.
+    """
+    root = frozenset(frozenset(c) for c in clauses)
+    memo = {}
+    stack = [root]
+    while stack:
+        cls = stack.pop()
+        if type(cls) is tuple:
+            cls, p, on, off = cls
+            memo[cls] = p * memo[on] + (1.0 - p) * memo[off]
+        elif cls not in memo:
+            if not cls:
+                memo[cls] = 1.0
+            elif frozenset() in cls:
+                memo[cls] = 0.0
+            else:
+                var = min(min(c) for c in cls)
+                on = frozenset(c for c in cls if var not in c)
+                off = frozenset(
+                    (c - {var}) if var in c else c for c in cls)
+                stack += ((cls, theta[var], on, off), off, on)
+    return memo[root]
+
+
+class ShapeBound(lk.Bound):
+    """`likelihood.Bound` from the formulas' `per_head`: one `shape` per
+    head, counted by `wmc_clauses` at each evaluation."""
+
+    def __init__(self, formulas, which: str):
+        self.impossible = False
+        self.n_counts = {}
+        multiplicity = {}
+        for bf in formulas:
+            self.impossible |= bf.impossible
+            for k, n in n_counts(bf).items():
+                self.n_counts[k] = self.n_counts.get(k, 0) + n
+            for s, m in shapes(bf, which).items():
+                multiplicity[s] = multiplicity.get(s, 0) + m
+        self.shapes = [(types, clauses, m)
+                       for (types, clauses), m in multiplicity.items()]
+
+    def terms(self, hp: HyperParams, types, shape_ids) -> float:
+        if self.impossible:
+            return NEG_INF
+        total = 0.0
+        for k in types:
+            t = hp.get(k)
+            if t >= 1.0:
+                return NEG_INF
+            total += self.n_counts[k] * math.log1p(-t)
+        values = 0.0
+        for i in shape_ids:
+            types_i, clauses, m = self.shapes[i]
+            v = wmc_clauses(clauses, [hp.get(k) for k in types_i])
+            if v <= 0.0:
+                return NEG_INF
+            values += m * math.log(v)
+        return total + values
+
+
+def bound(bf, hp: HyperParams, which: str) -> float:
     if bf.impossible:
         return NEG_INF
     total = 0.0
@@ -93,7 +213,7 @@ def bound(bf: BoundFormula, hp: HyperParams, which: str) -> float:
         clauses = ph.lower_clauses if which == "lower" else ph.upper_clauses
         for arc in ph.candidates:
             theta_cache[arc] = hp.get(arc.rule_type)
-        value = _wmc_clauses(clauses, theta_cache)
+        value = wmc_clauses(clauses, theta_cache)
         if value <= 0.0:
             return NEG_INF
         total += math.log(value)

@@ -417,6 +417,16 @@ class TestSolve:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "--theta" in err
 
+    def test_a_missing_or_malformed_theta_file_is_named(self, capsys, tmp_path):
+        missing, bad = tmp_path / "nope.txt", tmp_path / "bad.txt"
+        bad.write_text("# learned\nbase nope\n")
+        solve = ("solve", "--fixture", "smudge", "--strategy", "probabilistic",
+                 "--theta")
+        assert run(capsys, *solve, str(missing)) == \
+            (2, "", f"error: cannot read {missing}: No such file or directory\n")
+        assert run(capsys, *solve, str(bad)) == \
+            (2, "", f"error: {bad} line 2: malformed theta 'nope'\n")
+
 
 class TestLearn:
     @pytest.fixture
@@ -517,6 +527,20 @@ class TestLikelihood:
             (2, "", f"error: cannot read {missing}: No such file or directory\n")
         assert run(capsys, "likelihood", b, str(tmp_path), t) == \
             (2, "", f"error: cannot read {tmp_path}: Is a directory\n")
+
+    def test_a_missing_or_malformed_theta_file_is_named(self, capsys, tmp_path,
+                                                        files):
+        b, o, _ = files
+        missing, bad = tmp_path / "nope.txt", tmp_path / "bad.txt"
+        bad.write_text("nope\n")
+        assert run(capsys, "likelihood", b, o, str(missing)) == \
+            (2, "", f"error: cannot read {missing}: No such file or directory\n")
+        assert run(capsys, "likelihood", b, o, str(bad)) == \
+            (2, "", f"error: {bad} line 1: expected 'rule_type theta "
+                    "[unconstrained]': 'nope'\n")
+        bad.write_text("base nope\n")
+        assert run(capsys, "likelihood", b, o, str(bad), "--mode", "exact") == \
+            (2, "", f"error: {bad} line 1: malformed theta 'nope'\n")
 
     def test_theta_missing_a_rule_type_exits_2(self, capsys, tmp_path, files):
         b, o, _ = files

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -10,6 +11,7 @@ from provrefine.errors import CorpusTooSmall, DegenerateTrainingSet
 from provrefine.hypergraph import Arc, Fact, Hypergraph
 
 import learning_reference
+import likelihood_reference
 from conftest import random_smudge_analysis
 
 
@@ -260,22 +262,64 @@ def test_learn_agrees_with_the_per_head_objective(monkeypatch):
             assert got.theta[k] == pytest.approx(v, abs=1e-9)
 
 
-def test_learn_counts_once_per_shape(monkeypatch):
-    # five programs x 40 observations have about a thousand lower-bound
-    # heads, but only a handful of distinct shapes: counting once per head
-    # and line-search point took over 20 000 weighted model counts here
+def _five_programs():
+    """Five programs x 40 observations: about a thousand lower-bound heads,
+    but only a handful of distinct shapes."""
     rng = random.Random(1)
-    ts = learning.TrainingSet.merge(
+    return learning.TrainingSet.merge(
         learning.sample_training(random_smudge_analysis(rng, max_sites=16)[0],
                                  40, 3, rng)
         for _ in range(5))
+
+
+def test_learn_counts_once_per_shape(monkeypatch):
+    # counting once per head and line-search point took over 20 000
+    # weighted model counts here; each distinct shape is compiled once
+    ts = _five_programs()
+    terms = ts.bound_terms()
+    heads = sum(len(bf.per_head) for bf in terms)
+    shapes = set().union(*(likelihood_reference.shapes(bf, "lower")
+                           for bf in terms))
+    assert heads > 20 * len(shapes)
     calls = []
-    real = lk._wmc_clauses
+    real = lk._compile
 
-    def counting(*args):
-        calls.append(1)
-        return real(*args)
+    def counting(clauses):
+        calls.append(clauses)
+        return real(clauses)
 
-    monkeypatch.setattr(lk, "_wmc_clauses", counting)
+    monkeypatch.setattr(lk, "_compile", counting)
     learning.learn(ts)
-    assert 0 < len(calls) < 2000
+    assert Counter(calls) == Counter(clauses for _, clauses in shapes)
+
+
+def test_learn_builds_no_arc_clause_set(monkeypatch):
+    # the shapes come from bound_terms' bit masks: no head's clauses are
+    # made into arc sets unless per_head is read
+    calls = []
+    real = lk._per_head
+    monkeypatch.setattr(lk, "_per_head",
+                        lambda *args: calls.append(1) or real(*args))
+    rng = random.Random(4)
+    an = random_smudge_analysis(rng, max_sites=10)[0]
+    ts = learning.TrainingSet.merge(
+        [learning.sample_training(an, 20, 3, rng) for _ in range(2)])
+    learning.learn(ts)
+    learning.leave_one_out([ts, learning.sample_training(an, 10, 3, rng)])
+    assert calls == []
+    bf = ts.bound_terms()[0]
+    assert bf.per_head and bf.per_head is bf.per_head
+    assert calls == [1]
+
+
+def test_learn_equals_the_theta_of_the_per_head_shape_bound(monkeypatch):
+    # bit for bit: the same shapes and refuted types in the same order, and
+    # the same float operations in each count
+    rng = random.Random(43)
+    cases = [_five_programs()] + [_random_training_set(rng) for _ in range(12)]
+    for ts in cases:
+        got = learning.learn(ts)
+        with monkeypatch.context() as m:
+            m.setattr(learning, "_Objective", learning_reference.ShapeObjective)
+            want = learning.learn(ts)
+        assert got == want

@@ -265,9 +265,20 @@ def _bound_terms_or_error(bound_terms, g, obs):
 
 
 def _assert_same_formula(got, want):
-    assert got == want
-    if isinstance(want, lk.BoundFormula):
-        assert list(got.per_head) == list(want.per_head)
+    """The same exception, or the same refuted arcs and per-head clauses,
+    in order, and the shape maps and refuted counts, in order, that the
+    reference `shape` gives over those clauses."""
+    if not isinstance(want, likelihood_reference.Formula):
+        assert got == want
+        return
+    assert got.impossible == want.impossible
+    assert got.negated_arcs == want.negated_arcs
+    assert list(got.per_head.items()) == list(want.per_head.items())
+    assert list(got.n_counts.items()) == list(
+        likelihood_reference.n_counts(want).items())
+    for which, shapes in (("lower", got.lower_shapes), ("upper", got.upper_shapes)):
+        assert list(shapes.items()) == list(
+            likelihood_reference.shapes(want, which).items()), which
 
 
 def _messy_instance(rng):
@@ -371,6 +382,73 @@ def test_bounds_equal_the_per_head_reference():
                     assert math.isclose(got, want, rel_tol=1e-12), (which, got, want)
                 outcomes.add((bf.impossible, want == pm.NEG_INF))
     assert outcomes == {(True, True), (False, True), (False, False)}
+
+
+def _random_cnf(rng, n_vars):
+    """A monotone CNF over range(n_vars), maybe with empty and repeated
+    clauses, as a list of clauses."""
+    clauses = [frozenset(v for v in range(n_vars) if rng.random() < 0.4)
+               for _ in range(rng.randint(0, 6))]
+    if clauses and rng.random() < 0.3:
+        clauses += rng.sample(clauses, rng.randint(1, len(clauses)))
+    if rng.random() < 0.1:
+        clauses.append(frozenset())
+    return clauses
+
+
+def test_compiled_counts_equal_the_frozenset_expansion_bit_for_bit():
+    rng = random.Random(61)
+    # the last: a head with 1200 candidate arcs, one clause of them all
+    cases = [[], [frozenset()], [frozenset([0]), frozenset([0])],
+             [frozenset(range(1200))]]
+    cases += [_random_cnf(rng, rng.randint(1, 8)) for _ in range(400)]
+    seen = {"empty clause": 0, "repeated clause": 0}
+    for clauses in cases:
+        n = max((max(c) for c in clauses if c), default=-1) + 1
+        for _ in range(3):
+            theta = [rng.choice((0.0, 1.0, 0.5, rng.random())) for _ in range(n)]
+            want = likelihood_reference.wmc_clauses(clauses, theta)
+            assert lk._run(lk._compile(clauses), theta) == want, (clauses, theta)
+        seen["empty clause"] += frozenset() in clauses
+        seen["repeated clause"] += len(set(clauses)) < len(clauses)
+    assert min(seen.values()) >= 10, seen
+
+
+def test_bounds_of_random_formulas_equal_the_shape_bound_bit_for_bit():
+    # summed per distinct shape in formula order, as the reference sums
+    rng = random.Random(83)
+    formulas = [lk.bound_terms(g, obs) for g, obs in
+                [_random_instance(rng)[::2] for _ in range(40)]
+                + _smudge_group(rng, programs=3, n=12)]
+    formulas = [bf for bf in formulas if not bf.impossible]
+    for which in ("lower", "upper"):
+        for group in (formulas[:1], formulas[:7], formulas):
+            got = lk.Bound(group, which)
+            want = likelihood_reference.ShapeBound(group, which)
+            assert [(t, m) for t, _, m in got.shapes] == \
+                [(t, m) for t, _, m in want.shapes]
+            assert list(got.n_counts.items()) == list(want.n_counts.items())
+            types = sorted(set().union(*(bf.n_counts for bf in group),
+                                       *(t for t, _, _ in got.shapes)))
+            for _ in range(5):
+                hp = pm.HyperParams({k: rng.choice((0.0, 1.0, rng.random()))
+                                     for k in types})
+                assert got.value(hp) == want.value(hp)
+
+
+def test_refuted_types_are_counted_in_the_key_order_of_their_first_arc():
+    # not in the order a frozenset of arcs yields them, which follows the
+    # hash seed: the float sum of a bound follows this order
+    g = hg.parse_provenance("d <- s @ t7\nb <- s @ t7\ne <- s @ t3\n"
+                            "c <- s @ t5\nf <- b @ t5\n")
+    s = _f("s")
+    bf = lk.bound_terms(g, [lk.Observation(frozenset([s]), frozenset([s]))])
+    assert list(bf.n_counts.items()) == [("t7", 2), ("t5", 1), ("t3", 1)]
+    other = lk.bound_terms(hg.parse_provenance("b <- a @ t1\nc <- a @ t3\n"), [
+        lk.Observation(frozenset([_f("a")]), frozenset([_f("a")]))])
+    assert list(other.n_counts) == ["t1", "t3"]
+    assert list(lk.Bound([other, bf], "lower").n_counts.items()) == [
+        ("t1", 1), ("t3", 2), ("t7", 2), ("t5", 1)]
 
 
 def test_equal_clauses_in_one_formula_are_one_object():

@@ -89,6 +89,6 @@ def test_hyperparams_file_round_trip(tmp_path):
     hp = pm.HyperParams({"a": 0.125, "b": 1.0}, unconstrained={"b"})
     path = tmp_path / "theta.txt"
     pm.save_hyperparams(hp, str(path))
-    back = pm.load_hyperparams(str(path))
+    back = pm.parse_hyperparams(path.read_text())
     assert back.theta == pytest.approx(hp.theta)
     assert back.unconstrained == {"b"}
