@@ -113,6 +113,12 @@ class Analysis:
         """The global graph's one `hg.Index`; the frozen fields keep it valid."""
         return hg.Index(self.global_graph.arcs)
 
+    @functools.cached_property
+    def blueprint(self) -> hg.Index:
+        """The program's one blueprint, shared by every training sample:
+        the local provenance at the all-cheap abstraction, cached."""
+        return local_provenance(self, self.bottom())
+
     def bottom(self) -> Abstraction:
         return Abstraction.bottom(self.params)
 
@@ -135,17 +141,17 @@ def derive(an: Analysis, a: Abstraction) -> frozenset:
     return frozenset(an.index.close(seeds))
 
 
-def local_provenance(an: Analysis, a: Abstraction) -> Hypergraph:
-    """Restriction of the global provenance to the facts derived under a,
-    `hg.induced(an.global_graph, derive(an, a))`: the arcs whose body the
-    closure reaches, whose heads it then reaches too.  It closes the
-    analysis's index over fact ids and returns the graph cut from that
-    index (`Index.cut`), whose own index is a restriction, not a ranking."""
+def local_provenance(an: Analysis, a: Abstraction) -> hg.Index:
+    """The index of the global provenance restricted to the facts derived
+    under a, the arcs of `hg.induced(an.global_graph, derive(an, a))`:
+    those whose body the closure reaches, whose heads it then reaches too.
+    It closes the analysis's index over fact ids and restricts that index
+    to those arcs (`Index.restrict`), so nothing is ranked again."""
     seeds = encode_params(an, a, 0) | encode_params(an, a, 1)
     index = an.index
     reached = set(index.run(seeds))
-    return index.cut(j for j, body in enumerate(index.bodies)
-                     if reached.issuperset(body))
+    return index.restrict(j for j, body in enumerate(index.bodies)
+                          if reached.issuperset(body))
 
 
 def project_set(an: Analysis, t: Iterable[Fact]) -> frozenset:

@@ -29,7 +29,8 @@ from . import maxsat as mx
 from . import probmodel as pm
 from . import refine
 from .errors import (BudgetExceeded, CorpusTooSmall, DomainOverflow,
-                     ParseError, ProvRefineError)
+                     ObservationOutOfRange, ParseError, ProvRefineError,
+                     SelfLoopArc)
 
 FORMAT_VERSION = "1"
 
@@ -45,6 +46,16 @@ def _read(path: str) -> str:
     it (`error: cannot read PATH: ...`, exit 2)."""
     with ana.reported_at(0, path), open(path) as fh:
         return fh.read()
+
+
+def _write(path: str, text: str) -> None:
+    """Write text to path; a file that cannot be written is an error naming
+    it (`error: cannot write PATH: ...`, exit 2)."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ProvRefineError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def _read_theta(path: str) -> pm.HyperParams:
@@ -80,8 +91,7 @@ def cmd_ground(args) -> int:
         graph = datalog.ground(rules, base, seeds=seeds)
     text = hg.serialize_provenance(graph)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        _write(args.out, text)
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -136,20 +146,24 @@ def cmd_learn(args) -> int:
     for path in args.manifests:
         an = _load_manifest(path)
         sets.append(learning.sample_training(an, args.n, args.max_flips, rng))
-    if args.loo:
-        if len(sets) < 2:
-            raise CorpusTooSmall("--loo needs at least two manifests")
-        folds = learning.leave_one_out(sets)
-        for i, hp in enumerate(folds):
-            if args.out:
-                pm.save_hyperparams(hp, f"{args.out}.fold{i}")
+    if args.loo and len(sets) < 2:
+        raise CorpusTooSmall("--loo needs at least two manifests")
+    try:
+        fits = (learning.leave_one_out(sets) if args.loo
+                else [learning.learn(learning.TrainingSet.merge(sets))])
+    except SelfLoopArc as exc:
+        # the blueprints are taken in manifest order, so the first that
+        # holds the arc is the one refused
+        path = next(p for p, ts in zip(args.manifests, sets)
+                    if exc.arc in ts.groups[0].blueprint.arcs)
+        raise ProvRefineError(f"{path}: {exc}") from exc
+    for i, hp in enumerate(fits):
+        text = pm.serialize_hyperparams(hp)
+        if args.out:
+            _write(f"{args.out}.fold{i}" if args.loo else args.out, text)
+        if args.loo:
             print(f"# fold {i} (held out: {args.manifests[i]})")
-            sys.stdout.write(pm.serialize_hyperparams(hp))
-        return EXIT_OK
-    hp = learning.learn(learning.TrainingSet.merge(sets))
-    if args.out:
-        pm.save_hyperparams(hp, args.out)
-    sys.stdout.write(pm.serialize_hyperparams(hp))
+        sys.stdout.write(text)
     return EXIT_OK
 
 
@@ -161,7 +175,12 @@ def cmd_likelihood(args) -> int:
     if args.mode == "exact":
         value = lk.exact_likelihood(graph, obs, hp)
     else:
-        bf = lk.bound_terms(graph, obs)
+        try:
+            bf = lk.bound_terms(hg.Index(graph.arcs), obs)
+        except SelfLoopArc as exc:
+            raise ProvRefineError(f"{args.blueprint}: {exc}") from exc
+        except ObservationOutOfRange as exc:
+            raise ProvRefineError(f"{args.obs}: {exc}") from exc
         value = (lk.lower_bound if args.mode == "lower" else lk.upper_bound)(bf, hp)
     print("-inf" if value == pm.NEG_INF else f"{value:.9f}")
     return EXIT_OK
@@ -251,8 +270,7 @@ def cmd_maxsat(args) -> int:
     if args.export_wcnf:
         sys.stdout.write(mx.to_wcnf(cnf))
         if args.varmap:
-            with open(args.varmap, "w") as fh:
-                fh.write(mx.serialize_varmap(cnf))
+            _write(args.varmap, mx.serialize_varmap(cnf))
         return EXIT_OK
     if args.import_model:
         result = mx.decode_external_model(cnf, _read(args.import_model))

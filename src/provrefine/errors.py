@@ -32,7 +32,12 @@ class UnknownParameter(ProvRefineError):
 
 
 class SelfLoopArc(ProvRefineError):
-    """An arc whose head occurs in its own body (forbidden by the bound machinery)."""
+    """An arc, `arc`, whose head occurs in its own body (forbidden by the
+    bound machinery)."""
+
+    def __init__(self, arc):
+        super().__init__(f"self-loop arc (a head in its own body): {arc}")
+        self.arc = arc
 
 
 class ObservationOutOfRange(ProvRefineError):

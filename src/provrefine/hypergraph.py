@@ -29,12 +29,12 @@ took two to three times as long.
 one index of its global graph (`analysis.Analysis.index`), which `derive`
 closes from each seed set and `likelihood.observe` sweeps from every
 abstraction of a batch; each `refine.solve` indexes the query's backward
-cone and the parameter facts once (`Index.cone`).  `Index.cut` makes the
-graph of a subset of an index's arcs that remembers the index and the
-ids: `analysis.local_provenance` cuts its graph from the analysis's
-index, and `likelihood.bound_terms` takes its blueprint's index from
-`Hypergraph.index`, a restriction for a cut and `Index(arcs)` for any
-other graph.  Distances define forward arcs.
+cone and the parameter facts once (`Index.cone`).  A blueprint is an
+index: `analysis.local_provenance` returns the restriction of the
+analysis's index to the arcs it keeps (an analysis caches the one at the
+all-cheap abstraction, `Analysis.blueprint`), and `likelihood.bound_terms`
+takes that index, or `Index(arcs)` of a graph with no analysis, such as
+a blueprint file.  Distances define forward arcs.
 """
 
 from __future__ import annotations
@@ -146,28 +146,10 @@ class Arc(_Record):
 
 
 class Hypergraph:
-    """An immutable set of arcs; vertices are the facts the arcs mention.
-
-    A graph cut from an index (`Index.cut`) remembers that index and its
-    arc ids, so `index` restricts that index instead of ranking the arcs.
-    """
-
-    _cut = None  # (parent index, arc ids) of a cut
+    """An immutable set of arcs; vertices are the facts the arcs mention."""
 
     def __init__(self, arcs: Iterable[Arc] = ()):
         self.arcs = frozenset(arcs)
-
-    def __reduce__(self):
-        # copies and pickles are plain graphs: they leave the parent behind
-        return type(self), (self.arcs,)
-
-    def index(self) -> "Index":
-        """The graph's `Index`, made anew on each call: the restriction of
-        the parent index for a cut, `Index(arcs)` for any other graph."""
-        if self._cut is None:
-            return Index(self.arcs)
-        parent, arc_ids = self._cut
-        return parent.restrict(arc_ids)
 
     @functools.cached_property
     def vertices(self) -> frozenset:
@@ -271,15 +253,6 @@ class Index:
                   [[rank[b] for b in bodies[j]] for j in arc_ids],
                   list(map(self.arcs.__getitem__, arc_ids)))
         return sub
-
-    def cut(self, arc_ids: Iterable[int]) -> Hypergraph:
-        """The graph of the arcs with the distinct ids arc_ids, which keeps
-        this index and the ids, not an index of its own: its `index` is
-        their `restrict`."""
-        arc_ids = tuple(arc_ids)
-        g = Hypergraph(map(self.arcs.__getitem__, arc_ids))
-        g._cut = self, arc_ids
-        return g
 
     def run(self, t: Iterable, arcs: Optional[Iterable[int]] = None) -> dict:
         """Fact id -> max-plus distance from the seed facts t, for the facts

@@ -14,10 +14,10 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
+from . import hypergraph as hg
 from . import likelihood as lk
-from .analysis import Analysis, local_provenance
+from .analysis import Analysis
 from .errors import CorpusTooSmall, DegenerateTrainingSet
-from .hypergraph import Hypergraph
 from .probmodel import NEG_INF, HyperParams
 
 EPSILON = 1e-6  # the least theta learn fits
@@ -28,9 +28,10 @@ MAX_CYCLES = 100  # learn stops after this many cycles in any case
 
 @dataclass
 class ObservationGroup:
-    """Observations sharing one blueprint (one program)."""
+    """Observations sharing one blueprint (one program), an index:
+    `Analysis.blueprint` for a sampled group."""
 
-    blueprint: Hypergraph
+    blueprint: hg.Index
     observations: list
 
 
@@ -39,10 +40,7 @@ class TrainingSet:
     groups: list = field(default_factory=list)
 
     def rule_types(self) -> set:
-        out = set()
-        for g in self.groups:
-            out |= g.blueprint.rule_types()
-        return out
+        return {arc.rule_type for g in self.groups for arc in g.blueprint.arcs}
 
     def bound_terms(self) -> list:
         """Each group's `likelihood.bound_terms`, in group order."""
@@ -58,7 +56,8 @@ class TrainingSet:
 
 def sample_training(an: Analysis, n: int, max_flips: int,
                     rng: random.Random) -> TrainingSet:
-    """n observations from random abstractions flipping 1..max_flips params."""
+    """n observations from random abstractions flipping 1..max_flips params,
+    in one group over the analysis's one blueprint (`Analysis.blueprint`)."""
     if n < 1:
         raise ValueError("need at least one sample")
     if max_flips < 1:
@@ -66,13 +65,12 @@ def sample_training(an: Analysis, n: int, max_flips: int,
     if not an.params:
         raise ValueError("the analysis has no parameters to flip")
     max_flips = min(max_flips, len(an.params))
-    blueprint = local_provenance(an, an.bottom())
     abstractions = []
     for _ in range(n):
         count = rng.randint(1, max_flips)
         flips = rng.sample(list(an.params), count)
         abstractions.append(an.bottom().with_flips(flips))
-    return TrainingSet([ObservationGroup(blueprint, lk.observe(an, abstractions))])
+    return TrainingSet([ObservationGroup(an.blueprint, lk.observe(an, abstractions))])
 
 
 class _Objective(lk.Bound):

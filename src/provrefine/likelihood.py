@@ -113,36 +113,39 @@ class _ArcSets(dict):
         return out
 
 
-def bound_terms(g_bot: Hypergraph, obs: Iterable[Observation]) -> BoundFormula:
-    """The refuted arcs and the per-head shapes of both bounds.
+def bound_terms(index: hg.Index, obs: Iterable[Observation]) -> BoundFormula:
+    """The refuted arcs and the per-head shapes of both bounds over the
+    blueprint `index`.
 
-    One index of g_bot serves every observation: `g_bot.index()`, the
-    restriction of the analysis's index when g_bot is cut from it (as
-    `local_provenance` returns it), so nothing is ranked again, and
-    `hg.Index` of its arcs otherwise.  A self-loop arc is refused, the
-    least in key order named.  Each fact and arc holds one bit per
-    observation k.  Per fact, `rmask` marks the k with the fact in r and
-    `cmask` the k that derive it (r - t); per arc, W is the AND of its
-    body facts' `rmask` (all ones for an empty body), so bit k of W says
-    the body lies in r_k.  An arc is refuted iff W has
-    a bit its head's `rmask` lacks; `dmask = W & cmask[head]` marks the
-    D_k holding it, and `fmask`, that and the arcs forward from t_k, the
-    F_k, all from one `Index.sweep` from every t_k.  A head's clause
-    for k is its candidates with bit k set, and its shape comes from
-    those masks alone (`_head_shape`).
+    The one index serves every observation: from an analysis, the
+    restriction of its index that `local_provenance` returns, so nothing
+    is ranked again; from a graph with no analysis, `hg.Index` of its
+    arcs.  A self-loop arc is refused, the least in key order named, and
+    so is an observation deriving a fact outside the blueprint, the least
+    such fact of the first such observation named.  Each fact and arc
+    holds one bit per observation k.  Per fact, `rmask` marks the k with
+    the fact in r and `cmask` the k that derive it (r - t); per arc, W is
+    the AND of its body facts' `rmask` (all ones for an empty body), so
+    bit k of W says the body lies in r_k.  An arc is refuted iff W has a
+    bit its head's `rmask` lacks; `dmask = W & cmask[head]` marks the D_k
+    holding it, and `fmask`, that and the arcs forward from t_k, the F_k,
+    all from one `Index.sweep` from every t_k.  A head's clause for k is
+    its candidates with bit k set, and its shape comes from those masks
+    alone (`_head_shape`).
     """
     obs = list(obs)
-    index = g_bot.index()
     ids, facts, arcs = index.ids, index.facts, index.arcs
     for h, body, arc in zip(index.heads, index.bodies, arcs):
         if h in body:  # the first in id order is the least in key order
-            raise SelfLoopArc(str(arc))
+            raise SelfLoopArc(arc)
     seen = []  # per observation: (t, r - t as fact ids)
-    for o in obs:
+    for k, o in enumerate(obs, start=1):
         derived = list(map(ids.get, o.r - o.t))
         if None in derived:
-            raise ObservationOutOfRange(
-                "observation derives facts foreign to the blueprint")
+            foreign = min((f for f in o.r - o.t if f not in ids),
+                          key=hg.Fact._key)
+            raise ObservationOutOfRange(f"observation {k} derives {foreign}, "
+                                        "a fact foreign to the blueprint")
         seen.append((o.t, derived))
     if any(not o.consistent() for o in obs):
         return BoundFormula(frozenset(), {}, {}, {}, impossible=True)

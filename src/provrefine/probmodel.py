@@ -82,8 +82,3 @@ def serialize_hyperparams(hp: HyperParams) -> str:
         flag = " unconstrained" if name in hp.unconstrained else ""
         lines.append(f"{name} {hp.theta[name]:.9f}{flag}\n")
     return "".join(lines)
-
-
-def save_hyperparams(hp: HyperParams, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(serialize_hyperparams(hp))

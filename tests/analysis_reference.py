@@ -17,7 +17,7 @@ from typing import Iterable, Optional
 
 from provrefine import hypergraph as hg
 from provrefine.analysis import (Abstraction, Analysis, Projection, derive,
-                                 encode_params, local_provenance, project_set)
+                                 encode_params, project_set)
 from provrefine.errors import OracleLimitExceeded, UnknownParameter
 from provrefine.hypergraph import Fact, Hypergraph
 
@@ -116,11 +116,11 @@ def check_predictable(an: Analysis, param_limit: int = 12,
     if len(an.params) > param_limit:
         raise OracleLimitExceeded(
             f"predictability oracle over {len(an.params)} parameters")
-    g_bot = local_provenance(an, an.bottom())
+    g_bot = hg.induced(an.global_graph, derive(an, an.bottom()))
     if len(g_bot) > arc_limit:
         raise OracleLimitExceeded(
             f"predictability oracle over {len(g_bot)} arcs")
-    g_top = local_provenance(an, analysis_top(an))
+    g_top = hg.induced(an.global_graph, derive(an, analysis_top(an)))
 
     observations = []
     for a in all_abstractions(an):

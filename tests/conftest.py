@@ -11,11 +11,16 @@ from typing import Iterable
 
 from provrefine import maxsat as mx
 from provrefine.hypergraph import Arc, Fact, Hypergraph
-from provrefine.probmodel import HyperParams
+from provrefine.probmodel import HyperParams, serialize_hyperparams
 
 
 def fact(i: int) -> Fact:
     return Fact("v", (i,))
+
+
+def save_hyperparams(hp: HyperParams, path: str) -> None:
+    with open(path, "w") as fh:
+        fh.write(serialize_hyperparams(hp))
 
 
 def uniform(rule_types: Iterable[str], value: float = 0.5) -> HyperParams:

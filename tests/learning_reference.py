@@ -6,7 +6,9 @@ The straightforward versions of `provrefine.learning._Objective` and
 `_Objective` runs `wmc_clauses` on every head's own clauses at every
 evaluation, where the compiled objective counts once per distinct shape;
 `sample_training` closes the whole global graph afresh for every
-observation, where the fast one indexes it once per analysis.
+observation, where the fast one indexes it once per analysis, and takes
+its blueprint from the definition, the graph induced by the facts derived
+at bottom, indexed, where the fast one restricts the analysis's index.
 `ShapeObjective` is the objective as it was before the shapes came from
 bit masks: `learning._Objective` on `likelihood_reference.ShapeBound`.
 `observations` lists a training set's observations across its groups.
@@ -19,8 +21,8 @@ from typing import Callable
 from provrefine import hypergraph as hg
 from provrefine import learning
 from provrefine import likelihood as lk
-from provrefine.analysis import (Abstraction, Analysis, encode_params,
-                                 local_provenance, project_set)
+from provrefine.analysis import (Abstraction, Analysis, derive, encode_params,
+                                 project_set)
 from provrefine.learning import ObservationGroup, TrainingSet
 from provrefine.probmodel import NEG_INF, HyperParams
 
@@ -43,13 +45,13 @@ def sample_training(an: Analysis, n: int, max_flips: int,
                     rng: random.Random) -> TrainingSet:
     """n observations from random abstractions flipping 1..max_flips params."""
     max_flips = min(max_flips, len(an.params))
-    blueprint = local_provenance(an, an.bottom())
+    blueprint = hg.induced(an.global_graph, derive(an, an.bottom()))
     obs = []
     for _ in range(n):
         count = rng.randint(1, max_flips)
         flips = rng.sample(list(an.params), count)
         obs.append(observe(an, an.bottom().with_flips(flips)))
-    return TrainingSet([ObservationGroup(blueprint, obs)])
+    return TrainingSet([ObservationGroup(hg.Index(blueprint.arcs), obs)])
 
 
 class _Objective:

@@ -62,11 +62,13 @@ def bound_terms(g_bot: Hypergraph, obs: Iterable[Observation]) -> Formula:
     obs = list(obs)
     for arc in g_bot.sorted_arcs():  # the least self-loop arc in key order
         if arc.head in arc.body:
-            raise SelfLoopArc(str(arc))
-    for o in obs:
-        if not o.r - o.t <= g_bot.vertices:
+            raise SelfLoopArc(arc)
+    for k, o in enumerate(obs, start=1):
+        foreign = sorted(o.r - o.t - g_bot.vertices, key=Fact._key)
+        if foreign:  # the least in key order, whatever the hash seed
             raise ObservationOutOfRange(
-                "observation derives facts foreign to the blueprint")
+                f"observation {k} derives {foreign[0]}, a fact foreign to "
+                "the blueprint")
     if any(not o.consistent() for o in obs):
         return Formula(frozenset(), {}, impossible=True)
 

@@ -75,7 +75,7 @@ def test_criterion_2_likelihood_sandwich():
     acyclic_exact = 0
     for _ in range(500):
         g, hp, obs = _likelihood_instance(rng)
-        bf = lk.bound_terms(g, obs)
+        bf = lk.bound_terms(hg.Index(g.arcs), obs)
         lo = lk.lower_bound(bf, hp)
         up = lk.upper_bound(bf, hp)
         exact = lk.exact_likelihood(g, obs, hp)

@@ -16,6 +16,7 @@ from provrefine.errors import ParseError
 
 import likelihood_reference
 from analysis_reference import save_manifest, serialize_manifest
+from conftest import save_hyperparams
 
 
 def run(capsys, *argv):
@@ -51,6 +52,14 @@ class TestGround:
         rules = tmp_path / "nope.dl"
         assert run(capsys, "ground", "--rules", str(rules)) == \
             (2, "", f"error: cannot read {rules}: No such file or directory\n")
+
+    def test_an_unwritable_out_file_exits_2(self, capsys, tmp_path):
+        out = tmp_path / "nope" / "g.prov"
+        assert run(capsys, "ground", "--fixture", "smudge", "--out", str(out)) == \
+            (2, "", f"error: cannot write {out}: No such file or directory\n")
+        assert run(capsys, "ground", "--fixture", "smudge", "--out",
+                   str(tmp_path)) == \
+            (2, "", f"error: cannot write {tmp_path}: Is a directory\n")
 
     def test_parse_error_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.dl"
@@ -405,7 +414,7 @@ class TestSolve:
 
     def test_probabilistic_with_theta_file(self, capsys, tmp_path):
         theta = tmp_path / "theta.txt"
-        pm.save_hyperparams(pm.HyperParams(datalog.smudge_theta()), str(theta))
+        save_hyperparams(pm.HyperParams(datalog.smudge_theta()), str(theta))
         code, out, _ = run(capsys, "solve", "--fixture", "smudge",
                            "--strategy", "probabilistic", "--theta", str(theta))
         assert code == 0
@@ -460,6 +469,29 @@ class TestLearn:
         assert code == 0
         assert out.count("# fold") == 3
 
+    def test_an_unwritable_out_file_exits_2(self, capsys, tmp_path, manifests):
+        out = tmp_path / "nope" / "theta"
+        assert run(capsys, "learn", *manifests, "--n", "4", "--out", str(out)) == \
+            (2, "", f"error: cannot write {out}: No such file or directory\n")
+        assert run(capsys, "learn", *manifests, "--n", "4", "--loo",
+                   "--out", str(out)) == \
+            (2, "", f"error: cannot write {out}.fold0: No such file or directory\n")
+
+    def test_a_self_loop_arc_in_a_blueprint_names_the_manifest(
+            self, capsys, tmp_path, manifests):
+        (tmp_path / "loop.prov").write_text("q <- cheap(0) @ r\nq <- q @ loop\n")
+        m = tmp_path / "loop.manifest"
+        m.write_text("params:\n0 encode0=cheap(0) encode1=precise(0)\n"
+                     "queries:\nq\nprojection:\nprecise(A0) -> cheap(A0)\n"
+                     "provenance: loop.prov\n")
+        want = (2, "", f"error: {m}: self-loop arc (a head in its own body): "
+                       "q <- q @ loop\n")
+        assert run(capsys, "learn", str(m), "--n", "2") == want
+        assert run(capsys, "learn", manifests[0], str(m), manifests[1],
+                   "--n", "2") == want
+        assert run(capsys, "learn", manifests[0], str(m), str(m),
+                   "--n", "2", "--loo") == want
+
     def test_a_manifest_without_parameters_exits_2(self, capsys, tmp_path):
         (tmp_path / "q.prov").write_text("q <- @ r\n")
         m = tmp_path / "q.manifest"
@@ -480,14 +512,14 @@ class TestLikelihood:
     @pytest.fixture
     def files(self, tmp_path):
         an = datalog.smudge_fixture()
-        bp = ana.local_provenance(an, an.bottom())
+        bp = hg.Hypergraph(ana.local_provenance(an, an.bottom()).arcs)
         obs = lk.observe(an, [an.bottom().with_flips(["0", "4"])])
         b = tmp_path / "bp.prov"
         o = tmp_path / "obs.txt"
         t = tmp_path / "theta.txt"
         b.write_text(hg.serialize_provenance(bp))
         o.write_text(likelihood_reference.serialize_observations(obs))
-        pm.save_hyperparams(pm.HyperParams(datalog.smudge_theta()), str(t))
+        save_hyperparams(pm.HyperParams(datalog.smudge_theta()), str(t))
         return str(b), str(o), str(t)
 
     def test_lower_and_upper(self, capsys, files):
@@ -528,6 +560,27 @@ class TestLikelihood:
         assert run(capsys, "likelihood", b, str(tmp_path), t) == \
             (2, "", f"error: cannot read {tmp_path}: Is a directory\n")
 
+    def test_a_self_loop_arc_names_the_blueprint_file(self, capsys, tmp_path,
+                                                      files):
+        _, o, t = files
+        b = tmp_path / "loop.prov"
+        b.write_text(Path(files[0]).read_text() + "cheap(0) <- cheap(0) @ base\n")
+        for mode in ("lower", "upper"):
+            assert run(capsys, "likelihood", str(b), o, t, "--mode", mode) == \
+                (2, "", f"error: {b}: self-loop arc (a head in its own body): "
+                        "cheap(0) <- cheap(0) @ base\n")
+
+    def test_a_foreign_fact_names_the_fact_and_the_observation_file(
+            self, capsys, tmp_path, files):
+        b, o, t = files
+        foreign = tmp_path / "foreign_obs.txt"
+        foreign.write_text(Path(o).read_text()
+                           + "obs\nT: cheap(0)\nR: cheap(0) ghost(2) ghost(1) zz\n")
+        for mode in ("lower", "upper"):
+            assert run(capsys, "likelihood", b, str(foreign), t, "--mode", mode) == \
+                (2, "", f"error: {foreign}: observation 2 derives ghost(1), "
+                        "a fact foreign to the blueprint\n")
+
     def test_a_missing_or_malformed_theta_file_is_named(self, capsys, tmp_path,
                                                         files):
         b, o, _ = files
@@ -547,7 +600,7 @@ class TestLikelihood:
         theta = datalog.smudge_theta()
         del theta["dirty_persist"]
         t = tmp_path / "partial_theta.txt"
-        pm.save_hyperparams(pm.HyperParams(theta), str(t))
+        save_hyperparams(pm.HyperParams(theta), str(t))
         for mode in ("lower", "upper", "exact"):
             code, _, err = run(capsys, "likelihood", b, o, str(t), "--mode", mode)
             assert code == 2
@@ -567,6 +620,15 @@ class TestMaxsat:
                            "--varmap", str(vm))
         assert code == 0 and out.startswith("p wcnf")
         assert vm.exists()
+
+    def test_an_unwritable_varmap_exits_2(self, capsys, tmp_path):
+        inst = tmp_path / "i.txt"
+        inst.write_text("w a 2.0\nhard (or a b)\n")
+        vm = tmp_path / "nope" / "i.varmap"
+        code, out, err = run(capsys, "maxsat", str(inst), "--export-wcnf",
+                             "--varmap", str(vm))
+        assert code == 2 and out.startswith("p wcnf")
+        assert err == f"error: cannot write {vm}: No such file or directory\n"
 
     def test_unsat_exits_1(self, capsys, tmp_path):
         inst = tmp_path / "u.txt"
@@ -751,10 +813,11 @@ def valid_inputs(tmp_path_factory) -> dict:
     an = datalog.smudge_fixture()
     save_manifest(an, str(d / "s.manifest"), str(d / "s.prov"))
     (d / "bp.prov").write_text(
-        hg.serialize_provenance(ana.local_provenance(an, an.bottom())))
+        hg.serialize_provenance(
+            hg.Hypergraph(ana.local_provenance(an, an.bottom()).arcs)))
     (d / "obs.txt").write_text(likelihood_reference.serialize_observations(
         lk.observe(an, [an.bottom().with_flips(["0", "4"])])))
-    pm.save_hyperparams(pm.HyperParams(datalog.smudge_theta()), str(d / "theta.txt"))
+    save_hyperparams(pm.HyperParams(datalog.smudge_theta()), str(d / "theta.txt"))
     names = ("bp.prov", "obs.txt", "theta.txt", "fuzz.txt")
     return {name: str(d / name) for name in names}
 

@@ -24,6 +24,7 @@ from provrefine import cli, datalog
 from provrefine import probmodel as pm
 
 from analysis_reference import save_manifest
+from conftest import save_hyperparams
 
 GOLDEN = Path(__file__).resolve().parent / "cli_golden.json"
 COUNT = 10
@@ -73,7 +74,7 @@ def run_program(tmp: Path, i: int, program: dict, theta: Path) -> dict:
 
 def run_all(tmp: Path, programs: list) -> dict:
     theta = tmp / "theta.txt"
-    pm.save_hyperparams(pm.HyperParams(datalog.smudge_theta()), str(theta))
+    save_hyperparams(pm.HyperParams(datalog.smudge_theta()), str(theta))
     got = {"programs": [run_program(tmp, i, p, theta)
                         for i, p in enumerate(programs)]}
     got["approx"] = run("solve", "--fixture", "smudge", "--solver", "approx")

@@ -4,15 +4,16 @@ from collections import Counter
 
 import pytest
 
+from provrefine import hypergraph as hg
 from provrefine import learning
 from provrefine import likelihood as lk
 from provrefine import probmodel as pm
 from provrefine.errors import CorpusTooSmall, DegenerateTrainingSet
-from provrefine.hypergraph import Arc, Fact, Hypergraph
+from provrefine.hypergraph import Arc, Fact
 
 import learning_reference
 import likelihood_reference
-from conftest import random_smudge_analysis
+from conftest import assert_same_index, random_smudge_analysis
 
 
 def _f(name):
@@ -22,12 +23,12 @@ def _f(name):
 def _bernoulli_corpus(successes: int, total: int):
     """`total` one-arc programs; the arc survived in `successes` of them."""
     a, b = _f("a"), _f("b")
-    g = Hypergraph([Arc(b, frozenset([a]), "coin")])
+    blueprint = hg.Index([Arc(b, frozenset([a]), "coin")])
     groups = []
     for i in range(total):
         r = frozenset([a, b]) if i < successes else frozenset([a])
         groups.append(learning.ObservationGroup(
-            g, [lk.Observation(t=frozenset([a]), r=r)]))
+            blueprint, [lk.Observation(t=frozenset([a]), r=r)]))
     return learning.TrainingSet(groups)
 
 
@@ -59,10 +60,10 @@ def test_all_successes_drives_theta_to_one():
 def test_unconstrained_types_are_flagged():
     # the "noise" arc's head is never observed derived nor refuted
     a, b, c = _f("a"), _f("b"), _f("c")
-    g = Hypergraph([Arc(b, frozenset([a]), "coin"),
-                    Arc(c, frozenset([_f("never")]), "noise")])
+    blueprint = hg.Index([Arc(b, frozenset([a]), "coin"),
+                          Arc(c, frozenset([_f("never")]), "noise")])
     ts = learning.TrainingSet([learning.ObservationGroup(
-        g, [lk.Observation(t=frozenset([a]), r=frozenset([a, b]))])])
+        blueprint, [lk.Observation(t=frozenset([a]), r=frozenset([a, b]))])])
     hp = learning.learn(ts)
     assert hp.theta["noise"] == 1.0
     assert "noise" in hp.unconstrained
@@ -70,9 +71,9 @@ def test_unconstrained_types_are_flagged():
 
 
 def test_degenerate_training_set_raises():
-    g = Hypergraph([Arc(_f("b"), frozenset([_f("a")]), "coin")])
+    blueprint = hg.Index([Arc(_f("b"), frozenset([_f("a")]), "coin")])
     ts = learning.TrainingSet([learning.ObservationGroup(
-        g, [lk.Observation(t=frozenset(), r=frozenset())])])
+        blueprint, [lk.Observation(t=frozenset(), r=frozenset())])])
     with pytest.raises(DegenerateTrainingSet):
         learning.learn(ts)
 
@@ -102,6 +103,14 @@ def test_sample_training_shapes():
         assert o.consistent()
 
 
+def _assert_same_training(got, want):
+    """The same observations, in order, and blueprints equal field by field."""
+    assert len(got.groups) == len(want.groups)
+    for g, w in zip(got.groups, want.groups):
+        assert g.observations == w.observations
+        assert_same_index(g.blueprint, w.blueprint)
+
+
 def test_sample_training_equals_the_per_observation_reference():
     rng = random.Random(23)
     for _ in range(40):
@@ -111,12 +120,11 @@ def test_sample_training_equals_the_per_observation_reference():
         got = learning.sample_training(an, n, max_flips, random.Random(seed))
         expect = learning_reference.sample_training(an, n, max_flips,
                                                     random.Random(seed))
-        assert got == expect
+        _assert_same_training(got, expect)
 
 
 def test_sample_training_indexes_the_global_graph_once(monkeypatch):
     from provrefine import analysis as ana
-    from provrefine import hypergraph as hg
 
     calls = []
 
@@ -133,7 +141,10 @@ def test_sample_training_indexes_the_global_graph_once(monkeypatch):
     learning.sample_training(an, 20, 3, random.Random(0))
     ts = learning.sample_training(an, 20, 3, random.Random(1))
     assert len(calls) == 1  # the analysis's own index serves every closure
-    # and its ranking every blueprint: bound terms restrict it
+    # every sample shares the analysis's one blueprint
+    assert ts.groups[0].blueprint is an.blueprint
+    assert_same_index(an.blueprint, ana.local_provenance(an, an.bottom()))
+    # and its ranking every blueprint: each is a restriction of it
     ranked = hg._ranked
     monkeypatch.setattr(hg, "_ranked", lambda *args: calls.append(2) or ranked(*args))
     ts = learning.TrainingSet.merge(
@@ -149,7 +160,8 @@ def test_sample_training_is_the_same_before_and_after_the_index_is_cached():
     assert "index" in vars(an)
     again = learning.sample_training(an, 12, 3, random.Random(7))
     expect = learning_reference.sample_training(an, 12, 3, random.Random(7))
-    assert first == again == expect
+    _assert_same_training(first, expect)
+    _assert_same_training(again, expect)
 
 
 def test_merge_concatenates_groups():

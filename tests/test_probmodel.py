@@ -10,7 +10,7 @@ from provrefine.errors import OracleLimitExceeded
 from provrefine.hypergraph import Arc, Fact, Hypergraph
 
 import probmodel_reference
-from conftest import fact, random_hypergraph
+from conftest import fact, random_hypergraph, save_hyperparams
 from probmodel_reference import NotSubgraph, ProbModel, log_prob_of, prob_of
 
 
@@ -88,7 +88,7 @@ def test_hyperparams_validation():
 def test_hyperparams_file_round_trip(tmp_path):
     hp = pm.HyperParams({"a": 0.125, "b": 1.0}, unconstrained={"b"})
     path = tmp_path / "theta.txt"
-    pm.save_hyperparams(hp, str(path))
+    save_hyperparams(hp, str(path))
     back = pm.parse_hyperparams(path.read_text())
     assert back.theta == pytest.approx(hp.theta)
     assert back.unconstrained == {"b"}

@@ -403,7 +403,7 @@ def test_the_cone_index_agrees_with_the_whole_graph():
             expect = (whole.get(u, hg.INFINITY) if u in in_cone
                       else 0 if u in p0 | p1 else hg.INFINITY)
             assert dist.get(j, hg.INFINITY) == expect
-        g_a = ana.local_provenance(an, a)
+        g_a = hg.Hypergraph(ana.local_provenance(an, a).arcs)
         assert (root in cone.run(p1)) == (q in hg.reach(g_a, p1))
         assert _sliced(cone, q, forward) == refine.slice_to_query(
             refine.forward_restrict(g_a, an, a), q)
@@ -470,7 +470,7 @@ def test_final_check_rejects_a_corrupted_incumbent(smudge, monkeypatch):
 
 def test_forward_restrict_drops_backward_arcs(smudge):
     a = smudge.bottom()
-    g_a = ana.local_provenance(smudge, a)
+    g_a = hg.Hypergraph(ana.local_provenance(smudge, a).arcs)
     fwd = refine.forward_restrict(g_a, smudge, a)
     seeds = ana.encode_params(smudge, a, 0) | ana.encode_params(smudge, a, 1)
     dist = hg.distances(g_a, seeds)
@@ -484,7 +484,7 @@ def test_forward_restrict_drops_backward_arcs(smudge):
 def test_slice_to_query_preserves_derivability(smudge):
     a = smudge.bottom()
     q = _query(smudge)
-    g_a = ana.local_provenance(smudge, a)
+    g_a = hg.Hypergraph(ana.local_provenance(smudge, a).arcs)
     seeds = ana.encode_params(smudge, a, 0) | ana.encode_params(smudge, a, 1)
     sliced = refine.slice_to_query(g_a, q)
     assert sliced <= g_a
@@ -528,7 +528,8 @@ def test_decode_model_round_trip(smudge, smudge_hp):
     kept = _forward(cone, q, smudge, a)
     g_fwd = hg.Hypergraph(cone.arcs[j] for j in kept)
     assert g_fwd == refine.slice_to_query(
-        refine.forward_restrict(ana.local_provenance(smudge, a), smudge, a), q)
+        refine.forward_restrict(
+            hg.Hypergraph(ana.local_provenance(smudge, a).arcs), smudge, a), q)
     enc = refine.Encoding(smudge, cone, q, smudge_hp, 1.0)
     phi = refine.build_phi(enc, kept, a)
     model, objective = mx.solve_exact(phi.inst)

@@ -11,6 +11,7 @@ import pytest
 
 from provrefine import analysis as ana
 from provrefine import datalog
+from provrefine import hypergraph as hg
 from provrefine import likelihood as lk
 from provrefine import maxsat as mx
 from provrefine import refine
@@ -52,7 +53,8 @@ def _smudge_returns() -> dict:
         "datalog.ground": datalog.ground(rules, base),
         "analysis.local_provenance": g_a,
         "refine.solve": refine.solve(an, query, refine.RefineConfig()),
-        "refine.slice_to_query": refine.slice_to_query(g_a, query),
+        "refine.slice_to_query": refine.slice_to_query(hg.Hypergraph(g_a.arcs),
+                                                       query),
         "maxsat.compile_instance": mx.compile_instance(mx.MaxSatInstance(
             mx.exists(["y"], mx.or_(x, mx.var("y"))), {"x": 1.0})),
         "likelihood.bound_terms": lk.bound_terms(g_a, lk.observe(an, [a])),
