@@ -172,16 +172,16 @@ def cmd_likelihood(args) -> int:
     obs = lk.parse_observations(_read(args.obs))
     hp = _read_theta(args.theta)
     pm.validate_hyperparams(hp, graph)
-    if args.mode == "exact":
-        value = lk.exact_likelihood(graph, obs, hp)
-    else:
-        try:
-            bf = lk.bound_terms(hg.Index(graph.arcs), obs)
-        except SelfLoopArc as exc:
-            raise ProvRefineError(f"{args.blueprint}: {exc}") from exc
-        except ObservationOutOfRange as exc:
-            raise ProvRefineError(f"{args.obs}: {exc}") from exc
-        value = (lk.lower_bound if args.mode == "lower" else lk.upper_bound)(bf, hp)
+    try:
+        if args.mode == "exact":
+            value = lk.exact_likelihood(graph, obs, hp)
+        else:
+            bound = lk.lower_bound if args.mode == "lower" else lk.upper_bound
+            value = bound(lk.bound_terms(hg.Index(graph.arcs), obs), hp)
+    except SelfLoopArc as exc:
+        raise ProvRefineError(f"{args.blueprint}: {exc}") from exc
+    except ObservationOutOfRange as exc:
+        raise ProvRefineError(f"{args.obs}: {exc}") from exc
     print("-inf" if value == pm.NEG_INF else f"{value:.9f}")
     return EXIT_OK
 

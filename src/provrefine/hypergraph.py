@@ -20,10 +20,12 @@ text format prints from the same ranking (`serialize_provenance`);
 `Index.restrict` keeps the order of a subset of an index's arcs, which
 is that order already, and ranks nothing again.
 `Index.sweep` closes from many seed sets in one bit-parallel pass, one bit
-per set, for the callers that have a batch: `likelihood.observe` and
-`likelihood.bound_terms`.  `layers` stays the kernel of the single-set
-callers (`derive`, `refine.solve`, `decode_model`), where a one-bit sweep
-took two to three times as long.
+per set, for the callers that have a batch: `likelihood.observe`, whose
+observation batch keeps the sweep's masks, projected, rather than a set
+per observation, and `likelihood.bound_terms`, which reads the batch's
+masks and sweeps from its seed sets.  `layers` stays the kernel of the
+single-set callers (`derive`, `refine.solve`, `decode_model`), where a
+one-bit sweep took two to three times as long.
 
 `reach` and `distances` build an index per call.  An analysis caches the
 one index of its global graph (`analysis.Analysis.index`), which `derive`

@@ -29,10 +29,11 @@ MAX_CYCLES = 100  # learn stops after this many cycles in any case
 @dataclass
 class ObservationGroup:
     """Observations sharing one blueprint (one program), an index:
-    `Analysis.blueprint` for a sampled group."""
+    `Analysis.blueprint` for a sampled group, and the observations as one
+    `likelihood.ObservationBatch`."""
 
     blueprint: hg.Index
-    observations: list
+    observations: lk.ObservationBatch
 
 
 @dataclass

@@ -1,14 +1,20 @@
 """Likelihood of reachability observations under the random-subgraph model.
 
 An observation records which projected facts were seeded (T) and which
-were derived (R) in one analysis run.  The probability that a random
-sub-hypergraph H of the blueprint, keeping each arc with its rule type's
-theta (`probmodel.HyperParams`), reproduces a batch of observations
-(reach(H, T_k) = R_k for all k) is bounded below and above by products
-of per-head weighted model counts.  `bound_terms` counts the heads of
-each distinct shape, read off its bit masks, and `Bound` compiles each
-shape's count once and evaluates it under any theta; `exact_likelihood`
-enumerates every sub-hypergraph for the exact value on small instances.
+were derived (R) in one analysis run.  A batch of them is one
+bit-parallel `ObservationBatch`: each observation's T, and per fact the
+mask of the observations whose R holds it.  `observe` builds it from one
+sweep's masks and `parse_observations` from a file, and `bound_terms`
+reads its masks off it; no per-observation R set is built on the way,
+only when a caller iterates the batch's `Observation` views.  The
+probability that a random sub-hypergraph H of the blueprint, keeping
+each arc with its rule type's theta (`probmodel.HyperParams`), reproduces
+a batch (reach(H, T_k) = R_k for all k) is bounded below and above by
+products of per-head weighted model counts.  `bound_terms` counts the
+heads of each distinct shape, read off its bit masks, and `Bound`
+compiles each shape's count once and evaluates it under any theta;
+`exact_likelihood` enumerates every sub-hypergraph for the exact value
+on small instances.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from . import hypergraph as hg
 from .analysis import Abstraction, Analysis, encode_params, project_set
@@ -28,26 +34,70 @@ from .probmodel import NEG_INF, HyperParams, validate_hyperparams
 EXACT_ARC_LIMIT = 15  # exact_likelihood enumerates the subsets of at most this many arcs
 
 
-@dataclass(frozen=True)
-class Observation:
-    """One training event: seeded facts t and derived facts r (projected)."""
+class Observation(NamedTuple):
+    """One training event, seeded facts t and derived facts r (projected):
+    the view of one observation of an `ObservationBatch`."""
 
     t: frozenset
     r: frozenset
 
+
+class ObservationBatch:
+    """A batch of observations, one bit per observation k.
+
+    `t[k]` is observation k's seed set, and `rmask[f]`, per fact f in some
+    r, the mask of the observations whose r holds f.  `bound_terms` reads
+    its masks off this, and `observe` builds it from its sweep masks with
+    no per-observation r set; iterating the batch yields each observation
+    as an `Observation`, in order.
+    """
+
+    __slots__ = ("t", "rmask")
+
+    def __init__(self, t: list, rmask: dict):
+        self.t, self.rmask = t, rmask
+
+    @classmethod
+    def of(cls, obs: Iterable) -> "ObservationBatch":
+        """The batch of (t, r) pairs, such as `Observation`s, in order."""
+        t, rmask = [], {}
+        for k, (seeds, r) in enumerate(obs):
+            t.append(frozenset(seeds))
+            bit = 1 << k
+            for f in r:
+                rmask[f] = rmask.get(f, 0) | bit
+        return cls(t, rmask)
+
+    def __iter__(self):
+        rs = [[] for _ in self.t]
+        for f, m in self.rmask.items():
+            while m:
+                low = m & -m
+                rs[low.bit_length() - 1].append(f)
+                m ^= low
+        return (Observation(t, frozenset(r)) for t, r in zip(self.t, rs))
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, ObservationBatch) and self.t == other.t
+                and self.rmask == other.rmask)
+
     def consistent(self) -> bool:
-        return self.t <= self.r
+        """Whether every observation's t lies in its r."""
+        rmask = self.rmask
+        return all(rmask.get(u, 0) >> k & 1
+                   for k, t in enumerate(self.t) for u in t)
 
 
-def observe(an: Analysis, abstractions: Iterable[Abstraction]) -> list:
+def observe(an: Analysis, abstractions: Iterable[Abstraction]) -> ObservationBatch:
     """Run the analysis under each abstraction and project the outcomes.
 
     One `Index.sweep` of the analysis's cached index closes every
     abstraction's P1 facts at once; the facts reached by the same
-    abstractions are projected together, once, and each r is the union of
-    the images whose mask has its bit, plus its projected seeds t (a seed
-    outside the index is in no mask).  r equals reach over
-    local_provenance: reach(global, P1) lies in derive(a).
+    abstractions are projected together, once, and each fact of that
+    image takes their mask.  Observation k's t is its projected seeds, so
+    they take bit k too (a seed outside the index is in no sweep mask).
+    r equals reach over local_provenance: reach(global, P1) lies in
+    derive(a).
     """
     p1s = [encode_params(an, a, 1) for a in abstractions]
     reach, _ = an.index.sweep(p1s)
@@ -55,16 +105,16 @@ def observe(an: Analysis, abstractions: Iterable[Abstraction]) -> list:
     for f, m in zip(an.index.facts, reach):
         if m:
             by_mask.setdefault(m, []).append(f)
-    images = [(m, an.projection.image(fs)) for m, fs in by_mask.items()]
-    out = []
-    for k, p1 in enumerate(p1s):
-        t = project_set(an, p1)
-        r = set(t)
-        for m, image in images:
-            if m >> k & 1:
-                r |= image
-        out.append(Observation(t=t, r=frozenset(r)))
-    return out
+    rmask = {}
+    for m, fs in by_mask.items():
+        for f in an.projection.image(fs):
+            rmask[f] = rmask.get(f, 0) | m
+    t = [project_set(an, p1) for p1 in p1s]
+    for k, seeds in enumerate(t):
+        bit = 1 << k
+        for f in seeds:
+            rmask[f] = rmask.get(f, 0) | bit
+    return ObservationBatch(t, rmask)
 
 
 @dataclass
@@ -113,55 +163,69 @@ class _ArcSets(dict):
         return out
 
 
-def bound_terms(index: hg.Index, obs: Iterable[Observation]) -> BoundFormula:
+def _blueprint_masks(index: hg.Index, obs: ObservationBatch) -> tuple:
+    """(rmask, cmask) per fact id of the blueprint `index`: the bits of the
+    observations whose r holds the fact, and of those that derive it
+    (r - t).
+
+    Refuses a self-loop arc of the blueprint, the least in key order
+    named, and then an observation deriving a fact outside the blueprint,
+    the least such fact of the first such observation named: the one check
+    of every likelihood, bound or exact.
+    """
+    for h, body, arc in zip(index.heads, index.bodies, index.arcs):
+        if h in body:  # the first in id order is the least in key order
+            raise SelfLoopArc(arc)
+    tmask = {}  # seed fact -> the observations it seeds
+    for k, t in enumerate(obs.t):
+        bit = 1 << k
+        for u in t:
+            tmask[u] = tmask.get(u, 0) | bit
+    ids, n = index.ids, len(index.facts)
+    rmask, cmask = [0] * n, [0] * n
+    foreign = {}  # fact outside the blueprint -> the observations deriving it
+    for f, m in obs.rmask.items():
+        c = m & ~tmask.get(f, 0)
+        i = ids.get(f)
+        if i is not None:
+            rmask[i], cmask[i] = m, c
+        elif c:
+            foreign[f] = c
+    if foreign:
+        first = 0
+        for c in foreign.values():
+            first |= c
+        first &= -first
+        f = min((f for f, c in foreign.items() if c & first), key=hg.Fact._key)
+        raise ObservationOutOfRange(f"observation {first.bit_length()} derives "
+                                    f"{f}, a fact foreign to the blueprint")
+    return rmask, cmask
+
+
+def bound_terms(index: hg.Index, obs: ObservationBatch) -> BoundFormula:
     """The refuted arcs and the per-head shapes of both bounds over the
     blueprint `index`.
 
     The one index serves every observation: from an analysis, the
     restriction of its index that `local_provenance` returns, so nothing
     is ranked again; from a graph with no analysis, `hg.Index` of its
-    arcs.  A self-loop arc is refused, the least in key order named, and
-    so is an observation deriving a fact outside the blueprint, the least
-    such fact of the first such observation named.  Each fact and arc
-    holds one bit per observation k.  Per fact, `rmask` marks the k with
-    the fact in r and `cmask` the k that derive it (r - t); per arc, W is
-    the AND of its body facts' `rmask` (all ones for an empty body), so
-    bit k of W says the body lies in r_k.  An arc is refuted iff W has a
-    bit its head's `rmask` lacks; `dmask = W & cmask[head]` marks the D_k
-    holding it, and `fmask`, that and the arcs forward from t_k, the F_k,
-    all from one `Index.sweep` from every t_k.  A head's clause for k is
-    its candidates with bit k set, and its shape comes from those masks
-    alone (`_head_shape`).
+    arcs.  `_blueprint_masks` refuses a self-loop arc and a foreign fact
+    and reads, per fact, `rmask` (the k with the fact in r_k) and `cmask`
+    (the k that derive it) off the batch.  Each arc holds one bit per
+    observation k: W is the AND of its body facts' `rmask` (all ones for
+    an empty body), so bit k of W says the body lies in r_k.  An arc is
+    refuted iff W has a bit its head's `rmask` lacks; `dmask = W &
+    cmask[head]` marks the D_k holding it, and `fmask`, that and the arcs
+    forward from t_k, the F_k, all from one `Index.sweep` from every t_k.
+    A head's clause for k is its candidates with bit k set, and its shape
+    comes from those masks alone (`_head_shape`).
     """
-    obs = list(obs)
-    ids, facts, arcs = index.ids, index.facts, index.arcs
-    for h, body, arc in zip(index.heads, index.bodies, arcs):
-        if h in body:  # the first in id order is the least in key order
-            raise SelfLoopArc(arc)
-    seen = []  # per observation: (t, r - t as fact ids)
-    for k, o in enumerate(obs, start=1):
-        derived = list(map(ids.get, o.r - o.t))
-        if None in derived:
-            foreign = min((f for f in o.r - o.t if f not in ids),
-                          key=hg.Fact._key)
-            raise ObservationOutOfRange(f"observation {k} derives {foreign}, "
-                                        "a fact foreign to the blueprint")
-        seen.append((o.t, derived))
-    if any(not o.consistent() for o in obs):
+    rmask, cmask = _blueprint_masks(index, obs)
+    if not obs.consistent():
         return BoundFormula(frozenset(), {}, {}, {}, impossible=True)
 
-    rmask, cmask = [0] * len(facts), [0] * len(facts)
-    for k, (t, derived) in enumerate(seen):
-        bit = 1 << k
-        for f in derived:
-            rmask[f] |= bit
-            cmask[f] |= bit
-        for u in t:
-            f = ids.get(u)
-            if f is not None:
-                rmask[f] |= bit
-    fwd = index.sweep([t for t, _ in seen])[1]
-    full = (1 << len(seen)) - 1
+    fwd = index.sweep(obs.t)[1]
+    full = (1 << len(obs.t)) - 1
     heads, w = index.heads, []
     for body in index.bodies:
         m = full
@@ -170,6 +234,7 @@ def bound_terms(index: hg.Index, obs: Iterable[Observation]) -> BoundFormula:
         w.append(m)
     refuted = [w[j] & ~rmask[h] for j, h in enumerate(heads)]
 
+    arcs = index.arcs
     types = [arc.rule_type for arc in arcs]
     lower, upper = {}, {}
     for _, c, a_h in _candidates(index, cmask, refuted):
@@ -383,17 +448,19 @@ def _enumerate_subgraphs(blueprint: Hypergraph, hp: HyperParams):
             yield chosen, p
 
 
-def exact_likelihood(g_bot: Hypergraph, obs: Iterable[Observation],
+def exact_likelihood(g_bot: Hypergraph, obs: ObservationBatch,
                      hp: HyperParams) -> float:
-    """Log-probability by enumerating every sub-hypergraph."""
-    obs = list(obs)
-    if any(not o.consistent() for o in obs):
+    """Log-probability by enumerating every sub-hypergraph, after the
+    bounds' own check of the blueprint and the observations."""
+    _blueprint_masks(hg.Index(g_bot.arcs), obs)
+    if not obs.consistent():
         return NEG_INF
     if len(g_bot) > EXACT_ARC_LIMIT:
         raise OracleLimitExceeded(
             f"exact likelihood over {len(g_bot)} arcs (limit {EXACT_ARC_LIMIT})")
     validate_hyperparams(hp, g_bot)
     total = 0.0
+    obs = list(obs)
     for chosen, p in _enumerate_subgraphs(g_bot, hp):
         sub = Hypergraph(chosen)
         if all(hg.reach(sub, o.t) == o.r for o in obs):
@@ -405,9 +472,9 @@ def exact_likelihood(g_bot: Hypergraph, obs: Iterable[Observation],
 # observation text format
 
 
-def parse_observations(text: str) -> list:
+def parse_observations(text: str) -> ObservationBatch:
     """Blocks of `obs` / `T: facts` / `R: facts`; facts as in parse_facts."""
-    out = []
+    out = []  # (t, r) per observation
     cur = {}  # "T:" / "R:" -> the facts of the current block
     start = 0  # the line of the last `obs`, 0 before the first
 
@@ -415,7 +482,7 @@ def parse_observations(text: str) -> list:
         if cur:
             if len(cur) < 2:
                 raise ParseError(lineno, "observation missing T: or R: line")
-            out.append(Observation(t=frozenset(cur["T:"]), r=frozenset(cur["R:"])))
+            out.append((cur["T:"], cur["R:"]))
             cur.clear()
         elif start:
             raise ParseError(start, "observation has no T: or R: line")
@@ -433,4 +500,4 @@ def parse_observations(text: str) -> list:
             raise ValueError(f"unexpected line {line!r}")
 
     flush(hg.read_lines(text, entry) + 1)
-    return out
+    return ObservationBatch.of(out)

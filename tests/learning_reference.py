@@ -51,7 +51,8 @@ def sample_training(an: Analysis, n: int, max_flips: int,
         count = rng.randint(1, max_flips)
         flips = rng.sample(list(an.params), count)
         obs.append(observe(an, an.bottom().with_flips(flips)))
-    return TrainingSet([ObservationGroup(hg.Index(blueprint.arcs), obs)])
+    return TrainingSet([ObservationGroup(hg.Index(blueprint.arcs),
+                                         lk.ObservationBatch.of(obs))])
 
 
 class _Objective:

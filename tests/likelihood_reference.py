@@ -69,7 +69,7 @@ def bound_terms(g_bot: Hypergraph, obs: Iterable[Observation]) -> Formula:
             raise ObservationOutOfRange(
                 f"observation {k} derives {foreign[0]}, a fact foreign to "
                 "the blueprint")
-    if any(not o.consistent() for o in obs):
+    if any(not o.t <= o.r for o in obs):
         return Formula(frozenset(), {}, impossible=True)
 
     negated = set()

@@ -65,7 +65,7 @@ def _likelihood_instance(rng):
         t = random_seed_set(rng, g)
         r = hg.reach(Hypergraph(a for a in g.arcs if rng.random() < 0.7), t)
         obs.append(lk.Observation(t=t, r=r))
-    return g, hp, obs
+    return g, hp, lk.ObservationBatch.of(obs)
 
 
 def test_criterion_2_likelihood_sandwich():

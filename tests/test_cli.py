@@ -565,7 +565,7 @@ class TestLikelihood:
         _, o, t = files
         b = tmp_path / "loop.prov"
         b.write_text(Path(files[0]).read_text() + "cheap(0) <- cheap(0) @ base\n")
-        for mode in ("lower", "upper"):
+        for mode in ("lower", "upper", "exact"):
             assert run(capsys, "likelihood", str(b), o, t, "--mode", mode) == \
                 (2, "", f"error: {b}: self-loop arc (a head in its own body): "
                         "cheap(0) <- cheap(0) @ base\n")
@@ -576,7 +576,7 @@ class TestLikelihood:
         foreign = tmp_path / "foreign_obs.txt"
         foreign.write_text(Path(o).read_text()
                            + "obs\nT: cheap(0)\nR: cheap(0) ghost(2) ghost(1) zz\n")
-        for mode in ("lower", "upper"):
+        for mode in ("lower", "upper", "exact"):
             assert run(capsys, "likelihood", b, str(foreign), t, "--mode", mode) == \
                 (2, "", f"error: {foreign}: observation 2 derives ghost(1), "
                         "a fact foreign to the blueprint\n")

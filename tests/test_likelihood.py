@@ -21,6 +21,9 @@ def _f(name):
     return Fact(name, ())
 
 
+_batch = lk.ObservationBatch.of
+
+
 @pytest.fixture
 def four_arc_example():
     """One head h fed by four bodies; three observations pin it down."""
@@ -40,7 +43,7 @@ def four_arc_example():
 
 def test_four_arc_structure(four_arc_example):
     g, arcs, obs = four_arc_example
-    bf = lk.bound_terms(hg.Index(g.arcs), obs)
+    bf = lk.bound_terms(hg.Index(g.arcs), _batch(obs))
     assert bf.negated_arcs == frozenset([arcs[1]])
     (h_key,) = bf.per_head
     ph = bf.per_head[h_key]
@@ -53,11 +56,11 @@ def test_four_arc_structure(four_arc_example):
 def test_four_arc_bounds_and_exact(four_arc_example):
     g, arcs, obs = four_arc_example
     hp = pm.HyperParams({f"e{k}": 0.5 for k in range(1, 5)})
-    bf = lk.bound_terms(hg.Index(g.arcs), obs)
+    bf = lk.bound_terms(hg.Index(g.arcs), _batch(obs))
     # (1/2) * WMC((S2 or S4) and (S3 or S4)) = 0.5 * 0.625
     for f in (lk.lower_bound, lk.upper_bound):
         assert f(bf, hp) == pytest.approx(math.log(0.3125))
-    assert lk.exact_likelihood(g, obs, hp) == pytest.approx(math.log(0.3125))
+    assert lk.exact_likelihood(g, _batch(obs), hp) == pytest.approx(math.log(0.3125))
 
 
 def test_cyclic_pair_bounds():
@@ -67,22 +70,22 @@ def test_cyclic_pair_bounds():
     g = Hypergraph([Arc(a, frozenset([b]), "r"), Arc(b, frozenset([a]), "r")])
     obs = [lk.Observation(t=frozenset(), r=frozenset([a, b]))]
     hp = pm.HyperParams({"r": 0.5})
-    bf = lk.bound_terms(hg.Index(g.arcs), obs)
+    bf = lk.bound_terms(hg.Index(g.arcs), _batch(obs))
     assert lk.lower_bound(bf, hp) == pm.NEG_INF
     assert lk.upper_bound(bf, hp) == pytest.approx(math.log(0.25))
-    assert lk.exact_likelihood(g, obs, hp) == pm.NEG_INF
+    assert lk.exact_likelihood(g, _batch(obs), hp) == pm.NEG_INF
 
 
 def test_inconsistent_observation_gives_zero_likelihood():
     a, b = _f("a"), _f("b")
     g = Hypergraph([Arc(b, frozenset([a]), "r")])
     obs = [lk.Observation(t=frozenset([a]), r=frozenset([b]))]  # t not in r
-    bf = lk.bound_terms(hg.Index(g.arcs), obs)
+    bf = lk.bound_terms(hg.Index(g.arcs), _batch(obs))
     hp = pm.HyperParams({"r": 0.5})
     assert bf.impossible
     assert lk.lower_bound(bf, hp) == pm.NEG_INF
     assert lk.upper_bound(bf, hp) == pm.NEG_INF
-    assert lk.exact_likelihood(g, obs, hp) == pm.NEG_INF
+    assert lk.exact_likelihood(g, _batch(obs), hp) == pm.NEG_INF
 
 
 def test_self_loop_arcs_are_rejected():
@@ -90,7 +93,7 @@ def test_self_loop_arcs_are_rejected():
     g = Hypergraph([Arc(a, frozenset([a]), "r")])
     with pytest.raises(SelfLoopArc):
         lk.bound_terms(hg.Index(g.arcs),
-                       [lk.Observation(frozenset(), frozenset())])
+                       _batch([lk.Observation(frozenset(), frozenset())]))
 
 
 def test_the_least_self_loop_arc_in_key_order_is_named():
@@ -99,7 +102,7 @@ def test_the_least_self_loop_arc_in_key_order_is_named():
     obs = [lk.Observation(frozenset(), frozenset())]
     want = "self-loop arc (a head in its own body): a <- a b @ r"
     with pytest.raises(SelfLoopArc, match=f"^{re.escape(want)}$"):
-        lk.bound_terms(hg.Index(g.arcs), obs)
+        lk.bound_terms(hg.Index(g.arcs), _batch(obs))
     with pytest.raises(SelfLoopArc, match=f"^{re.escape(want)}$"):
         likelihood_reference.bound_terms(g, obs)
 
@@ -114,7 +117,9 @@ def test_foreign_facts_are_rejected():
            lk.Observation(frozenset(), frozenset([_f("a0")]))]
     want = "observation 2 derives g(1), a fact foreign to the blueprint"
     with pytest.raises(ObservationOutOfRange, match=f"^{re.escape(want)}$"):
-        lk.bound_terms(hg.Index(g.arcs), obs)
+        lk.bound_terms(hg.Index(g.arcs), _batch(obs))
+    with pytest.raises(ObservationOutOfRange, match=f"^{re.escape(want)}$"):
+        lk.exact_likelihood(g, _batch(obs), uniform(["r"]))
     with pytest.raises(ObservationOutOfRange, match=f"^{re.escape(want)}$"):
         likelihood_reference.bound_terms(g, obs)
 
@@ -138,10 +143,10 @@ def test_bounds_sandwich_exact_on_random_instances():
     rng = random.Random(99)
     for _ in range(60):
         g, hp, obs = _random_instance(rng)
-        bf = lk.bound_terms(hg.Index(g.arcs), obs)
+        bf = lk.bound_terms(hg.Index(g.arcs), _batch(obs))
         lo = lk.lower_bound(bf, hp)
         up = lk.upper_bound(bf, hp)
-        exact = lk.exact_likelihood(g, obs, hp)
+        exact = lk.exact_likelihood(g, _batch(obs), hp)
         assert lo <= exact + 1e-9
         assert exact <= up + 1e-9
 
@@ -150,9 +155,9 @@ def test_upper_equals_exact_on_acyclic_instances():
     rng = random.Random(7)
     for _ in range(40):
         g, hp, obs = _random_instance(rng, acyclic=True)
-        bf = lk.bound_terms(hg.Index(g.arcs), obs)
+        bf = lk.bound_terms(hg.Index(g.arcs), _batch(obs))
         up = lk.upper_bound(bf, hp)
-        exact = lk.exact_likelihood(g, obs, hp)
+        exact = lk.exact_likelihood(g, _batch(obs), hp)
         if exact == pm.NEG_INF:
             assert up == pm.NEG_INF
         else:
@@ -165,7 +170,7 @@ def test_a_head_with_many_candidates_counts_without_recursing_per_arc():
     g = Hypergraph([Arc(h, frozenset([x]), "r") for x in a]
                    + [Arc(x, frozenset(), "base") for x in a])
     bf = lk.bound_terms(hg.Index(g.arcs),
-                        [lk.Observation(t=frozenset(), r=frozenset([h, *a]))])
+                        _batch([lk.Observation(t=frozenset(), r=frozenset([h, *a]))]))
     hp = pm.HyperParams({"r": theta, "base": 1.0})
     # h needs one of its n arcs; each a<i> has its one base arc
     expect = math.log1p(-(1.0 - theta) ** n)
@@ -191,7 +196,7 @@ def test_loop_formula_wmc_equals_exact_likelihood():
         g, hp, obs = _random_instance(rng)
         formulas = [lfr.loop_formula(g, o.t, o.r) for o in obs]
         wmc = lfr.loop_formula_wmc(g, formulas, hp)
-        exact = lk.exact_likelihood(g, obs, hp)
+        exact = lk.exact_likelihood(g, _batch(obs), hp)
         if exact == pm.NEG_INF:
             assert wmc == pm.NEG_INF
         else:
@@ -206,7 +211,7 @@ def test_observe_projects_seeds_and_reach():
     a = an.bottom().with_flips(["0"])
     [o] = lk.observe(an, [a])
     assert o.t == frozenset([Fact("cheap", (0,))])
-    assert o.consistent()
+    assert o.t <= o.r
 
 
 def test_observe_equals_the_per_abstraction_reference_in_order():
@@ -226,8 +231,37 @@ def test_observe_equals_the_per_abstraction_reference_in_order():
             p for p in an.params if rng.random() < 0.5) for _ in range(n)]))
     cases.append((an, []))
     for an, abstractions in cases:
-        assert lk.observe(an, abstractions) == [
-            likelihood_reference.observe(an, a) for a in abstractions]
+        want = [likelihood_reference.observe(an, a) for a in abstractions]
+        got = lk.observe(an, abstractions)
+        assert list(got) == want
+        assert got == _batch(want)
+
+
+def test_an_observation_batch_gives_its_list_back():
+    """list -> batch -> list is the identity, in order, with t not within
+    r, duplicates, empty sets and facts in several observations, and the
+    batch's masks are those of the list."""
+    rng = random.Random(19)
+    pool = [fact(i) for i in range(6)] + [_f("ghost"), Fact("g", ("x",))]
+    cases = [[], [lk.Observation(frozenset(), frozenset())]]
+    for _ in range(200):
+        obs = [lk.Observation(frozenset(rng.sample(pool, rng.randint(0, 3))),
+                              frozenset(rng.sample(pool, rng.randint(0, 6))))
+               for _ in range(rng.choice((1, 3, rng.randint(60, 70))))]
+        obs += rng.sample(obs, rng.randint(0, min(3, len(obs))))  # duplicates
+        rng.shuffle(obs)
+        cases.append(obs)
+    consistent = set()
+    for obs in cases:
+        batch = _batch(obs)
+        assert list(batch) == obs
+        assert _batch(list(batch)) == batch
+        assert batch.t == [o.t for o in obs]
+        assert batch.rmask == {f: sum(1 << k for k, o in enumerate(obs) if f in o.r)
+                               for f in set().union(*(o.r for o in obs))}
+        assert batch.consistent() == all(o.t <= o.r for o in obs)
+        consistent.add(batch.consistent())
+    assert consistent == {True, False}
 
 
 def test_observe_equals_reach_over_the_local_provenance():
@@ -239,7 +273,8 @@ def test_observe_equals_reach_over_the_local_provenance():
         p1 = ana.encode_params(an, a, 1)
         lp = ana.local_provenance(an, a)
         old_r = ana.project_set(an, hg.reach(Hypergraph(lp.arcs), p1))
-        assert lk.observe(an, [a])[0].r == old_r
+        [o] = lk.observe(an, [a])
+        assert o.r == old_r
 
 
 def test_lower_clauses_match_the_inline_forward_filter():
@@ -251,9 +286,10 @@ def test_lower_clauses_match_the_inline_forward_filter():
         an, _ = random_smudge_analysis(rng)
         flips = [[p for p in an.params if rng.random() < 0.5] for _ in range(4)]
         cases.append((Hypergraph(ana.local_provenance(an, an.bottom()).arcs),
-                      lk.observe(an, [an.bottom().with_flips(f) for f in flips])))
+                      list(lk.observe(an, [an.bottom().with_flips(f)
+                                           for f in flips]))))
     for g, obs in cases:
-        bf = lk.bound_terms(hg.Index(g.arcs), obs)
+        bf = lk.bound_terms(hg.Index(g.arcs), _batch(obs))
         if bf.impossible:
             continue
         # F_k written out as its own distance filter over D_k
@@ -322,7 +358,7 @@ def _smudge_group(rng, programs=1, n=4):
 
     parts = [learning.sample_training(random_smudge_analysis(rng)[0], n, 3, rng)
              for _ in range(programs)]
-    return [(Hypergraph(grp.blueprint.arcs), grp.observations)
+    return [(Hypergraph(grp.blueprint.arcs), list(grp.observations))
             for ts in parts for grp in ts.groups]
 
 
@@ -339,10 +375,65 @@ def test_bound_terms_equals_the_reference(four_arc_example):
     outcomes = set()
     for g, obs in cases:
         want = _bound_terms_or_error(likelihood_reference.bound_terms, g, obs)
-        got = _bound_terms_or_error(lk.bound_terms, hg.Index(g.arcs), obs)
+        got = _bound_terms_or_error(lk.bound_terms, hg.Index(g.arcs),
+                                    _batch(obs))
         _assert_same_formula(got, want)
         outcomes.add(want[0] if isinstance(want, tuple) else want.impossible)
     assert outcomes == {SelfLoopArc, ObservationOutOfRange, True, False}
+
+
+def test_exact_likelihood_refuses_what_the_bounds_refuse():
+    """The same check, in the same order: a self-loop arc, then the least
+    foreign fact of the first observation deriving one; an impossible
+    batch is -inf."""
+    rng = random.Random(47)
+    outcomes = set()
+    for _ in range(300):
+        g, obs = _messy_instance(rng)
+        want = _bound_terms_or_error(likelihood_reference.bound_terms, g, obs)
+        if isinstance(want, likelihood_reference.Formula) and not want.impossible:
+            continue  # a likelihood to enumerate: the sandwich tests cover it
+        try:
+            got = lk.exact_likelihood(g, _batch(obs), uniform(g.rule_types()))
+        except (SelfLoopArc, ObservationOutOfRange) as exc:
+            got = type(exc), str(exc)
+        assert got == (pm.NEG_INF if isinstance(want, likelihood_reference.Formula)
+                       else want)
+        outcomes.add(want[0] if isinstance(want, tuple) else "impossible")
+    assert outcomes == {SelfLoopArc, ObservationOutOfRange, "impossible"}
+
+
+def test_learning_and_the_likelihood_command_build_no_observation(
+        monkeypatch, tmp_path, capsys):
+    """The batch goes from `observe` and `parse_observations` to
+    `bound_terms` as masks: `learn` over sampled groups and the
+    `likelihood --mode lower` command build no per-observation view and so
+    no per-observation r set."""
+    from provrefine import analysis as ana
+    from provrefine import cli, datalog, learning
+
+    an = datalog.smudge_fixture()
+    blueprint, obs, theta = (tmp_path / name for name in ("bp", "obs", "theta"))
+    blueprint.write_text(hg.serialize_provenance(
+        Hypergraph(ana.local_provenance(an, an.bottom()).arcs)))
+    obs.write_text(likelihood_reference.serialize_observations(
+        lk.observe(an, [an.bottom().with_flips(f) for f in (["0", "4"], ["1"])])))
+    theta.write_text(pm.serialize_hyperparams(
+        pm.HyperParams(datalog.smudge_theta())))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("built a per-observation view")
+
+    monkeypatch.setattr(lk, "Observation", forbidden)
+    monkeypatch.setattr(lk.ObservationBatch, "__iter__", forbidden)
+    rng = random.Random(13)
+    ts = learning.TrainingSet.merge(
+        learning.sample_training(random_smudge_analysis(rng)[0], 12, 3, rng)
+        for _ in range(3))
+    learning.learn(ts)
+    assert cli.main(["likelihood", str(blueprint), str(obs), str(theta),
+                     "--mode", "lower"]) == 0
+    assert float(capsys.readouterr().out) > pm.NEG_INF
 
 
 def test_bound_terms_with_shared_heads_and_partly_forward_clauses():
@@ -359,7 +450,7 @@ def test_bound_terms_with_shared_heads_and_partly_forward_clauses():
             r = hg.reach(Hypergraph(a for a in sorted(g.arcs)
                                     if rng.random() < 0.8), t)
             obs.append(lk.Observation(t=t, r=r))
-        got = lk.bound_terms(hg.Index(g.arcs), obs)
+        got = lk.bound_terms(hg.Index(g.arcs), _batch(obs))
         _assert_same_formula(got, likelihood_reference.bound_terms(g, obs))
         for ph in got.per_head.values():
             partial = ph.lower_clauses != ph.upper_clauses
@@ -380,7 +471,8 @@ def test_bounds_equal_the_per_head_reference():
         cases += _smudge_group(rng, n=rng.randint(1, 12))
     outcomes = set()
     for g, obs in cases:
-        bf = _bound_terms_or_error(lk.bound_terms, hg.Index(g.arcs), obs)
+        bf = _bound_terms_or_error(lk.bound_terms, hg.Index(g.arcs),
+                                   _batch(obs))
         if isinstance(bf, tuple):
             continue
         for _ in range(3):
@@ -430,7 +522,7 @@ def test_compiled_counts_equal_the_frozenset_expansion_bit_for_bit():
 def test_bounds_of_random_formulas_equal_the_shape_bound_bit_for_bit():
     # summed per distinct shape in formula order, as the reference sums
     rng = random.Random(83)
-    formulas = [lk.bound_terms(hg.Index(g.arcs), obs) for g, obs in
+    formulas = [lk.bound_terms(hg.Index(g.arcs), _batch(obs)) for g, obs in
                 [_random_instance(rng)[::2] for _ in range(40)]
                 + _smudge_group(rng, programs=3, n=12)]
     formulas = [bf for bf in formulas if not bf.impossible]
@@ -456,11 +548,11 @@ def test_refuted_types_are_counted_in_the_key_order_of_their_first_arc():
                             "c <- s @ t5\nf <- b @ t5\n")
     s = _f("s")
     bf = lk.bound_terms(hg.Index(g.arcs),
-                        [lk.Observation(frozenset([s]), frozenset([s]))])
+                        _batch([lk.Observation(frozenset([s]), frozenset([s]))]))
     assert list(bf.n_counts.items()) == [("t7", 2), ("t5", 1), ("t3", 1)]
     g = hg.parse_provenance("b <- a @ t1\nc <- a @ t3\n")
-    other = lk.bound_terms(hg.Index(g.arcs), [
-        lk.Observation(frozenset([_f("a")]), frozenset([_f("a")]))])
+    other = lk.bound_terms(hg.Index(g.arcs), _batch([
+        lk.Observation(frozenset([_f("a")]), frozenset([_f("a")]))]))
     assert list(other.n_counts) == ["t1", "t3"]
     assert list(lk.Bound([other, bf], "lower").n_counts.items()) == [
         ("t1", 1), ("t3", 2), ("t7", 2), ("t5", 1)]
@@ -469,7 +561,7 @@ def test_refuted_types_are_counted_in_the_key_order_of_their_first_arc():
 def test_equal_clauses_in_one_formula_are_one_object():
     rng = random.Random(8)
     for g, obs in _smudge_group(rng, programs=3, n=20):
-        bf = lk.bound_terms(hg.Index(g.arcs), obs)
+        bf = lk.bound_terms(hg.Index(g.arcs), _batch(obs))
         clauses = [c for ph in bf.per_head.values()
                    for c in ph.lower_clauses + ph.upper_clauses]
         assert len(clauses) > len(set(clauses))
