@@ -9,12 +9,15 @@ its auxiliary and existentially quantified variables carry weight zero
 and are hidden from the names a model shows.  An `exists` binds its names
 in its body alone, to fresh ids where it occurs only positively, and is
 expanded over their values elsewhere.  One deterministic branch
-and bound, over a two-watched-literal propagation engine with a trail
-and undo, serves both entry points: `solve_exact` returns a proven
+and bound serves both entry points: `solve_exact` returns a proven
 optimum or raises BudgetExceeded, and `solve_approx` returns the best
-model found when the budget runs out.  Both return sets of true ids.  A
-DIMACS WCNF bridge hands instances to external solvers and reads their
-models back.
+model found when the budget runs out.  Both return sets of true ids.
+Its propagation engine keeps binary clauses as implication lists and
+longer ones on two watched literals, with a trail that undoes by slice;
+the search carries each node's objective, slack and branch position on
+its frames, so a node costs what it assigns, not a pass over the
+instance.  A DIMACS WCNF bridge hands instances to external solvers and
+reads their models back.
 """
 
 from __future__ import annotations
@@ -265,28 +268,36 @@ def compile_instance(inst: MaxSatInstance) -> ClauseInstance:
 
 
 class _Engine:
-    """Unit propagation over two watched positions per clause, with a trail.
+    """Unit propagation with a trail: binary clauses as implication lists,
+    longer ones over two watched positions.
 
-    `val` and `watches` are indexed by literal: in a list of length 2n+1,
-    literal -v lands at index 2n+1-v, clear of the positive literals 1..n.
-    A clause is unit when all but one of its positions are false, so a
-    repeated literal counts once per position, as in a full clause scan.
-    Unit and empty clauses are settled at the root; `ok` is False when the
-    root propagation conflicts.
+    `val`, `implied` and `watches` are indexed by literal: in a list of
+    length 2n+1, literal -v lands at index 2n+1-v, clear of the positive
+    literals 1..n.  `implied[l]` holds the other literal of each binary
+    clause that holds -l, made true once l is.  A clause is unit when all
+    but one of its positions are false, so a repeated literal counts once
+    per position, as in a full clause scan: `(a, a)` forces nothing until
+    a is false, and then conflicts.  Unit and empty clauses are settled at
+    the root; `ok` is False when the root propagation conflicts.
     """
 
     def __init__(self, nvars: int, clauses):
         size = 2 * nvars + 1
         self.val = [0] * size  # 1 true, -1 false, 0 unassigned
-        self.watches = [[] for _ in range(size)]
+        self.implied = implied = [[] for _ in range(size)]
+        self.watches = watches = [[] for _ in range(size)]
         self.trail = []
         self.head = 0  # trail[:head] has been propagated
         root_ok = True
         for clause in clauses:
-            if len(clause) >= 2:
+            if len(clause) == 2:
+                a, b = clause
+                implied[-a].append(b)
+                implied[-b].append(a)
+            elif len(clause) > 2:
                 c = list(clause)
-                self.watches[c[0]].append(c)
-                self.watches[c[1]].append(c)
+                watches[c[0]].append(c)
+                watches[c[1]].append(c)
             elif not clause or not self.assign(clause[0]):
                 root_ok = False
         self.ok = root_ok and self.propagate()
@@ -296,9 +307,9 @@ class _Engine:
 
     def undo(self, mark: int) -> None:
         val, trail = self.val, self.trail
-        while len(trail) > mark:
-            lit = trail.pop()
+        for lit in trail[mark:]:
             val[lit] = val[-lit] = 0
+        del trail[mark:]
         self.head = mark
 
     def assign(self, lit: int) -> bool:
@@ -311,12 +322,24 @@ class _Engine:
         return True
 
     def propagate(self) -> bool:
-        """Extend the trail to the unit fixpoint; False on conflict."""
-        val, watches, trail = self.val, self.watches, self.trail
-        while self.head < len(trail):
-            false_lit = -trail[self.head]
-            self.head += 1
+        """Extend the trail to the unit fixpoint; False on conflict, after
+        which the caller undoes the trail."""
+        val, implied, watches = self.val, self.implied, self.watches
+        trail = self.trail
+        push = trail.append
+        # the iterator also yields the literals pushed while it runs
+        for true_lit in itertools.islice(trail, self.head, None):
+            for lit in implied[true_lit]:
+                if not val[lit]:
+                    val[lit] = 1
+                    val[-lit] = -1
+                    push(lit)
+                elif val[lit] < 0:
+                    return False
+            false_lit = -true_lit
             ws = watches[false_lit]
+            if not ws:
+                continue
             i = j = 0
             while i < len(ws):
                 c = ws[i]
@@ -342,14 +365,17 @@ class _Engine:
                         return False
                     val[first] = 1
                     val[-first] = -1
-                    trail.append(first)
+                    push(first)
             del ws[j:]
+        self.head = len(trail)
         return True
 
 
 def _check_values(clauses, val: list) -> bool:
     """Every clause has a true literal under an `_Engine` value array."""
-    return all(1 in map(val.__getitem__, clause) for clause in clauses)
+    n = len(val) // 2
+    true = {lit for lit in range(-n, n + 1) if val[lit] == 1}
+    return not any(map(true.isdisjoint, clauses))
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +394,14 @@ def _branch_and_bound(inst: ClauseInstance, budget: float):
     The incumbent is checked against every clause before it is returned.
     A NaN budget, which would never run out, or a negative one raises
     ValueError.
+
+    A node's objective and slack are running sums, carried on the search
+    frames and moved by the literals each step adds to the trail.  They
+    round differently from the in-order sums that define the search, so
+    they decide a prune or an accept only when they clear its threshold
+    by `margin` = 1e-9 * sum(|w|), far above their rounding error (about
+    3n * 2**-53 * sum(|w|) for n weighted ids); otherwise the in-order
+    sums decide, and the incumbent always holds its in-order objective.
     """
     if not budget >= 0:
         raise ValueError(f"solver budget must be a number >= 0, not {budget!r}")
@@ -381,8 +415,20 @@ def _branch_and_bound(inst: ClauseInstance, budget: float):
     by_name = sorted(weighted, key=lambda v: names[v])
     others = [v for v in range(1, inst.nvars + 1) if v not in weights]
     tol = 1e-12
+    total = sum(abs(w) for _, w in witems)
+    # past 1e300 a running sum might overflow where an in-order one does
+    # not, so every decision takes the in-order sums
+    margin = 1e-9 * total if total < 1e300 else math.inf
     engine = _Engine(inst.nvars, inst.clauses)
-    val = engine.val
+    val, trail = engine.val, engine.trail
+    # by literal: what its truth adds to the objective, and what assigning
+    # it takes from the slack
+    gain = [0.0] * len(val)
+    spent = [0.0] * len(val)
+    for v, w in witems:
+        gain[v] = w
+    for v, w in positive:
+        spent[v] = spent[-v] = w
     best = {"objective": None, "key": None, "val": None}
 
     def tick() -> None:
@@ -391,17 +437,21 @@ def _branch_and_bound(inst: ClauseInstance, budget: float):
 
     def backtrack(frames: list):
         """Undo to the deepest frame with a literal left to try and assign
-        it: whether that propagates, or None once every frame is spent."""
+        it: that frame and whether the literal propagates, or None once
+        every frame is spent.  A frame is a list [trail mark, literal left
+        to try, ...]."""
         while frames:
-            mark, lit, i = frames.pop()
-            engine.undo(mark)
+            frame = frames[-1]
+            engine.undo(frame[0])
+            lit = frame[1]
             if lit:
-                frames.append((mark, 0, i))
-                return engine.assign(lit) and engine.propagate()
+                frame[1] = 0
+                return frame, engine.assign(lit) and engine.propagate()
+            frames.pop()
         return None
 
     def complete() -> bool:
-        frames = []  # (trail mark, literal left to try, index in others)
+        frames = []  # [trail mark, literal left to try, index in others]
         i, ok = 0, True
         while True:
             if ok:
@@ -410,45 +460,77 @@ def _branch_and_bound(inst: ClauseInstance, budget: float):
                 if i == len(others):
                     return True
                 tick()
-                frames.append((engine.mark(), others[i], i))
+                frames.append([engine.mark(), others[i], i])
                 ok = engine.assign(-others[i]) and engine.propagate()
-            elif (ok := backtrack(frames)) is None:
+            elif (step := backtrack(frames)) is None:
                 return False
             else:
-                i = frames[-1][2]
+                frame, ok = step
+                i = frame[2]
             i += 1
 
-    def branch() -> int:
-        """The literal a node branches on first, or 0 at a leaf or a prune."""
-        objective = sum(w for v, w in witems if val[v] == 1)
-        slack = sum(w for v, w in positive if not val[v])
+    def objective_in_order() -> float:
+        return sum(w for v, w in witems if val[v] == 1)
+
+    def slack_in_order() -> float:
+        return sum(w for v, w in positive if not val[v])
+
+    def branch(objective: float, slack: float, i: int):
+        """The literal a node branches on first, or 0 at a leaf or a prune,
+        and the index in `weighted` of the first unassigned id from i."""
         incumbent = best["objective"]
-        if incumbent is not None and objective + slack < incumbent - tol:
-            return 0
-        v = next((u for u in weighted if not val[u]), None)
-        if v is not None:
-            return v if weights[v] > 0 else -v
-        key = tuple(i for i, u in enumerate(by_name) if val[u] == 1)
-        if incumbent is not None and not (
+        if incumbent is not None:
+            # the running bound decides unless it is near the bar
+            bar = incumbent - tol
+            bound = objective + slack
+            if (bound < bar if abs(bound - bar) > margin
+                    else objective_in_order() + slack_in_order() < bar):
+                return 0, i
+        while i < len(weighted) and val[weighted[i]]:
+            i += 1
+        if i < len(weighted):
+            v = weighted[i]
+            return (v if weights[v] > 0 else -v), i
+        # a leaf: the running objective decides unless it is near a tie
+        clear = incumbent is None or abs(objective - incumbent) > tol + margin
+        if clear and incumbent is not None and objective < incumbent:
+            return 0, i
+        objective = objective_in_order()
+        key = tuple(j for j, u in enumerate(by_name) if val[u] == 1)
+        if not clear and not (
                 objective > incumbent + tol
                 or (abs(objective - incumbent) <= tol and key < best["key"])):
-            return 0
+            return 0, i
         mark = engine.mark()
         if complete():
             best.update(objective=objective, key=key, val=val[:])
         engine.undo(mark)
-        return 0
+        return 0, i
 
     def search() -> None:
-        frames = []  # (trail mark, literal left to try, unused)
+        # [trail mark, literal left to try, objective, slack, branch index]
+        frames = []
+        objective, slack, i = objective_in_order(), slack_in_order(), 0
         ok = engine.ok
         while True:
             tick()
-            if ok and (first := branch()):
-                frames.append((engine.mark(), -first, None))
+            first = 0
+            if ok:
+                first, i = branch(objective, slack, i)
+            if first:
+                frame = [engine.mark(), -first, objective, slack, i]
+                frames.append(frame)
                 ok = engine.assign(first) and engine.propagate()
-            elif (ok := backtrack(frames)) is None:
+            elif (step := backtrack(frames)) is None:
                 return
+            else:
+                frame, ok = step
+                _, _, objective, slack, i = frame
+            if ok:  # the step's trail segment moves the running sums
+                added = trail[frame[0]:]
+                objective += sum(map(gain.__getitem__, added))
+                if positive:
+                    slack -= sum(map(spent.__getitem__, added))
 
     try:
         search()
@@ -505,6 +587,10 @@ def to_wcnf(cnf: ClauseInstance) -> str:
             continue
         softs.append((scaled, v if w > 0 else -v))
     top = sum(s for s, _ in softs) + 1
+    if top > 2 ** 63 - 1:
+        raise WeightOverflow(
+            f"hard-clause weight {top} exceeds 2^63-1: the soft weights sum "
+            f"too large for integral encoding")
     lines = [f"p wcnf {cnf.nvars} {len(cnf.clauses) + len(softs)} {top}\n"]
     for clause in cnf.clauses:
         lines.append(f"{top} " + " ".join(str(l) for l in clause) + " 0\n")

@@ -1,7 +1,8 @@
 """Reference MaxSAT solver: full-scan propagation and dict-copying search.
 
 The straightforward version of `provrefine.maxsat`'s branch and bound, kept
-as the oracle its watched-literal engine is checked against.  It visits the
+as the oracle its propagation engine and running sums are checked against:
+it re-sums the objective in weight order at every node.  It visits the
 same search tree, so both must return identical models.
 """
 

@@ -752,6 +752,20 @@ class TestMaxsat:
         assert err.startswith("error: weight ") and \
             err.endswith(" too large for integral encoding\n")
 
+    def test_a_hard_clause_weight_past_64_bits_exits_2(self, capsys, tmp_path):
+        # each weight fits, but the hard-clause weight, their sum plus one,
+        # would exceed 2^63-1, which 64-bit solvers misread
+        inst = tmp_path / "i.txt"
+        inst.write_text("w x 4e12\nw y 4e12\nw z 4e12\nhard (or x y z)\n")
+        code, out, err = run(capsys, "maxsat", str(inst), "--export-wcnf")
+        assert code == 2 and out == ""
+        assert err == ("error: hard-clause weight 12000000000000000001 exceeds "
+                       "2^63-1: the soft weights sum too large for integral "
+                       "encoding\n")
+        inst.write_text("w x 4.6e12\nw y 4.6e12\nhard (or x y)\n")
+        code, out, _ = run(capsys, "maxsat", str(inst), "--export-wcnf")
+        assert code == 0 and out.startswith("p wcnf 3 6 9200000000000000001\n")
+
     @pytest.mark.parametrize("mode", ["exact", "approx"])
     def test_weights_summing_past_the_float_range_exit_2(self, capsys, tmp_path,
                                                          mode):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -7,7 +8,7 @@ from provrefine import datalog
 from provrefine import maxsat as mx
 from provrefine import probmodel as pm
 from provrefine import refine
-from provrefine.errors import BudgetExceeded, NotAModel
+from provrefine.errors import BudgetExceeded, NotAModel, WeightOverflow
 
 import maxsat_reference as ref
 from conftest import formula_objective, solve_formula
@@ -319,11 +320,61 @@ def test_exact_matches_reference_on_smudge_queries(monkeypatch):
         assert solve_exact(inst) == ref.solve_exact(inst)
 
 
-def _random_cnf(rng, nvars):
+# weight palettes whose sums depend on the order they are added in
+_NEAR_TIE_PALETTES = {
+    "equal": lambda rng: [rng.choice([1, -1]) * rng.choice([0.1, 1 / 3, 0.7])
+                          * rng.choice([1.0, 1e3, 1e5])],
+    "decimal": lambda rng: [x * rng.choice([1.0, 1e4, 1e5])
+                            for x in (0.1, 0.2, 0.3, -0.1, -0.2, -0.3)],
+    "cancel": lambda rng: [1e16, -1e16, 1.0, -1.0, 2.0, 3.0],
+    "overflow": lambda rng: [1e308, -1e308, 9e307, 1.0, -1.0],
+}
+
+
+def _near_tie_instance(rng, palette):
+    """A binary-heavy CNF with weights drawn from a palette, stored in an
+    order other than id order, so that running sums and in-order sums
+    add the same weights in different orders."""
+    nvars = rng.randint(3, 10)
+    clauses = _random_cnf(rng, nvars, sizes=(2, 2, 2, 3))
+    values = _NEAR_TIE_PALETTES[palette](rng)
+    ids = rng.sample(range(1, nvars + 1), rng.randint(1, nvars))
+    weights = {v: rng.choice(values) for v in ids}
+    return mx.ClauseInstance(nvars, clauses, weights,
+                             {v: f"x{v}" for v in range(1, nvars + 1)})
+
+
+def _outcome(solve, inst):
+    try:
+        return solve(inst)
+    except WeightOverflow:
+        return "overflow"
+
+
+@pytest.mark.parametrize("palette", sorted(_NEAR_TIE_PALETTES))
+def test_exact_matches_reference_where_sums_depend_on_their_order(palette):
+    """The search decides on running sums only where they clear a threshold
+    by far more than their rounding error; near a tie the in-order sums
+    decide, as in the reference solver."""
+    rng = random.Random(f"near-tie:{palette}")
+    order_dependent = 0
+    for _ in range(150):
+        inst = _near_tie_instance(rng, palette)
+        got = _outcome(mx.solve_exact, inst)
+        assert got == _outcome(ref.solve_exact, inst)
+        ws = list(inst.weights.values())
+        try:
+            order_dependent += not abs(sum(ws) - math.fsum(ws)) <= 1e-12
+        except OverflowError:  # fsum overflows where some order does not
+            order_dependent += 1
+    assert order_dependent  # the palette does reach order-dependent sums
+
+
+def _random_cnf(rng, nvars, sizes=(1, 2, 2, 3, 3, 4)):
     """Clauses including units, repeated literals and tautologies."""
     clauses = []
     for _ in range(rng.randint(1, 3 * nvars)):
-        k = rng.choice([1, 2, 2, 3, 3, 4])
+        k = rng.choice(sizes)
         clause = [rng.choice([-1, 1]) * rng.randint(1, nvars) for _ in range(k)]
         if rng.random() < 0.15:
             clause.append(clause[0])
@@ -334,32 +385,71 @@ def _random_cnf(rng, nvars):
     return clauses
 
 
+def _binary_cnf(rng, nvars):
+    """Units and two-literal clauses only: `(a, a)`, `(a, -a)` and repeats
+    of earlier clauses among them."""
+    clauses = []
+    for _ in range(rng.randint(1, 3 * nvars)):
+        a = rng.choice([-1, 1]) * rng.randint(1, nvars)
+        roll = rng.random()
+        if roll < 0.1:
+            clauses.append((a,))
+        elif roll < 0.2:
+            clauses.append((a, a))
+        elif roll < 0.3:
+            clauses.append((a, -a))
+        elif roll < 0.4 and clauses:
+            clauses.append(rng.choice(clauses))
+        else:
+            clauses.append((a, rng.choice([-1, 1]) * rng.randint(1, nvars)))
+    return clauses
+
+
 def _engine_assignment(engine, nvars):
     return {v: engine.val[v] > 0 for v in range(1, nvars + 1) if engine.val[v]}
 
 
+def _binary_heavy_cnf(rng, nvars):
+    return _random_cnf(rng, nvars, sizes=(1, 2, 2, 2, 2, 2, 2, 3))
+
+
 def test_engine_propagation_matches_full_scan():
+    """Mixed, binary-only and binary-heavy CNFs: binary clauses propagate
+    through implication lists, longer ones through watched positions."""
+    for make_cnf in (_random_cnf, _binary_cnf, _binary_heavy_cnf):
+        assert _engine_against_full_scan(make_cnf) == {
+            "root conflict", "conflict after assignments", "(a, a)",
+            "(a, -a)", "repeated clause"}, make_cnf.__name__
+
+
+def _engine_against_full_scan(make_cnf) -> set:
+    """Check the engine against full-scan propagation on 500 CNFs; the
+    cases they reached."""
     rng = random.Random(99)
+    seen = set()
     for _ in range(500):
         nvars = rng.randint(1, 8)
-        clauses = _random_cnf(rng, nvars)
+        clauses = make_cnf(rng, nvars)
         engine = mx._Engine(nvars, clauses)
         expect = {}
         ok = ref.propagate(clauses, expect)
         assert engine.ok == ok
         if not ok:
+            seen.add("root conflict")
             continue
         assert _engine_assignment(engine, nvars) == expect
-        marks = []
+        lits, marks = [], []
         for v in rng.sample(range(1, nvars + 1), nvars):
             if v in expect:
                 continue
             lit = v if rng.random() < 0.5 else -v
             marks.append((engine.mark(), dict(expect)))
+            lits.append(lit)
             expect[v] = lit > 0
             ok = ref.propagate(clauses, expect)
             assert (engine.assign(lit) and engine.propagate()) == ok
             if not ok:
+                seen.add("conflict after assignments")
                 break
             assert _engine_assignment(engine, nvars) == expect
         # undo restores every earlier fixpoint, and propagation still agrees
@@ -368,6 +458,23 @@ def test_engine_propagation_matches_full_scan():
             assert _engine_assignment(engine, nvars) == before
             assert engine.propagate()
             assert _engine_assignment(engine, nvars) == before
+        # and so does undoing from the deepest point straight to each mark
+        for mark, before in marks:
+            for lit in lits:
+                if not (engine.assign(lit) and engine.propagate()):
+                    break
+            engine.undo(mark)
+            assert _engine_assignment(engine, nvars) == before
+            assert engine.propagate()
+            assert _engine_assignment(engine, nvars) == before
+        for clause in clauses:
+            if len(clause) == 2 and clause[0] == clause[1]:
+                seen.add("(a, a)")
+            elif len(clause) == 2 and clause[0] == -clause[1]:
+                seen.add("(a, -a)")
+        if len(set(clauses)) < len(clauses):
+            seen.add("repeated clause")
+    return seen
 
 
 def _extend(clauses, assign, all_vars):
