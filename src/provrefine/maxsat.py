@@ -16,8 +16,14 @@ Its propagation engine keeps binary clauses as implication lists and
 longer ones on two watched literals, with a trail that undoes by slice;
 the search carries each node's objective, slack and branch position on
 its frames, so a node costs what it assigns, not a pass over the
-instance.  A DIMACS WCNF bridge hands instances to external solvers and
-reads their models back.
+instance.  Once it has an incumbent, the search never enters a child that
+the bound would prune on entry (node consistency, as in weighted CSP):
+it assigns in one step the better values of the ids whose worse value
+alone takes the bound below the incumbent (forcing), and on the way back
+it skips a worse value that an incumbent found since refutes (skipping).
+Its tree is the plain search's tree less those children, so it examines
+the same leaves in the same order.  A DIMACS WCNF bridge hands instances
+to external solvers and reads their models back.
 """
 
 from __future__ import annotations
@@ -387,13 +393,31 @@ def _branch_and_bound(inst: ClauseInstance, budget: float):
 
     Returns ((frozenset of true ids, objective) or None, proven).
     Branches on weighted ids by descending |weight| (names break ties),
-    prunes on an optimistic bound, and among optimal models keeps the one
-    whose weighted part is smallest in set-lex order: the sorted tuple of
-    indices, in name order, of its true weighted ids.  Each leaf is
-    completed by a False-first search over the remaining ids in id order.
-    The incumbent is checked against every clause before it is returned.
-    A NaN budget, which would never run out, or a negative one raises
-    ValueError.
+    better value first, prunes on an optimistic bound, and among optimal
+    models keeps the one whose weighted part is smallest in set-lex order:
+    the sorted tuple of indices, in name order, of its true weighted ids.
+    Each leaf is completed by a False-first search over the remaining ids
+    in id order.  The incumbent is checked against every clause before it
+    is returned.  A NaN budget, which would never run out, or a negative
+    one raises ValueError.
+
+    A node's bound (objective plus slack) never rises below it, and an
+    id's worse value takes |w| off it.  The bar, incumbent - `tol`, only
+    rises.  So once an incumbent exists, two rules leave out children
+    that the plain search would prune at their first step, before any
+    leaf:
+    - forcing: when the bound less the branch id's |w| falls below the
+      bar, so does every node below that gives the id its worse value.
+      `weighted` sorts by |w|, so the ids with this property form a run
+      from the branch position, and every leaf the plain search examines
+      below the node holds the better values of the whole run.  They are
+      assigned in one step, with one propagation and no literal left to
+      try;
+    - skipping: on the way back, a frame's worse value is not tried when
+      the frame's bound less |w| falls below the bar of an incumbent found
+      since.
+    The tree is the plain search's tree less those children, with the
+    same leaves in the same order, and so the same incumbents.
 
     A node's objective and slack are running sums, carried on the search
     frames and moved by the literals each step adds to the trail.  They
@@ -402,6 +426,10 @@ def _branch_and_bound(inst: ClauseInstance, budget: float):
     by `margin` = 1e-9 * sum(|w|), far above their rounding error (about
     3n * 2**-53 * sum(|w|) for n weighted ids); otherwise the in-order
     sums decide, and the incumbent always holds its in-order objective.
+    Forcing and skipping refute a child only when its bound falls below
+    the bar by more than `margin`, so the child's own prune test, on
+    either sum, would have pruned it.  Past 1e300 the margin is infinite,
+    and nothing falls below the bar less it, not even a NaN bound.
     """
     if not budget >= 0:
         raise ValueError(f"solver budget must be a number >= 0, not {budget!r}")
@@ -412,12 +440,14 @@ def _branch_and_bound(inst: ClauseInstance, budget: float):
     # max(0, w) = 0.0 to the slack, which leaves a partial sum unchanged
     positive = [(v, w) for v, w in witems if w > 0]
     weighted = sorted(weights, key=lambda v: (-abs(weights[v]), names[v]))
+    # what the worse value of weighted[i] takes off the bound
+    costs = [abs(weights[v]) for v in weighted]
     by_name = sorted(weighted, key=lambda v: names[v])
     others = [v for v in range(1, inst.nvars + 1) if v not in weights]
     tol = 1e-12
     total = sum(abs(w) for _, w in witems)
     # past 1e300 a running sum might overflow where an in-order one does
-    # not, so every decision takes the in-order sums
+    # not, so every decision takes the in-order sums, and nothing is refuted
     margin = 1e-9 * total if total < 1e300 else math.inf
     engine = _Engine(inst.nvars, inst.clauses)
     val, trail = engine.val, engine.trail
@@ -435,16 +465,16 @@ def _branch_and_bound(inst: ClauseInstance, budget: float):
         if time.monotonic() > deadline:
             raise BudgetExceeded("MaxSAT solver budget exhausted")
 
-    def backtrack(frames: list):
-        """Undo to the deepest frame with a literal left to try and assign
-        it: that frame and whether the literal propagates, or None once
-        every frame is spent.  A frame is a list [trail mark, literal left
-        to try, ...]."""
+    def backtrack(frames: list, refuted=None):
+        """Undo to the deepest frame with a literal left to try, unless
+        `refuted(frame)`, and assign it: that frame and whether the literal
+        propagates, or None once every frame is spent.  A frame is a list
+        [trail mark, literal left to try, ...]."""
         while frames:
             frame = frames[-1]
             engine.undo(frame[0])
             lit = frame[1]
-            if lit:
+            if lit and not (refuted and refuted(frame)):
                 frame[1] = 0
                 return frame, engine.assign(lit) and engine.propagate()
             frames.pop()
@@ -475,9 +505,13 @@ def _branch_and_bound(inst: ClauseInstance, budget: float):
     def slack_in_order() -> float:
         return sum(w for v, w in positive if not val[v])
 
+    def better(v: int) -> int:
+        return v if weights[v] > 0 else -v
+
     def branch(objective: float, slack: float, i: int):
-        """The literal a node branches on first, or 0 at a leaf or a prune,
-        and the index in `weighted` of the first unassigned id from i."""
+        """A node's next step: the literals it assigns, the literal left to
+        try after them (0 for none), and the index in `weighted` of the
+        first unassigned id from i.  No literals at a leaf or a prune."""
         incumbent = best["objective"]
         if incumbent is not None:
             # the running bound decides unless it is near the bar
@@ -485,43 +519,58 @@ def _branch_and_bound(inst: ClauseInstance, budget: float):
             bound = objective + slack
             if (bound < bar if abs(bound - bar) > margin
                     else objective_in_order() + slack_in_order() < bar):
-                return 0, i
+                return (), 0, i
         while i < len(weighted) and val[weighted[i]]:
             i += 1
         if i < len(weighted):
-            v = weighted[i]
-            return (v if weights[v] > 0 else -v), i
+            if incumbent is not None and bound - costs[i] < bar - margin:
+                # forcing: the worse values of weighted[i:j] are refuted
+                j = i + 1
+                while j < len(weighted) and bound - costs[j] < bar - margin:
+                    j += 1
+                return [better(v) for v in weighted[i:j] if not val[v]], 0, i
+            first = better(weighted[i])
+            return (first,), -first, i
         # a leaf: the running objective decides unless it is near a tie
         clear = incumbent is None or abs(objective - incumbent) > tol + margin
         if clear and incumbent is not None and objective < incumbent:
-            return 0, i
+            return (), 0, i
         objective = objective_in_order()
         key = tuple(j for j, u in enumerate(by_name) if val[u] == 1)
         if not clear and not (
                 objective > incumbent + tol
                 or (abs(objective - incumbent) <= tol and key < best["key"])):
-            return 0, i
+            return (), 0, i
         mark = engine.mark()
         if complete():
             best.update(objective=objective, key=key, val=val[:])
         engine.undo(mark)
-        return 0, i
+        return (), 0, i
+
+    def refuted(frame: list) -> bool:
+        """Whether a search frame's literal left to try would be pruned on
+        entry under the current incumbent."""
+        incumbent = best["objective"]
+        return (incumbent is not None
+                and frame[2] + frame[3] - costs[frame[4]]
+                < incumbent - tol - margin)
 
     def search() -> None:
-        # [trail mark, literal left to try, objective, slack, branch index]
+        # [trail mark, literal left to try (0 after forcing), objective,
+        #  slack, branch index]
         frames = []
         objective, slack, i = objective_in_order(), slack_in_order(), 0
         ok = engine.ok
         while True:
             tick()
-            first = 0
+            lits = ()
             if ok:
-                first, i = branch(objective, slack, i)
-            if first:
-                frame = [engine.mark(), -first, objective, slack, i]
+                lits, left, i = branch(objective, slack, i)
+            if lits:
+                frame = [engine.mark(), left, objective, slack, i]
                 frames.append(frame)
-                ok = engine.assign(first) and engine.propagate()
-            elif (step := backtrack(frames)) is None:
+                ok = all(map(engine.assign, lits)) and engine.propagate()
+            elif (step := backtrack(frames, refuted)) is None:
                 return
             else:
                 frame, ok = step

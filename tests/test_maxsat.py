@@ -370,6 +370,97 @@ def test_exact_matches_reference_where_sums_depend_on_their_order(palette):
     assert order_dependent  # the palette does reach order-dependent sums
 
 
+# weight pools under which the bound refutes many children: equal weights,
+# two levels, mixed signs, near-ties of both signs, weights below `tol`
+_REFUTING_POOLS = {
+    "unit": [-1.0],
+    "two levels": [-1.0, -2.0],
+    "mixed signs": [-1.0, 1.0],
+    "decimal": [0.1, 0.2, 0.3, -0.1, -0.2, -0.3],
+    "below tol": [1e-13, -1e-13],
+}
+
+
+@pytest.mark.parametrize("pool", sorted(_REFUTING_POOLS))
+def test_refuting_search_matches_reference(pool):
+    """Forcing and skipping leave out only children that the bound prunes
+    on entry, so the search keeps the reference's leaves, its incumbents
+    and its set-lex tie-break: 400 instances per pool, 2 000 in all."""
+    rng = random.Random(f"refuted:{pool}")
+    values = _REFUTING_POOLS[pool]
+    ties = 0
+    for _ in range(400):
+        nvars = rng.randint(2, 10)
+        clauses = _random_cnf(rng, nvars, sizes=(1, 2, 2, 3, 3, 4))
+        ids = rng.sample(range(1, nvars + 1), rng.randint(1, nvars))
+        weights = {v: rng.choice(values) for v in ids}
+        # names in an order other than id order, so the tie-break matters
+        labels = rng.sample(range(nvars), nvars)
+        names = {v: f"x{labels[v - 1]}" for v in range(1, nvars + 1)}
+        inst = mx.ClauseInstance(nvars, clauses, weights, names)
+        got = mx.solve_exact(inst)
+        assert got == ref.solve_exact(inst), (pool, inst)
+        ties += got is not None and len(set(weights.values())) < len(weights)
+    assert ties  # the pool does reach optima among equal weights
+
+
+def test_a_bound_past_the_float_range_refutes_nothing():
+    """Past 1e300 the running sums may overflow to inf or NaN, and every
+    decision takes the in-order sums.  Forcing and skipping then compare
+    against a bar less an infinite margin, which nothing falls below.  On
+    this instance, found by random search, a NaN bound read as refuting
+    forced the better values of ids that the optimum holds at their worse."""
+    clauses = [(-3, 7, 8, 7), (-5, -5, -5, 1), (-6, -1), (-8, -8, 7), (4, 4),
+               (7, -4, -7), (5, 7, 5), (3, -3, 1), (4, -4), (8, 3)]
+    weights = {7: -1.0, 1: 9e307, 4: -1.0, 6: 1e308, 3: -1.0, 2: -1.0}
+    inst = mx.ClauseInstance(8, clauses, weights,
+                             {v: f"x{v}" for v in range(1, 9)})
+    assert mx.solve_exact(inst) == ref.solve_exact(inst) == (
+        frozenset({2, 3, 4, 6, 7}), 1e308)
+
+
+def _count_propagations(monkeypatch) -> list:
+    calls = []
+    propagate = mx._Engine.propagate
+
+    def counting(self):
+        calls.append(None)
+        return propagate(self)
+
+    monkeypatch.setattr(mx._Engine, "propagate", counting)
+    return calls
+
+
+@pytest.mark.parametrize("n", [10, 20, 40])
+def test_forcing_keeps_a_tie_search_linear(monkeypatch, n):
+    """n ids of weight -1 under (x1 or ... or xn): every leaf with one true
+    id ties the incumbent, and each smaller set-lex key beats it, so the
+    search visits n leaves.  Below each, the bound refutes every other
+    id's True value, which forcing assigns False in one step: linear in n,
+    where entering each refuted child is quadratic (n = 40: 1 639
+    propagations, against 118)."""
+    calls = _count_propagations(monkeypatch)
+    names = {v: f"x{v:02d}" for v in range(1, n + 1)}
+    inst = mx.ClauseInstance(n, [tuple(range(1, n + 1))],
+                             {v: -1.0 for v in names}, names)
+    assert mx.solve_exact(inst) == (frozenset({1}), -1.0)
+    assert len(calls) <= 4 * n
+
+
+def test_skipping_never_enters_a_child_a_later_incumbent_refutes(
+        monkeypatch):
+    """With no clause, the first leaf (every id False) is the optimum.
+    Each frame on its path was pushed before any incumbent, and its True
+    value costs 1 below that leaf: skipped on the way back, it is never
+    assigned, so the search propagates once at the root and once a step."""
+    n = 12
+    calls = _count_propagations(monkeypatch)
+    names = {v: f"x{v:02d}" for v in range(1, n + 1)}
+    inst = mx.ClauseInstance(n, [], {v: -1.0 for v in names}, names)
+    assert mx.solve_exact(inst) == (frozenset(), 0.0)
+    assert len(calls) == n + 1
+
+
 def _random_cnf(rng, nvars, sizes=(1, 2, 2, 3, 3, 4)):
     """Clauses including units, repeated literals and tautologies."""
     clauses = []
