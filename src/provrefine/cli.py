@@ -168,16 +168,16 @@ def cmd_learn(args) -> int:
 
 
 def cmd_likelihood(args) -> int:
-    graph = hg.parse_provenance(_read(args.blueprint))
+    index = hg.Index(hg.parse_provenance(_read(args.blueprint)).arcs)
     obs = lk.parse_observations(_read(args.obs))
     hp = _read_theta(args.theta)
-    pm.validate_hyperparams(hp, graph)
+    pm.validate_hyperparams(hp, index)
     try:
         if args.mode == "exact":
-            value = lk.exact_likelihood(graph, obs, hp)
+            value = lk.exact_likelihood(index, obs, hp)
         else:
             bound = lk.lower_bound if args.mode == "lower" else lk.upper_bound
-            value = bound(lk.bound_terms(hg.Index(graph.arcs), obs), hp)
+            value = bound(lk.bound_terms(index, obs), hp)
     except SelfLoopArc as exc:
         raise ProvRefineError(f"{args.blueprint}: {exc}") from exc
     except ObservationOutOfRange as exc:

@@ -301,11 +301,12 @@ def _check_domain(fact: Fact, bounds, line: int = 0) -> None:
             raise DomainOverflow(line, f"{fact}: integer {a} outside [{lo}, {hi}]")
 
 
-def check_domain(facts: Collection[Fact], bounds=DEFAULT_DOMAIN) -> None:
-    """Raise DomainOverflow if a fact has an integer outside bounds.  Of
+def check_domain(facts: Collection[Fact]) -> None:
+    """Raise DomainOverflow if a fact has an integer outside the domain.  Of
     several such facts it names the one on the least line if `facts` is
     `parse_program`'s `BaseFacts`, at that line, else the least in key
     order; the facts are sorted only once one is found."""
+    bounds = DEFAULT_DOMAIN
     try:
         for f in facts:
             _check_domain(f, bounds)
@@ -470,7 +471,7 @@ def _guards_hold(guards: list, env: dict) -> bool:
 
 
 def ground(rules: Iterable[Rule], base: Collection[Fact],
-           domain_bounds=DEFAULT_DOMAIN, seeds: Collection[Fact] = ()) -> Hypergraph:
+           seeds: Collection[Fact] = ()) -> Hypergraph:
     """Semi-naive bottom-up evaluation into a provenance hypergraph.
 
     Base facts are emitted as empty-body arcs; `seeds` are available to
@@ -480,14 +481,15 @@ def ground(rules: Iterable[Rule], base: Collection[Fact],
     relation gained facts in the previous round: that atom is matched
     against those new facts and the others are looked up in hash indices
     on their bound positions.  A guard that does arithmetic or `<`/`>` on a
-    name raises ParseError, and a head integer outside `domain_bounds` or
+    name raises ParseError, and a head integer outside `DEFAULT_DOMAIN` or
     a guard's modulus by 0 DomainOverflow, naming the rule and its line
     (a base or seed fact outside it as `check_domain` names it, the base
     facts first).
     """
     rules = list(rules)
-    check_domain(base, domain_bounds)
-    check_domain(seeds, domain_bounds)
+    check_domain(base)
+    check_domain(seeds)
+    domain = DEFAULT_DOMAIN
 
     known = {*base, *seeds}
     index = _FactIndex(known)
@@ -516,7 +518,7 @@ def ground(rules: Iterable[Rule], base: Collection[Fact],
                                     tuple(env.get(a, a) for a in rule.head.args))
                         known_head = facts.get(head)
                         if known_head is None:
-                            _check_domain(head, domain_bounds)
+                            _check_domain(head, domain)
                             facts[head] = known_head = head
                             new_facts.add(head)
                     except DomainOverflow as exc:

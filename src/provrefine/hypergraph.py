@@ -36,7 +36,8 @@ index: `analysis.local_provenance` returns the restriction of the
 analysis's index to the arcs it keeps (an analysis caches the one at the
 all-cheap abstraction, `Analysis.blueprint`), and `likelihood.bound_terms`
 takes that index, or `Index(arcs)` of a graph with no analysis, such as
-a blueprint file.  Distances define forward arcs.
+a blueprint file, as `exact_likelihood` does.  Distances define forward
+arcs.
 """
 
 from __future__ import annotations
@@ -169,9 +170,6 @@ class Hypergraph:
 
     def __le__(self, other: "Hypergraph") -> bool:
         return self.arcs <= other.arcs
-
-    def sorted_arcs(self) -> list:
-        return sorted(self.arcs, key=Arc._key)
 
     def rule_types(self) -> set:
         return {a.rule_type for a in self.arcs}

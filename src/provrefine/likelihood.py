@@ -13,8 +13,8 @@ a batch (reach(H, T_k) = R_k for all k) is bounded below and above by
 products of per-head weighted model counts.  `bound_terms` counts the
 heads of each distinct shape, read off its bit masks, and `Bound`
 compiles each shape's count once and evaluates it under any theta;
-`exact_likelihood` enumerates every sub-hypergraph for the exact value
-on small instances.
+`exact_likelihood` enumerates every subset of the same index's arcs for
+the exact value on small instances, with no graph built per subset.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from . import hypergraph as hg
 from .analysis import Abstraction, Analysis, encode_params, project_set
 from .errors import (ObservationOutOfRange, OracleLimitExceeded, ParseError,
                      SelfLoopArc)
-from .hypergraph import Hypergraph
 from .probmodel import NEG_INF, HyperParams, validate_hyperparams
 
 EXACT_ARC_LIMIT = 15  # exact_likelihood enumerates the subsets of at most this many arcs
@@ -311,17 +310,13 @@ def _per_head(index: hg.Index, cmask: list, refuted: list, fwd: list,
     per_head = {}
     for h, c, a_h in _candidates(index, cmask, refuted):
         candidates = shared[frozenset(a_h)]
-        if len(a_h) == 1 and fwd[a_h[0]] & w[a_h[0]] & c == c:
-            # its one candidate is in every F_k, so in every D_k
-            lower = upper = (candidates,) * c.bit_count()
-        else:
-            ks = [k for k in range(c.bit_length()) if c >> k & 1]
-            dmask = [w[j] & c for j in a_h]
-            fmask = [m & fwd[j] for m, j in zip(dmask, a_h)]
-            lower = tuple(shared[frozenset(
-                j for j, m in zip(a_h, fmask) if m >> k & 1)] for k in ks)
-            upper = tuple(shared[frozenset(
-                j for j, m in zip(a_h, dmask) if m >> k & 1)] for k in ks)
+        ks = [k for k in range(c.bit_length()) if c >> k & 1]
+        dmask = [w[j] & c for j in a_h]
+        fmask = [m & fwd[j] for m, j in zip(dmask, a_h)]
+        lower = tuple(shared[frozenset(
+            j for j, m in zip(a_h, fmask) if m >> k & 1)] for k in ks)
+        upper = tuple(shared[frozenset(
+            j for j, m in zip(a_h, dmask) if m >> k & 1)] for k in ks)
         per_head[index.facts[h]] = PerHead(candidates, lower, upper)
     return per_head
 
@@ -430,40 +425,35 @@ def upper_bound(bf: BoundFormula, hp: HyperParams) -> float:
     return Bound([bf], "upper").value(hp)
 
 
-def _enumerate_subgraphs(blueprint: Hypergraph, hp: HyperParams):
-    """Yield (sub-hypergraph arcs, probability) over all 2^n selections."""
-    arcs = blueprint.sorted_arcs()
-    n = len(arcs)
-    theta = [hp.get(a.rule_type) for a in arcs]
+def exact_likelihood(index: hg.Index, obs: ObservationBatch,
+                     hp: HyperParams) -> float:
+    """Log-probability by enumerating every subset of the blueprint
+    `index`'s arc ids (key order), after the bounds' own check of the
+    blueprint and the observations.  With t in r and no foreign fact
+    derived, reach(subset, t) = r iff `run` reaches the ids of r."""
+    rmask, _ = _blueprint_masks(index, obs)
+    if not obs.consistent():
+        return NEG_INF
+    n = len(index.arcs)
+    if n > EXACT_ARC_LIMIT:
+        raise OracleLimitExceeded(
+            f"exact likelihood over {n} arcs (limit {EXACT_ARC_LIMIT})")
+    validate_hyperparams(hp, index)
+    theta = [hp.get(arc.rule_type) for arc in index.arcs]
+    r_ids = [{i for i, m in enumerate(rmask) if m >> k & 1}
+             for k in range(len(obs.t))]
+    total = 0.0
     for mask in range(1 << n):
         p = 1.0
         chosen = []
-        for i in range(n):
-            if mask >> i & 1:
-                p *= theta[i]
-                chosen.append(arcs[i])
+        for j in range(n):
+            if mask >> j & 1:
+                p *= theta[j]
+                chosen.append(j)
             else:
-                p *= 1.0 - theta[i]
-        if p > 0.0:
-            yield chosen, p
-
-
-def exact_likelihood(g_bot: Hypergraph, obs: ObservationBatch,
-                     hp: HyperParams) -> float:
-    """Log-probability by enumerating every sub-hypergraph, after the
-    bounds' own check of the blueprint and the observations."""
-    _blueprint_masks(hg.Index(g_bot.arcs), obs)
-    if not obs.consistent():
-        return NEG_INF
-    if len(g_bot) > EXACT_ARC_LIMIT:
-        raise OracleLimitExceeded(
-            f"exact likelihood over {len(g_bot)} arcs (limit {EXACT_ARC_LIMIT})")
-    validate_hyperparams(hp, g_bot)
-    total = 0.0
-    obs = list(obs)
-    for chosen, p in _enumerate_subgraphs(g_bot, hp):
-        sub = Hypergraph(chosen)
-        if all(hg.reach(sub, o.t) == o.r for o in obs):
+                p *= 1.0 - theta[j]
+        if p > 0.0 and all(index.run(t, chosen).keys() == r
+                           for t, r in zip(obs.t, r_ids)):
             total += p
     return math.log(total) if total > 0.0 else NEG_INF
 

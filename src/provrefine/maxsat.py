@@ -116,11 +116,18 @@ class ClauseInstance:
     hidden: frozenset = frozenset()
 
     def objective(self, model: Iterable[int]) -> float:
+        """The weights' correctly rounded sum, in any order of the ids: taken
+        exactly where a partial sum of `fsum` leaves the float range."""
+        ws = [self.weights.get(v, 0.0) for v in model]
         try:
-            return math.fsum(self.weights.get(v, 0.0) for v in model)
+            return math.fsum(ws)
         except OverflowError:
-            raise WeightOverflow(
-                "the weights of the model sum past the float range") from None
+            from fractions import Fraction
+            try:
+                return float(sum(map(Fraction, ws)))
+            except OverflowError:
+                raise WeightOverflow(
+                    "the weights of the model sum past the float range") from None
 
     def shown(self, ids: Iterable[int]) -> frozenset:
         return frozenset(self.names[i] for i in ids if i not in self.hidden)

@@ -3,9 +3,10 @@
 A blueprint hypergraph is partitioned by rule type; each type carries a
 survival probability theta, and a random sub-hypergraph keeps every arc
 independently with its type's theta.  `HyperParams` is that table,
-`validate_hyperparams` checks it against a blueprint, and the text format
-below reads and writes it.  Probabilities of events are kept in log
-space, where an impossible one is `NEG_INF`.
+`validate_hyperparams` checks it against a blueprint's arcs (an index's
+or a graph's), and the text format below reads and writes it.
+Probabilities of events are kept in log space, where an impossible one
+is `NEG_INF`.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from dataclasses import dataclass, field
 
 from . import hypergraph as hg
 from .errors import MissingHyperparameter
-from .hypergraph import Hypergraph
 
 NEG_INF = float("-inf")
 
@@ -37,8 +37,9 @@ class HyperParams:
         return HyperParams(dict(self.theta), set(self.unconstrained))
 
 
-def validate_hyperparams(hp: HyperParams, blueprint: Hypergraph) -> None:
-    missing = blueprint.rule_types() - set(hp.theta)
+def validate_hyperparams(hp: HyperParams, blueprint) -> None:
+    """`blueprint` is an `hg.Index` or a `Hypergraph`: only its arcs count."""
+    missing = {arc.rule_type for arc in blueprint.arcs} - set(hp.theta)
     if missing:
         raise MissingHyperparameter(
             f"missing hyperparameters for rule types {sorted(missing)}")

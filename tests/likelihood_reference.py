@@ -60,7 +60,7 @@ class Formula:
 
 def bound_terms(g_bot: Hypergraph, obs: Iterable[Observation]) -> Formula:
     obs = list(obs)
-    for arc in g_bot.sorted_arcs():  # the least self-loop arc in key order
+    for arc in sorted(g_bot.arcs, key=Arc._key):  # the least self-loop arc in key order
         if arc.head in arc.body:
             raise SelfLoopArc(arc)
     for k, o in enumerate(obs, start=1):

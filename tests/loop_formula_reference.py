@@ -16,9 +16,10 @@ from typing import Iterable
 
 from provrefine.errors import OracleLimitExceeded, ProvRefineError
 from provrefine.hypergraph import Arc, Fact, Hypergraph
-from provrefine.likelihood import EXACT_ARC_LIMIT, _enumerate_subgraphs
+from provrefine.likelihood import EXACT_ARC_LIMIT
 from provrefine.probmodel import NEG_INF, HyperParams
 
+from conftest import all_subgraph_probability
 from probmodel_reference import ProbModel
 
 
@@ -143,9 +144,7 @@ def loop_formula_wmc(g_bot: Hypergraph, formulas: Iterable[LoopFormula],
         raise OracleLimitExceeded(
             f"weighted model count over {len(g_bot)} arcs (limit {limit})")
     model = ProbModel(g_bot, hp)
-    total = 0.0
-    for chosen, p in _enumerate_subgraphs(model.blueprint, model.params):
-        sel = frozenset(chosen)
-        if all(f.evaluate(sel) for f in formulas):
-            total += p
+    total = all_subgraph_probability(
+        model.blueprint, model.params.theta,
+        lambda sel: all(f.evaluate(sel) for f in formulas))
     return math.log(total) if total > 0.0 else NEG_INF

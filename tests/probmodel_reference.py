@@ -16,9 +16,11 @@ from typing import Iterable
 
 from provrefine import hypergraph as hg
 from provrefine.errors import OracleLimitExceeded, ProvRefineError
-from provrefine.hypergraph import Fact, Hypergraph
-from provrefine.likelihood import EXACT_ARC_LIMIT, _enumerate_subgraphs
+from provrefine.hypergraph import Arc, Fact, Hypergraph
+from provrefine.likelihood import EXACT_ARC_LIMIT
 from provrefine.probmodel import NEG_INF, HyperParams, validate_hyperparams
+
+from conftest import all_subgraph_probability
 
 
 class NotSubgraph(ProvRefineError):
@@ -64,7 +66,7 @@ def prob_of(m: ProbModel, h: Hypergraph) -> float:
 def sample(m: ProbModel, rng: random.Random) -> Hypergraph:
     """One random sub-hypergraph; deterministic given the rng state."""
     kept = []
-    for arc in m.blueprint.sorted_arcs():
+    for arc in sorted(m.blueprint.arcs, key=Arc._key):
         if rng.random() < m.params.get(arc.rule_type):
             kept.append(arc)
     return Hypergraph(kept)
@@ -78,11 +80,9 @@ def prob_query_reach_exact(m: ProbModel, q: Fact, t: Iterable[Fact],
         raise OracleLimitExceeded(
             f"exact query probability over {n} arcs (limit {limit})")
     ts = frozenset(t)
-    total = 0.0
-    for chosen, p in _enumerate_subgraphs(m.blueprint, m.params):
-        if q in hg.reach(Hypergraph(chosen), ts):
-            total += p
-    return total
+    return all_subgraph_probability(
+        m.blueprint, m.params.theta,
+        lambda chosen: q in hg.reach(Hypergraph(chosen), ts))
 
 
 def prob_query_reach_mc(m: ProbModel, q: Fact, t: Iterable[Fact],

@@ -63,7 +63,7 @@ def build_phi(an: Analysis, g_fwd: Hypergraph, q: Fact, a: Abstraction,
     parts = []
     aux_names = []
     by_head = {}
-    for e in g_fwd.sorted_arcs():
+    for e in sorted(g_fwd.arcs, key=Arc._key):
         by_head.setdefault(e.head, []).append(e)
         y = mx.var(_aux_var(e))
         aux_names.append(_aux_var(e))
@@ -85,7 +85,7 @@ def build_phi(an: Analysis, g_fwd: Hypergraph, q: Fact, a: Abstraction,
 
     hard = mx.exists(aux_names, mx.and_(*parts))
     weights = {}
-    for e in g_fwd.sorted_arcs():
+    for e in sorted(g_fwd.arcs, key=Arc._key):
         weights[_arc_var(e)] = _log_theta(hp, e.rule_type)
     for u in sorted(p0 | p1, key=Fact._key):
         weights[_vertex_var(u)] = -alpha
@@ -106,7 +106,7 @@ def build_phi_clauses(an: Analysis, g_fwd: Hypergraph, q: Fact,
     p0 = encode_params(an, a, 0)
     p1 = encode_params(an, a, 1)
     param_facts = set(an.encode0.values()) | set(an.encode1.values())
-    arcs = g_fwd.sorted_arcs()
+    arcs = sorted(g_fwd.arcs, key=Arc._key)
     facts = sorted(g_fwd.vertices | p0 | p1, key=Fact._key)
     arc_ids = {e: i for i, e in enumerate(arcs, 1)}
     fact_ids = {u: i for i, u in enumerate(facts, len(arcs) + 1)}
@@ -185,7 +185,7 @@ def decode_model(an: Analysis, model: Iterable[str], g_fwd: Hypergraph,
                  a: Abstraction):
     """Read off the refined abstraction and selected sub-hypergraph."""
     model = frozenset(model)
-    chosen = [e for e in g_fwd.sorted_arcs() if _arc_var(e) in model]
+    chosen = [e for e in sorted(g_fwd.arcs, key=Arc._key) if _arc_var(e) in model]
     h = Hypergraph(chosen)
     flips = set()
     for x, v in a.bits:
@@ -230,7 +230,7 @@ def choose_optimistic(an: Analysis, g_a: Hypergraph, q: Fact, a: Abstraction,
     for x in unflipped:
         parts.append(mx.implies(mx.not_(mx.var(fvar(x))),
                                 mx.var(zvar(an.encode0[x]))))
-    for e in g_a.sorted_arcs():
+    for e in sorted(g_a.arcs, key=Arc._key):
         body = [mx.var(zvar(b)) for b in sorted(e.body, key=Fact._key)]
         head = mx.var(zvar(e.head))
         parts.append(mx.implies(mx.and_(*body) if body else mx.TRUE, head))

@@ -79,6 +79,33 @@ def test_smudge_is_well_formed(smudge):
     assert ana.check_well_formed(smudge) == []
 
 
+_PRECISE = {"precise": ("cheap", (0,))}
+
+
+@pytest.mark.parametrize("arcs, encode0, encode1, rules, violation", [
+    ("q <- cheap(0) @ r\nnoise(0) <- cheap(0) @ r\n", ["cheap(0)"],
+     ["precise(0)"], {**_PRECISE, "noise": "drop"},
+     "(i) noise(0) derived at bottom but not a fixed point"),
+    ("q <- cheap(0) @ r\nshadow <- precise(0) @ r\n", ["cheap(0)"],
+     ["precise(0)"], {**_PRECISE, "shadow": ("q", ())},
+     "(iii) non-query shadow projects onto query q"),
+    # `parse_manifest` refuses both encoders of (iv) before they are built
+    ("q <- cheap(0) @ r\n", ["cheap(0)", "cheap(0)"],
+     ["precise(0)", "precise(0)"], _PRECISE, "(iv) encoder not injective"),
+    ("q <- cheap(0) @ r\n", ["cheap(0)"], ["cheap(0)"], _PRECISE,
+     "(iv) encoder images overlap"),
+])
+def test_each_violation_is_named(arcs, encode0, encode1, rules, violation):
+    """One hand-built analysis per condition, each violating only it."""
+    params = tuple(str(i) for i in range(len(encode0)))
+    an = Analysis(global_graph=hg.parse_provenance(arcs),
+                  queries=frozenset([Fact("q", ())]), params=params,
+                  encode0=dict(zip(params, map(hg.parse_fact, encode0))),
+                  encode1=dict(zip(params, map(hg.parse_fact, encode1))),
+                  projection=Projection(rules))
+    assert ana.check_well_formed(an) == [violation]
+
+
 def test_smudge_is_monotone_on_covering_pairs(smudge):
     assert check_monotone(smudge)
 

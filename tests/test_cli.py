@@ -1,5 +1,6 @@
 import contextlib
 import io
+import math
 import random
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from provrefine.errors import ParseError
 
 import likelihood_reference
 from analysis_reference import save_manifest, serialize_manifest
-from conftest import save_hyperparams
+from conftest import all_subgraph_probability, save_hyperparams
 
 
 def run(capsys, *argv):
@@ -528,6 +529,36 @@ class TestLikelihood:
         code, up, _ = run(capsys, "likelihood", *files, "--mode", "upper")
         assert code == 0
         assert float(lo) <= float(up)
+
+    def test_exact_prints_the_enumerated_value_within_the_bounds(self, capsys,
+                                                                 tmp_path):
+        """On an acyclic blueprint of five arcs exact mode prints the sum over
+        every arc subset that reproduces the observations, in the order and
+        to the digits the library takes it, and equals the upper bound."""
+        text = ("b <- a @ r\nc <- a @ s\nd <- b c @ r\nd <- a @ t\n"
+                "e <- d @ s\n")
+        obs = [lk.Observation(frozenset(hg.parse_facts(t)),
+                              frozenset(hg.parse_facts(r)))
+               for t, r in (("a", "a b d e"), ("b c", "b c d e"))]
+        hp = pm.HyperParams({"r": 0.3, "s": 0.6, "t": 0.2})
+        b, o, t = tmp_path / "bp.prov", tmp_path / "obs.txt", tmp_path / "theta.txt"
+        b.write_text(text)
+        o.write_text(likelihood_reference.serialize_observations(obs))
+        save_hyperparams(hp, str(t))
+        g = hg.parse_provenance(text)
+        p = all_subgraph_probability(g, hp.theta, lambda chosen: all(
+            hg.reach(hg.Hypergraph(chosen), x.t) == x.r for x in obs))
+        printed = {}
+        for mode in ("lower", "upper", "exact"):
+            code, out, err = run(capsys, "likelihood", str(b), str(o), str(t),
+                                 "--mode", mode)
+            assert (code, err) == (0, "")
+            printed[mode] = float(out)
+        assert out == f"{math.log(p):.9f}\n" and p > 0.0
+        assert printed["lower"] <= printed["exact"] <= printed["upper"]
+        up = lk.upper_bound(lk.bound_terms(hg.Index(g.arcs),
+                                           lk.ObservationBatch.of(obs)), hp)
+        assert math.log(p) == pytest.approx(up, abs=1e-9)
 
     def test_impossible_prints_minus_inf(self, capsys, tmp_path, files):
         b, _, t = files

@@ -292,6 +292,19 @@ def test_objective_sum_is_exact():
     assert cnf.objective([1, 2, 3]) == 1.0  # a plain sum gives 0.0
 
 
+def test_objective_is_the_same_in_every_build_order_of_the_model():
+    """`fsum` overflows mid-way when 1e308 and 9e307 come before -1e308,
+    and which comes first follows the order the model's frozenset was
+    built in; the sum itself, 9e307, is in range.  A sum outside the
+    range still raises."""
+    inst = mx.ClauseInstance(9, [], {1: 1e308, 5: 9e307, 9: -1e308},
+                             {v: f"x{v}" for v in range(1, 10)})
+    for order in itertools.permutations([1, 5, 9]):
+        assert inst.objective(frozenset(order)) == 9e307, order
+    with pytest.raises(WeightOverflow):
+        inst.objective(frozenset([1, 5]))
+
+
 def test_exact_matches_reference_solver():
     rng = random.Random(2024)
     for i in range(400):

@@ -4,13 +4,13 @@ import random
 import pytest
 
 import provrefine.hypergraph as hg
-from provrefine import likelihood as lk
 from provrefine import probmodel as pm
 from provrefine.errors import OracleLimitExceeded
 from provrefine.hypergraph import Arc, Fact, Hypergraph
 
 import probmodel_reference
-from conftest import fact, random_hypergraph, save_hyperparams
+from conftest import (all_subgraph_probability, fact, random_hypergraph,
+                      save_hyperparams)
 from probmodel_reference import NotSubgraph, ProbModel, log_prob_of, prob_of
 
 
@@ -24,7 +24,8 @@ def test_subgraph_probabilities_sum_to_one():
     rng = random.Random(11)
     for _ in range(20):
         model = _model(rng)
-        total = sum(p for _, p in lk._enumerate_subgraphs(model.blueprint, model.params))
+        total = all_subgraph_probability(model.blueprint, model.params.theta,
+                                         lambda _: True)
         assert total == pytest.approx(1.0)
 
 
