@@ -556,106 +556,64 @@ value(L2,A,N) :- value(L,A,N), keep(L,A), flow(L,L2). @value_persist
 """
 
 
-def _smudge_value_rules(assignments) -> str:
-    """One rule per assignment command, keyed by an assign_* base relation.
+# the demo's smudge sites, (label, K, source, target) for smudgeK(label,
+# source, target), and its control flow: an init point, one point per
+# site, its assignments interleaved, an end point
+_DEMO_SITES = [(0, 2, "x", "y"), (1, 3, "y", "z"), (2, 3, "z", "v"),
+               (3, 5, "x", "y"), (4, 7, "y", "v")]
+_DEMO_POINTS = ["s0", 0, "l0p", 1, "g1", 2, 3, 4, "end"]
+_DEMO_ASSIGNED = {"s0": {"x"}, "l0p": {"y"}}  # point -> objects given new values
 
-    assignments: list of (rule_name, marker_relation, head_atom, extra_body)
-    """
-    lines = []
-    for name, marker, head, extra in assignments:
-        body = [f"{marker}(L)", "flow(L,L2)"] + extra
-        lines.append(f"{head} :- {', '.join(body)}. @{name}")
-    return "\n".join(lines) + "\n"
-
-
-_SMUDGE_ASSIGNMENTS = [
+# the demo's assignment commands, one rule each keyed by an assign_* base
+# relation: (rule name, marker relation, its point, head atom, extra body)
+_DEMO_ASSIGNMENTS = [
     # x.value := 10
-    ("assign_x_const", "assign_ten", "value(L2,x,10)", []),
+    ("assign_x_const", "assign_ten", "s0", "value(L2,x,10)", []),
     # y.value := y.value + 2 * x.value
-    ("assign_y_lin", "assign_ylin",
+    ("assign_y_lin", "assign_ylin", "l0p",
      "value(L2,y,N2)", ["value(L,y,B)", "value(L,x,A)", "N2 == B + 2 * A"]),
     # if z.dirty && y.value > 5 then v.value := x.value + y.value
-    ("assign_v_guarded", "assign_vsum",
+    ("assign_v_guarded", "assign_vsum", "g1",
      "value(L2,v,N2)",
      ["dirty(L,z)", "value(L,y,B)", "B > 5", "value(L,x,A)", "N2 == A + B"]),
 ]
 
 
-def smudge_program_text(smudges=None, init_values=None) -> str:
-    """Full rule+fact text for a smudge program; dirt starts at x.
-
-    smudges: list of (label:int, k:int, src_obj, dst_obj); defaults to the
-    five-site demo program, the only one with assignment commands.
-    init_values: object -> initial value.
-    """
-    demo = smudges is None
-    if demo:
-        smudges = [(0, 2, "x", "y"), (1, 3, "y", "z"), (2, 3, "z", "v"),
-                   (3, 5, "x", "y"), (4, 7, "y", "v")]
-    objects = sorted({o for _, _, a, b in smudges for o in (a, b)} | {"x"})
-    if init_values is None:
-        init_values = {}
-
-    # control flow: an init point, one point per smudge label, an end point
-    if demo:
-        # the demo program interleaves its assignments with the smudges
-        assignments = _SMUDGE_ASSIGNMENTS
-        points = ["s0", 0, "l0p", 1, "g1", 2, 3, 4, "end"]
-        assigned_at = {"s0": {"x"}, "l0p": {"y"}, "g1": set()}
-        markers = [("assign_ten", "s0"), ("assign_ylin", "l0p"),
-                   ("assign_vsum", "g1")]
-    else:
-        assignments = []
-        points = ["s0"] + [lbl for lbl, _, _, _ in smudges] + ["end"]
-        assigned_at = {}
-        markers = []
-
-    lines = [SMUDGE_RULES_TEXT, _smudge_value_rules(assignments)]
-    for a, b in zip(points, points[1:]):
-        lines.append(f"flow({a},{b}).")
-    for lbl, k, a, b in smudges:
-        lines.append(f"smudge{k}({lbl},{a},{b}).")
-    for marker, point in markers:
-        lines.append(f"{marker}({point}).")
+def smudge_program_text() -> str:
+    """Full rule+fact text of the five-site demo program; dirt starts at x,
+    and every object starts at value 0."""
+    objects = sorted({o for _, _, a, b in _DEMO_SITES for o in (a, b)})
+    points = _DEMO_POINTS
+    rules = []
+    for name, marker, _, head, extra in _DEMO_ASSIGNMENTS:
+        body = ", ".join([f"{marker}(L)", "flow(L,L2)", *extra])
+        rules.append(f"{head} :- {body}. @{name}\n")
+    lines = [SMUDGE_RULES_TEXT, "".join(rules)]
+    lines += [f"flow({a},{b})." for a, b in zip(points, points[1:])]
+    lines += [f"smudge{k}({lbl},{a},{b})." for lbl, k, a, b in _DEMO_SITES]
+    lines += [f"{marker}({point})." for _, marker, point, _, _ in _DEMO_ASSIGNMENTS]
     lines.append("dirty(s0,x).")
-    for obj in objects:
-        lines.append(f"value(s0,{obj},{init_values.get(obj, 0)}).")
-    # non-assigned objects keep their value across every non-final point
-    for point in points[:-1]:
-        for obj in objects:
-            if obj not in assigned_at.get(point, set()):
-                lines.append(f"keep({point},{obj}).")
+    lines += [f"value(s0,{obj},0)." for obj in objects]
+    # objects not assigned at a point keep their value across it
+    lines += [f"keep({point},{obj})." for point in points[:-1] for obj in objects
+              if obj not in _DEMO_ASSIGNED.get(point, ())]
     return "\n".join(lines) + "\n"
 
 
-def smudge_labels(smudges=None) -> list:
-    if smudges is None:
-        return [0, 1, 2, 3, 4]
-    return [lbl for lbl, _, _, _ in smudges]
-
-
-def smudge_analysis(smudges=None, init_values=None) -> Analysis:
-    """Build the parametric analysis for a smudge program; the query is
-    whether the last smudge's target is dirty at the end."""
-    rules, base = parse_program(smudge_program_text(smudges, init_values))
-    labels = smudge_labels(smudges)
+def smudge_fixture() -> Analysis:
+    """The five-site demo analysis: query `dirty(end, v)`, params "0".."4"."""
+    rules, base = parse_program(smudge_program_text())
+    labels = [lbl for lbl, _, _, _ in _DEMO_SITES]
     seeds = {Fact("cheap", (l,)) for l in labels}
     seeds |= {Fact("precise", (l,)) for l in labels}
-    graph = ground(rules, base, seeds=seeds)
-    query = Fact("dirty", ("end", "v" if smudges is None else smudges[-1][3]))
     return Analysis(
-        global_graph=graph,
-        queries=frozenset([query]),
+        global_graph=ground(rules, base, seeds=seeds),
+        queries=frozenset([Fact("dirty", ("end", "v"))]),
         params=tuple(str(l) for l in labels),
         encode0={str(l): Fact("cheap", (l,)) for l in labels},
         encode1={str(l): Fact("precise", (l,)) for l in labels},
         projection=Projection({"precise": ("cheap", (0,))}),
     )
-
-
-def smudge_fixture() -> Analysis:
-    """The five-site demo analysis: query `dirty(end, v)`, params "0".."4"."""
-    return smudge_analysis()
 
 
 def smudge_theta() -> dict:

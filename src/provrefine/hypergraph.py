@@ -162,17 +162,8 @@ class Hypergraph:
             verts.update(a.body)
         return frozenset(verts)
 
-    def __len__(self) -> int:
-        return len(self.arcs)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Hypergraph) and self.arcs == other.arcs
-
-    def __le__(self, other: "Hypergraph") -> bool:
-        return self.arcs <= other.arcs
-
-    def rule_types(self) -> set:
-        return {a.rule_type for a in self.arcs}
 
 
 def _ranked(arcs: Collection[Arc], extra: Iterable[Fact] = ()) -> tuple:

@@ -5,12 +5,12 @@ were derived (R) in one analysis run.  A batch of them is one
 bit-parallel `ObservationBatch`: each observation's T, and per fact the
 mask of the observations whose R holds it.  `observe` builds it from one
 sweep's masks and `parse_observations` from a file, and `bound_terms`
-reads its masks off it; no per-observation R set is built on the way,
-only when a caller iterates the batch's `Observation` views.  The
-probability that a random sub-hypergraph H of the blueprint, keeping
-each arc with its rule type's theta (`probmodel.HyperParams`), reproduces
-a batch (reach(H, T_k) = R_k for all k) is bounded below and above by
-products of per-head weighted model counts.  `bound_terms` counts the
+and `exact_likelihood` read its masks off it; no per-observation R set
+is ever built.  The probability that a random sub-hypergraph H of the
+blueprint, keeping each arc with its rule type's theta
+(`probmodel.HyperParams`), reproduces a batch (reach(H, T_k) = R_k for
+all k) is bounded below and above by products of per-head weighted
+model counts.  `bound_terms` counts the
 heads of each distinct shape, read off its bit masks, and `Bound`
 compiles each shape's count once and evaluates it under any theta;
 `exact_likelihood` enumerates every subset of the same index's arcs for
@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from . import hypergraph as hg
 from .analysis import Abstraction, Analysis, encode_params, project_set
@@ -33,22 +33,13 @@ from .probmodel import NEG_INF, HyperParams, validate_hyperparams
 EXACT_ARC_LIMIT = 15  # exact_likelihood enumerates the subsets of at most this many arcs
 
 
-class Observation(NamedTuple):
-    """One training event, seeded facts t and derived facts r (projected):
-    the view of one observation of an `ObservationBatch`."""
-
-    t: frozenset
-    r: frozenset
-
-
 class ObservationBatch:
     """A batch of observations, one bit per observation k.
 
     `t[k]` is observation k's seed set, and `rmask[f]`, per fact f in some
     r, the mask of the observations whose r holds f.  `bound_terms` reads
     its masks off this, and `observe` builds it from its sweep masks with
-    no per-observation r set; iterating the batch yields each observation
-    as an `Observation`, in order.
+    no per-observation r set.
     """
 
     __slots__ = ("t", "rmask")
@@ -58,7 +49,7 @@ class ObservationBatch:
 
     @classmethod
     def of(cls, obs: Iterable) -> "ObservationBatch":
-        """The batch of (t, r) pairs, such as `Observation`s, in order."""
+        """The batch of (t, r) pairs, in order."""
         t, rmask = [], {}
         for k, (seeds, r) in enumerate(obs):
             t.append(frozenset(seeds))
@@ -66,19 +57,6 @@ class ObservationBatch:
             for f in r:
                 rmask[f] = rmask.get(f, 0) | bit
         return cls(t, rmask)
-
-    def __iter__(self):
-        rs = [[] for _ in self.t]
-        for f, m in self.rmask.items():
-            while m:
-                low = m & -m
-                rs[low.bit_length() - 1].append(f)
-                m ^= low
-        return (Observation(t, frozenset(r)) for t, r in zip(self.t, rs))
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, ObservationBatch) and self.t == other.t
-                and self.rmask == other.rmask)
 
     def consistent(self) -> bool:
         """Whether every observation's t lies in its r."""

@@ -429,10 +429,11 @@ def _branch_and_bound(inst: ClauseInstance, budget: float):
     A node's objective and slack are running sums, carried on the search
     frames and moved by the literals each step adds to the trail.  They
     round differently from the in-order sums that define the search, so
-    they decide a prune or an accept only when they clear its threshold
-    by `margin` = 1e-9 * sum(|w|), far above their rounding error (about
-    3n * 2**-53 * sum(|w|) for n weighted ids); otherwise the in-order
-    sums decide, and the incumbent always holds its in-order objective.
+    they decide a prune only when the bound clears the bar by `margin` =
+    1e-9 * sum(|w|), far above their rounding error (about 3n * 2**-53 *
+    sum(|w|) for n weighted ids); otherwise the in-order sums decide.  A
+    leaf the bound does not prune is accepted or rejected on its in-order
+    objective alone, so the incumbent always holds its in-order objective.
     Forcing and skipping refute a child only when its bound falls below
     the bar by more than `margin`, so the child's own prune test, on
     either sum, would have pruned it.  Past 1e300 the margin is infinite,
@@ -538,13 +539,11 @@ def _branch_and_bound(inst: ClauseInstance, budget: float):
                 return [better(v) for v in weighted[i:j] if not val[v]], 0, i
             first = better(weighted[i])
             return (first,), -first, i
-        # a leaf: the running objective decides unless it is near a tie
-        clear = incumbent is None or abs(objective - incumbent) > tol + margin
-        if clear and incumbent is not None and objective < incumbent:
-            return (), 0, i
+        # a leaf: its in-order objective decides (one below the bar was
+        # pruned above, since a leaf's slack is 0 up to rounding)
         objective = objective_in_order()
         key = tuple(j for j, u in enumerate(by_name) if val[u] == 1)
-        if not clear and not (
+        if incumbent is not None and not (
                 objective > incumbent + tol
                 or (abs(objective - incumbent) <= tol and key < best["key"])):
             return (), 0, i

@@ -117,9 +117,9 @@ def check_predictable(an: Analysis, param_limit: int = 12,
         raise OracleLimitExceeded(
             f"predictability oracle over {len(an.params)} parameters")
     g_bot = hg.induced(an.global_graph, derive(an, an.bottom()))
-    if len(g_bot) > arc_limit:
+    if len(g_bot.arcs) > arc_limit:
         raise OracleLimitExceeded(
-            f"predictability oracle over {len(g_bot)} arcs")
+            f"predictability oracle over {len(g_bot.arcs)} arcs")
     g_top = hg.induced(an.global_graph, derive(an, analysis_top(an)))
 
     observations = []

@@ -139,16 +139,21 @@ def all_subgraph_probability(g: Hypergraph, theta: dict, predicate) -> float:
     return total
 
 
-def random_smudge_analysis(rng: random.Random, max_sites: int = 6):
-    """A smudge analysis over a random straight-line program, and a random
-    abstraction of it."""
-    from provrefine import datalog
-
+def random_smudge_program(rng: random.Random, max_sites: int = 6) -> tuple:
+    """(sites, initial values) of a random straight-line smudge program over
+    x, y, z and w, for `datalog_reference.smudge_analysis`."""
     objects = ("x", "y", "z", "w")
     smudges = [(i, rng.choice((2, 3, 5, 7)), rng.choice(objects),
                 rng.choice(objects)) for i in range(rng.randint(1, max_sites))]
-    init = {o: rng.randrange(10) for o in objects}
-    an = datalog.smudge_analysis(smudges, init_values=init)
+    return smudges, {o: rng.randrange(10) for o in objects}
+
+
+def random_smudge_analysis(rng: random.Random, max_sites: int = 6):
+    """A smudge analysis over a random straight-line program, and a random
+    abstraction of it."""
+    from datalog_reference import smudge_analysis
+
+    an = smudge_analysis(*random_smudge_program(rng, max_sites))
     flips = [p for p in an.params if rng.random() < 0.5]
     return an, an.bottom().with_flips(flips)
 

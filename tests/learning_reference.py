@@ -27,18 +27,20 @@ from provrefine.learning import ObservationGroup, TrainingSet
 from provrefine.probmodel import NEG_INF, HyperParams
 
 import likelihood_reference
+from likelihood_reference import Observation
 
 
 def observations(ts: TrainingSet) -> list:
-    return [o for g in ts.groups for o in g.observations]
+    return [o for g in ts.groups
+            for o in likelihood_reference.observations(g.observations)]
 
 
-def observe(an: Analysis, a: Abstraction) -> lk.Observation:
+def observe(an: Analysis, a: Abstraction) -> Observation:
     """Run the analysis under a and project the outcome."""
     p1 = encode_params(an, a, 1)
     t = project_set(an, p1)
     r = project_set(an, hg.reach(an.global_graph, p1))
-    return lk.Observation(t=t, r=r)
+    return Observation(t=t, r=r)
 
 
 def sample_training(an: Analysis, n: int, max_flips: int,

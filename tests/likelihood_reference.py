@@ -19,6 +19,9 @@ bit for bit.  `ShapeBound` is the bound as it was before the shapes came
 from bit masks: one `shape` per head of each formula's `per_head`, counted
 by `wmc_clauses` at every evaluation.
 
+`Observation` is one observation as two fact sets, the form these
+references take and give; `observations` lists a batch's observations in
+that form, and `same_batch` compares two batches.
 `serialize_observations` writes observations in the text format
 `provrefine.likelihood.parse_observations` reads; only the tests write
 observation files.
@@ -26,7 +29,7 @@ observation files.
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from provrefine import hypergraph as hg
 from provrefine.analysis import (Abstraction, Analysis, encode_params,
@@ -34,10 +37,32 @@ from provrefine.analysis import (Abstraction, Analysis, encode_params,
 from provrefine.errors import ObservationOutOfRange, SelfLoopArc
 from provrefine import likelihood as lk
 from provrefine.hypergraph import Arc, Fact, Hypergraph
-from provrefine.likelihood import Observation, PerHead
+from provrefine.likelihood import PerHead
 from provrefine.probmodel import NEG_INF, HyperParams
 
 from probmodel_reference import log_one_minus
+
+
+class Observation(NamedTuple):
+    """One training event, seeded facts t and derived facts r (projected)."""
+
+    t: frozenset
+    r: frozenset
+
+
+def observations(batch: lk.ObservationBatch) -> list:
+    """The batch's observations as `Observation`s, in order."""
+    rs = [set() for _ in batch.t]
+    for f, m in batch.rmask.items():
+        for k in range(m.bit_length()):
+            if m >> k & 1:
+                rs[k].add(f)
+    return [Observation(t, frozenset(r)) for t, r in zip(batch.t, rs)]
+
+
+def same_batch(a: lk.ObservationBatch, b: lk.ObservationBatch) -> bool:
+    """Whether two batches hold the same observations, in order."""
+    return a.t == b.t and a.rmask == b.rmask
 
 
 def observe(an: Analysis, a: Abstraction) -> Observation:

@@ -140,9 +140,9 @@ def loop_formula_wmc(g_bot: Hypergraph, formulas: Iterable[LoopFormula],
                      hp: HyperParams, limit: int = EXACT_ARC_LIMIT) -> float:
     """Log of the weighted model count of a conjunction of loop formulas."""
     formulas = list(formulas)
-    if len(g_bot) > limit:
+    if len(g_bot.arcs) > limit:
         raise OracleLimitExceeded(
-            f"weighted model count over {len(g_bot)} arcs (limit {limit})")
+            f"weighted model count over {len(g_bot.arcs)} arcs (limit {limit})")
     model = ProbModel(g_bot, hp)
     total = all_subgraph_probability(
         model.blueprint, model.params.theta,

@@ -75,7 +75,7 @@ def sample(m: ProbModel, rng: random.Random) -> Hypergraph:
 def prob_query_reach_exact(m: ProbModel, q: Fact, t: Iterable[Fact],
                            limit: int = EXACT_ARC_LIMIT) -> float:
     """Probability that q is reachable from t, by full enumeration."""
-    n = len(m.blueprint)
+    n = len(m.blueprint.arcs)
     if n > limit:
         raise OracleLimitExceeded(
             f"exact query probability over {n} arcs (limit {limit})")

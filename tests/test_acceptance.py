@@ -7,8 +7,12 @@ closures, full enumerations, and factorial scans.
 
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -20,13 +24,15 @@ from provrefine import likelihood as lk
 from provrefine import maxsat as mx
 from provrefine import probmodel as pm
 from provrefine import refine
-from provrefine.hypergraph import Hypergraph
+from provrefine.hypergraph import Arc, Hypergraph
 from provrefine.probmodel import HyperParams
 
 import loop_formula_reference as lfr
 import refine_reference
 from conftest import (fact, formula_objective, naive_closure, random_gadget,
                       random_hypergraph, random_seed_set, solve_formula)
+from datalog_reference import smudge_analysis
+from likelihood_reference import Observation, observations
 
 
 def _report(n, text):
@@ -59,13 +65,59 @@ def _likelihood_instance(rng):
                               empty_body_ok=False)
         if g.arcs and not any(a.head in a.body for a in g.arcs):
             break
-    hp = HyperParams({k: rng.uniform(0.05, 0.95) for k in g.rule_types()})
+    hp = HyperParams({k: rng.uniform(0.05, 0.95)
+                     for k in sorted({a.rule_type for a in g.arcs})})
+    arcs = sorted(g.arcs, key=Arc._key)  # draws that follow no hash order
     obs = []
     for _ in range(rng.randint(1, 3)):
         t = random_seed_set(rng, g)
-        r = hg.reach(Hypergraph(a for a in g.arcs if rng.random() < 0.7), t)
-        obs.append(lk.Observation(t=t, r=r))
+        r = hg.reach(Hypergraph(a for a in arcs if rng.random() < 0.7), t)
+        obs.append(Observation(t=t, r=r))
     return g, hp, lk.ObservationBatch.of(obs)
+
+
+# prints a digest of the first instances that the seeded generators above
+# and `test_likelihood._random_instance` draw from Random(202)
+_INSTANCE_STREAM_DIGEST = """
+import hashlib, random
+from provrefine.hypergraph import Arc, Fact
+from test_acceptance import _likelihood_instance
+from test_likelihood import _random_instance
+
+def drawn(g, hp, ts, rs):
+    return (sorted(g.arcs, key=Arc._key), sorted(hp.theta.items()),
+            [sorted(t, key=Fact._key) for t in ts],
+            [sorted(r, key=Fact._key) for r in rs])
+
+out, rng = [], random.Random(202)
+for _ in range(200):
+    g, hp, batch = _likelihood_instance(rng)
+    rs = [[f for f, m in batch.rmask.items() if m >> k & 1]
+          for k in range(len(batch.t))]
+    out.append(drawn(g, hp, batch.t, rs))
+rng = random.Random(202)
+for _ in range(200):
+    g, hp, obs = _random_instance(rng)
+    out.append(drawn(g, hp, [o.t for o in obs], [o.r for o in obs]))
+print(hashlib.sha256(repr(out).encode()).hexdigest())
+"""
+
+
+def test_the_seeded_instance_streams_do_not_follow_the_hash_seed():
+    """A seed fixes its instances in any process: the generators draw theta
+    over sorted rule types and sub-graphs over arcs in key order, not in
+    the iteration order of a set, which follows the hash seed (drawn in
+    that order, 55 of the first 500 criterion-2 values differed between
+    two processes)."""
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    digests = set()
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+        digests.add(subprocess.run(
+            [sys.executable, "-c", _INSTANCE_STREAM_DIGEST], env=env,
+            capture_output=True, text=True, check=True).stdout)
+    assert len(digests) == 1
 
 
 def test_criterion_2_likelihood_sandwich():
@@ -107,7 +159,7 @@ def test_criterion_3_loop_formula_oracle():
     start = time.monotonic()
     for _ in range(500):
         g, hp, obs = _likelihood_instance(rng)
-        formulas = [lfr.loop_formula(g, o.t, o.r) for o in obs]
+        formulas = [lfr.loop_formula(g, o.t, o.r) for o in observations(obs)]
         wmc = lfr.loop_formula_wmc(g, formulas, hp)
         exact = lk.exact_likelihood(hg.Index(g.arcs), obs, hp)
         if exact == pm.NEG_INF:
@@ -387,13 +439,13 @@ def test_criterion_8_hyperparameter_recovery():
     for _ in range(120):
         k = rng.choice([2, 3, 5])
         init = {"x": rng.randrange(0, 200), "y": rng.randrange(0, 200)}
-        an = datalog.smudge_analysis([("l0", k, "x", "y")], init_values=init)
+        an = smudge_analysis([("l0", k, "x", "y")], init_values=init)
         bp = ana.local_provenance(an, an.bottom())
         obs = lk.observe(an, [an.bottom().with_flips(["l0"])])
         groups.append(learning.ObservationGroup(bp, obs))
     # two programs whose k=7 site exists cheaply but is never exercised
     for init in ({"x": 1, "y": 2, "z": 0}, {"x": 3, "y": 4, "z": 0}):
-        an = datalog.smudge_analysis(
+        an = smudge_analysis(
             [("l0", 2, "x", "y"), ("l1", 7, "y", "z")], init_values=init)
         bp = ana.local_provenance(an, an.bottom())
         obs = lk.observe(an, [an.bottom().with_flips(["l0"])])
@@ -424,7 +476,7 @@ def test_criterion_9_strategy_trend():
             src, dst = rng.sample(objs, 2)
             smudges.append((f"l{j}", rng.choice([2, 3, 5, 7]), src, dst))
         init = {o: rng.randrange(0, 50) for o in objs}
-        an = datalog.smudge_analysis(smudges, init_values=init)
+        an = smudge_analysis(smudges, init_values=init)
         q = next(iter(an.queries))
         budget = 3
         outcomes = {}
@@ -435,7 +487,7 @@ def test_criterion_9_strategy_trend():
                 solved[strategy] += 1
         # with every theta at 1, the probabilistic weights collapse onto
         # the pessimistic ones, so the runs must be indistinguishable
-        ones = HyperParams({k: 1.0 for k in an.global_graph.rule_types()})
+        ones = HyperParams({a.rule_type: 1.0 for a in an.global_graph.arcs})
         cfg = refine.RefineConfig(strategy="probabilistic", hyperparams=ones,
                                   max_iterations=budget)
         prob = refine.solve(an, q, cfg)

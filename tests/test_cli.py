@@ -16,6 +16,8 @@ from provrefine import probmodel as pm
 from provrefine.errors import ParseError
 
 import likelihood_reference
+from likelihood_reference import Observation
+from datalog_reference import smudge_analysis
 from analysis_reference import save_manifest, serialize_manifest
 from conftest import all_subgraph_probability, save_hyperparams
 
@@ -447,7 +449,7 @@ class TestLearn:
             smudges = [(lab, rng.choice([2, 3]), "x", "y")
                        for lab in ("a", "b")]
             init = {"x": rng.randrange(30), "y": rng.randrange(30)}
-            an = datalog.smudge_analysis(smudges, init_values=init)
+            an = smudge_analysis(smudges, init_values=init)
             m = tmp_path / f"p{i}.manifest"
             save_manifest(an, str(m), str(tmp_path / f"p{i}.prov"))
             paths.append(str(m))
@@ -514,7 +516,8 @@ class TestLikelihood:
     def files(self, tmp_path):
         an = datalog.smudge_fixture()
         bp = hg.Hypergraph(ana.local_provenance(an, an.bottom()).arcs)
-        obs = lk.observe(an, [an.bottom().with_flips(["0", "4"])])
+        obs = likelihood_reference.observations(
+            lk.observe(an, [an.bottom().with_flips(["0", "4"])]))
         b = tmp_path / "bp.prov"
         o = tmp_path / "obs.txt"
         t = tmp_path / "theta.txt"
@@ -537,8 +540,8 @@ class TestLikelihood:
         to the digits the library takes it, and equals the upper bound."""
         text = ("b <- a @ r\nc <- a @ s\nd <- b c @ r\nd <- a @ t\n"
                 "e <- d @ s\n")
-        obs = [lk.Observation(frozenset(hg.parse_facts(t)),
-                              frozenset(hg.parse_facts(r)))
+        obs = [Observation(frozenset(hg.parse_facts(t)),
+                           frozenset(hg.parse_facts(r)))
                for t, r in (("a", "a b d e"), ("b c", "b c d e"))]
         hp = pm.HyperParams({"r": 0.3, "s": 0.6, "t": 0.2})
         b, o, t = tmp_path / "bp.prov", tmp_path / "obs.txt", tmp_path / "theta.txt"
@@ -861,7 +864,8 @@ def valid_inputs(tmp_path_factory) -> dict:
         hg.serialize_provenance(
             hg.Hypergraph(ana.local_provenance(an, an.bottom()).arcs)))
     (d / "obs.txt").write_text(likelihood_reference.serialize_observations(
-        lk.observe(an, [an.bottom().with_flips(["0", "4"])])))
+        likelihood_reference.observations(
+            lk.observe(an, [an.bottom().with_flips(["0", "4"])]))))
     save_hyperparams(pm.HyperParams(datalog.smudge_theta()), str(d / "theta.txt"))
     names = ("bp.prov", "obs.txt", "theta.txt", "fuzz.txt")
     return {name: str(d / name) for name in names}
@@ -907,7 +911,7 @@ def _formats(d: Path) -> dict:
                      lambda an: serialize_manifest(an, "s.prov"),
                      (d / "s.manifest").read_text().splitlines(), "x",
                      ["solve", "fuzz.txt", "--budget", "1"]),
-        "observations": (lk.parse_observations, same,
+        "observations": (lk.parse_observations, likelihood_reference.observations,
                          (d / "obs.txt").read_text().splitlines(), "T a",
                          ["likelihood", "bp.prov", "fuzz.txt", "theta.txt"]),
         "theta": (pm.parse_hyperparams, same,

@@ -24,6 +24,7 @@ from provrefine import cli, datalog
 from provrefine import probmodel as pm
 
 from analysis_reference import save_manifest
+from datalog_reference import smudge_analysis, smudge_program_text
 from conftest import save_hyperparams
 
 GOLDEN = Path(__file__).resolve().parent / "cli_golden.json"
@@ -58,11 +59,11 @@ def run_program(tmp: Path, i: int, program: dict, theta: Path) -> dict:
     program; leaves its manifest at tmp/p<i>.manifest."""
     smudges = [tuple(s) for s in program["smudges"]]
     rules = tmp / f"p{i}.dl"
-    rules.write_text(datalog.smudge_program_text(smudges, program["init"]))
+    rules.write_text(smudge_program_text(smudges, program["init"]))
     seeds = " ".join(f"{rel}({s[0]})" for s in smudges
                      for rel in ("cheap", "precise"))
     manifest, prov = tmp / f"p{i}.manifest", tmp / f"p{i}.prov"
-    save_manifest(datalog.smudge_analysis(smudges, program["init"]),
+    save_manifest(smudge_analysis(smudges, program["init"]),
                   str(manifest), str(prov))
     got = {"manifest": manifest.read_text(),
            "ground": run("ground", "--rules", str(rules), "--seeds", seeds)}
