@@ -12,7 +12,7 @@ import contextlib
 import functools
 import string
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from . import hypergraph as hg
 from .errors import DomainOverflow, ParseError, UnknownParameter
@@ -207,15 +207,23 @@ def check_well_formed(an: Analysis) -> list:
 
 @contextlib.contextmanager
 def reported_at(lineno: int, path: str):
-    """Failures to read, parse or ground path are reported at manifest line
-    lineno (at no line if 0), as the same error naming path and its line."""
+    """Failures to read, parse or ground path are reported at line lineno of
+    the file naming it (at no line if 0), as errors naming path and its line."""
     try:
         yield
-    except OSError as exc:
-        raise ParseError(lineno, f"cannot read {path}: {exc.strerror}") from exc
+    except (OSError, UnicodeDecodeError) as exc:  # no file, or no text
+        reason = exc.strerror if isinstance(exc, OSError) else exc
+        raise ParseError(lineno, f"cannot read {path}: {reason}") from exc
     except (ParseError, DomainOverflow) as exc:
         where = f"{path} line {exc.line}" if exc.line else path
         raise type(exc)(lineno, f"{where}: {exc.message}") from exc
+
+
+def read(path: str, parse: Callable[[str], object], line: int = 0):
+    """parse(the text of path), the one reader of every input file; its
+    failures are reported as `reported_at(line, path)` reports them."""
+    with reported_at(line, path), open(path) as fh:
+        return parse(fh.read())
 
 
 def parse_manifest(text: str, base_dir: str = ".") -> Analysis:
@@ -231,6 +239,7 @@ def parse_manifest(text: str, base_dir: str = ".") -> Analysis:
     proj_rules = {}
     proj_lines = {}  # relation -> the line of its projection directive
     proj_default = None
+    seeds = datalog.BaseFacts()  # the encoding facts, at their parameters' lines
     source = None  # (line, path, key, parsed file) of the provenance or rules
 
     def entry(lineno, line):
@@ -244,8 +253,7 @@ def parse_manifest(text: str, base_dir: str = ".") -> Analysis:
             path = os.path.join(base_dir, value.strip())
             parse = (hg.parse_provenance if key == "provenance"
                      else datalog.parse_program)
-            with reported_at(lineno, path), open(path) as fh:
-                source = lineno, path, key, parse(fh.read())
+            source = lineno, path, key, read(path, parse, lineno)
             section = None
         elif section == "params":
             name, *tokens = hg.split_top(line, string.whitespace)
@@ -256,9 +264,11 @@ def parse_manifest(text: str, base_dir: str = ".") -> Analysis:
                 raise ValueError(f"a second parameter {name!r}")
             f0, f1 = hg.parse_fact(kv["encode0"]), hg.parse_fact(kv["encode1"])
             # (iv): the encoders are injective with disjoint images
-            if f0 == f1 or {f0, f1} & {*encode0.values(), *encode1.values()}:
+            if f0 == f1 or {f0, f1} & seeds:
                 raise ValueError(f"parameter {name!r} reuses an encoding fact")
             encode0[name], encode1[name] = f0, f1
+            seeds.update((f0, f1))
+            seeds.lines[f0] = seeds.lines[f1] = lineno
         elif section == "queries":
             queries.add(hg.parse_fact(line))
         elif section == "projection":
@@ -279,16 +289,20 @@ def parse_manifest(text: str, base_dir: str = ".") -> Analysis:
         raise ParseError(0, "manifest missing provenance: or rules: entry")
     lineno, path, key, graph = source
     if key == "rules":
-        # every encoding fact is a seed, as the parameters supply them at run time
+        # the encoding facts are seeds, as the parameters supply them at run
+        # time; as in `ground`, a base fact outside the domain is named first
+        rules, base = graph
         with reported_at(lineno, path):
-            graph = datalog.ground(
-                *graph, seeds={*encode0.values(), *encode1.values()})
+            datalog.check_domain(base)
+        datalog.check_domain(seeds)
+        with reported_at(lineno, path):
+            graph = datalog.ground(rules, base, seeds=seeds)
     # a template reads its facts' arguments by position: each fact of its
     # relation that the analysis names must have the arguments it reads
     reads = {rel: max(rule[1], default=-1) for rel, rule in proj_rules.items()
              if isinstance(rule, tuple)}
     if reads:
-        named = graph.vertices | queries | {*encode0.values(), *encode1.values()}
+        named = graph.vertices | queries | seeds
         short = [f for f in named if reads.get(f.relation, -1) >= len(f.args)]
         if short:
             f = min(short, key=lambda f: (proj_lines[f.relation], f._key()))
@@ -303,9 +317,3 @@ def parse_manifest(text: str, base_dir: str = ".") -> Analysis:
         projection=Projection(proj_rules, proj_default or "identity"),
     )
 
-
-def load_manifest(path: str) -> Analysis:
-    import os
-
-    with open(path) as fh:
-        return parse_manifest(fh.read(), base_dir=os.path.dirname(path) or ".")

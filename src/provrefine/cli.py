@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import random
 import sys
 from itertools import accumulate
@@ -41,13 +42,6 @@ EXIT_OVERFLOW = 3
 EXIT_LIMIT = 4
 
 
-def _read(path: str) -> str:
-    """The text of path; a file that cannot be read is a ParseError naming
-    it (`error: cannot read PATH: ...`, exit 2)."""
-    with ana.reported_at(0, path), open(path) as fh:
-        return fh.read()
-
-
 def _write(path: str, text: str) -> None:
     """Write text to path; a file that cannot be written is an error naming
     it (`error: cannot write PATH: ...`, exit 2)."""
@@ -58,18 +52,19 @@ def _write(path: str, text: str) -> None:
         raise ProvRefineError(f"cannot write {path}: {exc.strerror}") from exc
 
 
-def _read_theta(path: str) -> pm.HyperParams:
-    """The θ file at path; its errors name it (`error: PATH line N: ...`)."""
-    text = _read(path)
-    with ana.reported_at(0, path):
-        return pm.parse_hyperparams(text)
-
-
 def _load_manifest(path: str) -> ana.Analysis:
-    an = ana.load_manifest(path)
+    base_dir = os.path.dirname(path) or "."
+    an = ana.read(path, lambda text: ana.parse_manifest(text, base_dir))
     if violations := ana.check_well_formed(an):
         raise ParseError(0, f"{path} is not well formed: " + "; ".join(violations))
     return an
+
+
+def _parse_facts_file(text: str) -> tuple:
+    """A `--facts` file's program, its facts checked against the domain."""
+    rules, facts = datalog.parse_program(text)
+    datalog.check_domain(facts)
+    return rules, facts
 
 
 def cmd_ground(args) -> int:
@@ -78,12 +73,9 @@ def cmd_ground(args) -> int:
     else:
         if not args.rules:
             raise ParseError(0, "need --rules or --fixture")
-        rules, base = datalog.parse_program(_read(args.rules))
+        rules, base = ana.read(args.rules, datalog.parse_program)
         if args.facts:
-            text = _read(args.facts)
-            with ana.reported_at(0, args.facts):  # its errors name the file
-                extra_rules, extra = datalog.parse_program(text)
-                datalog.check_domain(extra)
+            extra_rules, extra = ana.read(args.facts, _parse_facts_file)
             if extra_rules:
                 raise ParseError(0, f"{args.facts} contains rules, not just facts")
             base |= extra
@@ -115,7 +107,7 @@ def cmd_solve(args) -> int:
         raise ParseError(0, "the analysis declares no query")
     if args.strategy == "probabilistic" and not args.theta:
         raise ParseError(0, "--strategy probabilistic needs --theta")
-    hp = _read_theta(args.theta) if args.theta else None
+    hp = ana.read(args.theta, pm.parse_hyperparams) if args.theta else None
     cfg = refine.RefineConfig(
         strategy=args.strategy,
         alpha=args.alpha,
@@ -145,6 +137,8 @@ def cmd_learn(args) -> int:
     sets = []
     for path in args.manifests:
         an = _load_manifest(path)
+        if not an.params:
+            raise ProvRefineError(f"{path}: the analysis has no parameters to flip")
         sets.append(learning.sample_training(an, args.n, args.max_flips, rng))
     if args.loo and len(sets) < 2:
         raise CorpusTooSmall("--loo needs at least two manifests")
@@ -168,9 +162,9 @@ def cmd_learn(args) -> int:
 
 
 def cmd_likelihood(args) -> int:
-    index = hg.Index(hg.parse_provenance(_read(args.blueprint)).arcs)
-    obs = lk.parse_observations(_read(args.obs))
-    hp = _read_theta(args.theta)
+    index = hg.Index(ana.read(args.blueprint, hg.parse_provenance).arcs)
+    obs = ana.read(args.obs, lk.parse_observations)
+    hp = ana.read(args.theta, pm.parse_hyperparams)
     pm.validate_hyperparams(hp, index)
     try:
         if args.mode == "exact":
@@ -266,14 +260,15 @@ def parse_maxsat_instance(text: str) -> mx.MaxSatInstance:
 
 
 def cmd_maxsat(args) -> int:
-    cnf = mx.compile_instance(parse_maxsat_instance(_read(args.instance)))
+    cnf = mx.compile_instance(ana.read(args.instance, parse_maxsat_instance))
     if args.export_wcnf:
         sys.stdout.write(mx.to_wcnf(cnf))
         if args.varmap:
             _write(args.varmap, mx.serialize_varmap(cnf))
         return EXIT_OK
     if args.import_model:
-        result = mx.decode_external_model(cnf, _read(args.import_model))
+        result = ana.read(args.import_model,
+                          lambda text: mx.decode_external_model(cnf, text))
     else:
         solve = mx.solve_approx if args.solve == "approx" else mx.solve_exact
         result = solve(cnf, budget=args.budget)

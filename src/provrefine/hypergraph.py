@@ -418,24 +418,20 @@ _FACT_SEPS = "," + string.whitespace
 MAX_NESTING = 200
 
 
-def read_lines(text: str, handle: Callable[[int, str], None]) -> int:
+def read_lines(text: str, handle: Callable[[int, str], None]) -> None:
     """Call handle(lineno, line) on each line of text, numbered from 1,
     with its `#` comment and outer whitespace removed; blank lines are
     skipped.  A ValueError from handle becomes a ParseError at its line.
     Lines end at a newline only, as `wc -l` counts them; the strip drops
-    a carriage return or form feed before it.  Returns the number of lines.
+    a carriage return or form feed before it.
     """
-    lines = text.split("\n")
-    if not lines[-1]:
-        lines.pop()  # the newline ending the last line starts no other
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         line = line.split("#", 1)[0].strip()
         if line:
             try:
                 handle(lineno, line)
             except ValueError as exc:
                 raise ParseError(lineno, str(exc)) from exc
-    return len(lines)
 
 
 def parse_atom(text: str) -> tuple:

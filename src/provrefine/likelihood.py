@@ -444,28 +444,28 @@ def parse_observations(text: str) -> ObservationBatch:
     """Blocks of `obs` / `T: facts` / `R: facts`; facts as in parse_facts."""
     out = []  # (t, r) per observation
     cur = {}  # "T:" / "R:" -> the facts of the current block
-    start = 0  # the line of the last `obs`, 0 before the first
+    start = 0  # the first line of the current block, 0 before the first
 
-    def flush(lineno):
+    def flush():
+        if start and len(cur) < 2:
+            raise ParseError(start, "observation missing T: or R: line" if cur
+                             else "observation has no T: or R: line")
         if cur:
-            if len(cur) < 2:
-                raise ParseError(lineno, "observation missing T: or R: line")
-            out.append((cur["T:"], cur["R:"]))
-            cur.clear()
-        elif start:
-            raise ParseError(start, "observation has no T: or R: line")
+            out.append((cur.pop("T:"), cur.pop("R:")))
 
     def entry(lineno, line):
         nonlocal start
         if line == "obs":
-            flush(lineno)
+            flush()
             start = lineno
         elif line[:2] in ("T:", "R:"):
             if line[:2] in cur:
                 raise ValueError(f"second {line[:2]} line in one observation")
             cur[line[:2]] = hg.parse_facts(line[2:])
+            start = start or lineno  # a first block without its `obs`
         else:
             raise ValueError(f"unexpected line {line!r}")
 
-    flush(hg.read_lines(text, entry) + 1)
+    hg.read_lines(text, entry)
+    flush()
     return ObservationBatch.of(out)

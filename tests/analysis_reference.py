@@ -8,8 +8,8 @@ abstraction lattice; only the tests use them, to validate fixtures.
 
 `from_dict`, `abstraction_top`, `value`, `analysis_top` and
 `all_abstractions` build and read abstractions, and `save_manifest`
-writes an analysis as the manifest and provenance files that
-`provrefine.analysis.load_manifest` reads.
+writes an analysis as the manifest and provenance files that `solve`
+and `learn` read.
 """
 
 import os

@@ -150,11 +150,17 @@ def test_local_provenance_is_induced_restriction(smudge):
         assert_same_index(lp, hg.Index(plain.arcs), seed_sets)
 
 
+def _load(path):
+    """The manifest at path, parsed beside its directory; its errors keep
+    their manifest lines, which `analysis.read` would fold into its message."""
+    return ana.parse_manifest(path.read_text(), str(path.parent))
+
+
 def test_manifest_round_trip(tmp_path, smudge):
     manifest = tmp_path / "an.manifest"
     prov = tmp_path / "an.prov"
     save_manifest(smudge, str(manifest), str(prov))
-    loaded = ana.load_manifest(str(manifest))
+    loaded = _load(manifest)
     assert loaded.global_graph == smudge.global_graph
     assert loaded.queries == smudge.queries
     assert loaded.params == smudge.params
@@ -171,7 +177,7 @@ def test_manifest_parse_errors(tmp_path):
     bad = tmp_path / "bad.manifest"
     bad.write_text("params:\nnot a param line\n")
     with pytest.raises(ParseError):
-        ana.load_manifest(str(bad))
+        _load(bad)
 
 
 def test_manifest_source_failures_report_the_manifest_line(tmp_path):
@@ -181,15 +187,15 @@ def test_manifest_source_failures_report_the_manifest_line(tmp_path):
     m.write_text("params:\n0 encode0=c(0, 1) encode1=p(0)\n"
                  "queries:\nq\nprovenance: missing.prov\n")
     with pytest.raises(ParseError) as exc:
-        ana.load_manifest(str(m))
+        _load(m)
     assert exc.value.line == 5 and "missing.prov" in exc.value.message
     (tmp_path / "bad.prov").write_text("q <- c(0,1) @ r\nq <- @\n")
     m.write_text(m.read_text().replace("missing.prov", "bad.prov"))
     with pytest.raises(ParseError) as exc:
-        ana.load_manifest(str(m))
+        _load(m)
     assert exc.value.line == 5 and "bad.prov line 2" in exc.value.message
     (tmp_path / "bad.prov").write_text("q <- c(0,1) @ r\n")
-    an = ana.load_manifest(str(m))
+    an = _load(m)
     assert an.encode0["0"] == hg.parse_fact("c(0,1)")
 
 
@@ -205,7 +211,7 @@ def test_a_rules_file_is_grounded_with_the_encoding_facts_as_seeds(tmp_path):
                  "n(a).\nq :- n(X), X > 1. @r\n"):
         rules.write_text(text)
         with pytest.raises(ParseError) as exc:
-            ana.load_manifest(str(m))
+            _load(m)
         assert exc.value.line == 3 and "r.dl line 2" in exc.value.message
     # an overflow grounding finds, in a rule or in a base fact
     for text, where in (("n(250).\nq(Y) :- n(X), Y == X + 9. @r\n",
@@ -214,9 +220,37 @@ def test_a_rules_file_is_grounded_with_the_encoding_facts_as_seeds(tmp_path):
                          "r.dl line 2: n(256): integer 256")):
         rules.write_text(text)
         with pytest.raises(DomainOverflow) as exc:
-            ana.load_manifest(str(m))
+            _load(m)
         assert exc.value.line == 3 and where in exc.value.message
     rules.write_text("q :- c(0). @r\nq :- p(0). @s\n")
-    an = ana.load_manifest(str(m))
+    an = _load(m)
     assert {str(arc) for arc in an.global_graph.arcs} == {
         "q <- c(0) @ r", "q <- p(0) @ s"}
+    # an encoding fact outside the domain is the manifest's, named at the
+    # line of its parameter once no base fact of the rules file is outside
+    m.write_text(m.read_text().replace("encode0=c(0)", "encode0=c(300)"))
+    with pytest.raises(DomainOverflow) as exc:
+        _load(m)
+    assert (exc.value.line, exc.value.message) == \
+        (2, "c(300): integer 300 outside [0, 255]")
+    rules.write_text("q :- c(0). @r\nn(256).\n")
+    with pytest.raises(DomainOverflow) as exc:
+        _load(m)
+    assert exc.value.line == 3 and "r.dl line 2: n(256)" in exc.value.message
+
+
+def test_read_names_the_file_it_cannot_read_or_parse(tmp_path):
+    from provrefine.errors import ParseError
+
+    missing, bad = tmp_path / "nope.prov", tmp_path / "bad.prov"
+    for line in (0, 4):
+        with pytest.raises(ParseError) as exc:
+            ana.read(str(missing), hg.parse_provenance, line)
+        assert (exc.value.line, exc.value.message) == \
+            (line, f"cannot read {missing}: No such file or directory")
+    bad.write_text("b <- a @ r\nc <- a\n")
+    with pytest.raises(ParseError) as exc:
+        ana.read(str(bad), hg.parse_provenance, 7)
+    assert (exc.value.line, exc.value.message) == \
+        (7, f"{bad} line 2: arc missing rule type: 'c <- a'")
+    assert ana.read(str(bad), str) == bad.read_text()

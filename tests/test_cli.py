@@ -69,6 +69,18 @@ class TestGround:
         bad.write_text("this is not a rule\n")
         assert run(capsys, "ground", "--rules", str(bad))[0] == 2
 
+    def test_a_fact_with_variables_names_the_file_and_line(self, capsys, tmp_path):
+        bad = tmp_path / "bad.dl"
+        bad.write_text("q(1).\np(X).\n")
+        assert run(capsys, "ground", "--rules", str(bad)) == \
+            (2, "", f"error: {bad} line 2: fact p(X) contains variables\n")
+
+    def test_a_file_that_is_not_text_is_named(self, capsys, tmp_path):
+        bad = tmp_path / "bad.dl"
+        bad.write_bytes(b"p(1).\n\xff\n")
+        code, out, err = run(capsys, "ground", "--rules", str(bad))
+        assert (code, out) == (2, "") and err.startswith(f"error: cannot read {bad}: ")
+
     def test_only_a_newline_ends_a_line(self, capsys, tmp_path):
         # a form feed is no line break, as `wc -l` counts lines
         bad = tmp_path / "bad.dl"
@@ -82,7 +94,8 @@ class TestGround:
         assert run(capsys, "ground", "--rules", str(src))[0] == 3
 
     # a base fact outside the domain names the line that states it, in a
-    # rules file and in a manifest's rules: file
+    # rules file and in a manifest's rules: file, which the manifest's line
+    # names in turn
     def test_overflow_in_a_base_fact_names_its_line(self, capsys, tmp_path):
         src = tmp_path / "over.dl"
         src.write_text("p(1).\nn(256).\nq(X) :- n(X). @r\n")
@@ -93,7 +106,15 @@ class TestGround:
         m.write_text("params:\n0 encode0=c(0) encode1=p(0)\nrules: over.dl\n"
                      "queries:\nq(1)\n")
         assert run(capsys, "solve", str(m)) == \
-            (3, "", f"error: line 3: {src} line 2: {message}\n")
+            (3, "", f"error: {m} line 3: {src} line 2: {message}\n")
+        # an encoding fact outside the domain is the manifest's, named at its
+        # parameter's line, once no base fact of the rules file is outside
+        m.write_text(m.read_text().replace("c(0)", "c(300)"))
+        assert run(capsys, "solve", str(m)) == \
+            (3, "", f"error: {m} line 3: {src} line 2: {message}\n")
+        src.write_text("p(1).\nn(255).\nq(X) :- n(X). @r\n")
+        assert run(capsys, "solve", str(m)) == \
+            (3, "", f"error: {m} line 2: c(300): integer 300 outside [0, 255]\n")
 
     # of several base facts outside the domain the one on the least line is
     # named, whatever the hash seed; a seed only when no base fact is, the
@@ -332,6 +353,27 @@ class TestSolve:
         code, out, _ = run(capsys, "solve", "--fixture", "smudge", "--alpha", "-1")
         assert code == 0 and "solver_objective=5.000000" in out.splitlines()[0]
 
+    @pytest.mark.parametrize("command", ["solve", "learn"])
+    def test_an_unreadable_manifest_is_named(self, capsys, tmp_path, command):
+        missing = tmp_path / "nope.manifest"
+        assert run(capsys, command, str(missing)) == \
+            (2, "", f"error: cannot read {missing}: No such file or directory\n")
+        assert run(capsys, command, str(tmp_path)) == \
+            (2, "", f"error: cannot read {tmp_path}: Is a directory\n")
+
+    # an error in a manifest's rules: file names the manifest, its line, the
+    # rules file and the line there
+    def test_an_error_in_a_rules_file_names_both_files(self, capsys, tmp_path):
+        rules, m = tmp_path / "r.dl", tmp_path / "m.manifest"
+        m.write_text("params:\n0 encode0=c(0) encode1=p(0)\nrules: r.dl\n"
+                     "queries:\nq\n")
+        assert run(capsys, "solve", str(m)) == \
+            (2, "", f"error: {m} line 3: cannot read {rules}: "
+                    "No such file or directory\n")
+        rules.write_text("q :- c(0). @r\nq(X :- c(X). @s\n")
+        assert run(capsys, "solve", str(m)) == \
+            (2, "", f"error: {m} line 3: {rules} line 2: malformed atom 'q(X'\n")
+
     def test_manifest_solve(self, capsys, tmp_path):
         an = datalog.smudge_fixture()
         m = tmp_path / "s.manifest"
@@ -499,9 +541,14 @@ class TestLearn:
         (tmp_path / "q.prov").write_text("q <- @ r\n")
         m = tmp_path / "q.manifest"
         m.write_text("queries:\nq\nprovenance: q.prov\n")
-        code, out, err = run(capsys, "learn", str(m))
-        assert code == 2 and out == ""
-        assert err == "error: the analysis has no parameters to flip\n"
+        assert run(capsys, "learn", str(m)) == \
+            (2, "", f"error: {m}: the analysis has no parameters to flip\n")
+
+    def test_a_bad_line_names_its_manifest(self, capsys, tmp_path, manifests):
+        bad = tmp_path / "bad.manifest"
+        bad.write_text("params:\n# encode1 is missing\n0 encode0=cheap(0)\n")
+        assert run(capsys, "learn", manifests[0], str(bad)) == \
+            (2, "", f"error: {bad} line 3: expected '0 encode0=FACT encode1=FACT'\n")
 
     def test_an_ill_formed_manifest_exits_2(self, capsys, manifests,
                                             ill_formed_manifest):
@@ -593,6 +640,17 @@ class TestLikelihood:
             (2, "", f"error: cannot read {missing}: No such file or directory\n")
         assert run(capsys, "likelihood", b, str(tmp_path), t) == \
             (2, "", f"error: cannot read {tmp_path}: Is a directory\n")
+
+    def test_a_bad_line_names_the_blueprint_or_observation_file(
+            self, capsys, tmp_path, files):
+        b, o, t = files
+        bad_b, bad_o = tmp_path / "bad.prov", tmp_path / "bad_obs.txt"
+        bad_b.write_text("x <- @ r\ny <- x\n")
+        bad_o.write_text("obs\nT: cheap(0)\nQ: y\n")
+        assert run(capsys, "likelihood", str(bad_b), o, t) == \
+            (2, "", f"error: {bad_b} line 2: arc missing rule type: 'y <- x'\n")
+        assert run(capsys, "likelihood", b, str(bad_o), t) == \
+            (2, "", f"error: {bad_o} line 3: unexpected line 'Q: y'\n")
 
     def test_a_self_loop_arc_names_the_blueprint_file(self, capsys, tmp_path,
                                                       files):
@@ -831,6 +889,21 @@ class TestMaxsat:
                            "--import-model", str(model))
         assert code == 0 and "model: a" in out
 
+    @pytest.mark.parametrize("mode, message", [
+        ("exact", "exact solver timed out"),
+        ("approx", "no model found within budget")])
+    def test_a_budget_of_zero_exits_4(self, capsys, tmp_path, mode, message):
+        inst = tmp_path / "i.txt"
+        inst.write_text("w a 2.0\nw b -1.0\nhard (or a b)\n")
+        assert run(capsys, "maxsat", str(inst), "--solve", mode, "--budget", "0") == \
+            (4, "", f"error: {message}\n")
+
+    def test_an_instance_without_a_hard_line_is_named(self, capsys, tmp_path):
+        inst = tmp_path / "i.txt"
+        inst.write_text("w a 2.0\n")
+        assert run(capsys, "maxsat", str(inst)) == \
+            (2, "", f"error: {inst}: instance has no hard formula\n")
+
     def test_an_unreadable_instance_or_model_exits_2(self, capsys, tmp_path):
         inst, missing = tmp_path / "i.txt", tmp_path / "nope.txt"
         inst.write_text("w a 1.0\nhard a\n")
@@ -938,4 +1011,5 @@ def test_every_format_skips_comments_and_blank_lines_and_names_the_bad_line(
     assert exc.value.line == bad_line
     Path(valid_inputs["fuzz.txt"]).write_text(text)
     code, out, err = run(capsys, *[valid_inputs.get(a, a) for a in command])
-    assert code == 2 and out == "" and f"line {bad_line}:" in err
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {valid_inputs['fuzz.txt']} line {bad_line}: ")

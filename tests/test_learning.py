@@ -83,6 +83,32 @@ def test_degenerate_training_set_raises():
         learning.learn(ts)
 
 
+def test_learn_stops_after_one_cycle_when_the_bound_is_minus_inf_everywhere(
+        monkeypatch):
+    # x and y derive only each other, so no theta gives the observation
+    # that derives both from no facts a finite lower bound; refuting z still
+    # moves theta_s, but the objective stays -inf and one cycle ends the fit
+    x, y, z = _f("x"), _f("y"), _f("z")
+    blueprint = hg.Index([Arc(x, frozenset([y]), "r"), Arc(y, frozenset([x]), "r"),
+                          Arc(z, frozenset(), "s")])
+    ts = learning.TrainingSet([learning.ObservationGroup(
+        blueprint, lk.ObservationBatch.of(
+            [Observation(t=frozenset(), r=frozenset([x, y]))]))])
+    searches = []
+    real = learning.line_search
+
+    def counting(f, lo, hi):
+        searches.append((lo, hi))
+        return real(f, lo, hi)
+
+    monkeypatch.setattr(learning, "line_search", counting)
+    hp = learning.learn(ts)
+    assert learning._Objective(ts.bound_terms()).value(hp) == pm.NEG_INF
+    assert searches == [(learning.EPSILON, 1.0)]
+    assert hp.theta == {"r": 1.0, "s": learning.EPSILON}
+    assert hp.unconstrained == {"r"}
+
+
 def test_learned_theta_is_a_likelihood_maximum():
     ts = _bernoulli_corpus(7, 10)
     hp = learning.learn(ts)

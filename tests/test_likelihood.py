@@ -578,9 +578,15 @@ def test_an_obs_line_with_no_t_or_r_line_after_it_is_an_error():
         assert exc.value.line == line
 
 
-def test_an_unfinished_last_observation_is_reported_after_the_last_line():
-    for text, line in [("obs\nT: a\n", 3), ("obs\nT: a", 3),
-                       ("obs\nT: a\n\n", 4), ("obs\r\nT: a\r\n", 3)]:
+def test_an_unfinished_observation_is_reported_at_its_first_line():
+    # its `obs` line, or its first T: or R: line when it has none; in the
+    # middle of the file, at its end, and first without a header
+    for text, line in [("obs\nT: a\n", 1), ("obs\nT: a", 1),
+                       ("obs\nT: a\n\n", 1), ("obs\r\nT: a\r\n", 1),
+                       ("obs\nT: x\nobs\nT: x\nR: x\n", 1),
+                       ("obs\nT: a\nR: a\n\nobs\nR: a\nobs\nT: a\nR: a\n", 5),
+                       ("obs\nT: a\nR: a\nobs\n# none yet\nR: a\n", 4),
+                       ("T: a\nobs\nT: a\nR: a\n", 1), ("# c\n\nR: a\n", 3)]:
         with pytest.raises(ParseError, match="missing T: or R:") as exc:
             lk.parse_observations(text)
         assert exc.value.line == line

@@ -1,7 +1,8 @@
 """The library holds only what its commands, its own modules and the
-benchmark call: every public function, class and method of `provrefine`
-has a use in `src/` outside its own definition, or is named in
-`perfbench/*.py` (whose tracer names library functions in strings).
+benchmark call: every function, class and method of `provrefine`, public
+or private, has a use in `src/` outside its own definition, or is named
+in `perfbench/*.py` (whose tracer names library functions in strings).
+Dunder methods are exempt, since Python calls them implicitly.
 
 A use counts only where the code around it is itself used: the scan
 drops unused definitions until none is left to drop, so a name whose
@@ -21,9 +22,9 @@ _DEFINITIONS = (ast.FunctionDef, ast.ClassDef)
 
 
 def _scan():
-    """(definitions, uses): the public functions, classes and methods as
-    (qualified name, node), and per used name the tuples of the
-    definition nodes around each of its uses."""
+    """(definitions, uses): the functions, classes and methods but the
+    dunder methods as (qualified name, node), and per used name the tuples
+    of the definition nodes around each of its uses."""
     defs, uses = [], {}
 
     def walk(node, enclosing: tuple):
@@ -44,10 +45,11 @@ def _scan():
                 defs.extend((f"{path.stem}.{node.name}.{m.name}", m)
                             for m in node.body if isinstance(m, ast.FunctionDef))
         walk(tree, ())
-    return [(q, node) for q, node in defs if not node.name.startswith("_")], uses
+    return [(q, node) for q, node in defs
+            if not (node.name.startswith("__") and node.name.endswith("__"))], uses
 
 
-def unused_public_names() -> list:
+def unused_names() -> list:
     defs, uses = _scan()
     bench = "\n".join(p.read_text() for p in sorted(PERFBENCH.glob("*.py")))
     defs = [(q, node) for q, node in defs
@@ -62,5 +64,13 @@ def unused_public_names() -> list:
         dead |= newly
 
 
+def _is_private(qualified: str) -> bool:
+    return qualified.rpartition(".")[2].startswith("_")
+
+
 def test_every_public_name_has_a_caller():
-    assert unused_public_names() == []
+    assert [q for q in unused_names() if not _is_private(q)] == []
+
+
+def test_every_private_name_has_a_caller():
+    assert [q for q in unused_names() if _is_private(q)] == []
