@@ -30,8 +30,8 @@ from . import maxsat as mx
 from . import probmodel as pm
 from . import refine
 from .errors import (BudgetExceeded, CorpusTooSmall, DomainOverflow,
-                     ObservationOutOfRange, ParseError, ProvRefineError,
-                     SelfLoopArc)
+                     NotAModel, ObservationOutOfRange, ParseError,
+                     ProvRefineError, SelfLoopArc)
 
 FORMAT_VERSION = "1"
 
@@ -267,8 +267,13 @@ def cmd_maxsat(args) -> int:
             _write(args.varmap, mx.serialize_varmap(cnf))
         return EXIT_OK
     if args.import_model:
-        result = ana.read(args.import_model,
-                          lambda text: mx.decode_external_model(cnf, text))
+        def decode(text):
+            try:
+                return mx.decode_external_model(cnf, text)
+            except NotAModel as exc:  # an error of the whole file
+                raise ParseError(0, str(exc)) from exc
+
+        result = ana.read(args.import_model, decode)
     else:
         solve = mx.solve_approx if args.solve == "approx" else mx.solve_exact
         result = solve(cnf, budget=args.budget)

@@ -18,7 +18,11 @@ Every index numbers by one rule: facts in `Fact._key` order and arcs in
 `Arc._key` order, whatever the hash seed.  `_ranked` sorts them, and the
 text format prints from the same ranking (`serialize_provenance`);
 `Index.restrict` keeps the order of a subset of an index's arcs, which
-is that order already, and ranks nothing again.
+is that order already, and ranks nothing again.  An index stays lean, as
+an analysis keeps two alive for as long as it lives: `Arc._key` sorts by
+head first, so the arcs into a fact are one run of arc ids, read off one
+offsets list, `Index.first`, and the per-arc bodies and per-fact uses
+the kernels walk are tuples, built once.
 `Index.sweep` closes from many seed sets in one bit-parallel pass, one bit
 per set, for the callers that have a batch: `likelihood.observe`, whose
 observation batch keeps the sweep's masks, projected, rather than a set
@@ -43,6 +47,7 @@ arcs.
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 import re
 import string
@@ -168,15 +173,16 @@ class Hypergraph:
 
 def _ranked(arcs: Collection[Arc], extra: Iterable[Fact] = ()) -> tuple:
     """(facts, ids, ranked): the distinct facts of the arcs and of extra in
-    `Fact._key` order, their ids, and per arc (head id, ascending body ids,
-    rule type, arc), sorted: distinct facts have distinct keys, so this is
-    `Arc._key` order."""
+    `Fact._key` order, their ids, and per arc (head id, ascending body ids
+    as a tuple, rule type, arc), sorted: distinct facts have distinct keys,
+    so this is `Arc._key` order."""
     facts = {f for head, body, _ in arcs for f in (head, *body)}
     facts = sorted(facts.union(extra), key=Fact._key)
     ids = {f: i for i, f in enumerate(facts)}
     rank = ids.__getitem__
-    return facts, ids, sorted((rank(head), sorted(map(rank, body)), rule_type, arc)
-                              for arc in arcs for head, body, rule_type in (arc,))
+    return facts, ids, sorted(
+        (rank(head), tuple(sorted(map(rank, body))), rule_type, arc)
+        for arc in arcs for head, body, rule_type in (arc,))
 
 
 class Index:
@@ -184,29 +190,38 @@ class Index:
 
     `facts[i]` is fact i and `ids` its inverse, in `Fact._key` order, with
     the facts of `extra` whether or not an arc mentions them; `arcs[j]` is
-    arc j, in `Arc._key` order, `heads[j]` and `bodies[j]` its fact ids,
-    each body's ascending, and `into[i]` the arcs into fact i.
+    arc j, in `Arc._key` order, `heads[j]` its head's id and `bodies[j]`
+    the tuple of its body's ids, ascending.  `Arc._key` sorts by head
+    first, so the arcs into fact i are one run of ids, `first[i]` to
+    `first[i + 1] - 1`, and `first[-1]` is the number of arcs: no list per
+    fact holds them.  `bodies`, and per fact the arcs it is a body fact
+    of, are tuples, built once.
     """
 
     def __init__(self, arcs: Collection[Arc] = (), extra: Iterable[Fact] = ()):
         self.facts, self.ids, ranked = _ranked(arcs, extra)
-        columns = zip(*ranked) if ranked else ((), (), (), ())
-        heads, bodies, _, arcs = map(list, columns)
-        self._link(heads, bodies, arcs)
+        heads, bodies, _, arcs = zip(*ranked) if ranked else ((), (), (), ())
+        self._link(list(heads), bodies, list(arcs))
 
-    def _link(self, heads: list, bodies: list, arcs: list) -> None:
-        """Set the arc columns, given `facts`, and the lists the kernels walk."""
+    def _link(self, heads: list, bodies: tuple, arcs: list) -> None:
+        """Set the arc columns, given `facts`, and the offsets and tuples
+        the kernels walk."""
         self.heads, self.bodies, self.arcs = heads, bodies, arcs
-        self.into = [[] for _ in self.facts]
+        # heads ascend, so the run into fact i starts after the arcs into
+        # the facts before it
+        first = [0] * (len(self.facts) + 1)
+        for h in heads:
+            first[h + 1] += 1
+        self.first = list(itertools.accumulate(first))
         # per fact the arcs it is a body fact of, per arc its body size, and
         # the arcs with an empty body
-        self._uses = [[] for _ in self.facts]
-        self._sizes = list(map(len, self.bodies))
-        self._empty = [j for j, n in enumerate(self._sizes) if not n]
-        for j, (h, body) in enumerate(zip(self.heads, self.bodies)):
-            self.into[h].append(j)
+        uses = [[] for _ in self.facts]
+        for j, body in enumerate(bodies):
             for b in body:
-                self._uses[b].append(j)
+                uses[b].append(j)
+        self._uses = tuple(map(tuple, uses))
+        self._sizes = list(map(len, bodies))
+        self._empty = [j for j, n in enumerate(self._sizes) if not n]
 
     @classmethod
     def cone(cls, g: Hypergraph, q, extra: Iterable) -> "Index":
@@ -214,12 +229,12 @@ class Index:
         A cone fact's reach and distance depend only on the arcs into its
         own cone, so `run` gives it its value in g; an extra fact outside
         the cone is only a seed."""
-        into = {}
+        by_head = {}
         for e in g.arcs:
-            into.setdefault(e.head, []).append(e)
+            by_head.setdefault(e.head, []).append(e)
         facts, arcs = [q], []
         for f in facts:  # grows as the search meets facts
-            for e in into.pop(f, ()):
+            for e in by_head.pop(f, ()):
                 arcs.append(e)
                 facts.extend(e.body)
         return cls(arcs, {q, *extra})
@@ -241,7 +256,8 @@ class Index:
         sub.facts = list(map(self.facts.__getitem__, kept))
         sub.ids = dict(zip(sub.facts, range(len(kept))))
         sub._link([rank[heads[j]] for j in arc_ids],
-                  [[rank[b] for b in bodies[j]] for j in arc_ids],
+                  tuple([tuple(map(rank.__getitem__, bodies[j]))
+                         for j in arc_ids]),
                   list(map(self.arcs.__getitem__, arc_ids)))
         return sub
 
@@ -358,12 +374,14 @@ class Index:
     def slice(self, root: int, keep) -> list:
         """The ids of the arcs j with keep(j) that reach fact root through
         such arcs."""
+        first, bodies = self.first, self.bodies
         seen, stack, out = {root}, [root], []
         while stack:
-            for j in self.into[stack.pop()]:
+            h = stack.pop()
+            for j in range(first[h], first[h + 1]):
                 if keep(j):
                     out.append(j)
-                    for b in self.bodies[j]:
+                    for b in bodies[j]:
                         if b not in seen:
                             seen.add(b)
                             stack.append(b)

@@ -239,11 +239,16 @@ def bound_terms(index: hg.Index, obs: ObservationBatch) -> BoundFormula:
 def _candidates(index: hg.Index, cmask: list, refuted: list):
     """(h, c, a_h) per fact h with arcs into it that some observation
     derives: c is its cmask and a_h its unrefuted arcs, in id order, which
-    is key order."""
-    into = index.into
+    is key order.  A head's arcs are the ids from `first[h]` up to
+    `first[h + 1]`; most heads have one, which is tested alone."""
+    first = index.first
     for h, c in enumerate(cmask):
-        if c and into[h]:
-            yield h, c, [j for j in into[h] if not refuted[j]]
+        if c:
+            lo, hi = first[h], first[h + 1]
+            if hi - lo == 1:
+                yield h, c, [] if refuted[lo] else [lo]
+            elif lo != hi:
+                yield h, c, [j for j in range(lo, hi) if not refuted[j]]
 
 
 _NO_ARC = ((), frozenset([frozenset()]))  # every clause empty

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 import time
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
@@ -404,7 +405,8 @@ def _branch_and_bound(inst: ClauseInstance, budget: float):
     models keeps the one whose weighted part is smallest in set-lex order:
     the sorted tuple of indices, in name order, of its true weighted ids.
     Each leaf is completed by a False-first search over the remaining ids
-    in id order.  The incumbent is checked against every clause before it
+    in id order, which setting all of them False at once settles unless
+    that conflicts.  The incumbent is checked against every clause before it
     is returned.  A NaN budget, which would never run out, or a negative
     one raises ValueError.
 
@@ -489,6 +491,17 @@ def _branch_and_bound(inst: ClauseInstance, budget: float):
         return None
 
     def complete() -> bool:
+        # every open id False in one step.  Without a conflict that is a
+        # model, and the id-by-id search below ends there too: every
+        # literal it assigns or propagates is true in that model, so it
+        # never conflicts.  Only a conflict needs the search
+        mark = engine.mark()
+        for v in others:
+            if not val[v]:
+                engine.assign(-v)
+        if len(trail) == mark or engine.propagate():
+            return True
+        engine.undo(mark)
         frames = []  # [trail mark, literal left to try, index in others]
         i, ok = 0, True
         while True:
@@ -659,16 +672,24 @@ def serialize_varmap(cnf: ClauseInstance) -> str:
     return "".join(f"{i} {name}\n" for i, name in sorted(cnf.names.items()))
 
 
+# a literal of an external model: its sign and its digits past leading
+# zeros, of which more than 18 name no id
+_LITERAL = re.compile(r"(-?)0*([0-9]{1,18})")
+
+
 def decode_external_model(cnf: ClauseInstance, text: str):
     """(true ids, objective) of an external solver's literal list.
 
     The last literal given for an id wins, an id not given is false, and
-    ids above `cnf.nvars` are ignored.
+    ids above `cnf.nvars` are ignored, and so are words other than ASCII
+    integers, such as a solver's `v` and `s` lines' leading letters.
     """
     n = cnf.nvars
     val = [0] + [-1] * n + [1] * n  # as in `_Engine`: every id false
     for tok in text.split():
-        if tok.lstrip("-").isdigit() and 0 < abs(lit := int(tok)) <= n:
+        m = _LITERAL.fullmatch(tok)
+        if m and 0 < (v := int(m[2])) <= n:
+            lit = -v if m[1] else v
             val[lit], val[-lit] = 1, -1
     if not _check_values(cnf.clauses, val):
         raise NotAModel("external assignment violates the hard constraint")

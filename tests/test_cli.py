@@ -116,6 +116,23 @@ class TestGround:
         assert run(capsys, "solve", str(m)) == \
             (3, "", f"error: {m} line 2: c(300): integer 300 outside [0, 255]\n")
 
+    # the domain is Datalog's alone: a provenance: manifest's encoding facts,
+    # its provenance file and a likelihood blueprint are not checked against it
+    def test_facts_outside_the_domain_read_where_no_datalog_is(self, capsys,
+                                                              tmp_path):
+        (tmp_path / "p.prov").write_text("q <- c(300) @ r\n")
+        m = tmp_path / "s.manifest"
+        m.write_text("params:\n0 encode0=c(300) encode1=p(300)\nqueries:\nq\n"
+                     "projection:\np(A0) -> c(A0)\nprovenance: p.prov\n")
+        code, out, err = run(capsys, "solve", str(m))
+        assert (code, err) == (0, "") and out.endswith("answer: yes\n")
+        blueprint, obs, theta = (tmp_path / n for n in ("b.prov", "o.txt", "t.txt"))
+        blueprint.write_text("q(300) <- @ r\n")
+        obs.write_text("obs\nT:\nR: q(300)\n")
+        theta.write_text("r 0.5\n")
+        assert run(capsys, "likelihood", str(blueprint), str(obs), str(theta),
+                   "--mode", "exact") == (0, "-0.693147181\n", "")
+
     # of several base facts outside the domain the one on the least line is
     # named, whatever the hash seed; a seed only when no base fact is, the
     # least in key order
@@ -888,6 +905,26 @@ class TestMaxsat:
         code, out, _ = run(capsys, "maxsat", str(inst),
                            "--import-model", str(model))
         assert code == 0 and "model: a" in out
+
+    @pytest.mark.parametrize("word", ["--1", "²", "1²", "-", "+1", "1" * 5000],
+                             ids=["double minus", "superscript", "digit and "
+                                  "superscript", "minus", "plus", "5000 digits"])
+    def test_an_imported_word_that_is_no_ascii_integer_is_skipped(
+            self, capsys, tmp_path, word):
+        """Ids 1 and 2 are a and b, and id 3 is the or's auxiliary."""
+        inst, model = tmp_path / "i.txt", tmp_path / "model.txt"
+        inst.write_text("w a 1.0\nhard (or a b)\n")
+        model.write_text(f"s OPTIMUM\nv {word} 2 3\n")
+        assert run(capsys, "maxsat", str(inst), "--import-model", str(model)) == \
+            (0, "model: b\nobjective: 0.000000\n", "")
+
+    def test_an_imported_non_model_names_its_file(self, capsys, tmp_path):
+        inst, model = tmp_path / "i.txt", tmp_path / "model.txt"
+        inst.write_text("w a 1.0\nhard a\n")
+        model.write_text("v -1\n")
+        assert run(capsys, "maxsat", str(inst), "--import-model", str(model)) == \
+            (2, "", f"error: {model}: external assignment violates the hard "
+                    "constraint\n")
 
     @pytest.mark.parametrize("mode, message", [
         ("exact", "exact solver timed out"),

@@ -273,7 +273,7 @@ def test_sweep_on_seeded_heads_and_arcs_that_fire_together():
 
 def _assert_numbered_in_key_order(index, facts):
     """index numbers exactly `facts` in `Fact._key` order and its arcs in
-    `Arc._key` order, each body's ids ascending."""
+    `Arc._key` order, each body's ids ascending, in the index's layout."""
     assert len(set(index.arcs)) == len(index.arcs)
     assert index.facts == sorted(facts, key=Fact._key)
     assert {f: i for i, f in enumerate(index.facts)} == index.ids
@@ -282,9 +282,24 @@ def _assert_numbered_in_key_order(index, facts):
         assert index.facts[index.heads[j]] == a.head
         assert [index.facts[b] for b in index.bodies[j]] == sorted(
             a.body, key=Fact._key)
-        assert index.bodies[j] == sorted(index.bodies[j])
-    assert index.into == [[j for j, h in enumerate(index.heads) if h == i]
-                          for i in range(len(index.facts))]
+        assert list(index.bodies[j]) == sorted(index.bodies[j])
+    _assert_lean_layout(index)
+
+
+def _assert_lean_layout(index):
+    """The arcs into fact i are the ids `first[i]` to `first[i + 1] - 1`,
+    `first[-1]` is the number of arcs, and the per-arc and per-fact
+    columns the kernels walk are tuples."""
+    first = index.first
+    assert len(first) == len(index.facts) + 1
+    assert first[0] == 0 and first[-1] == len(index.arcs)
+    for i, f in enumerate(index.facts):
+        assert list(range(first[i], first[i + 1])) == [
+            j for j, a in enumerate(index.arcs) if a.head == f]
+    for column, size in ((index.bodies, len(index.arcs)),
+                         (index._uses, len(index.facts))):
+        assert type(column) is tuple and len(column) == size
+        assert all(type(ids) is tuple for ids in column)
 
 
 @given(st.integers(0, 10_000))
@@ -309,6 +324,30 @@ def test_the_cone_numbers_facts_and_arcs_in_key_order(seed):
     sliced = refine.slice_to_query(g, q)
     assert Hypergraph(cone.arcs) == sliced
     _assert_numbered_in_key_order(cone, {q} | sliced.vertices | extra)
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=300, deadline=None)
+def test_the_arcs_into_a_fact_are_one_run_of_ids(seed):
+    """On random graphs, with empty bodies, self-loops and mixed integer
+    and name arguments, on their restrictions to random arc subsets and on
+    their cones, `range(first[i], first[i + 1])` is exactly the arcs with
+    head i and `first[-1]` the number of arcs."""
+    rng = random.Random(seed)
+    g = _relabelled(rng, random_hypergraph(rng))
+    verts = sorted(g.vertices)
+    loops = rng.sample(verts, min(2, len(verts)))
+    g = Hypergraph([*g.arcs, *(Arc(v, [v], "loop") for v in loops)])
+    extra = {fact(i) for i in rng.sample(range(105), rng.randint(0, 3))}
+    index = hg.Index(g.arcs, extra)
+    _assert_lean_layout(index)
+    some = [j for j in range(len(index.arcs)) if rng.random() < rng.random()]
+    rng.shuffle(some)
+    _assert_lean_layout(index.restrict(some))
+    cone = hg.Index.cone(g, rng.choice(verts + [fact(99)]), extra)
+    _assert_lean_layout(cone)
+    _assert_lean_layout(cone.restrict(
+        j for j in range(len(cone.arcs)) if rng.random() < 0.5))
 
 
 @given(st.integers(0, 10_000))
