@@ -187,13 +187,14 @@ def check_well_formed(an: Analysis) -> list:
 
     # (ii) image of the projection inside the bottom derivation
     domain = set(an.global_graph.vertices) | set(img0) | set(img1) | set(an.queries)
-    for f in sorted(domain, key=Fact._key):
+    domain = sorted(domain, key=Fact._key)
+    for f in domain:
         g = pi(f)
         if g is not None and g not in derived_bot:
             violations.append(f"(ii) projection image {g} (of {f}) outside bottom facts")
 
     # (iii) only fixed points project onto queries
-    for f in sorted(domain, key=Fact._key):
+    for f in domain:
         g = pi(f)
         if g in an.queries and f != g:
             violations.append(f"(iii) non-query {f} projects onto query {g}")

@@ -15,14 +15,18 @@ integers and `Index.layers` closes over them from a seed set, returning
 the distances and the forward arcs it fired; `Index.run` keeps the
 distances, `reach` the keys of `Index.close` and `distances` its values.
 Every index numbers by one rule: facts in `Fact._key` order and arcs in
-`Arc._key` order, whatever the hash seed.  `_ranked` sorts them, and the
-text format prints from the same ranking (`serialize_provenance`);
-`Index.restrict` keeps the order of a subset of an index's arcs, which
-is that order already, and ranks nothing again.  An index stays lean, as
-an analysis keeps two alive for as long as it lives: `Arc._key` sorts by
-head first, so the arcs into a fact are one run of arc ids, read off one
-offsets list, `Index.first`, and the per-arc bodies and per-fact uses
-the kernels walk are tuples, built once.
+`Arc._key` order, whatever the hash seed.  `_ranked` sorts them by small
+integers: it ranks the distinct argument values once, integers before
+names, sorts the facts by relation and argument ranks, which is
+`Fact._key` order with no key tuple per argument, and the arcs by head
+id, body ids and rule type.  The text format prints from the same
+ranking (`serialize_provenance`); `Index.restrict` keeps the order of a
+subset of an index's arcs, which is that order already, and ranks
+nothing again.  An index stays lean, as an analysis keeps two alive for
+as long as it lives: `Arc._key` sorts by head first, so the arcs into a
+fact are one run of arc ids, read off one offsets list, `Index.first`,
+and the per-arc bodies and per-fact uses the kernels walk are tuples,
+built once.
 `Index.sweep` closes from many seed sets in one bit-parallel pass, one bit
 per set, for the callers that have a batch: `likelihood.observe`, whose
 observation batch keeps the sweep's masks, projected, rather than a set
@@ -171,18 +175,34 @@ class Hypergraph:
         return isinstance(other, Hypergraph) and self.arcs == other.arcs
 
 
+_ARGS = operator.itemgetter(1)
+
+
 def _ranked(arcs: Collection[Arc], extra: Iterable[Fact] = ()) -> tuple:
     """(facts, ids, ranked): the distinct facts of the arcs and of extra in
     `Fact._key` order, their ids, and per arc (head id, ascending body ids
     as a tuple, rule type, arc), sorted: distinct facts have distinct keys,
-    so this is `Arc._key` order."""
-    facts = {f for head, body, _ in arcs for f in (head, *body)}
-    facts = sorted(facts.union(extra), key=Fact._key)
-    ids = {f: i for i, f in enumerate(facts)}
+    so this is `Arc._key` order.
+
+    Arguments are integers and names, as every reader and
+    `datalog.ground` build them.  The distinct ones are ranked once,
+    integers before names, and a fact sorts by its relation and its
+    arguments' ranks, the order of `Fact._key` without a key tuple per
+    argument."""
+    heads, bodies, _ = zip(*arcs) if arcs else ((), (), ())
+    facts = set(extra).union(heads, *bodies)
+    values = set().union(*map(_ARGS, facts))
+    ints = sorted([v for v in values if isinstance(v, int)])
+    names = sorted([v for v in values if not isinstance(v, int)])
+    arg_rank = dict(zip(ints + names, range(len(values)))).__getitem__
+    facts = sorted(facts, key=lambda f: (f[0], *map(arg_rank, f[1])))
+    ids = dict(zip(facts, range(len(facts))))
     rank = ids.__getitem__
-    return facts, ids, sorted(
-        (rank(head), tuple(sorted(map(rank, body))), rule_type, arc)
-        for arc in arcs for head, body, rule_type in (arc,))
+    ranked = [(rank(head), tuple(sorted(map(rank, body))) if body else (),
+               rule_type, arc)
+              for arc in arcs for head, body, rule_type in (arc,)]
+    ranked.sort()
+    return facts, ids, ranked
 
 
 class Index:

@@ -16,7 +16,7 @@ from typing import Callable, Iterable
 
 from . import hypergraph as hg
 from . import likelihood as lk
-from .analysis import Analysis
+from .analysis import Abstraction, Analysis
 from .errors import CorpusTooSmall, DegenerateTrainingSet
 from .probmodel import NEG_INF, HyperParams
 
@@ -70,7 +70,8 @@ def sample_training(an: Analysis, n: int, max_flips: int,
     for _ in range(n):
         count = rng.randint(1, max_flips)
         flips = rng.sample(list(an.params), count)
-        abstractions.append(an.bottom().with_flips(flips))
+        abstractions.append(
+            Abstraction(tuple((p, 1 if p in flips else 0) for p in an.params)))
     return TrainingSet([ObservationGroup(an.blueprint, lk.observe(an, abstractions))])
 
 

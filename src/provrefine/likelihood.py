@@ -20,6 +20,7 @@ the exact value on small instances, with no graph built per subset.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable
@@ -150,9 +151,10 @@ def _blueprint_masks(index: hg.Index, obs: ObservationBatch) -> tuple:
     the least such fact of the first such observation named: the one check
     of every likelihood, bound or exact.
     """
-    for h, body, arc in zip(index.heads, index.bodies, index.arcs):
-        if h in body:  # the first in id order is the least in key order
-            raise SelfLoopArc(arc)
+    if any(map(tuple.__contains__, index.bodies, index.heads)):
+        for h, body, arc in zip(index.heads, index.bodies, index.arcs):
+            if h in body:  # the first in id order is the least in key order
+                raise SelfLoopArc(arc)
     tmask = {}  # seed fact -> the observations it seeds
     for k, t in enumerate(obs.t):
         bit = 1 << k
@@ -195,7 +197,10 @@ def bound_terms(index: hg.Index, obs: ObservationBatch) -> BoundFormula:
     cmask[head]` marks the D_k holding it, and `fmask`, that and the arcs
     forward from t_k, the F_k, all from one `Index.sweep` from every t_k.
     A head's clause for k is its candidates with bit k set, and its shape
-    comes from those masks alone (`_head_shape`).
+    comes from those masks alone: a head with one candidate, as most are,
+    keys by an integer code, its rule type and whether the candidate is in
+    no, every or some clause, and each code becomes its shape once
+    (`_counted`); a head with more has its shape built (`_head_shape`).
     """
     rmask, cmask = _blueprint_masks(index, obs)
     if not obs.consistent():
@@ -213,26 +218,29 @@ def bound_terms(index: hg.Index, obs: ObservationBatch) -> BoundFormula:
 
     arcs = index.arcs
     types = [arc.rule_type for arc in arcs]
-    lower, upper = {}, {}
+    type_ids = {}  # rule type -> its index, by first arc
+    base = [3 * type_ids.setdefault(t, len(type_ids)) for t in types]
+    lower, upper = [], []  # per head its shape, or its one candidate's code
     for _, c, a_h in _candidates(index, cmask, refuted):
         if len(a_h) == 1:  # three bit tests per bound
             j = a_h[0]
             d = w[j] & c
-            lo = _one_arc_shape(types[j], d & fwd[j], c)
-            up = _one_arc_shape(types[j], d, c)
+            m, b = d & fwd[j], base[j]
+            lower.append(b if not m else b + 1 if m == c else b + 2)
+            upper.append(b if not d else b + 1 if d == c else b + 2)
         else:
             dmask = [w[j] & c for j in a_h]
             fmask = [m & fwd[j] for m, j in zip(dmask, a_h)]
-            lo = _head_shape(types, a_h, fmask, c)
-            up = _head_shape(types, a_h, dmask, c)
-        lower[lo] = lower.get(lo, 0) + 1
-        upper[up] = upper.get(up, 0) + 1
+            lower.append(_head_shape(types, a_h, fmask, c))
+            upper.append(_head_shape(types, a_h, dmask, c))
     negated, n_counts = [], {}
     for j, bad in enumerate(refuted):
         if bad:
             negated.append(arcs[j])
             n_counts[types[j]] = n_counts.get(types[j], 0) + 1
-    return BoundFormula(frozenset(negated), n_counts, lower, upper,
+    names = list(type_ids)
+    return BoundFormula(frozenset(negated), n_counts, _counted(lower, names),
+                        _counted(upper, names),
                         _masks=(index, cmask, refuted, fwd, w))
 
 
@@ -256,12 +264,19 @@ _ALWAYS = frozenset([frozenset([0])])  # one arc, in every clause
 _SOMETIMES = frozenset([frozenset(), frozenset([0])])  # one arc, in some
 
 
-def _one_arc_shape(rule_type: str, m: int, c: int) -> tuple:
-    """The shape of a head's clauses when it has one candidate, of type
-    rule_type, in the clauses of the bits of m (within c)."""
-    if not m:
-        return _NO_ARC
-    return (rule_type,), _ALWAYS if m == c else _SOMETIMES
+def _counted(keys: list, names: list) -> dict:
+    """Shape -> number of heads, by first head, from each head's key: its
+    shape, or the code of its one candidate, 3 × the index in names of its
+    rule type plus 0 if it is in no clause, 1 if in every clause, 2 if in
+    some.  Each code becomes its shape once; codes and shapes that name
+    one shape add up in the shape's place, its first head's."""
+    out = {}
+    for key, n in Counter(keys).items():
+        if type(key) is int:
+            t, k = divmod(key, 3)
+            key = ((names[t],), _ALWAYS if k == 1 else _SOMETIMES) if k else _NO_ARC
+        out[key] = out.get(key, 0) + n
+    return out
 
 
 def _head_shape(types: list, a_h: list, masks: list, c: int) -> tuple:
@@ -269,19 +284,24 @@ def _head_shape(types: list, a_h: list, masks: list, c: int) -> tuple:
     the candidates a_h[i] with bit k in masks[i] (each within c).
 
     Only the arcs in some clause get a position, in the order of a_h, and
-    equal clauses count once.
+    equal clauses count once: the bits of c are split by each position's
+    mask in turn, so each distinct clause is found once, with no pass per
+    bit.
     """
-    distinct = set()  # each clause as a mask over the candidates
-    for k in range(c.bit_length()):
-        if c >> k & 1:
-            distinct.add(sum(1 << i for i, m in enumerate(masks) if m >> k & 1))
-    used = 0
-    for cl in distinct:
-        used |= cl
-    pos = [i for i in range(len(a_h)) if used >> i & 1]
+    pos = [i for i, m in enumerate(masks) if m]
+    parts = {0: c}  # clause, as a mask over positions -> the bits k it holds for
+    for p, i in enumerate(pos):
+        m, bit = masks[i], 1 << p
+        split = {}
+        for cl, ks in parts.items():
+            if ks & m:
+                split[cl | bit] = ks & m
+            if ks & ~m:
+                split[cl] = ks & ~m
+        parts = split
     return (tuple(types[a_h[i]] for i in pos),
-            frozenset(frozenset(p for p, i in enumerate(pos) if cl >> i & 1)
-                      for cl in distinct))
+            frozenset(frozenset(p for p in range(len(pos)) if cl >> p & 1)
+                      for cl in parts))
 
 
 def _per_head(index: hg.Index, cmask: list, refuted: list, fwd: list,

@@ -22,6 +22,14 @@ by `wmc_clauses` at every evaluation.
 `Observation` is one observation as two fact sets, the form these
 references take and give; `observations` lists a batch's observations in
 that form, and `same_batch` compares two batches.
+
+`head_shapes` counts the shapes of `bound_terms` with one shape tuple
+built per head, the oracle its coded one-candidate heads are checked
+against: equal shape maps and refuted counts, in order.  Its
+`head_shape` finds a head's distinct clauses with one pass over the
+candidates per observation, the oracle of `likelihood._head_shape`,
+which splits the observations by each candidate's mask.
+
 `serialize_observations` writes observations in the text format
 `provrefine.likelihood.parse_observations` reads; only the tests write
 observation files.
@@ -149,6 +157,76 @@ def shapes(bf, which: str) -> dict:
         s = shape(ph.lower_clauses if which == "lower" else ph.upper_clauses)
         out[s] = out.get(s, 0) + 1
     return out
+
+
+def head_shapes(index: hg.Index, obs: lk.ObservationBatch) -> tuple:
+    """(lower_shapes, upper_shapes, n_counts) of `likelihood.bound_terms`
+    as it counted them before the heads with one candidate were coded: a
+    shape tuple built and hashed per head, `one_arc_shape` for a head with
+    one candidate and `head_shape` for the others, counted by first head;
+    refuted rule types by first refuted arc in key order.  For a batch
+    that `bound_terms` neither refuses nor finds impossible."""
+    rmask, cmask = lk._blueprint_masks(index, obs)
+    fwd = index.sweep(obs.t)[1]
+    full = (1 << len(obs.t)) - 1
+    heads, w = index.heads, []
+    for body in index.bodies:
+        m = full
+        for b in body:
+            m &= rmask[b]
+        w.append(m)
+    refuted = [w[j] & ~rmask[h] for j, h in enumerate(heads)]
+
+    types = [arc.rule_type for arc in index.arcs]
+    lower, upper = {}, {}
+    for _, c, a_h in lk._candidates(index, cmask, refuted):
+        if len(a_h) == 1:  # three bit tests per bound
+            j = a_h[0]
+            d = w[j] & c
+            lo = one_arc_shape(types[j], d & fwd[j], c)
+            up = one_arc_shape(types[j], d, c)
+        else:
+            dmask = [w[j] & c for j in a_h]
+            fmask = [m & fwd[j] for m, j in zip(dmask, a_h)]
+            lo = head_shape(types, a_h, fmask, c)
+            up = head_shape(types, a_h, dmask, c)
+        lower[lo] = lower.get(lo, 0) + 1
+        upper[up] = upper.get(up, 0) + 1
+    refuted_types = {}
+    for j, bad in enumerate(refuted):
+        if bad:
+            refuted_types[types[j]] = refuted_types.get(types[j], 0) + 1
+    return lower, upper, refuted_types
+
+
+def one_arc_shape(rule_type: str, m: int, c: int) -> tuple:
+    """The shape of a head's clauses when it has one candidate, of type
+    rule_type, in the clauses of the bits of m (within c)."""
+    if not m:
+        return ((), frozenset([frozenset()]))
+    return (rule_type,), frozenset([frozenset([0])] if m == c
+                                   else [frozenset(), frozenset([0])])
+
+
+def head_shape(types: list, a_h: list, masks: list, c: int) -> tuple:
+    """The shape of the clauses, one per bit k of c, where clause k holds
+    the candidates a_h[i] with bit k in masks[i] (each within c): one
+    pass over the candidates per bit.
+
+    Only the arcs in some clause get a position, in the order of a_h, and
+    equal clauses count once.
+    """
+    distinct = set()  # each clause as a mask over the candidates
+    for k in range(c.bit_length()):
+        if c >> k & 1:
+            distinct.add(sum(1 << i for i, m in enumerate(masks) if m >> k & 1))
+    used = 0
+    for cl in distinct:
+        used |= cl
+    pos = [i for i in range(len(a_h)) if used >> i & 1]
+    return (tuple(types[a_h[i]] for i in pos),
+            frozenset(frozenset(p for p, i in enumerate(pos) if cl >> i & 1)
+                      for cl in distinct))
 
 
 def n_counts(bf) -> dict:

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 import provrefine.hypergraph as hg
 from provrefine.hypergraph import Arc, Fact, Hypergraph, INFINITY
 
+import hypergraph_reference
 import loop_formula_reference as lfr
 from conftest import (assert_same_index, brute_force_distances, copies, fact,
                       naive_closure, random_hypergraph, random_seed_set)
@@ -162,14 +163,35 @@ def test_reach_is_the_finite_part_of_distances(seed):
 
 def _relabelled(rng, g: Hypergraph) -> Hypergraph:
     """g with its facts renamed, one to one, to a mix of facts of other
-    relations and arities and with integer and name arguments at one
-    position, so that key order is not the order of the integers."""
+    relations and arities, nullary ones among them, and with negative and
+    non-negative integer and name arguments at one position, so that key
+    order is not the order of the integers."""
     names = {}
     for v in sorted(g.vertices):
         i = v.args[0]
-        names[v] = rng.choice([v, Fact("v", (f"n{i}",)), Fact("p", (i, "x"))])
+        names[v] = rng.choice([v, Fact("v", (f"n{i}",)), Fact("p", (i, "x")),
+                               Fact("v", (-1 - i,)), Fact("p", (-1 - i, i)),
+                               Fact(f"n{i}")])
     return Hypergraph(Arc(names[a.head], frozenset(names[b] for b in a.body),
                           a.rule_type) for a in g.arcs)
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=300, deadline=None)
+def test_the_ranking_is_the_key_sort_of_the_reference(seed):
+    """On relabelled graphs with extra facts, some outside the graph and
+    some nullary, `_ranked` gives the facts, ids and ranked arcs of the
+    reference that sorts by `Fact._key`, in order, and the graph
+    serializes to the reference's bytes."""
+    rng = random.Random(seed)
+    g = _relabelled(rng, random_hypergraph(rng))
+    verts = sorted(g.vertices)
+    extra = set(rng.sample(verts, rng.randint(0, min(3, len(verts)))))
+    extra |= set(rng.sample([fact(99), fact(-99), Fact("v", ("n99",)),
+                             Fact("p", (-7, "x")), Fact("o")],
+                            rng.randint(0, 3)))
+    assert hg._ranked(g.arcs, extra) == hypergraph_reference.ranked(g.arcs, extra)
+    assert hg.serialize_provenance(g) == hypergraph_reference.serialize_provenance(g)
 
 
 @given(st.integers(0, 10_000))

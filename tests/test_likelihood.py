@@ -387,6 +387,41 @@ def test_bound_terms_equals_the_reference(four_arc_example):
     assert outcomes == {SelfLoopArc, ObservationOutOfRange, True, False}
 
 
+def test_coded_heads_count_as_one_shape_per_head_in_order():
+    """On groups of 20 observations flipping at most 3 parameters of
+    16-site smudge programs, and on messy instances, the shape maps and
+    refuted counts equal, item by item and in order, those of one shape
+    built per head (`likelihood_reference.head_shapes`)."""
+    from datalog_reference import smudge_analysis
+    from provrefine import learning
+
+    rng = random.Random(89)
+    cases = []
+    for _ in range(6):
+        sites = [(i, rng.choice((2, 3, 5, 7)), rng.choice("xyzw"),
+                  rng.choice("xyzw")) for i in range(16)]
+        an = smudge_analysis(sites, {o: rng.randrange(10) for o in "xyzw"})
+        grp = learning.sample_training(an, 20, 3, rng).groups[0]
+        cases.append((grp.blueprint, grp.observations))
+    for _ in range(300):
+        g, obs = _messy_instance(rng)
+        cases.append((hg.Index(g.arcs), _batch(obs)))
+    compared = 0
+    for index, batch in cases:
+        try:
+            got = lk.bound_terms(index, batch)
+        except (SelfLoopArc, ObservationOutOfRange):
+            continue
+        if got.impossible:
+            continue
+        lower, upper, n_counts = likelihood_reference.head_shapes(index, batch)
+        assert list(got.lower_shapes.items()) == list(lower.items())
+        assert list(got.upper_shapes.items()) == list(upper.items())
+        assert list(got.n_counts.items()) == list(n_counts.items())
+        compared += 1
+    assert compared > 100
+
+
 def test_exact_likelihood_refuses_what_the_bounds_refuse():
     """The same check, in the same order: a self-loop arc, then the least
     foreign fact of the first observation deriving one; an impossible
