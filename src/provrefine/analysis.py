@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import os
 import string
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
@@ -229,9 +230,7 @@ def read(path: str, parse: Callable[[str], object], line: int = 0):
 
 def parse_manifest(text: str, base_dir: str = ".") -> Analysis:
     """Parse an analysis manifest (see README for the section layout)."""
-    import os
-
-    from . import datalog
+    from . import datalog  # here, not at the top: datalog imports this module
 
     section = None
     encode0 = {}

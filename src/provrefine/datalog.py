@@ -294,8 +294,8 @@ def parse_program(text: str):
 # grounding
 
 
-def _check_domain(fact: Fact, bounds, line: int = 0) -> None:
-    lo, hi = bounds
+def _check_domain(fact: Fact, line: int = 0) -> None:
+    lo, hi = DEFAULT_DOMAIN
     for a in fact.args:
         if isinstance(a, int) and not lo <= a <= hi:
             raise DomainOverflow(line, f"{fact}: integer {a} outside [{lo}, {hi}]")
@@ -306,14 +306,13 @@ def check_domain(facts: Collection[Fact]) -> None:
     several such facts it names the one on the least line if `facts` is
     `parse_program`'s `BaseFacts`, at that line, else the least in key
     order; the facts are sorted only once one is found."""
-    bounds = DEFAULT_DOMAIN
     try:
         for f in facts:
-            _check_domain(f, bounds)
+            _check_domain(f)
     except DomainOverflow:
         lines = facts.lines if isinstance(facts, BaseFacts) else {}
         for f in sorted(facts, key=lambda f: (lines.get(f, INFINITY), f._key())):
-            _check_domain(f, bounds, lines.get(f, 0))
+            _check_domain(f, lines.get(f, 0))
 
 
 class _FactIndex:
@@ -489,7 +488,6 @@ def ground(rules: Iterable[Rule], base: Collection[Fact],
     rules = list(rules)
     check_domain(base)
     check_domain(seeds)
-    domain = DEFAULT_DOMAIN
 
     known = {*base, *seeds}
     index = _FactIndex(known)
@@ -518,7 +516,7 @@ def ground(rules: Iterable[Rule], base: Collection[Fact],
                                     tuple(env.get(a, a) for a in rule.head.args))
                         known_head = facts.get(head)
                         if known_head is None:
-                            _check_domain(head, domain)
+                            _check_domain(head)
                             facts[head] = known_head = head
                             new_facts.add(head)
                     except DomainOverflow as exc:

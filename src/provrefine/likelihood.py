@@ -10,9 +10,11 @@ is ever built.  The probability that a random sub-hypergraph H of the
 blueprint, keeping each arc with its rule type's theta
 (`probmodel.HyperParams`), reproduces a batch (reach(H, T_k) = R_k for
 all k) is bounded below and above by products of per-head weighted
-model counts.  `bound_terms` counts the
-heads of each distinct shape, read off its bit masks, and `Bound`
-compiles each shape's count once and evaluates it under any theta;
+model counts.  `bound_terms` counts the refuted arcs of each rule type
+and the heads of each distinct shape, read off its bit masks, and keeps
+nothing else that only the tests would read (the field rule of
+`tests/test_public_names.py`); `Bound` compiles each shape's count once
+and evaluates it under any theta;
 `exact_likelihood` enumerates every subset of the same index's arcs for
 the exact value on small instances, with no graph built per subset.
 """
@@ -97,11 +99,11 @@ def observe(an: Analysis, abstractions: Iterable[Abstraction]) -> ObservationBat
 
 @dataclass
 class PerHead:
-    """Constraints for one derived fact h across observations."""
+    """The lower-bound clauses of one derived fact h across observations:
+    per k in C_h, the observations deriving h, A_h ∩ F_k, where A_h holds
+    the arcs into h that no observation refutes."""
 
-    candidates: frozenset  # A_h: arcs headed h that were never refuted
-    lower_clauses: tuple  # per k in C_h (observations deriving h): A_h ∩ F_k
-    upper_clauses: tuple  # per k in C_h: A_h ∩ D_k
+    lower_clauses: tuple
 
 
 @dataclass
@@ -112,12 +114,14 @@ class BoundFormula:
     clauses), where the arcs some clause holds become positions in
     `Arc._key` order and each distinct clause is one frozenset of
     positions, so that every head of a shape has bit for bit the shape's
-    weighted count.  `per_head` holds the clauses as arc sets; it is built
-    on first read, from the bit masks `bound_terms` keeps in `_masks`.
+    weighted count.  `per_head` holds each candidate head's lower-bound
+    clauses as arc sets, for the benchmark's tracer; it is built on first
+    read, from the bit masks `bound_terms` keeps in `_masks`.  The refuted
+    arcs, the candidates and the upper clauses as arc sets are not kept:
+    nothing in the library reads them.
     """
 
-    negated_arcs: frozenset  # N: arcs refuted by some observation
-    n_counts: dict  # rule type -> its arcs in N, by first arc in key order
+    n_counts: dict  # rule type -> its refuted arcs, by first arc in key order
     lower_shapes: dict  # shape of A_h ∩ F_k -> heads, by first head in key order
     upper_shapes: dict  # shape of A_h ∩ D_k -> heads, likewise
     impossible: bool = False  # some observation had t ⊄ r
@@ -127,18 +131,6 @@ class BoundFormula:
     def per_head(self) -> dict:
         """Fact -> PerHead, in key order."""
         return _per_head(*self._masks) if self._masks else {}
-
-
-class _ArcSets(dict):
-    """A set of arc ids -> the one frozenset of those arcs, made on first use."""
-
-    def __init__(self, arcs: list):
-        super().__init__()
-        self.arcs = arcs
-
-    def __missing__(self, key: frozenset) -> frozenset:
-        out = self[key] = frozenset(self.arcs[i] for i in key)
-        return out
 
 
 def _blueprint_masks(index: hg.Index, obs: ObservationBatch) -> tuple:
@@ -182,8 +174,8 @@ def _blueprint_masks(index: hg.Index, obs: ObservationBatch) -> tuple:
 
 
 def bound_terms(index: hg.Index, obs: ObservationBatch) -> BoundFormula:
-    """The refuted arcs and the per-head shapes of both bounds over the
-    blueprint `index`.
+    """The refuted arcs' count per rule type and the per-head shapes of
+    both bounds over the blueprint `index`.
 
     The one index serves every observation: from an analysis, the
     restriction of its index that `local_provenance` returns, so nothing
@@ -204,7 +196,7 @@ def bound_terms(index: hg.Index, obs: ObservationBatch) -> BoundFormula:
     """
     rmask, cmask = _blueprint_masks(index, obs)
     if not obs.consistent():
-        return BoundFormula(frozenset(), {}, {}, {}, impossible=True)
+        return BoundFormula({}, {}, {}, impossible=True)
 
     fwd = index.sweep(obs.t)[1]
     full = (1 << len(obs.t)) - 1
@@ -216,8 +208,7 @@ def bound_terms(index: hg.Index, obs: ObservationBatch) -> BoundFormula:
         w.append(m)
     refuted = [w[j] & ~rmask[h] for j, h in enumerate(heads)]
 
-    arcs = index.arcs
-    types = [arc.rule_type for arc in arcs]
+    types = [arc.rule_type for arc in index.arcs]
     type_ids = {}  # rule type -> its index, by first arc
     base = [3 * type_ids.setdefault(t, len(type_ids)) for t in types]
     lower, upper = [], []  # per head its shape, or its one candidate's code
@@ -233,14 +224,12 @@ def bound_terms(index: hg.Index, obs: ObservationBatch) -> BoundFormula:
             fmask = [m & fwd[j] for m, j in zip(dmask, a_h)]
             lower.append(_head_shape(types, a_h, fmask, c))
             upper.append(_head_shape(types, a_h, dmask, c))
-    negated, n_counts = [], {}
+    n_counts = {}
     for j, bad in enumerate(refuted):
         if bad:
-            negated.append(arcs[j])
             n_counts[types[j]] = n_counts.get(types[j], 0) + 1
     names = list(type_ids)
-    return BoundFormula(frozenset(negated), n_counts, _counted(lower, names),
-                        _counted(upper, names),
+    return BoundFormula(n_counts, _counted(lower, names), _counted(upper, names),
                         _masks=(index, cmask, refuted, fwd, w))
 
 
@@ -306,21 +295,14 @@ def _head_shape(types: list, a_h: list, masks: list, c: int) -> tuple:
 
 def _per_head(index: hg.Index, cmask: list, refuted: list, fwd: list,
               w: list) -> dict:
-    """Each head's candidates and clauses as arc sets, from `bound_terms`'
-    masks.  Each distinct clause becomes an arc set once, so equal clauses
-    are one object."""
-    shared = _ArcSets(index.arcs)
-    per_head = {}
+    """Each head's lower-bound clauses as arc sets, from `bound_terms`'
+    masks: clause k holds the candidates whose bit k is set in `w & fwd`."""
+    arcs, per_head = index.arcs, {}
     for h, c, a_h in _candidates(index, cmask, refuted):
-        candidates = shared[frozenset(a_h)]
-        ks = [k for k in range(c.bit_length()) if c >> k & 1]
-        dmask = [w[j] & c for j in a_h]
-        fmask = [m & fwd[j] for m, j in zip(dmask, a_h)]
-        lower = tuple(shared[frozenset(
-            j for j, m in zip(a_h, fmask) if m >> k & 1)] for k in ks)
-        upper = tuple(shared[frozenset(
-            j for j, m in zip(a_h, dmask) if m >> k & 1)] for k in ks)
-        per_head[index.facts[h]] = PerHead(candidates, lower, upper)
+        fmask = [w[j] & c & fwd[j] for j in a_h]
+        per_head[index.facts[h]] = PerHead(tuple(
+            frozenset(arcs[j] for j, m in zip(a_h, fmask) if m >> k & 1)
+            for k in range(c.bit_length()) if c >> k & 1))
     return per_head
 
 

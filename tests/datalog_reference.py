@@ -18,7 +18,8 @@ from typing import Iterable, Optional
 from provrefine import datalog
 from provrefine.analysis import Analysis, Projection
 from provrefine.datalog import (BASE_RULE_TYPE, DEFAULT_DOMAIN, Atom, Rule,
-                                _check_domain, _is_var)
+                                _is_var)
+from provrefine.errors import DomainOverflow
 from provrefine.hypergraph import Arc, Fact, Hypergraph
 
 
@@ -41,6 +42,14 @@ def _match_atom(atom: Atom, fact: Fact, env: dict) -> Optional[dict]:
 def _ground_atom(atom: Atom, env: dict) -> Fact:
     return Fact(atom.relation, tuple(
         env[a] if isinstance(a, str) and _is_var(a) else a for a in atom.args))
+
+
+def _check_domain(fact: Fact, bounds) -> None:
+    """Raise DomainOverflow if the fact has an integer outside bounds."""
+    lo, hi = bounds
+    for a in fact.args:
+        if isinstance(a, int) and not lo <= a <= hi:
+            raise DomainOverflow(0, f"{fact}: integer {a} outside [{lo}, {hi}]")
 
 
 def ground(rules: Iterable[Rule], base: Iterable[Fact],

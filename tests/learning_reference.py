@@ -11,6 +11,8 @@ its blueprint from the definition, the graph induced by the facts derived
 at bottom, indexed, where the fast one restricts the analysis's index.
 `ShapeObjective` is the objective as it was before the shapes came from
 bit masks: `learning._Objective` on `likelihood_reference.ShapeBound`.
+Both objectives take `bound_terms`, each group's reference terms, and
+`learn` fits either one as `learning.learn` fits its own.
 `observations` lists a training set's observations across its groups.
 """
 
@@ -33,6 +35,19 @@ from likelihood_reference import Observation
 def observations(ts: TrainingSet) -> list:
     return [o for g in ts.groups
             for o in likelihood_reference.observations(g.observations)]
+
+
+def bound_terms(ts: TrainingSet) -> list:
+    """Each group's `likelihood_reference.bound_terms`, in group order."""
+    return [likelihood_reference.bound_terms(
+        hg.Hypergraph(g.blueprint.arcs),
+        likelihood_reference.observations(g.observations)) for g in ts.groups]
+
+
+def learn(ts: TrainingSet, objective) -> HyperParams:
+    """`learning.learn` with `objective` (`_Objective` or `ShapeObjective`)
+    on the reference bound terms."""
+    return learning._fit(objective(bound_terms(ts)), ts.rule_types())
 
 
 def observe(an: Analysis, a: Abstraction) -> Observation:
@@ -60,9 +75,10 @@ def sample_training(an: Analysis, n: int, max_flips: int,
 class _Objective:
     """The lower-bound log-likelihood, factored per rule type.
 
-    Precomputes, for every type, how many refuted arcs it owns and which
-    per-head formulas mention it, so a single-coordinate change only
-    re-evaluates the affected heads.
+    Precomputes from reference formulas (`likelihood_reference.Formula`),
+    for every type, how many refuted arcs it owns and which per-head
+    formulas mention it, so a single-coordinate change only re-evaluates
+    the affected heads.
     """
 
     def __init__(self, formulas):

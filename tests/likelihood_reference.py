@@ -7,11 +7,15 @@ the oracle its one bit-parallel sweep per batch is checked against, of
 `bound_terms`, kept as the oracle its integer index and its shapes built
 from bit masks are checked against, and of its bounds, kept as the oracle
 the shape-compiled `likelihood.Bound` is checked against.  The
-observations must be equal, in order; the bound terms must have equal
-refuted arcs and per-head clauses, in order, with the same exceptions,
-and `shapes` and `n_counts` of the reference terms must equal the shape
-maps and refuted counts of the fast ones, in order; the bounds must agree
-to rounding, with the same -inf.
+observations must be equal, in order; the bound terms must have the same
+exceptions and equal per-head lower clauses, in order, and `shapes` and
+`n_counts` of the reference terms must equal the shape maps and refuted
+counts of the fast ones, in order; the bounds must agree to rounding,
+with the same -inf.  Only the reference `Formula` holds the refuted arcs
+and each head's candidates and upper clauses: the fast terms keep what
+the bounds and the tracer read, so the tests read the rest off the
+reference, and the oracles here take their terms from the reference, not
+from the code they check.
 
 `wmc_clauses` is the Shannon expansion over frozensets that
 `likelihood._compile` compiles; its counts must equal the compiled ones
@@ -45,7 +49,6 @@ from provrefine.analysis import (Abstraction, Analysis, encode_params,
 from provrefine.errors import ObservationOutOfRange, SelfLoopArc
 from provrefine import likelihood as lk
 from provrefine.hypergraph import Arc, Fact, Hypergraph
-from provrefine.likelihood import PerHead
 from provrefine.probmodel import NEG_INF, HyperParams
 
 from probmodel_reference import log_one_minus
@@ -80,6 +83,14 @@ def observe(an: Analysis, a: Abstraction) -> Observation:
     # equals reach over local_provenance: reach(global, P1) lies in derive(a)
     r = project_set(an, [*p1, *map(an.index.facts.__getitem__, an.index.run(p1))])
     return Observation(t=t, r=r)
+
+
+class PerHead(NamedTuple):
+    """The constraints on one derived fact h across observations."""
+
+    candidates: frozenset  # A_h: arcs headed h that were never refuted
+    lower_clauses: tuple  # per k in C_h (observations deriving h): A_h ∩ F_k
+    upper_clauses: tuple  # per k in C_h: A_h ∩ D_k
 
 
 @dataclass
@@ -150,7 +161,7 @@ def shape(clauses: tuple) -> tuple:
             frozenset(frozenset(pos[a] for a in c) for c in distinct))
 
 
-def shapes(bf, which: str) -> dict:
+def shapes(bf: Formula, which: str) -> dict:
     """Shape -> number of heads, by first head in `per_head` order."""
     out = {}
     for ph in bf.per_head.values():
@@ -229,7 +240,7 @@ def head_shape(types: list, a_h: list, masks: list, c: int) -> tuple:
                       for cl in distinct))
 
 
-def n_counts(bf) -> dict:
+def n_counts(bf: Formula) -> dict:
     """Rule type -> refuted arcs of it, by first refuted arc in key order."""
     out = {}
     for arc in sorted(bf.negated_arcs, key=Arc._key):
@@ -269,8 +280,8 @@ def wmc_clauses(clauses, theta) -> float:
 
 
 class ShapeBound(lk.Bound):
-    """`likelihood.Bound` from the formulas' `per_head`: one `shape` per
-    head, counted by `wmc_clauses` at each evaluation."""
+    """`likelihood.Bound` from the reference formulas' `per_head`: one
+    `shape` per head, counted by `wmc_clauses` at each evaluation."""
 
     def __init__(self, formulas, which: str):
         self.impossible = False
@@ -304,7 +315,9 @@ class ShapeBound(lk.Bound):
         return total + values
 
 
-def bound(bf, hp: HyperParams, which: str) -> float:
+def bound(bf: Formula, hp: HyperParams, which: str) -> float:
+    """The lower or upper bound (`which`) of a reference formula: one
+    weighted count per head."""
     if bf.impossible:
         return NEG_INF
     total = 0.0

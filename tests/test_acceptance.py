@@ -27,6 +27,7 @@ from provrefine import refine
 from provrefine.hypergraph import Arc, Hypergraph
 from provrefine.probmodel import HyperParams
 
+import likelihood_reference
 import loop_formula_reference as lfr
 import refine_reference
 from conftest import (fact, formula_objective, naive_closure, random_gadget,
@@ -133,8 +134,9 @@ def test_criterion_2_likelihood_sandwich():
         exact = lk.exact_likelihood(hg.Index(g.arcs), obs, hp)
         assert lo <= exact + 1e-9
         assert exact <= up + 1e-9
-        if all(cl == cu for ph in bf.per_head.values()
-               for cl, cu in zip(ph.lower_clauses, ph.upper_clauses)):
+        ref = likelihood_reference.bound_terms(g, observations(obs))
+        if all(ph.lower_clauses == ph.upper_clauses
+               for ph in ref.per_head.values()):
             tight += 1
             if lo > pm.NEG_INF or up > pm.NEG_INF:
                 assert lo == pytest.approx(up, abs=1e-9)

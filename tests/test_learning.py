@@ -312,8 +312,8 @@ def test_objective_equals_the_per_head_reference():
     infinite = 0
     for _ in range(40):
         ts = _random_training_set(rng)
-        terms = ts.bound_terms()
-        obj, ref = learning._Objective(terms), learning_reference._Objective(terms)
+        obj = learning._Objective(ts.bound_terms())
+        ref = learning_reference._Objective(learning_reference.bound_terms(ts))
         assert obj.constrained == ref.constrained
         assert obj.n_counts == ref.n_counts
         hp = pm.HyperParams({k: rng.uniform(0.01, 0.99) for k in ts.rule_types()})
@@ -351,14 +351,12 @@ def test_objective_is_the_sum_of_the_groups_lower_bounds():
     assert finite and infinite
 
 
-def test_learn_agrees_with_the_per_head_objective(monkeypatch):
+def test_learn_agrees_with_the_per_head_objective():
     rng = random.Random(29)
     for _ in range(12):
         ts = _random_training_set(rng, n=6)
         got = learning.learn(ts)
-        with monkeypatch.context() as m:
-            m.setattr(learning, "_Objective", learning_reference._Objective)
-            want = learning.learn(ts)
+        want = learning_reference.learn(ts, learning_reference._Objective)
         assert got.unconstrained == want.unconstrained
         assert got.theta.keys() == want.theta.keys()
         for k, v in want.theta.items():
@@ -379,7 +377,7 @@ def test_learn_counts_once_per_shape(monkeypatch):
     # counting once per head and line-search point took over 20 000
     # weighted model counts here; each distinct shape is compiled once
     ts = _five_programs()
-    terms = ts.bound_terms()
+    terms = learning_reference.bound_terms(ts)
     heads = sum(len(bf.per_head) for bf in terms)
     shapes = set().union(*(likelihood_reference.shapes(bf, "lower")
                            for bf in terms))
@@ -415,14 +413,12 @@ def test_learn_builds_no_arc_clause_set(monkeypatch):
     assert calls == [1]
 
 
-def test_learn_equals_the_theta_of_the_per_head_shape_bound(monkeypatch):
+def test_learn_equals_the_theta_of_the_per_head_shape_bound():
     # bit for bit: the same shapes and refuted types in the same order, and
     # the same float operations in each count
     rng = random.Random(43)
     cases = [_five_programs()] + [_random_training_set(rng) for _ in range(12)]
     for ts in cases:
         got = learning.learn(ts)
-        with monkeypatch.context() as m:
-            m.setattr(learning, "_Objective", learning_reference.ShapeObjective)
-            want = learning.learn(ts)
+        want = learning_reference.learn(ts, learning_reference.ShapeObjective)
         assert got == want

@@ -8,6 +8,13 @@ A use counts only where the code around it is itself used: the scan
 drops unused definitions until none is left to drop, so a name whose
 only callers are dead code is dead too.  Test-only helpers belong in the
 `tests/*_reference.py` oracles.
+
+Fields are held to the same rule: every field of a dataclass, and every
+attribute a method sets on its instance (`self.x = ...`), is read as an
+attribute (`obj.x`) somewhere in `src/`, or is named in `perfbench/*.py`.
+As for functions, a read is matched by name alone; setting a field, or
+passing it to a constructor, is not a read.  A field that only the tests
+read belongs in the oracle that computes it.
 """
 
 import ast
@@ -49,9 +56,57 @@ def _scan():
             if not (node.name.startswith("__") and node.name.endswith("__"))], uses
 
 
+def _fields():
+    """(fields, reads): the dataclass fields and the attributes a method
+    sets on its instance, each as (qualified name, name), and the names
+    read as attributes anywhere in `src/`."""
+    fields, reads = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        reads.update(node.attr for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute)
+                     and isinstance(node.ctx, ast.Load))
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            names = []
+            if any(_is_dataclass(d) for d in cls.decorator_list):
+                names += [node.target.id for node in cls.body
+                          if isinstance(node, ast.AnnAssign)
+                          and isinstance(node.target, ast.Name)]
+            for method in cls.body:
+                if isinstance(method, ast.FunctionDef) and method.args.args:
+                    this = method.args.args[0].arg
+                    names += [node.attr for node in ast.walk(method)
+                              if isinstance(node, ast.Attribute)
+                              and isinstance(node.ctx, ast.Store)
+                              and isinstance(node.value, ast.Name)
+                              and node.value.id == this]
+            fields += [(f"{path.stem}.{cls.name}.{n}", n)
+                       for n in dict.fromkeys(names)]
+    return fields, reads
+
+
+def _is_dataclass(decorator) -> bool:
+    if isinstance(decorator, ast.Call):
+        decorator = decorator.func
+    return isinstance(decorator, ast.Name) and decorator.id == "dataclass"
+
+
+def _bench_text() -> str:
+    return "\n".join(p.read_text() for p in sorted(PERFBENCH.glob("*.py")))
+
+
+def unread_fields() -> list:
+    fields, reads = _fields()
+    bench = _bench_text()
+    return sorted(q for q, name in fields if name not in reads
+                  and not re.search(rf"\b{re.escape(name)}\b", bench))
+
+
 def unused_names() -> list:
     defs, uses = _scan()
-    bench = "\n".join(p.read_text() for p in sorted(PERFBENCH.glob("*.py")))
+    bench = _bench_text()
     defs = [(q, node) for q, node in defs
             if not re.search(rf"\b{re.escape(node.name)}\b", bench)]
     dead = set()  # the nodes of unused definitions
@@ -74,3 +129,7 @@ def test_every_public_name_has_a_caller():
 
 def test_every_private_name_has_a_caller():
     assert [q for q in unused_names() if _is_private(q)] == []
+
+
+def test_every_field_is_read():
+    assert unread_fields() == []

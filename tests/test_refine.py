@@ -7,9 +7,10 @@ from collections import Counter
 import pytest
 
 import provrefine.hypergraph as hg
+import pointsto_reference
 import refine_reference
 from analysis_reference import analysis_top
-from conftest import random_gadget, random_smudge_analysis
+from conftest import random_gadget, random_smudge_analysis, uniform
 from provrefine import analysis as ana
 from provrefine import datalog
 from provrefine import maxsat as mx
@@ -271,6 +272,12 @@ def test_the_cone_encoding_matches_the_graph_keyed_clauses(monkeypatch):
     demo_hp = HyperParams(datalog.smudge_theta())
     cases = [(demo, _query(demo), demo_hp, alpha)
              for alpha in (0.0, 0.5, 1.0, 2.0)]
+    # a client with cyclic provenance, where the forward restriction cuts
+    pointsto = pointsto_reference.pointsto_analysis()
+    pointsto_hp = uniform(sorted(
+        {arc.rule_type for arc in pointsto.global_graph.arcs}))
+    cases += [(pointsto, q, pointsto_hp, alpha)
+              for q in pointsto_reference.QUERIES for alpha in (0.0, 1.0)]
     for an, q, hp, alpha in itertools.chain(cases, _reference_cases(Counter())):
         for strategy in refine.STRATEGIES:
             cfg = refine.RefineConfig(strategy=strategy, hyperparams=hp,
