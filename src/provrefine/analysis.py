@@ -2,8 +2,10 @@
 
 An analysis bundles a global provenance, a set of query facts, boolean
 parameters with their fact encodings, and a partial projection that maps
-precise-mode facts back to their cheap-mode counterparts.  This module
-also houses the well-formedness checker used to validate fixtures.
+precise-mode facts back to their cheap-mode counterparts.  An abstraction
+is the frozenset of the parameters it makes precise, ordered by inclusion.
+This module also houses the well-formedness checker used to validate
+fixtures.
 """
 
 from __future__ import annotations
@@ -18,31 +20,6 @@ from typing import Callable, Iterable, Optional
 from . import hypergraph as hg
 from .errors import DomainOverflow, ParseError, UnknownParameter
 from .hypergraph import Fact, Hypergraph
-
-
-@dataclass(frozen=True)
-class Abstraction:
-    """A boolean parameter setting; ordered pointwise (0 = cheap)."""
-
-    bits: tuple  # tuple of (param, 0|1), in parameter order
-
-    @staticmethod
-    def bottom(params: Iterable[str]) -> "Abstraction":
-        return Abstraction(tuple((p, 0) for p in params))
-
-    def flips(self) -> frozenset:
-        """Parameters set to precise."""
-        return frozenset(p for p, v in self.bits if v == 1)
-
-    def with_flips(self, extra: Iterable[str]) -> "Abstraction":
-        extra = set(extra)
-        return Abstraction(tuple((p, 1 if p in extra else v) for p, v in self.bits))
-
-    def __le__(self, other: "Abstraction") -> bool:
-        return all(v <= w for (_, v), (_, w) in zip(self.bits, other.bits))
-
-    def __lt__(self, other: "Abstraction") -> bool:
-        return self <= other and self.bits != other.bits
 
 
 class Projection:
@@ -117,32 +94,32 @@ class Analysis:
     @functools.cached_property
     def blueprint(self) -> hg.Index:
         """The program's one blueprint, shared by every training sample:
-        the local provenance at the all-cheap abstraction, cached."""
-        return local_provenance(self, self.bottom())
-
-    def bottom(self) -> Abstraction:
-        return Abstraction.bottom(self.params)
+        the local provenance at the all-cheap abstraction, `frozenset()`,
+        cached."""
+        return local_provenance(self, frozenset())
 
 
-def encode_params(an: Analysis, a: Abstraction, k: int) -> frozenset:
-    """The facts encoding the parameters that a sets to k."""
-    enc = an.encode0 if k == 0 else an.encode1
-    out = set()
-    for p, v in a.bits:
-        if p not in enc:
-            raise UnknownParameter(p)
-        if v == k:
-            out.add(enc[p])
-    return frozenset(out)
+def encode_params(an: Analysis, a: frozenset, k: int) -> frozenset:
+    """The facts encoding abstraction a, the frozenset of the parameters it
+    makes precise (so the all-cheap one is `frozenset()`): their precise
+    facts for k = 1, and for k = 0 the cheap facts of the rest of
+    `an.params`.  Raises UnknownParameter naming the least name in a that
+    the analysis lacks."""
+    unknown = a.difference(an.encode1)
+    if unknown:
+        raise UnknownParameter(min(unknown))
+    if k == 1:
+        return frozenset([an.encode1[p] for p in a])
+    return frozenset([an.encode0[p] for p in an.params if p not in a])
 
 
-def derive(an: Analysis, a: Abstraction) -> frozenset:
+def derive(an: Analysis, a: frozenset) -> frozenset:
     """All facts the analysis derives under abstraction a."""
     seeds = encode_params(an, a, 0) | encode_params(an, a, 1)
     return frozenset(an.index.close(seeds))
 
 
-def local_provenance(an: Analysis, a: Abstraction) -> hg.Index:
+def local_provenance(an: Analysis, a: frozenset) -> hg.Index:
     """The index of the global provenance restricted to the facts derived
     under a, the arcs of `hg.induced(an.global_graph, derive(an, a))`:
     those whose body the closure reaches, whose heads it then reaches too.
@@ -180,7 +157,7 @@ def check_well_formed(an: Analysis) -> list:
         if pi(p1[p]) != p0[p]:
             violations.append(f"(v) projection of {p1[p]} is not {p0[p]}")
 
-    derived_bot = derive(an, an.bottom())
+    derived_bot = derive(an, frozenset())
     # (i) cheap-mode facts are fixed points of the projection
     for f in sorted(derived_bot, key=Fact._key):
         if pi(f) != f:

@@ -16,7 +16,7 @@ from typing import Callable, Iterable
 
 from . import hypergraph as hg
 from . import likelihood as lk
-from .analysis import Abstraction, Analysis
+from .analysis import Analysis
 from .errors import CorpusTooSmall, DegenerateTrainingSet
 from .probmodel import NEG_INF, HyperParams
 
@@ -57,8 +57,9 @@ class TrainingSet:
 
 def sample_training(an: Analysis, n: int, max_flips: int,
                     rng: random.Random) -> TrainingSet:
-    """n observations from random abstractions flipping 1..max_flips params,
-    in one group over the analysis's one blueprint (`Analysis.blueprint`)."""
+    """n observations from random abstractions, each the frozenset of the
+    1..max_flips parameters it makes precise, in one group over the
+    analysis's one blueprint (`Analysis.blueprint`)."""
     if n < 1:
         raise ValueError("need at least one sample")
     if max_flips < 1:
@@ -66,12 +67,8 @@ def sample_training(an: Analysis, n: int, max_flips: int,
     if not an.params:
         raise ValueError("the analysis has no parameters to flip")
     max_flips = min(max_flips, len(an.params))
-    abstractions = []
-    for _ in range(n):
-        count = rng.randint(1, max_flips)
-        flips = rng.sample(list(an.params), count)
-        abstractions.append(
-            Abstraction(tuple((p, 1 if p in flips else 0) for p in an.params)))
+    abstractions = [frozenset(rng.sample(an.params, rng.randint(1, max_flips)))
+                    for _ in range(n)]
     return TrainingSet([ObservationGroup(an.blueprint, lk.observe(an, abstractions))])
 
 

@@ -28,7 +28,7 @@ from functools import cached_property
 from typing import Iterable
 
 from . import hypergraph as hg
-from .analysis import Abstraction, Analysis, encode_params, project_set
+from .analysis import Analysis, encode_params, project_set
 from .errors import (ObservationOutOfRange, OracleLimitExceeded, ParseError,
                      SelfLoopArc)
 from .probmodel import NEG_INF, HyperParams, validate_hyperparams
@@ -68,7 +68,7 @@ class ObservationBatch:
                    for k, t in enumerate(self.t) for u in t)
 
 
-def observe(an: Analysis, abstractions: Iterable[Abstraction]) -> ObservationBatch:
+def observe(an: Analysis, abstractions: Iterable[frozenset]) -> ObservationBatch:
     """Run the analysis under each abstraction and project the outcomes.
 
     One `Index.sweep` of the analysis's cached index closes every

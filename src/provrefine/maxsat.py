@@ -648,9 +648,12 @@ def to_wcnf(cnf: ClauseInstance) -> str:
     weighted id, in id order."""
     softs = []
     for v, w in sorted(cnf.weights.items()):
-        scaled = round(abs(w) * WEIGHT_SCALE)
+        # compared before rounding, which cannot round an infinite product;
+        # past 2**53 every float is an integer, so the test is the same
+        scaled = abs(w) * WEIGHT_SCALE
         if scaled > 2 ** 62:
             raise WeightOverflow(f"weight {w} too large for integral encoding")
+        scaled = round(scaled)
         if scaled == 0:
             continue
         softs.append((scaled, v if w > 0 else -v))

@@ -18,7 +18,7 @@ from typing import Iterable, Optional
 
 from . import hypergraph as hg
 from . import maxsat as mx
-from .analysis import Abstraction, Analysis, encode_params, project_set
+from .analysis import Analysis, encode_params, project_set
 from .errors import BudgetExceeded, NotAModel, QueryNotInProvenance
 from .hypergraph import Fact, Hypergraph
 from .probmodel import HyperParams
@@ -55,7 +55,7 @@ def _log_theta(hp: Optional[HyperParams], rule_type: str) -> float:
     return max(math.log(t), LOG_EPS)
 
 
-def forward_restrict(g_a: Hypergraph, an: Analysis, a: Abstraction) -> Hypergraph:
+def forward_restrict(g_a: Hypergraph, an: Analysis, a: frozenset) -> Hypergraph:
     """Keep only arcs pointing away from the parameter facts."""
     seeds = encode_params(an, a, 0) | encode_params(an, a, 1)
     return hg.forward_arcs(g_a, seeds)
@@ -78,7 +78,7 @@ def slice_to_query(g: Hypergraph, q: Fact) -> Hypergraph:
     return Hypergraph(e for e in g.arcs if e.head in cone)
 
 
-def t_of(an: Analysis, a: Abstraction, a2: Abstraction) -> frozenset:
+def t_of(an: Analysis, a: frozenset, a2: frozenset) -> frozenset:
     """Seed facts for evaluating candidate a2 on the current provenance."""
     p1_old = encode_params(an, a, 1)
     p1_new = encode_params(an, a2, 1)
@@ -130,7 +130,7 @@ class Phi:
     vertices: set
 
 
-def build_phi(enc: Encoding, kept: Iterable[int], a: Abstraction) -> Phi:
+def build_phi(enc: Encoding, kept: Iterable[int], a: frozenset) -> Phi:
     """Hard clauses + weights whose models are the feasible refinements.
 
     A model selects a sub-hypergraph of the cone arcs `kept` (arc
@@ -153,8 +153,8 @@ def build_phi(enc: Encoding, kept: Iterable[int], a: Abstraction) -> Phi:
         vertices.update(bodies[j])
     if enc.q not in vertices:
         raise QueryNotInProvenance(str(enc.cone.facts[enc.q]))
-    p0 = {enc.enc0[x] for x, v in a.bits if v == 0}
-    p1 = {enc.enc1[x] for x, v in a.bits if v == 1}
+    p0 = {enc.enc0[x] for x in enc.an.params if x not in a}
+    p1 = {enc.enc1[x] for x in a}
     facts = sorted(vertices | p0 | p1)
     n = len(arcs)
     fact_ids = {u: i for i, u in enumerate(facts, n + 1)}
@@ -194,15 +194,15 @@ def build_phi(enc: Encoding, kept: Iterable[int], a: Abstraction) -> Phi:
 
 
 def decode_model(enc: Encoding, model: Iterable[int], phi: Phi,
-                 a: Abstraction):
+                 a: frozenset):
     """The refined abstraction, and the log survival probability of the
     selected arcs, the fsum of their weights."""
     model = frozenset(model)
     n = len(phi.arcs)
     chosen = [phi.arcs[i - 1] for i in model if i <= n]
     fact_ids = phi.fact_ids
-    a2 = a.with_flips(x for x, v in a.bits
-                      if v == 0 and fact_ids[enc.enc0[x]] in model)
+    a2 = a.union([x for x in enc.an.params
+                  if x not in a and fact_ids[enc.enc0[x]] in model])
     if not a < a2:
         raise NotAModel("decoded abstraction is not strictly more precise")
     reached = enc.cone.run(t_of(enc.an, a, a2), chosen)
@@ -212,8 +212,8 @@ def decode_model(enc: Encoding, model: Iterable[int], phi: Phi,
     return a2, math.fsum(enc.weights[j] for j in chosen)
 
 
-def choose_optimistic(enc: Encoding, kept: list, a: Abstraction,
-                      cfg: RefineConfig) -> Abstraction:
+def choose_optimistic(enc: Encoding, kept: list, a: frozenset,
+                      cfg: RefineConfig) -> frozenset:
     """Cheapest a2 > a whose remaining cheap facts cannot derive q, the
     encoding's fact q, through the cone arcs `kept`.
 
@@ -227,7 +227,7 @@ def choose_optimistic(enc: Encoding, kept: list, a: Abstraction,
     from the P1 facts alone, so some parameter is unflipped and flipping
     all of them is a model; `_run_solver` raises NotAModel if none is.
     """
-    unflipped = [x for x, v in a.bits if v == 0]
+    unflipped = [x for x in enc.an.params if x not in a]  # the clauses' order
     heads, bodies, enc0 = enc.cone.heads, enc.cone.bodies, enc.enc0
     f_ids = {x: i for i, x in enumerate(sorted(unflipped), 1)}
     facts = {enc0[x] for x in unflipped}
@@ -249,7 +249,7 @@ def choose_optimistic(enc: Encoding, kept: list, a: Abstraction,
             names[i] = "f:" + x
     inst = mx.ClauseInstance(len(f_ids) + len(z_ids), clauses, weights, names)
     model, _ = _run_solver(inst, cfg)
-    return a.with_flips(x for x in unflipped if f_ids[x] in model)
+    return a.union([x for x in unflipped if f_ids[x] in model])
 
 
 def _run_solver(inst: mx.ClauseInstance, cfg: RefineConfig):
@@ -296,12 +296,12 @@ def solve(an: Analysis, q: Fact, cfg: RefineConfig) -> RefineOutcome:
         an.encode0.values(), an.encode1.values()))
     root, bodies = cone.ids[q], cone.bodies
     enc = None
-    a = an.bottom()
+    a = frozenset()
     trace = []
     iteration = 0
     while iteration < max_iters:
         iteration += 1
-        entry = {"iteration": iteration, "flips": sorted(a.flips())}
+        entry = {"iteration": iteration, "flips": sorted(a)}
         trace.append(entry)
         p1 = encode_params(an, a, 1)
         dist, forward = cone.layers(encode_params(an, a, 0) | p1)
@@ -320,7 +320,7 @@ def solve(an: Analysis, q: Fact, cfg: RefineConfig) -> RefineOutcome:
                 kept = cone.slice(
                     root, lambda j: all(b in dist for b in bodies[j]))
                 a2 = choose_optimistic(enc, kept, a, cfg)
-                entry["chosen"] = sorted(a2.flips())
+                entry["chosen"] = sorted(a2)
             else:
                 # the forward arcs among the derived ones, as the kernel
                 # finds them
@@ -328,7 +328,7 @@ def solve(an: Analysis, q: Fact, cfg: RefineConfig) -> RefineOutcome:
                 phi = build_phi(enc, kept, a)
                 model, objective = _run_solver(phi.inst, cfg)
                 a2, log_success = decode_model(enc, model, phi, a)
-                entry["chosen"] = sorted(a2.flips())
+                entry["chosen"] = sorted(a2)
                 entry["objective"] = objective
                 entry["log_success"] = log_success
         except BudgetExceeded:

@@ -6,46 +6,29 @@ and `check_predictable` (a witness sub-hypergraph of the cheap provenance
 reproduces every projected run) are exponential oracles over the
 abstraction lattice; only the tests use them, to validate fixtures.
 
-`from_dict`, `abstraction_top`, `value`, `analysis_top` and
-`all_abstractions` build and read abstractions, and `save_manifest`
-writes an analysis as the manifest and provenance files that `solve`
-and `learn` read.
+An abstraction is the frozenset of the parameters it makes precise:
+`frozenset()` is the all-cheap one and `frozenset(an.params)` the
+all-precise one.  `all_abstractions` lists every abstraction of an
+analysis, and `save_manifest` writes an analysis as the manifest and
+provenance files that `solve` and `learn` read.
 """
 
 import os
-from typing import Iterable, Optional
+from typing import Optional
 
 from provrefine import hypergraph as hg
-from provrefine.analysis import (Abstraction, Analysis, Projection, derive,
-                                 encode_params, project_set)
-from provrefine.errors import OracleLimitExceeded, UnknownParameter
+from provrefine.analysis import (Analysis, Projection, derive, encode_params,
+                                 project_set)
+from provrefine.errors import OracleLimitExceeded
 from provrefine.hypergraph import Fact, Hypergraph
 
 
-def from_dict(params: Iterable[str], values: dict) -> Abstraction:
-    return Abstraction(tuple((p, int(values.get(p, 0))) for p in params))
-
-
-def abstraction_top(params: Iterable[str]) -> Abstraction:
-    return Abstraction(tuple((p, 1) for p in params))
-
-
-def value(a: Abstraction, param: str) -> int:
-    for p, v in a.bits:
-        if p == param:
-            return v
-    raise UnknownParameter(param)
-
-
-def analysis_top(an: Analysis) -> Abstraction:
-    return abstraction_top(an.params)
-
-
 def all_abstractions(an: Analysis):
+    """Every abstraction of an, as the frozenset of its precise parameters,
+    the bits of mask i choosing from an.params for i = 0, 1, ..."""
     n = len(an.params)
     for mask in range(1 << n):
-        yield Abstraction(tuple(
-            (p, mask >> i & 1) for i, p in enumerate(an.params)))
+        yield frozenset(p for i, p in enumerate(an.params) if mask >> i & 1)
 
 
 def directive_lines(projection: Projection) -> list:
@@ -96,10 +79,8 @@ def check_monotone(an: Analysis, limit: int = 12) -> bool:
         derived_q[a] = an.queries & derive(an, a)
     for a in derived_q:
         for p in an.params:
-            if value(a, p) == 0:
-                a2 = a.with_flips([p])
-                if not derived_q[a] >= derived_q[a2]:
-                    return False
+            if p not in a and not derived_q[a] >= derived_q[a | {p}]:
+                return False
     return True
 
 
@@ -116,11 +97,11 @@ def check_predictable(an: Analysis, param_limit: int = 12,
     if len(an.params) > param_limit:
         raise OracleLimitExceeded(
             f"predictability oracle over {len(an.params)} parameters")
-    g_bot = hg.induced(an.global_graph, derive(an, an.bottom()))
+    g_bot = hg.induced(an.global_graph, derive(an, frozenset()))
     if len(g_bot.arcs) > arc_limit:
         raise OracleLimitExceeded(
             f"predictability oracle over {len(g_bot.arcs)} arcs")
-    g_top = hg.induced(an.global_graph, derive(an, analysis_top(an)))
+    g_top = hg.induced(an.global_graph, derive(an, frozenset(an.params)))
 
     observations = []
     for a in all_abstractions(an):

@@ -155,7 +155,7 @@ def random_smudge_analysis(rng: random.Random, max_sites: int = 6):
 
     an = smudge_analysis(*random_smudge_program(rng, max_sites))
     flips = [p for p in an.params if rng.random() < 0.5]
-    return an, an.bottom().with_flips(flips)
+    return an, frozenset(flips)
 
 
 def random_gadget(rng: random.Random):

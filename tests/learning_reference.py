@@ -23,8 +23,7 @@ from typing import Callable
 from provrefine import hypergraph as hg
 from provrefine import learning
 from provrefine import likelihood as lk
-from provrefine.analysis import (Abstraction, Analysis, derive, encode_params,
-                                 project_set)
+from provrefine.analysis import Analysis, derive, encode_params, project_set
 from provrefine.learning import ObservationGroup, TrainingSet
 from provrefine.probmodel import NEG_INF, HyperParams
 
@@ -50,7 +49,7 @@ def learn(ts: TrainingSet, objective) -> HyperParams:
     return learning._fit(objective(bound_terms(ts)), ts.rule_types())
 
 
-def observe(an: Analysis, a: Abstraction) -> Observation:
+def observe(an: Analysis, a: frozenset) -> Observation:
     """Run the analysis under a and project the outcome."""
     p1 = encode_params(an, a, 1)
     t = project_set(an, p1)
@@ -62,12 +61,12 @@ def sample_training(an: Analysis, n: int, max_flips: int,
                     rng: random.Random) -> TrainingSet:
     """n observations from random abstractions flipping 1..max_flips params."""
     max_flips = min(max_flips, len(an.params))
-    blueprint = hg.induced(an.global_graph, derive(an, an.bottom()))
+    blueprint = hg.induced(an.global_graph, derive(an, frozenset()))
     obs = []
     for _ in range(n):
         count = rng.randint(1, max_flips)
         flips = rng.sample(list(an.params), count)
-        obs.append(observe(an, an.bottom().with_flips(flips)))
+        obs.append(observe(an, frozenset(flips)))
     return TrainingSet([ObservationGroup(hg.Index(blueprint.arcs),
                                          lk.ObservationBatch.of(obs))])
 

@@ -44,8 +44,7 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from provrefine import hypergraph as hg
-from provrefine.analysis import (Abstraction, Analysis, encode_params,
-                                 project_set)
+from provrefine.analysis import Analysis, encode_params, project_set
 from provrefine.errors import ObservationOutOfRange, SelfLoopArc
 from provrefine import likelihood as lk
 from provrefine.hypergraph import Arc, Fact, Hypergraph
@@ -76,7 +75,7 @@ def same_batch(a: lk.ObservationBatch, b: lk.ObservationBatch) -> bool:
     return a.t == b.t and a.rmask == b.rmask
 
 
-def observe(an: Analysis, a: Abstraction) -> Observation:
+def observe(an: Analysis, a: frozenset) -> Observation:
     """Run the analysis under a and project the outcome."""
     p1 = encode_params(an, a, 1)
     t = project_set(an, p1)

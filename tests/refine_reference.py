@@ -22,7 +22,7 @@ from typing import Iterable, Optional
 
 from provrefine import hypergraph as hg
 from provrefine import maxsat as mx
-from provrefine.analysis import Abstraction, Analysis, derive, encode_params
+from provrefine.analysis import Analysis, derive, encode_params
 from provrefine.errors import BudgetExceeded, NotAModel, QueryNotInProvenance
 from provrefine.hypergraph import Arc, Fact, Hypergraph
 from provrefine.probmodel import HyperParams
@@ -45,7 +45,7 @@ def _aux_var(e: Arc) -> str:
     return "y:" + str(e)
 
 
-def build_phi(an: Analysis, g_fwd: Hypergraph, q: Fact, a: Abstraction,
+def build_phi(an: Analysis, g_fwd: Hypergraph, q: Fact, a: frozenset,
               hp: Optional[HyperParams] = None,
               alpha: float = 1.0) -> mx.MaxSatInstance:
     """Hard constraint + weights whose models are the feasible refinements.
@@ -93,7 +93,7 @@ def build_phi(an: Analysis, g_fwd: Hypergraph, q: Fact, a: Abstraction,
 
 
 def build_phi_clauses(an: Analysis, g_fwd: Hypergraph, q: Fact,
-                      a: Abstraction, hp: Optional[HyperParams] = None,
+                      a: frozenset, hp: Optional[HyperParams] = None,
                       alpha: float = 1.0) -> mx.ClauseInstance:
     """`provrefine.refine.build_phi`'s instance from the arcs of g_fwd.
 
@@ -145,7 +145,7 @@ def build_phi_clauses(an: Analysis, g_fwd: Hypergraph, q: Fact,
 
 
 def choose_optimistic_clauses(an: Analysis, g_a: Hypergraph, q: Fact,
-                              a: Abstraction,
+                              a: frozenset,
                               alpha: float = 1.0) -> Optional[mx.ClauseInstance]:
     """`provrefine.refine.choose_optimistic`'s instance from the arcs of g_a,
     or None when no parameter is left to flip.
@@ -154,7 +154,7 @@ def choose_optimistic_clauses(an: Analysis, g_a: Hypergraph, q: Fact,
     in `Fact._key` order; only the f_x are named, and only if alpha is not
     0.  The arc clauses follow the iteration order of g_a's arc set.
     """
-    unflipped = [x for x, v in a.bits if v == 0]
+    unflipped = [x for x in an.params if x not in a]
     if not unflipped:
         return None
     f_ids = {x: i for i, x in enumerate(sorted(unflipped), 1)}
@@ -182,16 +182,13 @@ def success_prob_lower(h: Hypergraph, hp: Optional[HyperParams]) -> float:
 
 
 def decode_model(an: Analysis, model: Iterable[str], g_fwd: Hypergraph,
-                 a: Abstraction):
+                 a: frozenset):
     """Read off the refined abstraction and selected sub-hypergraph."""
     model = frozenset(model)
     chosen = [e for e in sorted(g_fwd.arcs, key=Arc._key) if _arc_var(e) in model]
     h = Hypergraph(chosen)
-    flips = set()
-    for x, v in a.bits:
-        if v == 0 and _vertex_var(an.encode0[x]) in model:
-            flips.add(x)
-    a2 = a.with_flips(flips)
+    a2 = a | {x for x in an.params
+              if x not in a and _vertex_var(an.encode0[x]) in model}
     if not a < a2:
         raise NotAModel("decoded abstraction is not strictly more precise")
     q_candidates = an.queries & g_fwd.vertices
@@ -203,8 +200,8 @@ def decode_model(an: Analysis, model: Iterable[str], g_fwd: Hypergraph,
     return a2, h
 
 
-def choose_optimistic(an: Analysis, g_a: Hypergraph, q: Fact, a: Abstraction,
-                      cfg: RefineConfig) -> Optional[Abstraction]:
+def choose_optimistic(an: Analysis, g_a: Hypergraph, q: Fact, a: frozenset,
+                      cfg: RefineConfig) -> Optional[frozenset]:
     """Cheapest a2 > a whose remaining cheap facts cannot derive q.
 
     Encodes the closure of the cheap seeds: z variables over-approximate
@@ -220,10 +217,8 @@ def choose_optimistic(an: Analysis, g_a: Hypergraph, q: Fact, a: Abstraction,
         return "f:" + x
 
     parts = []
-    unflipped = [x for x, v in a.bits if v == 0]
-    for x, v in a.bits:
-        if v == 1:
-            parts.append(mx.var(fvar(x)))
+    unflipped = [x for x in an.params if x not in a]
+    parts.extend(mx.var(fvar(x)) for x in an.params if x in a)
     if not unflipped:
         return None
     parts.append(mx.or_(*[mx.var(fvar(x)) for x in unflipped]))
@@ -242,8 +237,7 @@ def choose_optimistic(an: Analysis, g_a: Hypergraph, q: Fact, a: Abstraction,
     if result is None:
         return None
     model, _ = result
-    flips = {x for x in unflipped if fvar(x) in model}
-    return a.with_flips(flips)
+    return a | {x for x in unflipped if fvar(x) in model}
 
 
 def solve(an: Analysis, q: Fact, cfg: RefineConfig) -> RefineOutcome:
@@ -255,12 +249,12 @@ def solve(an: Analysis, q: Fact, cfg: RefineConfig) -> RefineOutcome:
         max_iters = len(an.params) + 1
     hp = cfg.hyperparams if cfg.strategy == "probabilistic" else None
 
-    a = an.bottom()
+    a = frozenset()
     trace = []
     iteration = 0
     while iteration < max_iters:
         iteration += 1
-        entry = {"iteration": iteration, "flips": sorted(a.flips())}
+        entry = {"iteration": iteration, "flips": sorted(a)}
         trace.append(entry)
         derived = derive(an, a)
         if q not in derived:
@@ -277,7 +271,7 @@ def solve(an: Analysis, q: Fact, cfg: RefineConfig) -> RefineOutcome:
                 if a2 is None:
                     entry["answer"] = "no"
                     return RefineOutcome("no", iteration, trace)
-                entry["chosen"] = sorted(a2.flips())
+                entry["chosen"] = sorted(a2)
             else:
                 g_fwd = slice_to_query(forward_restrict(g_a, an, a), q)
                 inst = build_phi(an, g_fwd, q, a, hp, cfg.alpha)
@@ -287,7 +281,7 @@ def solve(an: Analysis, q: Fact, cfg: RefineConfig) -> RefineOutcome:
                         "refinement constraint unexpectedly unsatisfiable")
                 model, objective = result
                 a2, h = decode_model(an, model, g_fwd, a)
-                entry["chosen"] = sorted(a2.flips())
+                entry["chosen"] = sorted(a2)
                 entry["objective"] = objective
                 entry["log_success"] = success_prob_lower(h, hp)
         except BudgetExceeded:

@@ -6,12 +6,13 @@ import pytest
 import provrefine.hypergraph as hg
 from provrefine import analysis as ana
 from provrefine import datalog
-from provrefine.analysis import Abstraction, Analysis, Projection
+from provrefine import likelihood as lk
+from provrefine.analysis import Analysis, Projection
+from provrefine.errors import UnknownParameter
 from provrefine.hypergraph import Fact, Hypergraph
 
-from analysis_reference import (abstraction_top, all_abstractions, analysis_top,
-                                check_monotone, check_predictable, directive_lines,
-                                from_dict, save_manifest, value)
+from analysis_reference import (all_abstractions, check_monotone,
+                                check_predictable, directive_lines, save_manifest)
 from conftest import assert_same_index, random_gadget, random_smudge_analysis
 
 
@@ -27,25 +28,28 @@ def test_analysis_fields_cannot_be_reassigned(smudge, name):
         setattr(smudge, name, getattr(smudge, name))
 
 
-def test_abstraction_lattice_basics():
-    a = from_dict(("x", "y", "z"), {"y": 1})
-    assert value(a, "y") == 1 and value(a, "x") == 0
-    assert a.flips() == {"y"}
-    b = a.with_flips({"z"})
-    assert a <= b and a < b and not b <= a
-    top = abstraction_top(("x", "y", "z"))
-    assert b <= top
-    # incomparable pair
-    c = a.with_flips({"x"})
-    assert not b <= c and not c <= b
-
-
-def test_abstraction_bottom_top():
-    params = ("p", "q")
-    bot = Abstraction.bottom(params)
-    top = abstraction_top(params)
-    assert bot.flips() == set() and top.flips() == {"p", "q"}
-    assert bot < top
+def test_encode_params(smudge):
+    """An abstraction is the frozenset of its precise parameters: k = 1
+    encodes its members' precise facts, k = 0 the other parameters' cheap
+    facts; a name the analysis lacks raises UnknownParameter naming the
+    least such name, from `derive` and from `likelihood.observe` too."""
+    cheap, precise = smudge.encode0, smudge.encode1
+    assert ana.encode_params(smudge, frozenset(), 0) == set(cheap.values())
+    assert ana.encode_params(smudge, frozenset(), 1) == set()
+    top = frozenset(smudge.params)
+    assert ana.encode_params(smudge, top, 0) == set()
+    assert ana.encode_params(smudge, top, 1) == set(precise.values())
+    a = frozenset(["0", "4"])
+    assert ana.encode_params(smudge, a, 1) == {precise["0"], precise["4"]}
+    assert ana.encode_params(smudge, a, 0) == {
+        cheap[p] for p in smudge.params if p not in ("0", "4")}
+    bad = frozenset(["0", "zz", "x9", "y"])
+    for run in (lambda: ana.encode_params(smudge, bad, 0),
+                lambda: ana.derive(smudge, bad),
+                lambda: lk.observe(smudge, [frozenset(["1"]), bad])):
+        with pytest.raises(UnknownParameter) as exc:
+            run()
+        assert str(exc.value) == "x9"
 
 
 def test_projection_modes():
@@ -113,7 +117,7 @@ def test_smudge_is_monotone_on_covering_pairs(smudge):
 def test_smudge_is_predictable(smudge):
     witness = check_predictable(smudge)
     assert witness is not None
-    g_bot = Hypergraph(ana.local_provenance(smudge, smudge.bottom()).arcs)
+    g_bot = Hypergraph(ana.local_provenance(smudge, frozenset()).arcs)
     assert witness.arcs <= g_bot.arcs
     # the witness reproduces every run's projected outcome from scratch
     for a in all_abstractions(smudge):
@@ -126,8 +130,8 @@ def test_smudge_is_predictable(smudge):
 
 def test_derive_monotone_queries(smudge):
     q = next(iter(smudge.queries))
-    assert q in ana.derive(smudge, smudge.bottom())
-    assert q not in ana.derive(smudge, analysis_top(smudge))
+    assert q in ana.derive(smudge, frozenset())
+    assert q not in ana.derive(smudge, frozenset(smudge.params))
 
 
 def test_local_provenance_is_induced_restriction(smudge):
@@ -140,13 +144,13 @@ def test_local_provenance_is_induced_restriction(smudge):
     for _ in range(40):
         cases.append(random_smudge_analysis(rng, max_sites=10))
         an = random_gadget(rng)[0]
-        cases.append((an, an.bottom().with_flips(
+        cases.append((an, frozenset(
             p for p in an.params if rng.random() < 0.5)))
     for an, a in cases:
         lp = ana.local_provenance(an, a)
         plain = hg.induced(an.global_graph, ana.derive(an, a))
         assert Hypergraph(lp.arcs) == plain
-        seed_sets = [ana.encode_params(an, b, 1) for b in (a, an.bottom())]
+        seed_sets = [ana.encode_params(an, b, 1) for b in (a, frozenset())]
         assert_same_index(lp, hg.Index(plain.arcs), seed_sets)
 
 

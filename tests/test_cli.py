@@ -579,9 +579,9 @@ class TestLikelihood:
     @pytest.fixture
     def files(self, tmp_path):
         an = datalog.smudge_fixture()
-        bp = hg.Hypergraph(ana.local_provenance(an, an.bottom()).arcs)
+        bp = hg.Hypergraph(ana.local_provenance(an, frozenset()).arcs)
         obs = likelihood_reference.observations(
-            lk.observe(an, [an.bottom().with_flips(["0", "4"])]))
+            lk.observe(an, [frozenset(["0", "4"])]))
         b = tmp_path / "bp.prov"
         o = tmp_path / "obs.txt"
         t = tmp_path / "theta.txt"
@@ -860,6 +860,15 @@ class TestMaxsat:
         assert code == 2 and out == ""
         assert err.startswith("error: weight ") and \
             err.endswith(" too large for integral encoding\n")
+        # a weight whose scaled value overflows to inf, and no varmap written
+        varmap = tmp_path / "v.txt"
+        for w, shown in [("1e303", "1e+303"), ("-1e308", "-1e+308")]:
+            inst.write_text(f"w x {w}\nhard x\n")
+            code, out, err = run(capsys, "maxsat", str(inst), "--export-wcnf",
+                                 "--varmap", str(varmap))
+            assert (code, out) == (2, "") and not varmap.exists()
+            assert err == (f"error: weight {shown} too large for integral "
+                           "encoding\n")
 
     def test_a_hard_clause_weight_past_64_bits_exits_2(self, capsys, tmp_path):
         # each weight fits, but the hard-clause weight, their sum plus one,
@@ -972,10 +981,10 @@ def valid_inputs(tmp_path_factory) -> dict:
     save_manifest(an, str(d / "s.manifest"), str(d / "s.prov"))
     (d / "bp.prov").write_text(
         hg.serialize_provenance(
-            hg.Hypergraph(ana.local_provenance(an, an.bottom()).arcs)))
+            hg.Hypergraph(ana.local_provenance(an, frozenset()).arcs)))
     (d / "obs.txt").write_text(likelihood_reference.serialize_observations(
         likelihood_reference.observations(
-            lk.observe(an, [an.bottom().with_flips(["0", "4"])]))))
+            lk.observe(an, [frozenset(["0", "4"])]))))
     save_hyperparams(pm.HyperParams(datalog.smudge_theta()), str(d / "theta.txt"))
     names = ("bp.prov", "obs.txt", "theta.txt", "fuzz.txt")
     return {name: str(d / name) for name in names}

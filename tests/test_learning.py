@@ -234,7 +234,7 @@ def test_sample_training_indexes_the_global_graph_once(monkeypatch):
     assert len(calls) == 1  # the analysis's own index serves every closure
     # every sample shares the analysis's one blueprint
     assert ts.groups[0].blueprint is an.blueprint
-    assert_same_index(an.blueprint, ana.local_provenance(an, an.bottom()))
+    assert_same_index(an.blueprint, ana.local_provenance(an, frozenset()))
     # and its ranking every blueprint: each is a restriction of it
     ranked = hg._ranked
     monkeypatch.setattr(hg, "_ranked", lambda *args: calls.append(2) or ranked(*args))

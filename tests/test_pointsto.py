@@ -48,7 +48,7 @@ def test_the_blueprint_has_an_arc_that_closes_a_cycle(an):
     """Some arc of the blueprint is not forward from the all-cheap seeds,
     and one such arc's head leads back to its own body."""
     g = hg.Hypergraph(an.blueprint.arcs)
-    seeds = ana.encode_params(an, an.bottom(), 0)
+    seeds = ana.encode_params(an, frozenset(), 0)
     backward = g.arcs - hg.forward_arcs(g, seeds).arcs
     assert backward
     assert any(_reaches(g, arc.head, b) for arc in backward for b in arc.body)
