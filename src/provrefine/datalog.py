@@ -1,21 +1,23 @@
 """Minimal Datalog frontend with arithmetic guards and provenance output.
 
-Rules are Horn clauses over relational atoms plus integer guards; guards
-are evaluated after each rule instance is joined and never appear in the
-emitted arcs.  Grounding is semi-naive and deterministic, and records one
-arc per fired rule instance, tagged with the rule name.  Each (rule, body
-atom) pair is compiled once into a join plan: the atom matched against
-the previous round's new facts goes first, the others follow
-selective-first (base relations with the most bound positions, then
-derived relations, then atoms with no bound position), and each looks
-its candidates up in a hash index on the argument positions already
-bound, so the work grows with the facts that match rather than with the
-relation.  A partial match is a tuple with one slot per constant and
-variable, and each step reads its lookup key and writes its new values
-through precomputed `itemgetter`s; the variable dict that guards and the
-head read is built only for a complete match.  Base facts become
-empty-body arcs (type "base") so that hypergraph reachability from the
-parameter facts alone recovers the whole derivation.
+Rules are Horn clauses over relational atoms plus integer guards.  An
+atom is a `Fact` read by `parse_fact`, whose uppercase-initial arguments
+are variables.  Guards are evaluated after each rule instance is joined,
+a binding guard binds into the instance's variable dict, and guards never
+appear in the emitted arcs.  Grounding is semi-naive and deterministic,
+and records one arc per fired rule instance, tagged with the rule name.
+Each (rule, body atom) pair is compiled once into a join plan: the atom
+matched against the previous round's new facts goes first, the others
+follow selective-first (base relations with the most bound positions,
+then derived relations, then atoms with no bound position), and each
+looks its candidates up in a hash index on the argument positions
+already bound, so the work grows with the facts that match rather than
+with the relation.  A partial match is a tuple with one slot per
+constant and variable, and each step reads its lookup key and writes its
+new values through precomputed `itemgetter`s; the variable dict that
+guards and the head read is built only for a complete match.  Base facts
+become empty-body arcs (type "base") so that hypergraph reachability from
+the parameter facts alone recovers the whole derivation.
 
 Also home of the dirt-propagation demo analysis (`smudge_fixture`): a
 tiny imperative program where `smudgeK(x, y)` passes x's dirt to y when
@@ -33,7 +35,7 @@ from typing import Collection, Iterable, Optional
 from .analysis import Analysis, Projection
 from .errors import DomainOverflow, ParseError
 from .hypergraph import (_INT, _NAME, INFINITY, MAX_NESTING, Arc, Fact,
-                         Hypergraph, parse_atom, read_lines, split_top)
+                         Hypergraph, parse_fact, read_lines, split_top)
 
 BASE_RULE_TYPE = "base"
 DEFAULT_DOMAIN = (0, 255)
@@ -52,20 +54,9 @@ def _is_var(token: str) -> bool:
     return token[:1].isupper()
 
 
-@dataclass(frozen=True)
-class Atom:
-    """A possibly non-ground atom; uppercase-initial args are variables."""
-
-    relation: str
-    args: tuple = ()
-
-    def variables(self) -> set:
-        return {a for a in self.args if isinstance(a, str) and _is_var(a)}
-
-    def __str__(self) -> str:
-        if not self.args:
-            return self.relation
-        return "%s(%s)" % (self.relation, ",".join(str(a) for a in self.args))
+def _atom_variables(atom: Fact) -> set:
+    """The variables among an atom's arguments."""
+    return {a for a in atom.args if isinstance(a, str) and _is_var(a)}
 
 
 class Guard:
@@ -158,22 +149,20 @@ class Guard:
             raise DomainOverflow(0, f"guard {self.text!r}: modulus is 0")
         return left % right
 
-    def check(self, env: dict):
-        """Evaluate under env.
-
-        Returns (holds, binding) where binding is (var, value) when this
-        is a binding guard introducing a fresh variable, else None.
-        """
+    def check(self, env: dict) -> bool:
+        """Whether the guard holds under env.  A binding guard whose
+        variable env lacks binds it in env, and holds."""
         if self.binds is not None and self.binds not in env:
-            return True, (self.binds, self._eval(self.rhs, env))
+            env[self.binds] = self._eval(self.rhs, env)
+            return True
         left = self._eval(self.lhs, env)
         right = self._eval(self.rhs, env)
         if self.op == "==":
-            return left == right, None
+            return left == right
         if self.op == "!=":
-            return left != right, None
+            return left != right
         left, right = self._int(left), self._int(right)
-        return (left < right if self.op == "<" else left > right), None
+        return left < right if self.op == "<" else left > right
 
     def __str__(self) -> str:
         return self.text
@@ -192,7 +181,7 @@ def _variables(node) -> set:
 @dataclass
 class Rule:
     name: str
-    head: Atom
+    head: Fact
     body_atoms: list
     guards: list = field(default_factory=list)
     # where the program text states the rule, 0 if nowhere; not part of
@@ -204,7 +193,7 @@ class Rule:
             raise ValueError(f"rule {self.name} has no body atom, so it never fires")
         bound = set()
         for atom in self.body_atoms:
-            bound |= atom.variables()
+            bound |= _atom_variables(atom)
         for g in self.guards:
             # a binding guard's right side binds its fresh variable
             fresh = g.binds is not None and g.binds not in bound
@@ -213,14 +202,10 @@ class Rule:
                 raise ValueError(f"guard {g} uses unbound variables {sorted(unbound)}")
             if fresh:
                 bound.add(g.binds)
-        free = self.head.variables() - bound
+        free = _atom_variables(self.head) - bound
         if free:
             raise ValueError(
                 f"head variables {sorted(free)} not bound in rule {self.name}")
-
-    def __str__(self) -> str:
-        body = ", ".join([str(a) for a in self.body_atoms] + [str(g) for g in self.guards])
-        return f"{self.head} :- {body}. @{self.name}"
 
 
 # ---------------------------------------------------------------------------
@@ -242,14 +227,14 @@ def _parse_statement(line: str, lineno: int = 0):
     if ":-" not in line:
         if name is not None:
             raise ValueError("facts may not carry a rule name")
-        atom = Atom(*parse_atom(line))
-        if atom.variables():
-            raise ValueError(f"fact {atom} contains variables")
-        return Fact(atom.relation, atom.args)
+        fact = parse_fact(line)
+        if _atom_variables(fact):
+            raise ValueError(f"fact {fact} contains variables")
+        return fact
     if name is None:
         raise ValueError("rule missing '@name' annotation")
     head_text, body_text = line.split(":-", 1)
-    head = Atom(*parse_atom(head_text))
+    head = parse_fact(head_text)
     atoms = []
     guards = []
     # guards contain spaces, so the body splits on commas only; a part
@@ -258,7 +243,7 @@ def _parse_statement(line: str, lineno: int = 0):
         if any(op in part for op in "=<>"):
             guards.append(Guard(part))
         else:
-            atoms.append(Atom(*parse_atom(part)))
+            atoms.append(parse_fact(part))
     rule = Rule(name, head, atoms, guards, lineno)
     rule.validate()
     return rule
@@ -372,26 +357,26 @@ def _getter(slots: list):
 
 
 def _atom_order(atoms: list, pivot: int, derived: set) -> list:
-    """Atom `pivot` first, then selective-first: atoms of base relations
-    (those not in `derived`, which no rule derives), the most bound
-    argument positions first, then atoms of derived relations, and atoms
-    with no bound position last; ties go to an atom whose arguments are all
-    bound (a membership test), then to the earlier atom.  An atom that
+    """The atom at `pivot` first, then selective-first: atoms of base
+    relations (those not in `derived`, which no rule derives), the most
+    bound argument positions first, then atoms of derived relations, and
+    atoms with no bound position last; ties go to an atom whose arguments
+    are all bound (a membership test), then to the earlier atom.  An atom that
     binds more positions of a relation that does not grow matches fewer
     facts, so it tends to fail before an atom that always holds is looked
     up.  The order depends on the program text only."""
     order, rest = [pivot], [i for i in range(len(atoms)) if i != pivot]
-    bound = atoms[pivot].variables()
+    bound = _atom_variables(atoms[pivot])
     while rest:
         def rank(i):
             atom = atoms[i]
-            free = atom.variables() - bound
+            free = _atom_variables(atom) - bound
             fixed = sum(a not in free for a in atom.args)
             return (not fixed, atom.relation in derived, -fixed, bool(free), i)
         best = min(rest, key=rank)
         order.append(best)
         rest.remove(best)
-        bound |= atoms[best].variables()
+        bound |= _atom_variables(atoms[best])
     return order
 
 
@@ -457,18 +442,6 @@ def _instances(plan: tuple, delta: _FactIndex, known: _FactIndex):
                 stack.append((k + 1, env2, body + (f,)))
 
 
-def _guards_hold(guards: list, env: dict) -> bool:
-    """Whether guards hold under env, checked in rule order after the full
-    join; each instance owns its env, so binding guards extend it."""
-    for g in guards:
-        holds, binding = g.check(env)
-        if binding is not None:
-            env[binding[0]] = binding[1]
-        if not holds:
-            return False
-    return True
-
-
 def ground(rules: Iterable[Rule], base: Collection[Fact],
            seeds: Collection[Fact] = ()) -> Hypergraph:
     """Semi-naive bottom-up evaluation into a provenance hypergraph.
@@ -483,13 +456,30 @@ def ground(rules: Iterable[Rule], base: Collection[Fact],
     name raises ParseError, and a head integer outside `DEFAULT_DOMAIN` or
     a guard's modulus by 0 DomainOverflow, naming the rule and its line
     (a base or seed fact outside it as `check_domain` names it, the base
-    facts first).
+    facts first).  Guards are checked in rule order after the full join,
+    and a binding guard binds into its instance's own variable dict.
+
+    Which failing instance a run meets first follows the hash order of
+    its fact sets; which instances fail does not.  So on a failure the
+    program is grounded again with the base and seed facts, and each
+    round's new facts, in `Fact._key` order, and the failure that run
+    meets is raised: the same instance under every hash seed.
     """
     rules = list(rules)
     check_domain(base)
     check_domain(seeds)
+    try:
+        return _saturate(rules, base, seeds, lambda facts: facts)
+    except (DomainOverflow, ParseError):
+        return _saturate(rules, base, seeds,
+                         lambda facts: sorted(facts, key=Fact._key))
 
-    known = {*base, *seeds}
+
+def _saturate(rules: list, base: Collection[Fact], seeds: Collection[Fact],
+              order) -> Hypergraph:
+    """`ground`'s rounds, which add the facts of `order(known facts)` and
+    of `order(each round's new facts)` to the indices in that order."""
+    known = order({*base, *seeds})
     index = _FactIndex(known)
     derived = {rule.head.relation for rule in rules}
     plans = [(rule, [((atom.relation, len(atom.args)),
@@ -510,7 +500,7 @@ def ground(rules: Iterable[Rule], base: Collection[Fact],
                     continue
                 for env, body in _instances(plan, delta, index):
                     try:
-                        if not _guards_hold(rule.guards, env):
+                        if not all(g.check(env) for g in rule.guards):
                             continue
                         head = Fact(rule.head.relation,
                                     tuple(env.get(a, a) for a in rule.head.args))
@@ -524,6 +514,7 @@ def ground(rules: Iterable[Rule], base: Collection[Fact],
                     except ValueError as exc:
                         raise ParseError(rule.line, f"rule {rule.name}: {exc}") from exc
                     arcs.add(Arc(known_head, frozenset(body), rule.name))
+        new_facts = order(new_facts)
         for f in new_facts:
             index.add(f)
         delta = _FactIndex(new_facts)

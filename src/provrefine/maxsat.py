@@ -14,16 +14,16 @@ optimum or raises BudgetExceeded, and `solve_approx` returns the best
 model found when the budget runs out.  Both return sets of true ids.
 Its propagation engine keeps binary clauses as implication lists and
 longer ones on two watched literals, with a trail that undoes by slice;
-the search carries each node's objective, slack and branch position on
-its frames, so a node costs what it assigns, not a pass over the
-instance.  Once it has an incumbent, the search never enters a child that
-the bound would prune on entry (node consistency, as in weighted CSP):
-it assigns in one step the better values of the ids whose worse value
-alone takes the bound below the incumbent (forcing), and on the way back
-it skips a worse value that an incumbent found since refutes (skipping).
-Its tree is the plain search's tree less those children, so it examines
-the same leaves in the same order.  A DIMACS WCNF bridge hands instances
-to external solvers and reads their models back.
+the search carries each node's bound and branch position on its frames,
+so a node costs what it assigns, not a pass over the instance.  Once it
+has an incumbent, the search never enters a child that the bound would
+prune on entry (node consistency, as in weighted CSP): it assigns in
+one step the better values of the ids whose worse value alone takes the
+bound below the incumbent (forcing), and on the way back it skips a
+worse value that an incumbent found since refutes (skipping).  Its tree
+is the plain search's tree less those children, so it examines the same
+leaves in the same order.  A DIMACS WCNF bridge hands instances to
+external solvers and reads their models back.
 """
 
 from __future__ import annotations
@@ -428,18 +428,20 @@ def _branch_and_bound(inst: ClauseInstance, budget: float):
     The tree is the plain search's tree less those children, with the
     same leaves in the same order, and so the same incumbents.
 
-    A node's objective and slack are running sums, carried on the search
-    frames and moved by the literals each step adds to the trail.  They
-    round differently from the in-order sums that define the search, so
-    they decide a prune only when the bound clears the bar by `margin` =
-    1e-9 * sum(|w|), far above their rounding error (about 3n * 2**-53 *
-    sum(|w|) for n weighted ids); otherwise the in-order sums decide.  A
-    leaf the bound does not prune is accepted or rejected on its in-order
-    objective alone, so the incumbent always holds its in-order objective.
-    Forcing and skipping refute a child only when its bound falls below
-    the bar by more than `margin`, so the child's own prune test, on
-    either sum, would have pruned it.  Past 1e300 the margin is infinite,
-    and nothing falls below the bar less it, not even a NaN bound.
+    A node's bound is a running sum, carried on the search frames: it
+    starts from the root's in-order objective plus slack, and each step
+    takes off it the |w| of each worse literal on its trail segment.  It
+    rounds differently from the in-order sums that define the search, so
+    it decides a prune only when it clears the bar by `margin` = 1e-9 *
+    sum(|w|), far above its rounding error (under 4n * 2**-53 * sum(|w|)
+    for n weighted ids); otherwise the in-order sums decide.  A leaf the
+    bound does not prune is accepted or rejected on its in-order objective
+    alone, so the incumbent always holds its in-order objective.  Forcing
+    and skipping refute a child only when its bound falls below the bar by
+    more than `margin`, so the child's own prune test, on the running or
+    the in-order sums, would have pruned it.  Past 1e300 the margin is
+    infinite, and nothing falls below the bar less it, not even a NaN
+    bound.
     """
     if not budget >= 0:
         raise ValueError(f"solver budget must be a number >= 0, not {budget!r}")
@@ -461,14 +463,11 @@ def _branch_and_bound(inst: ClauseInstance, budget: float):
     margin = 1e-9 * total if total < 1e300 else math.inf
     engine = _Engine(inst.nvars, inst.clauses)
     val, trail = engine.val, engine.trail
-    # by literal: what its truth adds to the objective, and what assigning
-    # it takes from the slack
-    gain = [0.0] * len(val)
-    spent = [0.0] * len(val)
+    # by literal: what its truth takes off the bound, -|w| on the worse
+    # literal of a weighted id and 0 elsewhere
+    loss = [0.0] * len(val)
     for v, w in witems:
-        gain[v] = w
-    for v, w in positive:
-        spent[v] = spent[-v] = w
+        loss[-v if w > 0 else v] = -abs(w)
     best = {"objective": None, "key": None, "val": None}
 
     def tick() -> None:
@@ -529,7 +528,7 @@ def _branch_and_bound(inst: ClauseInstance, budget: float):
     def better(v: int) -> int:
         return v if weights[v] > 0 else -v
 
-    def branch(objective: float, slack: float, i: int):
+    def branch(bound: float, i: int):
         """A node's next step: the literals it assigns, the literal left to
         try after them (0 for none), and the index in `weighted` of the
         first unassigned id from i.  No literals at a leaf or a prune."""
@@ -537,7 +536,6 @@ def _branch_and_bound(inst: ClauseInstance, budget: float):
         if incumbent is not None:
             # the running bound decides unless it is near the bar
             bar = incumbent - tol
-            bound = objective + slack
             if (bound < bar if abs(bound - bar) > margin
                     else objective_in_order() + slack_in_order() < bar):
                 return (), 0, i
@@ -571,34 +569,30 @@ def _branch_and_bound(inst: ClauseInstance, budget: float):
         entry under the current incumbent."""
         incumbent = best["objective"]
         return (incumbent is not None
-                and frame[2] + frame[3] - costs[frame[4]]
-                < incumbent - tol - margin)
+                and frame[2] - costs[frame[3]] < incumbent - tol - margin)
 
     def search() -> None:
-        # [trail mark, literal left to try (0 after forcing), objective,
-        #  slack, branch index]
+        # [trail mark, literal left to try (0 after forcing), bound,
+        #  branch index]
         frames = []
-        objective, slack, i = objective_in_order(), slack_in_order(), 0
+        bound, i = objective_in_order() + slack_in_order(), 0
         ok = engine.ok
         while True:
             tick()
             lits = ()
             if ok:
-                lits, left, i = branch(objective, slack, i)
+                lits, left, i = branch(bound, i)
             if lits:
-                frame = [engine.mark(), left, objective, slack, i]
+                frame = [engine.mark(), left, bound, i]
                 frames.append(frame)
                 ok = all(map(engine.assign, lits)) and engine.propagate()
             elif (step := backtrack(frames, refuted)) is None:
                 return
             else:
                 frame, ok = step
-                _, _, objective, slack, i = frame
-            if ok:  # the step's trail segment moves the running sums
-                added = trail[frame[0]:]
-                objective += sum(map(gain.__getitem__, added))
-                if positive:
-                    slack -= sum(map(spent.__getitem__, added))
+                _, _, bound, i = frame
+            if ok:  # the step's trail segment moves the running bound
+                bound += sum(map(loss.__getitem__, trail[frame[0]:]))
 
     try:
         search()

@@ -17,13 +17,12 @@ from typing import Iterable, Optional
 
 from provrefine import datalog
 from provrefine.analysis import Analysis, Projection
-from provrefine.datalog import (BASE_RULE_TYPE, DEFAULT_DOMAIN, Atom, Rule,
-                                _is_var)
+from provrefine.datalog import BASE_RULE_TYPE, DEFAULT_DOMAIN, Rule, _is_var
 from provrefine.errors import DomainOverflow
 from provrefine.hypergraph import Arc, Fact, Hypergraph
 
 
-def _match_atom(atom: Atom, fact: Fact, env: dict) -> Optional[dict]:
+def _match_atom(atom: Fact, fact: Fact, env: dict) -> Optional[dict]:
     if atom.relation != fact.relation or len(atom.args) != len(fact.args):
         return None
     env = dict(env)
@@ -39,7 +38,7 @@ def _match_atom(atom: Atom, fact: Fact, env: dict) -> Optional[dict]:
     return env
 
 
-def _ground_atom(atom: Atom, env: dict) -> Fact:
+def _ground_atom(atom: Fact, env: dict) -> Fact:
     return Fact(atom.relation, tuple(
         env[a] if isinstance(a, str) and _is_var(a) else a for a in atom.args))
 
@@ -108,16 +107,8 @@ def ground(rules: Iterable[Rule], base: Iterable[Fact],
         new_facts = set()
         for rule in rules:
             for _, env, picked in join(rule, delta):
-                ok = True
                 env = dict(env)
-                for g in rule.guards:
-                    holds, binding = g.check(env)
-                    if binding is not None:
-                        env[binding[0]] = binding[1]
-                    if not holds:
-                        ok = False
-                        break
-                if not ok:
+                if not all(g.check(env) for g in rule.guards):
                     continue
                 head = _ground_atom(rule.head, env)
                 _check_domain(head, domain_bounds)

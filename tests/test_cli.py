@@ -1,7 +1,10 @@
 import contextlib
 import io
 import math
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -154,6 +157,29 @@ class TestGround:
         assert run(capsys, "ground", "--rules", str(src),
                    "--seeds", "z(999) n(300) y(700) n(2)") == \
             (3, "", "error: n(300): integer 300 outside [0, 255]\n")
+
+    # of several rule instances that fail, the one named is the same in
+    # every process: the first a run with the facts in key order meets.
+    # In a set's order either overflowing instance, and any of the three
+    # names, can come first
+    @pytest.mark.parametrize("text, code, message", [
+        ("p(a,1).\np(b,2).\np(c,3).\nq(X,Y) :- p(X,N), Y == N * 200. @r\n",
+         3, "rule r: q(b,400): integer 400 outside [0, 255]"),
+        ("p(a).\np(b).\np(c).\nq(Y) :- p(X), Y == X + 1. @r\n",
+         2, "rule r: guard 'Y == X + 1': 'a' is not an integer")],
+        ids=["domain", "guard"])
+    def test_a_failing_rule_instance_is_named_whatever_the_hash_seed(
+            self, tmp_path, text, code, message):
+        src = tmp_path / "p.dl"
+        src.write_text(text)
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        for seed in ("0", "1", "2", "3", "5", "12345"):
+            env["PYTHONHASHSEED"] = seed
+            done = subprocess.run(
+                [sys.executable, "-m", "provrefine.cli", "ground", "--rules",
+                 str(src)], env=env, capture_output=True, text=True)
+            assert (done.returncode, done.stdout, done.stderr) == \
+                (code, "", f"error: line 4: {message}\n"), seed
 
     def test_facts_file_is_merged_into_the_grounding(self, capsys, tmp_path):
         rules, facts = tmp_path / "r.dl", tmp_path / "f.dl"

@@ -140,6 +140,9 @@ def test_guards_compare_names_with_integers_and_name_constants():
         "three(3) other(ab) other(cd) is_cd(cd) named(cd)"))
     rule = datalog.parse_program("q(1).\nh(X) :- q(X), X == cd. @r\n")[0][0]
     assert rule.guards[0].variables() == {"X"}
+    # a rule's atoms are facts whose uppercase-initial arguments are variables
+    assert (rule.head, rule.body_atoms) == \
+        (hg.parse_fact("h(X)"), [hg.parse_fact("q(X)")])
 
 
 @pytest.mark.parametrize("guard", ["X < cd", "cd > X", "X == cd + 1",
