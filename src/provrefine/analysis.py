@@ -2,8 +2,10 @@
 
 An analysis bundles a global provenance, a set of query facts, boolean
 parameters with their fact encodings, and a partial projection that maps
-precise-mode facts back to their cheap-mode counterparts.  An abstraction
-is the frozenset of the parameters it makes precise, ordered by inclusion.
+precise-mode facts back to their cheap-mode counterparts; its one map,
+`Projection.image`, takes facts to the frozenset of their images.  An
+abstraction is the frozenset of the parameters it makes precise, ordered
+by inclusion.
 This module also houses the well-formedness checker used to validate
 fixtures.
 """
@@ -15,7 +17,7 @@ import functools
 import os
 import string
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable
 
 from . import hypergraph as hg
 from .errors import DomainOverflow, ParseError, UnknownParameter
@@ -34,24 +36,20 @@ class Projection:
         self.rules = dict(rules or {})
         self.default = default
 
-    def image(self, facts: Iterable[Fact]) -> set:
-        """The images of facts; facts the map is undefined on are dropped."""
+    def image(self, facts: Iterable[Fact]) -> frozenset:
+        """The images of facts; facts the map is undefined on are dropped.
+        A fact f has at most one image, `image([f])`."""
         rules, default = self.rules, self.default
-        out = set()
+        out = []
         for f in facts:
             rule = rules.get(f[0], default)
             if rule == "identity":
-                out.add(f)
+                out.append(f)
             elif rule != "drop":
                 target, indices = rule
                 args = f[1]
-                out.add(Fact(target, tuple([args[i] for i in indices])))
-        return out
-
-    def apply(self, f: Fact) -> Optional[Fact]:
-        for g in self.image((f,)):
-            return g
-        return None
+                out.append(Fact(target, tuple([args[i] for i in indices])))
+        return frozenset(out)
 
 
 def parse_projection_directive(line: str):
@@ -62,8 +60,8 @@ def parse_projection_directive(line: str):
     """
     if "->" in line:
         lhs, rhs = line.split("->", 1)
-        src_rel, src = hg.parse_atom(lhs)
-        dst_rel, dst = hg.parse_atom(rhs)
+        src_rel, src = hg.parse_fact(lhs)
+        dst_rel, dst = hg.parse_fact(rhs)
         try:
             indices = tuple(src.index(a) for a in dst)
         except ValueError as exc:
@@ -132,15 +130,10 @@ def local_provenance(an: Analysis, a: frozenset) -> hg.Index:
                           if reached.issuperset(body))
 
 
-def project_set(an: Analysis, t: Iterable[Fact]) -> frozenset:
-    """Lift the projection to a set; facts it is undefined on are dropped."""
-    return frozenset(an.projection.image(t))
-
-
 def check_well_formed(an: Analysis) -> list:
     """Return a list of violation descriptions (empty iff well formed)."""
     violations = []
-    pi = an.projection.apply
+    image = an.projection.image
     p0 = an.encode0
     p1 = an.encode1
 
@@ -154,28 +147,28 @@ def check_well_formed(an: Analysis) -> list:
 
     # (v) projection compatible with parameter encoding
     for p in an.params:
-        if pi(p1[p]) != p0[p]:
+        if image([p1[p]]) != {p0[p]}:
             violations.append(f"(v) projection of {p1[p]} is not {p0[p]}")
 
     derived_bot = derive(an, frozenset())
     # (i) cheap-mode facts are fixed points of the projection
     for f in sorted(derived_bot, key=Fact._key):
-        if pi(f) != f:
+        if image([f]) != {f}:
             violations.append(f"(i) {f} derived at bottom but not a fixed point")
 
     # (ii) image of the projection inside the bottom derivation
     domain = set(an.global_graph.vertices) | set(img0) | set(img1) | set(an.queries)
     domain = sorted(domain, key=Fact._key)
     for f in domain:
-        g = pi(f)
-        if g is not None and g not in derived_bot:
-            violations.append(f"(ii) projection image {g} (of {f}) outside bottom facts")
+        for g in image([f]):
+            if g not in derived_bot:
+                violations.append(f"(ii) projection image {g} (of {f}) outside bottom facts")
 
     # (iii) only fixed points project onto queries
     for f in domain:
-        g = pi(f)
-        if g in an.queries and f != g:
-            violations.append(f"(iii) non-query {f} projects onto query {g}")
+        for g in image([f]):
+            if g in an.queries and f != g:
+                violations.append(f"(iii) non-query {f} projects onto query {g}")
 
     return violations
 

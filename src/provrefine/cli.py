@@ -69,6 +69,8 @@ def _parse_facts_file(text: str) -> tuple:
 
 def cmd_ground(args) -> int:
     if args.fixture:
+        if (args.rules, args.facts, args.seeds) != (None, None, None):
+            raise ParseError(0, "with --fixture, give no --rules, --facts or --seeds")
         graph = datalog.smudge_fixture().global_graph
     else:
         if not args.rules:

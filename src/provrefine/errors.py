@@ -44,14 +44,8 @@ class ObservationOutOfRange(ProvRefineError):
     """An observation references facts outside what the blueprint can reach."""
 
 
-class MissingHyperparameter(ProvRefineError, KeyError):
-    """A hyperparameter table lacks a rule type that is asked of it.
-
-    Still a KeyError; its message prints as given, without the quotes
-    KeyError puts around it.
-    """
-
-    __str__ = BaseException.__str__
+class MissingHyperparameter(ProvRefineError):
+    """A hyperparameter table lacks a rule type that is asked of it."""
 
 
 class DegenerateTrainingSet(ProvRefineError):

@@ -6,7 +6,8 @@ them, so both are tuples of their fields, hashed, compared and built in
 C: a `Fact` is the tuple `(relation, args)` and equals and hashes like
 that plain tuple (no container in the library holds both), an `Arc` is
 `(head, body, rule_type)`.  Both order by `_key`, not as tuples, so
-integer and name arguments at one position sort integers first.
+integer and name arguments at one position sort integers first.  One
+reader, `parse_fact`, reads every fact and Datalog atom into a `Fact`.
 Reachability is the least fixpoint of
 "if all body facts hold, the head holds", and the max-plus hyperpath
 distance is the round of that fixpoint in which a fact is first derived.
@@ -472,8 +473,8 @@ def read_lines(text: str, handle: Callable[[int, str], None]) -> None:
                 raise ParseError(lineno, str(exc)) from exc
 
 
-def parse_atom(text: str) -> tuple:
-    """`rel(t1, ..., tn)` or `rel` -> (rel, (t1, ..., tn)).
+def parse_fact(text: str) -> Fact:
+    """`rel(t1, ..., tn)` or `rel` -> Fact(rel, (t1, ..., tn)).
 
     A term is an integer or a name; names are interned because they
     repeat across the facts of a graph.
@@ -483,7 +484,7 @@ def parse_atom(text: str) -> tuple:
         raise ValueError(f"malformed atom {text.strip()!r}")
     rel, argtext = m.groups()
     if not argtext:
-        return sys.intern(rel), ()
+        return Fact(sys.intern(rel), ())
     args = []
     for tok in argtext.split(","):
         tok = tok.strip()
@@ -491,7 +492,7 @@ def parse_atom(text: str) -> tuple:
         if not t:
             raise ValueError(f"malformed term {tok!r} in {text.strip()!r}")
         args.append(int(tok) if t.group(1) else sys.intern(tok))
-    return sys.intern(rel), tuple(args)
+    return Fact(sys.intern(rel), tuple(args))
 
 
 def split_top(text: str, seps: str) -> list:
@@ -507,10 +508,6 @@ def split_top(text: str, seps: str) -> list:
             start = i + 1
     parts.append(text[start:])
     return [p.strip() for p in parts if p.strip()]
-
-
-def parse_fact(text: str) -> Fact:
-    return Fact(*parse_atom(text))
 
 
 def parse_facts(text: str) -> list:

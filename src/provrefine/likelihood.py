@@ -28,7 +28,7 @@ from functools import cached_property
 from typing import Iterable
 
 from . import hypergraph as hg
-from .analysis import Analysis, encode_params, project_set
+from .analysis import Analysis, encode_params
 from .errors import (ObservationOutOfRange, OracleLimitExceeded, ParseError,
                      SelfLoopArc)
 from .probmodel import NEG_INF, HyperParams, validate_hyperparams
@@ -89,7 +89,7 @@ def observe(an: Analysis, abstractions: Iterable[frozenset]) -> ObservationBatch
     for m, fs in by_mask.items():
         for f in an.projection.image(fs):
             rmask[f] = rmask.get(f, 0) | m
-    t = [project_set(an, p1) for p1 in p1s]
+    t = [an.projection.image(p1) for p1 in p1s]
     for k, seeds in enumerate(t):
         bit = 1 << k
         for f in seeds:

@@ -18,7 +18,7 @@ from typing import Iterable, Optional
 
 from . import hypergraph as hg
 from . import maxsat as mx
-from .analysis import Analysis, encode_params, project_set
+from .analysis import Analysis, encode_params
 from .errors import BudgetExceeded, NotAModel, QueryNotInProvenance
 from .hypergraph import Fact, Hypergraph
 from .probmodel import HyperParams
@@ -82,7 +82,7 @@ def t_of(an: Analysis, a: frozenset, a2: frozenset) -> frozenset:
     """Seed facts for evaluating candidate a2 on the current provenance."""
     p1_old = encode_params(an, a, 1)
     p1_new = encode_params(an, a2, 1)
-    return p1_old | project_set(an, p1_new - p1_old)
+    return p1_old | an.projection.image(p1_new - p1_old)
 
 
 class Encoding:
@@ -103,15 +103,10 @@ class Encoding:
         theta = {t: _log_theta(hp, t) for t in {e.rule_type for e in cone.arcs}}
         self.weights = [theta[e.rule_type] for e in cone.arcs]
         # the names of the variables that may be weighted: every parameter
-        # fact's now, an arc's once it is first named
+        # fact's and every weighted arc's
         self.fact_names = {i: "v:" + str(cone.facts[i]) for i in self.params}
-        self._arc_names = {}
-
-    def arc_name(self, j: int) -> str:
-        name = self._arc_names.get(j)
-        if name is None:
-            name = self._arc_names[j] = "e:" + str(self.cone.arcs[j])
-        return name
+        self.arc_names = {j: "e:" + str(e) for j, e in enumerate(cone.arcs)
+                          if self.weights[j] != 0.0}
 
 
 @dataclass
@@ -164,7 +159,7 @@ def build_phi(enc: Encoding, kept: Iterable[int], a: frozenset) -> Phi:
         w = enc.weights[j]
         if w != 0.0:
             weights[x] = w
-            names[x] = enc.arc_name(j)
+            names[x] = enc.arc_names[j]
     if enc.alpha != 0.0:
         for u in facts:
             if u in p0 or u in p1:

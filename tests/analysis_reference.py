@@ -17,8 +17,7 @@ import os
 from typing import Optional
 
 from provrefine import hypergraph as hg
-from provrefine.analysis import (Analysis, Projection, derive, encode_params,
-                                 project_set)
+from provrefine.analysis import Analysis, Projection, derive, encode_params
 from provrefine.errors import OracleLimitExceeded
 from provrefine.hypergraph import Fact, Hypergraph
 
@@ -106,8 +105,8 @@ def check_predictable(an: Analysis, param_limit: int = 12,
     observations = []
     for a in all_abstractions(an):
         p1 = encode_params(an, a, 1)
-        r = project_set(an, hg.reach(g_top, p1))
-        observations.append((project_set(an, p1), r))
+        r = an.projection.image(hg.reach(g_top, p1))
+        observations.append((an.projection.image(p1), r))
 
     keep = set(g_bot.arcs)
     for _, r in observations:

@@ -14,6 +14,12 @@ from provrefine.hypergraph import Arc, Fact, Hypergraph
 from provrefine.probmodel import HyperParams, serialize_hyperparams
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "hashseed: what it checks must not depend on the hash "
+        "seed; CI runs the marked tests under sixteen hash seeds")
+
+
 def fact(i: int) -> Fact:
     return Fact("v", (i,))
 

@@ -23,7 +23,7 @@ from typing import Callable
 from provrefine import hypergraph as hg
 from provrefine import learning
 from provrefine import likelihood as lk
-from provrefine.analysis import Analysis, derive, encode_params, project_set
+from provrefine.analysis import Analysis, derive, encode_params
 from provrefine.learning import ObservationGroup, TrainingSet
 from provrefine.probmodel import NEG_INF, HyperParams
 
@@ -52,8 +52,8 @@ def learn(ts: TrainingSet, objective) -> HyperParams:
 def observe(an: Analysis, a: frozenset) -> Observation:
     """Run the analysis under a and project the outcome."""
     p1 = encode_params(an, a, 1)
-    t = project_set(an, p1)
-    r = project_set(an, hg.reach(an.global_graph, p1))
+    t = an.projection.image(p1)
+    r = an.projection.image(hg.reach(an.global_graph, p1))
     return Observation(t=t, r=r)
 
 

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from provrefine import hypergraph as hg
-from provrefine.analysis import Analysis, encode_params, project_set
+from provrefine.analysis import Analysis, encode_params
 from provrefine.errors import ObservationOutOfRange, SelfLoopArc
 from provrefine import likelihood as lk
 from provrefine.hypergraph import Arc, Fact, Hypergraph
@@ -78,9 +78,9 @@ def same_batch(a: lk.ObservationBatch, b: lk.ObservationBatch) -> bool:
 def observe(an: Analysis, a: frozenset) -> Observation:
     """Run the analysis under a and project the outcome."""
     p1 = encode_params(an, a, 1)
-    t = project_set(an, p1)
+    t = an.projection.image(p1)
     # equals reach over local_provenance: reach(global, P1) lies in derive(a)
-    r = project_set(an, [*p1, *map(an.index.facts.__getitem__, an.index.run(p1))])
+    r = an.projection.image([*p1, *map(an.index.facts.__getitem__, an.index.run(p1))])
     return Observation(t=t, r=r)
 
 

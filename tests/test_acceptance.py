@@ -104,6 +104,7 @@ print(hashlib.sha256(repr(out).encode()).hexdigest())
 """
 
 
+@pytest.mark.hashseed
 def test_the_seeded_instance_streams_do_not_follow_the_hash_seed():
     """A seed fixes its instances in any process: the generators draw theta
     over sorted rule types and sub-graphs over arcs in key order, not in
@@ -121,6 +122,7 @@ def test_the_seeded_instance_streams_do_not_follow_the_hash_seed():
     assert len(digests) == 1
 
 
+@pytest.mark.hashseed
 def test_criterion_2_likelihood_sandwich():
     rng = random.Random(202)
     start = time.monotonic()
@@ -156,6 +158,7 @@ def test_criterion_2_likelihood_sandwich():
                f"{acyclic_exact} acyclic-exact, {elapsed:.1f}s")
 
 
+@pytest.mark.hashseed
 def test_criterion_3_loop_formula_oracle():
     rng = random.Random(202)  # the same instance stream as criterion 2
     start = time.monotonic()
@@ -404,6 +407,7 @@ def _interpret_demo_program():
     return values, dirty
 
 
+@pytest.mark.hashseed
 def test_criterion_7_smudge_end_to_end():
     an = datalog.smudge_fixture()
     q = next(iter(an.queries))

@@ -47,6 +47,11 @@ class TestGround:
         assert hg.parse_provenance(a.read_text()) == \
             datalog.smudge_fixture().global_graph
 
+    def test_the_fixture_takes_no_rules_facts_or_seeds(self, capsys):
+        for option in ("--rules", "--facts", "--seeds"):
+            assert run(capsys, "ground", "--fixture", "smudge", option, "bad(") == \
+                (2, "", "error: with --fixture, give no --rules, --facts or --seeds\n")
+
     def test_rules_file(self, capsys, tmp_path):
         rules = tmp_path / "p.dl"
         rules.write_text("edge(1,2).\npath(X,Y) :- edge(X,Y). @step\n")
@@ -142,6 +147,7 @@ class TestGround:
     @pytest.mark.parametrize("text, stated", [
         ("a(300).\nb(400).\nc(500).\nd(600).\n", "a(300): integer 300"),
         ("d(600).\nc(500).\nb(400).\na(300).\n", "d(600): integer 600")])
+    @pytest.mark.hashseed
     def test_overflow_in_base_facts_names_the_least_line(self, capsys, tmp_path,
                                                          text, stated):
         src = tmp_path / "over.dl"
@@ -151,6 +157,7 @@ class TestGround:
         assert run(capsys, "ground", "--rules", str(src), "--seeds", "e(0) a(999)") == \
             (3, "", f"error: line 1: {stated} outside [0, 255]\n")
 
+    @pytest.mark.hashseed
     def test_overflow_in_seeds_names_the_least_seed(self, capsys, tmp_path):
         src = tmp_path / "p.dl"
         src.write_text("p(1).\nq(X) :- n(X). @r\n")
@@ -168,6 +175,7 @@ class TestGround:
         ("p(a).\np(b).\np(c).\nq(Y) :- p(X), Y == X + 1. @r\n",
          2, "rule r: guard 'Y == X + 1': 'a' is not an integer")],
         ids=["domain", "guard"])
+    @pytest.mark.hashseed
     def test_a_failing_rule_instance_is_named_whatever_the_hash_seed(
             self, tmp_path, text, code, message):
         src = tmp_path / "p.dl"
@@ -705,6 +713,7 @@ class TestLikelihood:
                 (2, "", f"error: {b}: self-loop arc (a head in its own body): "
                         "cheap(0) <- cheap(0) @ base\n")
 
+    @pytest.mark.hashseed
     def test_a_foreign_fact_names_the_fact_and_the_observation_file(
             self, capsys, tmp_path, files):
         b, o, t = files

@@ -27,6 +27,8 @@ from analysis_reference import save_manifest
 from datalog_reference import smudge_analysis, smudge_program_text
 from conftest import save_hyperparams
 
+pytestmark = pytest.mark.hashseed
+
 GOLDEN = Path(__file__).resolve().parent / "cli_golden.json"
 COUNT = 10
 OBJECTS = ("x", "y", "z", "w")

@@ -25,7 +25,11 @@ import re
 import tempfile
 from pathlib import Path
 
+import pytest
+
 from provrefine import cli
+
+pytestmark = pytest.mark.hashseed
 
 GOLDEN = Path(__file__).resolve().parent / "guard_golden.json"
 COUNT = 400

@@ -12,6 +12,8 @@ import loop_formula_reference as lfr
 from conftest import (assert_same_index, brute_force_distances, copies, fact,
                       naive_closure, random_hypergraph, random_seed_set)
 
+pytestmark = pytest.mark.hashseed
+
 
 def test_fact_parse_and_str_round_trip():
     for text in ["dirty(end,v)", "cheap(3)", "flow(s0,0)", "marker",

@@ -160,6 +160,7 @@ def _assert_theta_is_the_truth(hp, truths) -> dict:
     return share
 
 
+@pytest.mark.hashseed
 def test_learned_theta_is_the_share_of_guards_tested_that_hold():
     """Learning recovers the generator's truth end to end: from random
     smudge programs through `sample_training` and `learn`, each guard is
@@ -202,6 +203,7 @@ def _assert_same_training(got, want):
         assert_same_index(g.blueprint, w.blueprint)
 
 
+@pytest.mark.hashseed
 def test_sample_training_equals_the_per_observation_reference():
     rng = random.Random(23)
     for _ in range(40):
@@ -413,6 +415,7 @@ def test_learn_builds_no_arc_clause_set(monkeypatch):
     assert calls == [1]
 
 
+@pytest.mark.hashseed
 def test_learn_equals_the_theta_of_the_per_head_shape_bound():
     # bit for bit: the same shapes and refuted types in the same order, and
     # the same float operations in each count

@@ -17,6 +17,8 @@ import loop_formula_reference as lfr
 from conftest import (fact, random_hypergraph, random_seed_set,
                       random_smudge_analysis, uniform)
 
+pytestmark = pytest.mark.hashseed
+
 
 def _f(name):
     return Fact(name, ())
@@ -281,7 +283,7 @@ def test_observe_equals_reach_over_the_local_provenance():
         an, a = random_smudge_analysis(rng)
         p1 = ana.encode_params(an, a, 1)
         lp = ana.local_provenance(an, a)
-        old_r = ana.project_set(an, hg.reach(Hypergraph(lp.arcs), p1))
+        old_r = an.projection.image(hg.reach(Hypergraph(lp.arcs), p1))
         [o] = observations(lk.observe(an, [a]))
         assert o.r == old_r
 

@@ -292,6 +292,7 @@ def test_objective_sum_is_exact():
     assert cnf.objective([1, 2, 3]) == 1.0  # a plain sum gives 0.0
 
 
+@pytest.mark.hashseed
 def test_objective_is_the_same_in_every_build_order_of_the_model():
     """`fsum` overflows mid-way when 1e308 and 9e307 come before -1e308,
     and which comes first follows the order the model's frozenset was

@@ -22,6 +22,8 @@ import pytest
 
 from provrefine import cli
 
+pytestmark = pytest.mark.hashseed
+
 GOLDEN = Path(__file__).resolve().parent / "maxsat_golden.json"
 COUNT = 40
 

@@ -16,6 +16,8 @@ from provrefine import refine
 import pointsto_reference
 from conftest import uniform
 
+pytestmark = pytest.mark.hashseed
+
 
 @pytest.fixture(scope="module")
 def an():

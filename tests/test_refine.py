@@ -32,6 +32,7 @@ def _query(an):
     return next(iter(an.queries))
 
 
+@pytest.mark.hashseed
 class TestSolveSmudge:
     def test_pessimistic_trace(self, smudge):
         out = refine.solve(smudge, _query(smudge), refine.RefineConfig())
@@ -227,6 +228,7 @@ def _assert_same_instance(got, expect, ordered=True):
     assert got.hidden == expect.hidden == frozenset()
 
 
+@pytest.mark.hashseed
 def test_the_cone_encoding_matches_the_graph_keyed_clauses(monkeypatch):
     """On every iteration, build_phi and choose_optimistic over the
     per-solve numbering of the cone emit the instances that the oracles
@@ -291,6 +293,7 @@ def test_the_cone_encoding_matches_the_graph_keyed_clauses(monkeypatch):
     assert checked["optimistic", True] >= 150
 
 
+@pytest.mark.hashseed
 def test_optimistic_choices_are_cheapest_refinements(monkeypatch):
     """Each optimistic choice a2 flips a parameter that a left cheap, leaves
     cheap facts that cannot derive q through the kept arcs, and flips no

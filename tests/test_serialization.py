@@ -15,6 +15,8 @@ from provrefine.hypergraph import Arc, Fact, Hypergraph
 
 from test_datalog import _smudge_program
 
+pytestmark = pytest.mark.hashseed
+
 # integers of one and two digits, negative ones, and names at one position:
 # text order and key order disagree on all three
 _TERMS = st.one_of(st.integers(-12, 12), st.sampled_from(["a", "b", "s0", "end"]))
