@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from . import hypergraph as hg
-from .errors import DomainOverflow, ParseError, UnknownParameter
+from .errors import DomainOverflow, ParseError, ProvRefineError
 from .hypergraph import Fact, Hypergraph
 
 
@@ -101,11 +101,11 @@ def encode_params(an: Analysis, a: frozenset, k: int) -> frozenset:
     """The facts encoding abstraction a, the frozenset of the parameters it
     makes precise (so the all-cheap one is `frozenset()`): their precise
     facts for k = 1, and for k = 0 the cheap facts of the rest of
-    `an.params`.  Raises UnknownParameter naming the least name in a that
+    `an.params`.  Raises ProvRefineError naming the least name in a that
     the analysis lacks."""
     unknown = a.difference(an.encode1)
     if unknown:
-        raise UnknownParameter(min(unknown))
+        raise ProvRefineError(f"unknown parameter {min(unknown)!r}")
     if k == 1:
         return frozenset([an.encode1[p] for p in a])
     return frozenset([an.encode0[p] for p in an.params if p not in a])

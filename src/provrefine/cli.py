@@ -29,8 +29,8 @@ from . import likelihood as lk
 from . import maxsat as mx
 from . import probmodel as pm
 from . import refine
-from .errors import (BudgetExceeded, CorpusTooSmall, DomainOverflow,
-                     NotAModel, ObservationOutOfRange, ParseError,
+from .errors import (BudgetExceeded, DomainOverflow, NotAModel,
+                     ObservationOutOfRange, OracleLimitExceeded, ParseError,
                      ProvRefineError, SelfLoopArc)
 
 FORMAT_VERSION = "1"
@@ -106,7 +106,7 @@ def cmd_solve(args) -> int:
     elif an.queries:
         query = min(an.queries, key=hg.Fact._key)
     else:
-        raise ParseError(0, "the analysis declares no query")
+        raise ParseError(0, f"{args.manifest}: the analysis declares no query")
     if args.strategy == "probabilistic" and not args.theta:
         raise ParseError(0, "--strategy probabilistic needs --theta")
     hp = ana.read(args.theta, pm.parse_hyperparams) if args.theta else None
@@ -143,7 +143,7 @@ def cmd_learn(args) -> int:
             raise ProvRefineError(f"{path}: the analysis has no parameters to flip")
         sets.append(learning.sample_training(an, args.n, args.max_flips, rng))
     if args.loo and len(sets) < 2:
-        raise CorpusTooSmall("--loo needs at least two manifests")
+        raise ProvRefineError("--loo needs at least two manifests")
     try:
         fits = (learning.leave_one_out(sets) if args.loo
                 else [learning.learn(learning.TrainingSet.merge(sets))])
@@ -167,17 +167,19 @@ def cmd_likelihood(args) -> int:
     index = hg.Index(ana.read(args.blueprint, hg.parse_provenance).arcs)
     obs = ana.read(args.obs, lk.parse_observations)
     hp = ana.read(args.theta, pm.parse_hyperparams)
-    pm.validate_hyperparams(hp, index)
+    try:
+        pm.validate_hyperparams(hp, index)
+    except ProvRefineError as exc:
+        raise ProvRefineError(f"{args.theta}: {exc}") from exc
     try:
         if args.mode == "exact":
             value = lk.exact_likelihood(index, obs, hp)
         else:
             bound = lk.lower_bound if args.mode == "lower" else lk.upper_bound
             value = bound(lk.bound_terms(index, obs), hp)
-    except SelfLoopArc as exc:
-        raise ProvRefineError(f"{args.blueprint}: {exc}") from exc
-    except ObservationOutOfRange as exc:
-        raise ProvRefineError(f"{args.obs}: {exc}") from exc
+    except (SelfLoopArc, OracleLimitExceeded, ObservationOutOfRange) as exc:
+        path = args.obs if isinstance(exc, ObservationOutOfRange) else args.blueprint
+        raise ProvRefineError(f"{path}: {exc}") from exc
     print("-inf" if value == pm.NEG_INF else f"{value:.9f}")
     return EXIT_OK
 

@@ -1,4 +1,8 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package.
+
+A failure that no caller tells apart is a plain `ProvRefineError`; a
+subclass exists only where some code of the package handles it apart,
+by an `except` or an `isinstance` that names it."""
 
 
 class ProvRefineError(Exception):
@@ -27,10 +31,6 @@ class DomainOverflow(_AtLine):
     a modulus by 0."""
 
 
-class UnknownParameter(ProvRefineError):
-    """An abstraction mentions a parameter the analysis does not declare."""
-
-
 class SelfLoopArc(ProvRefineError):
     """An arc, `arc`, whose head occurs in its own body (forbidden by the
     bound machinery)."""
@@ -44,29 +44,8 @@ class ObservationOutOfRange(ProvRefineError):
     """An observation references facts outside what the blueprint can reach."""
 
 
-class MissingHyperparameter(ProvRefineError):
-    """A hyperparameter table lacks a rule type that is asked of it."""
-
-
-class DegenerateTrainingSet(ProvRefineError):
-    """No observation constrains any hyperparameter; nothing to learn."""
-
-
-class CorpusTooSmall(ProvRefineError):
-    """Leave-one-out needs at least two programs."""
-
-
-class WeightOverflow(ProvRefineError):
-    """A weight does not fit the integral WCNF encoding, or a model's
-    weights sum past the float range."""
-
-
 class NotAModel(ProvRefineError):
     """An assignment claimed to satisfy a hard constraint does not."""
-
-
-class QueryNotInProvenance(ProvRefineError):
-    """The query fact is not a vertex of the provenance being encoded."""
 
 
 class BudgetExceeded(ProvRefineError):

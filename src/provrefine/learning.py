@@ -17,7 +17,7 @@ from typing import Callable, Iterable
 from . import hypergraph as hg
 from . import likelihood as lk
 from .analysis import Analysis
-from .errors import CorpusTooSmall, DegenerateTrainingSet
+from .errors import ProvRefineError
 from .probmodel import NEG_INF, HyperParams
 
 EPSILON = 1e-6  # the least theta learn fits
@@ -156,8 +156,7 @@ def learn(ts: TrainingSet) -> HyperParams:
 
 def _fit(objective: _Objective, all_types: set) -> HyperParams:
     if not objective.constrained:
-        raise DegenerateTrainingSet(
-            "no observation constrains any hyperparameter")
+        raise ProvRefineError("no observation constrains any hyperparameter")
 
     hp = HyperParams({k: 1.0 for k in all_types})
     hp.unconstrained = set(all_types) - objective.constrained
@@ -187,7 +186,7 @@ def _fit(objective: _Objective, all_types: set) -> HyperParams:
 def leave_one_out(training_sets: list) -> list:
     """Per program, learn from all the other programs' observations."""
     if len(training_sets) < 2:
-        raise CorpusTooSmall("leave-one-out needs at least two programs")
+        raise ProvRefineError("leave-one-out needs at least two programs")
     # each program's bound terms once, for every fold that trains on it
     terms = [ts.bound_terms() for ts in training_sets]
     out = []

@@ -35,7 +35,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .errors import BudgetExceeded, NotAModel, WeightOverflow
+from .errors import BudgetExceeded, NotAModel, ProvRefineError
 
 # ---------------------------------------------------------------------------
 # formulas
@@ -127,7 +127,7 @@ class ClauseInstance:
             try:
                 return float(sum(map(Fraction, ws)))
             except OverflowError:
-                raise WeightOverflow(
+                raise ProvRefineError(
                     "the weights of the model sum past the float range") from None
 
     def shown(self, ids: Iterable[int]) -> frozenset:
@@ -646,14 +646,14 @@ def to_wcnf(cnf: ClauseInstance) -> str:
         # past 2**53 every float is an integer, so the test is the same
         scaled = abs(w) * WEIGHT_SCALE
         if scaled > 2 ** 62:
-            raise WeightOverflow(f"weight {w} too large for integral encoding")
+            raise ProvRefineError(f"weight {w} too large for integral encoding")
         scaled = round(scaled)
         if scaled == 0:
             continue
         softs.append((scaled, v if w > 0 else -v))
     top = sum(s for s, _ in softs) + 1
     if top > 2 ** 63 - 1:
-        raise WeightOverflow(
+        raise ProvRefineError(
             f"hard-clause weight {top} exceeds 2^63-1: the soft weights sum "
             f"too large for integral encoding")
     lines = [f"p wcnf {cnf.nvars} {len(cnf.clauses) + len(softs)} {top}\n"]

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import hypergraph as hg
-from .errors import MissingHyperparameter
+from .errors import ProvRefineError
 
 NEG_INF = float("-inf")
 
@@ -30,7 +30,7 @@ class HyperParams:
         try:
             return self.theta[rule_type]
         except KeyError:
-            raise MissingHyperparameter(
+            raise ProvRefineError(
                 f"no hyperparameter for rule type {rule_type!r}") from None
 
     def copy(self) -> "HyperParams":
@@ -41,7 +41,7 @@ def validate_hyperparams(hp: HyperParams, blueprint) -> None:
     """`blueprint` is an `hg.Index` or a `Hypergraph`: only its arcs count."""
     missing = {arc.rule_type for arc in blueprint.arcs} - set(hp.theta)
     if missing:
-        raise MissingHyperparameter(
+        raise ProvRefineError(
             f"missing hyperparameters for rule types {sorted(missing)}")
     for k, v in hp.theta.items():
         if not 0.0 <= v <= 1.0:

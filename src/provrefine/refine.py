@@ -19,7 +19,7 @@ from typing import Iterable, Optional
 from . import hypergraph as hg
 from . import maxsat as mx
 from .analysis import Analysis, encode_params
-from .errors import BudgetExceeded, NotAModel, QueryNotInProvenance
+from .errors import BudgetExceeded, NotAModel, ProvRefineError
 from .hypergraph import Fact, Hypergraph
 from .probmodel import HyperParams
 
@@ -147,7 +147,7 @@ def build_phi(enc: Encoding, kept: Iterable[int], a: frozenset) -> Phi:
     for j in arcs:
         vertices.update(bodies[j])
     if enc.q not in vertices:
-        raise QueryNotInProvenance(str(enc.cone.facts[enc.q]))
+        raise ProvRefineError(f"query {enc.cone.facts[enc.q]} is not in the provenance")
     p0 = {enc.enc0[x] for x in enc.an.params if x not in a}
     p1 = {enc.enc1[x] for x in a}
     facts = sorted(vertices | p0 | p1)

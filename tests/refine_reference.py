@@ -23,7 +23,7 @@ from typing import Iterable, Optional
 from provrefine import hypergraph as hg
 from provrefine import maxsat as mx
 from provrefine.analysis import Analysis, derive, encode_params
-from provrefine.errors import BudgetExceeded, NotAModel, QueryNotInProvenance
+from provrefine.errors import BudgetExceeded, NotAModel, ProvRefineError
 from provrefine.hypergraph import Arc, Fact, Hypergraph
 from provrefine.probmodel import HyperParams
 from provrefine.refine import (RefineConfig, RefineOutcome, _log_theta,
@@ -55,7 +55,7 @@ def build_phi(an: Analysis, g_fwd: Hypergraph, q: Fact, a: frozenset,
     cheap-mode fact becoming a seed); the query must be reached.
     """
     if q not in g_fwd.vertices:
-        raise QueryNotInProvenance(str(q))
+        raise ProvRefineError(f"query {q} is not in the provenance")
     p0 = encode_params(an, a, 0)
     p1 = encode_params(an, a, 1)
     param_facts = set(an.encode0.values()) | set(an.encode1.values())
@@ -102,7 +102,7 @@ def build_phi_clauses(an: Analysis, g_fwd: Hypergraph, q: Fact,
     variables of nonzero weight are named.
     """
     if q not in g_fwd.vertices:
-        raise QueryNotInProvenance(str(q))
+        raise ProvRefineError(f"query {q} is not in the provenance")
     p0 = encode_params(an, a, 0)
     p1 = encode_params(an, a, 1)
     param_facts = set(an.encode0.values()) | set(an.encode1.values())

@@ -8,7 +8,7 @@ from provrefine import analysis as ana
 from provrefine import datalog
 from provrefine import likelihood as lk
 from provrefine.analysis import Analysis, Projection
-from provrefine.errors import UnknownParameter
+from provrefine.errors import ProvRefineError
 from provrefine.hypergraph import Fact, Hypergraph
 
 from analysis_reference import (all_abstractions, check_monotone,
@@ -31,7 +31,7 @@ def test_analysis_fields_cannot_be_reassigned(smudge, name):
 def test_encode_params(smudge):
     """An abstraction is the frozenset of its precise parameters: k = 1
     encodes its members' precise facts, k = 0 the other parameters' cheap
-    facts; a name the analysis lacks raises UnknownParameter naming the
+    facts; a name the analysis lacks raises an error naming the
     least such name, from `derive` and from `likelihood.observe` too."""
     cheap, precise = smudge.encode0, smudge.encode1
     assert ana.encode_params(smudge, frozenset(), 0) == set(cheap.values())
@@ -47,9 +47,9 @@ def test_encode_params(smudge):
     for run in (lambda: ana.encode_params(smudge, bad, 0),
                 lambda: ana.derive(smudge, bad),
                 lambda: lk.observe(smudge, [frozenset(["1"]), bad])):
-        with pytest.raises(UnknownParameter) as exc:
+        with pytest.raises(ProvRefineError) as exc:
             run()
-        assert str(exc.value) == "x9"
+        assert str(exc.value) == "unknown parameter 'x9'"
 
 
 def test_projection_modes():

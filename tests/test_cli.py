@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import math
 import os
@@ -454,6 +455,13 @@ class TestSolve:
         code, _, err = run(capsys, "solve", "--fixture", "smudge", "a", "b")
         assert code == 2 and "error" in err
 
+    def test_a_manifest_without_a_query_is_named(self, capsys, tmp_path):
+        m = tmp_path / "s.manifest"
+        an = dataclasses.replace(datalog.smudge_fixture(), queries=frozenset())
+        save_manifest(an, str(m), str(tmp_path / "s.prov"))
+        assert run(capsys, "solve", str(m)) == \
+            (2, "", f"error: {m}: the analysis declares no query\n")
+
     def test_undeclared_query_exits_2(self, capsys, tmp_path):
         m = tmp_path / "s.manifest"
         save_manifest(datalog.smudge_fixture(), str(m), str(tmp_path / "s.prov"))
@@ -748,8 +756,16 @@ class TestLikelihood:
         for mode in ("lower", "upper", "exact"):
             code, _, err = run(capsys, "likelihood", b, o, str(t), "--mode", mode)
             assert code == 2
-            assert err == ("error: missing hyperparameters for rule types "
+            assert err == (f"error: {t}: missing hyperparameters for rule types "
                            "['dirty_persist']\n")
+
+    def test_a_blueprint_too_large_for_exact_mode_is_named(self, capsys, tmp_path):
+        b, o, t = tmp_path / "chain.prov", tmp_path / "obs.txt", tmp_path / "theta.txt"
+        b.write_text("".join(f"c({i + 1}) <- c({i}) @ r\n" for i in range(16)))
+        o.write_text("obs\nT: c(0)\nR: c(0) c(1)\n")
+        t.write_text("r 0.5\n")
+        assert run(capsys, "likelihood", str(b), str(o), str(t), "--mode", "exact") == \
+            (2, "", f"error: {b}: exact likelihood over 16 arcs (limit 15)\n")
 
 
 class TestMaxsat:

@@ -5,7 +5,7 @@ import pytest
 
 import provrefine.hypergraph as hg
 from provrefine import probmodel as pm
-from provrefine.errors import MissingHyperparameter, OracleLimitExceeded
+from provrefine.errors import OracleLimitExceeded, ProvRefineError
 from provrefine.hypergraph import Arc, Fact, Hypergraph
 
 import probmodel_reference
@@ -81,7 +81,7 @@ def test_hyperparams_validation():
     g = Hypergraph([Arc(fact(1), frozenset([fact(0)]), "a")])
     with pytest.raises(ValueError):
         pm.validate_hyperparams(pm.HyperParams({"a": 1.5}), g)
-    with pytest.raises(MissingHyperparameter):
+    with pytest.raises(ProvRefineError, match=r"rule types \['a'\]"):
         pm.validate_hyperparams(pm.HyperParams({"b": 0.5}), g)
     pm.validate_hyperparams(pm.HyperParams({"a": 0.0}), g)
 

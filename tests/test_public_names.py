@@ -15,6 +15,11 @@ attribute (`obj.x`) somewhere in `src/`, or is named in `perfbench/*.py`.
 As for functions, a read is matched by name alone; setting a field, or
 passing it to a constructor, is not a read.  A field that only the tests
 read belongs in the oracle that computes it.
+
+Error classes are held to a stricter rule: a subclass of
+`ProvRefineError` exists only where some code in `src/` handles it
+apart, through an `except` or an `isinstance` that names it; raising
+it is not enough.  Private bases are exempt.
 """
 
 import ast
@@ -133,3 +138,31 @@ def test_every_private_name_has_a_caller():
 
 def test_every_field_is_read():
     assert unread_fields() == []
+
+
+def _named_types(node) -> set:
+    """The names in an `except` clause's or an `isinstance` call's type:
+    one name, or a tuple of them."""
+    elts = node.elts if isinstance(node, ast.Tuple) else [node]
+    return {e.id for e in elts if isinstance(e, ast.Name)}
+
+
+def unhandled_errors() -> list:
+    handled = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                handled |= _named_types(node.type)
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "isinstance" and len(node.args) == 2):
+                handled |= _named_types(node.args[1])
+    tree = ast.parse((SRC / "errors.py").read_text())
+    return sorted(node.name for node in tree.body
+                  if isinstance(node, ast.ClassDef)
+                  and node.name != "ProvRefineError"
+                  and not node.name.startswith("_")
+                  and node.name not in handled)
+
+
+def test_every_error_class_is_handled_apart():
+    assert unhandled_errors() == []

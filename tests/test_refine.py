@@ -14,7 +14,7 @@ from provrefine import analysis as ana
 from provrefine import datalog
 from provrefine import maxsat as mx
 from provrefine import refine
-from provrefine.errors import NotAModel, QueryNotInProvenance
+from provrefine.errors import NotAModel, ProvRefineError
 from provrefine.probmodel import HyperParams
 
 
@@ -521,12 +521,13 @@ def test_build_phi_rejects_unreachable_query(smudge):
     nope = hg.parse_fact("nope(1)")
     cone = _cone(smudge, nope)
     enc = refine.Encoding(smudge, cone, nope, None, 1.0)
-    with pytest.raises(QueryNotInProvenance):
+    with pytest.raises(ProvRefineError,
+                       match=r"query nope\(1\) is not in the provenance"):
         refine.build_phi(enc, cone.slice(enc.q, lambda j: True), a)
     q = _query(smudge)
     cone = _cone(smudge, q)
     enc = refine.Encoding(smudge, cone, q, None, 1.0)
-    with pytest.raises(QueryNotInProvenance):
+    with pytest.raises(ProvRefineError, match="is not in the provenance"):
         refine.build_phi(enc, [], a)
 
 
