@@ -5,11 +5,12 @@ atom is a `Fact` read by `parse_fact`, whose uppercase-initial arguments
 are variables.  Guards are evaluated after each rule instance is joined,
 a binding guard binds into the instance's variable dict, and guards never
 appear in the emitted arcs.  Grounding is semi-naive and deterministic,
-and records one arc per fired rule instance, tagged with the rule name.
-Each (rule, body atom) pair is compiled once into a join plan: the atom
-matched against the previous round's new facts goes first, the others
-follow selective-first (base relations with the most bound positions,
-then derived relations, then atoms with no bound position), and each
+finds each rule instance once, and records one arc per fired instance,
+tagged with the rule name.  Each (rule, body atom) pair is compiled once
+into a join plan: the atom matched against the previous round's new facts
+goes first, the others follow selective-first (base relations with the
+most bound positions, then derived relations, then atoms with no bound
+position), those before it in the body match only older facts, and each
 looks its candidates up in a hash index on the argument positions
 already bound, so the work grows with the facts that match rather than
 with the relation.  A partial match is a tuple with one slot per
@@ -388,12 +389,14 @@ def _join_plan(rule: Rule, pivot: int, derived: set) -> tuple:
     A partial match is an environment tuple that grows at each step: the
     rule's constants (env0), then each variable's value in the order the
     steps bind them; names[i] names slot i, a constant naming itself.
-    Each step is (sig, positions, key, bind, repeats): sig is (relation,
-    arity); positions are the argument positions holding a constant or an
-    already bound variable, and key(env) their values, None if there are
-    none; bind(args) gives the values of the atom's new variables at their
-    first occurrences, None if there are none, and repeats is (position,
-    earlier position) for each of their repeats.
+    Each step is (sig, positions, key, bind, repeats, old): sig is
+    (relation, arity); positions are the argument positions holding a
+    constant or an already bound variable, and key(env) their values, None
+    if there are none; bind(args) gives the values of the atom's new
+    variables at their first occurrences, None if there are none; repeats
+    is (position, earlier position) for each of their repeats; and old says
+    that the atom comes before the pivot in body order, so it matches only
+    facts known before the round (`_instances`).
     """
     atoms = rule.body_atoms
     names = list(dict.fromkeys(a for atom in atoms for a in atom.args
@@ -401,7 +404,8 @@ def _join_plan(rule: Rule, pivot: int, derived: set) -> tuple:
     env0 = tuple(names)
     slot = {c: i for i, c in enumerate(names)}
     steps = []
-    for atom in (atoms[i] for i in _atom_order(atoms, pivot, derived)):
+    for i in _atom_order(atoms, pivot, derived):
+        atom = atoms[i]
         positions, keys, binds, repeats, first = [], [], [], [], {}
         for p, a in enumerate(atom.args):
             if a in slot:
@@ -417,21 +421,27 @@ def _join_plan(rule: Rule, pivot: int, derived: set) -> tuple:
             names.append(a)
         steps.append(((atom.relation, len(atom.args)), tuple(positions),
                       _getter(keys) if keys else None,
-                      _getter(binds) if binds else None, tuple(repeats)))
+                      _getter(binds) if binds else None, tuple(repeats),
+                      i < pivot))
     return tuple(names), env0, steps
 
 
-def _instances(plan: tuple, delta: _FactIndex, known: _FactIndex):
+def _instances(plan: tuple, delta: _FactIndex, known: _FactIndex,
+               fresh: Collection[Fact]):
     """Yield (env, body) for each instance of a join plan whose first atom
-    matches a fact of `delta` and whose other atoms match facts of `known`.
-    env is a fresh dict from each variable, and each constant, to its value."""
+    matches a fact of `delta`, whose old atoms match facts of `known` not in
+    `fresh` (the facts of `delta`), and whose other atoms match facts of
+    `known`.  env is a fresh dict from each variable, and each constant, to
+    its value."""
     names, env0, steps = plan
     last = len(steps) - 1
     stack = [(0, env0, ())]
     while stack:
         k, env, body = stack.pop()
-        sig, positions, key, bind, repeats = steps[k]
+        sig, positions, key, bind, repeats, old = steps[k]
         for f in (known if k else delta).lookup(sig, positions, key(env) if key else ()):
+            if old and f in fresh:
+                continue
             args = f.args
             if repeats and any(args[p] != args[q] for p, q in repeats):
                 continue
@@ -449,15 +459,19 @@ def ground(rules: Iterable[Rule], base: Collection[Fact],
     Base facts are emitted as empty-body arcs; `seeds` are available to
     rule bodies but get no arc of their own (they are supplied at query
     time, e.g. as parameter encodings).  Each round runs every rule's
-    join plans (`_join_plan`, one per body atom) whose first atom's
-    relation gained facts in the previous round: that atom is matched
-    against those new facts and the others are looked up in hash indices
-    on their bound positions.  A guard that does arithmetic or `<`/`>` on a
-    name raises ParseError, and a head integer outside `DEFAULT_DOMAIN` or
-    a guard's modulus by 0 DomainOverflow, naming the rule and its line
-    (a base or seed fact outside it as `check_domain` names it, the base
-    facts first).  Guards are checked in rule order after the full join,
-    and a binding guard binds into its instance's own variable dict.
+    join plans (`_join_plan`, one per body atom) whose pivot relation
+    gained facts in the previous round: the pivot is matched against those
+    new facts, the atoms before it in the body against the facts known
+    before that round, and the atoms after it against all known facts, each
+    looked up in a hash index on its bound positions.  So an instance is
+    found once, in the plan of its first new atom.  In the first round
+    every fact is new, and only the plans whose pivot is the first atom
+    run.  A guard that does arithmetic or `<`/`>` on a name raises
+    ParseError, and a head integer outside `DEFAULT_DOMAIN` or a guard's
+    modulus by 0 DomainOverflow, naming the rule and its line (a base or
+    seed fact outside it as `check_domain` names it, the base facts
+    first).  Guards are checked in rule order after the full join, and a
+    binding guard binds into its instance's own variable dict.
 
     Which failing instance a run meets first follows the hash order of
     its fact sets; which instances fail does not.  So on a failure the
@@ -491,14 +505,16 @@ def _saturate(rules: list, base: Collection[Fact], seeds: Collection[Fact],
     arcs = {Arc(f, no_body, BASE_RULE_TYPE) for f in base}
 
     facts = {f: f for f in known}  # one object per distinct fact
-    delta = _FactIndex(known)
+    delta, fresh = _FactIndex(known), None  # in round 1 no fact is old
     while delta.facts:
         new_facts = set()
         for rule, rule_plans in plans:
-            for pivot_sig, plan in rule_plans:
+            # an atom before the pivot matches only old facts, so in round 1
+            # only the plan whose pivot is the first atom can match
+            for pivot_sig, plan in rule_plans if fresh is not None else rule_plans[:1]:
                 if pivot_sig not in delta.facts:
                     continue
-                for env, body in _instances(plan, delta, index):
+                for env, body in _instances(plan, delta, index, fresh):
                     try:
                         if not all(g.check(env) for g in rule.guards):
                             continue
@@ -514,7 +530,7 @@ def _saturate(rules: list, base: Collection[Fact], seeds: Collection[Fact],
                     except ValueError as exc:
                         raise ParseError(rule.line, f"rule {rule.name}: {exc}") from exc
                     arcs.add(Arc(known_head, frozenset(body), rule.name))
-        new_facts = order(new_facts)
+        fresh, new_facts = new_facts, order(new_facts)
         for f in new_facts:
             index.add(f)
         delta = _FactIndex(new_facts)

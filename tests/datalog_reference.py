@@ -5,6 +5,11 @@ oracle its indexed joins are checked against.  It evaluates the same rule
 instances, so both must emit the same set of arcs and raise
 `DomainOverflow` on the same inputs.
 
+Also `ground_every_plan`, the library's indexed grounder on the schedule
+it had before each rule instance was found once: the oracle that the
+semi-naive schedule grounds the same arcs and names the same failing
+instance.
+
 Also the generator of straight-line smudge programs the tests draw from:
 `smudge_program_text` and `smudge_analysis` build any list of sites over
 the library's `SMUDGE_RULES_TEXT`, as the library's five-site demo
@@ -13,12 +18,14 @@ which sites' guards one run of the program tests and whether they hold:
 the truth a learned theta estimates.
 """
 
-from typing import Iterable, Optional
+from typing import Collection, Iterable, Optional
 
 from provrefine import datalog
 from provrefine.analysis import Analysis, Projection
-from provrefine.datalog import BASE_RULE_TYPE, DEFAULT_DOMAIN, Rule, _is_var
-from provrefine.errors import DomainOverflow
+from provrefine.datalog import (BASE_RULE_TYPE, DEFAULT_DOMAIN, Rule,
+                                _check_domain as _check_default_domain,
+                                _FactIndex, _instances, _is_var, _join_plan)
+from provrefine.errors import DomainOverflow, ParseError
 from provrefine.hypergraph import Arc, Fact, Hypergraph
 
 
@@ -121,6 +128,74 @@ def ground(rules: Iterable[Rule], base: Iterable[Fact],
         for f in new_facts:
             by_rel.setdefault(f.relation, set()).add(f)
         delta = new_facts
+    return Hypergraph(arcs)
+
+
+# ---------------------------------------------------------------------------
+# the indexed grounder's schedule before each instance was found once
+
+
+def ground_every_plan(rules: Iterable[Rule], base: Collection[Fact],
+                      seeds: Collection[Fact] = ()) -> Hypergraph:
+    """`datalog.ground` with every rule's join plans run in every round,
+    the first included, and no atom held to old facts: an instance with
+    several new body atoms is found once per new atom.  The library's
+    plans, indices, failure messages and key-order run on failure."""
+    rules = list(rules)
+    datalog.check_domain(base)
+    datalog.check_domain(seeds)
+    try:
+        return _saturate(rules, base, seeds, lambda facts: facts)
+    except (DomainOverflow, ParseError):
+        return _saturate(rules, base, seeds,
+                         lambda facts: sorted(facts, key=Fact._key))
+
+
+def _saturate(rules: list, base: Collection[Fact], seeds: Collection[Fact],
+              order) -> Hypergraph:
+    """`ground_every_plan`'s rounds, which add the facts of `order(known
+    facts)` and of `order(each round's new facts)` to the indices in that
+    order.  With no fresh facts, `datalog._instances` holds no atom to old
+    facts."""
+    known = order({*base, *seeds})
+    index = _FactIndex(known)
+    derived = {rule.head.relation for rule in rules}
+    plans = [(rule, [((atom.relation, len(atom.args)),
+                      _join_plan(rule, p, derived))
+                     for p, atom in enumerate(rule.body_atoms)])
+             for rule in rules]
+
+    no_body = frozenset()  # one shared empty body: the graph outlives grounding
+    arcs = {Arc(f, no_body, BASE_RULE_TYPE) for f in base}
+
+    facts = {f: f for f in known}  # one object per distinct fact
+    delta = _FactIndex(known)
+    while delta.facts:
+        new_facts = set()
+        for rule, rule_plans in plans:
+            for pivot_sig, plan in rule_plans:
+                if pivot_sig not in delta.facts:
+                    continue
+                for env, body in _instances(plan, delta, index, ()):
+                    try:
+                        if not all(g.check(env) for g in rule.guards):
+                            continue
+                        head = Fact(rule.head.relation,
+                                    tuple(env.get(a, a) for a in rule.head.args))
+                        known_head = facts.get(head)
+                        if known_head is None:
+                            _check_default_domain(head)
+                            facts[head] = known_head = head
+                            new_facts.add(head)
+                    except DomainOverflow as exc:
+                        raise DomainOverflow(rule.line, f"rule {rule.name}: {exc}") from exc
+                    except ValueError as exc:
+                        raise ParseError(rule.line, f"rule {rule.name}: {exc}") from exc
+                    arcs.add(Arc(known_head, frozenset(body), rule.name))
+        new_facts = order(new_facts)
+        for f in new_facts:
+            index.add(f)
+        delta = _FactIndex(new_facts)
     return Hypergraph(arcs)
 
 

@@ -354,6 +354,103 @@ def test_indexed_grounding_matches_the_reference_on_the_demo():
         ref.ground(rules, base, seeds=seeds)
 
 
+# --- semi-naive rounds against the schedule that ran every plan -------------
+
+
+def _named_outcome(grounder, domain, rules, base, seeds):
+    """The arcs grounded over `domain`, or the class and message raised."""
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(datalog, "DEFAULT_DOMAIN", domain)
+            return grounder(rules, base, seeds=seeds).arcs
+    except (DomainOverflow, ParseError) as exc:
+        return type(exc), str(exc)
+
+
+def _programs(sites):
+    """(name, domain, rules, base, seeds) of the 300 random and 300
+    long-body programs over `_DOMAIN`, a smudge program of each count in
+    `sites`, the demo and the cyclic points-to client."""
+    import pointsto_reference
+
+    for make in (_random_program, _long_body_program):
+        for seed in range(300):
+            yield (make.__name__, seed), _DOMAIN, *make(random.Random(seed))
+    domain = datalog.DEFAULT_DOMAIN
+    for n in sites:
+        yield f"smudge{n}", domain, *_smudge_program(random.Random(n), n)
+    rules, base = datalog.parse_program(datalog.smudge_program_text())
+    yield "demo", domain, rules, base, {Fact(kind, (lbl,)) for lbl in range(5)
+                                        for kind in ("cheap", "precise")}
+    rules, base = pointsto_reference.program()
+    yield "pointsto", domain, rules, base, {
+        Fact(kind, (m,)) for m in pointsto_reference.METHODS
+        for kind in ("cheap", "precise")}
+
+
+# h fails on a(2), b(2), both new in round 2, and on a(1), b(1), of which
+# only a(1) is new; the schedule that ran every plan met the first of them
+# first, so a round that held the atoms after the pivot to old facts would
+# name the other
+_TWO_FAILURES = """
+pa(1).
+pa(2).
+pb(2).
+b(1).
+a(X) :- pa(X). @ma
+b(X) :- pb(X). @mb
+h(Z) :- a(X), b(X), Z == 255 + X. @h
+"""
+
+
+@pytest.mark.hashseed
+def test_semi_naive_grounding_matches_the_every_plan_schedule():
+    for name, *program in _programs((8, 16, 40)):
+        assert _named_outcome(datalog.ground, *program) == \
+            _named_outcome(ref.ground_every_plan, *program), name
+    rules, base = datalog.parse_program(_TWO_FAILURES)
+    program = datalog.DEFAULT_DOMAIN, rules, base, ()
+    named = (DomainOverflow, "line 8: rule h: h(257): integer 257 outside [0, 255]")
+    assert _named_outcome(ref.ground_every_plan, *program) == named
+    assert _named_outcome(datalog.ground, *program) == named
+
+
+@pytest.mark.hashseed
+def test_each_rule_instance_is_found_once(monkeypatch):
+    # an instance is its rule, body facts and variable values; key it as
+    # the join yields it, before a binding guard adds to its dict
+    rule_of, repeats, seen = {}, [], set()
+    join_plan, instances, saturate = (
+        datalog._join_plan, datalog._instances, datalog._saturate)
+
+    def named_plan(rule, *args):
+        plan = join_plan(rule, *args)
+        rule_of[id(plan)] = rule.name
+        return plan
+
+    def keyed_instances(plan, *args):
+        for env, body in instances(plan, *args):
+            key = (rule_of[id(plan)], frozenset(body), frozenset(env.items()))
+            if key in seen:
+                repeats.append(key)
+            seen.add(key)
+            yield env, body
+
+    def one_run(*args):
+        seen.clear()  # a failing run is run again in key order
+        return saturate(*args)
+
+    monkeypatch.setattr(datalog, "_join_plan", named_plan)
+    monkeypatch.setattr(datalog, "_instances", keyed_instances)
+    monkeypatch.setattr(datalog, "_saturate", one_run)
+    found = 0
+    for name, *program in _programs((16, 100)):
+        _named_outcome(datalog.ground, *program)
+        assert not repeats, (name, repeats[:3])
+        found += len(seen)
+    assert found > 1500, found
+
+
 def test_join_work_grows_linearly_with_program_size(monkeypatch):
     tried = []
     lookup = datalog._FactIndex.lookup
@@ -387,7 +484,7 @@ def test_smudge_sites_are_checked_before_the_mode_facts(monkeypatch):
     monkeypatch.setattr(datalog._FactIndex, "lookup", counting_lookup)
     rules, base, seeds = _smudge_program(random.Random(50), 50)
     datalog.ground(rules, base, seeds=seeds)
-    assert 8081 - 50 <= len(calls) <= 8081 + 50, len(calls)
+    assert 6000 - 50 <= len(calls) <= 6000 + 50, len(calls)
 
 
 def test_a_selective_derived_atom_joins_as_the_reference():
