@@ -198,6 +198,19 @@ def read(path: str, parse: Callable[[str], object], line: int = 0):
         return parse(fh.read())
 
 
+def ground_program(path: str, rules, base, seeds, line: int = 0) -> Hypergraph:
+    """`datalog.ground` of a program read from path, its base facts checked
+    before the caller's seeds, and its own failures reported at path as
+    `reported_at(line, path)` reports them."""
+    from . import datalog  # here, not at the top: datalog imports this module
+
+    with reported_at(line, path):
+        datalog.check_domain(base)
+    datalog.check_domain(seeds)
+    with reported_at(line, path):
+        return datalog.ground(rules, base, seeds=seeds)
+
+
 def parse_manifest(text: str, base_dir: str = ".") -> Analysis:
     """Parse an analysis manifest (see README for the section layout)."""
     from . import datalog  # here, not at the top: datalog imports this module
@@ -259,14 +272,8 @@ def parse_manifest(text: str, base_dir: str = ".") -> Analysis:
         raise ParseError(0, "manifest missing provenance: or rules: entry")
     lineno, path, key, graph = source
     if key == "rules":
-        # the encoding facts are seeds, as the parameters supply them at run
-        # time; as in `ground`, a base fact outside the domain is named first
-        rules, base = graph
-        with reported_at(lineno, path):
-            datalog.check_domain(base)
-        datalog.check_domain(seeds)
-        with reported_at(lineno, path):
-            graph = datalog.ground(rules, base, seeds=seeds)
+        # the encoding facts are seeds: the parameters supply them at run time
+        graph = ground_program(path, *graph, seeds, lineno)
     # a template reads its facts' arguments by position: each fact of its
     # relation that the analysis names must have the arguments it reads
     reads = {rel: max(rule[1], default=-1) for rel, rule in proj_rules.items()

@@ -82,7 +82,7 @@ def cmd_ground(args) -> int:
                 raise ParseError(0, f"{args.facts} contains rules, not just facts")
             base |= extra
         seeds = hg.parse_facts(args.seeds) if args.seeds else ()
-        graph = datalog.ground(rules, base, seeds=seeds)
+        graph = ana.ground_program(args.rules, rules, base, seeds)
     text = hg.serialize_provenance(graph)
     if args.out:
         _write(args.out, text)
@@ -237,10 +237,16 @@ def parse_maxsat_instance(text: str) -> mx.MaxSatInstance:
     def entry(_, line):
         nonlocal hard
         if line.startswith("w "):
-            _, name, value = line.split()
+            parts = line.split()
+            if len(parts) != 3:
+                raise ValueError("expected 'w NAME VALUE'")
+            _, name, value = parts
             if name in weights:
                 raise ValueError(f"a second weight for {name!r}")
-            weights[name] = float(value)
+            try:
+                weights[name] = float(value)
+            except ValueError:
+                raise ValueError(f"malformed weight {value!r}") from None
             if not math.isfinite(weights[name]):
                 raise ValueError(f"weight {value!r} is not a finite number")
         elif line.startswith("hard "):

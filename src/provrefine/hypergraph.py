@@ -11,10 +11,14 @@ reader, `parse_fact`, reads every fact and Datalog atom into a `Fact`.
 Reachability is the least fixpoint of
 "if all body facts hold, the head holds", and the max-plus hyperpath
 distance is the round of that fixpoint in which a fact is first derived.
-One kernel computes both: an `Index` numbers a graph's facts and arcs by
-integers and `Index.layers` closes over them from a seed set, returning
-the distances and the forward arcs it fired; `Index.run` keeps the
-distances, `reach` the keys of `Index.close` and `distances` its values.
+Two kernels close an `Index`, which numbers a graph's facts and arcs by
+integers.  `Index.run` gives one seed set's distances in a third to half
+the time of a one-bit sweep (`reach` keeps the keys of `Index.close`,
+`distances` its values).  `Index.sweep` closes from a batch of
+seed sets in one bit-parallel pass, one bit per set, and is the one
+kernel of forward arcs: `likelihood.observe` and `bound_terms` sweep an
+observation batch, and each iteration of `refine.solve` its two sets,
+P0 | P1 and P1.
 Every index numbers by one rule: facts in `Fact._key` order and arcs in
 `Arc._key` order, whatever the hash seed.  `_ranked` sorts them by small
 integers: it ranks the distinct argument values once, integers before
@@ -28,13 +32,6 @@ as long as it lives: `Arc._key` sorts by head first, so the arcs into a
 fact are one run of arc ids, read off one offsets list, `Index.first`,
 and the per-arc bodies and per-fact uses the kernels walk are tuples,
 built once.
-`Index.sweep` closes from many seed sets in one bit-parallel pass, one bit
-per set, for the callers that have a batch: `likelihood.observe`, whose
-observation batch keeps the sweep's masks, projected, rather than a set
-per observation, and `likelihood.bound_terms`, which reads the batch's
-masks and sweeps from its seed sets.  `layers` stays the kernel of the
-single-set callers (`derive`, `refine.solve`, `decode_model`), where a
-one-bit sweep took two to three times as long.
 
 `reach` and `distances` build an index per call.  An analysis caches the
 one index of its global graph (`analysis.Analysis.index`), which `derive`
@@ -45,8 +42,7 @@ index: `analysis.local_provenance` returns the restriction of the
 analysis's index to the arcs it keeps (an analysis caches the one at the
 all-cheap abstraction, `Analysis.blueprint`), and `likelihood.bound_terms`
 takes that index, or `Index(arcs)` of a graph with no analysis, such as
-a blueprint file, as `exact_likelihood` does.  Distances define forward
-arcs.
+a blueprint file, as `exact_likelihood` does.
 """
 
 from __future__ import annotations
@@ -284,23 +280,13 @@ class Index:
 
     def run(self, t: Iterable, arcs: Optional[Iterable[int]] = None) -> dict:
         """Fact id -> max-plus distance from the seed facts t, for the facts
-        reached: the distances of `layers`, without its forward arcs."""
-        return self.layers(t, arcs)[0]
-
-    def layers(self, t: Iterable, arcs: Optional[Iterable[int]] = None) -> tuple:
-        """(dist, forward): fact id -> max-plus distance from the seed facts
-        t, for the facts reached, and the ids of the forward arcs, those
-        whose head is farther from t than every body fact
-        (`forward_arcs`).  Seeds outside the index are dropped.  Given
-        `arcs`, only the arcs with those ids fire.
+        reached.  Seeds outside the index are dropped.  Given `arcs`, only
+        the arcs with those ids fire.
 
         Seeds are at 0 and heads of empty-body arcs at 1.  Facts settle layer
         by layer; an arc fires when its last body fact settles, and that fact
         is the farthest of its body, so the head's candidate is its layer + 1.
         The first candidate a head gets is its least, so no heap is needed.
-        An arc is forward iff its head settles in the layer it fires in,
-        first or after another arc of that layer; every empty-body arc that
-        fires is forward.
         """
         ids, heads, uses = self.ids, self.heads, self._uses
         if arcs is None:
@@ -310,13 +296,11 @@ class Index:
             for j in arcs:
                 pending[j] = self._sizes[j]
         dist = dict.fromkeys([ids[u] for u in t if u in ids], 0)
-        layer, nxt, forward = list(dist), [], []
+        layer, nxt = list(dist), []
         for j in self._empty:
-            if not pending[j]:
-                forward.append(j)
-                if heads[j] not in dist:
-                    dist[heads[j]] = 1
-                    nxt.append(heads[j])
+            if not pending[j] and heads[j] not in dist:
+                dist[heads[j]] = 1
+                nxt.append(heads[j])
         d = 1  # the distance of the heads that fire from this layer
         while layer or nxt:
             for f in layer:
@@ -327,26 +311,25 @@ class Index:
                         if h not in dist:
                             dist[h] = d
                             nxt.append(h)
-                            forward.append(j)
-                        elif dist[h] == d:
-                            forward.append(j)
             layer, nxt, d = nxt, [], d + 1
-        return dist, forward
+        return dist
 
     def sweep(self, seed_sets: Iterable[Iterable]) -> tuple:
-        """(reach, forward) of `layers` from every seed set at once, with one
-        bit per set: bit k of `reach[i]` says set k reaches fact i, and bit
-        k of `forward[j]` that arc j is forward from set k, as `layers`
-        defines it.  Seeds outside the index are dropped.
+        """(reach, forward) from every seed set at once, with one bit per
+        set: bit k of `reach[i]` says set k reaches fact i, the facts of
+        `run` from it, and bit k of `forward[j]` that arc j is forward from
+        set k, its head farther from the set than every body fact
+        (`forward_arcs`).  Seeds outside the index are dropped.  The one
+        kernel of forward arcs, for a batch or for refinement's two sets.
 
         One layered pass serves every set (bit-parallel multi-source
         search).  An arc fires for the sets in the AND of its body facts'
         masks that it has not fired for yet, and is forward for those whose
         head was unreached before this layer; heads take their new bits
         only once the layer is done, so two arcs into one head in one layer
-        are both forward.  A layer re-evaluates only the arcs of the facts
-        that gained bits in the layer before.  `layers` stays the kernel
-        for one seed set: a one-bit sweep took two to three times as long.
+        are both forward, and so is every empty-body arc.  A layer
+        re-evaluates only the arcs of the facts that gained bits in the
+        layer before.
         """
         ids, heads, bodies, uses = self.ids, self.heads, self.bodies, self._uses
         reach, forward = [0] * len(self.facts), [0] * len(self.arcs)

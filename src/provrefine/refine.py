@@ -284,9 +284,10 @@ def solve(an: Analysis, q: Fact, cfg: RefineConfig) -> RefineOutcome:
     # theta is 1 everywhere unless the strategy is probabilistic
     hp = cfg.hyperparams if cfg.strategy == "probabilistic" else None
 
-    # every step below decides only facts in q's cone: the analysis under a,
-    # the forward arcs and the slices to q; one encoding serves every
-    # strategy, built only once an iteration reaches a solver
+    # every step below decides only facts in q's cone, which each iteration
+    # sweeps once from P0 | P1, the analysis under a, and from P1 alone: the
+    # answer, the forward arcs and the slices to q; one encoding serves
+    # every strategy, built only once an iteration reaches a solver
     cone = hg.Index.cone(an.global_graph, q, itertools.chain(
         an.encode0.values(), an.encode1.values()))
     root, bodies = cone.ids[q], cone.bodies
@@ -299,11 +300,11 @@ def solve(an: Analysis, q: Fact, cfg: RefineConfig) -> RefineOutcome:
         entry = {"iteration": iteration, "flips": sorted(a)}
         trace.append(entry)
         p1 = encode_params(an, a, 1)
-        dist, forward = cone.layers(encode_params(an, a, 0) | p1)
-        if root not in dist:
+        reach, forward = cone.sweep([encode_params(an, a, 0) | p1, p1])
+        if not reach[root] & 1:
             entry["answer"] = "yes"
             return RefineOutcome("yes", iteration, trace)
-        if root in cone.run(p1):
+        if reach[root] & 2:
             entry["answer"] = "no"
             return RefineOutcome("no", iteration, trace)
 
@@ -313,13 +314,12 @@ def solve(an: Analysis, q: Fact, cfg: RefineConfig) -> RefineOutcome:
             if cfg.strategy == "optimistic":
                 # the derived arcs: their whole body is reached
                 kept = cone.slice(
-                    root, lambda j: all(b in dist for b in bodies[j]))
+                    root, lambda j: all(reach[b] & 1 for b in bodies[j]))
                 a2 = choose_optimistic(enc, kept, a, cfg)
                 entry["chosen"] = sorted(a2)
             else:
-                # the forward arcs among the derived ones, as the kernel
-                # finds them
-                kept = cone.slice(root, set(forward).__contains__)
+                # the forward arcs from P0 | P1, all of them derived
+                kept = cone.slice(root, lambda j: forward[j] & 1)
                 phi = build_phi(enc, kept, a)
                 model, objective = _run_solver(phi.inst, cfg)
                 a2, log_success = decode_model(enc, model, phi, a)

@@ -68,14 +68,14 @@ def random_hypergraph(rng: random.Random, max_verts: int = 12,
 
 def assert_same_index(got, want, seed_sets=()) -> None:
     """Two `Index`es are equal field by field (`facts`, `ids`, `heads`,
-    `bodies`, `arcs`, `first` and the kernel's own columns), and `layers`
-    and `sweep` give the same outputs from the seed sets."""
+    `bodies`, `arcs`, `first` and the kernel's own columns), and `run` and
+    `sweep` give the same outputs from the seed sets."""
     assert vars(got).keys() == vars(want).keys()
     for name in vars(want):
         assert getattr(got, name) == getattr(want, name), name
     seed_sets = list(seed_sets)
     for t in seed_sets:
-        assert got.layers(t) == want.layers(t)
+        assert got.run(t) == want.run(t)
     assert got.sweep(seed_sets) == want.sweep(seed_sets)
 
 

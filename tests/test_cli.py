@@ -102,15 +102,15 @@ class TestGround:
         src.write_text("n(250).\nout(Y) :- n(X), Y == X + 10. @bump\n")
         assert run(capsys, "ground", "--rules", str(src))[0] == 3
 
-    # a base fact outside the domain names the line that states it, in a
-    # rules file and in a manifest's rules: file, which the manifest's line
-    # names in turn
+    # a base fact outside the domain names the rules file and the line that
+    # states it, given to `ground` and as a manifest's rules: file, which the
+    # manifest's line names in turn
     def test_overflow_in_a_base_fact_names_its_line(self, capsys, tmp_path):
         src = tmp_path / "over.dl"
         src.write_text("p(1).\nn(256).\nq(X) :- n(X). @r\n")
         message = "n(256): integer 256 outside [0, 255]"
         assert run(capsys, "ground", "--rules", str(src)) == \
-            (3, "", f"error: line 2: {message}\n")
+            (3, "", f"error: {src} line 2: {message}\n")
         m = tmp_path / "s.manifest"
         m.write_text("params:\n0 encode0=c(0) encode1=p(0)\nrules: over.dl\n"
                      "queries:\nq(1)\n")
@@ -154,9 +154,9 @@ class TestGround:
         src = tmp_path / "over.dl"
         src.write_text(text)
         assert run(capsys, "ground", "--rules", str(src)) == \
-            (3, "", f"error: line 1: {stated} outside [0, 255]\n")
+            (3, "", f"error: {src} line 1: {stated} outside [0, 255]\n")
         assert run(capsys, "ground", "--rules", str(src), "--seeds", "e(0) a(999)") == \
-            (3, "", f"error: line 1: {stated} outside [0, 255]\n")
+            (3, "", f"error: {src} line 1: {stated} outside [0, 255]\n")
 
     @pytest.mark.hashseed
     def test_overflow_in_seeds_names_the_least_seed(self, capsys, tmp_path):
@@ -188,7 +188,7 @@ class TestGround:
                 [sys.executable, "-m", "provrefine.cli", "ground", "--rules",
                  str(src)], env=env, capture_output=True, text=True)
             assert (done.returncode, done.stdout, done.stderr) == \
-                (code, "", f"error: line 4: {message}\n"), seed
+                (code, "", f"error: {src} line 4: {message}\n"), seed
 
     def test_facts_file_is_merged_into_the_grounding(self, capsys, tmp_path):
         rules, facts = tmp_path / "r.dl", tmp_path / "f.dl"
@@ -218,7 +218,8 @@ class TestGround:
             (2, "", f"error: cannot read {facts}: No such file or directory\n")
 
     # an overflow while grounding a rule, from its head or from a guard's
-    # modulus, names the rule and its line, as a guard's type error does
+    # modulus, names the rules file, the rule and its line, as a guard's
+    # type error does
     @pytest.mark.parametrize("rule, message", [
         ("q(Y) :- p(X), Y == X * 100000000000. @r",
          "rule r: q(100000000000): integer 100000000000 outside [0, 255]"),
@@ -228,7 +229,7 @@ class TestGround:
         src = tmp_path / "over.dl"
         src.write_text(f"p(1).\n\n{rule}\n")
         assert run(capsys, "ground", "--rules", str(src)) == \
-            (3, "", f"error: line 3: {message}\n")
+            (3, "", f"error: {src} line 3: {message}\n")
 
     def test_guard_longer_than_the_nesting_limit_exits_2(self, capsys, tmp_path):
         src = tmp_path / "deep.dl"
@@ -859,6 +860,20 @@ class TestMaxsat:
             inst.write_text(text)
             assert run(capsys, "maxsat", str(inst), "--export-wcnf")[0] == 2
             assert run(capsys, "maxsat", str(inst))[0] == 2
+
+    # a weight line that is not `w NAME VALUE`, or whose value is no number,
+    # says what it expects, as a theta line does
+    @pytest.mark.parametrize("line, message", [
+        ("w x 1 2", "expected 'w NAME VALUE'"),
+        ("w x", "expected 'w NAME VALUE'"),
+        ("w x abc", "malformed weight 'abc'")])
+    def test_a_malformed_weight_line_says_what_it_expects(self, capsys, tmp_path,
+                                                          line, message):
+        inst = tmp_path / "i.txt"
+        inst.write_text(f"{line}\nhard x\n")
+        for argv in ([], ["--export-wcnf"]):
+            assert run(capsys, "maxsat", str(inst), *argv) == \
+                (2, "", f"error: {inst} line 1: {message}\n")
 
     @pytest.mark.parametrize("formula", [
         "(", "(not)", "(implies a)", "(iff a b c)", "(exists (x", "(exists x a)",

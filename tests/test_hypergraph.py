@@ -201,7 +201,7 @@ def test_the_ranking_is_the_key_sort_of_the_reference(seed):
 def test_index_closes_as_the_naive_oracles(seed):
     """Empty-body arcs and seeds outside the graph, some not facts: close
     is the naive closure with the brute-force distances, run its
-    restriction to the index, the forward arcs of layers those of
+    restriction to the index, the forward arcs of a one-set sweep those of
     `forward_arcs`, and run over a subset of its arcs the naive closure
     through them."""
     rng = random.Random(seed)
@@ -216,9 +216,9 @@ def test_index_closes_as_the_naive_oracles(seed):
                     if d is not INFINITY}
     assert index.run(t) == {index.ids[u]: d for u, d in dist.items()
                             if u in index.ids}
-    forward = index.layers(t)[1]
-    assert len(set(forward)) == len(forward)
-    assert {index.arcs[j] for j in forward} == hg.forward_arcs(g, t).arcs
+    forward = index.sweep([t])[1]
+    assert {index.arcs[j] for j, m in enumerate(forward) if m} == \
+        hg.forward_arcs(g, t).arcs
     some = [j for j in range(len(index.arcs)) if rng.random() < 0.6]
     rng.shuffle(some)
     sub = Hypergraph(index.arcs[j] for j in some)
@@ -236,34 +236,39 @@ _LOOSE_ARCS = st.builds(Arc, _SMALL_FACTS, st.frozensets(_SMALL_FACTS, max_size=
        st.frozensets(_SMALL_FACTS, max_size=4), st.data())
 @settings(max_examples=300, deadline=None)
 def test_the_kernel_finds_the_forward_arcs(arcs, t, data):
-    """The arcs that `layers` calls forward are those of `forward_arcs`,
-    over the whole graph or over the subset of arcs that may fire, with
-    empty bodies, self-loops and seeds among the heads; each once."""
+    """With empty bodies, self-loops and seeds among the heads: the arcs
+    that a one-set sweep calls forward are those of `forward_arcs`, and
+    run over the whole graph or over the subset of arcs that may fire
+    gives the brute-force distances through those arcs."""
     index = hg.Index(arcs)
+    forward = index.sweep([t])[1]
+    assert {index.arcs[j] for j, m in enumerate(forward) if m} == \
+        hg.forward_arcs(Hypergraph(arcs), t).arcs
     some = data.draw(st.none() | st.lists(
         st.integers(0, len(arcs) - 1), unique=True) if arcs else st.none())
-    dist, forward = index.layers(t, some)
-    assert dist == index.run(t, some)
-    assert len(set(forward)) == len(forward)
     sub = arcs if some is None else [index.arcs[j] for j in some]
-    assert {index.arcs[j] for j in forward} == hg.forward_arcs(
-        Hypergraph(sub), t).arcs
+    assert {index.facts[i]: d for i, d in index.run(t, some).items()} == {
+        u: d for u, d in brute_force_distances(Hypergraph(sub), t).items()
+        if d is not INFINITY and u in index.ids}
 
 
-def _assert_sweep_is_layers_per_set(index, seed_sets):
-    """Bit k of `sweep` is `layers` from seed set k, and no higher bit is set."""
+def _assert_sweep_is_the_oracles_per_set(index, seed_sets):
+    """Bit k of `sweep` is the naive closure and the forward arcs from seed
+    set k, and no higher bit is set."""
+    g = Hypergraph(index.arcs)
     reach, forward = index.sweep(seed_sets)
     assert len(reach) == len(index.facts) and len(forward) == len(index.arcs)
     for k, t in enumerate(seed_sets):
-        dist, fwd = index.layers(t)
-        assert {i for i, m in enumerate(reach) if m >> k & 1} == set(dist), k
-        assert {j for j, m in enumerate(forward) if m >> k & 1} == set(fwd), k
+        assert {index.facts[i] for i, m in enumerate(reach) if m >> k & 1} == {
+            u for u in naive_closure(g, t) if u in index.ids}, k
+        assert {index.arcs[j] for j, m in enumerate(forward) if m >> k & 1} == \
+            hg.forward_arcs(g, t).arcs, k
     assert max(reach + forward, default=0) < 1 << len(seed_sets)
 
 
 @given(st.integers(0, 10_000))
 @settings(max_examples=80, deadline=None)
-def test_sweep_is_layers_from_each_seed_set(seed):
+def test_sweep_is_the_oracles_from_each_seed_set(seed):
     """No set, one, a few, or more than 64 (masks of several machine
     words), over graphs with empty bodies, from seeds inside and outside
     the index, some not facts."""
@@ -274,7 +279,7 @@ def test_sweep_is_layers_from_each_seed_set(seed):
     n = rng.choice([0, 1, rng.randint(2, 8), rng.randint(65, 70)])
     seed_sets = [set(rng.sample(verts, rng.randint(0, len(verts))))
                  | set(rng.sample(outside, rng.randint(0, 1))) for _ in range(n)]
-    _assert_sweep_is_layers_per_set(hg.Index(g.arcs), seed_sets)
+    _assert_sweep_is_the_oracles_per_set(hg.Index(g.arcs), seed_sets)
 
 
 def test_sweep_on_seeded_heads_and_arcs_that_fire_together():
@@ -287,7 +292,7 @@ def test_sweep_on_seeded_heads_and_arcs_that_fire_together():
     index = hg.Index(arcs)
     base = [{x, y}, {x}, {h}, {h, x}, {Fact("outside")}, set(), {z, y}]
     for seed_sets in ([], base[:1], base * 10):
-        _assert_sweep_is_layers_per_set(index, seed_sets)
+        _assert_sweep_is_the_oracles_per_set(index, seed_sets)
     reach, forward = index.sweep(base[:1])
     # both arcs into h fire in layer 1; the arc back into seed x is not forward
     assert [forward[index.arcs.index(a)] for a in arcs] == [1, 1, 1, 1, 0]

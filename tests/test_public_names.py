@@ -20,14 +20,22 @@ Error classes are held to a stricter rule: a subclass of
 `ProvRefineError` exists only where some code in `src/` handles it
 apart, through an `except` or an `isinstance` that names it; raising
 it is not enough.  Private bases are exempt.
+
+The README names only what exists: every dotted name it quotes in
+backquotes, such as `Index.sweep` or `likelihood_reference.bound_terms`,
+resolves as attributes from `provrefine`, one of its modules, a name one
+of them defines or imports (`Index`, the alias `hg`), or a module of
+`tests/`.
 """
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "provrefine"
+TESTS = ROOT / "tests"
 PERFBENCH = ROOT / "perfbench"
 
 _DEFINITIONS = (ast.FunctionDef, ast.ClassDef)
@@ -166,3 +174,42 @@ def unhandled_errors() -> list:
 
 def test_every_error_class_is_handled_apart():
     assert unhandled_errors() == []
+
+
+# a dotted name in backquotes, perhaps called with no arguments
+_QUOTED_NAME = re.compile(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)(?:\(\))?`")
+
+
+def _starts(head: str) -> list:
+    """The objects a dotted name starting with head may start from."""
+    package = importlib.import_module("provrefine")
+    modules = [importlib.import_module(f"provrefine.{p.stem}")
+               for p in sorted(SRC.glob("*.py")) if p.stem != "__init__"]
+    starts = [package] if head == "provrefine" else []
+    starts += [m for m in modules if m.__name__ == f"provrefine.{head}"]
+    starts += [vars(m)[head] for m in modules if head in vars(m)]
+    if (TESTS / f"{head}.py").is_file():
+        starts.append(importlib.import_module(head))
+    return starts
+
+
+def _resolves(name: str) -> bool:
+    head, *rest = name.split(".")
+    for obj in _starts(head):
+        try:
+            for attr in rest:
+                obj = getattr(obj, attr)
+        except AttributeError:
+            continue
+        return True
+    return False
+
+
+def unresolved_readme_names() -> list:
+    names = set(_QUOTED_NAME.findall((ROOT / "README.md").read_text()))
+    assert names, "the README quotes no dotted name"
+    return sorted(n for n in names if not _resolves(n))
+
+
+def test_every_name_the_readme_quotes_resolves():
+    assert unresolved_readme_names() == []

@@ -420,6 +420,42 @@ def test_the_cone_index_agrees_with_the_whole_graph():
     assert outside >= 100
 
 
+@pytest.mark.hashseed
+def test_each_iteration_sweeps_the_cone_as_the_oracles():
+    """At every abstraction an iteration of any strategy meets, over random
+    smudge analyses and the cyclic points-to client: bits 0 and 1 of the
+    cone's two-bit sweep are the reach of the cone from P0 | P1 and from
+    P1, and the arcs forward for bit 0 those of `forward_arcs` from
+    P0 | P1."""
+    rng = random.Random(29)
+    pointsto = pointsto_reference.pointsto_analysis()
+    cases = [(pointsto, q) for q in sorted(pointsto.queries)]
+    for _ in range(40):
+        an = random_smudge_analysis(rng, max_sites=8)[0]
+        cases.append((an, _query(an)))
+    met = Counter()
+    for an, q in cases:
+        hp = uniform(sorted({e.rule_type for e in an.global_graph.arcs}))
+        abstractions = set()
+        for strategy in refine.STRATEGIES:
+            cfg = refine.RefineConfig(strategy=strategy, hyperparams=hp)
+            trace = refine.solve(an, q, cfg).trace
+            abstractions.update(frozenset(e["flips"]) for e in trace)
+            met.update(e["answer"] for e in trace if "answer" in e)
+        cone = _cone(an, q)
+        g = hg.Hypergraph(cone.arcs)
+        for a in abstractions:
+            p0 = ana.encode_params(an, a, 0)
+            p1 = ana.encode_params(an, a, 1)
+            reach, forward = cone.sweep([p0 | p1, p1])
+            for k, seeds in enumerate([p0 | p1, p1]):
+                assert {cone.facts[i] for i, m in enumerate(reach)
+                        if m >> k & 1} == hg.reach(g, seeds), (str(q), a, k)
+            assert {cone.arcs[j] for j, m in enumerate(forward) if m & 1} == \
+                hg.forward_arcs(g, p0 | p1).arcs, (str(q), a)
+    assert met["yes"] >= 10 and met["no"] >= 10, met
+
+
 def test_solve_never_closes_over_the_global_graph(smudge_hp, monkeypatch):
     """The per-iteration steps run on the cone index alone, and nothing is
     cached on the analysis or its graph."""
