@@ -36,8 +36,10 @@ built once.
 `reach` and `distances` build an index per call.  An analysis caches the
 one index of its global graph (`analysis.Analysis.index`), which `derive`
 closes from each seed set and `likelihood.observe` sweeps from every
-abstraction of a batch; each `refine.solve` indexes the query's backward
-cone and the parameter facts once (`Index.cone`).  A blueprint is an
+abstraction of a batch.  `refine.solve` indexes the query's backward cone
+and the parameter facts (`Index.cone`) once for a run of solves of one
+query of one analysis: it keeps the last solve's cone, with a weak
+reference to its analysis, and no more.  A blueprint is an
 index: `analysis.local_provenance` returns the restriction of the
 analysis's index to the arcs it keeps (an analysis caches the one at the
 all-cheap abstraction, `Analysis.blueprint`), and `likelihood.bound_terms`

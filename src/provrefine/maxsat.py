@@ -104,10 +104,10 @@ class ClauseInstance:
 
     `clauses` are tuples of nonzero ints, -v meaning "v is false".
     `weights` holds the nonzero weights, in the order the search sums
-    them; `names` names every weighted id, for the branching order and the
-    set-lex tie-break, and a compiled formula names every id.  Models are
-    sets of true ids, auxiliaries included; `shown` gives the names of a
-    model's ids that are not `hidden`.
+    them, left to right; `names` names every weighted id, for the branching
+    order and the set-lex tie-break, and a compiled formula names every
+    id.  Models are sets of true ids, auxiliaries included; `shown` gives
+    the names of a model's ids that are not `hidden`.
     """
 
     nvars: int
@@ -519,11 +519,21 @@ def _branch_and_bound(inst: ClauseInstance, budget: float):
                 i = frame[2]
             i += 1
 
+    # the in-order sums add left to right in explicit loops: from Python
+    # 3.12 on, sum() compensates float sums, which would change the models
     def objective_in_order() -> float:
-        return sum(w for v, w in witems if val[v] == 1)
+        total = 0
+        for v, w in witems:
+            if val[v] == 1:
+                total += w
+        return total
 
     def slack_in_order() -> float:
-        return sum(w for v, w in positive if not val[v])
+        total = 0
+        for v, w in positive:
+            if not val[v]:
+                total += w
+        return total
 
     def better(v: int) -> int:
         return v if weights[v] > 0 else -v

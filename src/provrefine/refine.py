@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import weakref
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -257,6 +258,33 @@ def _run_solver(inst: mx.ClauseInstance, cfg: RefineConfig):
     return result
 
 
+# the last solve's (weak reference to its analysis, query, the query's cone
+# index): a run of solves of one query of one analysis, such as one per
+# strategy, indexes the cone once.  The slot keeps no analysis alive and
+# at most one cone, which no solve mutates, so concurrent solves share it;
+# a solve reads the slot once and keeps the cone it read or built, so a
+# race between threads costs at most another build
+_NO_CONE = (lambda: None, None, None)
+_last_cone = _NO_CONE
+
+
+def _query_cone(an: Analysis, q: Fact) -> hg.Index:
+    """The index of q's backward cone and of every parameter fact
+    (`hg.Index.cone`), the last solve's when it solved q of this very
+    analysis, whose frozen fields keep it valid."""
+    global _last_cone
+    ref, last_q, cone = _last_cone
+    if ref() is an and last_q == q:
+        return cone
+    # the last cone goes before the next is built
+    del cone
+    _last_cone = _NO_CONE
+    cone = hg.Index.cone(an.global_graph, q, itertools.chain(
+        an.encode0.values(), an.encode1.values()))
+    _last_cone = (weakref.ref(an), q, cone)
+    return cone
+
+
 def solve(an: Analysis, q: Fact, cfg: RefineConfig) -> RefineOutcome:
     """The refinement loop; answers yes (ruled out), no, or limit.
 
@@ -286,10 +314,10 @@ def solve(an: Analysis, q: Fact, cfg: RefineConfig) -> RefineOutcome:
 
     # every step below decides only facts in q's cone, which each iteration
     # sweeps once from P0 | P1, the analysis under a, and from P1 alone: the
-    # answer, the forward arcs and the slices to q; one encoding serves
+    # answer, the forward arcs and the slices to q; the cone is indexed once
+    # for a run of solves of q of this analysis, and one encoding serves
     # every strategy, built only once an iteration reaches a solver
-    cone = hg.Index.cone(an.global_graph, q, itertools.chain(
-        an.encode0.values(), an.encode1.values()))
+    cone = _query_cone(an, q)
     root, bodies = cone.ids[q], cone.bodies
     enc = None
     a = frozenset()

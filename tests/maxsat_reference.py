@@ -2,8 +2,8 @@
 
 The straightforward version of `provrefine.maxsat`'s branch and bound, kept
 as the oracle its propagation engine and running sums are checked against:
-it re-sums the objective in weight order at every node.  It visits the
-same search tree, so both must return identical models.
+it re-sums the objective in weight order, left to right, at every node.  It
+visits the same search tree, so both must return identical models.
 """
 
 import time
@@ -66,6 +66,15 @@ def dpll_complete(clauses, assign: dict, order: list,
     return assign
 
 
+def sum_in_order(values) -> float:
+    """values added left to right, as `sum` adds them before Python 3.12,
+    which compensates float sums."""
+    total = 0
+    for x in values:
+        total += x
+    return total
+
+
 def _weighted_set_key(names: dict, model_ids: set, weighted: list) -> tuple:
     index = {v: i for i, v in enumerate(sorted(weighted, key=lambda v: names[v]))}
     return tuple(sorted(index[v] for v in model_ids if v in index))
@@ -99,8 +108,10 @@ def solve_exact(inst: mx.ClauseInstance, budget: float = 60.0):
         assign = dict(assign)
         if not propagate(clauses, assign):
             return
-        objective = sum(w for v, w in weights.items() if assign.get(v, False))
-        slack = sum(max(0.0, w) for v, w in weights.items() if v not in assign)
+        objective = sum_in_order(
+            w for v, w in weights.items() if assign.get(v, False))
+        slack = sum_in_order(
+            max(0.0, w) for v, w in weights.items() if v not in assign)
         if best["objective"] is not None and objective + slack < best["objective"] - tol:
             return
         pending = [v for v in weighted if v not in assign]

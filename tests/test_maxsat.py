@@ -380,10 +380,28 @@ def test_exact_matches_reference_where_sums_depend_on_their_order(palette):
         assert got == _outcome(ref.solve_exact, inst)
         ws = list(inst.weights.values())
         try:
-            order_dependent += not abs(sum(ws) - math.fsum(ws)) <= 1e-12
+            order_dependent += not abs(
+                ref.sum_in_order(ws) - math.fsum(ws)) <= 1e-12
         except OverflowError:  # fsum overflows where some order does not
             order_dependent += 1
     assert order_dependent  # the palette does reach order-dependent sums
+
+
+@pytest.mark.parametrize("solve", [mx.solve_exact, mx.solve_approx,
+                                   ref.solve_exact])
+def test_the_in_order_sums_add_left_to_right(solve):
+    """The search adds weights left to right in their stored order on every
+    Python version: 1e16 + 1.0 - 1e16 is 0.0 so, where a compensated sum,
+    as `sum` takes of floats from Python 3.12 on, gives 1.0.  So x4 alone
+    (0.5) beats x1, x2 and x3 together, which an exact sum would prefer."""
+    weights = {1: 1e16, 2: 1.0, 3: -1e16, 4: 0.5}
+    # x1, x2 and x3 all or none, and exactly one of x1 and x4
+    clauses = [(-1, 2), (-2, 3), (-3, 1), (1, 4), (-1, -4)]
+    inst = mx.ClauseInstance(4, clauses, weights,
+                             {v: f"x{v}" for v in weights})
+    assert ref.sum_in_order([1e16, 1.0, -1e16]) == 0.0
+    assert math.fsum([1e16, 1.0, -1e16]) == 1.0
+    assert solve(inst) == (frozenset({4}), 0.5)
 
 
 # weight pools under which the bound refutes many children: equal weights,

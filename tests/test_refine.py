@@ -1,7 +1,11 @@
 import dataclasses
+import gc
 import itertools
 import math
 import random
+import sys
+import threading
+import weakref
 from collections import Counter
 
 import pytest
@@ -9,7 +13,8 @@ import pytest
 import provrefine.hypergraph as hg
 import pointsto_reference
 import refine_reference
-from conftest import random_gadget, random_smudge_analysis, uniform
+from conftest import (assert_same_index, random_gadget, random_smudge_analysis,
+                      uniform)
 from provrefine import analysis as ana
 from provrefine import datalog
 from provrefine import maxsat as mx
@@ -487,6 +492,187 @@ def test_solve_never_closes_over_the_global_graph(smudge_hp, monkeypatch):
                                           hyperparams=smudge_hp)
                 refine.solve(an, _query(an), cfg)
         assert (dict(vars(an)), dict(vars(g))) == before
+
+
+def _every_config(hp):
+    return [refine.RefineConfig(strategy=strategy, solver=solver, hyperparams=hp)
+            for strategy in refine.STRATEGIES for solver in refine.SOLVERS]
+
+
+def test_a_run_of_solves_of_one_query_indexes_its_cone_once(smudge_hp,
+                                                            monkeypatch):
+    """`Index.cone` runs once for a run of solves of one query of one
+    analysis, under every strategy and both solvers, and again after a
+    solve of another query or of another analysis object, even an equal
+    one."""
+    built = []
+    cone = hg.Index.cone
+
+    def counting(cls, g, q, extra):
+        built.append(q)
+        return cone(g, q, extra)
+
+    monkeypatch.setattr(hg.Index, "cone", classmethod(counting))
+
+    def cones_built(an, q):
+        built.clear()
+        for cfg in _every_config(smudge_hp):
+            refine.solve(an, q, cfg)
+        return built[:]
+
+    demo = datalog.smudge_fixture()
+    q = _query(demo)
+    assert cones_built(demo, q) == [q]
+    pointsto = pointsto_reference.pointsto_analysis()
+    q1, q2 = sorted(pointsto.queries)[:2]
+    assert cones_built(pointsto, q1) == [q1]
+    assert cones_built(pointsto, q2) == [q2]
+    assert cones_built(pointsto, q1) == [q1]
+    twin = dataclasses.replace(demo)
+    assert twin == demo and twin is not demo
+    assert cones_built(twin, q) == [q]
+    assert cones_built(datalog.smudge_fixture(), q) == [q]
+    built.clear()
+    for an in (demo, twin, demo):
+        refine.solve(an, q, refine.RefineConfig())
+    assert built == [q, q, q]
+
+
+def _fresh_smudge(k):
+    return random_smudge_analysis(random.Random(f"cone reuse:{k}"),
+                                  max_sites=8)[0]
+
+
+@pytest.mark.hashseed
+def test_interleaved_solves_answer_as_on_fresh_analyses():
+    """A seeded interleaving of queries, analyses, strategies and solvers,
+    which reuses the last solve's cone where it can, gives every solve the
+    answer, iterations and trace of the same solve on a freshly built
+    analysis: over the demo, the points-to client and random smudge
+    analyses, some of which share a query."""
+    builders = [datalog.smudge_fixture, pointsto_reference.pointsto_analysis]
+    builders += [lambda k=k: _fresh_smudge(k) for k in range(6)]
+    live = [build() for build in builders]
+    rng = random.Random(37)
+    steps, met = [], Counter()
+    i, q = 0, _query(live[0])
+    for _ in range(200):
+        roll = rng.random()
+        if roll < 0.1:  # the same analysis, built again
+            live[i] = builders[i]()
+            met["rebuilt"] += 1
+        elif roll < 0.5:  # another query or analysis; the points-to client
+            # has three queries, the others one each
+            i2 = rng.choice([1, 1, 1, 1, *range(len(builders))])
+            q2 = rng.choice(sorted(live[i2].queries))
+            met["another analysis, same query"] += i2 != i and q2 == q
+            met["same analysis, another query"] += i2 == i and q2 != q
+            i, q = i2, q2
+        else:
+            met["same analysis, same query"] += 1
+        hp, alpha = _random_thetas(rng, live[i])
+        cfg = refine.RefineConfig(strategy=rng.choice(refine.STRATEGIES),
+                                  solver=rng.choice(refine.SOLVERS),
+                                  hyperparams=hp, alpha=alpha)
+        out = refine.solve(live[i], q, cfg)
+        steps.append((i, q, cfg, (out.answer, out.iterations, out.trace)))
+    for i, q, cfg, got in steps:
+        out = refine.solve(builders[i](), q, cfg)
+        assert got == (out.answer, out.iterations, out.trace), (i, str(q), cfg)
+    assert min(met.values()) >= 5 and len(met) == 4, met
+
+
+def test_threads_sharing_the_slot_answer_as_alone(smudge_hp):
+    """Threads that solve the demo and the points-to client's queries at
+    once, so that they read and replace the slot in turn, give every solve
+    the answer, iterations and trace it has alone."""
+    demo = datalog.smudge_fixture()
+    pointsto = pointsto_reference.pointsto_analysis()
+    cases = [(demo, _query(demo))]
+    cases += [(pointsto, q) for q in sorted(pointsto.queries)]
+    configs = _every_config(smudge_hp)
+    cfg_pointsto = refine.RefineConfig()
+
+    def outcome(an, q, cfg):
+        out = refine.solve(an, q, cfg if an is demo else cfg_pointsto)
+        return out.answer, out.iterations, out.trace
+
+    want = {(k, c): outcome(*cases[k], cfg)
+            for k in range(len(cases)) for c, cfg in enumerate(configs)}
+    got, errors = [], []
+
+    def worker(seed):
+        rng = random.Random(seed)
+        try:
+            for _ in range(60):
+                k, c = rng.randrange(len(cases)), rng.randrange(len(configs))
+                got.append(((k, c), outcome(*cases[k], configs[c])))
+        except Exception as exc:  # reported below, on the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(seed,))
+                   for seed in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors
+    assert len(got) == 240
+    for key, out in got:
+        assert out == want[key], key
+
+
+def test_the_slot_keeps_no_analysis_and_one_cone_alive(smudge_hp,
+                                                       monkeypatch):
+    """Once the last reference to a solved analysis goes, the analysis
+    does too; and the last solve's cone goes before the next is built."""
+    an = datalog.smudge_fixture()
+    for cfg in _every_config(smudge_hp):
+        refine.solve(an, _query(an), cfg)
+    last_cone = weakref.ref(refine._query_cone(an, _query(an)))
+    ref = weakref.ref(an)
+    del an
+    gc.collect()
+    assert ref() is None
+    assert last_cone() is not None  # until the next solve builds a cone
+    held = []
+    cone = hg.Index.cone
+
+    def checking(cls, g, q, extra):
+        held.append(last_cone() is not None)
+        return cone(g, q, extra)
+
+    monkeypatch.setattr(hg.Index, "cone", classmethod(checking))
+    pointsto = pointsto_reference.pointsto_analysis()
+    refine.solve(pointsto, min(pointsto.queries), refine.RefineConfig())
+    assert held == [False]
+
+
+def test_solves_leave_the_cone_as_built(smudge_hp):
+    """The cone a run of solves shares is, after them, still equal field by
+    field to a fresh `Index.cone`."""
+    rng = random.Random(41)
+    pointsto = pointsto_reference.pointsto_analysis()
+    cases = [(pointsto, q) for q in sorted(pointsto.queries)]
+    cases.append((datalog.smudge_fixture(), None))
+    cases += [(random_smudge_analysis(rng, max_sites=8)[0], None)
+              for _ in range(4)]
+    for an, q in cases:
+        q = q or _query(an)
+        cone = refine._query_cone(an, q)
+        hp = _random_thetas(rng, an)[0]
+        for cfg in _every_config(hp):
+            refine.solve(an, q, cfg)
+        assert refine._query_cone(an, q) is cone
+        seeds = [ana.encode_params(an, a, k) for a in
+                 (frozenset(), frozenset(an.params)) for k in (0, 1)]
+        assert_same_index(cone, _cone(an, q), seeds)
 
 
 def test_solve_never_compiles_a_formula(smudge, smudge_hp, monkeypatch):
