@@ -24,17 +24,21 @@ from .errors import DomainOverflow, ParseError, ProvRefineError
 from .hypergraph import Fact, Hypergraph
 
 
+@dataclass(frozen=True)
 class Projection:
     """Partial fact-to-fact map, configured per relation.
 
     Directives: 'identity', 'drop', or a positional rewrite (target
     relation plus the indices of the source arguments to keep).
-    Unlisted relations follow the default directive.
+    Unlisted relations follow the default directive.  Equal directives
+    and default make equal projections.
     """
 
-    def __init__(self, rules: dict = None, default: str = "identity"):
-        self.rules = dict(rules or {})
-        self.default = default
+    rules: dict = field(default_factory=dict)
+    default: str = "identity"
+
+    def __post_init__(self):  # a copy: the caller's dict may change
+        object.__setattr__(self, "rules", dict(self.rules))
 
     def image(self, facts: Iterable[Fact]) -> frozenset:
         """The images of facts; facts the map is undefined on are dropped.

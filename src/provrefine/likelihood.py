@@ -11,10 +11,10 @@ blueprint, keeping each arc with its rule type's theta
 (`probmodel.HyperParams`), reproduces a batch (reach(H, T_k) = R_k for
 all k) is bounded below and above by products of per-head weighted
 model counts.  `bound_terms` counts the refuted arcs of each rule type
-and the heads of each distinct shape, read off its bit masks, and keeps
-nothing else that only the tests would read (the field rule of
-`tests/test_public_names.py`); `Bound` compiles each shape's count once
-and evaluates it under any theta;
+and keeps a clause-mask column per bound, for `BoundFormula` to count
+each shape's heads on first read, and nothing else that only the tests
+would read (the field rule of `tests/test_public_names.py`); `Bound`
+compiles each shape's count once and evaluates it under any theta;
 `exact_likelihood` enumerates every subset of the same index's arcs for
 the exact value on small instances, with no graph built per subset.
 """
@@ -61,12 +61,6 @@ class ObservationBatch:
                 rmask[f] = rmask.get(f, 0) | bit
         return cls(t, rmask)
 
-    def consistent(self) -> bool:
-        """Whether every observation's t lies in its r."""
-        rmask = self.rmask
-        return all(rmask.get(u, 0) >> k & 1
-                   for k, t in enumerate(self.t) for u in t)
-
 
 def observe(an: Analysis, abstractions: Iterable[frozenset]) -> ObservationBatch:
     """Run the analysis under each abstraction and project the outcomes.
@@ -110,33 +104,45 @@ class PerHead:
 class BoundFormula:
     """The terms of both bounds over one blueprint.
 
-    A head's shape is its clauses up to renaming arcs: (rule types,
-    clauses), where the arcs some clause holds become positions in
+    A head's clause for observation k holds its candidates, the arcs into
+    it that no observation refutes, with bit k in its `cmask` and in the
+    bound's column, `W & forward` (F_k) for the lower and `W` (D_k) for
+    the upper.  A head's shape is its clauses up to renaming arcs: (rule
+    types, clauses), where the arcs some clause holds become positions in
     `Arc._key` order and each distinct clause is one frozenset of
     positions, so that every head of a shape has bit for bit the shape's
     weighted count.  `per_head` holds each candidate head's lower-bound
-    clauses as arc sets, for the benchmark's tracer; it is built on first
-    read, from the bit masks `bound_terms` keeps in `_masks`.  The refuted
-    arcs, the candidates and the upper clauses as arc sets are not kept:
-    nothing in the library reads them.
+    clauses as arc sets, for the benchmark's tracer.  Each view is built
+    off the columns on first read.  The refuted arcs, the candidates and
+    the upper clauses as arc sets are not kept: nothing reads them.
     """
 
     n_counts: dict  # rule type -> its refuted arcs, by first arc in key order
-    lower_shapes: dict  # shape of A_h ∩ F_k -> heads, by first head in key order
-    upper_shapes: dict  # shape of A_h ∩ D_k -> heads, likewise
     impossible: bool = False  # some observation had t ⊄ r
-    _masks: tuple = field(default=None, repr=False, compare=False)
+    _masks: tuple = field(default=None, repr=False)  # (index, cmask, refuted)
+    _lower: list = field(default=None, repr=False)  # per arc W & forward
+    _upper: list = field(default=None, repr=False)  # per arc W
+
+    @cached_property
+    def lower_shapes(self) -> dict:
+        """Shape of A_h ∩ F_k -> heads, by first head in key order."""
+        return _shapes(*self._masks, self._lower) if self._masks else {}
+
+    @cached_property
+    def upper_shapes(self) -> dict:
+        """Shape of A_h ∩ D_k -> heads, likewise."""
+        return _shapes(*self._masks, self._upper) if self._masks else {}
 
     @cached_property
     def per_head(self) -> dict:
         """Fact -> PerHead, in key order."""
-        return _per_head(*self._masks) if self._masks else {}
+        return _per_head(*self._masks, self._lower) if self._masks else {}
 
 
-def _blueprint_masks(index: hg.Index, obs: ObservationBatch) -> tuple:
+def _blueprint_masks(index: hg.Index, obs: ObservationBatch):
     """(rmask, cmask) per fact id of the blueprint `index`: the bits of the
     observations whose r holds the fact, and of those that derive it
-    (r - t).
+    (r - t); None if some observation's t is not within its r.
 
     Refuses a self-loop arc of the blueprint, the least in key order
     named, and then an observation deriving a fact outside the blueprint,
@@ -170,12 +176,14 @@ def _blueprint_masks(index: hg.Index, obs: ObservationBatch) -> tuple:
         f = min((f for f, c in foreign.items() if c & first), key=hg.Fact._key)
         raise ObservationOutOfRange(f"observation {first.bit_length()} derives "
                                     f"{f}, a fact foreign to the blueprint")
+    if any(m & ~obs.rmask.get(u, 0) for u, m in tmask.items()):
+        return None
     return rmask, cmask
 
 
 def bound_terms(index: hg.Index, obs: ObservationBatch) -> BoundFormula:
-    """The refuted arcs' count per rule type and the per-head shapes of
-    both bounds over the blueprint `index`.
+    """The refuted arcs' count per rule type over the blueprint `index`,
+    and the masks that both bounds' head shapes are read off.
 
     The one index serves every observation: from an analysis, the
     restriction of its index that `local_provenance` returns, so nothing
@@ -185,52 +193,29 @@ def bound_terms(index: hg.Index, obs: ObservationBatch) -> BoundFormula:
     (the k that derive it) off the batch.  Each arc holds one bit per
     observation k: W is the AND of its body facts' `rmask` (all ones for
     an empty body), so bit k of W says the body lies in r_k.  An arc is
-    refuted iff W has a bit its head's `rmask` lacks; `dmask = W &
-    cmask[head]` marks the D_k holding it, and `fmask`, that and the arcs
-    forward from t_k, the F_k, all from one `Index.sweep` from every t_k.
-    A head's clause for k is its candidates with bit k set, and its shape
-    comes from those masks alone: a head with one candidate, as most are,
-    keys by an integer code, its rule type and whether the candidate is in
-    no, every or some clause, and each code becomes its shape once
-    (`_counted`); a head with more has its shape built (`_head_shape`).
+    refuted iff W has a bit its head's `rmask` lacks.  W is the upper
+    bound's clause-mask column, the D_k, and W & forward the lower bound's,
+    the F_k, with the forward arcs of one `Index.sweep` from every t_k.
     """
-    rmask, cmask = _blueprint_masks(index, obs)
-    if not obs.consistent():
-        return BoundFormula({}, {}, {}, impossible=True)
-
+    masks = _blueprint_masks(index, obs)
+    if masks is None:
+        return BoundFormula({}, impossible=True)
+    rmask, cmask = masks
     fwd = index.sweep(obs.t)[1]
     full = (1 << len(obs.t)) - 1
-    heads, w = index.heads, []
+    w = []
     for body in index.bodies:
         m = full
         for b in body:
             m &= rmask[b]
         w.append(m)
-    refuted = [w[j] & ~rmask[h] for j, h in enumerate(heads)]
-
-    types = [arc.rule_type for arc in index.arcs]
-    type_ids = {}  # rule type -> its index, by first arc
-    base = [3 * type_ids.setdefault(t, len(type_ids)) for t in types]
-    lower, upper = [], []  # per head its shape, or its one candidate's code
-    for _, c, a_h in _candidates(index, cmask, refuted):
-        if len(a_h) == 1:  # three bit tests per bound
-            j = a_h[0]
-            d = w[j] & c
-            m, b = d & fwd[j], base[j]
-            lower.append(b if not m else b + 1 if m == c else b + 2)
-            upper.append(b if not d else b + 1 if d == c else b + 2)
-        else:
-            dmask = [w[j] & c for j in a_h]
-            fmask = [m & fwd[j] for m, j in zip(dmask, a_h)]
-            lower.append(_head_shape(types, a_h, fmask, c))
-            upper.append(_head_shape(types, a_h, dmask, c))
+    refuted = [m & ~rmask[h] for m, h in zip(w, index.heads)]
     n_counts = {}
-    for j, bad in enumerate(refuted):
+    for arc, bad in zip(index.arcs, refuted):
         if bad:
-            n_counts[types[j]] = n_counts.get(types[j], 0) + 1
-    names = list(type_ids)
-    return BoundFormula(n_counts, _counted(lower, names), _counted(upper, names),
-                        _masks=(index, cmask, refuted, fwd, w))
+            n_counts[arc.rule_type] = n_counts.get(arc.rule_type, 0) + 1
+    return BoundFormula(n_counts, _masks=(index, cmask, refuted),
+                        _lower=[m & f for m, f in zip(w, fwd)], _upper=w)
 
 
 def _candidates(index: hg.Index, cmask: list, refuted: list):
@@ -253,13 +238,25 @@ _ALWAYS = frozenset([frozenset([0])])  # one arc, in every clause
 _SOMETIMES = frozenset([frozenset(), frozenset([0])])  # one arc, in some
 
 
-def _counted(keys: list, names: list) -> dict:
-    """Shape -> number of heads, by first head, from each head's key: its
-    shape, or the code of its one candidate, 3 × the index in names of its
-    rule type plus 0 if it is in no clause, 1 if in every clause, 2 if in
-    some.  Each code becomes its shape once; codes and shapes that name
-    one shape add up in the shape's place, its first head's."""
-    out = {}
+def _shapes(index: hg.Index, cmask: list, refuted: list, column: list) -> dict:
+    """Shape -> number of heads, by first head, of the clauses read off
+    `column`.  A head with one candidate, as most are, keys by an integer
+    code, 3 × the index of its rule type plus 0 if the candidate is in no
+    clause, 1 if in every clause, 2 if in some; a head with more has its
+    shape built (`_head_shape`).  Each code becomes its shape once, and
+    codes and shapes that name one shape add up in the shape's place, its
+    first head's."""
+    types = [arc.rule_type for arc in index.arcs]
+    type_ids = {}  # rule type -> its index, by first coded head
+    keys = []  # per head its shape, or its one candidate's code
+    for _, c, a_h in _candidates(index, cmask, refuted):
+        if len(a_h) == 1:  # three bit tests
+            j = a_h[0]
+            m, b = column[j] & c, 3 * type_ids.setdefault(types[j], len(type_ids))
+            keys.append(b if not m else b + 1 if m == c else b + 2)
+        else:
+            keys.append(_head_shape(types, a_h, [column[j] & c for j in a_h], c))
+    names, out = list(type_ids), {}
     for key, n in Counter(keys).items():
         if type(key) is int:
             t, k = divmod(key, 3)
@@ -293,15 +290,13 @@ def _head_shape(types: list, a_h: list, masks: list, c: int) -> tuple:
                       for cl in parts))
 
 
-def _per_head(index: hg.Index, cmask: list, refuted: list, fwd: list,
-              w: list) -> dict:
-    """Each head's lower-bound clauses as arc sets, from `bound_terms`'
-    masks: clause k holds the candidates whose bit k is set in `w & fwd`."""
+def _per_head(index: hg.Index, cmask: list, refuted: list, column: list) -> dict:
+    """Each head's clauses as arc sets, read off `column` as `_shapes`
+    reads them: clause k holds the candidates with bit k in `column`."""
     arcs, per_head = index.arcs, {}
     for h, c, a_h in _candidates(index, cmask, refuted):
-        fmask = [w[j] & c & fwd[j] for j in a_h]
         per_head[index.facts[h]] = PerHead(tuple(
-            frozenset(arcs[j] for j, m in zip(a_h, fmask) if m >> k & 1)
+            frozenset(arcs[j] for j in a_h if column[j] >> k & 1)
             for k in range(c.bit_length()) if c >> k & 1))
     return per_head
 
@@ -416,8 +411,8 @@ def exact_likelihood(index: hg.Index, obs: ObservationBatch,
     `index`'s arc ids (key order), after the bounds' own check of the
     blueprint and the observations.  With t in r and no foreign fact
     derived, reach(subset, t) = r iff `run` reaches the ids of r."""
-    rmask, _ = _blueprint_masks(index, obs)
-    if not obs.consistent():
+    masks = _blueprint_masks(index, obs)
+    if masks is None:
         return NEG_INF
     n = len(index.arcs)
     if n > EXACT_ARC_LIMIT:
@@ -425,7 +420,7 @@ def exact_likelihood(index: hg.Index, obs: ObservationBatch,
             f"exact likelihood over {n} arcs (limit {EXACT_ARC_LIMIT})")
     validate_hyperparams(hp, index)
     theta = [hp.get(arc.rule_type) for arc in index.arcs]
-    r_ids = [{i for i, m in enumerate(rmask) if m >> k & 1}
+    r_ids = [{i for i, m in enumerate(masks[0]) if m >> k & 1}
              for k in range(len(obs.t))]
     total = 0.0
     for mask in range(1 << n):

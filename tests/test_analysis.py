@@ -60,6 +60,22 @@ def test_projection_modes():
     assert type(pi.image([])) is frozenset
 
 
+def test_analyses_compare_by_value(tmp_path):
+    # an analysis built twice, or read twice from one manifest, equals
+    # itself: its projection compares by its directives and default
+    assert datalog.smudge_fixture() == datalog.smudge_fixture()
+    m = tmp_path / "m.txt"
+    save_manifest(datalog.smudge_fixture(), str(m), str(tmp_path / "s.prov"))
+    first, second = (ana.parse_manifest(m.read_text(), str(tmp_path))
+                     for _ in range(2))
+    assert first == second
+    rules = {"precise": ("cheap", (0,))}
+    pi = Projection(rules)
+    rules["noise"] = "drop"  # the projection keeps its own copy
+    assert pi == Projection({"precise": ("cheap", (0,))}) != Projection(rules)
+    assert pi != Projection(pi.rules, "drop")
+
+
 def test_projection_directive_round_trip():
     pi = Projection({"precise": ("cheap", (0,)), "junk": "drop"},
                     default="identity")

@@ -1079,6 +1079,34 @@ def test_arbitrary_input_gets_a_documented_exit_code(valid_inputs, command, text
         assert cli.main(argv) in _DOCUMENTED_EXITS
 
 
+
+# documented input errors that no other test reaches; where the error is in
+# a file, that file is "fuzz.txt", and the message names it and the line
+@pytest.mark.parametrize("text, command, message", [
+    ("params:\n0 encode0=c(0) encode1=p(0)\nprovenance: s.prov\nqueries:\nq\n"
+     "provenance: s.prov\n", ["solve", "fuzz.txt"],
+     "fuzz.txt line 6: a second provenance: or rules: entry"),
+    ("provenance: s.prov\nqueries:\nprojection:\np foo\n", ["solve", "fuzz.txt"],
+     "fuzz.txt line 4: malformed projection directive: 'p foo'"),
+    ("p(1).\nq(X) :- p(X). @\n", ["ground", "--rules", "fuzz.txt"],
+     "fuzz.txt line 2: empty rule name after '@'"),
+    ("w a 1.0\nhard (exists (a ( b) a)\n", ["maxsat", "fuzz.txt"],
+     "fuzz.txt line 2: unexpected '(' in a variable list"),
+    ("", ["ground"], "need --rules or --fixture"),
+    ("", ["solve"], "need a manifest path or --fixture"),
+    ("", ["learn", "s.manifest", "--n", "0"], "need at least one sample"),
+    ("", ["learn", "s.manifest", "--max-flips", "0"], "max_flips must be >= 1")],
+    ids=["second provenance", "projection directive", "empty rule name",
+         "variable list", "ground without rules", "solve without manifest",
+         "no sample", "no flip"])
+def test_a_documented_input_error_exits_2(capsys, valid_inputs, text, command,
+                                          message):
+    fuzz = Path(valid_inputs["fuzz.txt"])
+    fuzz.write_text(text)
+    paths = dict(valid_inputs, **{"s.manifest": str(fuzz.parent / "s.manifest")})
+    assert run(capsys, *[paths.get(a, a) for a in command]) == \
+        (2, "", f"error: {message.replace('fuzz.txt', str(fuzz))}\n")
+
 # --- the line rules every input format shares --------------------------------
 
 def _formats(d: Path) -> dict:

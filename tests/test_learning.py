@@ -415,6 +415,27 @@ def test_learn_builds_no_arc_clause_set(monkeypatch):
     assert calls == [1]
 
 
+def test_learning_never_builds_the_upper_shapes(monkeypatch):
+    # learning maximises the lower bound alone: each formula's upper
+    # shapes are built only when read, and learning never reads them
+    import pointsto_reference
+
+    formulas = []
+    real = lk.bound_terms
+    monkeypatch.setattr(lk, "bound_terms",
+                        lambda *args: formulas.append(real(*args)) or formulas[-1])
+    rng = random.Random(6)
+    programs = [random_smudge_analysis(rng, max_sites=10)[0] for _ in range(3)]
+    programs.append(pointsto_reference.pointsto_analysis())
+    parts = [learning.sample_training(an, 20, 3, rng) for an in programs]
+    learning.learn(learning.TrainingSet.merge(parts))
+    learning.leave_one_out(parts)
+    assert len(formulas) == 2 * len(parts)
+    assert all(vars(bf).keys() & {"lower_shapes", "upper_shapes"} == {"lower_shapes"}
+               for bf in formulas)
+    assert all(bf.lower_shapes for bf in formulas)
+
+
 @pytest.mark.hashseed
 def test_learn_equals_the_theta_of_the_per_head_shape_bound():
     # bit for bit: the same shapes and refuted types in the same order, and

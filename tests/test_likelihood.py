@@ -72,16 +72,24 @@ def test_four_arc_bounds_and_exact(four_arc_example):
         pytest.approx(math.log(0.3125))
 
 
-def test_cyclic_pair_bounds():
+def test_cyclic_pair_bounds(monkeypatch):
     # a <-> b with no seeds: nothing is derivable, yet the upper bound
     # counts the mutually-justifying cycle
     a, b = _f("a"), _f("b")
     g = Hypergraph([Arc(a, frozenset([b]), "r"), Arc(b, frozenset([a]), "r")])
     obs = [Observation(t=frozenset(), r=frozenset([a, b]))]
     hp = pm.HyperParams({"r": 0.5})
+    built = []
+    real = lk._shapes
+    monkeypatch.setattr(lk, "_shapes",
+                        lambda *args: built.append(args[-1]) or real(*args))
     bf = lk.bound_terms(hg.Index(g.arcs), _batch(obs))
+    assert built == []
     assert lk.lower_bound(bf, hp) == pm.NEG_INF
-    assert lk.upper_bound(bf, hp) == pytest.approx(math.log(0.25))
+    for _ in range(2):  # each bound's shapes are built once, on first read
+        assert lk.upper_bound(bf, hp) == pytest.approx(math.log(0.25))
+    assert len(built) == 2 and built[0] is bf._lower and built[1] is bf._upper
+    assert bf.upper_shapes is bf.upper_shapes
     assert lk.exact_likelihood(hg.Index(g.arcs), _batch(obs), hp) == pm.NEG_INF
 
 
@@ -92,6 +100,7 @@ def test_inconsistent_observation_gives_zero_likelihood():
     bf = lk.bound_terms(hg.Index(g.arcs), _batch(obs))
     hp = pm.HyperParams({"r": 0.5})
     assert bf.impossible
+    assert bf.lower_shapes == bf.upper_shapes == bf.per_head == {}
     assert lk.lower_bound(bf, hp) == pm.NEG_INF
     assert lk.upper_bound(bf, hp) == pm.NEG_INF
     assert lk.exact_likelihood(hg.Index(g.arcs), _batch(obs), hp) == pm.NEG_INF
@@ -262,7 +271,7 @@ def test_an_observation_batch_gives_its_list_back():
         obs += rng.sample(obs, rng.randint(0, min(3, len(obs))))  # duplicates
         rng.shuffle(obs)
         cases.append(obs)
-    consistent = set()
+    outcomes = set()
     for obs in cases:
         batch = _batch(obs)
         assert observations(batch) == obs
@@ -270,9 +279,11 @@ def test_an_observation_batch_gives_its_list_back():
         assert batch.t == [o.t for o in obs]
         assert batch.rmask == {f: sum(1 << k for k, o in enumerate(obs) if f in o.r)
                                for f in set().union(*(o.r for o in obs))}
-        assert batch.consistent() == all(o.t <= o.r for o in obs)
-        consistent.add(batch.consistent())
-    assert consistent == {True, False}
+        # no arc and no foreign fact: None exactly when some t is not within its r
+        inconsistent = lk._blueprint_masks(hg.Index((), pool), batch) is None
+        assert inconsistent == (not all(o.t <= o.r for o in obs))
+        outcomes.add(inconsistent)
+    assert outcomes == {True, False}
 
 
 def test_observe_equals_reach_over_the_local_provenance():
