@@ -303,16 +303,13 @@ def check_domain(facts: Collection[Fact]) -> None:
 
 class _FactIndex:
     """Facts grouped by (relation, arity), with one hash index per tuple of
-    bound argument positions, built on first use and kept up to date.
+    bound argument positions, built on first use and kept up to date.  An
+    index maps the values at its positions to the list of the facts holding
+    them, in the order they were added."""
 
-    An index maps the values at its positions to the one fact holding them
-    or, once there are several, to a list of them: most keys name one fact,
-    and a bare fact is smaller than a list.
-    """
-
-    def __init__(self, facts: Iterable[Fact] = ()):
+    def __init__(self, facts: Iterable[Fact]):
         self.facts = {}    # (relation, arity) -> [fact]
-        self.indices = {}  # (relation, arity) -> {positions: {values: fact or [fact]}}
+        self.indices = {}  # (relation, arity) -> {positions: {values: [fact]}}
         for f in facts:
             self.add(f)
 
@@ -332,21 +329,14 @@ class _FactIndex:
             index = by_positions[positions] = {}
             for f in self.facts.get(sig, ()):
                 _insert(index, positions, f)
-        hit = index.get(values, ())
-        return (hit,) if isinstance(hit, Fact) else hit
+        return index.get(values, ())
 
 
 def _insert(index: dict, positions: tuple, fact: Fact) -> None:
     # a key covering every argument is the fact's own argument tuple
     key = fact.args if len(positions) == len(fact.args) else tuple(
         fact.args[p] for p in positions)
-    hit = index.get(key)
-    if hit is None:
-        index[key] = fact
-    elif isinstance(hit, Fact):
-        index[key] = [hit, fact]
-    else:
-        hit.append(fact)
+    index.setdefault(key, []).append(fact)
 
 
 def _getter(slots: list):
@@ -505,7 +495,7 @@ def _saturate(rules: list, base: Collection[Fact], seeds: Collection[Fact],
     arcs = {Arc(f, no_body, BASE_RULE_TYPE) for f in base}
 
     facts = {f: f for f in known}  # one object per distinct fact
-    delta, fresh = _FactIndex(known), None  # in round 1 no fact is old
+    delta, fresh = index, None  # in round 1 every known fact is new
     while delta.facts:
         new_facts = set()
         for rule, rule_plans in plans:

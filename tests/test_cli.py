@@ -169,13 +169,18 @@ class TestGround:
     # of several rule instances that fail, the one named is the same in
     # every process: the first a run with the facts in key order meets.
     # In a set's order either overflowing instance, and any of the three
-    # names, can come first
+    # names, can come first.  In the bound-position case the three p facts
+    # share the looked-up key K = 1, so a lookup must give a key's facts in
+    # the order they were added
     @pytest.mark.parametrize("text, code, message", [
         ("p(a,1).\np(b,2).\np(c,3).\nq(X,Y) :- p(X,N), Y == N * 200. @r\n",
-         3, "rule r: q(b,400): integer 400 outside [0, 255]"),
+         3, "line 4: rule r: q(b,400): integer 400 outside [0, 255]"),
         ("p(a).\np(b).\np(c).\nq(Y) :- p(X), Y == X + 1. @r\n",
-         2, "rule r: guard 'Y == X + 1': 'a' is not an integer")],
-        ids=["domain", "guard"])
+         2, "line 4: rule r: guard 'Y == X + 1': 'a' is not an integer"),
+        ("k(1).\np(1,a,1).\np(1,b,2).\np(1,c,3).\n"
+         "q(X,Y) :- k(K), p(K,X,N), Y == N * 200. @r\n",
+         3, "line 5: rule r: q(b,400): integer 400 outside [0, 255]")],
+        ids=["domain", "guard", "bound position"])
     @pytest.mark.hashseed
     def test_a_failing_rule_instance_is_named_whatever_the_hash_seed(
             self, tmp_path, text, code, message):
@@ -188,7 +193,7 @@ class TestGround:
                 [sys.executable, "-m", "provrefine.cli", "ground", "--rules",
                  str(src)], env=env, capture_output=True, text=True)
             assert (done.returncode, done.stdout, done.stderr) == \
-                (code, "", f"error: {src} line 4: {message}\n"), seed
+                (code, "", f"error: {src} {message}\n"), seed
 
     def test_facts_file_is_merged_into_the_grounding(self, capsys, tmp_path):
         rules, facts = tmp_path / "r.dl", tmp_path / "f.dl"
@@ -782,6 +787,14 @@ class TestMaxsat:
         assert code == 0 and out.startswith("p wcnf")
         assert vm.exists()
 
+    def test_a_weight_that_scales_to_0_is_not_exported(self, capsys, tmp_path):
+        inst = tmp_path / "i.txt"
+        inst.write_text("w a 1e-9\nw b -0.5\nhard (or a b)\n")
+        # a's weight rounds to 0 and gets no soft clause; b's is the one
+        assert run(capsys, "maxsat", str(inst), "--export-wcnf") == \
+            (0, "p wcnf 3 5 500001\n500001 -1 3 0\n500001 -2 3 0\n"
+                "500001 -3 1 2 0\n500001 3 0\n500000 -2 0\n", "")
+
     def test_an_unwritable_varmap_exits_2(self, capsys, tmp_path):
         inst = tmp_path / "i.txt"
         inst.write_text("w a 2.0\nhard (or a b)\n")
@@ -1052,19 +1065,25 @@ def valid_inputs(tmp_path_factory) -> dict:
         likelihood_reference.observations(
             lk.observe(an, [frozenset(["0", "4"])]))))
     save_hyperparams(pm.HyperParams(datalog.smudge_theta()), str(d / "theta.txt"))
-    names = ("bp.prov", "obs.txt", "theta.txt", "fuzz.txt")
+    (d / "rules.dl").write_text("p(1).\nh(Y) :- q(X), Y == X * 300. @r\n")
+    (d / "instance.txt").write_text("w a 1.0\nw b -0.5\nhard (or a b)\n")
+    names = ("s.manifest", "bp.prov", "obs.txt", "theta.txt", "rules.dl",
+             "instance.txt", "fuzz.txt")
     return {name: str(d / name) for name in names}
 
 
 # each command with the argument that receives the generated text
 _COMMANDS = [
     ["ground", "--rules", "fuzz.txt"],
+    ["ground", "--rules", "rules.dl", "--facts", "fuzz.txt"],
     ["solve", "fuzz.txt", "--budget", "1"],
+    ["solve", "s.manifest", "--strategy", "probabilistic", "--theta", "fuzz.txt"],
     ["learn", "fuzz.txt", "--n", "2"],
     ["likelihood", "fuzz.txt", "obs.txt", "theta.txt"],
     ["likelihood", "bp.prov", "fuzz.txt", "theta.txt"],
     ["likelihood", "bp.prov", "obs.txt", "fuzz.txt"],
     ["maxsat", "fuzz.txt", "--budget", "1"],
+    ["maxsat", "instance.txt", "--import-model", "fuzz.txt"],
 ]
 
 
@@ -1074,9 +1093,17 @@ def test_arbitrary_input_gets_a_documented_exit_code(valid_inputs, command, text
     # the generated file sits beside s.prov, which a manifest may name
     Path(valid_inputs["fuzz.txt"]).write_text(text)
     argv = [valid_inputs.get(a, a) for a in command]
-    with contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(io.StringIO()):
-        assert cli.main(argv) in _DOCUMENTED_EXITS
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in _DOCUMENTED_EXITS
+    if code in (cli.EXIT_PARSE, cli.EXIT_OVERFLOW):
+        # one line that names one of the command's files
+        message = err.getvalue()
+        assert message.startswith("error: ") and message.endswith("\n")
+        assert message.count("\n") == 1, message
+        assert any(path in message for path in argv[1:]
+                   if path in valid_inputs.values()), message
 
 
 
@@ -1092,19 +1119,20 @@ def test_arbitrary_input_gets_a_documented_exit_code(valid_inputs, command, text
      "fuzz.txt line 2: empty rule name after '@'"),
     ("w a 1.0\nhard (exists (a ( b) a)\n", ["maxsat", "fuzz.txt"],
      "fuzz.txt line 2: unexpected '(' in a variable list"),
+    ("b <- a @ r\nc a @ s\n", ["likelihood", "fuzz.txt", "obs.txt", "theta.txt"],
+     "fuzz.txt line 2: arc missing '<-': 'c a @ s'"),
     ("", ["ground"], "need --rules or --fixture"),
     ("", ["solve"], "need a manifest path or --fixture"),
     ("", ["learn", "s.manifest", "--n", "0"], "need at least one sample"),
     ("", ["learn", "s.manifest", "--max-flips", "0"], "max_flips must be >= 1")],
     ids=["second provenance", "projection directive", "empty rule name",
-         "variable list", "ground without rules", "solve without manifest",
-         "no sample", "no flip"])
+         "variable list", "arc without arrow", "ground without rules",
+         "solve without manifest", "no sample", "no flip"])
 def test_a_documented_input_error_exits_2(capsys, valid_inputs, text, command,
                                           message):
     fuzz = Path(valid_inputs["fuzz.txt"])
     fuzz.write_text(text)
-    paths = dict(valid_inputs, **{"s.manifest": str(fuzz.parent / "s.manifest")})
-    assert run(capsys, *[paths.get(a, a) for a in command]) == \
+    assert run(capsys, *[valid_inputs.get(a, a) for a in command]) == \
         (2, "", f"error: {message.replace('fuzz.txt', str(fuzz))}\n")
 
 # --- the line rules every input format shares --------------------------------

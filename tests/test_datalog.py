@@ -154,6 +154,13 @@ def test_guard_arithmetic_on_a_name_constant_is_a_parse_error(guard):
     assert "'cd' is not an integer" in str(exc.value)
 
 
+def test_a_guard_is_one_comparison():
+    # parse_program reads a body part without a comparison as an atom, so
+    # only a library caller reaches this check
+    with pytest.raises(ValueError, match=r"guard must be a single comparison: 'X \+ 1'"):
+        datalog.Guard("X + 1")
+
+
 def test_rules_require_names_and_facts_refuse_them():
     with pytest.raises(ParseError):
         datalog.parse_program("p(X) :- q(X).\n")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from collections import Counter
@@ -49,6 +50,11 @@ def test_line_search_constant_prefers_leftmost():
     assert learning.line_search(lambda x: 5.0, 0.0, 1.0) == 0.0
 
 
+def test_line_search_needs_lo_below_hi():
+    with pytest.raises(ValueError, match="need lo < hi"):
+        learning.line_search(lambda x: x, 1.0, 1.0)
+
+
 def test_bernoulli_mle_recovers_frequency():
     ts = _bernoulli_corpus(3, 10)
     hp = learning.learn(ts)
@@ -80,6 +86,16 @@ def test_degenerate_training_set_raises():
         blueprint, lk.ObservationBatch.of(
             [Observation(t=frozenset(), r=frozenset())]))])
     with pytest.raises(ProvRefineError, match="no observation constrains"):
+        learning.learn(ts)
+
+
+def test_an_observation_with_t_not_within_r_is_refused():
+    a, b = _f("a"), _f("b")
+    blueprint = hg.Index([Arc(b, frozenset([a]), "coin")])
+    ts = learning.TrainingSet([learning.ObservationGroup(
+        blueprint, lk.ObservationBatch.of(
+            [Observation(t=frozenset([b]), r=frozenset([a]))]))])
+    with pytest.raises(ValueError, match="training observation with T not within R"):
         learning.learn(ts)
 
 
@@ -193,6 +209,14 @@ def test_sample_training_shapes():
         # each flipped precise(l) projects to its own cheap(l): t is the flips
         assert 1 <= len(o.t) <= 2
         assert o.t <= o.r
+
+
+def test_sample_training_needs_a_parameter():
+    from provrefine import datalog
+
+    an = dataclasses.replace(datalog.smudge_fixture(), params=())
+    with pytest.raises(ValueError, match="the analysis has no parameters to flip"):
+        learning.sample_training(an, 2, 1, random.Random(0))
 
 
 def _assert_same_training(got, want):

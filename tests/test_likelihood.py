@@ -8,7 +8,8 @@ import pytest
 import provrefine.hypergraph as hg
 from provrefine import likelihood as lk
 from provrefine import probmodel as pm
-from provrefine.errors import ObservationOutOfRange, ParseError, SelfLoopArc
+from provrefine.errors import (ObservationOutOfRange, ParseError, ProvRefineError,
+                               SelfLoopArc)
 from provrefine.hypergraph import Arc, Fact, Hypergraph
 
 import likelihood_reference
@@ -104,6 +105,15 @@ def test_inconsistent_observation_gives_zero_likelihood():
     assert lk.lower_bound(bf, hp) == pm.NEG_INF
     assert lk.upper_bound(bf, hp) == pm.NEG_INF
     assert lk.exact_likelihood(hg.Index(g.arcs), _batch(obs), hp) == pm.NEG_INF
+
+
+def test_a_theta_without_a_rule_type_is_refused():
+    a, b = _f("a"), _f("b")
+    g = Hypergraph([Arc(a, frozenset(), "base"), Arc(b, frozenset([a]), "r")])
+    bf = lk.bound_terms(hg.Index(g.arcs), _batch(
+        [Observation(t=frozenset([a]), r=frozenset([a, b]))]))
+    with pytest.raises(ProvRefineError, match="no hyperparameter for rule type 'r'"):
+        lk.lower_bound(bf, pm.HyperParams({"base": 1.0}))
 
 
 def test_self_loop_arcs_are_rejected():
