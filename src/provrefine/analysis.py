@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import itertools
 import os
 import string
 from dataclasses import dataclass, field
@@ -118,20 +119,21 @@ def encode_params(an: Analysis, a: frozenset, k: int) -> frozenset:
 def derive(an: Analysis, a: frozenset) -> frozenset:
     """All facts the analysis derives under abstraction a."""
     seeds = encode_params(an, a, 0) | encode_params(an, a, 1)
-    return frozenset(an.index.close(seeds))
+    reach = an.index.sweep([seeds])[0]
+    return seeds.union(itertools.compress(an.index.facts, reach))
 
 
 def local_provenance(an: Analysis, a: frozenset) -> hg.Index:
     """The index of the global provenance restricted to the facts derived
     under a, the arcs of `hg.induced(an.global_graph, derive(an, a))`:
     those whose body the closure reaches, whose heads it then reaches too.
-    It closes the analysis's index over fact ids and restricts that index
-    to those arcs (`Index.restrict`), so nothing is ranked again."""
+    It sweeps the analysis's index from the seeds and restricts that
+    index to those arcs (`Index.restrict`), so nothing is ranked again."""
     seeds = encode_params(an, a, 0) | encode_params(an, a, 1)
     index = an.index
-    reached = set(index.run(seeds))
+    reach = index.sweep([seeds])[0]
     return index.restrict(j for j, body in enumerate(index.bodies)
-                          if reached.issuperset(body))
+                          if all(map(reach.__getitem__, body)))
 
 
 def check_well_formed(an: Analysis) -> list:

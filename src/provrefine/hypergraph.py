@@ -11,14 +11,17 @@ reader, `parse_fact`, reads every fact and Datalog atom into a `Fact`.
 Reachability is the least fixpoint of
 "if all body facts hold, the head holds", and the max-plus hyperpath
 distance is the round of that fixpoint in which a fact is first derived.
-Two kernels close an `Index`, which numbers a graph's facts and arcs by
-integers.  `Index.run` gives one seed set's distances in a third to half
-the time of a one-bit sweep (`reach` keeps the keys of `Index.close`,
-`distances` its values).  `Index.sweep` closes from a batch of
-seed sets in one bit-parallel pass, one bit per set, and is the one
-kernel of forward arcs: `likelihood.observe` and `bound_terms` sweep an
-observation batch, and each iteration of `refine.solve` its two sets,
-P0 | P1 and P1.
+One kernel closes an `Index`, which numbers a graph's facts and arcs by
+integers: `Index.sweep` closes from a batch of seed sets in one
+bit-parallel pass, one bit per set, through every arc or a given subset
+of arc ids, and is the one kernel of reach and of forward arcs.
+`likelihood.observe` and `bound_terms` sweep an observation batch, each
+iteration of `refine.solve` its two sets, P0 | P1 and P1,
+`exact_likelihood` a batch per subset of arcs, and `reach`, `derive`,
+`local_provenance` and `decode_model` one set.  `distances` relaxes the
+graph's arcs to their definition's fixpoint with no index, so that
+`forward_arcs`, built on it, stays independent of the kernel's forward
+bits, which it is the oracle of.
 Every index numbers by one rule: facts in `Fact._key` order and arcs in
 `Arc._key` order, whatever the hash seed.  `_ranked` sorts them by small
 integers: it ranks the distinct argument values once, integers before
@@ -30,13 +33,13 @@ subset of an index's arcs, which is that order already, and ranks
 nothing again.  An index stays lean, as an analysis keeps two alive for
 as long as it lives: `Arc._key` sorts by head first, so the arcs into a
 fact are one run of arc ids, read off one offsets list, `Index.first`,
-and the per-arc bodies and per-fact uses the kernels walk are tuples,
+and the per-arc bodies and per-fact uses the kernel walks are tuples,
 built once.
 
-`reach` and `distances` build an index per call.  An analysis caches the
-one index of its global graph (`analysis.Analysis.index`), which `derive`
-closes from each seed set and `likelihood.observe` sweeps from every
-abstraction of a batch.  `refine.solve` indexes the query's backward cone
+`reach` builds an index per call.  An analysis caches the one index of
+its global graph (`analysis.Analysis.index`), which `derive` sweeps from
+each seed set and `likelihood.observe` from every abstraction of a
+batch.  `refine.solve` indexes the query's backward cone
 and the parameter facts (`Index.cone`) once for a run of solves of one
 query of one analysis: it keeps the last solve's cone, with a weak
 reference to its analysis, and no more.  A blueprint is an
@@ -224,7 +227,7 @@ class Index:
 
     def _link(self, heads: list, bodies: tuple, arcs: list) -> None:
         """Set the arc columns, given `facts`, and the offsets and tuples
-        the kernels walk."""
+        the kernel walks."""
         self.heads, self.bodies, self.arcs = heads, bodies, arcs
         # heads ascend, so the run into fact i starts after the arcs into
         # the facts before it
@@ -232,22 +235,21 @@ class Index:
         for h in heads:
             first[h + 1] += 1
         self.first = list(itertools.accumulate(first))
-        # per fact the arcs it is a body fact of, per arc its body size, and
-        # the arcs with an empty body
+        # per fact the arcs it is a body fact of, and the arcs with an empty
+        # body
         uses = [[] for _ in self.facts]
         for j, body in enumerate(bodies):
             for b in body:
                 uses[b].append(j)
         self._uses = tuple(map(tuple, uses))
-        self._sizes = list(map(len, bodies))
-        self._empty = [j for j, n in enumerate(self._sizes) if not n]
+        self._empty = [j for j, body in enumerate(bodies) if not body]
 
     @classmethod
     def cone(cls, g: Hypergraph, q, extra: Iterable) -> "Index":
         """The index of q's backward cone in g and of the facts of `extra`.
         A cone fact's reach and distance depend only on the arcs into its
-        own cone, so `run` gives it its value in g; an extra fact outside
-        the cone is only a seed."""
+        own cone, so `sweep` gives it its reach and forward arcs in g; an
+        extra fact outside the cone is only a seed."""
         by_head = {}
         for e in g.arcs:
             by_head.setdefault(e.head, []).append(e)
@@ -280,62 +282,28 @@ class Index:
                   list(map(self.arcs.__getitem__, arc_ids)))
         return sub
 
-    def run(self, t: Iterable, arcs: Optional[Iterable[int]] = None) -> dict:
-        """Fact id -> max-plus distance from the seed facts t, for the facts
-        reached.  Seeds outside the index are dropped.  Given `arcs`, only
-        the arcs with those ids fire.
-
-        Seeds are at 0 and heads of empty-body arcs at 1.  Facts settle layer
-        by layer; an arc fires when its last body fact settles, and that fact
-        is the farthest of its body, so the head's candidate is its layer + 1.
-        The first candidate a head gets is its least, so no heap is needed.
-        """
-        ids, heads, uses = self.ids, self.heads, self._uses
-        if arcs is None:
-            pending = self._sizes.copy()
-        else:  # an arc left out counts down past 0, so it never fires
-            pending = [-1] * len(self.arcs)
-            for j in arcs:
-                pending[j] = self._sizes[j]
-        dist = dict.fromkeys([ids[u] for u in t if u in ids], 0)
-        layer, nxt = list(dist), []
-        for j in self._empty:
-            if not pending[j] and heads[j] not in dist:
-                dist[heads[j]] = 1
-                nxt.append(heads[j])
-        d = 1  # the distance of the heads that fire from this layer
-        while layer or nxt:
-            for f in layer:
-                for j in uses[f]:
-                    pending[j] -= 1
-                    if not pending[j]:
-                        h = heads[j]
-                        if h not in dist:
-                            dist[h] = d
-                            nxt.append(h)
-            layer, nxt, d = nxt, [], d + 1
-        return dist
-
-    def sweep(self, seed_sets: Iterable[Iterable]) -> tuple:
+    def sweep(self, seed_sets: Iterable[Iterable],
+              arcs: Optional[Iterable[int]] = None) -> tuple:
         """(reach, forward) from every seed set at once, with one bit per
-        set: bit k of `reach[i]` says set k reaches fact i, the facts of
-        `run` from it, and bit k of `forward[j]` that arc j is forward from
-        set k, its head farther from the set than every body fact
-        (`forward_arcs`).  Seeds outside the index are dropped.  The one
-        kernel of forward arcs, for a batch or for refinement's two sets.
+        set: bit k of `reach[i]` says set k reaches fact i, a seed or a
+        fact it derives, and bit k of `forward[j]` that arc j is forward
+        from set k, its head farther from the set than every body fact
+        (`forward_arcs`).  Seeds outside the index are dropped.  Given
+        `arcs`, only the arcs with those ids fire, for every set.  The one
+        closure kernel, for one set, a batch or refinement's two sets.
 
         One layered pass serves every set (bit-parallel multi-source
         search).  An arc fires for the sets in the AND of its body facts'
         masks that it has not fired for yet, and is forward for those whose
         head was unreached before this layer; heads take their new bits
         only once the layer is done, so two arcs into one head in one layer
-        are both forward, and so is every empty-body arc.  A layer
-        re-evaluates only the arcs of the facts that gained bits in the
-        layer before.
+        are both forward, and so is every empty-body arc that fires.  A
+        layer re-evaluates only the arcs of the facts that gained bits in
+        the layer before.  An arc left out of `arcs` counts as fired for
+        every set from the start, so it never fires.
         """
         ids, heads, bodies, uses = self.ids, self.heads, self.bodies, self._uses
         reach, forward = [0] * len(self.facts), [0] * len(self.arcs)
-        fired = [0] * len(self.arcs)  # per arc the sets it has fired for
         full = 0
         for k, t in enumerate(seed_sets):
             bit = 1 << k
@@ -344,9 +312,17 @@ class Index:
                 i = ids.get(u)
                 if i is not None:
                     reach[i] |= bit
+        if arcs is None:
+            fired = [0] * len(self.arcs)  # per arc the sets it has fired for
+        else:
+            fired = [full] * len(self.arcs)
+            for j in arcs:
+                fired[j] = 0
         layer = [i for i, m in enumerate(reach) if m]
         gains = {}  # fact id -> the sets it settles for in this layer
         for j in self._empty:
+            if fired[j]:
+                continue
             forward[j] = full
             h = heads[j]
             gain = full & ~reach[h]
@@ -371,12 +347,6 @@ class Index:
             layer, gains = gains, {}
         return reach, forward
 
-    def close(self, t: Iterable) -> dict:
-        """Fact -> max-plus distance from t, for t and the facts reached."""
-        dist = dict.fromkeys(t, 0)
-        dist.update((self.facts[i], d) for i, d in self.run(dist).items())
-        return dist
-
     def slice(self, root: int, keep) -> list:
         """The ids of the arcs j with keep(j) that reach fact root through
         such arcs."""
@@ -396,7 +366,9 @@ class Index:
 
 def reach(g: Hypergraph, t: Iterable[Fact]) -> frozenset:
     """Least set R with T subseteq R that is closed under the arcs of g."""
-    return frozenset(Index(g.arcs).close(t))
+    t = frozenset(t)
+    index = Index(g.arcs)
+    return t.union(itertools.compress(index.facts, index.sweep([t])[0]))
 
 
 def induced(g: Hypergraph, t: Iterable[Fact]) -> Hypergraph:
@@ -409,10 +381,21 @@ def distances(g: Hypergraph, t: Iterable[Fact]) -> dict:
     """Max-plus hyperpath distance from the seed set t to every vertex.
 
     d(h) = 0 for seeds, +inf for unreachable facts, and otherwise the
-    minimum over arcs (h, B) of max_b d(b) + 1.
+    minimum over arcs (h, B) of max_b d(b) + 1.  Computed as that
+    definition's fixpoint: from 0 at the seeds and +inf elsewhere, every
+    arc relaxes its head until no distance drops.  It shares no code with
+    `Index.sweep`, whose forward bits `forward_arcs` is the oracle of.
     """
     dist = dict.fromkeys(g.vertices, INFINITY)
-    dist.update(Index(g.arcs).close(t))
+    dist.update(dict.fromkeys(t, 0))
+    dropped = True
+    while dropped:
+        dropped = False
+        for head, body, _ in g.arcs:
+            d = max([dist[b] for b in body], default=0) + 1
+            if d < dist[head]:
+                dist[head] = d
+                dropped = True
     return dist
 
 

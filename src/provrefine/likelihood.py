@@ -410,7 +410,8 @@ def exact_likelihood(index: hg.Index, obs: ObservationBatch,
     """Log-probability by enumerating every subset of the blueprint
     `index`'s arc ids (key order), after the bounds' own check of the
     blueprint and the observations.  With t in r and no foreign fact
-    derived, reach(subset, t) = r iff `run` reaches the ids of r."""
+    derived, reach(subset, t_k) = r_k for every k iff one `Index.sweep`
+    of the batch through the subset's arc ids gives the r masks."""
     masks = _blueprint_masks(index, obs)
     if masks is None:
         return NEG_INF
@@ -420,8 +421,7 @@ def exact_likelihood(index: hg.Index, obs: ObservationBatch,
             f"exact likelihood over {n} arcs (limit {EXACT_ARC_LIMIT})")
     validate_hyperparams(hp, index)
     theta = [hp.get(arc.rule_type) for arc in index.arcs]
-    r_ids = [{i for i, m in enumerate(masks[0]) if m >> k & 1}
-             for k in range(len(obs.t))]
+    rmask = masks[0]
     total = 0.0
     for mask in range(1 << n):
         p = 1.0
@@ -432,8 +432,7 @@ def exact_likelihood(index: hg.Index, obs: ObservationBatch,
                 chosen.append(j)
             else:
                 p *= 1.0 - theta[j]
-        if p > 0.0 and all(index.run(t, chosen).keys() == r
-                           for t, r in zip(obs.t, r_ids)):
+        if p > 0.0 and index.sweep(obs.t, chosen)[0] == rmask:
             total += p
     return math.log(total) if total > 0.0 else NEG_INF
 

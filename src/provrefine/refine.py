@@ -201,9 +201,9 @@ def decode_model(enc: Encoding, model: Iterable[int], phi: Phi,
                   if x not in a and fact_ids[enc.enc0[x]] in model])
     if not a < a2:
         raise NotAModel("decoded abstraction is not strictly more precise")
-    reached = enc.cone.run(t_of(enc.an, a, a2), chosen)
+    reach = enc.cone.sweep([t_of(enc.an, a, a2)], chosen)[0]
     for q in enc.queries:
-        if q in phi.vertices and fact_ids[q] in model and q not in reached:
+        if q in phi.vertices and fact_ids[q] in model and not reach[q]:
             raise NotAModel("selected arcs do not justify the query")
     return a2, math.fsum(enc.weights[j] for j in chosen)
 

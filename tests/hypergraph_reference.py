@@ -10,6 +10,12 @@ kept as the oracle its ranked facts are checked against: a sort of the
 arcs by their key tuples, with one `Fact._key` per distinct fact, and one
 `str(arc)` per line, which keys and prints each fact once per mention.
 Both must write the same bytes.
+
+`run` is the layered one-set closure that `provrefine.hypergraph.Index`
+kept beside its bit-parallel `sweep` until every closure went through
+`sweep`: fact id -> max-plus distance, kept as the oracle of the
+distances `hypergraph.distances` gives and of the facts a one-set sweep
+reaches, through all of an index's arcs or a subset of them.
 """
 
 from provrefine.hypergraph import Fact, Hypergraph
@@ -27,6 +33,44 @@ def ranked(arcs, extra=()) -> tuple:
     return facts, ids, sorted(
         (rank(head), tuple(sorted(map(rank, body))), rule_type, arc)
         for arc in arcs for head, body, rule_type in (arc,))
+
+
+def run(index, t, arcs=None) -> dict:
+    """Fact id -> max-plus distance from the seed facts t, for the facts
+    reached.  Seeds outside the index are dropped.  Given `arcs`, only
+    the arcs with those ids fire.
+
+    Seeds are at 0 and heads of empty-body arcs at 1.  Facts settle layer
+    by layer; an arc fires when its last body fact settles, and that fact
+    is the farthest of its body, so the head's candidate is its layer + 1.
+    The first candidate a head gets is its least, so no heap is needed.
+    """
+    ids, heads, uses = index.ids, index.heads, index._uses
+    sizes = list(map(len, index.bodies))
+    if arcs is None:
+        pending = sizes.copy()
+    else:  # an arc left out counts down past 0, so it never fires
+        pending = [-1] * len(index.arcs)
+        for j in arcs:
+            pending[j] = sizes[j]
+    dist = dict.fromkeys([ids[u] for u in t if u in ids], 0)
+    layer, nxt = list(dist), []
+    for j in index._empty:
+        if not pending[j] and heads[j] not in dist:
+            dist[heads[j]] = 1
+            nxt.append(heads[j])
+    d = 1  # the distance of the heads that fire from this layer
+    while layer or nxt:
+        for f in layer:
+            for j in uses[f]:
+                pending[j] -= 1
+                if not pending[j]:
+                    h = heads[j]
+                    if h not in dist:
+                        dist[h] = d
+                        nxt.append(h)
+        layer, nxt, d = nxt, [], d + 1
+    return dist
 
 
 def _sorted_sharing_keys(arcs) -> list:

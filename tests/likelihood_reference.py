@@ -50,6 +50,7 @@ from provrefine import likelihood as lk
 from provrefine.hypergraph import Arc, Fact, Hypergraph
 from provrefine.probmodel import NEG_INF, HyperParams
 
+from hypergraph_reference import run
 from probmodel_reference import log_one_minus
 
 
@@ -80,7 +81,7 @@ def observe(an: Analysis, a: frozenset) -> Observation:
     p1 = encode_params(an, a, 1)
     t = an.projection.image(p1)
     # equals reach over local_provenance: reach(global, P1) lies in derive(a)
-    r = an.projection.image([*p1, *map(an.index.facts.__getitem__, an.index.run(p1))])
+    r = an.projection.image([*p1, *map(an.index.facts.__getitem__, run(an.index, p1))])
     return Observation(t=t, r=r)
 
 

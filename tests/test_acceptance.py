@@ -33,6 +33,7 @@ import refine_reference
 from conftest import (fact, formula_objective, naive_closure, random_gadget,
                       random_hypergraph, random_seed_set, solve_formula)
 from datalog_reference import smudge_analysis
+from hypergraph_reference import run
 from likelihood_reference import Observation, observations
 
 
@@ -337,7 +338,7 @@ def test_criterion_6_phi_bijection():
         cone = hg.Index.cone(an.global_graph, q,
                              [*an.encode0.values(), *an.encode1.values()])
         heads, bodies, root = cone.heads, cone.bodies, cone.ids[q]
-        dist = cone.run(ana.encode_params(an, a, 0) | ana.encode_params(an, a, 1))
+        dist = run(cone, ana.encode_params(an, a, 0) | ana.encode_params(an, a, 1))
         # every forward arc of q's cone, whether or not it leads on to q
         kept = [j for j in range(len(cone.arcs)) if heads[j] in dist and all(
             b in dist and dist[b] < dist[heads[j]] for b in bodies[j])]

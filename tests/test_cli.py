@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import provrefine.hypergraph as hg
 from provrefine import analysis as ana
@@ -1105,6 +1105,39 @@ def test_arbitrary_input_gets_a_documented_exit_code(valid_inputs, command, text
         assert any(path in message for path in argv[1:]
                    if path in valid_inputs.values()), message
 
+
+# fact lines across the domain's edges, among blank and comment lines; no
+# rule of rules.dl reads `v`, so only a fact of the file can overflow
+_DOMAIN_LINES = st.lists(st.one_of(
+    st.integers(-300, 600), st.sampled_from(["", "  ", "# v(999).", "v(7). # v(-1)"])),
+    max_size=12)
+
+
+@given(lines=_DOMAIN_LINES, as_facts=st.booleans())
+@example(lines=[0, "", 255, "# v(999)."], as_facts=False)
+@example(lines=[255, 256, "", -1], as_facts=True)
+@settings(max_examples=150, deadline=None)
+def test_a_fact_outside_the_domain_exits_3(valid_inputs, lines, as_facts):
+    """`ground` of a file of `v(N).` lines, as the program or as the
+    --facts of rules.dl, exits 3 iff some N is outside [0, 255], naming
+    the least such line as README documents, and exits 0 otherwise."""
+    fuzz = valid_inputs["fuzz.txt"]
+    texts = [f"v({n})." if isinstance(n, int) else n for n in lines]
+    Path(fuzz).write_text("\n".join(texts))
+    argv = ["ground", "--rules", fuzz]
+    if as_facts:
+        argv = ["ground", "--rules", valid_inputs["rules.dl"], "--facts", fuzz]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    outside = [(lineno, n) for lineno, n in enumerate(lines, 1)
+               if isinstance(n, int) and not 0 <= n <= 255]
+    if not outside:
+        assert (code, err.getvalue()) == (cli.EXIT_OK, "")
+    else:
+        lineno, n = outside[0]
+        message = f"error: {fuzz} line {lineno}: v({n}): integer {n} outside [0, 255]\n"
+        assert (code, err.getvalue()) == (cli.EXIT_OVERFLOW, message)
 
 
 # documented input errors that no other test reaches; where the error is in

@@ -199,31 +199,39 @@ def test_the_ranking_is_the_key_sort_of_the_reference(seed):
 @given(st.integers(0, 10_000))
 @settings(max_examples=60, deadline=None)
 def test_index_closes_as_the_naive_oracles(seed):
-    """Empty-body arcs and seeds outside the graph, some not facts: close
-    is the naive closure with the brute-force distances, run its
-    restriction to the index, the forward arcs of a one-set sweep those of
-    `forward_arcs`, and run over a subset of its arcs the naive closure
-    through them."""
+    """Empty-body arcs and seeds outside the graph, some not facts: the
+    finite distances are the naive closure with the brute-force distances,
+    the reference's layered closure their restriction to the index, and a
+    one-set sweep reaches those facts and calls the arcs of `forward_arcs`
+    forward; through a subset of the arcs, the reference and the sweep
+    reach the naive closure through them, and the sweep's forward arcs
+    are theirs."""
     rng = random.Random(seed)
     g = _relabelled(rng, random_hypergraph(rng))
     verts = sorted(g.vertices)
     t = set(rng.sample(verts, rng.randint(0, len(verts))))
     t |= set(rng.sample(["outside", fact(99), (99, "x")], rng.randint(0, 3)))
     index = hg.Index(g.arcs)
-    dist = index.close(t)
+    dist = {u: d for u, d in hg.distances(g, t).items() if d is not INFINITY}
     assert dist.keys() == naive_closure(g, t)
     assert dist == {u: d for u, d in brute_force_distances(g, t).items()
                     if d is not INFINITY}
-    assert index.run(t) == {index.ids[u]: d for u, d in dist.items()
-                            if u in index.ids}
-    forward = index.sweep([t])[1]
+    assert hypergraph_reference.run(index, t) == {
+        index.ids[u]: d for u, d in dist.items() if u in index.ids}
+    reach, forward = index.sweep([t])
+    assert {index.facts[i] for i, m in enumerate(reach) if m} == \
+        dist.keys() & index.ids.keys()
     assert {index.arcs[j] for j, m in enumerate(forward) if m} == \
         hg.forward_arcs(g, t).arcs
     some = [j for j in range(len(index.arcs)) if rng.random() < 0.6]
     rng.shuffle(some)
     sub = Hypergraph(index.arcs[j] for j in some)
-    assert index.run(t, some).keys() == {
-        index.ids[u] for u in naive_closure(sub, t) if u in index.ids}
+    closed = {index.ids[u] for u in naive_closure(sub, t) if u in index.ids}
+    assert hypergraph_reference.run(index, t, some).keys() == closed
+    reach, forward = index.sweep([t], iter(some))
+    assert {i for i, m in enumerate(reach) if m} == closed
+    assert {index.arcs[j] for j, m in enumerate(forward) if m} == \
+        hg.forward_arcs(sub, t).arcs
 
 
 _SMALL_FACTS = st.builds(fact, st.integers(0, 5))
@@ -238,25 +246,37 @@ _LOOSE_ARCS = st.builds(Arc, _SMALL_FACTS, st.frozensets(_SMALL_FACTS, max_size=
 def test_the_kernel_finds_the_forward_arcs(arcs, t, data):
     """With empty bodies, self-loops and seeds among the heads: the arcs
     that a one-set sweep calls forward are those of `forward_arcs`, and
-    run over the whole graph or over the subset of arcs that may fire
-    gives the brute-force distances through those arcs."""
+    through the whole graph or the subset of arcs that may fire, the
+    reference's layered closure and `distances` give the brute-force
+    distances through those arcs, and a one-set sweep reaches their facts
+    and calls the arcs of `forward_arcs` through them forward."""
     index = hg.Index(arcs)
     forward = index.sweep([t])[1]
     assert {index.arcs[j] for j, m in enumerate(forward) if m} == \
         hg.forward_arcs(Hypergraph(arcs), t).arcs
     some = data.draw(st.none() | st.lists(
         st.integers(0, len(arcs) - 1), unique=True) if arcs else st.none())
-    sub = arcs if some is None else [index.arcs[j] for j in some]
-    assert {index.facts[i]: d for i, d in index.run(t, some).items()} == {
-        u: d for u, d in brute_force_distances(Hypergraph(sub), t).items()
-        if d is not INFINITY and u in index.ids}
+    sub = Hypergraph(arcs if some is None else [index.arcs[j] for j in some])
+    want = {u: d for u, d in brute_force_distances(sub, t).items()
+            if d is not INFINITY}
+    assert {u: d for u, d in hg.distances(sub, t).items()
+            if d is not INFINITY} == want
+    want = {u: d for u, d in want.items() if u in index.ids}
+    assert {index.facts[i]: d for i, d in
+            hypergraph_reference.run(index, t, some).items()} == want
+    reach, forward = index.sweep([t], some)
+    assert {index.facts[i] for i, m in enumerate(reach) if m} == want.keys()
+    assert {index.arcs[j] for j, m in enumerate(forward) if m} == \
+        hg.forward_arcs(sub, t).arcs
 
 
-def _assert_sweep_is_the_oracles_per_set(index, seed_sets):
+def _assert_sweep_is_the_oracles_per_set(index, seed_sets, arcs=None):
     """Bit k of `sweep` is the naive closure and the forward arcs from seed
-    set k, and no higher bit is set."""
-    g = Hypergraph(index.arcs)
-    reach, forward = index.sweep(seed_sets)
+    set k, through the arcs with the ids `arcs` if given, and no higher bit
+    is set."""
+    g = Hypergraph(index.arcs if arcs is None else
+                   [index.arcs[j] for j in arcs])
+    reach, forward = index.sweep(seed_sets, arcs)
     assert len(reach) == len(index.facts) and len(forward) == len(index.arcs)
     for k, t in enumerate(seed_sets):
         assert {index.facts[i] for i, m in enumerate(reach) if m >> k & 1} == {
@@ -271,7 +291,8 @@ def _assert_sweep_is_the_oracles_per_set(index, seed_sets):
 def test_sweep_is_the_oracles_from_each_seed_set(seed):
     """No set, one, a few, or more than 64 (masks of several machine
     words), over graphs with empty bodies, from seeds inside and outside
-    the index, some not facts."""
+    the index, some not facts, through every arc or a drawn subset of
+    them."""
     rng = random.Random(seed)
     g = _relabelled(rng, random_hypergraph(rng))
     verts = sorted(g.vertices)
@@ -279,13 +300,17 @@ def test_sweep_is_the_oracles_from_each_seed_set(seed):
     n = rng.choice([0, 1, rng.randint(2, 8), rng.randint(65, 70)])
     seed_sets = [set(rng.sample(verts, rng.randint(0, len(verts))))
                  | set(rng.sample(outside, rng.randint(0, 1))) for _ in range(n)]
-    _assert_sweep_is_the_oracles_per_set(hg.Index(g.arcs), seed_sets)
+    index = hg.Index(g.arcs)
+    _assert_sweep_is_the_oracles_per_set(index, seed_sets)
+    some = [j for j in range(len(index.arcs)) if rng.random() < 0.6]
+    _assert_sweep_is_the_oracles_per_set(index, seed_sets, some)
 
 
 def test_sweep_on_seeded_heads_and_arcs_that_fire_together():
     """An empty-body arc, a seed that is an arc's head, two arcs into one
     head in one layer (both forward), a seed outside the index, and a
-    cycle back into a seed, from 0, 1 and 70 seed sets."""
+    cycle back into a seed, from 0, 1 and 70 seed sets, through every arc,
+    none, or all but the empty-body arc and one arc into h."""
     x, y, z, h, e = (Fact(n) for n in "xyzhe")
     arcs = [Arc(e, (), "base"), Arc(h, [x], "r"), Arc(h, [y], "r"),
             Arc(z, [h, e], "r"), Arc(x, [z], "r")]
@@ -293,6 +318,8 @@ def test_sweep_on_seeded_heads_and_arcs_that_fire_together():
     base = [{x, y}, {x}, {h}, {h, x}, {Fact("outside")}, set(), {z, y}]
     for seed_sets in ([], base[:1], base * 10):
         _assert_sweep_is_the_oracles_per_set(index, seed_sets)
+        for some in ([], [index.arcs.index(a) for a in arcs[2:]]):
+            _assert_sweep_is_the_oracles_per_set(index, seed_sets, some)
     reach, forward = index.sweep(base[:1])
     # both arcs into h fire in layer 1; the arc back into seed x is not forward
     assert [forward[index.arcs.index(a)] for a in arcs] == [1, 1, 1, 1, 0]
